@@ -1,17 +1,16 @@
 """Check execution: evaluate a mode's predicate over sampled points and fold
 the results into a deterministic report.
 
-The per-point results are folded with a commutative reduction (extreme value,
-ties broken by lowest sample index), so serial and parallel runs produce the
-same report. HFREE_THREADS controls the worker count (0 or unset = serial).
+Every jet matrix is evaluated by its compiled entries (`jets.CompiledJet`),
+cached per (frame, map), so the pointwise API and the checks share one jet.
+Points are evaluated one after another, and the per-point results are folded
+in sample order (extreme value, ties broken by lowest sample index).
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .brackets import rp_bracket
@@ -66,21 +65,6 @@ class Report:
 
     def to_json(self, include_wall_time: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_time), indent=2)
-
-
-def _worker_count() -> int:
-    try:
-        return max(0, int(os.environ.get("HFREE_THREADS", "0")))
-    except ValueError:
-        return 0
-
-
-def _map_points(fn, points):
-    workers = _worker_count()
-    if workers <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, points))
 
 
 def _fold(mode: str, points, results, notes, started, smaller_is_worse: bool) -> Report:
@@ -147,7 +131,7 @@ def check_rank_mode(
             return report.sigma_min, True, None
         return report.sigma_min, False, f"rank {report.rank} < {jet.shape[0]}"
 
-    results = _map_points(one, points)
+    results = [one(p) for p in points]
     return _fold(mode, points, results, notes, started, smaller_is_worse=True)
 
 
@@ -169,7 +153,7 @@ def check_identity_mode(
             f"residual {res.rel_residual:.3e} exceeds {tol:.3e}",
         )
 
-    results = _map_points(one, points)
+    results = [one(p) for p in points]
     return _fold("identity", points, results, notes, started, smaller_is_worse=False)
 
 
@@ -221,7 +205,7 @@ def check_bracket_laws(bracket, chart, tests, points, tol: float, notes=()) -> R
                     reason = f"{label} residual {value:.3e} exceeds {tol:.3e}"
         return worst, reason is None, reason
 
-    results = _map_points(one, points)
+    results = [one(p) for p in points]
     return _fold("bracket-laws", points, results, notes, started, smaller_is_worse=False)
 
 
@@ -330,5 +314,5 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
                 reason = f"free-map rank {r2.rank} < {fix.frame.k + s(fix.frame.k)}"
         return crit, reason is None, reason
 
-    results = _map_points(one, points)
+    results = [one(p) for p in points]
     return _fold("gallery", points, results, notes, started, smaller_is_worse=True)

@@ -11,7 +11,7 @@ import numpy as np
 from .expr import Coord, Expr, Mul, evaluate, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from .expr import ONE, ZERO
-from .jets import d2_exprs, pair_labels, s
+from .jets import compiled_d2, pair_labels, s
 
 
 def standard_frame(chart: Chart) -> Frame:
@@ -53,11 +53,6 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     bindings = dict(zip(outer.chart.coords, inner.components))
     comps = tuple(simplify(substitute(c, bindings)) for c in outer.components)
     return SmoothMap(inner.chart, comps)
-
-
-@lru_cache(maxsize=256)
-def _d2_rows(frame: Frame, f: SmoothMap):
-    return tuple(tuple(row) for row in d2_exprs(frame, f))
 
 
 def sym_square(a: np.ndarray) -> np.ndarray:
@@ -107,11 +102,6 @@ class IdentityResidual:
     rel_residual: float
 
 
-def _eval_rows(rows, chart, point) -> np.ndarray:
-    binding = chart.bind(point)
-    return np.array([[evaluate(e, binding) for e in row] for row in rows])
-
-
 def block_decomposition(
     frame: Frame, f: SmoothMap, outer: SmoothMap, point
 ) -> BlockDecomposition:
@@ -126,7 +116,7 @@ def block_decomposition(
             f"outer map must be {k} -> {k + s(k)}, got {outer.chart.dim} -> {outer.q}"
         )
     try:
-        d2_inner = _eval_rows(_d2_rows(frame, f), frame.chart, point)
+        d2_inner = compiled_d2(frame, f).at(point).entries
     except Exception as exc:
         raise type(exc)(f"inner jet block: {exc}") from exc
     d1 = d2_inner[:k, :]
@@ -135,15 +125,11 @@ def block_decomposition(
     # may fall outside the outer chart's sampling box
     image = tuple(float(evaluate(comp, frame.chart.bind(point))) for comp in f.components)
     try:
-        d2_outer = _eval_rows(
-            _d2_rows(standard_frame(outer.chart), outer), outer.chart, image
-        )
+        d2_outer = compiled_d2(standard_frame(outer.chart), outer).at(image).entries
     except Exception as exc:
         raise type(exc)(f"outer jet block: {exc}") from exc
     try:
-        d2_composite = _eval_rows(
-            _d2_rows(frame, compose(outer, f)), frame.chart, point
-        )
+        d2_composite = compiled_d2(frame, compose(outer, f)).at(point).entries
     except Exception as exc:
         raise type(exc)(f"composite jet block: {exc}") from exc
     return BlockDecomposition(

@@ -346,12 +346,36 @@ def to_str(e: Expr) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: the tree-walking reference interpreter. Both engines report an
+# arithmetic fault with the same EvalError message.
+
+_DIV_ZERO = "division by zero"
+
+
+def _neg_pow(base: float, n: int) -> float:
+    if base == 0.0:
+        raise EvalError("0 raised to a negative power")
+    return float(base**n)
+
+
+def _arith_error(exc: ArithmeticError | ValueError) -> EvalError:
+    if isinstance(exc, OverflowError):
+        return EvalError("overflow")
+    return EvalError(str(exc))
 
 
 def evaluate(e: Expr, point: dict) -> float:
-    """Evaluate at a coordinate binding. Raises EvalError on unbound names,
-    division by zero, and 0 raised to a negative power."""
+    """Evaluate at a coordinate binding, operands left to right. Raises
+    EvalError on unbound names, division by zero, 0 raised to a negative
+    power, overflow and math domain errors, with the messages compile_expr
+    gives."""
+    try:
+        return _evaluate(e, point)
+    except (OverflowError, ValueError) as exc:
+        raise _arith_error(exc) from None
+
+
+def _evaluate(e: Expr, point: dict) -> float:
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Coord):
@@ -360,29 +384,30 @@ def evaluate(e: Expr, point: dict) -> float:
         except KeyError:
             raise EvalError(f"unbound coordinate '{e.name}'") from None
     if isinstance(e, Neg):
-        return -evaluate(e.arg, point)
+        return -_evaluate(e.arg, point)
     if isinstance(e, Add):
-        return evaluate(e.left, point) + evaluate(e.right, point)
+        return _evaluate(e.left, point) + _evaluate(e.right, point)
     if isinstance(e, Sub):
-        return evaluate(e.left, point) - evaluate(e.right, point)
+        return _evaluate(e.left, point) - _evaluate(e.right, point)
     if isinstance(e, Mul):
-        return evaluate(e.left, point) * evaluate(e.right, point)
+        return _evaluate(e.left, point) * _evaluate(e.right, point)
     if isinstance(e, Div):
-        denom = evaluate(e.right, point)
+        num = _evaluate(e.left, point)
+        denom = _evaluate(e.right, point)
         if denom == 0.0:
-            raise EvalError("division by zero")
-        return evaluate(e.left, point) / denom
+            raise EvalError(_DIV_ZERO)
+        return num / denom
     if isinstance(e, Pow):
-        base = evaluate(e.base, point)
-        if base == 0.0 and e.exponent < 0:
-            raise EvalError("0 raised to a negative power")
+        base = _evaluate(e.base, point)
+        if e.exponent < 0:
+            return _neg_pow(base, e.exponent)
         return float(base**e.exponent)
     if isinstance(e, Sin):
-        return math.sin(evaluate(e.arg, point))
+        return math.sin(_evaluate(e.arg, point))
     if isinstance(e, Cos):
-        return math.cos(evaluate(e.arg, point))
+        return math.cos(_evaluate(e.arg, point))
     if isinstance(e, Exp):
-        return math.exp(evaluate(e.arg, point))
+        return math.exp(_evaluate(e.arg, point))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -601,6 +626,8 @@ def _pysrc(e: Expr) -> str:
     if isinstance(e, Div):
         return f"({_pysrc(e.left)} / {_pysrc(e.right)})"
     if isinstance(e, Pow):
+        if e.exponent < 0:
+            return f"_neg_pow({_pysrc(e.base)}, {e.exponent})"
         return f"({_pysrc(e.base)} ** {e.exponent})"
     if isinstance(e, Sin):
         return f"_sin({_pysrc(e.arg)})"
@@ -612,17 +639,21 @@ def _pysrc(e: Expr) -> str:
 
 
 def compile_expr(e: Expr):
-    """Compile to a callable point-dict -> float. Division by zero and 0^-n
-    surface as EvalError, matching evaluate()."""
+    """Compile to a callable point-dict -> float that agrees with evaluate()
+    bit for bit, and raises the same EvalError where evaluate() does."""
     src = f"lambda _p: ({_pysrc(e)})"
-    fn = eval(src, {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp})
+    fn = eval(
+        src, {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_neg_pow": _neg_pow}
+    )
 
     def call(point: dict) -> float:
         try:
             return float(fn(point))
-        except ZeroDivisionError as exc:
-            raise EvalError(str(exc)) from None
+        except ZeroDivisionError:
+            raise EvalError(_DIV_ZERO) from None
         except KeyError as exc:
             raise EvalError(f"unbound coordinate {exc}") from None
+        except (OverflowError, ValueError) as exc:
+            raise _arith_error(exc) from None
 
     return call

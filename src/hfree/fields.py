@@ -56,10 +56,11 @@ class Chart:
     def bind(self, point) -> dict:
         if len(point) != self.dim:
             raise ChartMismatch(f"point of length {len(point)} on a {self.dim}-dim chart")
-        return dict(zip(self.coords, point))
+        return dict(zip(self.coords, map(float, point)))
 
-    def contains(self, point) -> bool:
-        return all(lo <= v <= hi for v, (lo, hi) in zip(point, self.box))
+    def check_point(self, point):
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(point, self.box)):
+            raise OutsideDomain(f"point {tuple(point)} outside box {self.box}")
 
 
 @dataclass(frozen=True)
@@ -150,16 +151,9 @@ def flat_norm_sq(xi: VectorField) -> Expr:
 
 def frame_rank_check(frame: Frame, point, tol: float = 1e-9) -> bool:
     """True iff the frame's component matrix has full numerical rank at the point."""
-    from .jets import numerical_rank  # local import: jets depends on fields
+    from .jets import CompiledJet, rank_check  # local import: jets depends on fields
 
-    import numpy as np
-
-    if not frame.chart.contains(point):
-        raise OutsideDomain(f"point {tuple(point)} outside box {frame.chart.box}")
-    binding = frame.chart.bind(point)
-    from .expr import evaluate
-
-    mat = np.array(
-        [[evaluate(c, binding) for c in v.components] for v in frame.vectors]
-    )
-    return numerical_rank(mat, tol) == frame.k
+    frame.chart.check_point(point)
+    rows = [v.components for v in frame.vectors]
+    components = CompiledJet(rows, frame.chart, range(frame.k), order=0)
+    return rank_check(components.at(point), tol).full_rank

@@ -5,13 +5,17 @@ to see the lines directly; under capture they appear in the test report.
 
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import textwrap
 from contextlib import redirect_stdout
 from functools import lru_cache
 
 import numpy as np
 
+import hfree
 from hfree.brackets import SymplecticChart, canonical_bracket, contact_form_values, contact_frame
 from hfree.checks import bracket_law_residuals, run_check
 from hfree.cli import main
@@ -268,25 +272,50 @@ def test_criterion_8_contact_structure():
     )
 
 
-def _gallery_run_json(monkeypatch, threads: str) -> str:
-    monkeypatch.setenv("HFREE_THREADS", threads)
-    buf = io.StringIO()
-    with redirect_stdout(buf):
-        code = main(
-            ["gallery", "run", "integrable-torus-2", "--samples", "2000", "--seed", "13", "--json"]
-        )
-    assert code == 0
-    data = json.loads(buf.getvalue())
+_DETERMINISM_ARGS = [
+    "gallery", "run", "integrable-torus-2", "--samples", "2000", "--seed", "13", "--json",
+]
+
+
+def _strip_wall_time(payload: str) -> str:
+    data = json.loads(payload)
     data.pop("wall_time_ms")
     return json.dumps(data, indent=2)
 
 
-def test_criterion_9_determinism(monkeypatch):
-    serial_a = _gallery_run_json(monkeypatch, "0")
-    serial_b = _gallery_run_json(monkeypatch, "0")
-    parallel = _gallery_run_json(monkeypatch, "4")
-    ok = serial_a == serial_b == parallel
-    _record(9, "determinism", ok, "byte-identical JSON, serial and 4-thread")
+def _gallery_run_json() -> str:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(_DETERMINISM_ARGS)
+    assert code == 0
+    return _strip_wall_time(buf.getvalue())
+
+
+def _gallery_run_json_fresh_interpreter() -> str:
+    src = os.path.dirname(os.path.dirname(hfree.__file__))
+    env = dict(os.environ, PYTHONHASHSEED="0")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "hfree.cli", *_DETERMINISM_ARGS],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return _strip_wall_time(out.stdout)
+
+
+def test_criterion_9_determinism():
+    first = _gallery_run_json()
+    second = _gallery_run_json()
+    fresh = _gallery_run_json_fresh_interpreter()
+    ok = first == second == fresh
+    _record(
+        9,
+        "determinism",
+        ok,
+        "byte-identical JSON, two in-process runs and a fresh interpreter with PYTHONHASHSEED=0",
+    )
 
 
 def test_criterion_10_below_critical_guard():

@@ -4,6 +4,7 @@ import textwrap
 import pytest
 
 from hfree.cli import main
+from hfree.jets import compiled_d1, compiled_d2
 
 
 @pytest.fixture
@@ -94,6 +95,47 @@ class TestVerifyIdentity:
         assert main(["verify-identity", planar_manifest, "--quiet"]) == 0
         assert capsys.readouterr().out.strip() == "pass"
 
+    def test_undefined_inner_jet_reasons(self, tmp_path, capsys):
+        manifest = tmp_path / "reciprocal.toml"
+        manifest.write_text(
+            textwrap.dedent(
+                """
+                [manifold]
+                coords = [x, y]
+                box = [[-1, 1], [-1, 1]]
+
+                [frame]
+                vectors = [["1", "0"]]
+
+                [map]
+                components = ["1/x"]
+
+                [check]
+                mode = identity
+                grid = [3, 3]
+                """
+            )
+        )
+        assert main(["check", str(manifest), "--json"]) == 1
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert failures == [
+            {"point": [0.0, y], "reason": "inner jet block: division by zero"}
+            for y in (-1.0, 0.0, 1.0)
+        ]
+
+
+def test_overflow_at_a_point_is_a_failure(planar_manifest, tmp_path, capsys):
+    text = open(planar_manifest).read().replace('"y*exp(x)"', '"exp(exp(exp(3*x)))"')
+    manifest = tmp_path / "overflow.toml"
+    manifest.write_text(text)
+    assert main(["check", str(manifest), "--json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["verdict"] == "fail"
+    # math.exp overflows with an exception; a product of huge finite factors
+    # overflows silently to inf, which the rank check names as non-finite
+    reasons = {f["reason"] for f in data["failures"]}
+    assert reasons == {"overflow", "non-finite entry in row 0"}
+
 
 class TestGallery:
     def test_list(self, capsys):
@@ -122,18 +164,20 @@ class TestGallery:
         second = _strip_wall_time(capsys.readouterr().out)
         assert json.dumps(first, sort_keys=False) == json.dumps(second, sort_keys=False)
 
-    def test_serial_parallel_equivalence(self, capsys, monkeypatch):
+    def test_cold_and_warm_jet_cache_equivalence(self, capsys):
         args = [
             "gallery", "run", "integrable-torus-1",
             "--samples", "200", "--seed", "3", "--json",
         ]
-        monkeypatch.setenv("HFREE_THREADS", "0")
+        compiled_d1.cache_clear()
+        compiled_d2.cache_clear()
         assert main(args) == 0
-        serial = _strip_wall_time(capsys.readouterr().out)
-        monkeypatch.setenv("HFREE_THREADS", "4")
+        cold = _strip_wall_time(capsys.readouterr().out)
+        hits = compiled_d2.cache_info().hits
         assert main(args) == 0
-        parallel = _strip_wall_time(capsys.readouterr().out)
-        assert serial == parallel
+        warm = _strip_wall_time(capsys.readouterr().out)
+        assert compiled_d2.cache_info().hits > hits
+        assert cold == warm
 
 
 class TestEval:
@@ -143,6 +187,10 @@ class TestEval:
 
     def test_division_by_zero(self, capsys):
         assert main(["eval", "1/x", "--at", "x=0"]) == 1
+
+    def test_overflow_is_an_evaluation_error(self, capsys):
+        assert main(["eval", "exp(1000)"]) == 1
+        assert capsys.readouterr().err.strip() == "evaluation error: overflow"
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["eval", "sin(x"]) == 2

@@ -205,10 +205,46 @@ def test_simplify_idempotent(e):
     assert simplify(once) == once
 
 
+def _outcome(fn, e, point):
+    try:
+        return fn(e, point)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _compiled(e, point):
+    return compile_expr(e)(point)
+
+
 @given(_exprs(), _points)
 @settings(max_examples=200, deadline=None)
 def test_compiled_matches_interpreted(e, point):
-    assert compile_expr(e)(point) == pytest.approx(evaluate(e, point), rel=1e-12, abs=1e-12)
+    """Bit-exact agreement, and the same exception type and message when one
+    engine raises."""
+    assert _outcome(_compiled, e, point) == _outcome(evaluate, e, point)
+
+
+_BIG = Const(1e200)
+
+
+@pytest.mark.parametrize(
+    "e, point, message",
+    [
+        (parse("1/x"), {"x": 0.0}, "division by zero"),
+        (parse("x^-2"), {"x": 0.0}, "0 raised to a negative power"),
+        (parse("(1/x)/(x^-1)"), {"x": 0.0}, "division by zero"),
+        (parse("exp(1000)"), {}, "overflow"),
+        (parse("exp(exp(exp(3*x)))"), {"x": 2.0}, "overflow"),
+        (Pow(Mul(_BIG, Coord("x")), 2), {"x": 1.0}, "overflow"),
+        (Sin(Mul(Mul(_BIG, _BIG), Coord("x"))), {"x": 1.0}, "math domain error"),
+        (parse("x + z"), {"x": 1.0}, "unbound coordinate 'z'"),
+    ],
+)
+def test_engines_share_error_policy(e, point, message):
+    """Every arithmetic fault at a point is an EvalError, worded alike by both
+    engines."""
+    assert _outcome(evaluate, e, point) == (EvalError, message)
+    assert _outcome(_compiled, e, point) == (EvalError, message)
 
 
 @given(_exprs(), _points, _names)

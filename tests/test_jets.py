@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from hfree.expr import parse
-from hfree.fields import Chart, Frame, SmoothMap, VectorField
+from hfree.checks import check_rank_mode
+from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField
 from hfree.jets import (
+    DEFAULT_TOL,
     BelowCriticalDimension,
     JetMatrix,
     d1_matrix,
@@ -153,6 +155,29 @@ class TestPredicates:
         f = SmoothMap(PLANE, (parse("x"),))
         with pytest.raises(BelowCriticalDimension):
             is_free_at(frame, f, (0.0, 0.0))
+
+    def test_points_outside_the_box_are_refused(self):
+        frame = standard_frame(LINE)
+        f = SmoothMap(LINE, (parse("x"), parse("x^2")))
+        for matrix in (d1_matrix, d2_matrix):
+            assert matrix(frame, f, (4.0,)).entries.shape[1] == 2
+            with pytest.raises(OutsideDomain):
+                matrix(frame, f, (4.5,))
+            with pytest.raises(OutsideDomain):
+                matrix(frame, f, (-4.0 - 1e-12,))
+
+    def test_pointwise_and_batch_verdicts_agree(self):
+        # det D2 = 12 x^2: rank deficient at x = 0 only, which the grid hits
+        frame = standard_frame(LINE)
+        f = SmoothMap(LINE, (parse("x^2"), parse("x^3")))
+        points = sample_points(LINE, grid=[9]) + sample_points(LINE, samples=20, seed=5)
+        report = check_rank_mode(frame, f, points, DEFAULT_TOL, "free")
+        failed = {tuple(failure["point"]) for failure in report.failures}
+        assert failed == {(0.0,)}
+        for point in points:
+            assert is_free_at(frame, f, point) == (point not in failed)
+        worst = rank_check(d2_matrix(frame, f, report.worst_point))
+        assert worst.sigma_min == report.worst_criterion
 
     def test_square_d1_det_and_sigma_verdicts_agree(self):
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
