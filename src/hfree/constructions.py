@@ -8,10 +8,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import Coord, Expr, Mul, evaluate, simplify, substitute
+from .expr import ONE, ZERO, Coord, Expr, Mul, compile_batch, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from .expr import ONE, ZERO
-from .jets import compiled_d2, pair_labels, s
+from .jets import compiled_d2, pair_labels, s, valid_mask
 
 
 def standard_frame(chart: Chart) -> Frame:
@@ -102,38 +101,82 @@ class IdentityResidual:
     rel_residual: float
 
 
+class DetIdentity:
+    """The chain-rule factorization of the order-2 jet of outer(f), compiled
+    once and evaluated over (n, dim) arrays of points. Requires critical
+    dimensions: f has k components and outer has k + s_k components over a
+    k-coordinate chart."""
+
+    def __init__(self, frame: Frame, f: SmoothMap, outer: SmoothMap):
+        k = frame.k
+        if f.q != k:
+            raise ChartMismatch(f"inner map must have {k} components, got {f.q}")
+        if outer.chart.dim != k or outer.q != k + s(k):
+            raise ChartMismatch(
+                f"outer map must be {k} -> {k + s(k)}, got {outer.chart.dim} -> {outer.q}"
+            )
+        self.k = k
+        self.inner = compiled_d2(frame, f)
+        self.image = compile_batch(f.components, frame.chart.coords)
+        self.outer = compiled_d2(standard_frame(outer.chart), outer)
+        self.composite = compiled_d2(frame, compose(outer, f))
+
+    def blocks(self, points: np.ndarray):
+        """Stacks of the order-2 jets of f, of outer at f(p) and of outer(f),
+        and a dict mapping each point where one of them faulted to its error,
+        named by the first block that faulted."""
+        d2_inner, errors = self.inner.at(points)
+        failures = {i: type(exc)(f"inner jet block: {exc}") for i, exc in errors.items()}
+        image, errors = self.image(points)
+        for i, (_, exc) in errors.items():
+            failures.setdefault(i, exc)
+        # the outer jet is taken along the standard frame at the image points,
+        # which may fall outside the outer chart's sampling box
+        d2_outer = np.full((len(points),) + self.outer.shape, np.nan)
+        defined = np.flatnonzero(valid_mask(len(points), failures))
+        if defined.size:
+            d2_outer[defined], errors = self.outer.at(image[defined])
+            for j, exc in errors.items():
+                failures.setdefault(int(defined[j]), type(exc)(f"outer jet block: {exc}"))
+        d2_composite, errors = self.composite.at(points)
+        for i, exc in errors.items():
+            failures.setdefault(i, type(exc)(f"composite jet block: {exc}"))
+        return d2_inner, d2_outer, d2_composite, failures
+
+    def residuals(self, points: np.ndarray):
+        """Arrays lhs = det(order-2 jet of outer(f)), rhs = det(order-1 jet
+        of f)^(k+2) * det(order-2 jet of outer) and their relative residual,
+        and the failures of blocks(); those points' entries are meaningless."""
+        d2_inner, d2_outer, d2_composite, failures = self.blocks(points)
+        with np.errstate(all="ignore"):
+            lhs = np.linalg.det(d2_composite)
+            # float ** per element: numpy's power rounds differently in a few percent of values
+            powers = [d ** (self.k + 2) for d in np.linalg.det(d2_inner[:, : self.k]).tolist()]
+            rhs = np.array(powers) * np.linalg.det(d2_outer)
+            # max(1.0, |lhs|, |rhs|) as Python's max computes it, nan included
+            scale = np.where(np.abs(lhs) > 1.0, np.abs(lhs), 1.0)
+            scale = np.where(np.abs(rhs) > scale, np.abs(rhs), scale)
+            rel = np.abs(lhs - rhs) / scale
+        return lhs, rhs, rel, failures
+
+
 def block_decomposition(
     frame: Frame, f: SmoothMap, outer: SmoothMap, point
 ) -> BlockDecomposition:
     """Evaluate, at one point, every matrix in the chain-rule factorization of
-    the order-2 jet of outer(f). Requires critical dimensions: f has k
-    components and outer has k + s_k components over a k-coordinate chart."""
-    k = frame.k
-    if f.q != k:
-        raise ChartMismatch(f"inner map must have {k} components, got {f.q}")
-    if outer.chart.dim != k or outer.q != k + s(k):
-        raise ChartMismatch(
-            f"outer map must be {k} -> {k + s(k)}, got {outer.chart.dim} -> {outer.q}"
-        )
-    try:
-        d2_inner = compiled_d2(frame, f).at(point).entries
-    except Exception as exc:
-        raise type(exc)(f"inner jet block: {exc}") from exc
-    d1 = d2_inner[:k, :]
-    c = d2_inner[k:, :]
-    # outer jet is taken along the standard frame at the image point, which
-    # may fall outside the outer chart's sampling box
-    image = tuple(float(evaluate(comp, frame.chart.bind(point))) for comp in f.components)
-    try:
-        d2_outer = compiled_d2(standard_frame(outer.chart), outer).at(image).entries
-    except Exception as exc:
-        raise type(exc)(f"outer jet block: {exc}") from exc
-    try:
-        d2_composite = compiled_d2(frame, compose(outer, f)).at(point).entries
-    except Exception as exc:
-        raise type(exc)(f"composite jet block: {exc}") from exc
+    the order-2 jet of outer(f) (see DetIdentity)."""
+    d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, outer).blocks(
+        frame.chart.point_array([point])
+    )
+    if failures:
+        raise failures[0]
+    d1 = d2_inner[0, : frame.k]
     return BlockDecomposition(
-        d1=d1, c=c, d=sym_square(d1), d2_outer=d2_outer, d2_composite=d2_composite
+        d1=d1,
+        c=d2_inner[0, frame.k :],
+        d=sym_square(d1),
+        d2_outer=d2_outer[0],
+        d2_composite=d2_composite[0],
     )
 
 
@@ -141,10 +184,10 @@ def verify_det_identity(
     frame: Frame, f: SmoothMap, outer: SmoothMap, point, tol: float = 1e-9
 ) -> IdentityResidual:
     """Check det(order-2 jet of outer(f)) against det(order-1 jet of f)^(k+2)
-    times det(order-2 jet of outer)."""
-    dec = block_decomposition(frame, f, outer, point)
-    k = frame.k
-    lhs = float(np.linalg.det(dec.d2_composite))
-    rhs = float(np.linalg.det(dec.d1)) ** (k + 2) * float(np.linalg.det(dec.d2_outer))
-    rel = abs(lhs - rhs) / max(1.0, abs(lhs), abs(rhs))
-    return IdentityResidual(lhs=lhs, rhs=rhs, rel_residual=rel)
+    times det(order-2 jet of outer) at one point."""
+    lhs, rhs, rel, failures = DetIdentity(frame, f, outer).residuals(
+        frame.chart.point_array([point])
+    )
+    if failures:
+        raise failures[0]
+    return IdentityResidual(lhs=float(lhs[0]), rhs=float(rhs[0]), rel_residual=float(rel[0]))

@@ -1,4 +1,5 @@
-"""Expression trees: parsing, symbolic differentiation, simplification, evaluation.
+"""Expression trees: parsing, symbolic differentiation, simplification,
+evaluation, and compilation into batched numpy code.
 
 The grammar is deliberately tiny -- {+, -, *, /, ^, sin, cos, exp} over named
 coordinates with integer exponents -- and every operation here is a pure
@@ -9,6 +10,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class EvalError(Exception):
@@ -367,8 +370,8 @@ def _arith_error(exc: ArithmeticError | ValueError) -> EvalError:
 def evaluate(e: Expr, point: dict) -> float:
     """Evaluate at a coordinate binding, operands left to right. Raises
     EvalError on unbound names, division by zero, 0 raised to a negative
-    power, overflow and math domain errors, with the messages compile_expr
-    gives."""
+    power, overflow and math domain errors. This is the reference that
+    compile_batch matches bit for bit and falls back to at a fault."""
     try:
         return _evaluate(e, point)
     except (OverflowError, ValueError) as exc:
@@ -566,20 +569,34 @@ def _local(e: Expr) -> Expr:
         if e.exponent == 1:
             return e.base
         if _is_const(e.base) and not (e.base.value == 0.0 and e.exponent < 0):
-            return Const(float(e.base.value**e.exponent))
+            return _fold_const(lambda v: float(v**e.exponent), e, e.base)
         return e
-    if isinstance(e, Sin) and _is_const(e.arg):
-        return Const(math.sin(e.arg.value))
-    if isinstance(e, Cos) and _is_const(e.arg):
-        return Const(math.cos(e.arg.value))
-    if isinstance(e, Exp) and _is_const(e.arg):
-        return Const(math.exp(e.arg.value))
+    if isinstance(e, (Sin, Cos, Exp)) and _is_const(e.arg):
+        return _fold_const(_FOLD[type(e)], e, e.arg)
     return e
+
+
+_FOLD = {Sin: math.sin, Cos: math.cos, Exp: math.exp}
+
+
+def _fold_const(fn, e: Expr, arg: Const) -> Expr:
+    """fn of a constant as a constant; e unfolded where fn raises (exp(1000)),
+    so the fault is reported at each point, as evaluate reports it."""
+    try:
+        return Const(fn(arg.value))
+    except (OverflowError, ValueError):
+        return e
 
 
 def simplify(e: Expr) -> Expr:
     """Best-effort normalization: constant folding, 0/1 identities, Neg pulling.
-    Semantics-preserving and idempotent; not a canonical form."""
+    Idempotent; not a canonical form.
+
+    Where e evaluates, simplify(e) evaluates to the same value up to rounding
+    (the property tests hold it to 1e-12 on random trees). Simplification may
+    enlarge the domain of definition: 0*(1/x) and 1/x - 1/x simplify to 0,
+    which evaluates at x = 0, where the original raises EvalError (division
+    by zero)."""
     if isinstance(e, Neg):
         out = Neg(simplify(e.arg))
     elif isinstance(e, Add):
@@ -607,53 +624,122 @@ def simplify(e: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Compilation (fast repeated evaluation over many sample points)
+# Compilation: one straight-line numpy function per list of expressions
+
+_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+_PROGRAM_GLOBALS = {
+    "_array": np.array,
+    "_cos": np.cos,
+    "_empty": np.empty,
+    "_exp": math.exp,
+    "_full": np.full,
+    "_neg_pow": _neg_pow,
+    "_sin": np.sin,
+    "_stack": np.stack,
+}
 
 
-def _pysrc(e: Expr) -> str:
-    if isinstance(e, Const):
-        return f"({e.value!r})"
-    if isinstance(e, Coord):
-        return f"_p[{e.name!r}]"
-    if isinstance(e, Neg):
-        return f"(-{_pysrc(e.arg)})"
-    if isinstance(e, Add):
-        return f"({_pysrc(e.left)} + {_pysrc(e.right)})"
-    if isinstance(e, Sub):
-        return f"({_pysrc(e.left)} - {_pysrc(e.right)})"
-    if isinstance(e, Mul):
-        return f"({_pysrc(e.left)} * {_pysrc(e.right)})"
-    if isinstance(e, Div):
-        return f"({_pysrc(e.left)} / {_pysrc(e.right)})"
-    if isinstance(e, Pow):
-        if e.exponent < 0:
-            return f"_neg_pow({_pysrc(e.base)}, {e.exponent})"
-        return f"({_pysrc(e.base)} ** {e.exponent})"
-    if isinstance(e, Sin):
-        return f"_sin({_pysrc(e.arg)})"
-    if isinstance(e, Cos):
-        return f"_cos({_pysrc(e.arg)})"
-    if isinstance(e, Exp):
-        return f"_exp({_pysrc(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+def _unbound(name: str):
+    raise EvalError(f"unbound coordinate '{name}'")
 
 
-def compile_expr(e: Expr):
-    """Compile to a callable point-dict -> float that agrees with evaluate()
-    bit for bit, and raises the same EvalError where evaluate() does."""
-    src = f"lambda _p: ({_pysrc(e)})"
-    fn = eval(
-        src, {"_sin": math.sin, "_cos": math.cos, "_exp": math.exp, "_neg_pow": _neg_pow}
-    )
+def compile_batch(exprs, coords):
+    """Compile expressions into one function of an (n, len(coords)) array of
+    points, columns in coordinate order.
 
-    def call(point: dict) -> float:
-        try:
-            return float(fn(point))
-        except ZeroDivisionError:
-            raise EvalError(_DIV_ZERO) from None
-        except KeyError as exc:
-            raise EvalError(f"unbound coordinate {exc}") from None
-        except (OverflowError, ValueError) as exc:
-            raise _arith_error(exc) from None
+    The function returns an (n, len(exprs)) array of values and a dict that
+    maps each point where evaluation faulted to (index of the first faulting
+    expression, its EvalError); that point's row is nan. Values agree with
+    evaluate() bit for bit and a faulting point gets evaluate()'s exact error.
 
-    return call
+    Each structurally distinct subtree is computed once, as one temporary.
+    +, -, *, /, negation, sin and cos run as numpy ufuncs, which round as the
+    float operations in evaluate() do; exp and integer powers run per element
+    through math.exp and float ** for the same reason. With finite constants
+    and coordinates, every fault evaluate() reports raises a floating-point
+    error here too; a call that raises one, or has a non-finite constant or
+    coordinate, is evaluated again point by point with evaluate()."""
+    exprs = list(exprs)
+    coords = tuple(coords)
+    column = {name: j for j, name in enumerate(coords)}
+    env = dict(_PROGRAM_GLOBALS, _unbound=_unbound)
+    lines = []
+    temps: dict = {}  # structural key -> temporary
+    seen: dict = {}  # id(node) -> temporary; keys are built bottom-up, so no tree is hashed
+    finite = True
+
+    def emit(e: Expr) -> str:
+        nonlocal finite
+        name = seen.get(id(e))
+        if name is not None:
+            return name
+        if isinstance(e, Const):
+            value = float(e.value)
+            finite = finite and math.isfinite(value)
+            key = (Const, value.hex())  # keeps 0.0 and -0.0 apart
+            code = None
+        elif isinstance(e, Coord):
+            key = (Coord, e.name)
+            j = column.get(e.name)
+            code = f"_x[:, {j}]" if j is not None else f"_unbound({e.name!r})"
+        elif isinstance(e, Neg):
+            key = (Neg, emit(e.arg))
+            code = f"-{key[1]}"
+        elif isinstance(e, (Sin, Cos)):
+            key = (type(e), emit(e.arg))
+            code = f"_{type(e).__name__.lower()}({key[1]})"
+        elif isinstance(e, Exp):
+            key = (Exp, emit(e.arg))
+            code = f"_array([_exp(v) for v in {key[1]}.tolist()])"
+        elif isinstance(e, Pow):
+            key = (Pow, emit(e.base), e.exponent)
+            power = f"_neg_pow(v, {e.exponent})" if e.exponent < 0 else f"v ** {e.exponent}"
+            code = f"_array([{power} for v in {key[1]}.tolist()])"
+        elif type(e) in _BINARY_OPS:
+            key = (type(e), emit(e.left), emit(e.right))
+            code = f"{key[1]} {_BINARY_OPS[type(e)]} {key[2]}"
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        name = temps.get(key)
+        if name is None:
+            name = temps[key] = f"t{len(temps)}"
+            if code is None:
+                env[f"{name}_value"] = value
+                code = f"_full(_n, {name}_value)"
+            lines.append(f"    {name} = {code}\n")
+        seen[id(e)] = name
+        return name
+
+    outputs = [emit(e) for e in exprs]
+    result = f"_stack(({', '.join(outputs)},), axis=1)" if outputs else "_empty((_n, 0))"
+    src = "def _program(_x, _n):\n" + "".join(lines) + f"    return {result}\n"
+    exec(src, env)
+    program = env["_program"]
+
+    def run(points: np.ndarray):
+        n = points.shape[0]
+        if finite and np.isfinite(points).all():
+            try:
+                with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                    return program(points, n), {}
+            except (ArithmeticError, ValueError, EvalError):
+                pass
+        return _evaluate_rows(exprs, coords, points)
+
+    return run
+
+
+def _evaluate_rows(exprs, coords, points):
+    """The reference interpreter, point by point: compile_batch's fallback."""
+    values = np.full((len(points), len(exprs)), np.nan)
+    errors = {}
+    for i, row in enumerate(points.tolist()):
+        binding = dict(zip(coords, row))
+        for j, e in enumerate(exprs):
+            try:
+                values[i, j] = evaluate(e, binding)
+            except EvalError as exc:
+                errors[i] = (j, exc)
+                values[i] = np.nan
+                break
+    return values, errors

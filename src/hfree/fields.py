@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .expr import Add, Expr, Mul, Pow, ZERO, free_vars, simplify
 from .expr import diff as ddx
 
@@ -57,6 +59,13 @@ class Chart:
         if len(point) != self.dim:
             raise ChartMismatch(f"point of length {len(point)} on a {self.dim}-dim chart")
         return dict(zip(self.coords, map(float, point)))
+
+    def point_array(self, points) -> np.ndarray:
+        """Points as an (n, dim) float array, columns in coordinate order."""
+        array = np.array(points, dtype=float)
+        if array.ndim != 2 or array.shape[1] != self.dim:
+            raise ChartMismatch(f"points of shape {array.shape} on a {self.dim}-dim chart")
+        return array
 
     def check_point(self, point):
         if not all(lo <= v <= hi for v, (lo, hi) in zip(point, self.box)):
@@ -156,4 +165,4 @@ def frame_rank_check(frame: Frame, point, tol: float = 1e-9) -> bool:
     frame.chart.check_point(point)
     rows = [v.components for v in frame.vectors]
     components = CompiledJet(rows, frame.chart, range(frame.k), order=0)
-    return rank_check(components.at(point), tol).full_rank
+    return rank_check(components.at_point(point), tol).full_rank

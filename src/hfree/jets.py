@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import Expr, compile_expr
+from .expr import Expr, compile_batch
 from .fields import ChartMismatch, Frame, SmoothMap, anticommutator, lie_derivative
 
 DEFAULT_TOL = 1e-9
@@ -72,32 +72,92 @@ def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
 
 def d1_matrix(frame: Frame, f: SmoothMap, point) -> JetMatrix:
     frame.chart.check_point(point)
-    return compiled_d1(frame, f).at(point)
+    return compiled_d1(frame, f).at_point(point)
 
 
 def d2_matrix(frame: Frame, f: SmoothMap, point) -> JetMatrix:
     frame.chart.check_point(point)
-    return compiled_d2(frame, f).at(point)
+    return compiled_d2(frame, f).at_point(point)
+
+
+@dataclass(frozen=True)
+class StackRanks:
+    """Rank verdicts for a stack of n jet matrices, one array entry each.
+
+    `reasons` maps each matrix that has no verdict to why: an evaluation
+    error, a non-finite entry or an SVD that did not converge. `valid` is
+    False exactly there, and the other arrays hold no meaning there."""
+
+    rank: np.ndarray
+    sigma_min: np.ndarray
+    sigma_max: np.ndarray
+    full_rank: np.ndarray
+    valid: np.ndarray
+    reasons: dict
+
+
+def stack_ranks(entries: np.ndarray, labels, tol: float = DEFAULT_TOL, errors=None) -> StackRanks:
+    """The rank rule of rank_check over an (n, rows, cols) stack, with one
+    batched SVD. `errors` maps points whose evaluation faulted to the
+    EvalError (as CompiledJet.at returns them); it overrides their reason."""
+    n, rows, cols = entries.shape
+    bad = ~np.isfinite(entries)
+    reasons = {
+        i: f"non-finite entry in row {labels[int(np.argwhere(bad[i])[0][0])]}"
+        for i in np.flatnonzero(bad.any(axis=(1, 2))).tolist()
+    }
+    reasons.update((i, str(exc)) for i, exc in (errors or {}).items())
+    if reasons:
+        entries = entries.copy()
+        entries[list(reasons)] = 0.0
+    try:
+        sigma = np.linalg.svd(entries, compute_uv=False)
+    except np.linalg.LinAlgError:
+        sigma = _svd_each(entries, reasons)
+    sigma_max = sigma[:, 0]
+    rank = np.count_nonzero(sigma > tol * np.maximum(1.0, sigma_max)[:, None], axis=1)
+    return StackRanks(
+        rank=rank,
+        sigma_min=sigma[:, -1],
+        sigma_max=sigma_max,
+        full_rank=rank == rows,  # rank <= min(rows, cols), so rows <= cols here
+        valid=valid_mask(n, reasons),
+        reasons=reasons,
+    )
+
+
+def valid_mask(n: int, failed) -> np.ndarray:
+    """Boolean mask of length n, False at the indices in `failed`."""
+    mask = np.ones(n, dtype=bool)
+    mask[list(failed)] = False
+    return mask
+
+
+def _svd_each(entries: np.ndarray, reasons: dict) -> np.ndarray:
+    """Singular values matrix by matrix, for a stack whose batched SVD failed;
+    records the matrices that fail on their own in `reasons`."""
+    sigma = np.zeros(entries.shape[:1] + (min(entries.shape[1:]),))
+    for i, m in enumerate(entries):
+        try:
+            sigma[i] = np.linalg.svd(m, compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            reasons[i] = str(exc)
+    return sigma
 
 
 def rank_check(m: JetMatrix, tol: float = DEFAULT_TOL) -> RankReport:
-    """Numerical rank verdict for an evaluated jet matrix."""
-    bad = ~np.isfinite(m.entries)
-    if bad.any():
-        row = int(np.argwhere(bad)[0][0])
-        raise ValueError(f"non-finite entry in row {m.labels[row]}")
-    sigma = np.linalg.svd(m.entries, compute_uv=False)
-    sigma_max = float(sigma[0]) if sigma.size else 0.0
-    sigma_min = float(sigma[-1]) if sigma.size else 0.0
-    rank = int(np.sum(sigma > tol * max(1.0, sigma_max)))
+    """Numerical rank verdict for one evaluated jet matrix: stack_ranks on a
+    stack of one, plus the determinant of a square matrix."""
+    r = stack_ranks(m.entries[None], m.labels, tol)
+    if r.reasons:
+        raise ValueError(r.reasons[0])
     rows, cols = m.entries.shape
-    det = float(np.linalg.det(m.entries)) if rows == cols else None
     return RankReport(
-        rank=rank,
-        sigma_min=sigma_min,
-        sigma_max=sigma_max,
-        det=det,
-        full_rank=rank == min(rows, cols) == rows,
+        rank=int(r.rank[0]),
+        sigma_min=float(r.sigma_min[0]),
+        sigma_max=float(r.sigma_max[0]),
+        det=float(np.linalg.det(m.entries)) if rows == cols else None,
+        full_rank=bool(r.full_rank[0]),
     )
 
 
@@ -121,19 +181,33 @@ def is_free_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> b
 
 
 class CompiledJet:
-    """Row expressions compiled for fast evaluation across many points."""
+    """Row expressions compiled into one numpy function over a chunk of points."""
 
     def __init__(self, rows, chart, labels, order):
         self.chart = chart
         self.labels = tuple(labels)
         self.order = order
         self.shape = (len(rows), len(rows[0]))
-        self._fns = [[compile_expr(e) for e in row] for row in rows]
+        self._run = compile_batch([e for row in rows for e in row], chart.coords)
 
-    def at(self, point) -> JetMatrix:
-        binding = self.chart.bind(point)
-        entries = np.array([[fn(binding) for fn in row] for row in self._fns])
-        return JetMatrix(labels=self.labels, entries=entries, order=self.order)
+    def at(self, points: np.ndarray):
+        """The (n, rows, cols) stack of jet matrices at an (n, dim) array of
+        points, and a dict mapping each point where evaluation faulted to its
+        EvalError; that point's matrix is nan."""
+        values, errors = self._run(points)
+        entries = values.reshape((len(points),) + self.shape)
+        return entries, {i: exc for i, (_, exc) in errors.items()}
+
+    def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> StackRanks:
+        entries, errors = self.at(points)
+        return stack_ranks(entries, self.labels, tol, errors)
+
+    def at_point(self, point) -> JetMatrix:
+        """The jet matrix at one point; raises the point's EvalError."""
+        entries, errors = self.at(self.chart.point_array([point]))
+        if errors:
+            raise errors[0]
+        return JetMatrix(labels=self.labels, entries=entries[0], order=self.order)
 
 
 # Identity mode needs three order-2 jets live (inner, outer, composite), so a

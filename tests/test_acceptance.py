@@ -25,10 +25,10 @@ from hfree.constructions import (
     sym_square,
     verify_det_identity,
 )
-from hfree.expr import ONE, ZERO, compile_expr, diff, evaluate, parse, simplify, Sub
+from hfree.expr import ONE, ZERO, compile_batch, diff, evaluate, parse, simplify, Sub
 from hfree.fields import lie_derivative
 from hfree.gallery import fixture, list_fixtures
-from hfree.jets import compiled_d1, compiled_d2, d1_exprs, rank_check, s
+from hfree.jets import compiled_d1, compiled_d2, d1_exprs, s
 from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
@@ -55,37 +55,22 @@ def _fixture_scan(name: str):
     """One pass over 10^4 seeded points: worst expected-formula residual
     (relative), worst order-1 and order-2 sigma_min, and full-rank flags."""
     fix = fixture(name)
-    points = sample_points(fix.chart, 10000, 0)
-    d1 = compiled_d1(fix.frame, fix.immersion)
-    d2 = compiled_d2(fix.frame, fix.free_map)
-    formula_fns = []
+    points = fix.chart.point_array(sample_points(fix.chart, 10000, 0))
+    formulas = []
     for row, col, expected in fix.expected:
         actual = lie_derivative(fix.frame.vectors[row], fix.immersion.components[col])
-        formula_fns.append(
-            (compile_expr(simplify(Sub(actual, expected))), compile_expr(expected))
-        )
-    worst_formula = 0.0
-    worst_d1 = float("inf")
-    worst_d2 = float("inf")
-    immersion_ok = True
-    free_ok = True
-    for point in points:
-        binding = fix.chart.bind(point)
-        for residual_fn, scale_fn in formula_fns:
-            rel = abs(residual_fn(binding)) / max(1.0, abs(scale_fn(binding)))
-            worst_formula = max(worst_formula, rel)
-        r1 = rank_check(d1.at(point))
-        r2 = rank_check(d2.at(point))
-        worst_d1 = min(worst_d1, r1.sigma_min)
-        worst_d2 = min(worst_d2, r2.sigma_min)
-        immersion_ok = immersion_ok and r1.full_rank
-        free_ok = free_ok and r2.full_rank
+        formulas += [simplify(Sub(actual, expected)), expected]
+    values, errors = compile_batch(formulas, fix.chart.coords)(points)
+    assert not errors
+    residual, scale = np.abs(values[:, 0::2]), np.abs(values[:, 1::2])
+    r1 = compiled_d1(fix.frame, fix.immersion).ranks(points)
+    r2 = compiled_d2(fix.frame, fix.free_map).ranks(points)
     return {
-        "worst_formula": worst_formula,
-        "worst_d1": worst_d1,
-        "worst_d2": worst_d2,
-        "immersion_ok": immersion_ok,
-        "free_ok": free_ok,
+        "worst_formula": float((residual / np.maximum(1.0, scale)).max(initial=0.0)),
+        "worst_d1": float(r1.sigma_min.min()),
+        "worst_d2": float(r2.sigma_min.min()),
+        "immersion_ok": not r1.reasons and bool(r1.full_rank.all()),
+        "free_ok": not r2.reasons and bool(r2.full_rank.all()),
     }
 
 
@@ -214,14 +199,12 @@ def test_criterion_7_bracket_laws():
     worst = {"antisymmetry": 0.0, "leibniz": 0.0, "jacobi": 0.0}
     for name in BRACKET_FIXTURES:
         fix = fixture(name)
-        compiled = [
-            (label, compile_expr(expr))
-            for label, expr in bracket_law_residuals(fix.bracket, list(fix.bracket_tests))
-        ]
-        for point in sample_points(fix.chart, 100, 23):
-            binding = fix.chart.bind(point)
-            for label, fn in compiled:
-                worst[label] = max(worst[label], abs(fn(binding)))
+        residuals = bracket_law_residuals(fix.bracket, list(fix.bracket_tests))
+        points = fix.chart.point_array(sample_points(fix.chart, 100, 23))
+        values, errors = compile_batch([e for _, e in residuals], fix.chart.coords)(points)
+        assert not errors
+        for (label, _), column in zip(residuals, np.abs(values).T):
+            worst[label] = max(worst[label], float(column.max()))
     # involution of the torus first integrals: exact symbolic zero
     fix = fixture("integrable-torus-3")
     sc = SymplecticChart(n=3, chart=fix.chart)

@@ -1,0 +1,57 @@
+import math
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from hfree.checks import FAILURE_CAP, _Fold
+
+
+def _pointwise_fold(results, smaller_is_worse):
+    """The per-point loop the streaming fold replaces: results are
+    (criterion or None, ok, reason) in sample order."""
+    failures = []
+    worst_idx = worst_val = None
+    for i, (crit, ok, reason) in enumerate(results):
+        if not ok and len(failures) < FAILURE_CAP:
+            failures.append({"point": [float(i)], "reason": reason})
+        if crit is None:
+            continue
+        if worst_val is None or (crit < worst_val if smaller_is_worse else crit > worst_val):
+            worst_idx, worst_val = i, crit
+    return worst_idx, worst_val, failures, any(not ok for _, ok, _ in results)
+
+
+_criteria = st.one_of(
+    st.none(),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, math.nan]),
+    st.floats(allow_nan=True),
+)
+
+
+@given(
+    st.lists(st.tuples(_criteria, st.booleans()), max_size=3 * FAILURE_CAP),
+    st.booleans(),
+    st.integers(1, 40),
+)
+@example([(0.0, False), (math.nan, False)], False, 1)  # a chunk of nan criteria only
+@settings(max_examples=300, deadline=None)
+def test_streaming_fold_matches_the_pointwise_loop(outcomes, smaller_is_worse, chunk):
+    """Ties go to the lowest index, a nan worst is never replaced, and the
+    first FAILURE_CAP failures are kept, whatever the chunk size."""
+    results = [(crit, ok, None if ok else f"reason {i}") for i, (crit, ok) in enumerate(outcomes)]
+    points = [(float(i),) for i in range(len(results))]
+    fold = _Fold(points, smaller_is_worse)
+    for start in range(0, len(results), chunk):
+        part = results[start : start + chunk]
+        crit = np.array([math.nan if c is None else c for c, _, _ in part])
+        has_crit = np.array([c is not None for c, _, _ in part], dtype=bool)
+        reasons = {i: reason for i, (_, ok, reason) in enumerate(part) if not ok}
+        fold.add(start, crit, has_crit, reasons)
+    report = fold.report("test", (), 0.0)
+
+    worst_idx, worst_val, failures, failed = _pointwise_fold(results, smaller_is_worse)
+    assert report.worst_point == (None if worst_idx is None else points[worst_idx])
+    assert repr(report.worst_criterion) == repr(worst_val)
+    assert report.failures == failures
+    assert report.verdict == ("fail" if failed else "pass")
+    assert len(report.to_dict()["failures"]) <= FAILURE_CAP

@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from hfree import checks
 from hfree.cli import main
 from hfree.jets import compiled_d1, compiled_d2
 
@@ -32,6 +33,25 @@ def planar_manifest(tmp_path):
         )
     )
     return str(path)
+
+
+RECIPROCAL_MANIFEST = textwrap.dedent(
+    """
+    [manifold]
+    coords = [x, y]
+    box = [[-1, 1], [-1, 1]]
+
+    [frame]
+    vectors = [["1", "0"]]
+
+    [map]
+    components = ["1/x"]
+
+    [check]
+    mode = identity
+    grid = [3, 3]
+    """
+)
 
 
 def _strip_wall_time(payload: str) -> dict:
@@ -97,25 +117,7 @@ class TestVerifyIdentity:
 
     def test_undefined_inner_jet_reasons(self, tmp_path, capsys):
         manifest = tmp_path / "reciprocal.toml"
-        manifest.write_text(
-            textwrap.dedent(
-                """
-                [manifold]
-                coords = [x, y]
-                box = [[-1, 1], [-1, 1]]
-
-                [frame]
-                vectors = [["1", "0"]]
-
-                [map]
-                components = ["1/x"]
-
-                [check]
-                mode = identity
-                grid = [3, 3]
-                """
-            )
-        )
+        manifest.write_text(RECIPROCAL_MANIFEST)
         assert main(["check", str(manifest), "--json"]) == 1
         failures = json.loads(capsys.readouterr().out)["failures"]
         assert failures == [
@@ -135,6 +137,68 @@ def test_overflow_at_a_point_is_a_failure(planar_manifest, tmp_path, capsys):
     # overflows silently to inf, which the rank check names as non-finite
     reasons = {f["reason"] for f in data["failures"]}
     assert reasons == {"overflow", "non-finite entry in row 0"}
+
+
+def test_overflowing_constant_is_a_failure_at_each_point(tmp_path, capsys):
+    # simplify used to fold exp(1000) and crash with OverflowError
+    manifest = tmp_path / "constant-overflow.toml"
+    manifest.write_text(
+        textwrap.dedent(
+            """
+            [manifold]
+            coords = [x, y]
+            box = [[-1, 1], [-1, 1]]
+
+            [frame]
+            vectors = [["1", "0"]]
+
+            [map]
+            components = ["exp(1000)*x"]
+
+            [check]
+            mode = immersion
+            samples = 40
+            """
+        )
+    )
+    assert main(["check", str(manifest), "--json"]) == 1
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["verdict"] == "fail"
+    assert data["failures"] == [
+        {"point": failure["point"], "reason": "overflow"} for failure in data["failures"]
+    ]
+    assert len(data["failures"]) == data["points_checked"] == 40
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "manifest, args",
+    [
+        (None, ["gallery", "run", "integrable-torus-2", "--samples", "600", "--seed", "5"]),
+        (None, ["gallery", "run", "novikov-t3", "--samples", "300", "--seed", "5"]),
+        ("planar-identity", ["check"]),
+        ("reciprocal", ["check"]),
+    ],
+)
+def test_report_does_not_depend_on_chunk_size(
+    manifest, args, planar_manifest, tmp_path, monkeypatch, capsys
+):
+    if manifest == "planar-identity":
+        text = open(planar_manifest).read().replace("mode = immersion", "mode = identity")
+        text = text.replace("samples = 500", "samples = 600")
+    elif manifest == "reciprocal":
+        text = RECIPROCAL_MANIFEST
+    if manifest is not None:
+        path = tmp_path / f"{manifest}.toml"
+        path.write_text(text)
+        args = args + [str(path)]
+    payloads = []
+    for chunk in (1, 7, checks.CHUNK):
+        monkeypatch.setattr(checks, "CHUNK", chunk)
+        main(args + ["--json"])
+        payloads.append(json.dumps(_strip_wall_time(capsys.readouterr().out), indent=2))
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 class TestGallery:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -7,6 +8,7 @@ from hfree.expr import (
     Add,
     Const,
     Coord,
+    Div,
     EvalError,
     Exp,
     Mul,
@@ -14,7 +16,7 @@ from hfree.expr import (
     Pow,
     Sin,
     Sub,
-    compile_expr,
+    compile_batch,
     diff,
     evaluate,
     free_vars,
@@ -123,6 +125,25 @@ class TestSimplify:
     def test_constant_folding(self):
         assert simplify(parse("2*3")) == Const(6.0)
 
+    def test_folding_that_overflows_is_left_to_evaluation(self):
+        # exp(1000) would overflow; the node stays so that every point reports it
+        e = simplify(parse("exp(1000)*x + sin(2)"))
+        assert e == Add(Mul(Exp(Const(1000.0)), Coord("x")), Const(math.sin(2.0)))
+        assert simplify(Pow(Const(1e200), 2)) == Pow(Const(1e200), 2)
+        assert simplify(Sin(Const(math.inf))) == Sin(Const(math.inf))
+        with pytest.raises(EvalError, match="overflow"):
+            evaluate(e, {"x": 1.0})
+
+    @pytest.mark.parametrize("src", ["0*(1/x)", "1/x - 1/x"])
+    def test_simplification_may_enlarge_the_domain(self, src):
+        # documented in simplify: the original is undefined at x = 0, the
+        # simplified form is 0 there
+        e = parse(src)
+        assert simplify(e) == Const(0.0)
+        with pytest.raises(EvalError, match="division by zero"):
+            evaluate(e, {"x": 0.0})
+        assert evaluate(simplify(e), {"x": 0.0}) == 0.0
+
     def test_idempotent_on_examples(self):
         for src in ["0*x + y", "x - -y", "-(-x)", "2*x*0 + 3^2", "x/1 - 0/y"]:
             once = simplify(parse(src))
@@ -146,7 +167,9 @@ class TestFreeVars:
 _names = st.sampled_from(["x", "y"])
 
 
-def _exprs(max_depth=4):
+def _exprs(max_depth=4, faulting=False):
+    """Random trees; with faulting, also division, exp and negative powers,
+    which can raise EvalError."""
     atoms = st.one_of(
         st.builds(Const, st.floats(-2, 2, allow_nan=False, width=32).map(float)),
         st.builds(Coord, _names),
@@ -155,7 +178,7 @@ def _exprs(max_depth=4):
     def extend(children):
         from hfree.expr import Cos, Neg
 
-        return st.one_of(
+        nodes = [
             st.builds(Add, children, children),
             st.builds(Sub, children, children),
             st.builds(Mul, children, children),
@@ -163,7 +186,14 @@ def _exprs(max_depth=4):
             st.builds(Sin, children),
             st.builds(Cos, children),
             st.builds(lambda b, n: Pow(b, n), children, st.integers(0, 3)),
-        )
+        ]
+        if faulting:
+            nodes += [
+                st.builds(Div, children, children),
+                st.builds(Exp, children),
+                st.builds(lambda b, n: Pow(b, n), children, st.integers(-3, -1)),
+            ]
+        return st.one_of(*nodes)
 
     return st.recursive(atoms, extend, max_leaves=12)
 
@@ -213,15 +243,65 @@ def _outcome(fn, e, point):
 
 
 def _compiled(e, point):
-    return compile_expr(e)(point)
+    """The batched engine at a single point."""
+    names = sorted(point)
+    values, errors = compile_batch([e], names)(np.array([[point[n] for n in names]]))
+    if errors:
+        raise errors[0][1]
+    return float(values[0, 0])
 
 
-@given(_exprs(), _points)
+_FAULT = Div(Const(1.0), Coord("x"))  # 1/x: faults at every point with x = 0
+_ENGINE_CHUNK = 7
+
+
+def _bits(values):
+    """Exact bit patterns, so that -0.0 differs from 0.0 and nan equals nan."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _evaluate_all(exprs, point):
+    return _bits(evaluate(e, point) for e in exprs)
+
+
+@given(
+    _exprs(faulting=True),
+    st.lists(_points, min_size=_ENGINE_CHUNK + 1, max_size=3 * _ENGINE_CHUNK),
+    st.integers(0, 3 * _ENGINE_CHUNK),
+    st.floats(-1, 1, allow_nan=False),
+)
 @settings(max_examples=200, deadline=None)
-def test_compiled_matches_interpreted(e, point):
-    """Bit-exact agreement, and the same exception type and message when one
-    engine raises."""
-    assert _outcome(_compiled, e, point) == _outcome(evaluate, e, point)
+def test_compiled_matches_interpreted(e, points, fault_at, y):
+    """Over a batch of several chunks with a faulting point mixed in, each
+    chunk one call of the compiled engine: every point's row agrees with
+    evaluate() bit for bit, and a point where evaluate() raises gets the same
+    exception type and message, without changing any other point."""
+    points.insert(min(fault_at, len(points)), {"x": 0.0, "y": y})
+    exprs = [e, _FAULT]
+    run = compile_batch(exprs, ("x", "y"))
+    for start in range(0, len(points), _ENGINE_CHUNK):
+        chunk = points[start : start + _ENGINE_CHUNK]
+        values, errors = run(np.array([[p["x"], p["y"]] for p in chunk]))
+        for i, point in enumerate(chunk):
+            if i in errors:
+                j, exc = errors[i]
+                got = type(exc), str(exc)
+                assert np.isnan(values[i]).all()
+            else:
+                got = _bits(values[i].tolist())
+            assert got == _outcome(_evaluate_all, exprs, point)
+
+
+def test_per_element_rounding_matches_evaluate():
+    """Powers and exp, whose numpy forms round differently from float ** and
+    math.exp in a few percent of values, agree with evaluate() bit for bit."""
+    x = Coord("x")
+    exprs = [Pow(x, n) for n in (-3, -2, 2, 3, 4)] + [Exp(x), Sin(x), Mul(x, Exp(Sin(x)))]
+    points = np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 1))
+    values, errors = compile_batch(exprs, ("x",))(points)
+    assert not errors
+    expected = [_evaluate_all(exprs, {"x": v}) for v in points[:, 0].tolist()]
+    assert [_bits(row) for row in values.tolist()] == expected
 
 
 _BIG = Const(1e200)
@@ -238,6 +318,8 @@ _BIG = Const(1e200)
         (Pow(Mul(_BIG, Coord("x")), 2), {"x": 1.0}, "overflow"),
         (Sin(Mul(Mul(_BIG, _BIG), Coord("x"))), {"x": 1.0}, "math domain error"),
         (parse("x + z"), {"x": 1.0}, "unbound coordinate 'z'"),
+        # without the engine's floating-point error policy, numpy would return exp(-inf) = 0
+        (parse("exp(-1/x^2)"), {"x": 0.0}, "division by zero"),
     ],
 )
 def test_engines_share_error_policy(e, point, message):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hfree.expr import parse
+from hfree.expr import EvalError, parse
 from hfree.checks import check_rank_mode
 from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField
 from hfree.jets import (
@@ -15,6 +15,7 @@ from hfree.jets import (
     pair_labels,
     rank_check,
     s,
+    stack_ranks,
 )
 from hfree.constructions import monomial_free_map, standard_frame
 from hfree.brackets import contact_frame
@@ -128,6 +129,30 @@ class TestRankCheck:
         )
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
             rank_check(m)
+
+
+def test_stack_ranks_matches_a_matrix_by_matrix_svd():
+    """One batched SVD gives, bit for bit, the singular values, rank and
+    verdict of one SVD per matrix; a non-finite entry and an evaluation
+    error are reasons, the error taking precedence."""
+    rng = np.random.default_rng(3)
+    for rows, cols in [(1, 1), (2, 3), (3, 2), (5, 5), (9, 9), (14, 14)]:
+        stack = rng.uniform(-2.0, 2.0, (40, rows, cols))
+        stack[5, -1] = stack[5, 0]  # rank deficient where rows > 1
+        stack[7, rows - 1, cols - 1] = np.inf
+        stack[9, 0, 0] = np.nan
+        labels = tuple(range(rows))
+        r = stack_ranks(stack, labels, DEFAULT_TOL, {9: EvalError("division by zero")})
+        assert r.reasons == {7: f"non-finite entry in row {rows - 1}", 9: "division by zero"}
+        assert list(np.flatnonzero(~r.valid)) == [7, 9]
+        for i, m in enumerate(stack):
+            if i in r.reasons:
+                continue
+            sigma = np.linalg.svd(m, compute_uv=False)
+            rank = int(np.sum(sigma > DEFAULT_TOL * max(1.0, float(sigma[0]))))
+            assert (r.sigma_min[i], r.sigma_max[i]) == (sigma[-1], sigma[0])
+            assert r.rank[i] == rank
+            assert r.full_rank[i] == (rank == min(rows, cols) == rows)
 
 
 class TestPredicates:
