@@ -6,9 +6,9 @@ compiled once into one straight-line numpy function (`expr.compile_batch`;
 jets are cached per (frame, map) in `jets`, so the pointwise API and the
 checks share them). A chunk costs one call of each function, then one
 batched SVD or determinant call. Where a chunk meets an arithmetic fault,
-`expr.evaluate`, the tree-walking reference interpreter, evaluates that
-chunk again point by point, so the faulting point gets its exact error and
-every other point the same bits. Each chunk's per-point outcomes are folded
+it is halved and run again down to single points, and `expr.evaluate`, the
+tree-walking reference interpreter, evaluates each faulting point, so it
+gets its exact error and every other point the same bits. Each chunk's per-point outcomes are folded
 into the running report in sample order (extreme value, ties broken by
 lowest sample index), so the report does not depend on CHUNK.
 """

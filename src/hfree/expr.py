@@ -20,7 +20,14 @@ class EvalError(Exception):
 
 @dataclass(frozen=True)
 class Expr:
-    """Base node. Subclasses are the only valid instances."""
+    """Base node. Subclasses are the only valid instances.
+
+    The two class attributes below are not fields: they are the empty memos
+    that simplify() and diff() fill in on an instance (see there), so they
+    take no part in equality, hashing or repr."""
+
+    _simple = None  # True once simplified, else the simplified form
+    _diffs = None  # coordinate name -> derivative
 
     def __add__(self, other):
         return Add(self, _coerce(other))
@@ -461,36 +468,57 @@ def substitute(e: Expr, bindings: dict) -> Expr:
 
 
 def diff(e: Expr, coord: str) -> Expr:
-    """Exact partial derivative with respect to a coordinate name."""
-    return simplify(_diff(e, coord))
+    """Exact partial derivative with respect to a coordinate name, simplified.
 
-
-def _diff(e: Expr, x: str) -> Expr:
+    Memoised: e keeps its derivative per coordinate, so a repeated call
+    returns the identical object. The memo is an attribute of e and lives
+    and dies with it; it holds no reference back to e, so a dropped tree is
+    freed at once, without waiting for the cycle collector. The derivative
+    is built at the root from the memoised derivatives and simplified forms
+    of e's children, and equals simplify() of the whole unsimplified
+    derivative tree."""
     if isinstance(e, Const):
         return ZERO
     if isinstance(e, Coord):
-        return ONE if e.name == x else ZERO
+        return ONE if e.name == coord else ZERO
+    memo = e._diffs
+    if memo is None:
+        memo = {}
+        object.__setattr__(e, "_diffs", memo)
+    d = memo.get(coord)
+    if d is None:
+        d = memo[coord] = simplify(_diff(e, coord))
+    return d
+
+
+def _diff(e: Expr, x: str) -> Expr:
+    """The derivative rule at the root of a composite node."""
     if isinstance(e, Neg):
-        return Neg(_diff(e.arg, x))
+        return Neg(diff(e.arg, x))
     if isinstance(e, Add):
-        return Add(_diff(e.left, x), _diff(e.right, x))
+        return Add(diff(e.left, x), diff(e.right, x))
     if isinstance(e, Sub):
-        return Sub(_diff(e.left, x), _diff(e.right, x))
+        return Sub(diff(e.left, x), diff(e.right, x))
     if isinstance(e, Mul):
-        return Add(Mul(_diff(e.left, x), e.right), Mul(e.left, _diff(e.right, x)))
+        l, r = simplify(e.left), simplify(e.right)
+        return Add(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
     if isinstance(e, Div):
-        num = Sub(Mul(_diff(e.left, x), e.right), Mul(e.left, _diff(e.right, x)))
-        return Div(num, Pow(e.right, 2))
+        l, r = simplify(e.left), simplify(e.right)
+        num = Sub(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
+        return Div(num, Pow(r, 2))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return ZERO
-        return Mul(Mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)), _diff(e.base, x))
+        base = simplify(e.base)
+        return Mul(Mul(Const(float(e.exponent)), Pow(base, e.exponent - 1)), diff(e.base, x))
+    # exp(u)' = exp(u) u' takes a new Exp node, not e itself, so that no
+    # derivative refers back to the node it is memoised on
     if isinstance(e, Sin):
-        return Mul(Cos(e.arg), _diff(e.arg, x))
+        return Mul(Cos(simplify(e.arg)), diff(e.arg, x))
     if isinstance(e, Cos):
-        return Neg(Mul(Sin(e.arg), _diff(e.arg, x)))
+        return Neg(Mul(Sin(simplify(e.arg)), diff(e.arg, x)))
     if isinstance(e, Exp):
-        return Mul(Exp(e.arg), _diff(e.arg, x))
+        return Mul(Exp(simplify(e.arg)), diff(e.arg, x))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -596,30 +624,36 @@ def simplify(e: Expr) -> Expr:
     (the property tests hold it to 1e-12 on random trees). Simplification may
     enlarge the domain of definition: 0*(1/x) and 1/x - 1/x simplify to 0,
     which evaluates at x = 0, where the original raises EvalError (division
-    by zero)."""
-    if isinstance(e, Neg):
-        out = Neg(simplify(e.arg))
-    elif isinstance(e, Add):
-        out = Add(simplify(e.left), simplify(e.right))
-    elif isinstance(e, Sub):
-        out = Sub(simplify(e.left), simplify(e.right))
-    elif isinstance(e, Mul):
-        out = Mul(simplify(e.left), simplify(e.right))
-    elif isinstance(e, Div):
-        out = Div(simplify(e.left), simplify(e.right))
-    elif isinstance(e, Pow):
-        out = Pow(simplify(e.base), e.exponent)
-    elif isinstance(e, Sin):
-        out = Sin(simplify(e.arg))
-    elif isinstance(e, Cos):
-        out = Cos(simplify(e.arg))
-    elif isinstance(e, Exp):
-        out = Exp(simplify(e.arg))
-    else:
+    by zero).
+
+    Memoised: e keeps its simplified form, and a simplified node is flagged
+    as such, so simplifying either again returns at once. The memo is an
+    attribute of e and lives and dies with it (a flag, not a reference to e
+    itself, so no reference cycle keeps a dropped tree alive). Children are
+    simplified first, so only the rewrites at new nodes cost work."""
+    done = e._simple
+    if done is not None:
+        return e if done is True else done
+    if isinstance(e, (Const, Coord)):
         return e
+    if isinstance(e, Pow):
+        base = simplify(e.base)
+        out = e if base is e.base else Pow(base, e.exponent)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        l, r = simplify(e.left), simplify(e.right)
+        out = e if l is e.left and r is e.right else type(e)(l, r)
+    else:  # Neg, Sin, Cos, Exp
+        arg = simplify(e.arg)
+        out = e if arg is e.arg else type(e)(arg)
+    # every rewrite in _local returns a new node or a strict subtree, never a
+    # node equal to out, so identity tells whether one applied
     reduced = _local(out)
-    if reduced != out:
-        return simplify(reduced)
+    if reduced is out:
+        object.__setattr__(out, "_simple", True)
+    else:
+        out = simplify(reduced)
+    if out is not e:
+        object.__setattr__(e, "_simple", out)
     return out
 
 
@@ -657,8 +691,11 @@ def compile_batch(exprs, coords):
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. With finite constants
     and coordinates, every fault evaluate() reports raises a floating-point
-    error here too; a call that raises one, or has a non-finite constant or
-    coordinate, is evaluated again point by point with evaluate()."""
+    error here too. A call that raises one is halved and each half run again,
+    down to single points, which evaluate() evaluates; every row is computed
+    elementwise, so the other points keep their bits. A call with a
+    non-finite constant or coordinate is evaluated point by point with
+    evaluate()."""
     exprs = list(exprs)
     coords = tuple(coords)
     column = {name: j for j, name in enumerate(coords)}
@@ -717,16 +754,34 @@ def compile_batch(exprs, coords):
     program = env["_program"]
 
     def run(points: np.ndarray):
-        n = points.shape[0]
-        if finite and np.isfinite(points).all():
-            try:
-                with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-                    return program(points, n), {}
-            except (ArithmeticError, ValueError, EvalError):
-                pass
-        return _evaluate_rows(exprs, coords, points)
+        if not (finite and np.isfinite(points).all()):
+            return _evaluate_rows(exprs, coords, points)
+        values = np.empty((points.shape[0], len(exprs)))
+        faulted = []
+        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+            _bisect(program, points, values, 0, points.shape[0], faulted)
+        if not faulted:
+            return values, {}
+        values[faulted], errors = _evaluate_rows(exprs, coords, points[faulted])
+        return values, {faulted[i]: fault for i, fault in errors.items()}
 
     return run
+
+
+def _bisect(program, points, out, lo: int, hi: int, faulted: list):
+    """Fill out[lo:hi] with the program's values at points[lo:hi]. A part
+    that raises is halved, down to single points, whose indices go to
+    `faulted` in order and whose rows are left to the caller."""
+    try:
+        out[lo:hi] = program(points[lo:hi], hi - lo)
+        return
+    except (ArithmeticError, ValueError, EvalError):
+        if hi - lo == 1:
+            faulted.append(lo)
+            return
+    mid = (lo + hi) // 2
+    _bisect(program, points, out, lo, mid, faulted)
+    _bisect(program, points, out, mid, hi, faulted)
 
 
 def _evaluate_rows(exprs, coords, points):

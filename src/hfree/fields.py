@@ -142,12 +142,15 @@ def anticommutator(xa: VectorField, xb: VectorField, f: Expr) -> Expr:
     """The symmetrized second-order operator (L_a L_b + L_b L_a) applied to f."""
     if xa.chart != xb.chart:
         raise ChartMismatch("anticommutator fields must share a chart")
-    return simplify(
-        Add(
-            lie_derivative(xa, lie_derivative(xb, f)),
-            lie_derivative(xb, lie_derivative(xa, f)),
-        )
+    return symmetrize(
+        lie_derivative(xa, lie_derivative(xb, f)), lie_derivative(xb, lie_derivative(xa, f))
     )
+
+
+def symmetrize(ab: Expr, ba: Expr) -> Expr:
+    """The anticommutator's value from its two ordered terms L_a L_b f and
+    L_b L_a f."""
+    return simplify(Add(ab, ba))
 
 
 def flat_norm_sq(xi: VectorField) -> Expr:

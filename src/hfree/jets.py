@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .expr import Expr, compile_batch
-from .fields import ChartMismatch, Frame, SmoothMap, anticommutator, lie_derivative
+from .fields import ChartMismatch, Frame, SmoothMap, lie_derivative, symmetrize
 
 DEFAULT_TOL = 1e-9
 
@@ -61,12 +61,14 @@ def d1_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
 
 
 def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
-    """Symbolic (k + s_k) x q matrix: first-order rows then anticommutator rows."""
+    """Symbolic (k + s_k) x q matrix: first-order rows then anticommutator rows.
+
+    The anticommutator rows are built from the first-order rows: L_a is
+    applied to the row of L_b f once for each ordered pair (a, b)."""
     rows = d1_exprs(frame, f)
+    second = [[[lie_derivative(xa, g) for g in row] for row in rows] for xa in frame.vectors]
     for a, b in pair_labels(frame.k):
-        rows.append(
-            [anticommutator(frame.vectors[a], frame.vectors[b], comp) for comp in f.components]
-        )
+        rows.append([symmetrize(ab, ba) for ab, ba in zip(second[a][b], second[b][a])])
     return rows
 
 

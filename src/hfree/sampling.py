@@ -8,12 +8,15 @@ endpoint.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .fields import Chart
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+_BLOCK = 1024
 
 
 class SplitMix64:
@@ -35,13 +38,30 @@ class SplitMix64:
 
 
 def random_points(chart: Chart, samples: int, seed: int) -> list[tuple[float, ...]]:
+    """`samples` points, axis by axis from one SplitMix64(seed) stream: draw
+    point * dim + axis maps to lo + u * (hi - lo) on that axis. The draws
+    are computed as uint64 arrays (the state after draw i is
+    seed + (i + 1) * GAMMA mod 2^64) and match the scalar generator bit for
+    bit. Points are made _BLOCK at a time, which keeps the transient arrays,
+    and so the peak memory, small."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = SplitMix64(seed)
+    box = np.array(chart.box, dtype=float)
+    lo, width = box[:, 0], box[:, 1] - box[:, 0]
     out = []
-    for _ in range(samples):
-        pt = tuple(lo + rng.next_float() * (hi - lo) for lo, hi in chart.box)
-        out.append(pt)
+    for start in range(0, samples, _BLOCK):
+        n = min(_BLOCK, samples - start)
+        z = np.arange(start * chart.dim + 1, (start + n) * chart.dim + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(seed & _MASK)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+        z >>= np.uint64(11)
+        u = z.astype(float).reshape(n, chart.dim) * (1.0 / (1 << 53))
+        out += zip(*(lo + u * width).T.tolist())
     return out
 
 

@@ -22,6 +22,7 @@ from hfree.expr import (
     free_vars,
     parse,
     simplify,
+    substitute,
     to_str,
 )
 
@@ -145,9 +146,27 @@ class TestSimplify:
         assert evaluate(simplify(e), {"x": 0.0}) == 0.0
 
     def test_idempotent_on_examples(self):
+        # simplify(once) would return once from its memo; a rebuilt copy has none
         for src in ["0*x + y", "x - -y", "-(-x)", "2*x*0 + 3^2", "x/1 - 0/y"]:
             once = simplify(parse(src))
-            assert simplify(once) == once
+            assert simplify(substitute(once, {})) == once
+
+    def test_memo_returns_the_identical_tree(self):
+        e = parse("x*sin(x*y) + x/(1 + y^2)")
+        once = simplify(e)
+        assert simplify(e) is once
+        assert simplify(once) is once
+        d = diff(e, "x")
+        assert diff(e, "x") is d
+        assert diff(e, "y") is not d
+        assert d == simplify(diff(substitute(e, {}), "x"))
+
+    def test_memo_is_not_part_of_the_value(self):
+        e = parse("x*exp(y) - 0*x")
+        fresh = substitute(e, {})
+        simplify(e)
+        diff(e, "y")
+        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
 
 
 class TestFreeVars:
@@ -228,11 +247,27 @@ def test_simplify_preserves_value(e, point):
     assert w == pytest.approx(v, rel=1e-12, abs=1e-12)
 
 
-@given(_exprs())
+@given(_exprs(faulting=True), _points)
+@settings(max_examples=300, deadline=None)
+def test_simplify_preserves_value_where_defined(e, point):
+    """Over trees with division, exp and negative powers: where e evaluates,
+    simplify(e) evaluates too, and agrees where the value is finite (0*inf
+    may simplify to 0). Where e raises, either outcome is allowed."""
+    try:
+        v = evaluate(e, point)
+    except EvalError:
+        return
+    w = evaluate(simplify(e), point)
+    if math.isfinite(v):
+        assert w == pytest.approx(v, rel=1e-12, abs=1e-12)
+
+
+@given(_exprs(faulting=True))
 @settings(max_examples=300, deadline=None)
 def test_simplify_idempotent(e):
+    # a rebuilt copy of once carries no memo, so this re-runs the rewrites
     once = simplify(e)
-    assert simplify(once) == once
+    assert simplify(substitute(once, {})) == once
 
 
 def _outcome(fn, e, point):
@@ -267,16 +302,21 @@ def _evaluate_all(exprs, point):
 @given(
     _exprs(faulting=True),
     st.lists(_points, min_size=_ENGINE_CHUNK + 1, max_size=3 * _ENGINE_CHUNK),
-    st.integers(0, 3 * _ENGINE_CHUNK),
-    st.floats(-1, 1, allow_nan=False),
+    st.lists(
+        st.tuples(st.integers(0, 4 * _ENGINE_CHUNK), st.floats(-1, 1, allow_nan=False)),
+        min_size=1,
+        max_size=_ENGINE_CHUNK,
+    ),
 )
 @settings(max_examples=200, deadline=None)
-def test_compiled_matches_interpreted(e, points, fault_at, y):
-    """Over a batch of several chunks with a faulting point mixed in, each
-    chunk one call of the compiled engine: every point's row agrees with
-    evaluate() bit for bit, and a point where evaluate() raises gets the same
-    exception type and message, without changing any other point."""
-    points.insert(min(fault_at, len(points)), {"x": 0.0, "y": y})
+def test_compiled_matches_interpreted(e, points, faults):
+    """Over a batch of several chunks with faulting points mixed in (often two
+    or more in one chunk), each chunk one call of the compiled engine: every
+    point's row agrees with evaluate() bit for bit, and a point where
+    evaluate() raises gets the same exception type and message, without
+    changing any other point."""
+    for fault_at, y in faults:
+        points.insert(min(fault_at, len(points)), {"x": 0.0, "y": y})
     exprs = [e, _FAULT]
     run = compile_batch(exprs, ("x", "y"))
     for start in range(0, len(points), _ENGINE_CHUNK):
@@ -290,6 +330,21 @@ def test_compiled_matches_interpreted(e, points, fault_at, y):
             else:
                 got = _bits(values[i].tolist())
             assert got == _outcome(_evaluate_all, exprs, point)
+
+
+def test_chunk_with_several_faults_keeps_every_other_row():
+    """A chunk with faults at its ends and in its middle: the faulting points
+    get evaluate()'s errors and every other row its own values."""
+    x = Coord("x")
+    exprs = [Div(Const(1.0), x), Mul(x, Exp(x))]
+    xs = [0.0, 0.5, -1.5, 0.0, 2.0, 0.0, 0.25, -0.75, 1.0, 0.0]
+    values, errors = compile_batch(exprs, ("x",))(np.array([[v] for v in xs]))
+    assert {i: (j, str(exc)) for i, (j, exc) in errors.items()} == {
+        i: (0, "division by zero") for i, v in enumerate(xs) if v == 0.0
+    }
+    for i, v in enumerate(xs):
+        if v != 0.0:
+            assert _bits(values[i].tolist()) == _evaluate_all(exprs, {"x": v})
 
 
 def test_per_element_rounding_matches_evaluate():

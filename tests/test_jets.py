@@ -1,14 +1,19 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from hfree.expr import EvalError, parse
+from hfree import gallery
+from hfree.expr import ONE, ZERO, EvalError, Expr, parse, to_str
 from hfree.checks import check_rank_mode
-from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField
+from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField, anticommutator
 from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     JetMatrix,
     d1_matrix,
+    d2_exprs,
     d2_matrix,
     is_free_at,
     is_immersion_at,
@@ -100,6 +105,64 @@ class TestD2:
             )
             m = d2_matrix(frame, pi, (0.0,) * frame.chart.dim)
             assert m.entries.shape[0] == k + s(k)
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in gallery.list_fixtures() if gallery.fixture(n).frame is not None]
+)
+def test_d2_rows_equal_the_anticommutator(name):
+    """d2_exprs builds its anticommutator rows from the first-order rows; each
+    entry equals fields.anticommutator's tree."""
+    fix = gallery.fixture(name)
+    k, vectors = fix.frame.k, fix.frame.vectors
+    for f in (fix.immersion, fix.free_map):
+        rows = d2_exprs(fix.frame, f)[k:]
+        expected = [
+            [anticommutator(vectors[a], vectors[b], c) for c in f.components]
+            for a, b in pair_labels(k)
+        ]
+        assert len(rows) == len(expected)
+        for row, want in zip(rows, expected):
+            assert all(got == e for got, e in zip(row, want))
+
+
+def _nodes(roots):
+    """Every distinct node reachable from the roots through their fields."""
+    seen, stack = {}, list(roots)
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            stack += [v for v in vars(e).values() if isinstance(v, Expr)]
+    return list(seen.values())
+
+
+def _torus_jet_refs():
+    """Weak references to the fresh input trees of the torus-3 order-2 jet and
+    to every node of its entries, the jet built and dropped inside this call."""
+    fix = gallery.fixture("integrable-torus-3")
+    chart = fix.chart
+    fresh = lambda comps: tuple(parse(to_str(c)) for c in comps)
+    frame = Frame(chart, tuple(VectorField(chart, fresh(v.components)) for v in fix.frame.vectors))
+    f = SmoothMap(chart, fresh(fix.free_map.components))
+    rows = d2_exprs(frame, f)
+    roots = [e for row in rows for e in row] + [c for v in frame.vectors for c in v.components]
+    roots += list(f.components)
+    return [weakref.ref(e) for e in _nodes(roots) if e is not ZERO and e is not ONE]
+
+
+def test_dropped_jet_trees_are_freed_without_the_cycle_collector():
+    """The memos of simplify and diff make no reference cycle: with the cycle
+    collector off, a dropped jet's trees are freed by reference counting."""
+    gc.collect()
+    gc.disable()
+    try:
+        refs = _torus_jet_refs()
+        alive = [r() for r in refs if r() is not None]
+    finally:
+        gc.enable()
+    assert len(refs) > 100
+    assert alive == []
 
 
 class TestRankCheck:

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from hfree.fields import Chart
-from hfree.sampling import SplitMix64, grid_points, random_points, sample_points
+from hfree.sampling import _BLOCK, SplitMix64, grid_points, random_points, sample_points
 
 UNIT = Chart(coords=("u",), box=((0.0, 1.0),))
 CIRCLE = Chart(coords=("phi",), box=((0.0, 2 * math.pi),), periodic=(True,))
@@ -38,6 +38,31 @@ def test_random_golden_values():
         (0.7415648787718233,),
         (0.1599103928769201,),
     ]
+
+
+def _scalar_points(chart, samples, seed):
+    """The draws one SplitMix64 call at a time, axis by axis."""
+    rng = SplitMix64(seed)
+    return [
+        tuple(lo + rng.next_float() * (hi - lo) for lo, hi in chart.box) for _ in range(samples)
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 5, -1, -(2**70) + 3, 2**63 + 17, 2**64 + 9, 12345678901234567])
+@pytest.mark.parametrize(
+    "chart",
+    [
+        UNIT,
+        CIRCLE,
+        Chart(coords=("x", "y", "z"), box=((-2.0, 2.0), (0.1, 0.3), (-1e-3, 7.5))),
+        Chart(coords=("a", "b"), box=((-3, 4), (1e6, 1e6 + 1))),
+    ],
+)
+def test_vectorised_draws_match_the_scalar_generator(chart, seed):
+    # more points than one block of the vectorised generator
+    got = random_points(chart, 2 * _BLOCK + 7, seed)
+    want = _scalar_points(chart, 2 * _BLOCK + 7, seed)
+    assert [[v.hex() for v in p] for p in got] == [[v.hex() for v in p] for p in want]
 
 
 def test_random_reproducible_and_in_box():
