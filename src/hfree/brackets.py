@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from .expr import (
     Add,
+    Const,
     Coord,
     Expr,
     Mul,
@@ -164,14 +165,8 @@ def novikov_structure(b: tuple[float, float, float]) -> RPStructure:
         box=((0.0, 2 * math.pi),) * 3,
         periodic=(True, True, True),
     )
-    grad = tuple(_const(v) for v in b)
+    grad = tuple(Const(float(v)) for v in b)
     return RPStructure(chart, (grad,))
-
-
-def _const(v: float) -> Expr:
-    from .expr import Const
-
-    return Const(float(v))
 
 
 def contact_chart(n: int, half_width: float = 2.0) -> Chart:
@@ -220,11 +215,14 @@ def contact_form_values(frame: Frame) -> list[Expr]:
     return out
 
 
-def jacobi_residual(bracket, f: Expr, g: Expr, h: Expr, point: dict) -> float:
-    """|{f,{g,h}} + {g,{h,f}} + {h,{f,g}}| at a point, brackets composed
-    symbolically. `bracket` is any callable (Expr, Expr) -> Expr."""
-    total = Add(
-        Add(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))),
-        bracket(h, bracket(f, g)),
+def jacobiator(bracket, f: Expr, g: Expr, h: Expr) -> Expr:
+    """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, brackets composed symbolically and
+    simplified. `bracket` is any callable (Expr, Expr) -> Expr."""
+    return simplify(
+        Add(Add(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))), bracket(h, bracket(f, g)))
     )
-    return abs(evaluate(simplify(total), point))
+
+
+def jacobi_residual(bracket, f: Expr, g: Expr, h: Expr, point: dict) -> float:
+    """|jacobiator(bracket, f, g, h)| at a point."""
+    return abs(evaluate(jacobiator(bracket, f, g, h), point))

@@ -1,16 +1,15 @@
 """Check execution: evaluate a mode's predicate over sampled points and fold
 the outcomes into a deterministic report.
 
-Points are taken CHUNK at a time. Each jet, and each set of residuals, is
-compiled once into one straight-line numpy function (`expr.compile_batch`;
-jets are cached per (frame, map) in `jets`, so the pointwise API and the
-checks share them). A chunk costs one call of each function, then one
-batched SVD or determinant call. Where a chunk meets an arithmetic fault,
-it is halved and run again down to single points, and `expr.evaluate`, the
-tree-walking reference interpreter, evaluates each faulting point, so it
-gets its exact error and every other point the same bits. Each chunk's per-point outcomes are folded
-into the running report in sample order (extreme value, ties broken by
-lowest sample index), so the report does not depend on CHUNK.
+Every check runs through one loop, `_run`, which hands CHUNK points at a time
+to the mode's judge and folds the judge's per-point criterion and failure
+reasons into the report in sample order (extreme value, ties to the lowest
+sample index), so the report does not depend on CHUNK. A judge compiles each
+jet and each set of residuals once into one numpy function
+(`expr.compile_batch`; jets are cached per (frame, map) in `jets`), so a
+chunk costs one call of each, then one batched SVD or determinant call;
+`expr.evaluate`, the reference interpreter, takes the points where a call
+faults. A manifest's check comes built and validated from `build_plan`.
 """
 
 from __future__ import annotations
@@ -22,12 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brackets import rp_bracket
+from .brackets import jacobiator
 from .constructions import DetIdentity
 from .expr import Add, Mul, Sub, compile_batch, simplify
 from .fields import Frame, SmoothMap, lie_derivative
 from .jets import compiled_d1, compiled_d2, s, valid_mask
-from .manifest import Manifest, ManifestError, build_frame, build_map, build_outer, build_rp_structure
+from .manifest import Manifest, build_plan
 from .sampling import sample_points
 
 # Points per chunk. Larger chunks buy little speed and cost memory: running the
@@ -55,10 +54,7 @@ class Report:
     def to_dict(self, include_wall_time: bool = True) -> dict:
         worst = None
         if self.worst_point is not None:
-            worst = {
-                "point": list(self.worst_point),
-                "criterion": self.worst_criterion,
-            }
+            worst = {"point": list(self.worst_point), "criterion": self.worst_criterion}
         out = {
             "verdict": self.verdict,
             "mode": self.mode,
@@ -73,12 +69,6 @@ class Report:
 
     def to_json(self, include_wall_time: bool = True) -> str:
         return json.dumps(self.to_dict(include_wall_time), indent=2)
-
-
-def _chunks(chart, points):
-    """(offset, (n, dim) array) for each chunk of points, in sample order."""
-    for start in range(0, len(points), CHUNK):
-        yield start, chart.point_array(points[start : start + CHUNK])
 
 
 class _Fold:
@@ -133,53 +123,52 @@ class _Fold:
         )
 
 
+def _run(mode: str, chart, points, judge, smaller_is_worse: bool, started: float, notes=()) -> Report:
+    """The one chunk loop of every check. judge(chunk) returns, for each point
+    of an (n, dim) array, its criterion, whether it has one, and the reasons
+    of the points that fail; the outcomes are folded in sample order. A judge
+    of None means the target dimension is below the critical one."""
+    if judge is None:
+        return Report("below-critical-dimension", mode, 0, None, None, fixture_notes=list(notes))
+    fold = _Fold(points, smaller_is_worse)
+    for start in range(0, len(points), CHUNK):
+        fold.add(start, *judge(chart.point_array(points[start : start + CHUNK])))
+    return fold.report(mode, notes, started)
+
+
 def _rank_deficient(r, message: str) -> dict:
     """`message` formatted with the rank, for each point with a rank verdict
     that is not full rank."""
     return {i: message.format(r.rank[i]) for i in np.flatnonzero(r.valid & ~r.full_rank).tolist()}
 
 
-def _below_critical(mode: str, notes=()) -> Report:
-    return Report(
-        verdict="below-critical-dimension",
-        mode=mode,
-        points_checked=0,
-        worst_point=None,
-        worst_criterion=None,
-        fixture_notes=list(notes),
-    )
+def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
+    """Judge of immersion (order 1) or free (order 2) mode: the least singular
+    value of the jet; None below the critical dimension."""
+    rows = frame.k if mode == "immersion" else frame.k + s(frame.k)
+    if smap.q < rows:
+        return None
+    jet = (compiled_d1 if mode == "immersion" else compiled_d2)(frame, smap)
 
-
-def check_rank_mode(
-    frame: Frame, smap: SmoothMap, points, tol: float, mode: str, notes=()
-) -> Report:
-    """Immersion (order 1) or free (order 2) full-rank check over points."""
-    started = time.perf_counter()
-    if mode == "immersion":
-        if smap.q < frame.k:
-            return _below_critical(mode, notes)
-        jet = compiled_d1(frame, smap)
-    else:
-        if smap.q < frame.k + s(frame.k):
-            return _below_critical(mode, notes)
-        jet = compiled_d2(frame, smap)
-    fold = _Fold(points, smaller_is_worse=True)
-    for start, chunk in _chunks(frame.chart, points):
+    def judge(chunk):
         r = jet.ranks(chunk, tol)
-        reasons = _rank_deficient(r, f"rank {{}} < {jet.shape[0]}")
+        reasons = _rank_deficient(r, f"rank {{}} < {rows}")
         reasons.update(r.reasons)
-        fold.add(start, r.sigma_min, r.valid, reasons)
-    return fold.report(mode, notes, started)
+        return r.sigma_min, r.valid, reasons
+
+    return judge
 
 
-def check_identity_mode(
-    frame: Frame, smap: SmoothMap, outer: SmoothMap, points, tol: float, notes=()
-) -> Report:
-    """Determinant identity over points (see constructions.DetIdentity)."""
+def check_rank_mode(frame: Frame, smap: SmoothMap, points, tol: float, mode: str) -> Report:
+    """Immersion or free full-rank check over points."""
     started = time.perf_counter()
-    identity = DetIdentity(frame, smap, outer)
-    fold = _Fold(points, smaller_is_worse=False)
-    for start, chunk in _chunks(frame.chart, points):
+    return _run(mode, frame.chart, points, _rank_judge(frame, smap, tol, mode), True, started)
+
+
+def _identity_judge(identity: DetIdentity, tol: float):
+    """Judge of identity mode (see constructions.DetIdentity)."""
+
+    def judge(chunk):
         _, _, rel, failures = identity.residuals(chunk)
         values = rel.tolist()
         reasons = {
@@ -187,44 +176,35 @@ def check_identity_mode(
             for i in np.flatnonzero(~(rel <= tol)).tolist()
         }
         reasons.update((i, str(exc)) for i, exc in failures.items())
-        fold.add(start, rel, valid_mask(len(chunk), failures), reasons)
-    return fold.report("identity", notes, started)
+        return rel, valid_mask(len(chunk), failures), reasons
+
+    return judge
 
 
 def bracket_law_residuals(bracket, tests):
     """Symbolic residual expressions for antisymmetry, Leibniz and Jacobi over
     the given test expressions."""
-    residuals = []
     n = len(tests)
-    for i in range(n):
-        for j in range(i, n):
-            f, g = tests[i], tests[j]
-            residuals.append(
-                ("antisymmetry", simplify(Add(bracket(f, g), bracket(g, f))))
-            )
+    residuals = [
+        ("antisymmetry", simplify(Add(bracket(f, g), bracket(g, f))))
+        for i, f in enumerate(tests)
+        for g in tests[i:]
+    ]
     for i in range(min(n, 3)):
-        f = tests[i]
-        g = tests[(i + 1) % n]
-        h = tests[(i + 2) % n]
+        f, g, h = tests[i], tests[(i + 1) % n], tests[(i + 2) % n]
         leib = Sub(bracket(f, Mul(g, h)), Add(Mul(g, bracket(f, h)), Mul(h, bracket(f, g))))
         residuals.append(("leibniz", simplify(leib)))
-        jac = Add(
-            Add(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))),
-            bracket(h, bracket(f, g)),
-        )
-        residuals.append(("jacobi", simplify(jac)))
+        residuals.append(("jacobi", jacobiator(bracket, f, g, h)))
     return residuals
 
 
-def check_bracket_laws(bracket, chart, tests, points, tol: float, notes=()) -> Report:
-    if len(tests) < 3:
-        raise ManifestError("bracket-laws mode needs at least three test expressions")
-    started = time.perf_counter()
+def _bracket_judge(bracket, chart, tests, tol: float):
+    """Judge of the bracket laws over the test expressions."""
     residuals = bracket_law_residuals(bracket, tests)
     labels = [label for label, _ in residuals]
     run = compile_batch([expr for _, expr in residuals], chart.coords)
-    fold = _Fold(points, smaller_is_worse=False)
-    for start, chunk in _chunks(chart, points):
+
+    def judge(chunk):
         values, errors = run(chunk)
         # per point, the largest |residual| from 0.0 up, nan skipped, and the
         # first residual that reaches it
@@ -237,52 +217,22 @@ def check_bracket_laws(bracket, chart, tests, points, tol: float, notes=()) -> R
             for i in np.flatnonzero(worst > tol).tolist()
         }
         reasons.update((i, f"{labels[j]}: {exc}") for i, (j, exc) in errors.items())
-        fold.add(start, worst, valid_mask(len(chunk), errors), reasons)
-    return fold.report("bracket-laws", notes, started)
+        return worst, valid_mask(len(chunk), errors), reasons
+
+    return judge
 
 
 def run_check(m: Manifest) -> Report:
     """Execute a manifest's check over its sampled domain."""
-    points = sample_points(m.chart, m.samples, m.seed, m.grid)
-    if m.mode in ("immersion", "free"):
-        frame = build_frame(m)
-        smap = build_map(m)
-        return check_rank_mode(frame, smap, points, m.tolerance, m.mode)
-    if m.mode == "identity":
-        frame = build_frame(m)
-        smap = build_map(m)
-        if smap.q != frame.k:
-            raise ManifestError(
-                f"identity mode needs a critical-dimension map with {frame.k} components"
-            )
-        outer = build_outer(m, frame.k)
-        if outer.chart.dim != frame.k or outer.q != frame.k + s(frame.k):
-            raise ManifestError(
-                f"outer map must be {frame.k} -> {frame.k + s(frame.k)}"
-            )
-        return check_identity_mode(frame, smap, outer, points, m.tolerance)
+    started = time.perf_counter()
+    plan = build_plan(m)
     if m.mode == "bracket-laws":
-        if m.structure is None:
-            raise ManifestError("bracket-laws mode requires a [structure] section")
-        kind = m.structure.get("type")
-        if kind == "canonical":
-            from .brackets import SymplecticChart, canonical_bracket
-
-            n = int(m.structure.get("n", m.chart.dim // 2))
-            sc = SymplecticChart(n=n, chart=m.chart)
-            bracket = lambda f, g: canonical_bracket(sc, f, g)
-        elif kind == "riemann-poisson":
-            structure = build_rp_structure(m)
-            bracket = lambda f, g: rp_bracket(structure, f, g)
-        else:
-            raise ManifestError(
-                f"bracket-laws mode needs a canonical or riemann-poisson structure, got {kind!r}"
-            )
-        from .manifest import _parse_expr
-
-        tests = [_parse_expr(c, "map components") for c in m.map_components]
-        return check_bracket_laws(bracket, m.chart, tests, points, m.tolerance)
-    raise ManifestError(f"unknown mode {m.mode!r}")
+        judge = _bracket_judge(plan.bracket, m.chart, plan.smap.components, m.tolerance)
+    elif m.mode == "identity":
+        judge = _identity_judge(DetIdentity(plan.frame, plan.smap, plan.outer), m.tolerance)
+    else:
+        judge = _rank_judge(plan.frame, plan.smap, m.tolerance, m.mode)
+    return _run(m.mode, m.chart, plan.points, judge, m.mode in ("immersion", "free"), started)
 
 
 def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> Report:
@@ -290,17 +240,11 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
     the candidate map, free check of the composed map, first-integral
     witnesses; bracket laws when the fixture declares a bracket."""
     started = time.perf_counter()
-    notes = list(fix.notes)
-
-    if fix.immersion is None:
-        points = sample_points(fix.chart, samples, seed)
-        report = check_bracket_laws(
-            fix.bracket, fix.chart, list(fix.bracket_tests), points, max(tol, 1e-8), notes
-        )
-        report.mode = "gallery"
-        return report
-
     points = sample_points(fix.chart, samples, seed)
+    if fix.immersion is None:
+        judge = _bracket_judge(fix.bracket, fix.chart, list(fix.bracket_tests), max(tol, 1e-8))
+        return _run("gallery", fix.chart, points, judge, False, started, fix.notes)
+
     k = fix.frame.k
     d1 = compiled_d1(fix.frame, fix.immersion)
     d2 = compiled_d2(fix.frame, fix.free_map)
@@ -315,8 +259,8 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
     ]
     run = compile_batch(formulas, fix.chart.coords)
     n_expected = len(fix.expected)
-    fold = _Fold(points, smaller_is_worse=True)
-    for start, chunk in _chunks(fix.chart, points):
+
+    def judge(chunk):
         values, errors = run(chunk)
         if errors:  # a fixture's formulas are defined on its whole box
             raise errors[min(errors)][1]
@@ -326,19 +270,14 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         # max(1.0, scale) as Python's max computes it, nan included
         mismatch = residual > 1e-10 * np.where(scale > 1.0, scale, 1.0)
         witness = size[:, 2 * n_expected :] > 1e-12
-        formula_reasons = {}
-        for i in np.flatnonzero(mismatch.any(axis=1) | witness.any(axis=1)).tolist():
-            if mismatch[i].any():
-                j = int(np.argmax(mismatch[i]))
-                row, col, _ = fix.expected[j]
-                formula_reasons[i] = (
-                    f"expected formula mismatch at jet entry ({row},{col}): {float(residual[i, j]):.3e}"
-                )
-            else:
-                j = int(np.argmax(witness[i]))
-                formula_reasons[i] = (
-                    f"witness {j} derivative not zero: {float(size[i, 2 * n_expected + j]):.3e}"
-                )
+        formula_reasons = {}  # the first witness, then the first mismatch over it
+        for i in np.flatnonzero(witness.any(axis=1)).tolist():
+            j = int(np.argmax(witness[i]))
+            formula_reasons[i] = f"witness {j} derivative not zero: {float(size[i, 2 * n_expected + j]):.3e}"
+        for i in np.flatnonzero(mismatch.any(axis=1)).tolist():
+            j = int(np.argmax(mismatch[i]))
+            row, col, _ = fix.expected[j]
+            formula_reasons[i] = f"expected formula mismatch at jet entry ({row},{col}): {float(residual[i, j]):.3e}"
         r1 = d1.ranks(chunk, tol)
         r2 = d2.ranks(chunk, tol)
         # lowest first: a formula mismatch hides the jets, a jet without a
@@ -350,5 +289,6 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         reasons.update(formula_reasons)
         crit = np.where(r2.sigma_min < r1.sigma_min, r2.sigma_min, r1.sigma_min)
         has_crit = r1.valid & r2.valid & valid_mask(len(chunk), formula_reasons)
-        fold.add(start, crit, has_crit, reasons)
-    return fold.report("gallery", notes, started)
+        return crit, has_crit, reasons
+
+    return _run("gallery", fix.chart, points, judge, True, started, fix.notes)

@@ -14,6 +14,7 @@ from .manifest import ManifestError, load_manifest
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -31,15 +32,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit the JSON report")
         p.add_argument("--quiet", action="store_true", help="print the verdict only")
 
-    p_check = sub.add_parser("check", help="run the check described by a manifest")
-    p_check.add_argument("manifest")
-    add_report_flags(p_check)
-
-    p_ident = sub.add_parser(
-        "verify-identity", help="run a manifest in determinant-identity mode"
-    )
-    p_ident.add_argument("manifest")
-    add_report_flags(p_ident)
+    for name, text in (
+        ("check", "run the check described by a manifest"),
+        ("verify-identity", "run a manifest in determinant-identity mode"),
+    ):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("manifest")
+        add_report_flags(p)
 
     p_gal = sub.add_parser("gallery", help="list or run the built-in fixtures")
     gal_sub = p_gal.add_subparsers(dest="gallery_command", required=True)
@@ -125,6 +124,9 @@ def main(argv=None) -> int:
     except EvalError as exc:
         print(f"evaluation error: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    except Exception as exc:  # a fault in hfree itself: one line, no traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return EXIT_USAGE
 
 

@@ -4,7 +4,6 @@ the symmetric-square representation and the determinant-identity check."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,7 +40,6 @@ def monomial_free_map(m: int) -> SmoothMap:
     return SmoothMap(chart, tuple(comps))
 
 
-@lru_cache(maxsize=256)
 def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     """Symbolic composition outer(inner): substitute inner's components for
     outer's coordinates. The result lives on inner's chart."""

@@ -691,9 +691,10 @@ def compile_batch(exprs, coords):
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. With finite constants
     and coordinates, every fault evaluate() reports raises a floating-point
-    error here too. A call that raises one is halved and each half run again,
-    down to single points, which evaluate() evaluates; every row is computed
-    elementwise, so the other points keep their bits. A call with a
+    error here too. A call that raises one is bisected (see _bisect) down to
+    the faulting points, or to small parts that fault in both halves, and
+    evaluate() evaluates those points; every row is computed elementwise,
+    so every point keeps its bits. A call with a
     non-finite constant or coordinate is evaluated point by point with
     evaluate()."""
     exprs = list(exprs)
@@ -759,7 +760,8 @@ def compile_batch(exprs, coords):
         values = np.empty((points.shape[0], len(exprs)))
         faulted = []
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            _bisect(program, points, values, 0, points.shape[0], faulted)
+            if not _fill(program, points, values, 0, points.shape[0]):
+                _bisect(program, points, values, 0, points.shape[0], faulted)
         if not faulted:
             return values, {}
         values[faulted], errors = _evaluate_rows(exprs, coords, points[faulted])
@@ -768,20 +770,36 @@ def compile_batch(exprs, coords):
     return run
 
 
-def _bisect(program, points, out, lo: int, hi: int, faulted: list):
-    """Fill out[lo:hi] with the program's values at points[lo:hi]. A part
-    that raises is halved, down to single points, whose indices go to
-    `faulted` in order and whose rows are left to the caller."""
+def _fill(program, points, out, lo: int, hi: int) -> bool:
+    """out[lo:hi] = the program's values at points[lo:hi]; False if it raises."""
     try:
         out[lo:hi] = program(points[lo:hi], hi - lo)
-        return
+        return True
     except (ArithmeticError, ValueError, EvalError):
-        if hi - lo == 1:
-            faulted.append(lo)
-            return
+        return False
+
+
+# A part of at most _LEAF points that raises in both halves goes to evaluate()
+# whole; faults _LEAF or more points apart are still found one by one.
+_LEAF = 16
+
+
+def _bisect(program, points, out, lo: int, hi: int, faulted: list):
+    """Fill out[lo:hi], a part on which the program raised: run each half once
+    and go on in each half that raised, down to one point or to a part of at
+    most _LEAF points that raised in both halves. Those points go to
+    `faulted` in order, their rows left to the caller. A chunk of n points
+    that all fault costs about 4n/_LEAF calls, not 2n - 1."""
+    if hi - lo == 1:
+        faulted.append(lo)
+        return
     mid = (lo + hi) // 2
-    _bisect(program, points, out, lo, mid, faulted)
-    _bisect(program, points, out, mid, hi, faulted)
+    raised = [(a, b) for a, b in ((lo, mid), (mid, hi)) if not _fill(program, points, out, a, b)]
+    if len(raised) == 2 and hi - lo <= _LEAF:
+        faulted.extend(range(lo, hi))
+        return
+    for a, b in raised:
+        _bisect(program, points, out, a, b, faulted)
 
 
 def _evaluate_rows(exprs, coords, points):

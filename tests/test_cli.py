@@ -3,7 +3,7 @@ import textwrap
 
 import pytest
 
-from hfree import checks
+from hfree import checks, cli
 from hfree.cli import main
 from hfree.jets import compiled_d1, compiled_d2
 
@@ -199,6 +199,87 @@ def test_report_does_not_depend_on_chunk_size(
         main(args + ["--json"])
         payloads.append(json.dumps(_strip_wall_time(capsys.readouterr().out), indent=2))
     assert payloads[0] == payloads[1] == payloads[2]
+
+
+PLANAR = textwrap.dedent(
+    """
+    [manifold]
+    coords = [x, y]
+    box = [[-2, 2], [-2, 2]]
+
+    [frame]
+    vectors = [["2*y", "1 - y^2"]]
+
+    [map]
+    components = ["y*exp(x)"]
+
+    [check]
+    mode = immersion
+    samples = 20
+    """
+)
+
+SPACE = PLANAR.replace("[x, y]", "[x, y, z]").replace("[[-2, 2], [-2, 2]]", "[[-2, 2], [-2, 2], [-2, 2]]")
+
+
+def _structure(text: str, structure: str) -> str:
+    """The manifest text with its [frame] section replaced by a [structure]."""
+    head, _, rest = text.partition("[frame]")
+    return head + "[structure]\n" + structure + "\n" + rest.split("\n", 2)[2]
+
+
+@pytest.mark.parametrize(
+    "text, section",
+    [
+        (PLANAR.replace('["2*y", "1 - y^2"]', '["2*z", "1"]'), "frame"),
+        (PLANAR.replace('[["2*y", "1 - y^2"]]', '[["1", "0"], ["0", "1"], ["1", "1"]]'), "frame"),
+        (_structure(SPACE, 'type = canonical\nhamiltonians = ["x"]'), "structure"),
+        (
+            _structure(SPACE, 'type = canonical').replace("mode = immersion", "mode = bracket-laws")
+            .replace('["y*exp(x)"]', '["x", "y", "z"]'),
+            "structure",
+        ),
+        (_structure(PLANAR, 'type = riemann-poisson\nH = ["x"]\nhamiltonian = "y"'), "structure"),
+        (
+            _structure(SPACE, 'type = riemann-poisson\nH_gradients = [["1", "0"]]\nhamiltonian = "x"'),
+            "structure",
+        ),
+        (
+            PLANAR.replace("mode = immersion", "mode = identity")
+            + '[outer]\ncoords = [u]\ncomponents = ["v", "u^2"]\n',
+            "outer",
+        ),
+        (_structure(PLANAR, "type = contact").replace('["y*exp(x)"]', '["x", "y"]'), "structure"),
+        (
+            _structure(PLANAR, "type = [1]").replace("mode = immersion", "mode = bracket-laws")
+            .replace('["y*exp(x)"]', '["x", "y", "x*y"]'),
+            "structure",
+        ),
+        (PLANAR.replace("samples = 20", "grid = [2.5, 3]"), "check"),
+        (PLANAR.replace("samples = 20", 'grid = ["a", 3]'), "check"),
+        (PLANAR.replace("samples = 20", "tolerance = nan"), "check"),
+        (PLANAR.replace("samples = 20", "tolerance = inf"), "check"),
+    ],
+)
+def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):
+    # exit 1 is a fail verdict, which a manifest that cannot be checked must not look like
+    path = tmp_path / "bad.toml"
+    path.write_text(text)
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"[{section}]" in err
+    assert "Traceback" not in err
+
+
+def test_internal_error_exits_three_on_one_line(planar_manifest, monkeypatch, capsys):
+    def broken(manifest):
+        raise RuntimeError("no such luck")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    assert main(["check", planar_manifest]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: no such luck\n"
+    assert captured.out == ""
 
 
 class TestGallery:

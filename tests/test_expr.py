@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from hfree import expr as expr_module
 from hfree.expr import (
     Add,
     Const,
@@ -345,6 +346,42 @@ def test_chunk_with_several_faults_keeps_every_other_row():
     for i, v in enumerate(xs):
         if v != 0.0:
             assert _bits(values[i].tolist()) == _evaluate_all(exprs, {"x": v})
+
+
+@pytest.mark.parametrize(
+    "zeros, calls, interpreted",
+    [
+        # every point faults: halving stops at the 16-point parts, 1 + 2 * 31 calls
+        (range(256), 63, 256),
+        ([77], 1 + 2 * 8, 1),  # one fault: two calls per halving, down to one point
+        (range(0, 256, 17), None, 16),  # faults 17 apart: each one found alone
+        ([], 1, 0),
+    ],
+)
+def test_bisection_program_calls_are_bounded(zeros, calls, interpreted, monkeypatch):
+    """A chunk of 256 points that all fault costs 63 program calls, not 511,
+    and faulting points far apart still reach evaluate() alone."""
+    counts = {"calls": 0, "interpreted": 0}
+
+    def full(*args):  # the program's first line builds the constant 1.0
+        counts["calls"] += 1
+        return np.full(*args)
+
+    def evaluate_rows(exprs, coords, points):
+        counts["interpreted"] += len(points)
+        return original(exprs, coords, points)
+
+    original = expr_module._evaluate_rows
+    monkeypatch.setitem(expr_module._PROGRAM_GLOBALS, "_full", full)
+    monkeypatch.setattr(expr_module, "_evaluate_rows", evaluate_rows)
+    xs = [0.0 if i in zeros else 0.5 + i for i in range(256)]
+    values, errors = compile_batch([Div(Const(1.0), Coord("x"))], ("x",))(np.array([[v] for v in xs]))
+    assert counts["calls"] == calls or calls is None
+    assert counts["interpreted"] == interpreted
+    assert {i: str(exc) for i, (_, exc) in errors.items()} == {i: "division by zero" for i in zeros}
+    for i, v in enumerate(xs):
+        if i not in zeros:
+            assert values[i, 0] == 1.0 / v
 
 
 def test_per_element_rounding_matches_evaluate():
