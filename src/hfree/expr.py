@@ -4,12 +4,23 @@ evaluation, and compilation into batched numpy code.
 The grammar is deliberately tiny -- {+, -, *, /, ^, sin, cos, exp} over named
 coordinates with integer exponents -- and every operation here is a pure
 function on immutable trees.
+
+Nodes are hash-consed: building a node equal to a live node returns that
+node, so equal trees are one object. Equality of nodes is identity and
+hashing is O(1), with one exception: constants compare by value, as floats
+do, so Const(0.0) == Const(-0.0), although the two are distinct nodes. The
+table of live nodes holds them weakly, so a dropped tree is freed and leaves
+the table. simplify, diff and free_vars keep their results on the node, so
+every occurrence of a subtree, in every jet, shares them. Each operation
+dispatches on the node's class through a table of rules.
 """
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
+import weakref
+from _weakref import _remove_dead_weakref
 
 import numpy as np
 
@@ -18,16 +29,63 @@ class EvalError(Exception):
     """Raised when an expression cannot be evaluated at a point."""
 
 
-@dataclass(frozen=True)
+# ---------------------------------------------------------------------------
+# Nodes and the intern table
+
+# (class, then children by identity, or the exponent, name or constant's
+# float.hex) -> weak reference to the live node. A key's child ids are those
+# of live objects: the node holds its children, and its entry leaves the
+# table when it dies.
+_table: dict = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference to a node that knows the node's key in the table."""
+
+    __slots__ = ("key",)
+
+
+def _forget(ref: _Ref):
+    # removes the entry only while it still holds this dead reference
+    _remove_dead_weakref(_table, ref.key)
+
+
+def _missing():
+    """Stands in for a dead reference: _table.get(key, _missing)() is the
+    live node under key, or None."""
+    return None
+
+
+def _new(cls, key, *fields):
+    """A fresh node of cls with the given fields, entered in the table under
+    key. Every node is built here."""
+    node = object.__new__(cls)
+    node._simple = node._diffs = node._free = None
+    for name, value in zip(cls._fields, fields):
+        setattr(node, name, value)
+    ref = _table[key] = _Ref(node, _forget)
+    ref.key = key
+    return node
+
+
 class Expr:
-    """Base node. Subclasses are the only valid instances.
+    """Base node. Subclasses are the only valid instances; their constructors
+    return the live node equal to the one asked for, if there is one.
 
-    The two class attributes below are not fields: they are the empty memos
-    that simplify() and diff() fill in on an instance (see there), so they
-    take no part in equality, hashing or repr."""
+    A node is shared by every tree that contains it, so it is never changed:
+    its fields are set once, by its constructor. _simple, _diffs and _free
+    are the memos of simplify, diff and free_vars (see there), written once
+    each; they take no part in equality, hashing or repr."""
 
-    _simple = None  # True once simplified, else the simplified form
-    _diffs = None  # coordinate name -> derivative
+    __slots__ = ("_simple", "_diffs", "_free", "__weakref__")
+    _fields: tuple = ()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._fields)
 
     def __add__(self, other):
         return Add(self, _coerce(other))
@@ -70,70 +128,120 @@ def _coerce(v) -> Expr:
     raise TypeError(f"cannot build an expression from {v!r}")
 
 
-@dataclass(frozen=True)
 class Const(Expr):
-    value: float
+    """A float constant. It compares by value, so Const(0.0) == Const(-0.0),
+    but it is interned by its bits, so the two are distinct nodes."""
+
+    __slots__ = ("value",)
+    _fields = __slots__
+
+    def __new__(cls, value):
+        value = float(value)
+        key = (cls, value.hex())
+        return _table.get(key, _missing)() or _new(cls, key, value)
+
+    def __eq__(self, other):
+        if type(other) is not Const:
+            return NotImplemented
+        return self is other or self.value == other.value
+
+    def __hash__(self):
+        return hash(self.value)
 
 
-@dataclass(frozen=True)
 class Coord(Expr):
-    name: str
+    __slots__ = ("name",)
+    _fields = __slots__
+
+    def __new__(cls, name):
+        key = (cls, name)
+        return _table.get(key, _missing)() or _new(cls, key, name)
 
 
-@dataclass(frozen=True)
-class Neg(Expr):
-    arg: Expr
+class _Unary(Expr):
+    __slots__ = ("arg",)
+    _fields = __slots__
+
+    def __new__(cls, arg):
+        key = (cls, id(arg))
+        return _table.get(key, _missing)() or _new(cls, key, arg)
 
 
-@dataclass(frozen=True)
-class Add(Expr):
-    left: Expr
-    right: Expr
+class _Binary(Expr):
+    __slots__ = ("left", "right")
+    _fields = __slots__
+
+    def __new__(cls, left, right):
+        key = (cls, id(left), id(right))
+        return _table.get(key, _missing)() or _new(cls, key, left, right)
 
 
-@dataclass(frozen=True)
-class Sub(Expr):
-    left: Expr
-    right: Expr
+class Neg(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Mul(Expr):
-    left: Expr
-    right: Expr
+class Add(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Div(Expr):
-    left: Expr
-    right: Expr
+class Sub(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
+class Mul(_Binary):
+    __slots__ = ()
+
+
+class Div(_Binary):
+    __slots__ = ()
+
+
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")
+    _fields = __slots__
+
+    def __new__(cls, base, exponent):
+        key = (cls, id(base), exponent)
+        return _table.get(key, _missing)() or _new(cls, key, base, exponent)
 
 
-@dataclass(frozen=True)
-class Sin(Expr):
-    arg: Expr
+class Sin(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Cos(Expr):
-    arg: Expr
+class Cos(_Unary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Exp(Expr):
-    arg: Expr
+class Exp(_Unary):
+    __slots__ = ()
 
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
+_UNARY = (Neg, Sin, Cos, Exp)
+_BINARY = (Add, Sub, Mul, Div)
 _FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp}
+
+
+class _Rules(dict):
+    """One rule per node class; looking up anything else is a TypeError."""
+
+    def __missing__(self, cls):
+        raise TypeError(f"not an expression node class: {cls.__name__}")
+
+
+# rule(e, f): e rebuilt with f applied to each child (a leaf is itself)
+_MAP = _Rules(
+    {
+        Const: lambda e, f: e,
+        Coord: lambda e, f: e,
+        Pow: lambda e, f: Pow(f(e.base), e.exponent),
+        **dict.fromkeys(_UNARY, lambda e, f: type(e)(f(e.arg))),
+        **dict.fromkeys(_BINARY, lambda e, f: type(e)(f(e.left), f(e.right))),
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -148,37 +256,75 @@ class ParseError(Exception):
         super().__init__(f"at offset {position}: expected {expected}, found {found}")
 
 
+def _tokens(src: str) -> list:
+    """The tokens of src as (kind, start, end) offsets, whitespace skipped:
+    kind "num" for a number (digits, optionally a point and more digits, or
+    a point first), "id" for a name (a letter or _, then letters, digits or
+    _), the character itself for any other, and "" for the end of input."""
+    tokens = []
+    n = len(src)
+    i = 0
+    while True:
+        while i < n and src[i].isspace():
+            i += 1
+        if i == n:
+            tokens.append(("", n, n))
+            return tokens
+        start, ch = i, src[i]
+        i += 1
+        if ch.isdigit() or ch == ".":
+            kind = "num"
+            while i < n and src[i].isdigit():
+                i += 1
+            if ch != "." and i < n and src[i] == ".":
+                i += 1
+                while i < n and src[i].isdigit():
+                    i += 1
+        elif ch.isalpha() or ch == "_":
+            kind = "id"
+            while i < n and (src[i].isalnum() or src[i] == "_"):
+                i += 1
+        else:
+            kind = ch
+        tokens.append((kind, start, i))
+
+
 class _Parser:
+    """Recursive descent over the tokens; an error names the offset of the
+    first character it could not use."""
+
     def __init__(self, src: str):
         self.src = src
-        self.pos = 0
+        self.tokens = _tokens(src)
+        self.i = 0
 
-    def error(self, expected: str):
-        found = self.src[self.pos] if self.pos < len(self.src) else "end of input"
-        raise ParseError(self.pos, expected, found)
-
-    def skip_ws(self):
-        while self.pos < len(self.src) and self.src[self.pos].isspace():
-            self.pos += 1
+    def error(self, expected: str, at: int | None = None):
+        at = self.tokens[self.i][1] if at is None else at
+        found = self.src[at] if at < len(self.src) else "end of input"
+        raise ParseError(at, expected, found)
 
     def peek(self) -> str:
-        self.skip_ws()
-        return self.src[self.pos] if self.pos < len(self.src) else ""
+        return self.tokens[self.i][0]
 
-    def accept(self, ch: str) -> bool:
-        if self.peek() == ch:
-            self.pos += 1
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.i][0] == kind:
+            self.i += 1
             return True
         return False
 
-    def expect(self, ch: str):
-        if not self.accept(ch):
-            self.error(f"'{ch}'")
+    def expect(self, kind: str):
+        if not self.accept(kind):
+            self.error(f"'{kind}'")
+
+    def text(self) -> str:
+        """The current token's text; moves past it."""
+        _, start, end = self.tokens[self.i]
+        self.i += 1
+        return self.src[start:end]
 
     def parse(self) -> Expr:
         e = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.src):
+        if self.peek() != "":
             self.error("end of input")
         return e
 
@@ -223,34 +369,44 @@ class _Parser:
         return Pow(base, n)
 
     def integer(self) -> int:
-        self.skip_ws()
-        start = self.pos
-        if self.pos < len(self.src) and self.src[self.pos] in "+-":
-            self.pos += 1
-        digits = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == digits:
-            self.error("integer exponent")
-        if self.pos < len(self.src) and self.src[self.pos] == ".":
-            raise ParseError(self.pos, "integer exponent", ".")
-        return int(self.src[start : self.pos])
+        """An optionally signed run of digits, the sign and the digits
+        adjacent, and no decimal point."""
+        kind, start, _ = self.tokens[self.i]
+        sign = ""
+        if kind in ("+", "-"):
+            sign = kind
+            self.i += 1
+            kind, at, _ = self.tokens[self.i]
+            if at != start + 1:
+                self.error("integer exponent", start + 1)
+            start = at
+        digits = self.text() if kind == "num" else ""
+        whole = digits.partition(".")[0]
+        if not whole:
+            self.error("integer exponent", start)
+        if whole != digits:
+            raise ParseError(start + len(whole), "integer exponent", ".")
+        return int(sign + whole)
 
     def atom(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
+        kind = self.peek()
+        if kind == "(":
+            self.i += 1
             e = self.expr()
             self.expect(")")
             return e
-        if ch.isdigit() or ch == ".":
-            return self.number()
-        if ch.isalpha() or ch == "_":
-            name = self.ident()
+        if kind == "num":
+            start = self.tokens[self.i][1]
+            src = self.text()
+            if src == ".":
+                self.error("a number", start + 1)
+            return Const(float(src))
+        if kind == "id":
+            name = self.text()
             if self.peek() == "(":
                 if name not in _FUNCS:
-                    raise ParseError(self.pos, "one of sin, cos, exp", name)
-                self.pos += 1
+                    raise ParseError(self.tokens[self.i][1], "one of sin, cos, exp", name)
+                self.i += 1
                 e = self.expr()
                 self.expect(")")
                 return _FUNCS[name](e)
@@ -258,28 +414,6 @@ class _Parser:
                 return Const(math.pi)
             return Coord(name)
         self.error("a number, coordinate, function call or '('")
-
-    def number(self) -> Expr:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and self.src[self.pos].isdigit():
-            self.pos += 1
-        if self.pos < len(self.src) and self.src[self.pos] == ".":
-            self.pos += 1
-            while self.pos < len(self.src) and self.src[self.pos].isdigit():
-                self.pos += 1
-        if self.pos == start or self.src[start : self.pos] == ".":
-            self.error("a number")
-        return Const(float(self.src[start : self.pos]))
-
-    def ident(self) -> str:
-        self.skip_ws()
-        start = self.pos
-        while self.pos < len(self.src) and (
-            self.src[self.pos].isalnum() or self.src[self.pos] == "_"
-        ):
-            self.pos += 1
-        return self.src[start : self.pos]
 
 
 def parse(src: str) -> Expr:
@@ -296,24 +430,45 @@ _PREC_NEG = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
 
+_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL, Neg: _PREC_NEG, Pow: _PREC_POW}
+
 
 def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
+    if type(e) is Const and e.value < 0:
         return _PREC_NEG
-    if isinstance(e, Const) and e.value < 0:
-        return _PREC_NEG
-    if isinstance(e, Pow):
-        return _PREC_POW
-    return _PREC_ATOM
+    return _PREC.get(type(e), _PREC_ATOM)
 
 
 def _wrap(e: Expr, minimum: int) -> str:
     s = to_str(e)
     return f"({s})" if _prec(e) < minimum else s
+
+
+def _const_str(v: float) -> str:
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    # exact positional decimal, so parsing reproduces the float bit for bit
+    from decimal import Decimal
+
+    return format(Decimal(v), "f")
+
+
+# float + is not associative, so a sum on the right of + or - keeps its parentheses
+_STR = _Rules(
+    {
+        Const: lambda e: _const_str(e.value),
+        Coord: lambda e: e.name,
+        Neg: lambda e: "-" + _wrap(e.arg, _PREC_NEG),
+        Add: lambda e: f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}",
+        Sub: lambda e: f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}",
+        Mul: lambda e: f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}",
+        Div: lambda e: f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}",
+        Pow: lambda e: f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}",
+        Sin: lambda e: f"sin({to_str(e.arg)})",
+        Cos: lambda e: f"cos({to_str(e.arg)})",
+        Exp: lambda e: f"exp({to_str(e.arg)})",
+    }
+)
 
 
 def to_str(e: Expr) -> str:
@@ -323,36 +478,7 @@ def to_str(e: Expr) -> str:
     tree need not equal e: Const(-1.0), for instance, reads back as
     Neg(Const(1.0)).
     """
-    if isinstance(e, Const):
-        v = e.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
-        # exact positional decimal, so parsing reproduces the float bit for bit
-        from decimal import Decimal
-
-        return format(Decimal(v), "f")
-    if isinstance(e, Coord):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _PREC_NEG)
-    # float + is not associative, so a sum on the right of + or - keeps its parentheses
-    if isinstance(e, Add):
-        return f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Pow):
-        return f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    if isinstance(e, Sin):
-        return f"sin({to_str(e.arg)})"
-    if isinstance(e, Cos):
-        return f"cos({to_str(e.arg)})"
-    if isinstance(e, Exp):
-        return f"exp({to_str(e.arg)})"
-    raise TypeError(f"not an expression node: {e!r}")
+    return _STR[type(e)](e)
 
 
 # ---------------------------------------------------------------------------
@@ -386,81 +512,68 @@ def evaluate(e: Expr, point: dict) -> float:
 
 
 def _evaluate(e: Expr, point: dict) -> float:
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Coord):
-        try:
-            return float(point[e.name])
-        except KeyError:
-            raise EvalError(f"unbound coordinate '{e.name}'") from None
-    if isinstance(e, Neg):
-        return -_evaluate(e.arg, point)
-    if isinstance(e, Add):
-        return _evaluate(e.left, point) + _evaluate(e.right, point)
-    if isinstance(e, Sub):
-        return _evaluate(e.left, point) - _evaluate(e.right, point)
-    if isinstance(e, Mul):
-        return _evaluate(e.left, point) * _evaluate(e.right, point)
-    if isinstance(e, Div):
-        num = _evaluate(e.left, point)
-        denom = _evaluate(e.right, point)
-        if denom == 0.0:
-            raise EvalError(_DIV_ZERO)
-        return num / denom
-    if isinstance(e, Pow):
-        base = _evaluate(e.base, point)
-        if e.exponent < 0:
-            return _neg_pow(base, e.exponent)
-        return float(base**e.exponent)
-    if isinstance(e, Sin):
-        return math.sin(_evaluate(e.arg, point))
-    if isinstance(e, Cos):
-        return math.cos(_evaluate(e.arg, point))
-    if isinstance(e, Exp):
-        return math.exp(_evaluate(e.arg, point))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _EVAL[type(e)](e, point)
+
+
+def _coord_value(e: Coord, point: dict) -> float:
+    try:
+        return float(point[e.name])
+    except KeyError:
+        raise EvalError(f"unbound coordinate '{e.name}'") from None
+
+
+def _divide(num: float, denom: float) -> float:
+    if denom == 0.0:
+        raise EvalError(_DIV_ZERO)
+    return num / denom
+
+
+def _power(base: float, n: int) -> float:
+    return _neg_pow(base, n) if n < 0 else float(base**n)
+
+
+_EVAL = _Rules(
+    {
+        Const: lambda e, p: e.value,
+        Coord: _coord_value,
+        Neg: lambda e, p: -_evaluate(e.arg, p),
+        Add: lambda e, p: _evaluate(e.left, p) + _evaluate(e.right, p),
+        Sub: lambda e, p: _evaluate(e.left, p) - _evaluate(e.right, p),
+        Mul: lambda e, p: _evaluate(e.left, p) * _evaluate(e.right, p),
+        Div: lambda e, p: _divide(_evaluate(e.left, p), _evaluate(e.right, p)),
+        Pow: lambda e, p: _power(_evaluate(e.base, p), e.exponent),
+        Sin: lambda e, p: math.sin(_evaluate(e.arg, p)),
+        Cos: lambda e, p: math.cos(_evaluate(e.arg, p)),
+        Exp: lambda e, p: math.exp(_evaluate(e.arg, p)),
+    }
+)
 
 
 def free_vars(e: Expr) -> frozenset:
-    """The set of coordinate names occurring in the tree."""
-    if isinstance(e, Const):
-        return frozenset()
-    if isinstance(e, Coord):
-        return frozenset({e.name})
-    if isinstance(e, (Neg, Sin, Cos, Exp)):
-        return free_vars(e.arg)
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    raise TypeError(f"not an expression node: {e!r}")
+    """The set of coordinate names occurring in the tree. Memoised on e."""
+    names = e._free
+    if names is None:
+        names = _FREE[type(e)](e)
+        e._free = names
+    return names
+
+
+_FREE = _Rules(
+    {
+        Const: lambda e: frozenset(),
+        Coord: lambda e: frozenset((e.name,)),
+        Pow: lambda e: free_vars(e.base),
+        **dict.fromkeys(_UNARY, lambda e: free_vars(e.arg)),
+        **dict.fromkeys(_BINARY, lambda e: free_vars(e.left) | free_vars(e.right)),
+    }
+)
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
     """Replace coordinates by expressions (simultaneous substitution)."""
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, Coord):
+    if type(e) is Coord:
         return bindings.get(e.name, e)
-    if isinstance(e, Neg):
-        return Neg(substitute(e.arg, bindings))
-    if isinstance(e, Add):
-        return Add(substitute(e.left, bindings), substitute(e.right, bindings))
-    if isinstance(e, Sub):
-        return Sub(substitute(e.left, bindings), substitute(e.right, bindings))
-    if isinstance(e, Mul):
-        return Mul(substitute(e.left, bindings), substitute(e.right, bindings))
-    if isinstance(e, Div):
-        return Div(substitute(e.left, bindings), substitute(e.right, bindings))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, bindings), e.exponent)
-    if isinstance(e, Sin):
-        return Sin(substitute(e.arg, bindings))
-    if isinstance(e, Cos):
-        return Cos(substitute(e.arg, bindings))
-    if isinstance(e, Exp):
-        return Exp(substitute(e.arg, bindings))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _MAP[type(e)](e, lambda child: substitute(child, bindings))
 
 
 # ---------------------------------------------------------------------------
@@ -470,56 +583,56 @@ def substitute(e: Expr, bindings: dict) -> Expr:
 def diff(e: Expr, coord: str) -> Expr:
     """Exact partial derivative with respect to a coordinate name, simplified.
 
-    Memoised: e keeps its derivative per coordinate, so a repeated call
-    returns the identical object. The memo is an attribute of e and lives
-    and dies with it; it holds no reference back to e, so a dropped tree is
-    freed at once, without waiting for the cycle collector. The derivative
-    is built at the root from the memoised derivatives and simplified forms
-    of e's children, and equals simplify() of the whole unsimplified
-    derivative tree."""
-    if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Coord):
-        return ONE if e.name == coord else ZERO
+    Memoised: e keeps its derivative per coordinate, so a repeated call, on
+    e or on any equal tree, returns the identical object. The memo is an
+    attribute of e and lives and dies with it. A derivative may refer back to
+    its node (exp(u)' = exp(u)*u'), a reference cycle that the cycle
+    collector frees. The derivative is built at the root from the memoised
+    derivatives and simplified forms of e's children, and equals simplify()
+    of the whole unsimplified derivative tree."""
     memo = e._diffs
     if memo is None:
-        memo = {}
-        object.__setattr__(e, "_diffs", memo)
+        memo = e._diffs = {}
     d = memo.get(coord)
     if d is None:
-        d = memo[coord] = simplify(_diff(e, coord))
+        d = memo[coord] = simplify(_DIFF[type(e)](e, coord))
     return d
 
 
-def _diff(e: Expr, x: str) -> Expr:
-    """The derivative rule at the root of a composite node."""
-    if isinstance(e, Neg):
-        return Neg(diff(e.arg, x))
-    if isinstance(e, Add):
-        return Add(diff(e.left, x), diff(e.right, x))
-    if isinstance(e, Sub):
-        return Sub(diff(e.left, x), diff(e.right, x))
-    if isinstance(e, Mul):
-        l, r = simplify(e.left), simplify(e.right)
-        return Add(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
-    if isinstance(e, Div):
-        l, r = simplify(e.left), simplify(e.right)
-        num = Sub(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
-        return Div(num, Pow(r, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ZERO
-        base = simplify(e.base)
-        return Mul(Mul(Const(float(e.exponent)), Pow(base, e.exponent - 1)), diff(e.base, x))
-    # exp(u)' = exp(u) u' takes a new Exp node, not e itself, so that no
-    # derivative refers back to the node it is memoised on
-    if isinstance(e, Sin):
-        return Mul(Cos(simplify(e.arg)), diff(e.arg, x))
-    if isinstance(e, Cos):
-        return Neg(Mul(Sin(simplify(e.arg)), diff(e.arg, x)))
-    if isinstance(e, Exp):
-        return Mul(Exp(simplify(e.arg)), diff(e.arg, x))
-    raise TypeError(f"not an expression node: {e!r}")
+def _diff_mul(e: Mul, x: str) -> Expr:
+    l, r = simplify(e.left), simplify(e.right)
+    return Add(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
+
+
+def _diff_div(e: Div, x: str) -> Expr:
+    l, r = simplify(e.left), simplify(e.right)
+    num = Sub(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
+    return Div(num, Pow(r, 2))
+
+
+def _diff_pow(e: Pow, x: str) -> Expr:
+    if e.exponent == 0:
+        return ZERO
+    base = simplify(e.base)
+    return Mul(Mul(Const(float(e.exponent)), Pow(base, e.exponent - 1)), diff(e.base, x))
+
+
+# rule(e, x): the derivative rule at the root of e, unsimplified
+_DIFF = _Rules(
+    {
+        Const: lambda e, x: ZERO,
+        Coord: lambda e, x: ONE if e.name == x else ZERO,
+        Neg: lambda e, x: Neg(diff(e.arg, x)),
+        Add: lambda e, x: Add(diff(e.left, x), diff(e.right, x)),
+        Sub: lambda e, x: Sub(diff(e.left, x), diff(e.right, x)),
+        Mul: _diff_mul,
+        Div: _diff_div,
+        Pow: _diff_pow,
+        Sin: lambda e, x: Mul(Cos(simplify(e.arg)), diff(e.arg, x)),
+        Cos: lambda e, x: Neg(Mul(Sin(simplify(e.arg)), diff(e.arg, x))),
+        Exp: lambda e, x: Mul(Exp(simplify(e.arg)), diff(e.arg, x)),
+    }
+)
 
 
 # ---------------------------------------------------------------------------
@@ -527,81 +640,90 @@ def _diff(e: Expr, x: str) -> Expr:
 
 
 def _is_const(e: Expr, v: float | None = None) -> bool:
-    return isinstance(e, Const) and (v is None or e.value == v)
+    return type(e) is Const and (v is None or e.value == v)
 
 
-def _local(e: Expr) -> Expr:
-    """One rewrite step at the root; children are assumed simplified."""
-    if isinstance(e, Neg):
-        a = e.arg
-        if isinstance(a, Neg):
-            return a.arg
-        if isinstance(a, Const):
-            return Const(-a.value)
-        return e
-    if isinstance(e, Add):
-        l, r = e.left, e.right
-        if _is_const(l) and _is_const(r):
-            return Const(l.value + r.value)
-        if _is_const(l, 0.0):
-            return r
-        if _is_const(r, 0.0):
-            return l
-        if isinstance(r, Neg):
-            return Sub(l, r.arg)
-        if isinstance(l, Neg):
-            return Sub(r, l.arg)
-        return e
-    if isinstance(e, Sub):
-        l, r = e.left, e.right
-        if _is_const(l) and _is_const(r):
-            return Const(l.value - r.value)
-        if _is_const(r, 0.0):
-            return l
-        if _is_const(l, 0.0):
-            return Neg(r)
-        if isinstance(r, Neg):
-            return Add(l, r.arg)
-        if l == r:
-            return ZERO
-        return e
-    if isinstance(e, Mul):
-        l, r = e.left, e.right
-        if _is_const(l) and _is_const(r):
-            return Const(l.value * r.value)
-        if _is_const(l, 0.0) or _is_const(r, 0.0):
-            return ZERO
-        if _is_const(l, 1.0):
-            return r
-        if _is_const(r, 1.0):
-            return l
-        if isinstance(l, Neg):
-            return Neg(Mul(l.arg, r))
-        if isinstance(r, Neg):
-            return Neg(Mul(l, r.arg))
-        return e
-    if isinstance(e, Div):
-        l, r = e.left, e.right
-        if _is_const(l) and _is_const(r) and r.value != 0.0:
-            return Const(l.value / r.value)
-        if _is_const(l, 0.0):
-            return ZERO
-        if _is_const(r, 1.0):
-            return l
-        if isinstance(l, Neg):
-            return Neg(Div(l.arg, r))
-        return e
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return ONE
-        if e.exponent == 1:
-            return e.base
-        if _is_const(e.base) and not (e.base.value == 0.0 and e.exponent < 0):
-            return _fold_const(lambda v: float(v**e.exponent), e, e.base)
-        return e
-    if isinstance(e, (Sin, Cos, Exp)) and _is_const(e.arg):
-        return _fold_const(_FOLD[type(e)], e, e.arg)
+def _local_neg(e: Neg) -> Expr:
+    a = e.arg
+    if type(a) is Neg:
+        return a.arg
+    if type(a) is Const:
+        return Const(-a.value)
     return e
+
+
+def _local_add(e: Add) -> Expr:
+    l, r = e.left, e.right
+    if _is_const(l) and _is_const(r):
+        return Const(l.value + r.value)
+    if _is_const(l, 0.0):
+        return r
+    if _is_const(r, 0.0):
+        return l
+    if type(r) is Neg:
+        return Sub(l, r.arg)
+    if type(l) is Neg:
+        return Sub(r, l.arg)
+    return e
+
+
+def _local_sub(e: Sub) -> Expr:
+    l, r = e.left, e.right
+    if _is_const(l) and _is_const(r):
+        return Const(l.value - r.value)
+    if _is_const(r, 0.0):
+        return l
+    if _is_const(l, 0.0):
+        return Neg(r)
+    if type(r) is Neg:
+        return Add(l, r.arg)
+    if l is r:
+        return ZERO
+    return e
+
+
+def _local_mul(e: Mul) -> Expr:
+    l, r = e.left, e.right
+    if _is_const(l) and _is_const(r):
+        return Const(l.value * r.value)
+    if _is_const(l, 0.0) or _is_const(r, 0.0):
+        return ZERO
+    if _is_const(l, 1.0):
+        return r
+    if _is_const(r, 1.0):
+        return l
+    if type(l) is Neg:
+        return Neg(Mul(l.arg, r))
+    if type(r) is Neg:
+        return Neg(Mul(l, r.arg))
+    return e
+
+
+def _local_div(e: Div) -> Expr:
+    l, r = e.left, e.right
+    if _is_const(l) and _is_const(r) and r.value != 0.0:
+        return Const(l.value / r.value)
+    if _is_const(l, 0.0):
+        return ZERO
+    if _is_const(r, 1.0):
+        return l
+    if type(l) is Neg:
+        return Neg(Div(l.arg, r))
+    return e
+
+
+def _local_pow(e: Pow) -> Expr:
+    if e.exponent == 0:
+        return ONE
+    if e.exponent == 1:
+        return e.base
+    if _is_const(e.base) and not (e.base.value == 0.0 and e.exponent < 0):
+        return _fold_const(lambda v: float(v**e.exponent), e, e.base)
+    return e
+
+
+def _local_func(e: Expr) -> Expr:
+    return _fold_const(_FOLD[type(e)], e, e.arg) if _is_const(e.arg) else e
 
 
 _FOLD = {Sin: math.sin, Cos: math.cos, Exp: math.exp}
@@ -616,6 +738,26 @@ def _fold_const(fn, e: Expr, arg: Const) -> Expr:
         return e
 
 
+# rule(e): one rewrite step at the root of e, whose children are simplified.
+# Every rewrite returns a new node or a strict subtree, never e itself, so
+# identity tells whether one applied.
+_LOCAL = _Rules(
+    {
+        Const: lambda e: e,
+        Coord: lambda e: e,
+        Neg: _local_neg,
+        Add: _local_add,
+        Sub: _local_sub,
+        Mul: _local_mul,
+        Div: _local_div,
+        Pow: _local_pow,
+        Sin: _local_func,
+        Cos: _local_func,
+        Exp: _local_func,
+    }
+)
+
+
 def simplify(e: Expr) -> Expr:
     """Best-effort normalization: constant folding, 0/1 identities, Neg pulling.
     Idempotent; not a canonical form.
@@ -627,40 +769,37 @@ def simplify(e: Expr) -> Expr:
     by zero).
 
     Memoised: e keeps its simplified form, and a simplified node is flagged
-    as such, so simplifying either again returns at once. The memo is an
-    attribute of e and lives and dies with it (a flag, not a reference to e
-    itself, so no reference cycle keeps a dropped tree alive). Children are
-    simplified first, so only the rewrites at new nodes cost work."""
+    as such, so simplifying either again, or any equal tree, returns at once.
+    The memo is an attribute of e and lives and dies with it; the last nodes
+    rewritten are kept alive a while longer (see _rewritten). Children are
+    simplified first, so a live node is rewritten at most once."""
     done = e._simple
     if done is not None:
         return e if done is True else done
-    if isinstance(e, (Const, Coord)):
-        return e
-    if isinstance(e, Pow):
-        base = simplify(e.base)
-        out = e if base is e.base else Pow(base, e.exponent)
-    elif isinstance(e, (Add, Sub, Mul, Div)):
-        l, r = simplify(e.left), simplify(e.right)
-        out = e if l is e.left and r is e.right else type(e)(l, r)
-    else:  # Neg, Sin, Cos, Exp
-        arg = simplify(e.arg)
-        out = e if arg is e.arg else type(e)(arg)
-    # every rewrite in _local returns a new node or a strict subtree, never a
-    # node equal to out, so identity tells whether one applied
-    reduced = _local(out)
-    if reduced is out:
-        object.__setattr__(out, "_simple", True)
-    else:
-        out = simplify(reduced)
-    if out is not e:
-        object.__setattr__(e, "_simple", out)
+    out = _MAP[type(e)](e, simplify)
+    if out is e:
+        out = _LOCAL[type(e)](e)
+        if out is e:
+            e._simple = True
+            return e
+    # out is a rebuilt or rewritten node: simplify it, and remember it on e
+    out = simplify(out)
+    e._simple = out
+    _rewritten.append(e)
     return out
+
+
+# The last nodes simplify rewrote, kept alive with their memos. Such a node is
+# often a temporary, such as Add(0, 0) in a Lie sum, that dies with the tree
+# it was built for and is built again soon after. 512 entries: on one
+# symbolic-cold pass (seed 1) the rewrites fall from 10,597 to 2,621, on 2,501
+# distinct nodes, and peak memory does not move.
+_rewritten: collections.deque = collections.deque(maxlen=512)
 
 
 # ---------------------------------------------------------------------------
 # Compilation: one straight-line numpy function per list of expressions
 
-_BINARY_OPS = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _PROGRAM_GLOBALS = {
     "_array": np.array,
     "_cos": np.cos,
@@ -677,6 +816,60 @@ def _unbound(name: str):
     raise EvalError(f"unbound coordinate '{name}'")
 
 
+def _pow_code(e: Pow, p: _Program) -> str:
+    power = f"_neg_pow(v, {e.exponent})" if e.exponent < 0 else f"v ** {e.exponent}"
+    return f"_array([{power} for v in {p.emit(e.base)}.tolist()])"
+
+
+# rule(e, program): the numpy code of e's temporary; children through program.emit
+_CODE = _Rules(
+    {
+        Const: lambda e, p: p.const(e.value),
+        Coord: lambda e, p: p.coord(e.name),
+        Neg: lambda e, p: f"-{p.emit(e.arg)}",
+        Add: lambda e, p: f"{p.emit(e.left)} + {p.emit(e.right)}",
+        Sub: lambda e, p: f"{p.emit(e.left)} - {p.emit(e.right)}",
+        Mul: lambda e, p: f"{p.emit(e.left)} * {p.emit(e.right)}",
+        Div: lambda e, p: f"{p.emit(e.left)} / {p.emit(e.right)}",
+        Pow: _pow_code,
+        Sin: lambda e, p: f"_sin({p.emit(e.arg)})",
+        Cos: lambda e, p: f"_cos({p.emit(e.arg)})",
+        Exp: lambda e, p: f"_array([_exp(v) for v in {p.emit(e.arg)}.tolist()])",
+    }
+)
+
+
+class _Program:
+    """The source of compile_batch's function, one temporary per distinct node."""
+
+    def __init__(self, coords):
+        self.column = {name: j for j, name in enumerate(coords)}
+        self.env = dict(_PROGRAM_GLOBALS, _unbound=_unbound)
+        self.lines: list[str] = []
+        # id(node) -> its temporary. Keyed by identity, not by the node,
+        # because Const(0.0) == Const(-0.0) and the two must stay apart.
+        self.temps: dict = {}
+        self.finite = True
+
+    def emit(self, e: Expr) -> str:
+        name = self.temps.get(id(e))
+        if name is None:
+            code = _CODE[type(e)](e, self)
+            name = self.temps[id(e)] = f"t{len(self.temps)}"
+            self.lines.append(f"    {name} = {code}\n")
+        return name
+
+    def const(self, value: float) -> str:
+        self.finite = self.finite and math.isfinite(value)
+        slot = f"_value{len(self.env)}"
+        self.env[slot] = value
+        return f"_full(_n, {slot})"
+
+    def coord(self, name: str) -> str:
+        j = self.column.get(name)
+        return f"_x[:, {j}]" if j is not None else f"_unbound({name!r})"
+
+
 def compile_batch(exprs, coords):
     """Compile expressions into one function of an (n, len(coords)) array of
     points, columns in coordinate order.
@@ -686,7 +879,7 @@ def compile_batch(exprs, coords):
     expression, its EvalError); that point's row is nan. Values agree with
     evaluate() bit for bit and a faulting point gets evaluate()'s exact error.
 
-    Each structurally distinct subtree is computed once, as one temporary.
+    Each distinct node is computed once, as one temporary.
     +, -, *, /, negation, sin and cos run as numpy ufuncs, which round as the
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. With finite constants
@@ -699,60 +892,13 @@ def compile_batch(exprs, coords):
     evaluate()."""
     exprs = list(exprs)
     coords = tuple(coords)
-    column = {name: j for j, name in enumerate(coords)}
-    env = dict(_PROGRAM_GLOBALS, _unbound=_unbound)
-    lines = []
-    temps: dict = {}  # structural key -> temporary
-    seen: dict = {}  # id(node) -> temporary; keys are built bottom-up, so no tree is hashed
-    finite = True
-
-    def emit(e: Expr) -> str:
-        nonlocal finite
-        name = seen.get(id(e))
-        if name is not None:
-            return name
-        if isinstance(e, Const):
-            value = float(e.value)
-            finite = finite and math.isfinite(value)
-            key = (Const, value.hex())  # keeps 0.0 and -0.0 apart
-            code = None
-        elif isinstance(e, Coord):
-            key = (Coord, e.name)
-            j = column.get(e.name)
-            code = f"_x[:, {j}]" if j is not None else f"_unbound({e.name!r})"
-        elif isinstance(e, Neg):
-            key = (Neg, emit(e.arg))
-            code = f"-{key[1]}"
-        elif isinstance(e, (Sin, Cos)):
-            key = (type(e), emit(e.arg))
-            code = f"_{type(e).__name__.lower()}({key[1]})"
-        elif isinstance(e, Exp):
-            key = (Exp, emit(e.arg))
-            code = f"_array([_exp(v) for v in {key[1]}.tolist()])"
-        elif isinstance(e, Pow):
-            key = (Pow, emit(e.base), e.exponent)
-            power = f"_neg_pow(v, {e.exponent})" if e.exponent < 0 else f"v ** {e.exponent}"
-            code = f"_array([{power} for v in {key[1]}.tolist()])"
-        elif type(e) in _BINARY_OPS:
-            key = (type(e), emit(e.left), emit(e.right))
-            code = f"{key[1]} {_BINARY_OPS[type(e)]} {key[2]}"
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        name = temps.get(key)
-        if name is None:
-            name = temps[key] = f"t{len(temps)}"
-            if code is None:
-                env[f"{name}_value"] = value
-                code = f"_full(_n, {name}_value)"
-            lines.append(f"    {name} = {code}\n")
-        seen[id(e)] = name
-        return name
-
-    outputs = [emit(e) for e in exprs]
+    p = _Program(coords)
+    outputs = [p.emit(e) for e in exprs]
     result = f"_stack(({', '.join(outputs)},), axis=1)" if outputs else "_empty((_n, 0))"
-    src = "def _program(_x, _n):\n" + "".join(lines) + f"    return {result}\n"
-    exec(src, env)
-    program = env["_program"]
+    src = "def _program(_x, _n):\n" + "".join(p.lines) + f"    return {result}\n"
+    exec(src, p.env)
+    program = p.env["_program"]
+    finite = p.finite
 
     def run(points: np.ndarray):
         if not (finite and np.isfinite(points).all()):

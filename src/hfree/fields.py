@@ -163,9 +163,7 @@ def flat_norm_sq(xi: VectorField) -> Expr:
 
 def frame_rank_check(frame: Frame, point, tol: float = 1e-9) -> bool:
     """True iff the frame's component matrix has full numerical rank at the point."""
-    from .jets import CompiledJet, rank_check  # local import: jets depends on fields
+    from .jets import compiled_frame, rank_check  # local import: jets depends on fields
 
     frame.chart.check_point(point)
-    rows = [v.components for v in frame.vectors]
-    components = CompiledJet(rows, frame.chart, range(frame.k), order=0)
-    return rank_check(components.at_point(point), tol).full_rank
+    return rank_check(compiled_frame(frame).at_point(point), tol).full_rank

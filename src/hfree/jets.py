@@ -225,3 +225,9 @@ def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
 def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
     labels = list(range(frame.k)) + pair_labels(frame.k)
     return CompiledJet(d2_exprs(frame, f), frame.chart, labels, order=2)
+
+
+@lru_cache(maxsize=4)
+def compiled_frame(frame: Frame) -> CompiledJet:
+    """The frame's k x dim component matrix, one row per vector field."""
+    return CompiledJet([v.components for v in frame.vectors], frame.chart, range(frame.k), order=0)

@@ -117,7 +117,10 @@ def parse_manifest_text(text: str) -> Manifest:
         if "=" not in line:
             raise ManifestError(f"expected 'key = value', got {line!r}", lineno)
         key, _, rhs = line.partition("=")
-        sections[current][key.strip()] = _parse_value(rhs, lineno)
+        key = key.strip()
+        if key in sections[current]:
+            raise ManifestError(f"duplicate key '{key}' in section [{current}]", lineno)
+        sections[current][key] = _parse_value(rhs, lineno)
     return _interpret(sections)
 
 
@@ -129,6 +132,15 @@ def _strip_comment(line: str) -> str:
         elif ch == "#" and not in_string:
             return line[:i]
     return line
+
+
+def _integer(section: dict, key: str, default: int) -> int:
+    """The section's integer value of key; a float, a boolean or a string is
+    an error, not truncated or converted."""
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise ManifestError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 @contextmanager
@@ -152,7 +164,7 @@ def _interpret(sections: dict) -> Manifest:
         chart = _chart_from(sections["manifold"])
     elif structure is not None and structure.get("type") == "contact":
         with _section("structure"):
-            chart = contact_frame(int(structure.get("n", 1))).chart
+            chart = contact_frame(_integer(structure, "n", 1)).chart
     else:
         raise ManifestError("missing required section [manifold]")
 
@@ -176,8 +188,8 @@ def _interpret(sections: dict) -> Manifest:
             and all(isinstance(c, int) and c >= 1 for c in grid)
         ):
             raise ManifestError("grid needs one positive integer count per coordinate axis")
-        samples = int(check.get("samples", 10000))
-        seed = int(check.get("seed", 0))
+        samples = _integer(check, "samples", 10000)
+        seed = _integer(check, "seed", 0)
         tolerance = float(check.get("tolerance", 1e-9))
         if samples < 1:
             raise ManifestError("samples must be positive")
@@ -207,7 +219,7 @@ def _chart_from(section: dict) -> Chart:
         box = section.get("box")
         if not isinstance(box, list) or len(box) != len(coords):
             raise ManifestError("needs a 'box' array with one [lo, hi] per coordinate")
-        if "dim" in section and int(section["dim"]) != len(coords):
+        if "dim" in section and _integer(section, "dim", len(coords)) != len(coords):
             raise ManifestError("dim does not match the number of coordinates")
         return Chart(
             coords=tuple(str(c) for c in coords),
@@ -272,7 +284,7 @@ def build_frame(m: Manifest) -> Frame:
     with _section("structure"):
         kind = m.structure["type"]
         if kind == "contact":
-            frame = contact_frame(int(m.structure.get("n", 1)))
+            frame = contact_frame(_integer(m.structure, "n", 1))
             if frame.chart != m.chart:
                 raise ManifestError("a contact structure brings its own chart; drop [manifold]")
             return frame
@@ -286,14 +298,14 @@ def build_frame(m: Manifest) -> Frame:
             h = m.structure.get("hamiltonian")
             if h is None:
                 raise ManifestError("riemann-poisson frame needs a 'hamiltonian' expression")
-            sign = int(m.structure.get("sign", 1))
+            sign = _integer(m.structure, "sign", 1)
             field = rp_hamiltonian_field(build_rp_structure(m), _parse_expr(h), sign=sign)
             return Frame(m.chart, (field,))
         raise ManifestError(f"unknown structure type {kind!r}")
 
 
 def _symplectic_chart(m: Manifest) -> SymplecticChart:
-    return SymplecticChart(n=int(m.structure.get("n", m.chart.dim // 2)), chart=m.chart)
+    return SymplecticChart(n=_integer(m.structure, "n", m.chart.dim // 2), chart=m.chart)
 
 
 def build_rp_structure(m: Manifest) -> RPStructure:

@@ -1,5 +1,6 @@
-"""Shared test utilities: a bounded random expression generator and the
-central-difference oracle used to validate symbolic derivatives."""
+"""Shared test utilities: a bounded random expression generator, the
+central-difference oracle used to validate symbolic derivatives, and a
+memo-free reference simplifier and derivative."""
 
 import math
 import random
@@ -17,6 +18,8 @@ from hfree.expr import (
     Pow,
     Sin,
     Sub,
+    ZERO,
+    _LOCAL,
     evaluate,
 )
 
@@ -80,3 +83,48 @@ def bounded_pair(rng: random.Random, limit: float = 1e3):
             continue
         if max(values) < limit and all(math.isfinite(v) for v in values):
             return e, p
+
+
+def reference_simplify(e):
+    """simplify() without its memo: simplify the children, rebuild, apply one
+    rewrite at the root and, if one applied, simplify its result. It neither
+    reads nor writes the memo on the nodes, so it checks what the memo
+    returns."""
+    if isinstance(e, (Const, Coord)):
+        return e
+    if isinstance(e, Pow):
+        out = Pow(reference_simplify(e.base), e.exponent)
+    elif isinstance(e, (Add, Sub, Mul, Div)):
+        out = type(e)(reference_simplify(e.left), reference_simplify(e.right))
+    else:  # Neg, Sin, Cos, Exp
+        out = type(e)(reference_simplify(e.arg))
+    reduced = _LOCAL[type(out)](out)
+    return out if reduced is out else reference_simplify(reduced)
+
+
+def reference_diff(e, x: str):
+    """The whole unsimplified derivative tree of e, built without any memo;
+    diff(e, x) equals reference_simplify() of it."""
+    if isinstance(e, Const):
+        return ZERO
+    if isinstance(e, Coord):
+        return Const(1.0) if e.name == x else ZERO
+    if isinstance(e, Neg):
+        return Neg(reference_diff(e.arg, x))
+    if isinstance(e, (Add, Sub)):
+        return type(e)(reference_diff(e.left, x), reference_diff(e.right, x))
+    if isinstance(e, Mul):
+        return Add(Mul(reference_diff(e.left, x), e.right), Mul(e.left, reference_diff(e.right, x)))
+    if isinstance(e, Div):
+        num = Sub(Mul(reference_diff(e.left, x), e.right), Mul(e.left, reference_diff(e.right, x)))
+        return Div(num, Pow(e.right, 2))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return ZERO
+        power = Mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1))
+        return Mul(power, reference_diff(e.base, x))
+    if isinstance(e, Sin):
+        return Mul(Cos(e.arg), reference_diff(e.arg, x))
+    if isinstance(e, Cos):
+        return Neg(Mul(Sin(e.arg), reference_diff(e.arg, x)))
+    return Mul(Exp(e.arg), reference_diff(e.arg, x))  # Exp

@@ -259,6 +259,16 @@ def _structure(text: str, structure: str) -> str:
         (PLANAR.replace("samples = 20", 'grid = ["a", 3]'), "check"),
         (PLANAR.replace("samples = 20", "tolerance = nan"), "check"),
         (PLANAR.replace("samples = 20", "tolerance = inf"), "check"),
+        (PLANAR.replace("mode = immersion", "mode = immersion\nmode = free"), "check"),
+        (PLANAR.replace('components = ["y*exp(x)"]', 'components = ["y*exp(x)"]\ncomponents = ["x"]'), "map"),
+        (PLANAR.replace("samples = 20", "samples = 2.7"), "check"),
+        (PLANAR.replace("samples = 20", "samples = true"), "check"),
+        (PLANAR.replace("samples = 20", 'samples = "20"'), "check"),
+        (PLANAR.replace("samples = 20", "samples = 20\nseed = 1.5"), "check"),
+        (PLANAR.replace("coords = [x, y]", "coords = [x, y]\ndim = 2.0"), "manifold"),
+        ('[structure]\ntype = contact\nn = 1.5\n[map]\ncomponents = ["x1", "p1"]\n[check]\nmode = free\n', "structure"),
+        (_structure(PLANAR, 'type = canonical\nn = true\nhamiltonians = ["x"]'), "structure"),
+        (_structure(SPACE, 'type = riemann-poisson\nH = ["x"]\nhamiltonian = "y"\nsign = -1.0'), "structure"),
     ],
 )
 def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):

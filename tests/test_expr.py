@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import reference_diff, reference_simplify
 from hfree import expr as expr_module
 from hfree.expr import (
     Add,
@@ -23,7 +24,6 @@ from hfree.expr import (
     free_vars,
     parse,
     simplify,
-    substitute,
     to_str,
 )
 
@@ -61,6 +61,30 @@ class TestParse:
     def test_malformed(self, src):
         with pytest.raises(ParseError):
             parse(src)
+
+    @pytest.mark.parametrize(
+        "src, position, expected, found",
+        [
+            ("x^- 2", 3, "integer exponent", " "),
+            ("x^2.5", 3, "integer exponent", "."),
+            ("x^.5", 2, "integer exponent", "."),
+            ("x^+-2", 3, "integer exponent", "-"),
+            ("x^-", 3, "integer exponent", "end of input"),
+            ("1..2", 2, "end of input", "."),
+            (".5.3", 2, "end of input", "."),
+            ("x^2^-1 ", 7, "non-negative exponent in exponent chain", "end of input"),
+            ("tan (x)", 4, "one of sin, cos, exp", "tan"),
+            (".", 1, "a number", "end of input"),
+            ("2*.", 3, "a number", "end of input"),
+            ("x + ", 4, "a number, coordinate, function call or '('", "end of input"),
+            ("sin x", 4, "end of input", "x"),
+            ("(x", 2, "')'", "end of input"),
+        ],
+    )
+    def test_error_names_the_first_unusable_character(self, src, position, expected, found):
+        with pytest.raises(ParseError) as info:
+            parse(src)
+        assert (info.value.position, info.value.expected, info.value.found) == (position, expected, found)
 
     def test_error_position_in_range(self):
         try:
@@ -147,10 +171,11 @@ class TestSimplify:
         assert evaluate(simplify(e), {"x": 0.0}) == 0.0
 
     def test_idempotent_on_examples(self):
-        # simplify(once) would return once from its memo; a rebuilt copy has none
+        # simplify(once) would return once from its memo; the reference reads no memo
         for src in ["0*x + y", "x - -y", "-(-x)", "2*x*0 + 3^2", "x/1 - 0/y"]:
             once = simplify(parse(src))
-            assert simplify(substitute(once, {})) == once
+            assert reference_simplify(once) is once
+            assert reference_simplify(parse(src)) is once
 
     def test_memo_returns_the_identical_tree(self):
         e = parse("x*sin(x*y) + x/(1 + y^2)")
@@ -160,14 +185,45 @@ class TestSimplify:
         d = diff(e, "x")
         assert diff(e, "x") is d
         assert diff(e, "y") is not d
-        assert d == simplify(diff(substitute(e, {}), "x"))
+        assert d is reference_simplify(reference_diff(e, "x"))
 
     def test_memo_is_not_part_of_the_value(self):
-        e = parse("x*exp(y) - 0*x")
-        fresh = substitute(e, {})
+        src = "x*exp(y) - 0*x"
+        e = parse(src)
+        before = hash(e), repr(e)
         simplify(e)
         diff(e, "y")
-        assert e == fresh and hash(e) == hash(fresh) and repr(e) == repr(fresh)
+        assert e._simple is not None and e._diffs
+        assert parse(src) is e and (hash(e), repr(e)) == before
+        assert repr(e) == (
+            "Sub(left=Mul(left=Coord(name='x'), right=Exp(arg=Coord(name='y'))), "
+            "right=Mul(left=Const(value=0.0), right=Coord(name='x')))"
+        )
+
+
+class TestInterning:
+    def test_equal_trees_are_one_node(self):
+        assert parse("x*sin(x*y) + 1") is parse("x * sin(x*y) + 1")
+        assert Add(Coord("x"), Const(1.0)) is parse("x + 1")
+        assert parse("x + 1") is not parse("1 + x")
+        assert Pow(Coord("x"), 2) is not Pow(Coord("x"), 3)
+
+    def test_constants_compare_by_value_but_keep_their_sign(self):
+        assert Const(0.0) is not Const(-0.0)
+        assert Const(0.0) == Const(-0.0) and hash(Const(0.0)) == hash(Const(-0.0))
+        assert Const(2.0) is Const(2) and Const(2.0) != Const(3.0)
+        assert Const(1.0) != Coord("x") and Const(1.0) != 1.0
+        # composite nodes compare by identity, so a signed zero tells them apart
+        assert Add(Coord("x"), Const(0.0)) != Add(Coord("x"), Const(-0.0))
+        assert math.copysign(1.0, compile_batch([Const(-0.0)], ())(np.empty((1, 0)))[0][0, 0]) == -1.0
+
+    def test_nodes_survive_copy_and_pickle_as_themselves(self):
+        import copy
+        import pickle
+
+        e = parse("x*exp(-y) + 2.5")
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
 
 
 class TestFreeVars:
@@ -266,9 +322,18 @@ def test_simplify_preserves_value_where_defined(e, point):
 @given(_exprs(faulting=True))
 @settings(max_examples=300, deadline=None)
 def test_simplify_idempotent(e):
-    # a rebuilt copy of once carries no memo, so this re-runs the rewrites
+    # simplify(once) would return once from its memo; the reference reads no memo
     once = simplify(e)
-    assert simplify(substitute(once, {})) == once
+    assert reference_simplify(once) is once
+    assert reference_simplify(e) is once
+
+
+@given(_exprs(faulting=True), _names)
+@settings(max_examples=300, deadline=None)
+def test_memoised_diff_matches_the_memo_free_reference(e, x):
+    """diff, built from the memoised derivatives of the children, is the
+    reference simplification of the whole unsimplified derivative tree."""
+    assert diff(e, x) is reference_simplify(reference_diff(e, x))
 
 
 def _outcome(fn, e, point):

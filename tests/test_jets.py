@@ -4,8 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from hfree import gallery
-from hfree.expr import ONE, ZERO, EvalError, Expr, parse, to_str
+from hfree import expr as expr_module, gallery
+from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_rank_mode
 from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField, anticommutator
 from hfree.jets import (
@@ -133,36 +133,53 @@ def _nodes(roots):
         e = stack.pop()
         if id(e) not in seen:
             seen[id(e)] = e
-            stack += [v for v in vars(e).values() if isinstance(v, Expr)]
+            stack += [v for v in (getattr(e, name) for name in e._fields) if isinstance(v, Expr)]
     return list(seen.values())
 
 
-def _torus_jet_refs():
-    """Weak references to the fresh input trees of the torus-3 order-2 jet and
-    to every node of its entries, the jet built and dropped inside this call."""
-    fix = gallery.fixture("integrable-torus-3")
-    chart = fix.chart
-    fresh = lambda comps: tuple(parse(to_str(c)) for c in comps)
-    frame = Frame(chart, tuple(VectorField(chart, fresh(v.components)) for v in fix.frame.vectors))
-    f = SmoothMap(chart, fresh(fix.free_map.components))
+def _fresh_jet_refs(name):
+    """Weak references to every node of a fixture's order-2 jet on fresh
+    coordinate names, its input trees included: the jet is built and dropped
+    inside this call. Only nodes on the fresh names are kept, since no other
+    live tree contains them; a constant may be shared with one."""
+    fix = gallery.fixture(name)
+    fresh = {c: Coord(f"fresh_{c}") for c in fix.chart.coords}
+    chart = Chart(tuple(c.name for c in fresh.values()), fix.chart.box, fix.chart.periodic)
+    renamed = lambda comps: tuple(substitute(c, fresh) for c in comps)
+    frame = Frame(chart, tuple(VectorField(chart, renamed(v.components)) for v in fix.frame.vectors))
+    f = SmoothMap(chart, renamed(fix.free_map.components))
     rows = d2_exprs(frame, f)
     roots = [e for row in rows for e in row] + [c for v in frame.vectors for c in v.components]
     roots += list(f.components)
-    return [weakref.ref(e) for e in _nodes(roots) if e is not ZERO and e is not ONE]
+    return [weakref.ref(e) for e in _nodes(roots) if free_vars(e)]
 
 
-def test_dropped_jet_trees_are_freed_without_the_cycle_collector():
-    """The memos of simplify and diff make no reference cycle: with the cycle
-    collector off, a dropped jet's trees are freed by reference counting."""
+@pytest.mark.parametrize("name", ["integrable-torus-3", "contact-2"])
+def test_dropped_jet_trees_leave_the_intern_table(name):
+    """A dropped jet's nodes are freed, and the intern table shrinks back to
+    its size before the jet. Only the derivative memos of exp, sin and cos
+    refer back to their nodes (exp(u)' = exp(u)*u'), a cycle that the cycle
+    collector frees, so a polynomial jet such as contact-2's is freed by
+    reference counting alone. The bounded buffer of rewritten nodes keeps the
+    newest alive on purpose, so it is emptied first."""
+    expr_module._rewritten.clear()
     gc.collect()
+    size = len(expr_module._table)
     gc.disable()
     try:
-        refs = _torus_jet_refs()
+        refs = _fresh_jet_refs(name)
+        assert len(expr_module._table) >= size + len(refs)
+        expr_module._rewritten.clear()
         alive = [r() for r in refs if r() is not None]
     finally:
         gc.enable()
-    assert len(refs) > 100
-    assert alive == []
+    assert len(refs) > 10
+    if name == "contact-2":
+        assert alive == []
+    del alive
+    gc.collect()
+    assert [r() for r in refs if r() is not None] == []
+    assert len(expr_module._table) == size
 
 
 class TestRankCheck:

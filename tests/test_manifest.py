@@ -133,3 +133,32 @@ def test_frame_and_structure_exclusive():
     text = PLANAR + "\n[structure]\ntype = contact\nn = 1\n"
     with pytest.raises(ManifestError):
         parse_manifest_text(text)
+
+
+def test_equal_manifests_share_their_trees_and_symbolic_work(monkeypatch):
+    """Hash-consing: the same manifest read twice gives the identical trees,
+    and the second order-2 jet is built from the memos of the first with no
+    rewrite in simplify. The first jet's rewritten temporaries are fewer than
+    the buffer of rewritten nodes keeps alive."""
+    from hfree import expr
+    from hfree.jets import d2_exprs
+
+    text = PLANAR.replace('["y*exp(x)"]', '["y*exp(x)", "y^2*exp(2*x) + sin(x*y)"]')
+    first = parse_manifest_text(text)
+    frame, smap = build_frame(first), build_map(first)
+    rows = d2_exprs(frame, smap)
+    rewrites = []
+    for cls, rule in list(expr._LOCAL.items()):
+        monkeypatch.setitem(expr._LOCAL, cls, lambda e, rule=rule: rewrites.append(e) or rule(e))
+    second = parse_manifest_text(text)
+    again = build_frame(second), build_map(second)
+    assert again[1].components == smap.components
+    assert all(a is b for a, b in zip(again[1].components, smap.components))
+    assert all(
+        a is b for u, v in zip(again[0].vectors, frame.vectors) for a, b in zip(u.components, v.components)
+    )
+    rows_again = d2_exprs(*again)
+    assert all(a is b for row, row_again in zip(rows, rows_again) for a, b in zip(row, row_again))
+    assert rewrites == []
+    assert expr.Const(0.0) is not expr.Const(-0.0)
+    assert expr.Const(0.0) == expr.Const(-0.0)
