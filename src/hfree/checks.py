@@ -5,9 +5,9 @@ Every check runs through one loop, `_run`, which hands CHUNK points at a time
 to the mode's judge and folds the judge's per-point criterion and failure
 reasons into the report in sample order (extreme value, ties to the lowest
 sample index), so the report does not depend on CHUNK. A judge compiles each
-jet and each set of residuals once into one numpy function
+jet and each set of residuals once into one tape of numpy calls
 (`expr.compile_batch`; jets are cached per (frame, map) in `jets`), so a
-chunk costs one call of each, then one batched SVD or determinant call;
+chunk costs one run of each tape, then one batched SVD or determinant call;
 `expr.evaluate`, the reference interpreter, takes the points where a call
 faults. A manifest's check comes built and validated from `build_plan`.
 """

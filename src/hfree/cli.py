@@ -4,6 +4,7 @@ expression evaluation."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import gallery
@@ -22,6 +23,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+
+def _tolerance(text: str) -> float:
+    """A --tol value: finite and positive, as a manifest's tolerance must be."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and positive, got {text}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -47,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("name")
     p_run.add_argument("--samples", type=int, default=10000)
     p_run.add_argument("--seed", type=int, default=0)
-    p_run.add_argument("--tol", type=float, default=1e-9)
+    p_run.add_argument("--tol", type=_tolerance, default=1e-9)
     add_report_flags(p_run)
 
     p_eval = sub.add_parser("eval", help="evaluate a DSL expression at a point")

@@ -1,5 +1,5 @@
 """Expression trees: parsing, symbolic differentiation, simplification,
-evaluation, and compilation into batched numpy code.
+evaluation, and compilation into a tape of batched numpy calls.
 
 The grammar is deliberately tiny -- {+, -, *, /, ^, sin, cos, exp} over named
 coordinates with integer exponents -- and every operation here is a pure
@@ -18,9 +18,12 @@ dispatches on the node's class through a table of rules.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 import weakref
 from _weakref import _remove_dead_weakref
+from functools import partial
+from operator import itemgetter
 
 import numpy as np
 
@@ -798,76 +801,79 @@ _rewritten: collections.deque = collections.deque(maxlen=512)
 
 
 # ---------------------------------------------------------------------------
-# Compilation: one straight-line numpy function per list of expressions
-
-_PROGRAM_GLOBALS = {
-    "_array": np.array,
-    "_cos": np.cos,
-    "_empty": np.empty,
-    "_exp": math.exp,
-    "_full": np.full,
-    "_neg_pow": _neg_pow,
-    "_sin": np.sin,
-    "_stack": np.stack,
-}
+# Compilation: one tape of numpy calls per list of expressions
 
 
-def _unbound(name: str):
+def _unbound(name: str, x):
     raise EvalError(f"unbound coordinate '{name}'")
 
 
-def _pow_code(e: Pow, p: _Program) -> str:
-    power = f"_neg_pow(v, {e.exponent})" if e.exponent < 0 else f"v ** {e.exponent}"
-    return f"_array([{power} for v in {p.emit(e.base)}.tolist()])"
-
-
-# rule(e, program): the numpy code of e's temporary; children through program.emit
-_CODE = _Rules(
+# rule(e, tape): the register of e's value, children through tape.slot
+_TAPE = _Rules(
     {
-        Const: lambda e, p: p.const(e.value),
-        Coord: lambda e, p: p.coord(e.name),
-        Neg: lambda e, p: f"-{p.emit(e.arg)}",
-        Add: lambda e, p: f"{p.emit(e.left)} + {p.emit(e.right)}",
-        Sub: lambda e, p: f"{p.emit(e.left)} - {p.emit(e.right)}",
-        Mul: lambda e, p: f"{p.emit(e.left)} * {p.emit(e.right)}",
-        Div: lambda e, p: f"{p.emit(e.left)} / {p.emit(e.right)}",
-        Pow: _pow_code,
-        Sin: lambda e, p: f"_sin({p.emit(e.arg)})",
-        Cos: lambda e, p: f"_cos({p.emit(e.arg)})",
-        Exp: lambda e, p: f"_array([_exp(v) for v in {p.emit(e.arg)}.tolist()])",
+        Const: lambda e, t: t.const(e.value),
+        Coord: lambda e, t: t.op(t.column.get(e.name) or partial(_unbound, e.name), 0),
+        Neg: lambda e, t: t.op(np.negative, t.slot(e.arg)),
+        Add: lambda e, t: t.op(np.add, t.slot(e.left), t.slot(e.right)),
+        Sub: lambda e, t: t.op(np.subtract, t.slot(e.left), t.slot(e.right)),
+        Mul: lambda e, t: t.op(np.multiply, t.slot(e.left), t.slot(e.right)),
+        Div: lambda e, t: t.op(np.divide, t.slot(e.left), t.slot(e.right)),
+        Pow: lambda e, t: t.each(_neg_pow if e.exponent < 0 else pow, e.base, e.exponent),
+        Sin: lambda e, t: t.op(np.sin, t.array(e.arg)),
+        Cos: lambda e, t: t.op(np.cos, t.array(e.arg)),
+        Exp: lambda e, t: t.each(math.exp, e.arg),
     }
 )
 
 
-class _Program:
-    """The source of compile_batch's function, one temporary per distinct node."""
+class _Tape:
+    """compile_batch's program: one register per distinct node, in the order
+    a walk from the leaves reaches them. Register 0 holds the chunk of points,
+    a constant's its float, and an op (r, fn, a, b) sets register r to
+    fn(regs[a]), or fn(regs[a], regs[b]) if b is not None. Arithmetic on
+    floats gives a float, so a node without coordinates may hold one."""
 
-    def __init__(self, coords):
-        self.column = {name: j for j, name in enumerate(coords)}
-        self.env = dict(_PROGRAM_GLOBALS, _unbound=_unbound)
-        self.lines: list[str] = []
-        # id(node) -> its temporary. Keyed by identity, not by the node,
-        # because Const(0.0) == Const(-0.0) and the two must stay apart.
-        self.temps: dict = {}
-        self.finite = True
+    def __init__(self, exprs, coords):
+        self.column = {name: itemgetter((slice(None), j)) for j, name in enumerate(coords)}
+        self.init, self.ops, self.finite = [None], [], True
+        self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
+        self.outputs = [self.slot(e) for e in exprs]
 
-    def emit(self, e: Expr) -> str:
-        name = self.temps.get(id(e))
-        if name is None:
-            code = _CODE[type(e)](e, self)
-            name = self.temps[id(e)] = f"t{len(self.temps)}"
-            self.lines.append(f"    {name} = {code}\n")
-        return name
+    def slot(self, e: Expr) -> int:
+        r = self.slots.get(id(e))
+        if r is None:
+            r = self.slots[id(e)] = _TAPE[type(e)](e, self)
+        return r
 
-    def const(self, value: float) -> str:
+    def const(self, value: float) -> int:
         self.finite = self.finite and math.isfinite(value)
-        slot = f"_value{len(self.env)}"
-        self.env[slot] = value
-        return f"_full(_n, {slot})"
+        self.init.append(value)
+        return len(self.init) - 1
 
-    def coord(self, name: str) -> str:
-        j = self.column.get(name)
-        return f"_x[:, {j}]" if j is not None else f"_unbound({name!r})"
+    def op(self, fn, a: int, b: int | None = None) -> int:
+        self.ops.append((len(self.init), fn, a, b))
+        self.init.append(None)
+        return len(self.init) - 1
+
+    def array(self, e: Expr) -> int:
+        """e's register as an array: e without coordinates is spread over the
+        chunk, so that a function of it keeps the bits of numpy's array loop."""
+        a = self.slot(e)
+        return a if free_vars(e) else self.op(lambda c, x: np.full(len(x), c), a, 0)
+
+    def each(self, fn, e: Expr, *extra) -> int:
+        """fn(v, *extra) at each value v of e, as evaluate() computes it."""
+        repeats = [itertools.repeat(v) for v in extra]
+        return self.op(lambda v: np.fromiter(map(fn, v.tolist(), *repeats), float, len(v)), self.array(e))
+
+    def run(self, x: np.ndarray, out: np.ndarray):
+        """out[:, j] = expression j at the points x; fresh registers each call."""
+        regs = self.init.copy()
+        regs[0] = x
+        for r, fn, a, b in self.ops:
+            regs[r] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        for j, r in enumerate(self.outputs):
+            out[:, j] = regs[r]
 
 
 def compile_batch(exprs, coords):
@@ -879,35 +885,28 @@ def compile_batch(exprs, coords):
     expression, its EvalError); that point's row is nan. Values agree with
     evaluate() bit for bit and a faulting point gets evaluate()'s exact error.
 
-    Each distinct node is computed once, as one temporary.
-    +, -, *, /, negation, sin and cos run as numpy ufuncs, which round as the
+    The function runs a tape (see _Tape): one numpy call per distinct node.
+    +, -, *, /, negation, sin and cos are numpy ufuncs, which round as the
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. With finite constants
     and coordinates, every fault evaluate() reports raises a floating-point
     error here too. A call that raises one is bisected (see _bisect) down to
-    the faulting points, or to small parts that fault in both halves, and
-    evaluate() evaluates those points; every row is computed elementwise,
-    so every point keeps its bits. A call with a
-    non-finite constant or coordinate is evaluated point by point with
-    evaluate()."""
+    the faulting points, or to small parts that fault in both halves, which
+    evaluate() evaluates; rows are computed elementwise, so every point keeps
+    its bits. A call with a non-finite constant or coordinate is evaluated
+    point by point with evaluate()."""
     exprs = list(exprs)
     coords = tuple(coords)
-    p = _Program(coords)
-    outputs = [p.emit(e) for e in exprs]
-    result = f"_stack(({', '.join(outputs)},), axis=1)" if outputs else "_empty((_n, 0))"
-    src = "def _program(_x, _n):\n" + "".join(p.lines) + f"    return {result}\n"
-    exec(src, p.env)
-    program = p.env["_program"]
-    finite = p.finite
+    tape = _Tape(exprs, coords)
 
     def run(points: np.ndarray):
-        if not (finite and np.isfinite(points).all()):
+        if not (tape.finite and np.isfinite(points).all()):
             return _evaluate_rows(exprs, coords, points)
         values = np.empty((points.shape[0], len(exprs)))
         faulted = []
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            if not _fill(program, points, values, 0, points.shape[0]):
-                _bisect(program, points, values, 0, points.shape[0], faulted)
+            if not _fill(tape.run, points, values, 0, points.shape[0]):
+                _bisect(tape.run, points, values, 0, points.shape[0], faulted)
         if not faulted:
             return values, {}
         values[faulted], errors = _evaluate_rows(exprs, coords, points[faulted])
@@ -919,7 +918,7 @@ def compile_batch(exprs, coords):
 def _fill(program, points, out, lo: int, hi: int) -> bool:
     """out[lo:hi] = the program's values at points[lo:hi]; False if it raises."""
     try:
-        out[lo:hi] = program(points[lo:hi], hi - lo)
+        program(points[lo:hi], out[lo:hi])
         return True
     except (ArithmeticError, ValueError, EvalError):
         return False

@@ -183,7 +183,8 @@ def is_free_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> b
 
 
 class CompiledJet:
-    """Row expressions compiled into one numpy function over a chunk of points."""
+    """Row expressions compiled into one tape of numpy calls (see
+    expr.compile_batch), run over a chunk of points at a time."""
 
     def __init__(self, rows, chart, labels, order):
         self.chart = chart
@@ -214,8 +215,8 @@ class CompiledJet:
 
 # Identity mode needs three order-2 jets live (inner, outer, composite), so a
 # cache of 4 serves it. A larger one keeps more compiled jets resident: on
-# the symbolic-cold benchmark (seed 1) peak RSS was 44.8 MB without the
-# cache, 45.4 MB at 4 and 47.5 MB at 16.
+# the symbolic-cold benchmark (seed 1) peak RSS was 41.4 MB without the
+# cache, 41.7 MB at 4 and 42.9 MB at 16.
 @lru_cache(maxsize=4)
 def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
     return CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k), order=1)

@@ -1,5 +1,7 @@
 """A second oracle for the symbolic derivatives: sympy differentiates the
-same random trees, and the difference must simplify to exactly 0.
+same random trees, and the difference must simplify to exactly 0. sympy's
+determinants of the gallery's jets also satisfy the determinant identity
+exactly.
 
 Constants are small dyadic numbers, and every denominator, base of a
 negative power and argument of sin, cos and exp depends on a coordinate, so
@@ -12,17 +14,20 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+from hfree import gallery
+from hfree.constructions import compose, monomial_free_map, standard_frame
 from hfree.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sub, diff, free_vars, simplify, to_str
 from hfree.fields import Chart, VectorField, lie_derivative
+from hfree.jets import d1_exprs, d2_exprs
 
 COORDS = ("x", "y")
 SYMBOLS = {name: sympy.Symbol(name) for name in COORDS}
 CHART = Chart(coords=COORDS, box=((-1.0, 1.0), (-1.0, 1.0)))
 
 
-def to_sympy(e):
+def to_sympy(e, symbols=SYMBOLS):
     """The tree read by sympy, every float as the exact rational it is."""
-    return sympy.sympify(to_str(e).replace("^", "**"), locals=SYMBOLS, rational=True)
+    return sympy.sympify(to_str(e).replace("^", "**"), locals=symbols, rational=True)
 
 
 def _varying(children):
@@ -70,3 +75,33 @@ def test_lie_derivative_agrees_with_sympy(components, f):
     xi = VectorField(CHART, tuple(components))
     expected = sum(to_sympy(c) * sympy.diff(to_sympy(f), SYMBOLS[x]) for c, x in zip(components, COORDS))
     assert _is_zero(to_sympy(lie_derivative(xi, f)) - expected)
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "planar-hamiltonian",
+        "planar-finite-type",
+        "planar-intrinsically-exact",
+        "integrable-torus-1",
+        "integrable-torus-2",
+        "riemann-poisson-e3",
+        "contact-1",
+    ],
+)
+def test_determinant_identity_is_exact(name):
+    """det D2(F_k o f) - (det D1 f)^(k+2) det D2 F_k(f) simplifies to exactly 0
+    for each gallery fixture with k <= 2, F_k the monomial free map."""
+    fix = gallery.fixture(name)
+    k = fix.frame.k
+    outer = monomial_free_map(k)
+    symbols = {c: sympy.Symbol(c) for c in fix.chart.coords + outer.chart.coords}
+
+    def det(rows):
+        return sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in rows]).det()
+
+    image = {symbols[x]: to_sympy(c, symbols) for x, c in zip(outer.chart.coords, fix.immersion.components)}
+    d1 = det(d1_exprs(fix.frame, fix.immersion))
+    composite = det(d2_exprs(fix.frame, compose(outer, fix.immersion)))
+    d2_outer = det(d2_exprs(standard_frame(outer.chart), outer)).subs(image, simultaneous=True)
+    assert _is_zero(composite - d1 ** (k + 2) * d2_outer)

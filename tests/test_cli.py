@@ -308,6 +308,17 @@ class TestGallery:
     def test_unknown_fixture_exit_two(self, capsys):
         assert main(["gallery", "run", "no-such-fixture"]) == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_tolerance_must_be_finite_and_positive(self, tol, capsys):
+        """The manifest's rule: no residual exceeds a nan tolerance, and every
+        rank and residual test reads differently at 0 or below, so exit 2."""
+        for name in ("contact-1", "novikov-t3"):
+            with pytest.raises(SystemExit) as exit_:
+                main(["gallery", "run", name, "--samples", "50", "--tol", tol])
+            assert exit_.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: argument --tol: tolerance must be finite and positive, got {tol}\n")
+
     def test_deterministic_json(self, capsys):
         args = [
             "gallery", "run", "planar-hamiltonian",

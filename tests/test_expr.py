@@ -5,15 +5,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import reference_diff, reference_simplify
-from hfree import expr as expr_module
+from hfree import expr as expr_module, gallery
 from hfree.expr import (
     Add,
     Const,
     Coord,
+    Cos,
     Div,
     EvalError,
     Exp,
     Mul,
+    Neg,
     ParseError,
     Pow,
     Sin,
@@ -26,6 +28,7 @@ from hfree.expr import (
     simplify,
     to_str,
 )
+from hfree.jets import compiled_d1, d1_exprs
 
 
 class TestParse:
@@ -428,16 +431,16 @@ def test_bisection_program_calls_are_bounded(zeros, calls, interpreted, monkeypa
     and faulting points far apart still reach evaluate() alone."""
     counts = {"calls": 0, "interpreted": 0}
 
-    def full(*args):  # the program's first line builds the constant 1.0
+    def fill(*args):  # one call of the program on a part of the chunk
         counts["calls"] += 1
-        return np.full(*args)
+        return original_fill(*args)
 
     def evaluate_rows(exprs, coords, points):
         counts["interpreted"] += len(points)
         return original(exprs, coords, points)
 
-    original = expr_module._evaluate_rows
-    monkeypatch.setitem(expr_module._PROGRAM_GLOBALS, "_full", full)
+    original, original_fill = expr_module._evaluate_rows, expr_module._fill
+    monkeypatch.setattr(expr_module, "_fill", fill)
     monkeypatch.setattr(expr_module, "_evaluate_rows", evaluate_rows)
     xs = [0.0 if i in zeros else 0.5 + i for i in range(256)]
     values, errors = compile_batch([Div(Const(1.0), Coord("x"))], ("x",))(np.array([[v] for v in xs]))
@@ -447,6 +450,64 @@ def test_bisection_program_calls_are_bounded(zeros, calls, interpreted, monkeypa
     for i, v in enumerate(xs):
         if i not in zeros:
             assert values[i, 0] == 1.0 / v
+
+
+def _outcomes(exprs, coords, rows):
+    """Per point: the bits of every value, or (index, error type, message) of
+    the first expression that faults; from compile_batch and from evaluate()."""
+    values, errors = compile_batch(exprs, coords)(np.array(rows, dtype=float).reshape(len(rows), len(coords)))
+    compiled = [
+        (errors[i][0], type(errors[i][1]), str(errors[i][1])) if i in errors else _bits(values[i].tolist())
+        for i in range(len(rows))
+    ]
+    reference = []
+    for row in rows:
+        point = dict(zip(coords, row))
+        for j, e in enumerate(exprs):
+            if isinstance(fault := _outcome(evaluate, e, point), tuple):
+                reference.append((j,) + fault)
+                break
+        else:
+            reference.append(_evaluate_all(exprs, point))
+    return compiled, reference
+
+
+_X = Coord("x")
+_ROWS = [[-1.5], [0.0], [0.25], [-0.0], [2.0]]
+
+
+@pytest.mark.parametrize(
+    "exprs, message",
+    [
+        ([Const(-0.0), _X, Const(0.0), Neg(Const(0.0))], None),
+        ([Sin(Const(0.5)), Cos(Const(-2.0)), Exp(Const(0.7)), Pow(Const(1.3), 3), Pow(Const(-2.5), -3)], None),
+        ([Sin(Neg(Const(1.0))), Exp(Exp(Const(0.5))), Pow(Add(Const(0.5), Const(0.25)), 2), Mul(_X, Cos(Const(3.0)))], None),
+        ([_X, Div(Const(1.0), Const(0.0))], "division by zero"),
+        ([Exp(Const(1000.0)), _X], "overflow"),
+        ([Pow(Const(0.0), -2)], "0 raised to a negative power"),
+        ([Mul(_X, Const(2.0)), Add(_X, Coord("z"))], "unbound coordinate 'z'"),
+    ],
+)
+def test_tape_edge_cases_match_evaluate(exprs, message):
+    """Signed zeros, functions of unfolded constants, and trees that fault at
+    every point without a coordinate (or with an unbound one): bit for bit,
+    error for error, what evaluate() gives at each point."""
+    compiled, reference = _outcomes(exprs, ("x",), _ROWS)
+    assert compiled == reference
+    if message is not None:
+        assert {fault[2] for fault in compiled} == {message}
+
+
+def test_all_constant_jet_is_broadcast():
+    """contact-1's D1 is the identity: every entry a constant, every row I."""
+    fix = gallery.fixture("contact-1")
+    entries = [e for row in d1_exprs(fix.frame, fix.immersion) for e in row]
+    assert all(type(e) is Const for e in entries)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 3))
+    compiled, reference = _outcomes(entries, fix.chart.coords, points.tolist())
+    assert compiled == reference == [_bits([1.0, 0.0, 0.0, 1.0])] * 300
+    stack, errors = compiled_d1(fix.frame, fix.immersion).at(points)
+    assert not errors and (stack == np.eye(2)).all()
 
 
 def test_per_element_rounding_matches_evaluate():
