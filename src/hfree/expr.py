@@ -11,8 +11,14 @@ hashing is O(1), with one exception: constants compare by value, as floats
 do, so Const(0.0) == Const(-0.0), although the two are distinct nodes. The
 table of live nodes holds them weakly, so a dropped tree is freed and leaves
 the table. simplify, diff and free_vars keep their results on the node, so
-every occurrence of a subtree, in every jet, shares them. Each operation
-dispatches on the node's class through a table of rules.
+every occurrence of a subtree, in every jet, shares them.
+
+Each operation is a method of the node. The shapes (Const, Coord, _Unary,
+_Binary, Pow) walk a node's children: to rebuild it, evaluate it, print it,
+fold it and emit its tape ops. Each concrete class is one op's row: fn, the
+float rule that both evaluate and constant folding call; ufunc, the numpy
+rule on the tape (None: fn runs per element); prec and symbol, for the
+printer; _d, the derivative rule; and _local, its own rewrite.
 """
 
 from __future__ import annotations
@@ -20,9 +26,9 @@ from __future__ import annotations
 import collections
 import itertools
 import math
+import operator
 import weakref
 from _weakref import _remove_dead_weakref
-from functools import partial
 from operator import itemgetter
 
 import numpy as np
@@ -78,10 +84,19 @@ class Expr:
     A node is shared by every tree that contains it, so it is never changed:
     its fields are set once, by its constructor. _simple, _diffs and _free
     are the memos of simplify, diff and free_vars (see there), written once
-    each; they take no part in equality, hashing or repr."""
+    each; they take no part in equality, hashing or repr.
+
+    A shape defines _map(f) (the node rebuilt with f applied to each child),
+    _eval(point), _vars() (free_vars), _str() (to_str), _emit(tape) (the
+    register of the node's value) and _fold() (Const(fn(...)) of constant
+    children, else the node; it raises where fn raises). A row defines _d(x),
+    the derivative rule at the root, unsimplified, and may define _local(),
+    one rewrite of a node whose children are simplified: a new node or a
+    strict subtree, else the node itself."""
 
     __slots__ = ("_simple", "_diffs", "_free", "__weakref__")
     _fields: tuple = ()
+    prec = 5  # binding strength in print: atoms and calls bind tightest
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -122,6 +137,12 @@ class Expr:
     def __neg__(self):
         return Neg(self)
 
+    def _fold(self):
+        return self
+
+    def _local(self):
+        return self
+
 
 def _coerce(v) -> Expr:
     if isinstance(v, Expr):
@@ -151,6 +172,35 @@ class Const(Expr):
     def __hash__(self):
         return hash(self.value)
 
+    @property
+    def prec(self):
+        # a negative constant prints with its sign, as a negation does
+        return Neg.prec if self.value < 0 else Expr.prec
+
+    def _map(self, f):
+        return self
+
+    def _eval(self, point):
+        return self.value
+
+    def _vars(self):
+        return frozenset()
+
+    def _str(self):
+        v = self.value
+        if v == int(v) and abs(v) < 1e16:
+            return str(int(v))
+        # exact positional decimal, so parsing reproduces the float bit for bit
+        from decimal import Decimal
+
+        return format(Decimal(v), "f")
+
+    def _emit(self, t):
+        return t.const(self.value)
+
+    def _d(self, x):
+        return ZERO
+
 
 class Coord(Expr):
     __slots__ = ("name",)
@@ -160,8 +210,34 @@ class Coord(Expr):
         key = (cls, name)
         return _table.get(key, _missing)() or _new(cls, key, name)
 
+    def _map(self, f):
+        return self
+
+    def _eval(self, point):
+        if self.name not in point:
+            self._unbound()
+        return float(point[self.name])
+
+    def _unbound(self, x=None):
+        # also the tape's op for a name with no column, given the chunk as x
+        raise EvalError(f"unbound coordinate '{self.name}'")
+
+    def _vars(self):
+        return frozenset((self.name,))
+
+    def _str(self):
+        return self.name
+
+    def _emit(self, t):
+        return t.op(t.column.get(self.name) or self._unbound, 0)
+
+    def _d(self, x):
+        return ONE if self.name == x else ZERO
+
 
 class _Unary(Expr):
+    """A function of one argument, printed as a call."""
+
     __slots__ = ("arg",)
     _fields = __slots__
 
@@ -169,8 +245,31 @@ class _Unary(Expr):
         key = (cls, id(arg))
         return _table.get(key, _missing)() or _new(cls, key, arg)
 
+    def _map(self, f):
+        return type(self)(f(self.arg))
+
+    def _eval(self, point):
+        return self.fn(self.arg._eval(point))
+
+    def _vars(self):
+        return free_vars(self.arg)
+
+    def _str(self):
+        return f"{self.symbol}({to_str(self.arg)})"
+
+    def _emit(self, t):
+        if self.ufunc is None:
+            return t.each(self.fn, self.arg)
+        return t.op(self.ufunc, t.array(self.arg))
+
+    def _fold(self):
+        a = self.arg
+        return Const(self.fn(a.value)) if type(a) is Const else self
+
 
 class _Binary(Expr):
+    """An infix operator."""
+
     __slots__ = ("left", "right")
     _fields = __slots__
 
@@ -178,73 +277,225 @@ class _Binary(Expr):
         key = (cls, id(left), id(right))
         return _table.get(key, _missing)() or _new(cls, key, left, right)
 
+    def _map(self, f):
+        return type(self)(f(self.left), f(self.right))
 
-class Neg(_Unary):
-    __slots__ = ()
+    def _eval(self, point):
+        return self.fn(self.left._eval(point), self.right._eval(point))
 
+    def _vars(self):
+        return free_vars(self.left) | free_vars(self.right)
 
-class Add(_Binary):
-    __slots__ = ()
+    def _str(self):
+        # float + is not associative, so a sum on the right of + or - keeps its parentheses
+        return f"{_wrap(self.left, self.prec)}{self.symbol}{_wrap(self.right, self.prec + 1)}"
 
+    def _emit(self, t):
+        return t.op(self.ufunc, t.slot(self.left), t.slot(self.right))
 
-class Sub(_Binary):
-    __slots__ = ()
-
-
-class Mul(_Binary):
-    __slots__ = ()
-
-
-class Div(_Binary):
-    __slots__ = ()
+    def _fold(self):
+        l, r = self.left, self.right
+        if type(l) is Const and type(r) is Const:
+            return Const(self.fn(l.value, r.value))
+        return self
 
 
 class Pow(Expr):
+    """base^exponent for an integer exponent. On the tape the builtin pow runs
+    per element: it rounds as fn does, and where fn raises EvalError (0 to a
+    negative power) pow raises ZeroDivisionError, so the point goes to
+    evaluate like any other fault."""
+
     __slots__ = ("base", "exponent")
     _fields = __slots__
+    prec, symbol = 4, "^"
 
     def __new__(cls, base, exponent):
         key = (cls, id(base), exponent)
         return _table.get(key, _missing)() or _new(cls, key, base, exponent)
 
+    @staticmethod
+    def fn(base: float, n: int) -> float:
+        if n < 0 and base == 0.0:
+            raise EvalError("0 raised to a negative power")
+        return float(base**n)
+
+    def _map(self, f):
+        return Pow(f(self.base), self.exponent)
+
+    def _eval(self, point):
+        return self.fn(self.base._eval(point), self.exponent)
+
+    def _vars(self):
+        return free_vars(self.base)
+
+    def _str(self):
+        return f"{_wrap(self.base, self.prec + 1)}{self.symbol}{self.exponent}"
+
+    def _emit(self, t):
+        return t.each(pow, self.base, self.exponent)
+
+    def _fold(self):
+        b = self.base
+        return Const(self.fn(b.value, self.exponent)) if type(b) is Const else self
+
+    def _d(self, x):
+        if self.exponent == 0:
+            return ZERO
+        base = simplify(self.base)
+        return Mul(Mul(Const(float(self.exponent)), Pow(base, self.exponent - 1)), diff(self.base, x))
+
+    def _local(self):
+        if self.exponent == 0:
+            return ONE
+        if self.exponent == 1:
+            return self.base
+        return self
+
+
+class Neg(_Unary):
+    """A prefix operator, not a call. Negation is exact, so on the tape a
+    constant argument is not spread over the chunk."""
+
+    __slots__ = ()
+    fn, ufunc, prec, symbol = operator.neg, np.negative, 3, "-"
+
+    def _str(self):
+        return self.symbol + _wrap(self.arg, self.prec)
+
+    def _emit(self, t):
+        return t.op(self.ufunc, t.slot(self.arg))
+
+    def _d(self, x):
+        return Neg(diff(self.arg, x))
+
+    def _local(self):
+        a = self.arg
+        return a.arg if type(a) is Neg else self
+
+
+class Add(_Binary):
+    __slots__ = ()
+    fn, ufunc, prec, symbol = operator.add, np.add, 1, " + "
+
+    def _d(self, x):
+        return Add(diff(self.left, x), diff(self.right, x))
+
+    def _local(self):
+        l, r = self.left, self.right
+        if _is_const(l, 0.0):
+            return r
+        if _is_const(r, 0.0):
+            return l
+        if type(r) is Neg:
+            return Sub(l, r.arg)
+        if type(l) is Neg:
+            return Sub(r, l.arg)
+        return self
+
+
+class Sub(_Binary):
+    __slots__ = ()
+    fn, ufunc, prec, symbol = operator.sub, np.subtract, 1, " - "
+
+    def _d(self, x):
+        return Sub(diff(self.left, x), diff(self.right, x))
+
+    def _local(self):
+        l, r = self.left, self.right
+        if _is_const(r, 0.0):
+            return l
+        if _is_const(l, 0.0):
+            return Neg(r)
+        if type(r) is Neg:
+            return Add(l, r.arg)
+        if l is r:
+            return ZERO
+        return self
+
+
+class Mul(_Binary):
+    __slots__ = ()
+    fn, ufunc, prec, symbol = operator.mul, np.multiply, 2, "*"
+
+    def _d(self, x):
+        l, r = simplify(self.left), simplify(self.right)
+        return Add(Mul(diff(self.left, x), r), Mul(l, diff(self.right, x)))
+
+    def _local(self):
+        l, r = self.left, self.right
+        if _is_const(l, 0.0) or _is_const(r, 0.0):
+            return ZERO
+        if _is_const(l, 1.0):
+            return r
+        if _is_const(r, 1.0):
+            return l
+        if type(l) is Neg:
+            return Neg(Mul(l.arg, r))
+        if type(r) is Neg:
+            return Neg(Mul(l, r.arg))
+        return self
+
+
+class Div(_Binary):
+    __slots__ = ()
+    ufunc, prec, symbol = np.divide, 2, "/"
+
+    @staticmethod
+    def fn(num: float, denom: float) -> float:
+        if denom == 0.0:
+            raise EvalError("division by zero")
+        return num / denom
+
+    def _d(self, x):
+        l, r = simplify(self.left), simplify(self.right)
+        num = Sub(Mul(diff(self.left, x), r), Mul(l, diff(self.right, x)))
+        return Div(num, Pow(r, 2))
+
+    def _local(self):
+        l, r = self.left, self.right
+        if _is_const(l, 0.0):  # also 0/0, which does not fold
+            return ZERO
+        if _is_const(r, 1.0):
+            return l
+        if type(l) is Neg:
+            return Neg(Div(l.arg, r))
+        return self
+
 
 class Sin(_Unary):
     __slots__ = ()
+    fn, ufunc, symbol = math.sin, np.sin, "sin"
+
+    def _d(self, x):
+        return Mul(Cos(simplify(self.arg)), diff(self.arg, x))
 
 
 class Cos(_Unary):
     __slots__ = ()
+    fn, ufunc, symbol = math.cos, np.cos, "cos"
+
+    def _d(self, x):
+        return Neg(Mul(Sin(simplify(self.arg)), diff(self.arg, x)))
 
 
 class Exp(_Unary):
     __slots__ = ()
+    # numpy's exp need not round as math.exp does, so fn runs per element
+    fn, ufunc, symbol = math.exp, None, "exp"
+
+    def _d(self, x):
+        return Mul(Exp(simplify(self.arg)), diff(self.arg, x))
 
 
 ZERO = Const(0.0)
 ONE = Const(1.0)
 
-_UNARY = (Neg, Sin, Cos, Exp)
-_BINARY = (Add, Sub, Mul, Div)
-_FUNCS = {"sin": Sin, "cos": Cos, "exp": Exp}
+_FUNCS = {cls.symbol: cls for cls in (Sin, Cos, Exp)}
 
 
-class _Rules(dict):
-    """One rule per node class; looking up anything else is a TypeError."""
-
-    def __missing__(self, cls):
-        raise TypeError(f"not an expression node class: {cls.__name__}")
-
-
-# rule(e, f): e rebuilt with f applied to each child (a leaf is itself)
-_MAP = _Rules(
-    {
-        Const: lambda e, f: e,
-        Coord: lambda e, f: e,
-        Pow: lambda e, f: Pow(f(e.base), e.exponent),
-        **dict.fromkeys(_UNARY, lambda e, f: type(e)(f(e.arg))),
-        **dict.fromkeys(_BINARY, lambda e, f: type(e)(f(e.left), f(e.right))),
-    }
-)
+def _is_const(e: Expr, v: float) -> bool:
+    return type(e) is Const and e.value == v
 
 
 # ---------------------------------------------------------------------------
@@ -261,9 +512,10 @@ class ParseError(Exception):
 
 def _tokens(src: str) -> list:
     """The tokens of src as (kind, start, end) offsets, whitespace skipped:
-    kind "num" for a number (digits, optionally a point and more digits, or
-    a point first), "id" for a name (a letter or _, then letters, digits or
-    _), the character itself for any other, and "" for the end of input."""
+    kind "num" for a number (decimal digits, optionally a point and more
+    digits, or a point first), "id" for a name (a letter or _, then letters,
+    digits or _), the character itself for any other, and "" for the end of
+    input."""
     tokens = []
     n = len(src)
     i = 0
@@ -275,13 +527,13 @@ def _tokens(src: str) -> list:
             return tokens
         start, ch = i, src[i]
         i += 1
-        if ch.isdigit() or ch == ".":
+        if ch.isdecimal() or ch == ".":
             kind = "num"
-            while i < n and src[i].isdigit():
+            while i < n and src[i].isdecimal():
                 i += 1
             if ch != "." and i < n and src[i] == ".":
                 i += 1
-                while i < n and src[i].isdigit():
+                while i < n and src[i].isdecimal():
                     i += 1
         elif ch.isalpha() or ch == "_":
             kind = "id"
@@ -425,53 +677,12 @@ def parse(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing
-
-_PREC_ADD = 1
-_PREC_MUL = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-_PREC = {Add: _PREC_ADD, Sub: _PREC_ADD, Mul: _PREC_MUL, Div: _PREC_MUL, Neg: _PREC_NEG, Pow: _PREC_POW}
-
-
-def _prec(e: Expr) -> int:
-    if type(e) is Const and e.value < 0:
-        return _PREC_NEG
-    return _PREC.get(type(e), _PREC_ATOM)
+# Printing, evaluation and the symbolic operations
 
 
 def _wrap(e: Expr, minimum: int) -> str:
-    s = to_str(e)
-    return f"({s})" if _prec(e) < minimum else s
-
-
-def _const_str(v: float) -> str:
-    if v == int(v) and abs(v) < 1e16:
-        return str(int(v))
-    # exact positional decimal, so parsing reproduces the float bit for bit
-    from decimal import Decimal
-
-    return format(Decimal(v), "f")
-
-
-# float + is not associative, so a sum on the right of + or - keeps its parentheses
-_STR = _Rules(
-    {
-        Const: lambda e: _const_str(e.value),
-        Coord: lambda e: e.name,
-        Neg: lambda e: "-" + _wrap(e.arg, _PREC_NEG),
-        Add: lambda e: f"{_wrap(e.left, _PREC_ADD)} + {_wrap(e.right, _PREC_ADD + 1)}",
-        Sub: lambda e: f"{_wrap(e.left, _PREC_ADD)} - {_wrap(e.right, _PREC_ADD + 1)}",
-        Mul: lambda e: f"{_wrap(e.left, _PREC_MUL)}*{_wrap(e.right, _PREC_MUL + 1)}",
-        Div: lambda e: f"{_wrap(e.left, _PREC_MUL)}/{_wrap(e.right, _PREC_MUL + 1)}",
-        Pow: lambda e: f"{_wrap(e.base, _PREC_ATOM)}^{e.exponent}",
-        Sin: lambda e: f"sin({to_str(e.arg)})",
-        Cos: lambda e: f"cos({to_str(e.arg)})",
-        Exp: lambda e: f"exp({to_str(e.arg)})",
-    }
-)
+    s = e._str()
+    return f"({s})" if e.prec < minimum else s
 
 
 def to_str(e: Expr) -> str:
@@ -481,106 +692,36 @@ def to_str(e: Expr) -> str:
     tree need not equal e: Const(-1.0), for instance, reads back as
     Neg(Const(1.0)).
     """
-    return _STR[type(e)](e)
-
-
-# ---------------------------------------------------------------------------
-# Evaluation: the tree-walking reference interpreter. Both engines report an
-# arithmetic fault with the same EvalError message.
-
-_DIV_ZERO = "division by zero"
-
-
-def _neg_pow(base: float, n: int) -> float:
-    if base == 0.0:
-        raise EvalError("0 raised to a negative power")
-    return float(base**n)
-
-
-def _arith_error(exc: ArithmeticError | ValueError) -> EvalError:
-    if isinstance(exc, OverflowError):
-        return EvalError("overflow")
-    return EvalError(str(exc))
+    return e._str()
 
 
 def evaluate(e: Expr, point: dict) -> float:
     """Evaluate at a coordinate binding, operands left to right. Raises
     EvalError on unbound names, division by zero, 0 raised to a negative
     power, overflow and math domain errors. This is the reference that
-    compile_batch matches bit for bit and falls back to at a fault."""
+    compile_batch matches bit for bit and falls back to at a fault; both
+    engines report a fault with the same message."""
     try:
-        return _evaluate(e, point)
-    except (OverflowError, ValueError) as exc:
-        raise _arith_error(exc) from None
-
-
-def _evaluate(e: Expr, point: dict) -> float:
-    return _EVAL[type(e)](e, point)
-
-
-def _coord_value(e: Coord, point: dict) -> float:
-    try:
-        return float(point[e.name])
-    except KeyError:
-        raise EvalError(f"unbound coordinate '{e.name}'") from None
-
-
-def _divide(num: float, denom: float) -> float:
-    if denom == 0.0:
-        raise EvalError(_DIV_ZERO)
-    return num / denom
-
-
-def _power(base: float, n: int) -> float:
-    return _neg_pow(base, n) if n < 0 else float(base**n)
-
-
-_EVAL = _Rules(
-    {
-        Const: lambda e, p: e.value,
-        Coord: _coord_value,
-        Neg: lambda e, p: -_evaluate(e.arg, p),
-        Add: lambda e, p: _evaluate(e.left, p) + _evaluate(e.right, p),
-        Sub: lambda e, p: _evaluate(e.left, p) - _evaluate(e.right, p),
-        Mul: lambda e, p: _evaluate(e.left, p) * _evaluate(e.right, p),
-        Div: lambda e, p: _divide(_evaluate(e.left, p), _evaluate(e.right, p)),
-        Pow: lambda e, p: _power(_evaluate(e.base, p), e.exponent),
-        Sin: lambda e, p: math.sin(_evaluate(e.arg, p)),
-        Cos: lambda e, p: math.cos(_evaluate(e.arg, p)),
-        Exp: lambda e, p: math.exp(_evaluate(e.arg, p)),
-    }
-)
+        return e._eval(point)
+    except OverflowError:
+        raise EvalError("overflow") from None
+    except ValueError as exc:
+        raise EvalError(str(exc)) from None
 
 
 def free_vars(e: Expr) -> frozenset:
     """The set of coordinate names occurring in the tree. Memoised on e."""
     names = e._free
     if names is None:
-        names = _FREE[type(e)](e)
-        e._free = names
+        names = e._free = e._vars()
     return names
-
-
-_FREE = _Rules(
-    {
-        Const: lambda e: frozenset(),
-        Coord: lambda e: frozenset((e.name,)),
-        Pow: lambda e: free_vars(e.base),
-        **dict.fromkeys(_UNARY, lambda e: free_vars(e.arg)),
-        **dict.fromkeys(_BINARY, lambda e: free_vars(e.left) | free_vars(e.right)),
-    }
-)
 
 
 def substitute(e: Expr, bindings: dict) -> Expr:
     """Replace coordinates by expressions (simultaneous substitution)."""
     if type(e) is Coord:
         return bindings.get(e.name, e)
-    return _MAP[type(e)](e, lambda child: substitute(child, bindings))
-
-
-# ---------------------------------------------------------------------------
-# Differentiation
+    return e._map(lambda child: substitute(child, bindings))
 
 
 def diff(e: Expr, coord: str) -> Expr:
@@ -598,167 +739,8 @@ def diff(e: Expr, coord: str) -> Expr:
         memo = e._diffs = {}
     d = memo.get(coord)
     if d is None:
-        d = memo[coord] = simplify(_DIFF[type(e)](e, coord))
+        d = memo[coord] = simplify(e._d(coord))
     return d
-
-
-def _diff_mul(e: Mul, x: str) -> Expr:
-    l, r = simplify(e.left), simplify(e.right)
-    return Add(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
-
-
-def _diff_div(e: Div, x: str) -> Expr:
-    l, r = simplify(e.left), simplify(e.right)
-    num = Sub(Mul(diff(e.left, x), r), Mul(l, diff(e.right, x)))
-    return Div(num, Pow(r, 2))
-
-
-def _diff_pow(e: Pow, x: str) -> Expr:
-    if e.exponent == 0:
-        return ZERO
-    base = simplify(e.base)
-    return Mul(Mul(Const(float(e.exponent)), Pow(base, e.exponent - 1)), diff(e.base, x))
-
-
-# rule(e, x): the derivative rule at the root of e, unsimplified
-_DIFF = _Rules(
-    {
-        Const: lambda e, x: ZERO,
-        Coord: lambda e, x: ONE if e.name == x else ZERO,
-        Neg: lambda e, x: Neg(diff(e.arg, x)),
-        Add: lambda e, x: Add(diff(e.left, x), diff(e.right, x)),
-        Sub: lambda e, x: Sub(diff(e.left, x), diff(e.right, x)),
-        Mul: _diff_mul,
-        Div: _diff_div,
-        Pow: _diff_pow,
-        Sin: lambda e, x: Mul(Cos(simplify(e.arg)), diff(e.arg, x)),
-        Cos: lambda e, x: Neg(Mul(Sin(simplify(e.arg)), diff(e.arg, x))),
-        Exp: lambda e, x: Mul(Exp(simplify(e.arg)), diff(e.arg, x)),
-    }
-)
-
-
-# ---------------------------------------------------------------------------
-# Simplification
-
-
-def _is_const(e: Expr, v: float | None = None) -> bool:
-    return type(e) is Const and (v is None or e.value == v)
-
-
-def _local_neg(e: Neg) -> Expr:
-    a = e.arg
-    if type(a) is Neg:
-        return a.arg
-    if type(a) is Const:
-        return Const(-a.value)
-    return e
-
-
-def _local_add(e: Add) -> Expr:
-    l, r = e.left, e.right
-    if _is_const(l) and _is_const(r):
-        return Const(l.value + r.value)
-    if _is_const(l, 0.0):
-        return r
-    if _is_const(r, 0.0):
-        return l
-    if type(r) is Neg:
-        return Sub(l, r.arg)
-    if type(l) is Neg:
-        return Sub(r, l.arg)
-    return e
-
-
-def _local_sub(e: Sub) -> Expr:
-    l, r = e.left, e.right
-    if _is_const(l) and _is_const(r):
-        return Const(l.value - r.value)
-    if _is_const(r, 0.0):
-        return l
-    if _is_const(l, 0.0):
-        return Neg(r)
-    if type(r) is Neg:
-        return Add(l, r.arg)
-    if l is r:
-        return ZERO
-    return e
-
-
-def _local_mul(e: Mul) -> Expr:
-    l, r = e.left, e.right
-    if _is_const(l) and _is_const(r):
-        return Const(l.value * r.value)
-    if _is_const(l, 0.0) or _is_const(r, 0.0):
-        return ZERO
-    if _is_const(l, 1.0):
-        return r
-    if _is_const(r, 1.0):
-        return l
-    if type(l) is Neg:
-        return Neg(Mul(l.arg, r))
-    if type(r) is Neg:
-        return Neg(Mul(l, r.arg))
-    return e
-
-
-def _local_div(e: Div) -> Expr:
-    l, r = e.left, e.right
-    if _is_const(l) and _is_const(r) and r.value != 0.0:
-        return Const(l.value / r.value)
-    if _is_const(l, 0.0):
-        return ZERO
-    if _is_const(r, 1.0):
-        return l
-    if type(l) is Neg:
-        return Neg(Div(l.arg, r))
-    return e
-
-
-def _local_pow(e: Pow) -> Expr:
-    if e.exponent == 0:
-        return ONE
-    if e.exponent == 1:
-        return e.base
-    if _is_const(e.base) and not (e.base.value == 0.0 and e.exponent < 0):
-        return _fold_const(lambda v: float(v**e.exponent), e, e.base)
-    return e
-
-
-def _local_func(e: Expr) -> Expr:
-    return _fold_const(_FOLD[type(e)], e, e.arg) if _is_const(e.arg) else e
-
-
-_FOLD = {Sin: math.sin, Cos: math.cos, Exp: math.exp}
-
-
-def _fold_const(fn, e: Expr, arg: Const) -> Expr:
-    """fn of a constant as a constant; e unfolded where fn raises (exp(1000)),
-    so the fault is reported at each point, as evaluate reports it."""
-    try:
-        return Const(fn(arg.value))
-    except (OverflowError, ValueError):
-        return e
-
-
-# rule(e): one rewrite step at the root of e, whose children are simplified.
-# Every rewrite returns a new node or a strict subtree, never e itself, so
-# identity tells whether one applied.
-_LOCAL = _Rules(
-    {
-        Const: lambda e: e,
-        Coord: lambda e: e,
-        Neg: _local_neg,
-        Add: _local_add,
-        Sub: _local_sub,
-        Mul: _local_mul,
-        Div: _local_div,
-        Pow: _local_pow,
-        Sin: _local_func,
-        Cos: _local_func,
-        Exp: _local_func,
-    }
-)
 
 
 def simplify(e: Expr) -> Expr:
@@ -779,9 +761,9 @@ def simplify(e: Expr) -> Expr:
     done = e._simple
     if done is not None:
         return e if done is True else done
-    out = _MAP[type(e)](e, simplify)
+    out = e._map(simplify)
     if out is e:
-        out = _LOCAL[type(e)](e)
+        out = _rewrite(e)
         if out is e:
             e._simple = True
             return e
@@ -790,6 +772,20 @@ def simplify(e: Expr) -> Expr:
     e._simple = out
     _rewritten.append(e)
     return out
+
+
+def _rewrite(e: Expr) -> Expr:
+    """One rewrite step at the root of e, whose children are simplified: a
+    node of constants folds to the constant that evaluate gives, else the
+    row's own rewrite applies. Where evaluate raises (exp(1000)) the node
+    stays unfolded, so the fault is reported at each point. Every rewrite
+    returns a new node or a strict subtree, never e itself, so identity tells
+    whether one applied."""
+    try:
+        out = e._fold()
+    except (ArithmeticError, ValueError, EvalError):
+        out = e
+    return e._local() if out is e else out
 
 
 # The last nodes simplify rewrote, kept alive with their memos. Such a node is
@@ -802,28 +798,6 @@ _rewritten: collections.deque = collections.deque(maxlen=512)
 
 # ---------------------------------------------------------------------------
 # Compilation: one tape of numpy calls per list of expressions
-
-
-def _unbound(name: str, x):
-    raise EvalError(f"unbound coordinate '{name}'")
-
-
-# rule(e, tape): the register of e's value, children through tape.slot
-_TAPE = _Rules(
-    {
-        Const: lambda e, t: t.const(e.value),
-        Coord: lambda e, t: t.op(t.column.get(e.name) or partial(_unbound, e.name), 0),
-        Neg: lambda e, t: t.op(np.negative, t.slot(e.arg)),
-        Add: lambda e, t: t.op(np.add, t.slot(e.left), t.slot(e.right)),
-        Sub: lambda e, t: t.op(np.subtract, t.slot(e.left), t.slot(e.right)),
-        Mul: lambda e, t: t.op(np.multiply, t.slot(e.left), t.slot(e.right)),
-        Div: lambda e, t: t.op(np.divide, t.slot(e.left), t.slot(e.right)),
-        Pow: lambda e, t: t.each(_neg_pow if e.exponent < 0 else pow, e.base, e.exponent),
-        Sin: lambda e, t: t.op(np.sin, t.array(e.arg)),
-        Cos: lambda e, t: t.op(np.cos, t.array(e.arg)),
-        Exp: lambda e, t: t.each(math.exp, e.arg),
-    }
-)
 
 
 class _Tape:
@@ -842,7 +816,7 @@ class _Tape:
     def slot(self, e: Expr) -> int:
         r = self.slots.get(id(e))
         if r is None:
-            r = self.slots[id(e)] = _TAPE[type(e)](e, self)
+            r = self.slots[id(e)] = e._emit(self)
         return r
 
     def const(self, value: float) -> int:

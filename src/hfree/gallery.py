@@ -37,7 +37,6 @@ class Fixture:
     # callable (Expr, Expr) -> Expr plus test expressions, for bracket-law runs
     bracket: object = None
     bracket_tests: tuple = ()
-    sign: int = 1
     notes: tuple = ()
 
 
@@ -115,7 +114,6 @@ def _rp_e3_fixture() -> Fixture:
         expected=((0, 0, parse(f"(1+y^2)*{lam}*exp(2*x)")),),
         bracket=lambda f, g: rp_bracket(structure, f, g),
         bracket_tests=(parse("x*y"), parse("y*z - x"), parse("x^2 + z")),
-        sign=sign,
         notes=(
             "sign pinned to -1: with rows (grad H, grad h, grad f) the plain "
             "gradient determinant gives -(1+y^2)*lambda*exp(2x) for f = y*exp(x)",

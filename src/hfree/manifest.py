@@ -185,12 +185,15 @@ def _interpret(sections: dict) -> Manifest:
         if grid is not None and not (
             isinstance(grid, list)
             and len(grid) == chart.dim
-            and all(isinstance(c, int) and c >= 1 for c in grid)
+            and all(type(c) is int and c >= 1 for c in grid)
         ):
             raise ManifestError("grid needs one positive integer count per coordinate axis")
         samples = _integer(check, "samples", 10000)
         seed = _integer(check, "seed", 0)
-        tolerance = float(check.get("tolerance", 1e-9))
+        tolerance = check.get("tolerance", 1e-9)
+        if type(tolerance) not in (int, float):
+            raise ManifestError(f"tolerance must be a number, got {tolerance!r}")
+        tolerance = float(tolerance)
         if samples < 1:
             raise ManifestError("samples must be positive")
         if not (math.isfinite(tolerance) and tolerance > 0):

@@ -19,7 +19,7 @@ from hfree.expr import (
     Sin,
     Sub,
     ZERO,
-    _LOCAL,
+    _rewrite,
     evaluate,
 )
 
@@ -98,7 +98,7 @@ def reference_simplify(e):
         out = type(e)(reference_simplify(e.left), reference_simplify(e.right))
     else:  # Neg, Sin, Cos, Exp
         out = type(e)(reference_simplify(e.arg))
-    reduced = _LOCAL[type(out)](out)
+    reduced = _rewrite(out)
     return out if reduced is out else reference_simplify(reduced)
 
 

@@ -269,6 +269,9 @@ def _structure(text: str, structure: str) -> str:
         ('[structure]\ntype = contact\nn = 1.5\n[map]\ncomponents = ["x1", "p1"]\n[check]\nmode = free\n', "structure"),
         (_structure(PLANAR, 'type = canonical\nn = true\nhamiltonians = ["x"]'), "structure"),
         (_structure(SPACE, 'type = riemann-poisson\nH = ["x"]\nhamiltonian = "y"\nsign = -1.0'), "structure"),
+        (PLANAR.replace("samples = 20", "grid = [true, 2]"), "check"),
+        (PLANAR.replace("samples = 20", "samples = 20\ntolerance = true"), "check"),
+        (PLANAR.replace("samples = 20", 'samples = 20\ntolerance = "1e-3"'), "check"),
     ],
 )
 def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):
@@ -360,6 +363,11 @@ class TestEval:
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["eval", "sin(x"]) == 2
+
+    def test_superscript_digit_is_a_parse_error(self, capsys):
+        assert main(["eval", "2*\u00b2"]) == 2
+        err = capsys.readouterr().err
+        assert "at offset 2" in err and "Traceback" not in err
 
 
 def test_unknown_subcommand_exit_two(capsys):

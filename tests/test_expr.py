@@ -82,12 +82,20 @@ class TestParse:
             ("x + ", 4, "a number, coordinate, function call or '('", "end of input"),
             ("sin x", 4, "end of input", "x"),
             ("(x", 2, "')'", "end of input"),
+            ("2*\u00b2", 2, "a number, coordinate, function call or '('", "\u00b2"),
+            ("x^\u00b2", 2, "integer exponent", "\u00b2"),
+            ("2\u00b2", 1, "end of input", "\u00b2"),
+            ("\u2460*x", 0, "a number, coordinate, function call or '('", "\u2460"),
         ],
     )
     def test_error_names_the_first_unusable_character(self, src, position, expected, found):
         with pytest.raises(ParseError) as info:
             parse(src)
         assert (info.value.position, info.value.expected, info.value.found) == (position, expected, found)
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        # str.isdecimal: Arabic-Indic three is a digit; superscript two is not
+        assert parse("\u0663*x^\u0662") == parse("3*x^2")
 
     def test_error_position_in_range(self):
         try:
@@ -162,6 +170,36 @@ class TestSimplify:
         assert simplify(Sin(Const(math.inf))) == Sin(Const(math.inf))
         with pytest.raises(EvalError, match="overflow"):
             evaluate(e, {"x": 1.0})
+
+    def test_folding_matches_evaluate_bit_for_bit(self):
+        """Every op over constant children: where evaluate returns, simplify
+        folds to the same bits (a nan to a nan); where it raises, the node
+        stays unfolded, but for the 0/c -> 0 rewrite of 0/0."""
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf, math.nan]
+        values += [1e200, -1e200, 5e-324, -5e-324, 710.0, 1e16]
+        consts = [Const(v) for v in values]
+        trees = [op(a) for op in (Neg, Sin, Cos, Exp) for a in consts]
+        trees += [op(a, b) for op in (Add, Sub, Mul, Div) for a in consts for b in consts]
+        trees += [Pow(a, n) for a in consts for n in range(-3, 4)]
+        assert len(trees) == 1065
+        unfolded = 0
+        for e in trees:
+            out = simplify(e)
+            try:
+                value = evaluate(e, {})
+            except EvalError:
+                unfolded += 1
+                if type(e) is Div and e.left.value == 0.0 and e.right.value == 0.0:
+                    assert out is Const(0.0)
+                else:
+                    assert out is e
+                continue
+            assert type(out) is Const
+            if math.isnan(value):
+                assert math.isnan(out.value)
+            else:
+                assert out.value.hex() == value.hex()
+        assert unfolded > 50
 
     @pytest.mark.parametrize("src", ["0*(1/x)", "1/x - 1/x"])
     def test_simplification_may_enlarge_the_domain(self, src):
