@@ -1,15 +1,15 @@
 """Check execution: evaluate a mode's predicate over sampled points and fold
 the outcomes into a deterministic report.
 
-Every check runs through one loop, `_run`, which hands CHUNK points at a time
-to the mode's judge and folds the judge's per-point criterion and failure
-reasons into the report in sample order (extreme value, ties to the lowest
-sample index), so the report does not depend on CHUNK. A judge compiles each
-jet and each set of residuals once into one tape of numpy calls
-(`expr.compile_batch`; jets are cached per (frame, map) in `jets`), so a
-chunk costs one run of each tape, then one batched SVD or determinant call;
-`expr.evaluate`, the reference interpreter, takes the points where a call
-faults. A manifest's check comes built and validated from `build_plan`.
+Every check runs through one loop, `_run`, which hands CHUNK rows at a time of
+one (n, dim) array of finite points to the mode's judge and folds the judge's
+per-point criterion and failure reasons into the report in sample order
+(extreme value, ties to the lowest sample index), so the report does not depend
+on CHUNK. A judge compiles each jet and each set of residuals once into one
+tape of numpy calls (`expr.compile_batch`; jets are cached per (frame, map) in
+`jets`), so a chunk costs one run of each tape, then one batched SVD or
+determinant call; `expr.evaluate`, the reference interpreter, takes the points
+where a call faults. `build_plan` builds a manifest's check.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class _Fold:
         where has_crit[i], and reasons[i] says why point i fails."""
         self.failed = self.failed or bool(reasons)
         for i in sorted(reasons)[: FAILURE_CAP - len(self.failures)]:
-            self.failures.append({"point": list(self.points[start + i]), "reason": reasons[i]})
+            self.failures.append({"point": self.points[start + i].tolist(), "reason": reasons[i]})
         idx = np.flatnonzero(has_crit)
         if not idx.size or (self.worst_val is not None and math.isnan(self.worst_val)):
             return  # no comparison replaces a nan worst value
@@ -115,7 +115,7 @@ class _Fold:
             verdict="fail" if self.failed else "pass",
             mode=mode,
             points_checked=len(self.points),
-            worst_point=tuple(self.points[worst]) if worst is not None else None,
+            worst_point=tuple(self.points[worst].tolist()) if worst is not None else None,
             worst_criterion=self.worst_val,
             failures=self.failures,
             fixture_notes=list(notes),
@@ -123,16 +123,16 @@ class _Fold:
         )
 
 
-def _run(mode: str, chart, points, judge, smaller_is_worse: bool, started: float, notes=()) -> Report:
-    """The one chunk loop of every check. judge(chunk) returns, for each point
-    of an (n, dim) array, its criterion, whether it has one, and the reasons
-    of the points that fail; the outcomes are folded in sample order. A judge
-    of None means the target dimension is below the critical one."""
+def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: float, notes=()) -> Report:
+    """The one chunk loop of every check. judge(chunk) returns, for each row
+    of a slice of the points, its criterion, whether it has one, and the
+    reasons of the points that fail; the outcomes are folded in sample order.
+    A judge of None means the target dimension is below the critical one."""
     if judge is None:
         return Report("below-critical-dimension", mode, 0, None, None, fixture_notes=list(notes))
     fold = _Fold(points, smaller_is_worse)
     for start in range(0, len(points), CHUNK):
-        fold.add(start, *judge(chart.point_array(points[start : start + CHUNK])))
+        fold.add(start, *judge(points[start : start + CHUNK]))
     return fold.report(mode, notes, started)
 
 
@@ -160,9 +160,10 @@ def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
 
 
 def check_rank_mode(frame: Frame, smap: SmoothMap, points, tol: float, mode: str) -> Report:
-    """Immersion or free full-rank check over points."""
+    """Immersion or free full-rank check over points (see Chart.point_array)."""
     started = time.perf_counter()
-    return _run(mode, frame.chart, points, _rank_judge(frame, smap, tol, mode), True, started)
+    judge = _rank_judge(frame, smap, tol, mode)
+    return _run(mode, frame.chart.point_array(points), judge, True, started)
 
 
 def _identity_judge(identity: DetIdentity, tol: float):
@@ -232,7 +233,7 @@ def run_check(m: Manifest) -> Report:
         judge = _identity_judge(DetIdentity(plan.frame, plan.smap, plan.outer), m.tolerance)
     else:
         judge = _rank_judge(plan.frame, plan.smap, m.tolerance, m.mode)
-    return _run(m.mode, m.chart, plan.points, judge, m.mode in ("immersion", "free"), started)
+    return _run(m.mode, plan.points, judge, m.mode in ("immersion", "free"), started)
 
 
 def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> Report:
@@ -243,7 +244,7 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
     points = sample_points(fix.chart, samples, seed)
     if fix.immersion is None:
         judge = _bracket_judge(fix.bracket, fix.chart, list(fix.bracket_tests), max(tol, 1e-8))
-        return _run("gallery", fix.chart, points, judge, False, started, fix.notes)
+        return _run("gallery", points, judge, False, started, fix.notes)
 
     k = fix.frame.k
     d1 = compiled_d1(fix.frame, fix.immersion)
@@ -291,4 +292,4 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         has_crit = r1.valid & r2.valid & valid_mask(len(chunk), formula_reasons)
         return crit, has_crit, reasons
 
-    return _run("gallery", fix.chart, points, judge, True, started, fix.notes)
+    return _run("gallery", points, judge, True, started, fix.notes)

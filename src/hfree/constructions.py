@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import ONE, ZERO, Coord, Expr, Mul, compile_batch, simplify, substitute
+from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from .jets import compiled_d2, pair_labels, s, valid_mask
 
@@ -128,6 +128,9 @@ class DetIdentity:
         image, errors = self.image(points)
         for i, (_, exc) in errors.items():
             failures.setdefault(i, exc)
+        # a product overflows to inf without a fault; the outer jet needs finite points
+        for i in np.flatnonzero(~np.isfinite(image).all(axis=1)).tolist():
+            failures.setdefault(i, EvalError("outer jet block: image point not finite"))
         # the outer jet is taken along the standard frame at the image points,
         # which may fall outside the outer chart's sampling box
         d2_outer = np.full((len(points),) + self.outer.shape, np.nan)
@@ -163,9 +166,8 @@ def block_decomposition(
 ) -> BlockDecomposition:
     """Evaluate, at one point, every matrix in the chain-rule factorization of
     the order-2 jet of outer(f) (see DetIdentity)."""
-    d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, outer).blocks(
-        frame.chart.point_array([point])
-    )
+    points = frame.chart.point_array([point])
+    d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, outer).blocks(points)
     if failures:
         raise failures[0]
     d1 = d2_inner[0, : frame.k]
@@ -183,9 +185,8 @@ def verify_det_identity(
 ) -> IdentityResidual:
     """Check det(order-2 jet of outer(f)) against det(order-1 jet of f)^(k+2)
     times det(order-2 jet of outer) at one point."""
-    lhs, rhs, rel, failures = DetIdentity(frame, f, outer).residuals(
-        frame.chart.point_array([point])
-    )
+    points = frame.chart.point_array([point])
+    lhs, rhs, rel, failures = DetIdentity(frame, f, outer).residuals(points)
     if failures:
         raise failures[0]
     return IdentityResidual(lhs=float(lhs[0]), rhs=float(rhs[0]), rel_residual=float(rel[0]))

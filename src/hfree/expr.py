@@ -3,7 +3,7 @@ evaluation, and compilation into a tape of batched numpy calls.
 
 The grammar is deliberately tiny -- {+, -, *, /, ^, sin, cos, exp} over named
 coordinates with integer exponents -- and every operation here is a pure
-function on immutable trees.
+function on immutable trees. Every constant is finite (see compile_batch).
 
 Nodes are hash-consed: building a node equal to a live node returns that
 node, so equal trees are one object. Equality of nodes is identity and
@@ -29,6 +29,7 @@ import math
 import operator
 import weakref
 from _weakref import _remove_dead_weakref
+from decimal import Decimal
 from operator import itemgetter
 
 import numpy as np
@@ -153,14 +154,17 @@ def _coerce(v) -> Expr:
 
 
 class Const(Expr):
-    """A float constant. It compares by value, so Const(0.0) == Const(-0.0),
-    but it is interned by its bits, so the two are distinct nodes."""
+    """A finite float constant (else ValueError). It compares by value, so
+    Const(0.0) == Const(-0.0), but it is interned by its bits, so the two
+    are distinct nodes."""
 
     __slots__ = ("value",)
     _fields = __slots__
 
     def __new__(cls, value):
         value = float(value)
+        if not math.isfinite(value):
+            raise ValueError(f"constants must be finite, got {value}")
         key = (cls, value.hex())
         return _table.get(key, _missing)() or _new(cls, key, value)
 
@@ -174,8 +178,8 @@ class Const(Expr):
 
     @property
     def prec(self):
-        # a negative constant prints with its sign, as a negation does
-        return Neg.prec if self.value < 0 else Expr.prec
+        # a constant with a sign bit (-0.0 too) prints with it, as a negation does
+        return Neg.prec if math.copysign(1.0, self.value) < 0 else Expr.prec
 
     def _map(self, f):
         return self
@@ -187,13 +191,8 @@ class Const(Expr):
         return frozenset()
 
     def _str(self):
-        v = self.value
-        if v == int(v) and abs(v) < 1e16:
-            return str(int(v))
         # exact positional decimal, so parsing reproduces the float bit for bit
-        from decimal import Decimal
-
-        return format(Decimal(v), "f")
+        return format(Decimal(self.value), "f")
 
     def _emit(self, t):
         return t.const(self.value)
@@ -655,7 +654,9 @@ class _Parser:
             src = self.text()
             if src == ".":
                 self.error("a number", start + 1)
-            return Const(float(src))
+            if not math.isfinite(value := float(src)):
+                self.error("a number within the float range", start)
+            return Const(value)
         if kind == "id":
             name = self.text()
             if self.peek() == "(":
@@ -777,10 +778,10 @@ def simplify(e: Expr) -> Expr:
 def _rewrite(e: Expr) -> Expr:
     """One rewrite step at the root of e, whose children are simplified: a
     node of constants folds to the constant that evaluate gives, else the
-    row's own rewrite applies. Where evaluate raises (exp(1000)) the node
-    stays unfolded, so the fault is reported at each point. Every rewrite
-    returns a new node or a strict subtree, never e itself, so identity tells
-    whether one applied."""
+    row's own rewrite applies. Where evaluate raises (exp(1000)) or gives a
+    value Const refuses (1e200*1e200), the node stays unfolded, so each point
+    evaluates it. Every rewrite returns a new node or a strict subtree, never
+    e itself, so identity tells whether one applied."""
     try:
         out = e._fold()
     except (ArithmeticError, ValueError, EvalError):
@@ -809,7 +810,7 @@ class _Tape:
 
     def __init__(self, exprs, coords):
         self.column = {name: itemgetter((slice(None), j)) for j, name in enumerate(coords)}
-        self.init, self.ops, self.finite = [None], [], True
+        self.init, self.ops = [None], []
         self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
         self.outputs = [self.slot(e) for e in exprs]
 
@@ -820,7 +821,6 @@ class _Tape:
         return r
 
     def const(self, value: float) -> int:
-        self.finite = self.finite and math.isfinite(value)
         self.init.append(value)
         return len(self.init) - 1
 
@@ -852,7 +852,7 @@ class _Tape:
 
 def compile_batch(exprs, coords):
     """Compile expressions into one function of an (n, len(coords)) array of
-    points, columns in coordinate order.
+    finite points, columns in coordinate order.
 
     The function returns an (n, len(exprs)) array of values and a dict that
     maps each point where evaluation faulted to (index of the first faulting
@@ -862,20 +862,17 @@ def compile_batch(exprs, coords):
     The function runs a tape (see _Tape): one numpy call per distinct node.
     +, -, *, /, negation, sin and cos are numpy ufuncs, which round as the
     float operations in evaluate() do; exp and integer powers run per element
-    through math.exp and float ** for the same reason. With finite constants
-    and coordinates, every fault evaluate() reports raises a floating-point
-    error here too. A call that raises one is bisected (see _bisect) down to
-    the faulting points, or to small parts that fault in both halves, which
-    evaluate() evaluates; rows are computed elementwise, so every point keeps
-    its bits. A call with a non-finite constant or coordinate is evaluated
-    point by point with evaluate()."""
+    through math.exp and float ** for the same reason. Constants are finite
+    (see Const) and so are the points, so every fault evaluate() reports, and
+    every first non-finite value, raises a floating-point error here too. A
+    call that raises one is bisected (see _bisect) down to the faulting
+    points, or to small parts that fault in both halves, which evaluate()
+    evaluates; rows are computed elementwise, so every point keeps its bits."""
     exprs = list(exprs)
     coords = tuple(coords)
     tape = _Tape(exprs, coords)
 
     def run(points: np.ndarray):
-        if not (tape.finite and np.isfinite(points).all()):
-            return _evaluate_rows(exprs, coords, points)
         values = np.empty((points.shape[0], len(exprs)))
         faulted = []
         with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
@@ -922,7 +919,7 @@ def _bisect(program, points, out, lo: int, hi: int, faulted: list):
 
 
 def _evaluate_rows(exprs, coords, points):
-    """The reference interpreter, point by point: compile_batch's fallback."""
+    """The reference interpreter at the points where compile_batch faults."""
     values = np.full((len(points), len(exprs)), np.nan)
     errors = {}
     for i, row in enumerate(points.tolist()):

@@ -24,7 +24,7 @@ class Chart:
     """A single coordinate system with a sampling box.
 
     Periodic axes are angular with period 2*pi and box exactly [0, 2*pi);
-    periodicity is sampler metadata only.
+    periodicity is sampler metadata only. Box edges and widths are finite.
     """
 
     coords: tuple[str, ...]
@@ -41,6 +41,8 @@ class Chart:
         if len(self.box) != len(self.coords) or len(self.periodic) != len(self.coords):
             raise ValueError("box and periodic must match the coordinate count")
         for (lo, hi), per in zip(self.box, self.periodic):
+            if not math.isfinite(hi - lo):
+                raise ValueError(f"box interval [{lo}, {hi}] must have finite edges and width")
             if not lo < hi:
                 raise ValueError(f"degenerate box interval [{lo}, {hi}]")
             if per and not (lo == 0.0 and abs(hi - 2 * math.pi) < 1e-12):
@@ -61,15 +63,18 @@ class Chart:
         return dict(zip(self.coords, map(float, point)))
 
     def point_array(self, points) -> np.ndarray:
-        """Points as an (n, dim) float array, columns in coordinate order."""
+        """Finite points as an (n, dim) float array, columns in coordinate order."""
         array = np.array(points, dtype=float)
         if array.ndim != 2 or array.shape[1] != self.dim:
             raise ChartMismatch(f"points of shape {array.shape} on a {self.dim}-dim chart")
+        if not np.isfinite(array).all():
+            raise ValueError("point coordinates must be finite")
         return array
 
     def check_point(self, point):
-        if not all(lo <= v <= hi for v, (lo, hi) in zip(point, self.box)):
-            raise OutsideDomain(f"point {tuple(point)} outside box {self.box}")
+        (row,) = self.point_array([point]).tolist()
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(row, self.box)):
+            raise OutsideDomain(f"point {tuple(row)} outside box {self.box}")
 
 
 @dataclass(frozen=True)

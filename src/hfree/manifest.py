@@ -20,6 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 
+import numpy as np
+
 from .brackets import RPStructure, SymplecticChart, canonical_bracket, contact_frame
 from .brackets import hamiltonian_field, rp_bracket, rp_hamiltonian_field
 from .constructions import monomial_free_map
@@ -242,7 +244,7 @@ def _parse_expr(src):
 class Plan:
     """What a manifest's check runs on, built and validated by build_plan."""
 
-    points: list
+    points: np.ndarray  # the sample points, one finite (n, dim) array
     frame: Frame | None = None  # immersion, free and identity modes
     smap: SmoothMap | None = None  # the map; in bracket-laws mode, the test functions
     outer: SmoothMap | None = None  # identity mode

@@ -3,7 +3,7 @@
 Random points come from a splitmix64 generator (constants below), so the
 sequence for a given (seed, samples, box) is bit-identical on every platform.
 Grid sampling yields the tensor-product lattice; periodic axes drop the right
-endpoint.
+endpoint. Both give one (n, dim) float array.
 """
 
 from __future__ import annotations
@@ -37,18 +37,18 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
 
-def random_points(chart: Chart, samples: int, seed: int) -> list[tuple[float, ...]]:
-    """`samples` points, axis by axis from one SplitMix64(seed) stream: draw
-    point * dim + axis maps to lo + u * (hi - lo) on that axis. The draws
-    are computed as uint64 arrays (the state after draw i is
-    seed + (i + 1) * GAMMA mod 2^64) and match the scalar generator bit for
-    bit. Points are made _BLOCK at a time, which keeps the transient arrays,
-    and so the peak memory, small."""
+def random_points(chart: Chart, samples: int, seed: int) -> np.ndarray:
+    """A (samples, dim) array of points, axis by axis from one
+    SplitMix64(seed) stream: draw point * dim + axis maps to
+    lo + u * (hi - lo) on that axis. The draws are computed as uint64 arrays
+    (the state after draw i is seed + (i + 1) * GAMMA mod 2^64) and match the
+    scalar generator bit for bit. They are made _BLOCK points at a time,
+    which keeps the transient arrays, and so the peak memory, small."""
     if samples < 1:
         raise ValueError("need at least one sample")
     box = np.array(chart.box, dtype=float)
     lo, width = box[:, 0], box[:, 1] - box[:, 0]
-    out = []
+    out = np.empty((samples, chart.dim))
     for start in range(0, samples, _BLOCK):
         n = min(_BLOCK, samples - start)
         z = np.arange(start * chart.dim + 1, (start + n) * chart.dim + 1, dtype=np.uint64)
@@ -61,33 +61,26 @@ def random_points(chart: Chart, samples: int, seed: int) -> list[tuple[float, ..
         z ^= z >> np.uint64(31)
         z >>= np.uint64(11)
         u = z.astype(float).reshape(n, chart.dim) * (1.0 / (1 << 53))
-        out += zip(*(lo + u * width).T.tolist())
+        out[start : start + n] = lo + u * width
     return out
 
 
-def grid_points(chart: Chart, counts) -> list[tuple[float, ...]]:
+def grid_points(chart: Chart, counts) -> np.ndarray:
     counts = list(counts)
     if len(counts) != chart.dim:
         raise ValueError("grid needs one count per axis")
     if any(c < 1 for c in counts):
         raise ValueError("grid counts must be positive")
-    axes = []
-    for (lo, hi), per, n in zip(chart.box, chart.periodic, counts):
-        if per:
-            axes.append([lo + i * (hi - lo) / n for i in range(n)])
-        elif n == 1:
-            axes.append([lo])
-        else:
-            axes.append([lo + i * (hi - lo) / (n - 1) for i in range(n)])
-    out = [()]
-    for axis in axes:
-        out = [pt + (v,) for pt in out for v in axis]
-    return out
+    axes = [
+        lo + np.arange(n) * (hi - lo) / (n if per else n - 1) if per or n > 1 else np.array([lo])
+        for (lo, hi), per, n in zip(chart.box, chart.periodic, counts)
+    ]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.dim)
 
 
-def sample_points(chart: Chart, samples: int = 10000, seed: int = 0, grid=None):
-    """Random points by default; the tensor-product lattice when grid counts
-    are given."""
+def sample_points(chart: Chart, samples: int = 10000, seed: int = 0, grid=None) -> np.ndarray:
+    """Random points by default; the tensor-product lattice, last axis
+    fastest, when grid counts are given. Either way an (n, dim) array."""
     if grid is not None:
         return grid_points(chart, grid)
     return random_points(chart, samples, seed)

@@ -39,7 +39,7 @@ def test_streaming_fold_matches_the_pointwise_loop(outcomes, smaller_is_worse, c
     """Ties go to the lowest index, a nan worst is never replaced, and the
     first FAILURE_CAP failures are kept, whatever the chunk size."""
     results = [(crit, ok, None if ok else f"reason {i}") for i, (crit, ok) in enumerate(outcomes)]
-    points = [(float(i),) for i in range(len(results))]
+    points = np.arange(len(results), dtype=float).reshape(-1, 1)
     fold = _Fold(points, smaller_is_worse)
     for start in range(0, len(results), chunk):
         part = results[start : start + chunk]
@@ -50,7 +50,7 @@ def test_streaming_fold_matches_the_pointwise_loop(outcomes, smaller_is_worse, c
     report = fold.report("test", (), 0.0)
 
     worst_idx, worst_val, failures, failed = _pointwise_fold(results, smaller_is_worse)
-    assert report.worst_point == (None if worst_idx is None else points[worst_idx])
+    assert report.worst_point == (None if worst_idx is None else (float(worst_idx),))
     assert repr(report.worst_criterion) == repr(worst_val)
     assert report.failures == failures
     assert report.verdict == ("fail" if failed else "pass")

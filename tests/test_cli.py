@@ -272,6 +272,14 @@ def _structure(text: str, structure: str) -> str:
         (PLANAR.replace("samples = 20", "grid = [true, 2]"), "check"),
         (PLANAR.replace("samples = 20", "samples = 20\ntolerance = true"), "check"),
         (PLANAR.replace("samples = 20", 'samples = 20\ntolerance = "1e-3"'), "check"),
+        # a box edge that overflows to inf once sampled at x = inf and passed
+        (
+            PLANAR.replace("[[-2, 2], [-2, 2]]", f"[[-2, 1{'0' * 400}.0], [-2, 2]]")
+            .replace('"y*exp(x)"', '"x + y"'),
+            "manifold",
+        ),
+        (PLANAR.replace("[[-2, 2], [-2, 2]]", "[[-2, 2], [-inf, 2]]"), "manifold"),
+        (PLANAR.replace("[[-2, 2], [-2, 2]]", "[[-1e308, 1e308], [-2, 2]]"), "manifold"),
     ],
 )
 def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from hfree.expr import Const, Coord, evaluate, parse, simplify
+from hfree.expr import Const, Coord, EvalError, evaluate, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from hfree.jets import d2_matrix, is_free_at, rank_check, s
 from hfree.constructions import (
+    DetIdentity,
     block_decomposition,
     compose,
     monomial_free_map,
@@ -201,6 +202,21 @@ class TestDetIdentity:
             for point in sample_points(PLANE, samples=20, seed=17):
                 res = verify_det_identity(frame, f, monomial_free_map(1), point)
                 assert res.rel_residual <= 1e-9
+
+    def test_image_that_overflows_is_a_failure_of_the_outer_block(self):
+        # a product of huge finite factors overflows to inf without a fault;
+        # the outer jet, compiled for finite points, is not evaluated there
+        frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
+        big = "1" + "0" * 200
+        f = SmoothMap(PLANE, (parse(f"{big}*x*{big}"),))
+        points = np.array([[0.5, 0.0], [0.0, 1.0], [-1.0, 2.0]])
+        lhs, rhs, rel, failures = DetIdentity(frame, f, monomial_free_map(1)).residuals(points)
+        assert {i: (type(exc), str(exc)) for i, exc in failures.items()} == {
+            0: (EvalError, "outer jet block: image point not finite"),
+            2: (EvalError, "outer jet block: image point not finite"),
+        }
+        with pytest.raises(EvalError, match="image point not finite"):
+            verify_det_identity(frame, f, monomial_free_map(1), (0.5, 0.0))
 
 
 def test_composition_theorem_as_predicate():

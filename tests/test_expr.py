@@ -86,6 +86,9 @@ class TestParse:
             ("x^\u00b2", 2, "integer exponent", "\u00b2"),
             ("2\u00b2", 1, "end of input", "\u00b2"),
             ("\u2460*x", 0, "a number, coordinate, function call or '('", "\u2460"),
+            # a literal that rounds to infinity
+            ("x*1" + "0" * 400, 2, "a number within the float range", "1"),
+            ("2 - " + "9" * 309 + ".5", 4, "a number within the float range", "9"),
         ],
     )
     def test_error_names_the_first_unusable_character(self, src, position, expected, found):
@@ -167,22 +170,24 @@ class TestSimplify:
         e = simplify(parse("exp(1000)*x + sin(2)"))
         assert e == Add(Mul(Exp(Const(1000.0)), Coord("x")), Const(math.sin(2.0)))
         assert simplify(Pow(Const(1e200), 2)) == Pow(Const(1e200), 2)
-        assert simplify(Sin(Const(math.inf))) == Sin(Const(math.inf))
+        with pytest.raises(ValueError, match="constants must be finite"):
+            Sin(Const(math.inf))
         with pytest.raises(EvalError, match="overflow"):
             evaluate(e, {"x": 1.0})
 
     def test_folding_matches_evaluate_bit_for_bit(self):
-        """Every op over constant children: where evaluate returns, simplify
-        folds to the same bits (a nan to a nan); where it raises, the node
-        stays unfolded, but for the 0/c -> 0 rewrite of 0/0."""
-        values = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0, math.inf, -math.inf, math.nan]
+        """Every op over constant children: where evaluate returns a finite
+        value, simplify folds to the same bits; where it raises, or returns a
+        value no constant can hold (1e200*1e200), the node stays unfolded,
+        but for the 0/c -> 0 rewrite of 0/0."""
+        values = [0.0, -0.0, 1.0, -1.0, 2.5, -3.0]
         values += [1e200, -1e200, 5e-324, -5e-324, 710.0, 1e16]
         consts = [Const(v) for v in values]
         trees = [op(a) for op in (Neg, Sin, Cos, Exp) for a in consts]
         trees += [op(a, b) for op in (Add, Sub, Mul, Div) for a in consts for b in consts]
         trees += [Pow(a, n) for a in consts for n in range(-3, 4)]
-        assert len(trees) == 1065
-        unfolded = 0
+        assert len(trees) == 708
+        unfolded = overflowed = 0
         for e in trees:
             out = simplify(e)
             try:
@@ -194,12 +199,34 @@ class TestSimplify:
                 else:
                     assert out is e
                 continue
+            if not math.isfinite(value):
+                overflowed += 1
+                assert out is e
+                continue
             assert type(out) is Const
-            if math.isnan(value):
-                assert math.isnan(out.value)
-            else:
-                assert out.value.hex() == value.hex()
-        assert unfolded > 50
+            assert out.value.hex() == value.hex()
+        assert unfolded > 30
+        assert overflowed > 10
+        assert simplify(Mul(Const(1e200), Const(1e200))) is Mul(Const(1e200), Const(1e200))
+
+    @pytest.mark.parametrize(
+        "build",
+        [lambda: Const(math.inf), lambda: Const(math.nan), lambda: Coord("x") + math.inf],
+        ids=["inf", "nan", "coerced"],
+    )
+    def test_constants_must_be_finite(self, build):
+        with pytest.raises(ValueError, match="constants must be finite"):
+            build()
+
+    def test_overflowing_product_of_literals_prints_and_reparses(self):
+        # 200-digit literals are finite; their product is not, so it stays a product
+        big = "1" + "7" * 199
+        e = simplify(parse(f"{big}*{big}*x"))
+        assert e is Mul(Mul(Const(float(big)), Const(float(big))), Coord("x"))
+        text = to_str(e)
+        for x in (2.0, -0.5, 0.0):  # inf, -inf and inf*0 = nan
+            assert _bits([evaluate(parse(text), {"x": x})]) == _bits([evaluate(e, {"x": x})])
+        assert evaluate(e, {"x": 1.0}) == math.inf
 
     @pytest.mark.parametrize("src", ["0*(1/x)", "1/x - 1/x"])
     def test_simplification_may_enlarge_the_domain(self, src):
@@ -334,7 +361,17 @@ def test_printer_keeps_right_nested_sums():
 @settings(max_examples=300, deadline=None)
 def test_roundtrip_print_parse(e, point):
     reparsed = parse(to_str(e))
-    assert evaluate(reparsed, point) == evaluate(e, point)
+    assert evaluate(reparsed, point).hex() == evaluate(e, point).hex()
+
+
+def test_negative_zero_prints_with_its_sign():
+    """A constant prints as its exact decimal, so -0.0 keeps its sign bit, and
+    is parenthesised as a base as a negative constant is."""
+    x, nz = Coord("x"), Const(-0.0)
+    assert to_str(nz) == "-0"
+    assert to_str(Pow(nz, 3)) == "(-0)^3"
+    for e in (nz, Pow(nz, 3), Pow(nz, 2), Mul(x, nz), Sub(nz, Const(0.0)), Add(x, Const(1e16))):
+        assert evaluate(parse(to_str(e)), {"x": 1.0}).hex() == evaluate(e, {"x": 1.0}).hex()
 
 
 @given(_exprs(), _points)

@@ -7,11 +7,22 @@ import pytest
 from hfree import expr as expr_module, gallery
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_rank_mode
-from hfree.fields import Chart, Frame, OutsideDomain, SmoothMap, VectorField, anticommutator
+from hfree.fields import (
+    Chart,
+    ChartMismatch,
+    Frame,
+    OutsideDomain,
+    SmoothMap,
+    VectorField,
+    anticommutator,
+    frame_rank_check,
+)
 from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
+    CompiledJet,
     JetMatrix,
+    compiled_d1,
     d1_matrix,
     d2_exprs,
     d2_matrix,
@@ -22,7 +33,7 @@ from hfree.jets import (
     s,
     stack_ranks,
 )
-from hfree.constructions import monomial_free_map, standard_frame
+from hfree.constructions import block_decomposition, monomial_free_map, standard_frame, verify_det_identity
 from hfree.brackets import contact_frame
 from hfree.sampling import sample_points
 
@@ -275,12 +286,12 @@ class TestPredicates:
         # det D2 = 12 x^2: rank deficient at x = 0 only, which the grid hits
         frame = standard_frame(LINE)
         f = SmoothMap(LINE, (parse("x^2"), parse("x^3")))
-        points = sample_points(LINE, grid=[9]) + sample_points(LINE, samples=20, seed=5)
+        points = np.concatenate([sample_points(LINE, grid=[9]), sample_points(LINE, samples=20, seed=5)])
         report = check_rank_mode(frame, f, points, DEFAULT_TOL, "free")
         failed = {tuple(failure["point"]) for failure in report.failures}
         assert failed == {(0.0,)}
-        for point in points:
-            assert is_free_at(frame, f, point) == (point not in failed)
+        for point in points.tolist():
+            assert is_free_at(frame, f, point) == (tuple(point) not in failed)
         worst = rank_check(d2_matrix(frame, f, report.worst_point))
         assert worst.sigma_min == report.worst_criterion
 
@@ -291,6 +302,36 @@ class TestPredicates:
         for point in sample_points(PLANE, samples=100, seed=9):
             r = rank_check(d1_matrix(frame, g, point))
             assert r.full_rank == (abs(r.det) > 1e-9)
+
+
+_FRAME = standard_frame(PLANE)
+_F = SmoothMap(PLANE, (parse("x"), parse("y*exp(x)")))
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda p: d1_matrix(_FRAME, _F, p),
+        lambda p: d2_matrix(_FRAME, _F, p),
+        lambda p: frame_rank_check(_FRAME, p),
+        lambda p: block_decomposition(_FRAME, _F, monomial_free_map(2), p),
+        lambda p: verify_det_identity(_FRAME, _F, monomial_free_map(2), p),
+        lambda p: compiled_d1(_FRAME, _F).at_point(p),
+    ],
+    ids=["d1_matrix", "d2_matrix", "frame_rank_check", "block_decomposition", "verify_det_identity", "at_point"],
+)
+@pytest.mark.parametrize(
+    "point, error",
+    [((np.inf, 0.0), ValueError), ((np.nan, 0.0), ValueError), ((0.0, 0.0, 0.0), ChartMismatch)],
+    ids=["inf", "nan", "wrong-length"],
+)
+def test_pointwise_entries_refuse_a_bad_point_before_evaluation(entry, point, error, monkeypatch):
+    def evaluated(self, points):
+        raise AssertionError("the point reached evaluation")
+
+    monkeypatch.setattr(CompiledJet, "at", evaluated)
+    with pytest.raises(error):
+        entry(point)
 
 
 def test_frame_mixing_leaves_rank_invariant():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hfree.fields import Chart
@@ -17,27 +18,63 @@ def test_splitmix_reference_vector():
     assert rng.next_u64() == 0x06C45D188009454F
 
 
+def _hex(points):
+    """Exact bit patterns of the rows, so that -0.0 differs from 0.0."""
+    return [[float(v).hex() for v in row] for row in np.asarray(points, dtype=float).tolist()]
+
+
 def test_grid_endpoints_non_periodic():
-    assert grid_points(UNIT, [3]) == [(0.0,), (0.5,), (1.0,)]
+    assert _hex(grid_points(UNIT, [3])) == _hex([(0.0,), (0.5,), (1.0,)])
 
 
 def test_grid_periodic_drops_right_endpoint():
-    pts = [p[0] for p in grid_points(CIRCLE, [4])]
+    pts = grid_points(CIRCLE, [4])[:, 0]
     assert pts == pytest.approx([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])
 
 
 def test_grid_tensor_product_order():
     square = Chart(coords=("x", "y"), box=((0.0, 1.0), (0.0, 1.0)))
     pts = grid_points(square, [2, 2])
-    assert pts == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    assert _hex(pts) == _hex([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+
+
+def _scalar_lattice(chart, counts):
+    """The lattice one Python float at a time, the last axis fastest."""
+    axes = []
+    for (lo, hi), per, n in zip(chart.box, chart.periodic, counts):
+        if per:
+            axes.append([lo + i * (hi - lo) / n for i in range(n)])
+        elif n == 1:
+            axes.append([lo])
+        else:
+            axes.append([lo + i * (hi - lo) / (n - 1) for i in range(n)])
+    out = [()]
+    for axis in axes:
+        out = [pt + (v,) for pt in out for v in axis]
+    return out
+
+
+@pytest.mark.parametrize(
+    "chart, counts",
+    [
+        (UNIT, [1]),
+        (UNIT, [7]),
+        (CIRCLE, [1]),
+        (CIRCLE, [13]),
+        (Chart(coords=("x", "y", "z"), box=((-2.0, 2.0), (0.1, 0.3), (-1e-3, 7.5))), [5, 1, 11]),
+        (Chart(coords=("a", "b"), box=((-0.0, 3.0), (1e6, 1e6 + 1))), [1, 9]),
+        (Chart(coords=("p", "phi"), box=((-1.0, 1.0), (0.0, 2 * math.pi)), periodic=(False, True)), [6, 10]),
+    ],
+)
+def test_grid_matches_the_scalar_lattice(chart, counts):
+    got = grid_points(chart, counts)
+    assert got.shape == (math.prod(counts), chart.dim)
+    assert _hex(got) == _hex(_scalar_lattice(chart, counts))
 
 
 def test_random_golden_values():
     # frozen from the first implementation run; guards cross-platform drift
-    assert random_points(UNIT, 2, 42) == [
-        (0.7415648787718233,),
-        (0.1599103928769201,),
-    ]
+    assert _hex(random_points(UNIT, 2, 42)) == _hex([(0.7415648787718233,), (0.1599103928769201,)])
 
 
 def _scalar_points(chart, samples, seed):
@@ -61,20 +98,20 @@ def _scalar_points(chart, samples, seed):
 def test_vectorised_draws_match_the_scalar_generator(chart, seed):
     # more points than one block of the vectorised generator
     got = random_points(chart, 2 * _BLOCK + 7, seed)
-    want = _scalar_points(chart, 2 * _BLOCK + 7, seed)
-    assert [[v.hex() for v in p] for p in got] == [[v.hex() for v in p] for p in want]
+    assert got.shape == (2 * _BLOCK + 7, chart.dim)
+    assert _hex(got) == _hex(_scalar_points(chart, 2 * _BLOCK + 7, seed))
 
 
 def test_random_reproducible_and_in_box():
     square = Chart(coords=("x", "y"), box=((-2.0, 2.0), (0.0, 1.0)))
     a = random_points(square, 500, 7)
     b = random_points(square, 500, 7)
-    assert a == b
-    assert all(-2 <= x <= 2 and 0 <= y <= 1 for x, y in a)
+    assert _hex(a) == _hex(b)
+    assert all(-2 <= x <= 2 and 0 <= y <= 1 for x, y in a.tolist())
 
 
 def test_seed_changes_sequence():
-    assert random_points(UNIT, 10, 1) != random_points(UNIT, 10, 2)
+    assert _hex(random_points(UNIT, 10, 1)) != _hex(random_points(UNIT, 10, 2))
 
 
 def test_zero_samples_rejected():
