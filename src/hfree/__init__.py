@@ -22,31 +22,23 @@ from .fields import (
     VectorField,
     anticommutator,
     flat_norm_sq,
-    frame_rank_check,
     lie_derivative,
 )
 from .jets import (
     BelowCriticalDimension,
-    JetMatrix,
-    RankReport,
     d1_exprs,
     d1_matrix,
     d2_exprs,
     d2_matrix,
-    is_free_at,
-    is_immersion_at,
-    rank_check,
     s,
+    stack_ranks,
 )
 from .constructions import (
-    BlockDecomposition,
-    IdentityResidual,
-    block_decomposition,
+    DetIdentity,
     compose,
     monomial_free_map,
     standard_frame,
     sym_square,
-    verify_det_identity,
 )
 from .brackets import (
     RPStructure,
@@ -60,7 +52,15 @@ from .brackets import (
     rp_hamiltonian_field,
 )
 from .gallery import Fixture, fixture, list_fixtures
-from .checks import Report, run_check, run_fixture
+from .checks import (
+    Report,
+    check_points,
+    frame_rank_check,
+    is_free_at,
+    is_immersion_at,
+    run_check,
+    run_fixture,
+)
 from .manifest import Manifest, ManifestError, load_manifest, parse_manifest_text
 from .sampling import SplitMix64, sample_points
 

@@ -9,7 +9,9 @@ on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; jets are cached per (frame, map) in
 `jets`), so a chunk costs one run of each tape, then one batched SVD or
 determinant call; `expr.evaluate`, the reference interpreter, takes the points
-where a call faults. `build_plan` builds a manifest's check.
+where a call faults. `build_plan` builds a manifest's check; `check_points`
+makes the immersion, free or identity check over given points, and the
+pointwise predicates are reads of it at one point.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brackets import jacobiator
-from .constructions import DetIdentity
-from .expr import Add, Mul, Sub, compile_batch, simplify
+from .constructions import DetIdentity, monomial_free_map
+from .expr import Add, Coord, Mul, Sub, compile_batch, simplify
 from .fields import Frame, SmoothMap, lie_derivative
-from .jets import compiled_d1, compiled_d2, s, valid_mask
+from .jets import DEFAULT_TOL, BelowCriticalDimension, compiled_d1, compiled_d2, s, valid_mask
 from .manifest import Manifest, build_plan
 from .sampling import sample_points
 
@@ -159,13 +161,6 @@ def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
     return judge
 
 
-def check_rank_mode(frame: Frame, smap: SmoothMap, points, tol: float, mode: str) -> Report:
-    """Immersion or free full-rank check over points (see Chart.point_array)."""
-    started = time.perf_counter()
-    judge = _rank_judge(frame, smap, tol, mode)
-    return _run(mode, frame.chart.point_array(points), judge, True, started)
-
-
 def _identity_judge(identity: DetIdentity, tol: float):
     """Judge of identity mode (see constructions.DetIdentity)."""
 
@@ -180,6 +175,57 @@ def _identity_judge(identity: DetIdentity, tol: float):
         return rel, valid_mask(len(chunk), failures), reasons
 
     return judge
+
+
+def _mode_judge(mode: str, frame: Frame, smap: SmoothMap, tol: float, outer: SmoothMap | None):
+    """Judge of immersion, free or identity mode; None below the critical
+    dimension. Identity mode's outer map defaults to monomial_free_map(k)."""
+    if mode == "identity":
+        return _identity_judge(DetIdentity(frame, smap, outer or monomial_free_map(frame.k)), tol)
+    if mode in ("immersion", "free"):
+        return _rank_judge(frame, smap, tol, mode)
+    raise ValueError(f"mode must be immersion, free or identity, got {mode!r}")
+
+
+def _check(points: np.ndarray, frame: Frame, smap: SmoothMap, mode: str, tol: float, outer=None) -> Report:
+    """check_points over points already validated."""
+    started = time.perf_counter()
+    judge = _mode_judge(mode, frame, smap, tol, outer)
+    return _run(mode, points, judge, mode != "identity", started)
+
+
+def check_points(
+    frame: Frame, smap: SmoothMap, points, mode: str, tol: float = DEFAULT_TOL, outer: SmoothMap | None = None
+) -> Report:
+    """Immersion, free or identity check of the map over points (see
+    Chart.point_array), as run_check makes it over a manifest's samples."""
+    return _check(frame.chart.point_array(points), frame, smap, mode, tol, outer)
+
+
+def _passes_at(frame: Frame, smap: SmoothMap, point, mode: str, tol: float) -> bool:
+    """Whether the check of a rank mode passes at one point of the chart's
+    box; a point where evaluation faults fails."""
+    report = _check(frame.chart.check_point(point), frame, smap, mode, tol)
+    if report.verdict == "below-critical-dimension":
+        raise BelowCriticalDimension(f"target dimension {smap.q} below the critical dimension of {mode} mode")
+    return report.verdict == "pass"
+
+
+def is_immersion_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
+    """Full-rank verdict of the order-1 jet matrix at the point."""
+    return _passes_at(frame, f, point, "immersion", tol)
+
+
+def is_free_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
+    """Full-rank verdict of the order-2 jet matrix at the point."""
+    return _passes_at(frame, f, point, "free", tol)
+
+
+def frame_rank_check(frame: Frame, point, tol: float = DEFAULT_TOL) -> bool:
+    """True iff the frame's component matrix has full rank at the point. It
+    is the order-1 jet of the coordinate map, since L_xi x^i = xi^i."""
+    coords = SmoothMap(frame.chart, tuple(Coord(c) for c in frame.chart.coords))
+    return is_immersion_at(frame, coords, point, tol)
 
 
 def bracket_law_residuals(bracket, tests):
@@ -229,10 +275,8 @@ def run_check(m: Manifest) -> Report:
     plan = build_plan(m)
     if m.mode == "bracket-laws":
         judge = _bracket_judge(plan.bracket, m.chart, plan.smap.components, m.tolerance)
-    elif m.mode == "identity":
-        judge = _identity_judge(DetIdentity(plan.frame, plan.smap, plan.outer), m.tolerance)
     else:
-        judge = _rank_judge(plan.frame, plan.smap, m.tolerance, m.mode)
+        judge = _mode_judge(m.mode, plan.frame, plan.smap, m.tolerance, plan.outer)
     return _run(m.mode, plan.points, judge, m.mode in ("immersion", "free"), started)
 
 

@@ -3,8 +3,6 @@ the symmetric-square representation and the determinant-identity check."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, simplify, substitute
@@ -70,35 +68,6 @@ def sym_square(a: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    d1: np.ndarray
-    c: np.ndarray
-    d: np.ndarray
-    d2_outer: np.ndarray
-    d2_composite: np.ndarray
-
-    def block_matrix(self) -> np.ndarray:
-        k = self.d1.shape[0]
-        sk = self.d.shape[0]
-        top = np.hstack([self.d1, np.zeros((k, sk))])
-        bottom = np.hstack([self.c, self.d])
-        return np.vstack([top, bottom])
-
-    def block_residual(self) -> float:
-        """Relative entrywise residual of d2_composite vs block * d2_outer."""
-        prod = self.block_matrix() @ self.d2_outer
-        scale = max(1.0, float(np.abs(self.d2_composite).max()), float(np.abs(prod).max()))
-        return float(np.abs(self.d2_composite - prod).max()) / scale
-
-
-@dataclass(frozen=True)
-class IdentityResidual:
-    lhs: float
-    rhs: float
-    rel_residual: float
-
-
 class DetIdentity:
     """The chain-rule factorization of the order-2 jet of outer(f), compiled
     once and evaluated over (n, dim) arrays of points. Requires critical
@@ -160,33 +129,3 @@ class DetIdentity:
             rel = np.abs(lhs - rhs) / scale
         return lhs, rhs, rel, failures
 
-
-def block_decomposition(
-    frame: Frame, f: SmoothMap, outer: SmoothMap, point
-) -> BlockDecomposition:
-    """Evaluate, at one point, every matrix in the chain-rule factorization of
-    the order-2 jet of outer(f) (see DetIdentity)."""
-    points = frame.chart.point_array([point])
-    d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, outer).blocks(points)
-    if failures:
-        raise failures[0]
-    d1 = d2_inner[0, : frame.k]
-    return BlockDecomposition(
-        d1=d1,
-        c=d2_inner[0, frame.k :],
-        d=sym_square(d1),
-        d2_outer=d2_outer[0],
-        d2_composite=d2_composite[0],
-    )
-
-
-def verify_det_identity(
-    frame: Frame, f: SmoothMap, outer: SmoothMap, point, tol: float = 1e-9
-) -> IdentityResidual:
-    """Check det(order-2 jet of outer(f)) against det(order-1 jet of f)^(k+2)
-    times det(order-2 jet of outer) at one point."""
-    points = frame.chart.point_array([point])
-    lhs, rhs, rel, failures = DetIdentity(frame, f, outer).residuals(points)
-    if failures:
-        raise failures[0]
-    return IdentityResidual(lhs=float(lhs[0]), rhs=float(rhs[0]), rel_residual=float(rel[0]))

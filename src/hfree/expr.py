@@ -543,6 +543,11 @@ def _tokens(src: str) -> list:
         tokens.append((kind, start, i))
 
 
+# The largest exponent magnitude: Pow._d's Const(float(n)) is exact up to 2^53.
+_MAX_EXPONENT = 2**53
+_EXPONENT_BOUND = "an exponent of magnitude at most 2^53"
+
+
 class _Parser:
     """Recursive descent over the tokens; an error names the offset of the
     first character it could not use."""
@@ -611,14 +616,18 @@ class _Parser:
         base = self.atom()
         if self.peek() != "^":
             return base
-        # exponents are integer literals; chains like x^2^3 fold right to left
+        # exponents are integer literals; chains like x^2^3 fold right to left,
+        # each power bounded before it is computed
         exps = []
         while self.accept("^"):
-            exps.append(self.integer())
-        n = exps[-1]
-        for e in reversed(exps[:-1]):
+            exps.append((self.tokens[self.i][1], self.integer()))
+        n = exps[-1][1]
+        for at, e in reversed(exps[:-1]):
             if n < 0:
                 self.error("non-negative exponent in exponent chain")
+            # |e| >= 2 with n > 53 is beyond the bound, and e**n is not computed
+            if abs(e) > 1 and n > 53 or abs(e**n) > _MAX_EXPONENT:
+                self.error(_EXPONENT_BOUND, at)
             n = e**n
         return Pow(base, n)
 
@@ -626,7 +635,7 @@ class _Parser:
         """An optionally signed run of digits, the sign and the digits
         adjacent, and no decimal point."""
         kind, start, _ = self.tokens[self.i]
-        sign = ""
+        first, sign = start, ""
         if kind in ("+", "-"):
             sign = kind
             self.i += 1
@@ -640,6 +649,9 @@ class _Parser:
             self.error("integer exponent", start)
         if whole != digits:
             raise ParseError(start + len(whole), "integer exponent", ".")
+        # 2^53 has 16 digits; int() refuses a literal of over 4300 digits
+        if len(whole.lstrip("0")) > 16 or int(whole) > _MAX_EXPONENT:
+            self.error(_EXPONENT_BOUND, first)
         return int(sign + whole)
 
     def atom(self) -> Expr:

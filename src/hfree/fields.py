@@ -71,10 +71,13 @@ class Chart:
             raise ValueError("point coordinates must be finite")
         return array
 
-    def check_point(self, point):
-        (row,) = self.point_array([point]).tolist()
+    def check_point(self, point) -> np.ndarray:
+        """One finite point of the box as a (1, dim) array (see point_array)."""
+        array = self.point_array([point])
+        (row,) = array.tolist()
         if not all(lo <= v <= hi for v, (lo, hi) in zip(row, self.box)):
             raise OutsideDomain(f"point {tuple(row)} outside box {self.box}")
+        return array
 
 
 @dataclass(frozen=True)
@@ -165,10 +168,3 @@ def flat_norm_sq(xi: VectorField) -> Expr:
         total = Add(total, Pow(comp, 2))
     return simplify(total)
 
-
-def frame_rank_check(frame: Frame, point, tol: float = 1e-9) -> bool:
-    """True iff the frame's component matrix has full numerical rank at the point."""
-    from .jets import compiled_frame, rank_check  # local import: jets depends on fields
-
-    frame.chart.check_point(point)
-    return rank_check(compiled_frame(frame).at_point(point), tol).full_rank

@@ -35,24 +35,6 @@ def pair_labels(k: int) -> list[tuple[int, int]]:
     return [(a, b) for a in range(k) for b in range(a, k)]
 
 
-@dataclass(frozen=True)
-class JetMatrix:
-    """A jet matrix evaluated at a point, rows labeled by frame indices or pairs."""
-
-    labels: tuple
-    entries: np.ndarray
-    order: int
-
-
-@dataclass(frozen=True)
-class RankReport:
-    rank: int
-    sigma_min: float
-    sigma_max: float
-    det: float | None
-    full_rank: bool
-
-
 def d1_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
     """Symbolic k x q matrix of first-order Lie derivatives."""
     if frame.chart != f.chart:
@@ -72,14 +54,23 @@ def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
     return rows
 
 
-def d1_matrix(frame: Frame, f: SmoothMap, point) -> JetMatrix:
-    frame.chart.check_point(point)
-    return compiled_d1(frame, f).at_point(point)
+def d1_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
+    """The k x q order-1 jet matrix at one point of the chart's box; raises
+    the point's EvalError."""
+    return _one(compiled_d1(frame, f), frame.chart.check_point(point))
 
 
-def d2_matrix(frame: Frame, f: SmoothMap, point) -> JetMatrix:
-    frame.chart.check_point(point)
-    return compiled_d2(frame, f).at_point(point)
+def d2_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
+    """The (k + s_k) x q order-2 jet matrix at one point of the chart's box;
+    raises the point's EvalError."""
+    return _one(compiled_d2(frame, f), frame.chart.check_point(point))
+
+
+def _one(jet: CompiledJet, point: np.ndarray) -> np.ndarray:
+    entries, errors = jet.at(point)
+    if errors:
+        raise errors[0]
+    return entries[0]
 
 
 @dataclass(frozen=True)
@@ -99,9 +90,10 @@ class StackRanks:
 
 
 def stack_ranks(entries: np.ndarray, labels, tol: float = DEFAULT_TOL, errors=None) -> StackRanks:
-    """The rank rule of rank_check over an (n, rows, cols) stack, with one
-    batched SVD. `errors` maps points whose evaluation faulted to the
-    EvalError (as CompiledJet.at returns them); it overrides their reason."""
+    """Rank verdicts over an (n, rows, cols) stack, with one batched SVD: a
+    singular value counts when it exceeds tol * max(1, sigma_max). `errors`
+    maps points whose evaluation faulted to the EvalError (as CompiledJet.at
+    returns them); it overrides their reason."""
     n, rows, cols = entries.shape
     bad = ~np.isfinite(entries)
     reasons = {
@@ -147,49 +139,12 @@ def _svd_each(entries: np.ndarray, reasons: dict) -> np.ndarray:
     return sigma
 
 
-def rank_check(m: JetMatrix, tol: float = DEFAULT_TOL) -> RankReport:
-    """Numerical rank verdict for one evaluated jet matrix: stack_ranks on a
-    stack of one, plus the determinant of a square matrix."""
-    r = stack_ranks(m.entries[None], m.labels, tol)
-    if r.reasons:
-        raise ValueError(r.reasons[0])
-    rows, cols = m.entries.shape
-    return RankReport(
-        rank=int(r.rank[0]),
-        sigma_min=float(r.sigma_min[0]),
-        sigma_max=float(r.sigma_max[0]),
-        det=float(np.linalg.det(m.entries)) if rows == cols else None,
-        full_rank=bool(r.full_rank[0]),
-    )
-
-
-def is_immersion_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
-    """Full-rank verdict of the order-1 jet matrix at the point."""
-    if f.q < frame.k:
-        raise BelowCriticalDimension(
-            f"target dimension {f.q} below critical dimension {frame.k}"
-        )
-    return rank_check(d1_matrix(frame, f, point), tol).full_rank
-
-
-def is_free_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
-    """Full-rank verdict of the order-2 jet matrix at the point."""
-    critical = frame.k + s(frame.k)
-    if f.q < critical:
-        raise BelowCriticalDimension(
-            f"target dimension {f.q} below critical dimension {critical}"
-        )
-    return rank_check(d2_matrix(frame, f, point), tol).full_rank
-
-
 class CompiledJet:
     """Row expressions compiled into one tape of numpy calls (see
     expr.compile_batch), run over a chunk of points at a time."""
 
-    def __init__(self, rows, chart, labels, order):
-        self.chart = chart
+    def __init__(self, rows, chart, labels):
         self.labels = tuple(labels)
-        self.order = order
         self.shape = (len(rows), len(rows[0]))
         self._run = compile_batch([e for row in rows for e in row], chart.coords)
 
@@ -205,13 +160,6 @@ class CompiledJet:
         entries, errors = self.at(points)
         return stack_ranks(entries, self.labels, tol, errors)
 
-    def at_point(self, point) -> JetMatrix:
-        """The jet matrix at one point; raises the point's EvalError."""
-        entries, errors = self.at(self.chart.point_array([point]))
-        if errors:
-            raise errors[0]
-        return JetMatrix(labels=self.labels, entries=entries[0], order=self.order)
-
 
 # Identity mode needs three order-2 jets live (inner, outer, composite), so a
 # cache of 4 serves it. A larger one keeps more compiled jets resident: on
@@ -219,16 +167,11 @@ class CompiledJet:
 # cache, 41.7 MB at 4 and 42.9 MB at 16.
 @lru_cache(maxsize=4)
 def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
-    return CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k), order=1)
+    return CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k))
 
 
 @lru_cache(maxsize=4)
 def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
     labels = list(range(frame.k)) + pair_labels(frame.k)
-    return CompiledJet(d2_exprs(frame, f), frame.chart, labels, order=2)
+    return CompiledJet(d2_exprs(frame, f), frame.chart, labels)
 
-
-@lru_cache(maxsize=4)
-def compiled_frame(frame: Frame) -> CompiledJet:
-    """The frame's k x dim component matrix, one row per vector field."""
-    return CompiledJet([v.components for v in frame.vectors], frame.chart, range(frame.k), order=0)

@@ -1,9 +1,12 @@
 """Shared test utilities: a bounded random expression generator, the
-central-difference oracle used to validate symbolic derivatives, and a
-memo-free reference simplifier and derivative."""
+central-difference oracle used to validate symbolic derivatives, a
+memo-free reference simplifier and derivative, and the block law of the
+chain-rule factorization."""
 
 import math
 import random
+
+import numpy as np
 
 from hfree.expr import (
     Add,
@@ -22,6 +25,7 @@ from hfree.expr import (
     _rewrite,
     evaluate,
 )
+from hfree.constructions import sym_square
 
 COORDS = ("x", "y")
 
@@ -128,3 +132,16 @@ def reference_diff(e, x: str):
     if isinstance(e, Cos):
         return Neg(Mul(Sin(e.arg), reference_diff(e.arg, x)))
     return Mul(Exp(e.arg), reference_diff(e.arg, x))  # Exp
+
+
+def block_residual(d2_inner, d2_outer, d2_composite) -> float:
+    """At one point, with the jets of DetIdentity.blocks: the relative
+    entrywise residual of the order-2 jet of outer(f) against B times the
+    order-2 jet of outer, where B = [[D1, 0], [C, sym_square(D1)]] and the
+    order-2 jet of f is [[D1], [C]]."""
+    k = d2_inner.shape[1]
+    d1, c = d2_inner[:k], d2_inner[k:]
+    block = np.block([[d1, np.zeros((k, len(c)))], [c, sym_square(d1)]])
+    prod = block @ d2_outer
+    scale = max(1.0, float(np.abs(d2_composite).max()), float(np.abs(prod).max()))
+    return float(np.abs(d2_composite - prod).max()) / scale

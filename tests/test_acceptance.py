@@ -19,12 +19,7 @@ import hfree
 from hfree.brackets import SymplecticChart, canonical_bracket, contact_form_values, contact_frame
 from hfree.checks import bracket_law_residuals, run_check
 from hfree.cli import main
-from hfree.constructions import (
-    block_decomposition,
-    monomial_free_map,
-    sym_square,
-    verify_det_identity,
-)
+from hfree.constructions import DetIdentity, monomial_free_map, sym_square
 from hfree.expr import ONE, ZERO, compile_batch, diff, evaluate, parse, simplify, Sub
 from hfree.fields import lie_derivative
 from hfree.gallery import fixture, list_fixtures
@@ -32,7 +27,7 @@ from hfree.jets import compiled_d1, compiled_d2, d1_exprs, s
 from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
-from helpers import bounded_pair, central_difference
+from helpers import block_residual, bounded_pair, central_difference
 
 GEOMETRIC_FIXTURES = [n for n in list_fixtures() if n != "novikov-t3"]
 BRACKET_FIXTURES = [
@@ -126,11 +121,14 @@ def _identity_and_block_residuals():
     worst_identity = 0.0
     worst_block = 0.0
     for _, frame, smap, outer in _identity_instances():
-        for point in sample_points(frame.chart, 100, 17):
-            res = verify_det_identity(frame, smap, outer, point)
-            dec = block_decomposition(frame, smap, outer, point)
-            worst_identity = max(worst_identity, res.rel_residual)
-            worst_block = max(worst_block, dec.block_residual())
+        identity = DetIdentity(frame, smap, outer)
+        points = sample_points(frame.chart, 100, 17)
+        _, _, rel, failures = identity.residuals(points)
+        d2_inner, d2_outer, d2_composite, _ = identity.blocks(points)
+        assert not failures
+        worst_identity = max(worst_identity, float(rel.max()))
+        for blocks in zip(d2_inner, d2_outer, d2_composite):
+            worst_block = max(worst_block, block_residual(*blocks))
     return worst_identity, worst_block
 
 

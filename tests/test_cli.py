@@ -280,6 +280,10 @@ def _structure(text: str, structure: str) -> str:
         ),
         (PLANAR.replace("[[-2, 2], [-2, 2]]", "[[-2, 2], [-inf, 2]]"), "manifold"),
         (PLANAR.replace("[[-2, 2], [-2, 2]]", "[[-1e308, 1e308], [-2, 2]]"), "manifold"),
+        # integer exponents beyond 2^53, a chain of them bounded before it is computed
+        (PLANAR.replace('"y*exp(x)"', '"x^9^9^3"'), "map"),
+        (PLANAR.replace('"y*exp(x)"', '"x^9^9^9"'), "map"),
+        (PLANAR.replace('"y*exp(x)"', '"x^' + "9" * 400 + '"'), "map"),
     ],
 )
 def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):

@@ -1,17 +1,17 @@
 import numpy as np
 import pytest
 
+from helpers import block_residual
+from hfree.checks import check_points, is_free_at, is_immersion_at
 from hfree.expr import Const, Coord, EvalError, evaluate, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from hfree.jets import d2_matrix, is_free_at, rank_check, s
+from hfree.jets import d2_matrix, s
 from hfree.constructions import (
     DetIdentity,
-    block_decomposition,
     compose,
     monomial_free_map,
     standard_frame,
     sym_square,
-    verify_det_identity,
 )
 from hfree.sampling import sample_points
 
@@ -53,8 +53,8 @@ class TestMonomialFreeMap:
     def test_plane_jet_at_origin(self):
         f = monomial_free_map(2)
         frame = standard_frame(f.chart)
-        r = rank_check(d2_matrix(frame, f, (0.0, 0.0)))
-        assert r.det == pytest.approx(32.0)  # 1*1*4*2*4
+        det = np.linalg.det(d2_matrix(frame, f, (0.0, 0.0)))
+        assert det == pytest.approx(32.0)  # 1*1*4*2*4
 
     def test_free_on_standard_frame(self):
         for m in (1, 2, 3):
@@ -136,15 +136,18 @@ class TestSymSquare:
             assert np.abs(lhs - rhs).max() / scale < 1e-10
 
 
-class TestBlockDecomposition:
+class TestBlocks:
     def test_planar_k1(self):
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
         frame = Frame(PLANE, (xi,))
         f = SmoothMap(PLANE, (parse("y*exp(x)"),))
-        dec = block_decomposition(frame, f, monomial_free_map(1), (0.0, 0.0))
-        assert dec.d1 == pytest.approx(np.array([[1.0]]))
-        assert dec.d == pytest.approx(np.array([[1.0]]))
-        assert dec.block_residual() < 1e-12
+        d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, monomial_free_map(1)).blocks(
+            np.zeros((1, 2))
+        )
+        assert not failures
+        assert d2_inner[0, :1] == pytest.approx(np.array([[1.0]]))
+        assert sym_square(d2_inner[0, :1]) == pytest.approx(np.array([[1.0]]))
+        assert block_residual(d2_inner[0], d2_outer[0], d2_composite[0]) < 1e-12
 
     def test_identity_inner_map(self):
         for k in (1, 2, 3):
@@ -153,17 +156,20 @@ class TestBlockDecomposition:
             inner = SmoothMap(
                 outer.chart, tuple(Coord(c) for c in outer.chart.coords)
             )
-            dec = block_decomposition(frame, inner, outer, (0.3,) * k)
-            assert dec.c == pytest.approx(np.zeros((s(k), k)))
-            assert dec.d == pytest.approx(np.eye(s(k)))
+            d2_inner, _, _, failures = DetIdentity(frame, inner, outer).blocks(np.full((1, k), 0.3))
+            assert not failures
+            assert d2_inner[0, k:] == pytest.approx(np.zeros((s(k), k)))
+            assert sym_square(d2_inner[0, :k]) == pytest.approx(np.eye(s(k)))
 
     def test_random_quadratic_k2(self):
         rng = np.random.default_rng(7)
         frame, f = random_quadratic_map(2, rng)
         outer = monomial_free_map(2)
-        for point in sample_points(frame.chart, samples=25, seed=11):
-            dec = block_decomposition(frame, f, outer, point)
-            assert dec.block_residual() < 1e-9
+        points = sample_points(frame.chart, samples=25, seed=11)
+        d2_inner, d2_outer, d2_composite, failures = DetIdentity(frame, f, outer).blocks(points)
+        assert not failures
+        for blocks in zip(d2_inner, d2_outer, d2_composite):
+            assert block_residual(*blocks) < 1e-9
 
 
 class TestDetIdentity:
@@ -171,27 +177,31 @@ class TestDetIdentity:
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
         frame = Frame(PLANE, (xi,))
         f = SmoothMap(PLANE, (parse("y*exp(x)"),))
-        res = verify_det_identity(frame, f, monomial_free_map(1), (0.0, 0.0))
-        assert res.lhs == pytest.approx(4.0)
-        assert res.rhs == pytest.approx(4.0)
-        assert res.rel_residual < 1e-12
+        lhs, rhs, rel, failures = DetIdentity(frame, f, monomial_free_map(1)).residuals(np.zeros((1, 2)))
+        assert not failures
+        assert lhs[0] == pytest.approx(4.0)
+        assert rhs[0] == pytest.approx(4.0)
+        assert rel[0] < 1e-12
 
     def test_degenerate_inner_map(self):
         frame = standard_frame(PLANE)
         frame = Frame(PLANE, (frame.vectors[0],))  # k = 1, d/dx
         f = SmoothMap(PLANE, (parse("y"),))  # constant along the frame
-        res = verify_det_identity(frame, f, monomial_free_map(1), (0.5, 0.5))
-        assert res.lhs == pytest.approx(0.0, abs=1e-12)
-        assert res.rhs == pytest.approx(0.0, abs=1e-12)
+        lhs, rhs, _, failures = DetIdentity(frame, f, monomial_free_map(1)).residuals(np.full((1, 2), 0.5))
+        assert not failures
+        assert lhs[0] == pytest.approx(0.0, abs=1e-12)
+        assert rhs[0] == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_random_quadratic(self, k):
         rng = np.random.default_rng(40 + k)
         frame, f = random_quadratic_map(k, rng)
         outer = monomial_free_map(k)
-        for point in sample_points(frame.chart, samples=100, seed=13):
-            res = verify_det_identity(frame, f, outer, point)
-            assert res.rel_residual <= 1e-9
+        _, _, rel, failures = DetIdentity(frame, f, outer).residuals(
+            sample_points(frame.chart, samples=100, seed=13)
+        )
+        assert not failures
+        assert (rel <= 1e-9).all()
 
     def test_scaling_stability(self):
         # scaling the inner map rescales both sides consistently
@@ -199,9 +209,11 @@ class TestDetIdentity:
         frame = Frame(PLANE, (xi,))
         for c in (0.5, 2.0, -3.0):
             f = SmoothMap(PLANE, (simplify(c * parse("y*exp(x)")),))
-            for point in sample_points(PLANE, samples=20, seed=17):
-                res = verify_det_identity(frame, f, monomial_free_map(1), point)
-                assert res.rel_residual <= 1e-9
+            _, _, rel, failures = DetIdentity(frame, f, monomial_free_map(1)).residuals(
+                sample_points(PLANE, samples=20, seed=17)
+            )
+            assert not failures
+            assert (rel <= 1e-9).all()
 
     def test_image_that_overflows_is_a_failure_of_the_outer_block(self):
         # a product of huge finite factors overflows to inf without a fault;
@@ -215,13 +227,12 @@ class TestDetIdentity:
             0: (EvalError, "outer jet block: image point not finite"),
             2: (EvalError, "outer jet block: image point not finite"),
         }
-        with pytest.raises(EvalError, match="image point not finite"):
-            verify_det_identity(frame, f, monomial_free_map(1), (0.5, 0.0))
+        report = check_points(frame, f, [(0.5, 0.0)], "identity")
+        assert report.failures == [{"point": [0.5, 0.0], "reason": "outer jet block: image point not finite"}]
 
 
 def test_composition_theorem_as_predicate():
     from hfree.gallery import fixture, list_fixtures
-    from hfree.jets import is_immersion_at
 
     for name in list_fixtures():
         fix = fixture(name)

@@ -76,6 +76,14 @@ class TestParse:
             ("1..2", 2, "end of input", "."),
             (".5.3", 2, "end of input", "."),
             ("x^2^-1 ", 7, "non-negative exponent in exponent chain", "end of input"),
+            # exponents beyond 2^53, chains bounded before they are computed
+            ("x^9^9^9", 2, "an exponent of magnitude at most 2^53", "9"),
+            ("x^9^9^3", 2, "an exponent of magnitude at most 2^53", "9"),
+            ("x^2^54", 2, "an exponent of magnitude at most 2^53", "2"),
+            ("x^1^9007199254740993", 4, "an exponent of magnitude at most 2^53", "9"),
+            ("x^" + "9" * 400, 2, "an exponent of magnitude at most 2^53", "9"),
+            ("x^-" + "9" * 400, 2, "an exponent of magnitude at most 2^53", "-"),
+            ("x^" + "9" * 5000, 2, "an exponent of magnitude at most 2^53", "9"),
             ("tan (x)", 4, "one of sin, cos, exp", "tan"),
             (".", 1, "a number", "end of input"),
             ("2*.", 3, "a number", "end of input"),
@@ -95,6 +103,13 @@ class TestParse:
         with pytest.raises(ParseError) as info:
             parse(src)
         assert (info.value.position, info.value.expected, info.value.found) == (position, expected, found)
+
+    def test_exponent_at_the_bound_differentiates_exactly(self):
+        for src, n in [("x^2^53", 2**53), ("x^9007199254740992", 2**53), ("x^-9007199254740992", -(2**53))]:
+            e = parse(src)
+            assert e.exponent == n
+            assert diff(e, "x") == Mul(Const(float(n)), Pow(Coord("x"), n - 1))
+            assert int(float(n)) == n
 
     def test_decimal_digits_of_any_script_are_numbers(self):
         # str.isdecimal: Arabic-Indic three is a digit; superscript two is not

@@ -2,19 +2,22 @@ import random
 
 import pytest
 
-from hfree.expr import Const, evaluate, parse, simplify
+from hfree import gallery
+from hfree.checks import frame_rank_check
+from hfree.expr import Const, Coord, evaluate, parse, simplify
 from hfree.fields import (
     Chart,
     ChartMismatch,
     Frame,
     OutsideDomain,
+    SmoothMap,
     VectorField,
     anticommutator,
     flat_norm_sq,
-    frame_rank_check,
     lie_derivative,
 )
 from hfree.brackets import contact_frame
+from hfree.jets import d1_exprs
 
 PLANE = Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
 
@@ -135,3 +138,31 @@ class TestFrameRankCheck:
         frame = Frame(PLANE, (vf("1", "0"),))
         with pytest.raises(OutsideDomain):
             frame_rank_check(frame, (5.0, 0.0))
+
+    def test_bad_point_fails_with_its_fault(self):
+        frame = Frame(PLANE, (vf("1/x", "0"),))
+        assert frame_rank_check(frame, (1.0, 0.0))
+        assert not frame_rank_check(frame, (0.0, 0.0))
+
+
+_FRAMES = {
+    name: gallery.fixture(name).frame
+    for name in gallery.list_fixtures()
+    if gallery.fixture(name).frame is not None
+}
+_FRAMES.update((f"contact_frame({n})", contact_frame(n)) for n in (1, 2, 3))
+
+
+@pytest.mark.parametrize("name", list(_FRAMES))
+def test_d1_of_the_coordinate_map_is_the_frame(name):
+    """frame_rank_check ranks the order-1 jet of the coordinate map, since
+    L_xi x^i = xi^i: each entry is the frame's component node, or a constant
+    of the same value (0.0 where the frame has -0.0)."""
+    frame = _FRAMES[name]
+    coords = SmoothMap(frame.chart, tuple(Coord(c) for c in frame.chart.coords))
+    rows = d1_exprs(frame, coords)
+    assert len(rows) == frame.k
+    for row, v in zip(rows, frame.vectors):
+        assert len(row) == len(v.components)
+        for got, want in zip(row, v.components):
+            assert got is want or (type(got) is type(want) is Const and got.value == want.value)

@@ -3,7 +3,7 @@ import pytest
 from hfree.expr import evaluate, parse
 from hfree.fields import lie_derivative
 from hfree.gallery import fixture, list_fixtures
-from hfree.jets import is_free_at, is_immersion_at
+from hfree.checks import is_free_at, is_immersion_at
 from hfree.checks import run_fixture
 from hfree.sampling import sample_points
 

@@ -6,7 +6,7 @@ import pytest
 
 from hfree import expr as expr_module, gallery
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
-from hfree.checks import check_rank_mode
+from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at
 from hfree.fields import (
     Chart,
     ChartMismatch,
@@ -15,25 +15,19 @@ from hfree.fields import (
     SmoothMap,
     VectorField,
     anticommutator,
-    frame_rank_check,
 )
 from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
-    JetMatrix,
-    compiled_d1,
     d1_matrix,
     d2_exprs,
     d2_matrix,
-    is_free_at,
-    is_immersion_at,
     pair_labels,
-    rank_check,
     s,
     stack_ranks,
 )
-from hfree.constructions import block_decomposition, monomial_free_map, standard_frame, verify_det_identity
+from hfree.constructions import compose, monomial_free_map, standard_frame
 from hfree.brackets import contact_frame
 from hfree.sampling import sample_points
 
@@ -57,19 +51,19 @@ class TestD1:
         frame = Frame(PLANE, (xi,))
         f = SmoothMap(PLANE, (parse("y*exp(x)"),))
         m = d1_matrix(frame, f, (0.0, 0.0))
-        assert m.entries == pytest.approx(np.array([[1.0]]))
+        assert m == pytest.approx(np.array([[1.0]]))
 
     def test_contact_projection_is_identity(self):
         frame = contact_frame(1)
         pi = SmoothMap(frame.chart, (parse("x1"), parse("p1")))
         for point in sample_points(frame.chart, samples=10, seed=5):
             m = d1_matrix(frame, pi, point)
-            assert m.entries == pytest.approx(np.eye(2))
+            assert m == pytest.approx(np.eye(2))
 
     def test_constant_map(self):
         frame = standard_frame(LINE)
         f = SmoothMap(LINE, (parse("3"),))
-        assert d1_matrix(frame, f, (0.5,)).entries == pytest.approx(np.array([[0.0]]))
+        assert d1_matrix(frame, f, (0.5,)) == pytest.approx(np.array([[0.0]]))
 
 
 class TestD2:
@@ -78,7 +72,7 @@ class TestD2:
         f = SmoothMap(LINE, (parse("x"), parse("x^2")))
         m = d2_matrix(frame, f, (3.0,))
         # first row (1, 2x), anticommutator row (0, 2*2)
-        assert m.entries == pytest.approx(np.array([[1.0, 6.0], [0.0, 4.0]]))
+        assert m == pytest.approx(np.array([[1.0, 6.0], [0.0, 4.0]]))
 
     def test_monomials_on_plane_at_origin(self):
         # oracle: brute-force second partials of (x, y, x^2, xy, y^2)
@@ -98,14 +92,14 @@ class TestD2:
             ],
             dtype=float,
         )
-        assert m.entries == pytest.approx(expected)
+        assert m == pytest.approx(expected)
 
     def test_constant_map_all_zero(self):
         frame = standard_frame(PLANE)
         f = SmoothMap(PLANE, (parse("7"), parse("1"), parse("2"),
                               parse("3"), parse("4")))
         m = d2_matrix(frame, f, (0.3, -0.4))
-        assert not m.entries.any()
+        assert not m.any()
 
     def test_row_count_law(self):
         for n in (1, 2):
@@ -115,7 +109,7 @@ class TestD2:
                 frame.chart, tuple(parse(c) for c in frame.chart.coords[:-1])
             )
             m = d2_matrix(frame, pi, (0.0,) * frame.chart.dim)
-            assert m.entries.shape[0] == k + s(k)
+            assert m.shape[0] == k + s(k)
 
 
 @pytest.mark.parametrize(
@@ -193,33 +187,35 @@ def test_dropped_jet_trees_leave_the_intern_table(name):
     assert len(expr_module._table) == size
 
 
+def _ranks(m):
+    """stack_ranks of one matrix, rows labeled by their index."""
+    return stack_ranks(m[None], tuple(range(len(m))))
+
+
 class TestRankCheck:
     def test_identity(self):
-        m = JetMatrix(labels=(0, 1), entries=np.eye(2), order=1)
-        r = rank_check(m)
-        assert r.rank == 2 and r.full_rank and r.det == pytest.approx(1.0)
+        r = _ranks(np.eye(2))
+        assert r.rank[0] == 2 and r.full_rank[0] and r.valid[0]
+        assert np.linalg.det(np.eye(2)) == pytest.approx(1.0)
 
     def test_rank_deficient(self):
-        m = JetMatrix(labels=(0, 1), entries=np.array([[1.0, 2.0], [2.0, 4.0]]), order=1)
-        r = rank_check(m)
-        assert r.rank == 1 and not r.full_rank
-        assert r.det == pytest.approx(0.0, abs=1e-12)
+        m = np.array([[1.0, 2.0], [2.0, 4.0]])
+        r = _ranks(m)
+        assert r.rank[0] == 1 and not r.full_rank[0]
+        assert np.linalg.det(m) == pytest.approx(0.0, abs=1e-12)
 
     def test_line_monomial_determinant(self):
         frame = standard_frame(LINE)
         f = SmoothMap(LINE, (parse("x"), parse("x^2")))
-        r = rank_check(d2_matrix(frame, f, (1.9,)))
-        assert r.det == pytest.approx(4.0)
-        assert r.full_rank
+        m = d2_matrix(frame, f, (1.9,))
+        assert np.linalg.det(m) == pytest.approx(4.0)
+        assert _ranks(m).full_rank[0]
 
     def test_nonfinite_entry_names_row(self):
-        m = JetMatrix(
-            labels=(0, (0, 0)),
-            entries=np.array([[1.0, 0.0], [np.inf, 1.0]]),
-            order=2,
-        )
-        with pytest.raises(ValueError, match=r"\(0, 0\)"):
-            rank_check(m)
+        entries = np.array([[[1.0, 0.0], [np.inf, 1.0]]])
+        r = stack_ranks(entries, (0, (0, 0)))
+        assert r.reasons == {0: "non-finite entry in row (0, 0)"}
+        assert not r.valid[0]
 
 
 def test_stack_ranks_matches_a_matrix_by_matrix_svd():
@@ -276,7 +272,7 @@ class TestPredicates:
         frame = standard_frame(LINE)
         f = SmoothMap(LINE, (parse("x"), parse("x^2")))
         for matrix in (d1_matrix, d2_matrix):
-            assert matrix(frame, f, (4.0,)).entries.shape[1] == 2
+            assert matrix(frame, f, (4.0,)).shape[1] == 2
             with pytest.raises(OutsideDomain):
                 matrix(frame, f, (4.5,))
             with pytest.raises(OutsideDomain):
@@ -287,25 +283,44 @@ class TestPredicates:
         frame = standard_frame(LINE)
         f = SmoothMap(LINE, (parse("x^2"), parse("x^3")))
         points = np.concatenate([sample_points(LINE, grid=[9]), sample_points(LINE, samples=20, seed=5)])
-        report = check_rank_mode(frame, f, points, DEFAULT_TOL, "free")
+        report = check_points(frame, f, points, "free")
         failed = {tuple(failure["point"]) for failure in report.failures}
         assert failed == {(0.0,)}
         for point in points.tolist():
             assert is_free_at(frame, f, point) == (tuple(point) not in failed)
-        worst = rank_check(d2_matrix(frame, f, report.worst_point))
-        assert worst.sigma_min == report.worst_criterion
+        worst = _ranks(d2_matrix(frame, f, report.worst_point))
+        assert worst.sigma_min[0] == report.worst_criterion
+
+        # identity mode: the worst point checked alone gives the same residual
+        xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
+        planar = Frame(PLANE, (xi,))
+        g = SmoothMap(PLANE, (parse("y*exp(x) + x^3/7"),))
+        report = check_points(planar, g, sample_points(PLANE, samples=500, seed=6), "identity")
+        assert report.verdict == "pass" and report.worst_criterion > 0.0
+        alone = check_points(planar, g, [report.worst_point], "identity")
+        assert alone.worst_criterion == report.worst_criterion
+
+        # a point where evaluation faults fails, with the batch check's reason
+        h = SmoothMap(LINE, (parse("1/x"),))
+        report = check_points(frame, h, points, "immersion")
+        (failure,) = report.failures
+        assert failure["point"] == [0.0]
+        assert not is_immersion_at(frame, h, (0.0,))
+        assert check_points(frame, h, [(0.0,)], "immersion").failures == [failure]
+        assert "division by zero" in failure["reason"]
 
     def test_square_d1_det_and_sigma_verdicts_agree(self):
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
         frame = Frame(PLANE, (xi,))
         g = SmoothMap(PLANE, (parse("y*exp(x)"),))
         for point in sample_points(PLANE, samples=100, seed=9):
-            r = rank_check(d1_matrix(frame, g, point))
-            assert r.full_rank == (abs(r.det) > 1e-9)
+            m = d1_matrix(frame, g, point)
+            assert _ranks(m).full_rank[0] == (abs(np.linalg.det(m)) > 1e-9)
 
 
 _FRAME = standard_frame(PLANE)
 _F = SmoothMap(PLANE, (parse("x"), parse("y*exp(x)")))
+_FREE = compose(monomial_free_map(2), _F)
 
 
 @pytest.mark.parametrize(
@@ -314,11 +329,10 @@ _F = SmoothMap(PLANE, (parse("x"), parse("y*exp(x)")))
         lambda p: d1_matrix(_FRAME, _F, p),
         lambda p: d2_matrix(_FRAME, _F, p),
         lambda p: frame_rank_check(_FRAME, p),
-        lambda p: block_decomposition(_FRAME, _F, monomial_free_map(2), p),
-        lambda p: verify_det_identity(_FRAME, _F, monomial_free_map(2), p),
-        lambda p: compiled_d1(_FRAME, _F).at_point(p),
+        lambda p: is_free_at(_FRAME, _FREE, p),
+        lambda p: check_points(_FRAME, _F, [p], "identity"),
     ],
-    ids=["d1_matrix", "d2_matrix", "frame_rank_check", "block_decomposition", "verify_det_identity", "at_point"],
+    ids=["d1_matrix", "d2_matrix", "frame_rank_check", "is_free_at", "check_points"],
 )
 @pytest.mark.parametrize(
     "point, error",
@@ -355,14 +369,9 @@ def test_frame_mixing_leaves_rank_invariant():
         mixed_vectors.append(VectorField(frame.chart, tuple(comps)))
     mixed = Frame(frame.chart, tuple(mixed_vectors))
     for point in sample_points(frame.chart, samples=50, seed=4):
-        r0 = rank_check(d1_matrix(frame, pi, point))
-        r1 = rank_check(d1_matrix(mixed, pi, point))
-        assert r0.rank == r1.rank
+        assert _ranks(d1_matrix(frame, pi, point)).rank == _ranks(d1_matrix(mixed, pi, point)).rank
         fm = SmoothMap(
             frame.chart,
             tuple(parse(src) for src in ("x1", "p1", "x1^2", "x1*p1", "p1^2")),
         )
-        assert (
-            rank_check(d2_matrix(frame, fm, point)).rank
-            == rank_check(d2_matrix(mixed, fm, point)).rank
-        )
+        assert _ranks(d2_matrix(frame, fm, point)).rank == _ranks(d2_matrix(mixed, fm, point)).rank
