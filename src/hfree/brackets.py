@@ -74,10 +74,7 @@ class RPStructure:
 
     @classmethod
     def from_functions(cls, chart: Chart, h_list) -> "RPStructure":
-        grads = tuple(
-            tuple(ddx(h, name) for name in chart.coords) for h in h_list
-        )
-        return cls(chart, grads)
+        return cls(chart, tuple(gradient(chart, h) for h in h_list))
 
 
 def gradient(chart: Chart, f: Expr) -> tuple[Expr, ...]:

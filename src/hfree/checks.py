@@ -6,8 +6,8 @@ one (n, dim) array of finite points to the mode's judge and folds the judge's
 per-point criterion and failure reasons into the report in sample order
 (extreme value, ties to the lowest sample index), so the report does not depend
 on CHUNK. A judge compiles each jet and each set of residuals once into one
-tape of numpy calls (`expr.compile_batch`; jets are cached per (frame, map) in
-`jets`), so a chunk costs one run of each tape, then one batched SVD or
+tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
+its map), so a chunk costs one run of each tape, then one batched SVD or
 determinant call; `expr.evaluate`, the reference interpreter, takes the points
 where a call faults. `build_plan` builds a manifest's check; `check_points`
 makes the immersion, free or identity check over given points, and the

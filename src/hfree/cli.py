@@ -33,6 +33,14 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A --seed value: an integer in [0, 2^64), as a manifest's seed must be."""
+    value = int(text)
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must fit in 64 unsigned bits, got {text}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="hfree", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
@@ -55,7 +63,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = gal_sub.add_parser("run", help="run one fixture end to end")
     p_run.add_argument("name")
     p_run.add_argument("--samples", type=int, default=10000)
-    p_run.add_argument("--seed", type=int, default=0)
+    p_run.add_argument("--seed", type=_seed, default=0)
     p_run.add_argument("--tol", type=_tolerance, default=1e-9)
     add_report_flags(p_run)
 
@@ -98,7 +106,12 @@ def _parse_bindings(spec: str) -> dict:
         if "=" not in part:
             raise ValueError(f"binding {part!r} is not of the form name=value")
         name, _, value = part.partition("=")
-        point[name.strip()] = float(value)
+        name = name.strip()
+        if name in point:
+            raise ValueError(f"coordinate {name!r} bound twice")
+        point[name] = float(value)
+        if not math.isfinite(point[name]):
+            raise ValueError(f"binding {part!r}: coordinate values must be finite")
     return point
 
 

@@ -23,7 +23,6 @@ printer; _d, the derivative rule; and _local, its own rewrite.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 import operator
@@ -768,8 +767,7 @@ def simplify(e: Expr) -> Expr:
 
     Memoised: e keeps its simplified form, and a simplified node is flagged
     as such, so simplifying either again, or any equal tree, returns at once.
-    The memo is an attribute of e and lives and dies with it; the last nodes
-    rewritten are kept alive a while longer (see _rewritten). Children are
+    The memo is an attribute of e and lives and dies with it. Children are
     simplified first, so a live node is rewritten at most once."""
     done = e._simple
     if done is not None:
@@ -783,7 +781,6 @@ def simplify(e: Expr) -> Expr:
     # out is a rebuilt or rewritten node: simplify it, and remember it on e
     out = simplify(out)
     e._simple = out
-    _rewritten.append(e)
     return out
 
 
@@ -799,14 +796,6 @@ def _rewrite(e: Expr) -> Expr:
     except (ArithmeticError, ValueError, EvalError):
         out = e
     return e._local() if out is e else out
-
-
-# The last nodes simplify rewrote, kept alive with their memos. Such a node is
-# often a temporary, such as Add(0, 0) in a Lie sum, that dies with the tree
-# it was built for and is built again soon after. 512 entries: on one
-# symbolic-cold pass (seed 1) the rewrites fall from 10,597 to 2,621, on 2,501
-# distinct nodes, and peak memory does not move.
-_rewritten: collections.deque = collections.deque(maxlen=512)
 
 
 # ---------------------------------------------------------------------------

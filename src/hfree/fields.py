@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .expr import Add, Expr, Mul, Pow, ZERO, free_vars, simplify
+from .expr import Add, Expr, Mul, ONE, Pow, ZERO, free_vars, simplify
 from .expr import diff as ddx
 
 
@@ -138,12 +139,16 @@ class SmoothMap:
 
 
 def lie_derivative(xi: VectorField, f: Expr) -> Expr:
-    """Directional derivative of f along xi: sum_i xi^i * d f / d x^i."""
+    """Directional derivative of f along xi: sum_i xi^i * d f / d x^i, over
+    the terms with no zero-constant factor. A zero result is ZERO, not -0.0."""
     xi.chart.check_expr(f)
-    total: Expr = ZERO
-    for comp, name in zip(xi.components, xi.chart.coords):
-        total = Add(total, Mul(comp, ddx(f, name)))
-    return simplify(total)
+    terms = [
+        d if comp is ONE else Mul(comp, d)
+        for comp, name in zip(xi.components, xi.chart.coords)
+        if comp != ZERO and (d := ddx(f, name)) != ZERO
+    ]
+    total = simplify(reduce(Add, terms)) if terms else ZERO
+    return ZERO if total == ZERO else total
 
 
 def anticommutator(xa: VectorField, xb: VectorField, f: Expr) -> Expr:

@@ -8,8 +8,8 @@ factor 2 of {L_a, L_a} = 2 L_a^2.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -161,17 +161,21 @@ class CompiledJet:
         return stack_ranks(entries, self.labels, tol, errors)
 
 
-# Identity mode needs three order-2 jets live (inner, outer, composite), so a
-# cache of 4 serves it. A larger one keeps more compiled jets resident: on
-# the symbolic-cold benchmark (seed 1) peak RSS was 41.4 MB without the
-# cache, 41.7 MB at 4 and 42.9 MB at 16.
-@lru_cache(maxsize=4)
+# Compiled jets by map, then by (frame, order). An entry leaves when its map
+# dies, so a jet lives exactly as long as its map.
+_jets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
-    return CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k))
+    jets = _jets.setdefault(f, {})
+    if (frame, 1) not in jets:
+        jets[frame, 1] = CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k))
+    return jets[frame, 1]
 
 
-@lru_cache(maxsize=4)
 def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
-    labels = list(range(frame.k)) + pair_labels(frame.k)
-    return CompiledJet(d2_exprs(frame, f), frame.chart, labels)
-
+    jets = _jets.setdefault(f, {})
+    if (frame, 2) not in jets:
+        labels = list(range(frame.k)) + pair_labels(frame.k)
+        jets[frame, 2] = CompiledJet(d2_exprs(frame, f), frame.chart, labels)
+    return jets[frame, 2]

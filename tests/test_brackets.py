@@ -4,7 +4,7 @@ import random
 import pytest
 
 from hfree.expr import Const, evaluate, parse, simplify
-from hfree.fields import Chart, SmoothMap, lie_derivative
+from hfree.fields import Chart, ChartMismatch, SmoothMap, lie_derivative
 from hfree.brackets import (
     RPStructure,
     SymplecticChart,
@@ -122,6 +122,13 @@ E3 = Chart(coords=("x", "y", "z"), box=((-2.0, 2.0),) * 3)
 
 def e3_structure():
     return RPStructure.from_functions(E3, [parse("(1-y^2)*exp(x)")])
+
+
+def test_rp_functions_stay_on_the_chart():
+    """A fixed function on a coordinate outside the chart is refused, though
+    its gradient on the chart's coordinates would not show it."""
+    with pytest.raises(ChartMismatch, match=r"\['w'\] not in chart"):
+        RPStructure.from_functions(E3, [parse("(1-y^2)*exp(x) + w")])
 
 
 class TestRPBracket:

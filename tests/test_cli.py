@@ -5,7 +5,6 @@ import pytest
 
 from hfree import checks, cli
 from hfree.cli import main
-from hfree.jets import compiled_d1, compiled_d2
 
 
 @pytest.fixture
@@ -244,6 +243,8 @@ def _structure(text: str, structure: str) -> str:
             _structure(SPACE, 'type = riemann-poisson\nH_gradients = [["1", "0"]]\nhamiltonian = "x"'),
             "structure",
         ),
+        # d/dx, d/dy and d/dz of H drop w, so only the chart check sees it
+        (_structure(SPACE, 'type = riemann-poisson\nH = ["(1-y^2)*exp(x) + w"]\nhamiltonian = "y"'), "structure"),
         (
             PLANAR.replace("mode = immersion", "mode = identity")
             + '[outer]\ncoords = [u]\ncomponents = ["v", "u^2"]\n',
@@ -334,6 +335,18 @@ class TestGallery:
             err = capsys.readouterr().err
             assert err.endswith(f"error: argument --tol: tolerance must be finite and positive, got {tol}\n")
 
+    @pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+    def test_seed_must_fit_in_64_unsigned_bits(self, seed, capsys):
+        """The manifest's rule: 2^64 would wrap to seed 0's report."""
+        with pytest.raises(SystemExit) as exit_:
+            main(["gallery", "run", "contact-1", "--samples", "50", "--seed", seed])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --seed: seed must fit in 64 unsigned bits, got {seed}\n")
+
+    def test_largest_seed_runs(self, capsys):
+        assert main(["gallery", "run", "contact-1", "--samples", "50", "--seed", str(2**64 - 1)]) == 0
+
     def test_deterministic_json(self, capsys):
         args = [
             "gallery", "run", "planar-hamiltonian",
@@ -344,21 +357,6 @@ class TestGallery:
         assert main(args) == 0
         second = _strip_wall_time(capsys.readouterr().out)
         assert json.dumps(first, sort_keys=False) == json.dumps(second, sort_keys=False)
-
-    def test_cold_and_warm_jet_cache_equivalence(self, capsys):
-        args = [
-            "gallery", "run", "integrable-torus-1",
-            "--samples", "200", "--seed", "3", "--json",
-        ]
-        compiled_d1.cache_clear()
-        compiled_d2.cache_clear()
-        assert main(args) == 0
-        cold = _strip_wall_time(capsys.readouterr().out)
-        hits = compiled_d2.cache_info().hits
-        assert main(args) == 0
-        warm = _strip_wall_time(capsys.readouterr().out)
-        assert compiled_d2.cache_info().hits > hits
-        assert cold == warm
 
 
 class TestEval:
@@ -375,6 +373,16 @@ class TestEval:
 
     def test_parse_error_exit_two(self, capsys):
         assert main(["eval", "sin(x"]) == 2
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_binding_exit_two(self, value, capsys):
+        assert main(["eval", "x-x", "--at", f"x={value}"]) == 2
+        assert capsys.readouterr().err == f"error: binding 'x={value}': coordinate values must be finite\n"
+
+    @pytest.mark.parametrize("bindings", ["x=1,x=2", "x=1,y=0, x =1"])
+    def test_repeated_binding_exit_two(self, bindings, capsys):
+        assert main(["eval", "x", "--at", bindings]) == 2
+        assert capsys.readouterr().err == "error: coordinate 'x' bound twice\n"
 
     def test_superscript_digit_is_a_parse_error(self, capsys):
         assert main(["eval", "2*\u00b2"]) == 2

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from helpers import random_expr
 
 from hfree import gallery
 from hfree.checks import frame_rank_check
-from hfree.expr import Const, Coord, evaluate, parse, simplify
+from hfree.expr import ONE, ZERO, Add, Const, Coord, Mul, Neg, diff, evaluate, parse, simplify
 from hfree.fields import (
     Chart,
     ChartMismatch,
@@ -166,3 +169,21 @@ def test_d1_of_the_coordinate_map_is_the_frame(name):
         assert len(row) == len(v.components)
         for got, want in zip(row, v.components):
             assert got is want or (type(got) is type(want) is Const and got.value == want.value)
+
+
+_trees = st.randoms(use_true_random=False).map(random_expr)
+# Zero and one as the field's components, -0.0 and the unsimplified -(0) too.
+_components = st.one_of(st.sampled_from([ZERO, ONE, Const(-0.0), Neg(ZERO)]), _trees)
+SPACE = Chart(coords=("x", "y", "z"), box=((-2.0, 2.0),) * 3)
+
+
+@given(st.tuples(_components, _components, _components), _trees)
+@settings(max_examples=300, deadline=None)
+def test_lie_sum_of_nonzero_terms_is_the_full_sum(components, f):
+    """The Lie sum over the nonzero terms is the node that simplify makes of
+    the full sum 0 + xi^1 d_1 f + ... + xi^m d_m f. The map has no z, so its
+    z term is zero whatever the field's z component is."""
+    full = ZERO
+    for comp, name in zip(components, SPACE.coords):
+        full = Add(full, Mul(comp, diff(f, name)))
+    assert lie_derivative(VectorField(SPACE, components), f) is simplify(full)

@@ -4,7 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
-from hfree import expr as expr_module, gallery
+from hfree import expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at
 from hfree.fields import (
@@ -20,6 +20,7 @@ from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
+    compiled_d2,
     d1_matrix,
     d2_exprs,
     d2_matrix,
@@ -142,11 +143,9 @@ def _nodes(roots):
     return list(seen.values())
 
 
-def _fresh_jet_refs(name):
-    """Weak references to every node of a fixture's order-2 jet on fresh
-    coordinate names, its input trees included: the jet is built and dropped
-    inside this call. Only nodes on the fresh names are kept, since no other
-    live tree contains them; a constant may be shared with one."""
+def _fresh_jet_roots(name):
+    """The roots of a fixture's order-2 jet on fresh coordinate names: its
+    entries, its frame's components and its map's components."""
     fix = gallery.fixture(name)
     fresh = {c: Coord(f"fresh_{c}") for c in fix.chart.coords}
     chart = Chart(tuple(c.name for c in fresh.values()), fix.chart.box, fix.chart.periodic)
@@ -155,8 +154,7 @@ def _fresh_jet_refs(name):
     f = SmoothMap(chart, renamed(fix.free_map.components))
     rows = d2_exprs(frame, f)
     roots = [e for row in rows for e in row] + [c for v in frame.vectors for c in v.components]
-    roots += list(f.components)
-    return [weakref.ref(e) for e in _nodes(roots) if free_vars(e)]
+    return roots + list(f.components)
 
 
 @pytest.mark.parametrize("name", ["integrable-torus-3", "contact-2"])
@@ -165,16 +163,16 @@ def test_dropped_jet_trees_leave_the_intern_table(name):
     its size before the jet. Only the derivative memos of exp, sin and cos
     refer back to their nodes (exp(u)' = exp(u)*u'), a cycle that the cycle
     collector frees, so a polynomial jet such as contact-2's is freed by
-    reference counting alone. The bounded buffer of rewritten nodes keeps the
-    newest alive on purpose, so it is emptied first."""
-    expr_module._rewritten.clear()
+    reference counting alone."""
     gc.collect()
     size = len(expr_module._table)
     gc.disable()
     try:
-        refs = _fresh_jet_refs(name)
+        roots = _fresh_jet_roots(name)
+        # only nodes on the fresh names: no other live tree contains them
+        refs = [weakref.ref(e) for e in _nodes(roots) if free_vars(e)]
         assert len(expr_module._table) >= size + len(refs)
-        expr_module._rewritten.clear()
+        del roots
         alive = [r() for r in refs if r() is not None]
     finally:
         gc.enable()
@@ -185,6 +183,27 @@ def test_dropped_jet_trees_leave_the_intern_table(name):
     gc.collect()
     assert [r() for r in refs if r() is not None] == []
     assert len(expr_module._table) == size
+
+
+def test_a_compiled_jet_is_built_once_and_lives_as_long_as_its_map(monkeypatch):
+    """Repeated checks of one map build its order-2 jet once. The jet is
+    memoised weakly on the map, so dropping the map frees it by reference
+    counting alone."""
+    calls = []
+    build = jets_module.d2_exprs
+    monkeypatch.setattr(jets_module, "d2_exprs", lambda *a: calls.append(1) or build(*a))
+    frame = Frame(PLANE, (VectorField(PLANE, (parse("1"), parse("0"))),))
+    f = SmoothMap(PLANE, (parse("x + y"), parse("x^2 + y")))
+    for point in [(0.0, 0.0), (1.0, -1.0), (0.5, 1.5)]:
+        assert is_free_at(frame, f, point)
+    assert calls == [1]
+    jet = weakref.ref(compiled_d2(frame, f))
+    gc.disable()
+    try:
+        del f
+        assert jet() is None
+    finally:
+        gc.enable()
 
 
 def _ranks(m):

@@ -1,7 +1,10 @@
+import gc
 import textwrap
 
 import pytest
 
+from hfree import expr
+from hfree.checks import run_check
 from hfree.manifest import (
     ManifestError,
     build_frame,
@@ -138,9 +141,8 @@ def test_frame_and_structure_exclusive():
 def test_equal_manifests_share_their_trees_and_symbolic_work(monkeypatch):
     """Hash-consing: the same manifest read twice gives the identical trees,
     and the second order-2 jet is built from the memos of the first with no
-    rewrite in simplify. The first jet's rewritten temporaries are fewer than
-    the buffer of rewritten nodes keeps alive."""
-    from hfree import expr
+    rewrite in simplify: this jet's Lie sums skip their zero terms, so they
+    build no temporary that simplify rewrites."""
     from hfree.jets import d2_exprs
 
     text = PLANAR.replace('["y*exp(x)"]', '["y*exp(x)", "y^2*exp(2*x) + sin(x*y)"]')
@@ -162,3 +164,43 @@ def test_equal_manifests_share_their_trees_and_symbolic_work(monkeypatch):
     assert rewrites == []
     assert expr.Const(0.0) is not expr.Const(-0.0)
     assert expr.Const(0.0) == expr.Const(-0.0)
+
+
+_FRESH = textwrap.dedent(
+    """
+    [manifold]
+    coords = [fresh_x, fresh_y]
+    box = [[-2, 2], [-2, 2]]
+
+    [frame]
+    vectors = [["2*fresh_y", "1 - fresh_y^2"]]
+
+    [map]
+    components = [MAP]
+
+    [check]
+    mode = MODE
+    samples = 50
+    """
+)
+
+_OUTER = '[outer]\ncoords = [fresh_u]\ncomponents = ["fresh_u", "fresh_u^2"]\n'
+
+
+@pytest.mark.parametrize(
+    "mode, components, outer",
+    [
+        ("free", '"fresh_y*exp(fresh_x)", "fresh_y^2*exp(2*fresh_x) + sin(fresh_x*fresh_y)"', ""),
+        ("identity", '"fresh_y*exp(fresh_x)"', _OUTER),
+    ],
+    ids=["free", "identity"],
+)
+def test_a_finished_check_leaves_no_node_behind(mode, components, outer):
+    """Every tree of a check, its jets' included, is freed once the check
+    is done: no cache holds a jet or a node past the map it was built for."""
+    text = _FRESH.replace("MAP", components).replace("MODE", mode) + outer
+    gc.collect()
+    size = len(expr._table)
+    assert run_check(parse_manifest_text(text)).verdict == "pass"
+    gc.collect()
+    assert len(expr._table) == size
