@@ -9,7 +9,9 @@ on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
 its map), so a chunk costs one run of each tape, then one batched SVD or
 determinant call; `expr.evaluate`, the reference interpreter, takes the points
-where a call faults. `build_plan` builds a manifest's check; `check_points`
+where a call faults. The SVD sees only the dense matrices of a stack: a
+diagonal one, such as every 1 x 1 jet, is ranked from its diagonal
+(`jets.stack_ranks`). `build_plan` builds a manifest's check; `check_points`
 makes the immersion, free or identity check over given points, and the
 pointwise predicates are reads of it at one point.
 """
@@ -31,10 +33,12 @@ from .jets import DEFAULT_TOL, BelowCriticalDimension, compiled_d1, compiled_d2,
 from .manifest import Manifest, build_plan
 from .sampling import sample_points
 
-# Points per chunk. Larger chunks buy little speed and cost memory: running the
-# ten gallery fixtures at 10^4 samples peaked at 35.6 MB RSS with 256 (35.5 MB
-# when evaluated point by point), 38.7 MB with 1024 and 48.8 MB with 4096.
-CHUNK = 256
+# Points per chunk. Below 512 each tape op's numpy call costs more than its
+# arithmetic; above it chunks buy little speed and cost memory: running the
+# ten gallery fixtures at 10^4 samples in one process peaked at 32.4 MB RSS
+# point by point, 32.5 MB with 256, 33.4-33.7 MB with 512, 34.9 MB with 1024
+# and 45.4 MB with 4096.
+CHUNK = 512
 FAILURE_CAP = 100
 
 
@@ -56,7 +60,9 @@ class Report:
     def to_dict(self, include_wall_time: bool = True) -> dict:
         worst = None
         if self.worst_point is not None:
-            worst = {"point": list(self.worst_point), "criterion": self.worst_criterion}
+            # JSON has no nan: a criterion that is not finite is null
+            crit = self.worst_criterion if math.isfinite(self.worst_criterion) else None
+            worst = {"point": list(self.worst_point), "criterion": crit}
         out = {
             "verdict": self.verdict,
             "mode": self.mode,
@@ -70,7 +76,7 @@ class Report:
         return out
 
     def to_json(self, include_wall_time: bool = True) -> str:
-        return json.dumps(self.to_dict(include_wall_time), indent=2)
+        return json.dumps(self.to_dict(include_wall_time), indent=2, allow_nan=False)
 
 
 class _Fold:

@@ -3,6 +3,8 @@ the symmetric-square representation and the determinant-identity check."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, simplify, substitute
@@ -116,12 +118,20 @@ class DetIdentity:
     def residuals(self, points: np.ndarray):
         """Arrays lhs = det(order-2 jet of outer(f)), rhs = det(order-1 jet
         of f)^(k+2) * det(order-2 jet of outer) and their relative residual,
-        and the failures of blocks(); those points' entries are meaningless."""
+        and the failures of blocks(), plus the points where det(order-1 jet)^(k+2)
+        overflows the float range; those points' entries are meaningless."""
         d2_inner, d2_outer, d2_composite, failures = self.blocks(points)
+        n = self.k + 2
         with np.errstate(all="ignore"):
             lhs = np.linalg.det(d2_composite)
             # float ** per element: numpy's power rounds differently in a few percent of values
-            powers = [d ** (self.k + 2) for d in np.linalg.det(d2_inner[:, : self.k]).tolist()]
+            powers = []
+            for i, d in enumerate(np.linalg.det(d2_inner[:, : self.k]).tolist()):
+                try:
+                    powers.append(d ** n)
+                except OverflowError:
+                    powers.append(math.nan)
+                    failures.setdefault(i, EvalError(f"overflow: det(D1)^{n} beyond the float range"))
             rhs = np.array(powers) * np.linalg.det(d2_outer)
             # max(1.0, |lhs|, |rhs|) as Python's max computes it, nan included
             scale = np.where(np.abs(lhs) > 1.0, np.abs(lhs), 1.0)

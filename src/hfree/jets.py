@@ -90,9 +90,12 @@ class StackRanks:
 
 
 def stack_ranks(entries: np.ndarray, labels, tol: float = DEFAULT_TOL, errors=None) -> StackRanks:
-    """Rank verdicts over an (n, rows, cols) stack, with one batched SVD: a
-    singular value counts when it exceeds tol * max(1, sigma_max). `errors`
-    maps points whose evaluation faulted to the EvalError (as CompiledJet.at
+    """Rank verdicts over an (n, rows, cols) stack: a singular value counts
+    when it exceeds tol * max(1, sigma_max). A matrix, square or
+    rectangular, whose off-diagonal entries are all zero (every 1 x 1 matrix)
+    has the exact singular values |diagonal|, sorted descending, and makes
+    no LAPACK call; the other matrices get one batched SVD. `errors` maps
+    points whose evaluation faulted to the EvalError (as CompiledJet.at
     returns them); it overrides their reason."""
     n, rows, cols = entries.shape
     bad = ~np.isfinite(entries)
@@ -104,10 +107,14 @@ def stack_ranks(entries: np.ndarray, labels, tol: float = DEFAULT_TOL, errors=No
     if reasons:
         entries = entries.copy()
         entries[list(reasons)] = 0.0
-    try:
-        sigma = np.linalg.svd(entries, compute_uv=False)
-    except np.linalg.LinAlgError:
-        sigma = _svd_each(entries, reasons)
+    dense = (entries != 0)[:, ~np.eye(rows, cols, dtype=bool)].any(axis=1)
+    if dense.all():  # no copy of the stack where no matrix is diagonal
+        sigma = _svd(entries, np.arange(n), reasons)
+    else:
+        sigma = np.sort(np.abs(np.diagonal(entries, axis1=1, axis2=2)), axis=1)[:, ::-1]
+        if dense.any():
+            index = np.flatnonzero(dense)
+            sigma[index] = _svd(entries[index], index, reasons)
     sigma_max = sigma[:, 0]
     rank = np.count_nonzero(sigma > tol * np.maximum(1.0, sigma_max)[:, None], axis=1)
     return StackRanks(
@@ -127,13 +134,19 @@ def valid_mask(n: int, failed) -> np.ndarray:
     return mask
 
 
-def _svd_each(entries: np.ndarray, reasons: dict) -> np.ndarray:
-    """Singular values matrix by matrix, for a stack whose batched SVD failed;
-    records the matrices that fail on their own in `reasons`."""
-    sigma = np.zeros(entries.shape[:1] + (min(entries.shape[1:]),))
-    for i, m in enumerate(entries):
+def _svd(stack: np.ndarray, index: np.ndarray, reasons: dict) -> np.ndarray:
+    """Singular values of a stack of matrices, whose places in the checked
+    stack are `index`: one batched SVD, or, where it fails to converge, one
+    SVD per matrix, recording the matrices that fail on their own in
+    `reasons`."""
+    try:
+        return np.linalg.svd(stack, compute_uv=False)
+    except np.linalg.LinAlgError:
+        pass
+    sigma = np.zeros((len(stack), min(stack.shape[1:])))
+    for j, i in enumerate(index.tolist()):
         try:
-            sigma[i] = np.linalg.svd(m, compute_uv=False)
+            sigma[j] = np.linalg.svd(stack[j], compute_uv=False)
         except np.linalg.LinAlgError as exc:
             reasons[i] = str(exc)
     return sigma

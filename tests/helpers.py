@@ -1,8 +1,9 @@
 """Shared test utilities: a bounded random expression generator, the
 central-difference oracle used to validate symbolic derivatives, a
-memo-free reference simplifier and derivative, and the block law of the
-chain-rule factorization."""
+memo-free reference simplifier and derivative, the block law of the
+chain-rule factorization, and a strict RFC 8259 JSON reader."""
 
+import json
 import math
 import random
 
@@ -145,3 +146,13 @@ def block_residual(d2_inner, d2_outer, d2_composite) -> float:
     prod = block @ d2_outer
     scale = max(1.0, float(np.abs(d2_composite).max()), float(np.abs(prod).max()))
     return float(np.abs(d2_composite - prod).max()) / scale
+
+
+def _reject_constant(name):
+    raise ValueError(f"not RFC 8259 JSON: {name}")
+
+
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity, which RFC 8259
+    JSON does not have."""
+    return json.loads(text, parse_constant=_reject_constant)

@@ -3,6 +3,7 @@ import textwrap
 
 import pytest
 
+from helpers import strict_json
 from hfree import checks, cli
 from hfree.cli import main
 
@@ -123,6 +124,37 @@ class TestVerifyIdentity:
             {"point": [0.0, y], "reason": "inner jet block: division by zero"}
             for y in (-1.0, 0.0, 1.0)
         ]
+
+
+@pytest.mark.parametrize(
+    "literal, reason, has_worst",
+    [
+        # det D1 = 1e103: its cube raises OverflowError in float **, so no
+        # point has a criterion
+        ("1" + "0" * 103, "overflow: det(D1)^3 beyond the float range", False),
+        # det D1 = 5e102: the cube is finite, the residual is nan
+        ("5" + "0" * 102, "residual nan exceeds 1.000e-09", True),
+    ],
+    ids=["power-overflows", "residual-nan"],
+)
+def test_identity_beyond_the_float_range_fails_with_strict_json(literal, reason, has_worst, tmp_path, capsys):
+    manifest = tmp_path / "huge.toml"
+    manifest.write_text(
+        RECIPROCAL_MANIFEST.replace("[-1, 1]", "[-2, 2]")
+        .replace('"1/x"', f'"{literal}*x + y"')
+        .replace("grid = [3, 3]", "samples = 20")
+    )
+    assert main(["check", str(manifest), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""  # no internal error, no traceback
+    data = strict_json(captured.out)
+    assert data["verdict"] == "fail"
+    assert {f["reason"] for f in data["failures"]} == {reason}
+    assert len(data["failures"]) == 20
+    if has_worst:  # a criterion that is not finite is null, not NaN
+        assert data["worst"]["criterion"] is None
+    else:
+        assert data["worst"] is None
 
 
 def test_overflow_at_a_point_is_a_failure(planar_manifest, tmp_path, capsys):

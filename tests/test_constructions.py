@@ -230,6 +230,31 @@ class TestDetIdentity:
         report = check_points(frame, f, [(0.5, 0.0)], "identity")
         assert report.failures == [{"point": [0.5, 0.0], "reason": "outer jet block: image point not finite"}]
 
+    def test_power_that_overflows_is_a_failure(self):
+        # det D1 = 1e102 * exp(x): its cube leaves the float range for x > 1.73,
+        # where Python's float ** raises OverflowError instead of returning inf
+        frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
+        f = SmoothMap(PLANE, (parse("1" + "0" * 102 + "*exp(x) + y"),))
+        points = np.array([[-1.0, 0.5], [1.8, 0.0], [0.0, 1.0], [1.9, -1.0], [1.0, 0.0]])
+        identity = DetIdentity(frame, f, monomial_free_map(1))
+        _, rhs, rel, failures = identity.residuals(points)
+        overflow = "overflow: det(D1)^3 beyond the float range"
+        assert {i: (type(exc), str(exc)) for i, exc in failures.items()} == {
+            1: (EvalError, overflow),
+            3: (EvalError, overflow),
+        }
+        # elsewhere rhs is the per-element float power, bit for bit
+        d2_inner, d2_outer, _, _ = identity.blocks(points)
+        for i in (0, 2, 4):
+            power = float(np.linalg.det(d2_inner[i, :1])) ** 3
+            assert rhs[i] == power * np.linalg.det(d2_outer[i])
+            assert rel[i] <= 1e-9
+        report = check_points(frame, f, points, "identity")
+        assert report.verdict == "fail"
+        assert report.failures == [
+            {"point": points[i].tolist(), "reason": overflow} for i in (1, 3)
+        ]
+
 
 def test_composition_theorem_as_predicate():
     from hfree.gallery import fixture, list_fixtures

@@ -3,10 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hfree import expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
-from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at
+from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
 from hfree.fields import (
     Chart,
     ChartMismatch,
@@ -238,9 +239,10 @@ class TestRankCheck:
 
 
 def test_stack_ranks_matches_a_matrix_by_matrix_svd():
-    """One batched SVD gives, bit for bit, the singular values, rank and
-    verdict of one SVD per matrix; a non-finite entry and an evaluation
-    error are reasons, the error taking precedence."""
+    """The singular values, rank and verdict of each matrix are, bit for
+    bit, those of one SVD per matrix (a 1 x 1 matrix is ranked from its
+    entry, which LAPACK returns exactly at these magnitudes); a non-finite
+    entry and an evaluation error are reasons, the error taking precedence."""
     rng = np.random.default_rng(3)
     for rows, cols in [(1, 1), (2, 3), (3, 2), (5, 5), (9, 9), (14, 14)]:
         stack = rng.uniform(-2.0, 2.0, (40, rows, cols))
@@ -259,6 +261,115 @@ def test_stack_ranks_matches_a_matrix_by_matrix_svd():
             assert (r.sigma_min[i], r.sigma_max[i]) == (sigma[-1], sigma[0])
             assert r.rank[i] == rank
             assert r.full_rank[i] == (rank == min(rows, cols) == rows)
+
+
+_SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 5)]
+_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0, -1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def _mixed_stacks(draw):
+    """An (n, rows, cols) stack of diagonal and dense matrices, off-diagonal
+    zeros of either sign, with at most one non-finite entry and one error."""
+    rows, cols = draw(st.sampled_from(_SHAPES))
+    n = draw(st.integers(1, 12))
+    stack = np.array(draw(st.lists(_ENTRIES, min_size=n * rows * cols, max_size=n * rows * cols)))
+    stack = stack.reshape(n, rows, cols)
+    off = ~np.eye(rows, cols, dtype=bool)
+    for i in range(n):
+        if draw(st.booleans()):  # diagonal
+            stack[i][off] = draw(st.sampled_from([0.0, -0.0]))
+    errors = {}
+    if draw(st.booleans()):
+        i, r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        stack[i, r, c] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    if draw(st.booleans()):
+        errors[draw(st.integers(0, n - 1))] = EvalError("division by zero")
+    return stack, errors
+
+
+@given(_mixed_stacks())
+@settings(max_examples=300, deadline=None)
+def test_diagonal_matrices_are_ranked_from_their_diagonal(case):
+    """A matrix with no nonzero off-diagonal entry gets exactly the sorted
+    |diagonal| as singular values; any other matrix gets, bit for bit, the
+    singular values of its own SVD. Reasons and validity do not depend on
+    the kind of matrix."""
+    stack, errors = case
+    n, rows, cols = stack.shape
+    labels = tuple(range(rows))
+    before = stack.copy()
+    r = stack_ranks(stack, labels, DEFAULT_TOL, errors)
+    assert np.array_equal(stack, before, equal_nan=True)  # the stack is not written
+    reasons = {}
+    for i, m in enumerate(stack):
+        bad = np.argwhere(~np.isfinite(m))
+        if len(bad):
+            reasons[i] = f"non-finite entry in row {int(bad[0][0])}"
+    reasons.update((i, str(exc)) for i, exc in errors.items())
+    assert r.reasons == reasons
+    assert r.valid.tolist() == [i not in reasons for i in range(n)]
+    for i, m in enumerate(stack):
+        if i in reasons:
+            continue
+        if (m[~np.eye(rows, cols, dtype=bool)] == 0).all():
+            sigma = sorted(abs(float(d)) for d in np.diagonal(m))[::-1]
+        else:
+            sigma = np.linalg.svd(m, compute_uv=False).tolist()
+        rank = sum(v > DEFAULT_TOL * max(1.0, sigma[0]) for v in sigma)
+        assert (float(r.sigma_min[i]).hex(), float(r.sigma_max[i]).hex()) == (sigma[-1].hex(), sigma[0].hex())
+        assert r.rank[i] == rank
+        assert r.full_rank[i] == (rank == rows)
+
+
+def test_svd_fallback_covers_the_dense_matrices_only(monkeypatch):
+    """When the batched SVD of the dense matrices fails, each dense matrix is
+    redone on its own, a failure there is that matrix's reason, and the
+    diagonal matrices are never handed to LAPACK."""
+    svd = np.linalg.svd
+    calls = []
+
+    def flaky(a, *args, **kwargs):
+        calls.append(a.copy())
+        if a.ndim == 3 or a[0, 1] == 7.0:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    stack = np.array([np.diag([2.0, -3.0]), [[1.0, 2.0], [3.0, 4.0]], np.eye(2), [[1.0, 7.0], [0.0, 1.0]]])
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    r = stack_ranks(stack, (0, 1))
+    assert r.reasons == {3: "SVD did not converge"}
+    assert r.valid.tolist() == [True, True, True, False]
+    assert [c.shape for c in calls] == [(2, 2, 2), (2, 2), (2, 2)]
+    assert np.array_equal(calls[0], stack[[1, 3]])
+    assert (r.sigma_max[0], r.sigma_min[0]) == (3.0, 2.0)
+    assert (r.sigma_max[2], r.sigma_min[2]) == (1.0, 1.0)
+    assert (r.sigma_max[1], r.sigma_min[1]) == tuple(svd(stack[1], compute_uv=False)[[0, -1]])
+
+
+def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
+    """Every gallery D1 is diagonal (1 x 1 on the plane, diag(e^{2p}) on the
+    tori, I for contact), so run_fixture hands LAPACK only D2 stacks."""
+    svd = np.linalg.svd
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    for name in gallery.list_fixtures():
+        fix = gallery.fixture(name)
+        if fix.immersion is None:
+            continue
+        shapes.clear()
+        assert run_fixture(fix, samples=600, seed=1).verdict == "pass"
+        k = fix.frame.k
+        assert shapes, name
+        assert {shape[1:] for shape in shapes} == {(k + s(k), fix.free_map.q)}, name
 
 
 class TestPredicates:

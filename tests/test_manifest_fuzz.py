@@ -1,7 +1,8 @@
 """Fuzz the manifest front end: mutations of the README's example manifest
 must end in a verdict (exit 0 or 1) or a manifest error (exit 2), never in
-an internal error or a traceback. A [manifold] box with a number that is not
-finite is a manifest error."""
+an internal error or a traceback, and a verdict's JSON report must be RFC
+8259 JSON (no NaN). A [manifold] box with a number that is not finite is a
+manifest error."""
 
 import contextlib
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from helpers import strict_json
 from hfree.cli import main
 from hfree.manifest import ManifestError, _parse_value, _strip_comment
 
@@ -79,7 +81,7 @@ def _mutate_value(data, value):
 def _mutate(data, lines):
     i = data.draw(st.integers(0, len(lines) - 1))
     line = lines[i].strip()
-    ops = ["drop", "duplicate", "uncomment", "value", "odd-chart", "set", "structure", "box-edge"]
+    ops = ["drop", "duplicate", "uncomment", "value", "odd-chart", "set", "structure", "box-edge", "huge-factor"]
     op = data.draw(st.sampled_from(ops))
     if op == "drop":
         return lines[:i] + lines[i + 1 :]
@@ -108,6 +110,22 @@ def _mutate(data, lines):
                     box = _set(box, data.draw(st.sampled_from(edges)), data.draw(_numbers))
                     return lines[:j] + [f"box = {_render(box)}"] + lines[j + 1 :]
         return lines
+    if op == "huge-factor":  # a map component times a literal of 100 to 301 digits
+        j = next((j for j, line in enumerate(lines) if line.startswith("components = ")), None)
+        if j is None:
+            return lines
+        try:
+            comps = _parse_value(lines[j].partition("=")[2], 0)
+        except ManifestError:
+            return lines
+        if not (isinstance(comps, list) and comps and all(isinstance(c, str) for c in comps)):
+            return lines
+        c = data.draw(st.integers(0, len(comps) - 1))
+        comps[c] = f"{data.draw(st.integers(10**99, 10**300))}*({comps[c]})"
+        out = lines[:j] + [f"components = {_render(comps)}"] + lines[j + 1 :]
+        if data.draw(st.booleans()):  # where det(D1)^(k+2) leaves the float range
+            out = ["mode = identity" if line.startswith("mode = ") else line for line in out]
+        return out
     if op == "structure":  # a named structure in place of the frame
         kind = data.draw(st.sampled_from(["canonical", "riemann-poisson", "contact", "bogus"]))
         params = data.draw(st.lists(st.sampled_from(STRUCTURE), unique=True))
@@ -188,6 +206,8 @@ def test_mutated_readme_manifest_exits_zero_one_or_two(data, tmp_path_factory):
     path.write_text(text)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["check", str(path), "--quiet"])
+        code = main(["check", str(path), "--json"])
     assert code in ((2,) if _non_finite_box(text.splitlines()) else (0, 1, 2)), (text, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    if code != 2:
+        strict_json(out.getvalue())
