@@ -116,12 +116,9 @@ def canonical_bracket(s: SymplecticChart, f: Expr, g: Expr) -> Expr:
 
 
 def hamiltonian_field(s: SymplecticChart, h: Expr) -> VectorField:
-    """X_h with q-components dh/dp_a and p-components -dh/dq^a, so that
-    L_{X_h} g = {h, g}."""
-    s.chart.check_expr(h)
-    comps = [ddx(h, p) for p in s.momenta]
-    comps += [simplify(Neg(ddx(h, q))) for q in s.angles]
-    return VectorField(s.chart, tuple(comps))
+    """X_h, whose components are the brackets {h, x} with the coordinates
+    (dh/dp_a, then -dh/dq^a), so that L_{X_h} g = {h, g}."""
+    return VectorField(s.chart, tuple(canonical_bracket(s, h, Coord(x)) for x in s.chart.coords))
 
 
 def rp_bracket(r: RPStructure, f: Expr, g: Expr) -> Expr:
@@ -135,22 +132,13 @@ def rp_bracket(r: RPStructure, f: Expr, g: Expr) -> Expr:
 
 
 def rp_hamiltonian_field(r: RPStructure, h: Expr, sign: int = 1) -> VectorField:
-    """The field xi with L_xi g = sign * {h, g}_H for every g, obtained by
-    cofactor expansion of the bracket determinant along the dg row."""
+    """The field xi with L_xi g = sign * {h, g}_H for every g: its components
+    are sign * {h, x} over the coordinates x, as the bracket is linear in dg."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    m = r.chart.dim
-    rows = [list(gr) for gr in r.h_gradients]
-    rows.append(list(gradient(r.chart, h)))
-    comps = []
-    for j in range(m):
-        minor = [[row[c] for c in range(m) if c != j] for row in rows]
-        cof = sym_det(minor)
-        if (m - 1 + j) % 2 == 1:
-            cof = simplify(Neg(cof))
-        if sign == -1:
-            cof = simplify(Neg(cof))
-        comps.append(cof)
+    comps = [rp_bracket(r, h, Coord(x)) for x in r.chart.coords]
+    if sign == -1:
+        comps = [simplify(Neg(c)) for c in comps]
     return VectorField(r.chart, tuple(comps))
 
 

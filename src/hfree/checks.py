@@ -9,11 +9,13 @@ on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
 its map), so a chunk costs one run of each tape, then one batched SVD or
 determinant call; `expr.evaluate`, the reference interpreter, takes the points
-where a call faults. The SVD sees only the dense matrices of a stack: a
-diagonal one, such as every 1 x 1 jet, is ranked from its diagonal
-(`jets.stack_ranks`). `build_plan` builds a manifest's check; `check_points`
-makes the immersion, free or identity check over given points, and the
-pointwise predicates are reads of it at one point.
+where a call faults. A value beyond the float range is such a fault, an
+`overflow`, in both engines, so a judge reads only finite values: a point that
+faults fails with its EvalError and has no criterion. The SVD sees only the
+dense matrices of a stack: a diagonal one, such as every 1 x 1 jet, is ranked
+from its diagonal (`jets.stack_ranks`). `build_plan` builds a manifest's
+check; `check_points` makes the immersion, free or identity check over given
+points, and the pointwise predicates are reads of it at one point.
 """
 
 from __future__ import annotations
@@ -60,7 +62,8 @@ class Report:
     def to_dict(self, include_wall_time: bool = True) -> dict:
         worst = None
         if self.worst_point is not None:
-            # JSON has no nan: a criterion that is not finite is null
+            # JSON has no inf: a finite stack can still have a singular value
+            # beyond the float range, and that criterion is null
             crit = self.worst_criterion if math.isfinite(self.worst_criterion) else None
             worst = {"point": list(self.worst_point), "criterion": crit}
         out = {
@@ -82,7 +85,8 @@ class Report:
 class _Fold:
     """The running report: chunks' per-point outcomes folded in sample order
     into the worst criterion (ties to the lowest sample index) and the first
-    FAILURE_CAP failures."""
+    FAILURE_CAP failures. A criterion is never nan: a point without a number
+    to rank it by has none."""
 
     def __init__(self, points, smaller_is_worse: bool):
         self.points = points
@@ -93,22 +97,15 @@ class _Fold:
         self.failed = False
 
     def add(self, start: int, crit: np.ndarray, has_crit: np.ndarray, reasons: dict):
-        """Fold the chunk at offset `start`: crit[i] is point i's criterion
-        where has_crit[i], and reasons[i] says why point i fails."""
+        """Fold the chunk at offset `start`: crit[i] is point i's criterion,
+        not nan, where has_crit[i], and reasons[i] says why point i fails."""
         self.failed = self.failed or bool(reasons)
         for i in sorted(reasons)[: FAILURE_CAP - len(self.failures)]:
             self.failures.append({"point": self.points[start + i].tolist(), "reason": reasons[i]})
         idx = np.flatnonzero(has_crit)
-        if not idx.size or (self.worst_val is not None and math.isnan(self.worst_val)):
-            return  # no comparison replaces a nan worst value
-        vals = crit[idx]
-        if self.worst_val is None and math.isnan(vals[0]):
-            self.worst_idx, self.worst_val = start + int(idx[0]), float(vals[0])
-            return
-        keep = ~np.isnan(vals)
-        idx, vals = idx[keep], vals[keep]
         if not idx.size:
             return
+        vals = crit[idx]
         j = int(np.argmin(vals) if self.smaller_is_worse else np.argmax(vals))
         val = float(vals[j])
         if (
@@ -259,10 +256,8 @@ def _bracket_judge(bracket, chart, tests, tol: float):
 
     def judge(chunk):
         values, errors = run(chunk)
-        # per point, the largest |residual| from 0.0 up, nan skipped, and the
-        # first residual that reaches it
+        # per point, the largest |residual| and the first residual that reaches it
         size = np.abs(values)
-        size[np.isnan(size)] = 0.0
         first = np.argmax(size, axis=1)
         worst = size[np.arange(len(chunk)), first]
         reasons = {
@@ -288,8 +283,10 @@ def run_check(m: Manifest) -> Report:
 
 def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> Report:
     """Run a gallery fixture: expected-formula comparison, immersion check of
-    the candidate map, free check of the composed map, first-integral
-    witnesses; bracket laws when the fixture declares a bracket."""
+    the candidate map, free check of the composed map and first-integral
+    witnesses; for a fixture without an immersion (novikov-t3), the bracket
+    laws of its bracket instead. The other fixtures' `bracket` fields are
+    read only by tests/test_acceptance.py."""
     started = time.perf_counter()
     points = sample_points(fix.chart, samples, seed)
     if fix.immersion is None:
@@ -318,8 +315,7 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         size = np.abs(values)
         residual = size[:, : 2 * n_expected : 2]
         scale = size[:, 1 : 2 * n_expected : 2]
-        # max(1.0, scale) as Python's max computes it, nan included
-        mismatch = residual > 1e-10 * np.where(scale > 1.0, scale, 1.0)
+        mismatch = residual > 1e-10 * np.maximum(scale, 1.0)
         witness = size[:, 2 * n_expected :] > 1e-12
         formula_reasons = {}  # the first witness, then the first mismatch over it
         for i in np.flatnonzero(witness.any(axis=1)).tolist():

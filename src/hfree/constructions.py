@@ -98,10 +98,7 @@ class DetIdentity:
         failures = {i: type(exc)(f"inner jet block: {exc}") for i, exc in errors.items()}
         image, errors = self.image(points)
         for i, (_, exc) in errors.items():
-            failures.setdefault(i, exc)
-        # a product overflows to inf without a fault; the outer jet needs finite points
-        for i in np.flatnonzero(~np.isfinite(image).all(axis=1)).tolist():
-            failures.setdefault(i, EvalError("outer jet block: image point not finite"))
+            failures.setdefault(i, type(exc)(f"outer jet block: {exc}"))
         # the outer jet is taken along the standard frame at the image points,
         # which may fall outside the outer chart's sampling box
         d2_outer = np.full((len(points),) + self.outer.shape, np.nan)
@@ -118,24 +115,23 @@ class DetIdentity:
     def residuals(self, points: np.ndarray):
         """Arrays lhs = det(order-2 jet of outer(f)), rhs = det(order-1 jet
         of f)^(k+2) * det(order-2 jet of outer) and their relative residual,
-        and the failures of blocks(), plus the points where det(order-1 jet)^(k+2)
-        overflows the float range; those points' entries are meaningless."""
+        and the failures of blocks(), plus each point whose residual is not
+        finite (a determinant or a product of them beyond the float range);
+        those points' entries are meaningless."""
         d2_inner, d2_outer, d2_composite, failures = self.blocks(points)
         n = self.k + 2
         with np.errstate(all="ignore"):
             lhs = np.linalg.det(d2_composite)
             # float ** per element: numpy's power rounds differently in a few percent of values
             powers = []
-            for i, d in enumerate(np.linalg.det(d2_inner[:, : self.k]).tolist()):
+            for d in np.linalg.det(d2_inner[:, : self.k]).tolist():
                 try:
                     powers.append(d ** n)
                 except OverflowError:
-                    powers.append(math.nan)
-                    failures.setdefault(i, EvalError(f"overflow: det(D1)^{n} beyond the float range"))
+                    powers.append(math.inf)
             rhs = np.array(powers) * np.linalg.det(d2_outer)
-            # max(1.0, |lhs|, |rhs|) as Python's max computes it, nan included
-            scale = np.where(np.abs(lhs) > 1.0, np.abs(lhs), 1.0)
-            scale = np.where(np.abs(rhs) > scale, np.abs(rhs), scale)
-            rel = np.abs(lhs - rhs) / scale
+            rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        for i in np.flatnonzero(~np.isfinite(rel)).tolist():
+            failures.setdefault(i, EvalError("overflow: determinants beyond the float range"))
         return lhs, rhs, rel, failures
 

@@ -279,7 +279,10 @@ class _Binary(Expr):
         return type(self)(f(self.left), f(self.right))
 
     def _eval(self, point):
-        return self.fn(self.left._eval(point), self.right._eval(point))
+        value = self.fn(self.left._eval(point), self.right._eval(point))
+        if math.isinf(value):  # float + - * / overflow silently, the tape does not
+            raise OverflowError
+        return value
 
     def _vars(self):
         return free_vars(self.left) | free_vars(self.right)
@@ -710,9 +713,10 @@ def to_str(e: Expr) -> str:
 def evaluate(e: Expr, point: dict) -> float:
     """Evaluate at a coordinate binding, operands left to right. Raises
     EvalError on unbound names, division by zero, 0 raised to a negative
-    power, overflow and math domain errors. This is the reference that
-    compile_batch matches bit for bit and falls back to at a fault; both
-    engines report a fault with the same message."""
+    power, math domain errors and overflow: any operation whose value is
+    beyond the float range, + - * / as well as exp and ^. This is the
+    reference that compile_batch matches bit for bit and falls back to at a
+    fault; both engines fault at the same points with the same message."""
     try:
         return e._eval(point)
     except OverflowError:
@@ -787,10 +791,10 @@ def simplify(e: Expr) -> Expr:
 def _rewrite(e: Expr) -> Expr:
     """One rewrite step at the root of e, whose children are simplified: a
     node of constants folds to the constant that evaluate gives, else the
-    row's own rewrite applies. Where evaluate raises (exp(1000)) or gives a
-    value Const refuses (1e200*1e200), the node stays unfolded, so each point
-    evaluates it. Every rewrite returns a new node or a strict subtree, never
-    e itself, so identity tells whether one applied."""
+    row's own rewrite applies. Where evaluate raises (exp(1000), or
+    1e200*1e200, whose value Const refuses), the node stays unfolded, so each
+    point evaluates it. Every rewrite returns a new node or a strict subtree,
+    never e itself, so identity tells whether one applied."""
     try:
         out = e._fold()
     except (ArithmeticError, ValueError, EvalError):
@@ -857,18 +861,19 @@ def compile_batch(exprs, coords):
 
     The function returns an (n, len(exprs)) array of values and a dict that
     maps each point where evaluation faulted to (index of the first faulting
-    expression, its EvalError); that point's row is nan. Values agree with
-    evaluate() bit for bit and a faulting point gets evaluate()'s exact error.
+    expression, its EvalError); that point's row is nan, and every other
+    value is finite. Values agree with evaluate() bit for bit and a faulting
+    point gets evaluate()'s exact error.
 
     The function runs a tape (see _Tape): one numpy call per distinct node.
     +, -, *, /, negation, sin and cos are numpy ufuncs, which round as the
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. Constants are finite
-    (see Const) and so are the points, so every fault evaluate() reports, and
-    every first non-finite value, raises a floating-point error here too. A
-    call that raises one is bisected (see _bisect) down to the faulting
-    points, or to small parts that fault in both halves, which evaluate()
-    evaluates; rows are computed elementwise, so every point keeps its bits."""
+    (see Const) and so are the points, so every fault evaluate() reports,
+    overflow included, raises a floating-point error here too. A call that
+    raises one is bisected (see _bisect) down to the faulting points, or to
+    small parts that fault in both halves, which evaluate() evaluates; rows
+    are computed elementwise, so every point keeps its bits."""
     exprs = list(exprs)
     coords = tuple(coords)
     tape = _Tape(exprs, coords)

@@ -78,8 +78,8 @@ class StackRanks:
     """Rank verdicts for a stack of n jet matrices, one array entry each.
 
     `reasons` maps each matrix that has no verdict to why: an evaluation
-    error, a non-finite entry or an SVD that did not converge. `valid` is
-    False exactly there, and the other arrays hold no meaning there."""
+    error or an SVD that did not converge. `valid` is False exactly there,
+    and the other arrays hold no meaning there."""
 
     rank: np.ndarray
     sigma_min: np.ndarray
@@ -89,24 +89,22 @@ class StackRanks:
     reasons: dict
 
 
-def stack_ranks(entries: np.ndarray, labels, tol: float = DEFAULT_TOL, errors=None) -> StackRanks:
+def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None) -> StackRanks:
     """Rank verdicts over an (n, rows, cols) stack: a singular value counts
     when it exceeds tol * max(1, sigma_max). A matrix, square or
     rectangular, whose off-diagonal entries are all zero (every 1 x 1 matrix)
     has the exact singular values |diagonal|, sorted descending, and makes
     no LAPACK call; the other matrices get one batched SVD. `errors` maps
     points whose evaluation faulted to the EvalError (as CompiledJet.at
-    returns them); it overrides their reason."""
+    returns them), which is their reason; every other matrix must be
+    finite, else ValueError."""
     n, rows, cols = entries.shape
-    bad = ~np.isfinite(entries)
-    reasons = {
-        i: f"non-finite entry in row {labels[int(np.argwhere(bad[i])[0][0])]}"
-        for i in np.flatnonzero(bad.any(axis=(1, 2))).tolist()
-    }
-    reasons.update((i, str(exc)) for i, exc in (errors or {}).items())
+    reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
         entries = entries.copy()
         entries[list(reasons)] = 0.0
+    if not np.isfinite(entries).all():
+        raise ValueError("jet entries must be finite outside the faulted points")
     dense = (entries != 0)[:, ~np.eye(rows, cols, dtype=bool)].any(axis=1)
     if dense.all():  # no copy of the stack where no matrix is diagonal
         sigma = _svd(entries, np.arange(n), reasons)
@@ -156,22 +154,21 @@ class CompiledJet:
     """Row expressions compiled into one tape of numpy calls (see
     expr.compile_batch), run over a chunk of points at a time."""
 
-    def __init__(self, rows, chart, labels):
-        self.labels = tuple(labels)
+    def __init__(self, rows, chart):
         self.shape = (len(rows), len(rows[0]))
         self._run = compile_batch([e for row in rows for e in row], chart.coords)
 
     def at(self, points: np.ndarray):
         """The (n, rows, cols) stack of jet matrices at an (n, dim) array of
         points, and a dict mapping each point where evaluation faulted to its
-        EvalError; that point's matrix is nan."""
+        EvalError; that point's matrix is nan, and every other is finite."""
         values, errors = self._run(points)
         entries = values.reshape((len(points),) + self.shape)
         return entries, {i: exc for i, (_, exc) in errors.items()}
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> StackRanks:
         entries, errors = self.at(points)
-        return stack_ranks(entries, self.labels, tol, errors)
+        return stack_ranks(entries, tol, errors)
 
 
 # Compiled jets by map, then by (frame, order). An entry leaves when its map
@@ -182,13 +179,12 @@ _jets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
     jets = _jets.setdefault(f, {})
     if (frame, 1) not in jets:
-        jets[frame, 1] = CompiledJet(d1_exprs(frame, f), frame.chart, range(frame.k))
+        jets[frame, 1] = CompiledJet(d1_exprs(frame, f), frame.chart)
     return jets[frame, 1]
 
 
 def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
     jets = _jets.setdefault(f, {})
     if (frame, 2) not in jets:
-        labels = list(range(frame.k)) + pair_labels(frame.k)
-        jets[frame, 2] = CompiledJet(d2_exprs(frame, f), frame.chart, labels)
+        jets[frame, 2] = CompiledJet(d2_exprs(frame, f), frame.chart)
     return jets[frame, 2]

@@ -21,10 +21,11 @@ def _pointwise_fold(results, smaller_is_worse):
     return worst_idx, worst_val, failures, any(not ok for _, ok, _ in results)
 
 
+# a criterion is never nan (a point without one is None), but sigma may be inf
 _criteria = st.one_of(
     st.none(),
-    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, math.nan]),
-    st.floats(allow_nan=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf]),
+    st.floats(allow_nan=False),
 )
 
 
@@ -33,11 +34,12 @@ _criteria = st.one_of(
     st.booleans(),
     st.integers(1, 40),
 )
-@example([(0.0, False), (math.nan, False)], False, 1)  # a chunk of nan criteria only
+@example([(0.0, False), (None, False)], False, 1)  # a chunk with no criterion, its crit nan
 @settings(max_examples=300, deadline=None)
 def test_streaming_fold_matches_the_pointwise_loop(outcomes, smaller_is_worse, chunk):
-    """Ties go to the lowest index, a nan worst is never replaced, and the
-    first FAILURE_CAP failures are kept, whatever the chunk size."""
+    """Ties go to the lowest index, the nan held by a point without a
+    criterion is never read, and the first FAILURE_CAP failures are kept,
+    whatever the chunk size."""
     results = [(crit, ok, None if ok else f"reason {i}") for i, (crit, ok) in enumerate(outcomes)]
     points = np.arange(len(results), dtype=float).reshape(-1, 1)
     fold = _Fold(points, smaller_is_worse)

@@ -127,17 +127,14 @@ class TestVerifyIdentity:
 
 
 @pytest.mark.parametrize(
-    "literal, reason, has_worst",
+    "literal",
     [
-        # det D1 = 1e103: its cube raises OverflowError in float **, so no
-        # point has a criterion
-        ("1" + "0" * 103, "overflow: det(D1)^3 beyond the float range", False),
-        # det D1 = 5e102: the cube is finite, the residual is nan
-        ("5" + "0" * 102, "residual nan exceeds 1.000e-09", True),
+        "1" + "0" * 103,  # det D1 = 1e103: its cube raises OverflowError in float **
+        "5" + "0" * 102,  # det D1 = 5e102: the cube is finite, the products are not
     ],
     ids=["power-overflows", "residual-nan"],
 )
-def test_identity_beyond_the_float_range_fails_with_strict_json(literal, reason, has_worst, tmp_path, capsys):
+def test_identity_beyond_the_float_range_fails_with_strict_json(literal, tmp_path, capsys):
     manifest = tmp_path / "huge.toml"
     manifest.write_text(
         RECIPROCAL_MANIFEST.replace("[-1, 1]", "[-2, 2]")
@@ -149,12 +146,9 @@ def test_identity_beyond_the_float_range_fails_with_strict_json(literal, reason,
     assert captured.err == ""  # no internal error, no traceback
     data = strict_json(captured.out)
     assert data["verdict"] == "fail"
-    assert {f["reason"] for f in data["failures"]} == {reason}
+    assert {f["reason"] for f in data["failures"]} == {"overflow: determinants beyond the float range"}
     assert len(data["failures"]) == 20
-    if has_worst:  # a criterion that is not finite is null, not NaN
-        assert data["worst"]["criterion"] is None
-    else:
-        assert data["worst"] is None
+    assert data["worst"] is None  # a residual that is not finite is no criterion
 
 
 def test_overflow_at_a_point_is_a_failure(planar_manifest, tmp_path, capsys):
@@ -164,10 +158,10 @@ def test_overflow_at_a_point_is_a_failure(planar_manifest, tmp_path, capsys):
     assert main(["check", str(manifest), "--json"]) == 1
     data = json.loads(capsys.readouterr().out)
     assert data["verdict"] == "fail"
-    # math.exp overflows with an exception; a product of huge finite factors
-    # overflows silently to inf, which the rank check names as non-finite
+    # math.exp overflows, and so does the product of huge finite factors in
+    # the jet: both are the same evaluation fault
     reasons = {f["reason"] for f in data["failures"]}
-    assert reasons == {"overflow", "non-finite entry in row 0"}
+    assert reasons == {"overflow"}
 
 
 def test_overflowing_constant_is_a_failure_at_each_point(tmp_path, capsys):
@@ -257,6 +251,44 @@ def _structure(text: str, structure: str) -> str:
     """The manifest text with its [frame] section replaced by a [structure]."""
     head, _, rest = text.partition("[frame]")
     return head + "[structure]\n" + structure + "\n" + rest.split("\n", 2)[2]
+
+
+BIG = "1" + "0" * 200  # finite, but its square is not
+D_DX = PLANAR.replace('"2*y", "1 - y^2"', '"1", "0"')
+CANONICAL = _structure(PLANAR.replace("[x, y]", "[q, p]"), "type = canonical\nn = 1").replace(
+    "mode = immersion", "mode = bracket-laws"
+)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (D_DX.replace('"y*exp(x)"', f'"{BIG}*x*{BIG} + y"'), "overflow"),
+        (D_DX.replace('"y*exp(x)"', f'"1/({BIG}*{BIG}*(x+3)) + x + y"'), "overflow"),
+        (
+            D_DX.replace('"y*exp(x)"', f'"{BIG}*y*{BIG}*exp(x)"').replace("= immersion", "= identity"),
+            "inner jet block: overflow",
+        ),
+        # a bracket-law residual that cannot be evaluated is not a residual of 0
+        (CANONICAL.replace('"y*exp(x)"', f'"q*{BIG}*{BIG}*p", "q^2", "p^2 + q"'), "antisymmetry: overflow"),
+        (CANONICAL.replace('"y*exp(x)"', f'"exp(q)*{BIG}*{BIG}", "p*q", "p^3"'), "antisymmetry: overflow"),
+    ],
+    ids=["immersion-product", "immersion-quotient", "identity", "bracket-laws-product", "bracket-laws-exp"],
+)
+def test_overflow_is_one_fault_in_every_mode(text, reason, tmp_path, capsys):
+    """A value beyond the float range is an evaluation fault of its point in
+    every mode: each point fails with the fault as its reason and has no
+    criterion."""
+    manifest = tmp_path / "overflow.toml"
+    manifest.write_text(text)
+    assert main(["check", str(manifest), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    data = strict_json(captured.out)
+    assert data["verdict"] == "fail"
+    assert data["worst"] is None
+    assert {f["reason"] for f in data["failures"]} == {reason}
+    assert len(data["failures"]) == data["points_checked"] == 20
 
 
 @pytest.mark.parametrize(
@@ -401,6 +433,10 @@ class TestEval:
 
     def test_overflow_is_an_evaluation_error(self, capsys):
         assert main(["eval", "exp(1000)"]) == 1
+        assert capsys.readouterr().err.strip() == "evaluation error: overflow"
+
+    def test_overflowing_product_is_an_evaluation_error(self, capsys):
+        assert main(["eval", f"{BIG}*{BIG}"]) == 1
         assert capsys.readouterr().err.strip() == "evaluation error: overflow"
 
     def test_parse_error_exit_two(self, capsys):

@@ -216,29 +216,31 @@ class TestDetIdentity:
             assert (rel <= 1e-9).all()
 
     def test_image_that_overflows_is_a_failure_of_the_outer_block(self):
-        # a product of huge finite factors overflows to inf without a fault;
-        # the outer jet, compiled for finite points, is not evaluated there
-        frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
+        # the jet of f along d/dy is finite, but f's value, a product of huge
+        # finite factors, overflows where x != 0: the outer jet is not
+        # evaluated there
+        frame = Frame(PLANE, (standard_frame(PLANE).vectors[1],))
         big = "1" + "0" * 200
-        f = SmoothMap(PLANE, (parse(f"{big}*x*{big}"),))
+        f = SmoothMap(PLANE, (parse(f"y + {big}*x*{big}"),))
         points = np.array([[0.5, 0.0], [0.0, 1.0], [-1.0, 2.0]])
         lhs, rhs, rel, failures = DetIdentity(frame, f, monomial_free_map(1)).residuals(points)
         assert {i: (type(exc), str(exc)) for i, exc in failures.items()} == {
-            0: (EvalError, "outer jet block: image point not finite"),
-            2: (EvalError, "outer jet block: image point not finite"),
+            0: (EvalError, "outer jet block: overflow"),
+            2: (EvalError, "outer jet block: overflow"),
         }
+        assert rel[1] <= 1e-9
         report = check_points(frame, f, [(0.5, 0.0)], "identity")
-        assert report.failures == [{"point": [0.5, 0.0], "reason": "outer jet block: image point not finite"}]
+        assert report.failures == [{"point": [0.5, 0.0], "reason": "outer jet block: overflow"}]
 
     def test_power_that_overflows_is_a_failure(self):
         # det D1 = 1e102 * exp(x): its cube leaves the float range for x > 1.73,
-        # where Python's float ** raises OverflowError instead of returning inf
+        # where Python's float ** raises OverflowError
         frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
         f = SmoothMap(PLANE, (parse("1" + "0" * 102 + "*exp(x) + y"),))
         points = np.array([[-1.0, 0.5], [1.8, 0.0], [0.0, 1.0], [1.9, -1.0], [1.0, 0.0]])
         identity = DetIdentity(frame, f, monomial_free_map(1))
         _, rhs, rel, failures = identity.residuals(points)
-        overflow = "overflow: det(D1)^3 beyond the float range"
+        overflow = "overflow: determinants beyond the float range"
         assert {i: (type(exc), str(exc)) for i, exc in failures.items()} == {
             1: (EvalError, overflow),
             3: (EvalError, overflow),

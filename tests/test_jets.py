@@ -208,8 +208,8 @@ def test_a_compiled_jet_is_built_once_and_lives_as_long_as_its_map(monkeypatch):
 
 
 def _ranks(m):
-    """stack_ranks of one matrix, rows labeled by their index."""
-    return stack_ranks(m[None], tuple(range(len(m))))
+    """stack_ranks of one matrix."""
+    return stack_ranks(m[None])
 
 
 class TestRankCheck:
@@ -231,27 +231,32 @@ class TestRankCheck:
         assert np.linalg.det(m) == pytest.approx(4.0)
         assert _ranks(m).full_rank[0]
 
-    def test_nonfinite_entry_names_row(self):
-        entries = np.array([[[1.0, 0.0], [np.inf, 1.0]]])
-        r = stack_ranks(entries, (0, (0, 0)))
-        assert r.reasons == {0: "non-finite entry in row (0, 0)"}
-        assert not r.valid[0]
+    def test_nonfinite_entry_is_refused(self):
+        # a jet is finite outside its faulted points (expr.compile_batch), as
+        # a point is finite (Chart.point_array)
+        entries = np.array([[[1.0, 0.0], [np.inf, 1.0]], [[np.nan, 0.0], [0.0, 1.0]]])
+        with pytest.raises(ValueError, match="finite"):
+            stack_ranks(entries)
+        with pytest.raises(ValueError, match="finite"):
+            stack_ranks(entries, errors={1: EvalError("overflow")})
+        r = stack_ranks(entries, errors={0: EvalError("overflow"), 1: EvalError("division by zero")})
+        assert r.reasons == {0: "overflow", 1: "division by zero"}
+        assert not r.valid.any()
 
 
 def test_stack_ranks_matches_a_matrix_by_matrix_svd():
     """The singular values, rank and verdict of each matrix are, bit for
     bit, those of one SVD per matrix (a 1 x 1 matrix is ranked from its
-    entry, which LAPACK returns exactly at these magnitudes); a non-finite
-    entry and an evaluation error are reasons, the error taking precedence."""
+    entry, which LAPACK returns exactly at these magnitudes); an evaluation
+    error is its matrix's reason, and that matrix's entries are not read."""
     rng = np.random.default_rng(3)
     for rows, cols in [(1, 1), (2, 3), (3, 2), (5, 5), (9, 9), (14, 14)]:
         stack = rng.uniform(-2.0, 2.0, (40, rows, cols))
         stack[5, -1] = stack[5, 0]  # rank deficient where rows > 1
         stack[7, rows - 1, cols - 1] = np.inf
         stack[9, 0, 0] = np.nan
-        labels = tuple(range(rows))
-        r = stack_ranks(stack, labels, DEFAULT_TOL, {9: EvalError("division by zero")})
-        assert r.reasons == {7: f"non-finite entry in row {rows - 1}", 9: "division by zero"}
+        r = stack_ranks(stack, DEFAULT_TOL, {7: EvalError("overflow"), 9: EvalError("division by zero")})
+        assert r.reasons == {7: "overflow", 9: "division by zero"}
         assert list(np.flatnonzero(~r.valid)) == [7, 9]
         for i, m in enumerate(stack):
             if i in r.reasons:
@@ -273,7 +278,8 @@ _ENTRIES = st.one_of(
 @st.composite
 def _mixed_stacks(draw):
     """An (n, rows, cols) stack of diagonal and dense matrices, off-diagonal
-    zeros of either sign, with at most one non-finite entry and one error."""
+    zeros of either sign, with at most one non-finite entry, often at a
+    faulted point, and one more error."""
     rows, cols = draw(st.sampled_from(_SHAPES))
     n = draw(st.integers(1, 12))
     stack = np.array(draw(st.lists(_ENTRIES, min_size=n * rows * cols, max_size=n * rows * cols)))
@@ -286,6 +292,8 @@ def _mixed_stacks(draw):
     if draw(st.booleans()):
         i, r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
         stack[i, r, c] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+        if draw(st.booleans()):
+            errors[i] = EvalError("overflow")
     if draw(st.booleans()):
         errors[draw(st.integers(0, n - 1))] = EvalError("division by zero")
     return stack, errors
@@ -297,19 +305,17 @@ def test_diagonal_matrices_are_ranked_from_their_diagonal(case):
     """A matrix with no nonzero off-diagonal entry gets exactly the sorted
     |diagonal| as singular values; any other matrix gets, bit for bit, the
     singular values of its own SVD. Reasons and validity do not depend on
-    the kind of matrix."""
+    the kind of matrix. A non-finite entry outside the errors is refused."""
     stack, errors = case
     n, rows, cols = stack.shape
-    labels = tuple(range(rows))
+    if any(i not in errors and not np.isfinite(m).all() for i, m in enumerate(stack)):
+        with pytest.raises(ValueError, match="finite"):
+            stack_ranks(stack, DEFAULT_TOL, errors)
+        return
     before = stack.copy()
-    r = stack_ranks(stack, labels, DEFAULT_TOL, errors)
+    r = stack_ranks(stack, DEFAULT_TOL, errors)
     assert np.array_equal(stack, before, equal_nan=True)  # the stack is not written
-    reasons = {}
-    for i, m in enumerate(stack):
-        bad = np.argwhere(~np.isfinite(m))
-        if len(bad):
-            reasons[i] = f"non-finite entry in row {int(bad[0][0])}"
-    reasons.update((i, str(exc)) for i, exc in errors.items())
+    reasons = {i: str(exc) for i, exc in errors.items()}
     assert r.reasons == reasons
     assert r.valid.tolist() == [i not in reasons for i in range(n)]
     for i, m in enumerate(stack):
@@ -340,7 +346,7 @@ def test_svd_fallback_covers_the_dense_matrices_only(monkeypatch):
 
     stack = np.array([np.diag([2.0, -3.0]), [[1.0, 2.0], [3.0, 4.0]], np.eye(2), [[1.0, 7.0], [0.0, 1.0]]])
     monkeypatch.setattr(np.linalg, "svd", flaky)
-    r = stack_ranks(stack, (0, 1))
+    r = stack_ranks(stack)
     assert r.reasons == {3: "SVD did not converge"}
     assert r.valid.tolist() == [True, True, True, False]
     assert [c.shape for c in calls] == [(2, 2, 2), (2, 2), (2, 2)]

@@ -81,7 +81,8 @@ def _mutate_value(data, value):
 def _mutate(data, lines):
     i = data.draw(st.integers(0, len(lines) - 1))
     line = lines[i].strip()
-    ops = ["drop", "duplicate", "uncomment", "value", "odd-chart", "set", "structure", "box-edge", "huge-factor"]
+    ops = ["drop", "duplicate", "uncomment", "value", "odd-chart", "set", "structure", "box-edge"]
+    ops += ["huge-factor", "huge-product"]
     op = data.draw(st.sampled_from(ops))
     if op == "drop":
         return lines[:i] + lines[i + 1 :]
@@ -110,7 +111,7 @@ def _mutate(data, lines):
                     box = _set(box, data.draw(st.sampled_from(edges)), data.draw(_numbers))
                     return lines[:j] + [f"box = {_render(box)}"] + lines[j + 1 :]
         return lines
-    if op == "huge-factor":  # a map component times a literal of 100 to 301 digits
+    if op in ("huge-factor", "huge-product"):  # a map component times huge literals
         j = next((j for j, line in enumerate(lines) if line.startswith("components = ")), None)
         if j is None:
             return lines
@@ -121,10 +122,18 @@ def _mutate(data, lines):
         if not (isinstance(comps, list) and comps and all(isinstance(c, str) for c in comps)):
             return lines
         c = data.draw(st.integers(0, len(comps) - 1))
-        comps[c] = f"{data.draw(st.integers(10**99, 10**300))}*({comps[c]})"
+        mode = None
+        if op == "huge-factor":  # one literal of 100 to 301 digits
+            comps[c] = f"{data.draw(st.integers(10**99, 10**300))}*({comps[c]})"
+            if data.draw(st.booleans()):  # where det(D1)^(k+2) leaves the float range
+                mode = "identity"
+        else:  # two 200-digit literals, whose product leaves the float range
+            big = st.integers(10**199, 10**200 - 1)
+            comps[c] = f"{data.draw(big)}*({comps[c]})*{data.draw(big)}"
+            mode = data.draw(st.sampled_from(["immersion", "identity", "bracket-laws"]))
         out = lines[:j] + [f"components = {_render(comps)}"] + lines[j + 1 :]
-        if data.draw(st.booleans()):  # where det(D1)^(k+2) leaves the float range
-            out = ["mode = identity" if line.startswith("mode = ") else line for line in out]
+        if mode is not None:
+            out = [f"mode = {mode}" if line.startswith("mode = ") else line for line in out]
         return out
     if op == "structure":  # a named structure in place of the frame
         kind = data.draw(st.sampled_from(["canonical", "riemann-poisson", "contact", "bogus"]))
