@@ -102,16 +102,17 @@ def canonical_bracket(s: SymplecticChart, f: Expr, g: Expr) -> Expr:
 
     Oriented so that {h, g} equals the Lie derivative of g along the
     Hamiltonian field of h (see hamiltonian_field); the canonical relation
-    reads {p_a, q^a} = 1.
+    reads {p_a, q^a} = 1. A pair (q, p) both of whose products have a zero
+    factor adds nothing, so it is not built.
     """
     s.chart.check_expr(f)
     s.chart.check_expr(g)
     total: Expr = ZERO
     for q, p in zip(s.angles, s.momenta):
-        total = Add(
-            total,
-            Sub(Mul(ddx(f, p), ddx(g, q)), Mul(ddx(f, q), ddx(g, p))),
-        )
+        fp, gq, fq, gp = ddx(f, p), ddx(g, q), ddx(f, q), ddx(g, p)
+        if ZERO in (fp, gq) and ZERO in (fq, gp):
+            continue
+        total = Add(total, Sub(Mul(fp, gq), Mul(fq, gp)))
     return simplify(total)
 
 

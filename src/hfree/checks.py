@@ -7,14 +7,17 @@ per-point criterion and failure reasons into the report in sample order
 (extreme value, ties to the lowest sample index), so the report does not depend
 on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
-its map), so a chunk costs one run of each tape, then one batched SVD or
+its map), so a chunk costs one run of each tape, then one batched ranking or
 determinant call; `expr.evaluate`, the reference interpreter, takes the points
 where a call faults. A value beyond the float range is such a fault, an
 `overflow`, in both engines, so a judge reads only finite values: a point that
 faults fails with its EvalError and has no criterion. The SVD sees only the
-dense matrices of a stack: a diagonal one, such as every 1 x 1 jet, is ranked
-from its diagonal (`jets.stack_ranks`). `build_plan` builds a manifest's
-check; `check_points` makes the immersion, free or identity check over given
+dense matrices of a stack that a Gram screen cannot clear: a diagonal one,
+such as every 1 x 1 jet, is ranked from its diagonal, and a cleared one is
+full rank with an estimated sigma_min above the least (`jets.stack_ranks`).
+A judge ranks each jet among the points it folds, so the worst criterion is
+exact, never an estimate. `build_plan` builds a manifest's check;
+`check_points` makes the immersion, free or identity check over given
 points, and the pointwise predicates are reads of it at one point.
 """
 
@@ -325,8 +328,13 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
             j = int(np.argmax(mismatch[i]))
             row, col, _ = fix.expected[j]
             formula_reasons[i] = f"expected formula mismatch at jet entry ({row},{col}): {float(residual[i, j]):.3e}"
-        r1 = d1.ranks(chunk, tol)
-        r2 = d2.ranks(chunk, tol)
+        # each jet's least sigma_min is exact among the points folded
+        folded = valid_mask(len(chunk), formula_reasons)
+        r1 = d1.ranks(chunk, tol, folded)
+        r2 = d2.ranks(chunk, tol, folded & r1.valid)
+        if not r2.valid[folded & r1.valid].all():  # D1's least may be a point D2 leaves out
+            r1 = d1.ranks(chunk, tol, folded & r2.valid)
+        has_crit = folded & r1.valid & r2.valid
         # lowest first: a formula mismatch hides the jets, a jet without a
         # verdict hides rank deficiency, and D1 comes before D2
         reasons = _rank_deficient(r2, f"free-map rank {{}} < {k + s(k)}")
@@ -335,7 +343,6 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         reasons.update(r1.reasons)
         reasons.update(formula_reasons)
         crit = np.where(r2.sigma_min < r1.sigma_min, r2.sigma_min, r1.sigma_min)
-        has_crit = r1.valid & r2.valid & valid_mask(len(chunk), formula_reasons)
         return crit, has_crit, reasons
 
     return _run("gallery", points, judge, True, started, fix.notes)

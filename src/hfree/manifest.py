@@ -127,6 +127,8 @@ def parse_manifest_text(text: str) -> Manifest:
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     in_string = False
     for i, ch in enumerate(line):
         if ch == '"':

@@ -197,6 +197,35 @@ def test_overflowing_constant_is_a_failure_at_each_point(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_free_check_of_a_huge_map_writes_nothing_to_stderr(tmp_path, capsys):
+    # its jets, near 1e200, would overflow in A.A^T: the rank screen leaves
+    # them to the SVD, which ranks them without a warning
+    manifest = tmp_path / "huge-free.toml"
+    manifest.write_text(
+        textwrap.dedent(
+            """
+            [manifold]
+            coords = [x, y]
+            box = [[-2, 2], [-2, 2]]
+
+            [frame]
+            vectors = [["2*y", "1 - y^2"]]
+
+            [map]
+            components = ["B*y*exp(x)", "B*y^2*exp(2*x)"]
+
+            [check]
+            mode = free
+            samples = 600
+            """
+        ).replace("B", "1" + "0" * 200)
+    )
+    assert main(["check", str(manifest), "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "pass"
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize(
     "manifest, args",
     [

@@ -1,12 +1,14 @@
+import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hfree import expr as expr_module, gallery, jets as jets_module
-from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
+from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
+from hfree.expr import Add, Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
 from hfree.fields import (
     Chart,
@@ -21,6 +23,7 @@ from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
+    compiled_d1,
     compiled_d2,
     d1_matrix,
     d2_exprs,
@@ -244,28 +247,85 @@ class TestRankCheck:
         assert not r.valid.any()
 
 
-def test_stack_ranks_matches_a_matrix_by_matrix_svd():
-    """The singular values, rank and verdict of each matrix are, bit for
-    bit, those of one SVD per matrix (a 1 x 1 matrix is ranked from its
-    entry, which LAPACK returns exactly at these magnitudes); an evaluation
-    error is its matrix's reason, and that matrix's entries are not read."""
+def _own_svd(m):
+    """The singular values stack_ranks answers to: the sorted |diagonal| of a
+    matrix whose off-diagonal entries are all zero, else its own SVD's."""
+    if (m[~np.eye(*m.shape, dtype=bool)] == 0).all():
+        return np.sort(np.abs(np.diagonal(m)))[::-1]
+    return np.linalg.svd(m, compute_uv=False)
+
+
+def _recording_svd(monkeypatch, seen: list):
+    """Patch np.linalg.svd to append the bytes of every matrix it is given
+    to `seen`."""
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        seen.extend(m.tobytes() for m in a.reshape((-1,) + a.shape[-2:]))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+
+
+def _assert_svd_contract(r, stack, errors, exact=None, seen=()):
+    """StackRanks against one SVD per matrix: the same rank, verdict,
+    validity and reasons; sigma_min bit for bit at the least of the `exact`
+    matrices (ties to the lowest index), at every diagonal matrix and at
+    every matrix the SVD saw (`seen`, as bytes); at any other matrix, which
+    is full rank, an estimate within the screen's interval of the SVD's
+    value, and above that least if the matrix is among the `exact`."""
+    n, rows, cols = stack.shape
+    reasons = {i: str(exc) for i, exc in errors.items()}
+    assert r.reasons == reasons
+    assert r.valid.tolist() == [i not in reasons for i in range(n)]
+    own = {}
+    for i, m in enumerate(stack):
+        if i not in reasons:
+            own[i] = sigma = _own_svd(m)
+            rank = int(np.count_nonzero(sigma > DEFAULT_TOL * max(1.0, sigma[0])))
+            assert (r.rank[i], r.full_rank[i]) == (rank, rank == rows)
+    keep = [i for i in own if exact is None or exact[i]]
+    least = min(keep, key=lambda i: (own[i][-1], i), default=None)
+    if least is not None:
+        assert min(keep, key=lambda i: (r.sigma_min[i], i)) == least
+    half_width = 2 * (rows + cols) * np.sqrt(8 * np.finfo(float).eps)
+    for i, sigma in own.items():
+        if float(r.sigma_min[i]).hex() == float(sigma[-1]).hex():
+            continue
+        assert stack[i][~np.eye(rows, cols, dtype=bool)].any()  # not diagonal
+        assert stack[i].tobytes() not in seen and rows <= cols and r.full_rank[i]
+        assert abs(r.sigma_min[i] - sigma[-1]) <= half_width * sigma[0]
+        assert i not in keep or r.sigma_min[i] > own[least][-1]
+
+
+def test_stack_ranks_keeps_the_svd_verdicts_and_the_least(monkeypatch):
+    """Dense stacks past SCREEN_MIN: rank-deficient, nearly deficient and
+    faulted matrices and matrices outside the Gram range keep the SVD's
+    verdicts and values; the screen clears most of a square or wide stack,
+    and none of a tall one."""
     rng = np.random.default_rng(3)
+    n = 2 * jets_module.SCREEN_MIN
     for rows, cols in [(1, 1), (2, 3), (3, 2), (5, 5), (9, 9), (14, 14)]:
-        stack = rng.uniform(-2.0, 2.0, (40, rows, cols))
+        stack = rng.uniform(-2.0, 2.0, (n, rows, cols))
         stack[5, -1] = stack[5, 0]  # rank deficient where rows > 1
+        stack[6, -1] = stack[6, 0] + 1e-8 * stack[6, -1]
         stack[7, rows - 1, cols - 1] = np.inf
         stack[9, 0, 0] = np.nan
-        r = stack_ranks(stack, DEFAULT_TOL, {7: EvalError("overflow"), 9: EvalError("division by zero")})
-        assert r.reasons == {7: "overflow", 9: "division by zero"}
-        assert list(np.flatnonzero(~r.valid)) == [7, 9]
-        for i, m in enumerate(stack):
-            if i in r.reasons:
-                continue
-            sigma = np.linalg.svd(m, compute_uv=False)
-            rank = int(np.sum(sigma > DEFAULT_TOL * max(1.0, float(sigma[0]))))
-            assert (r.sigma_min[i], r.sigma_max[i]) == (sigma[-1], sigma[0])
-            assert r.rank[i] == rank
-            assert r.full_rank[i] == (rank == min(rows, cols) == rows)
+        stack[11] *= 1e200  # A.A^T would overflow
+        stack[12] *= 1e-200  # and underflow
+        errors = {7: EvalError("overflow"), 9: EvalError("division by zero")}
+        for exact in (None, rng.random(n) < 0.5):
+            seen = []
+            with monkeypatch.context() as m:
+                _recording_svd(m, seen)
+                r = stack_ranks(stack, DEFAULT_TOL, errors, exact)
+            _assert_svd_contract(r, stack, errors, exact, seen)
+            if rows == 1:
+                assert not seen
+            elif rows > cols:
+                assert len(seen) == n - 2
+            else:
+                assert {stack[i].tobytes() for i in (5, 11, 12)} <= set(seen) and len(seen) < n // 4
 
 
 _SHAPES = [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 4), (2, 5)]
@@ -277,17 +337,21 @@ _ENTRIES = st.one_of(
 
 @st.composite
 def _mixed_stacks(draw):
-    """An (n, rows, cols) stack of diagonal and dense matrices, off-diagonal
-    zeros of either sign, with at most one non-finite entry, often at a
-    faulted point, and one more error."""
+    """An (n, rows, cols) stack of diagonal, dense and nearly rank-deficient
+    matrices, off-diagonal zeros of either sign, with at most one non-finite
+    entry, often at a faulted point, and one more error."""
     rows, cols = draw(st.sampled_from(_SHAPES))
     n = draw(st.integers(1, 12))
     stack = np.array(draw(st.lists(_ENTRIES, min_size=n * rows * cols, max_size=n * rows * cols)))
     stack = stack.reshape(n, rows, cols)
     off = ~np.eye(rows, cols, dtype=bool)
     for i in range(n):
-        if draw(st.booleans()):  # diagonal
+        kind = draw(st.sampled_from(["dense", "diagonal", "near"]))
+        if kind == "diagonal":
             stack[i][off] = draw(st.sampled_from([0.0, -0.0]))
+        elif kind == "near" and rows > 1:  # the last row near a multiple of the first
+            scale, nudge = draw(st.floats(-4.0, 4.0)), draw(st.sampled_from([0.0, 1e-300, 1e-12, 1e-7]))
+            stack[i, -1] = scale * stack[i, 0] + nudge * stack[i, -1]
     errors = {}
     if draw(st.booleans()):
         i, r, c = draw(st.integers(0, n - 1)), draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
@@ -299,36 +363,28 @@ def _mixed_stacks(draw):
     return stack, errors
 
 
-@given(_mixed_stacks())
+@given(_mixed_stacks(), st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)))
 @settings(max_examples=300, deadline=None)
-def test_diagonal_matrices_are_ranked_from_their_diagonal(case):
-    """A matrix with no nonzero off-diagonal entry gets exactly the sorted
-    |diagonal| as singular values; any other matrix gets, bit for bit, the
-    singular values of its own SVD. Reasons and validity do not depend on
-    the kind of matrix. A non-finite entry outside the errors is refused."""
+def test_screened_stacks_keep_the_svd_contract(case, keep):
+    """With every dense stack screened (SCREEN_MIN = 1), a stack keeps the
+    StackRanks contract against one SVD per matrix, whatever matrices the
+    `exact` mask names; the stack is not written, and a non-finite entry
+    outside the errors is refused."""
     stack, errors = case
-    n, rows, cols = stack.shape
+    n = len(stack)
+    exact = None if keep is None else np.array(keep[:n])
     if any(i not in errors and not np.isfinite(m).all() for i, m in enumerate(stack)):
         with pytest.raises(ValueError, match="finite"):
             stack_ranks(stack, DEFAULT_TOL, errors)
         return
     before = stack.copy()
-    r = stack_ranks(stack, DEFAULT_TOL, errors)
-    assert np.array_equal(stack, before, equal_nan=True)  # the stack is not written
-    reasons = {i: str(exc) for i, exc in errors.items()}
-    assert r.reasons == reasons
-    assert r.valid.tolist() == [i not in reasons for i in range(n)]
-    for i, m in enumerate(stack):
-        if i in reasons:
-            continue
-        if (m[~np.eye(rows, cols, dtype=bool)] == 0).all():
-            sigma = sorted(abs(float(d)) for d in np.diagonal(m))[::-1]
-        else:
-            sigma = np.linalg.svd(m, compute_uv=False).tolist()
-        rank = sum(v > DEFAULT_TOL * max(1.0, sigma[0]) for v in sigma)
-        assert (float(r.sigma_min[i]).hex(), float(r.sigma_max[i]).hex()) == (sigma[-1].hex(), sigma[0].hex())
-        assert r.rank[i] == rank
-        assert r.full_rank[i] == (rank == rows)
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets_module, "SCREEN_MIN", 1)
+        _recording_svd(m, seen)
+        r = stack_ranks(stack, DEFAULT_TOL, errors, exact)
+    assert np.array_equal(stack, before, equal_nan=True)
+    _assert_svd_contract(r, stack, errors, exact, seen)
 
 
 def test_svd_fallback_covers_the_dense_matrices_only(monkeypatch):
@@ -351,9 +407,31 @@ def test_svd_fallback_covers_the_dense_matrices_only(monkeypatch):
     assert r.valid.tolist() == [True, True, True, False]
     assert [c.shape for c in calls] == [(2, 2, 2), (2, 2), (2, 2)]
     assert np.array_equal(calls[0], stack[[1, 3]])
-    assert (r.sigma_max[0], r.sigma_min[0]) == (3.0, 2.0)
-    assert (r.sigma_max[2], r.sigma_min[2]) == (1.0, 1.0)
-    assert (r.sigma_max[1], r.sigma_min[1]) == tuple(svd(stack[1], compute_uv=False)[[0, -1]])
+    assert (r.sigma_min[0], r.sigma_min[2]) == (2.0, 1.0)
+    assert r.sigma_min[1] == svd(stack[1], compute_uv=False)[-1]
+
+
+def test_a_failed_svd_leaves_no_screen_estimate(monkeypatch):
+    """The least matrix of a screened stack fails in the SVD: the next least
+    may be one the screen cleared, so every dense matrix gets its own SVD."""
+    svd = np.linalg.svd
+    rng = np.random.default_rng(5)
+    stack = rng.uniform(-2.0, 2.0, (jets_module.SCREEN_MIN, 3, 3))
+    least = int(np.argmin(svd(stack, compute_uv=False)[:, -1]))
+    calls = []
+
+    def flaky(a, *args, **kwargs):
+        calls.append(a.shape)
+        if a.ndim == 3 or np.array_equal(a, stack[least]):
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    r = stack_ranks(stack)
+    assert r.reasons == {least: "SVD did not converge"}
+    assert calls.count((3, 3)) > len(stack)  # the screen's leftovers, then all of them
+    own = svd(stack, compute_uv=False)[:, -1]
+    assert np.array_equal(r.sigma_min[r.valid], own[r.valid])
 
 
 def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
@@ -376,6 +454,76 @@ def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
         k = fix.frame.k
         assert shapes, name
         assert {shape[1:] for shape in shapes} == {(k + s(k), fix.free_map.q)}, name
+
+
+def test_lapack_sees_about_one_contact_2_jet_per_chunk(monkeypatch):
+    """The Gram screen clears every contact-2 D2 but about the least of
+    each chunk, so LAPACK sees about one 14 x 14 jet per chunk."""
+    seen = []
+    _recording_svd(monkeypatch, seen)
+    assert run_fixture(gallery.fixture("contact-2"), samples=10000, seed=1).verdict == "pass"
+    assert 0 < len(seen) <= math.ceil(10000 / checks_module.CHUNK)
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_gallery_reports_do_not_depend_on_the_screen(seed, monkeypatch):
+    """Every gallery report at 10^4 samples is, bit for bit, the report made
+    with every dense matrix handed to the SVD."""
+    names = gallery.list_fixtures()
+    screened = [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in names]
+    monkeypatch.setattr(jets_module, "SCREEN_MIN", math.inf)
+    assert [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in names] == screened
+
+
+def test_a_formula_mismatch_at_the_least_jet_leaves_the_next_least_to_the_svd(monkeypatch):
+    """run_fixture screens its jets among the points it folds: when the point
+    of least D2 sigma_min fails its expected formula, the worst point is the
+    next least, with the SVD's value, as with no screen."""
+    fix = gallery.fixture("planar-hamiltonian")
+    points = sample_points(fix.chart, 512, 0)
+    d1 = np.abs(compiled_d1(fix.frame, fix.immersion).at(points)[0][:, 0, 0])
+    d2 = np.linalg.svd(compiled_d2(fix.frame, fix.free_map).at(points)[0], compute_uv=False)[:, -1]
+    least, after = np.argsort(np.minimum(d1, d2))[:2].tolist()
+    assert d2[least] < d1[least] and d2[after] < d1[after]
+    # a bump of height 1 at the least point, below 1e-11 at every other sample
+    x, y = points[least].tolist()
+    width = 26.0 / float(np.partition(((points - points[least]) ** 2).sum(axis=1), 1)[1])
+    bump = parse(f"exp(-{width!r}*((x - ({x!r}))^2 + (y - ({y!r}))^2))")
+    ((row, col, expected),) = fix.expected
+    bumped = dataclasses.replace(fix, expected=((row, col, Add(expected, bump)),))
+    report = run_fixture(bumped, 512, 0)
+    (failure,) = report.failures
+    assert failure["point"] == [x, y] and failure["reason"].startswith("expected formula mismatch")
+    assert report.worst_point == tuple(points[after].tolist())
+    assert float(report.worst_criterion).hex() == float(d2[after]).hex()
+    monkeypatch.setattr(jets_module, "SCREEN_MIN", math.inf)
+    assert run_fixture(bumped, 512, 0).to_json(False) == report.to_json(False)
+
+
+def test_d1_keeps_its_least_among_the_points_d2_leaves_in(monkeypatch):
+    """When D2 has no verdict at the point of least D1 sigma_min, D1 is
+    screened again among the points folded, so the worst point is the next
+    least, with the SVD's value."""
+
+    class Jet:
+        def __init__(self, entries, errors):
+            self.entries, self.errors = entries, errors
+
+        def ranks(self, chunk, tol, exact=None):
+            return stack_ranks(self.entries, tol, self.errors, exact)
+
+    fix = gallery.fixture("planar-hamiltonian")
+    points = sample_points(fix.chart, 512, 0)
+    d1 = np.random.default_rng(7).uniform(-2.0, 2.0, (512, 2, 2))  # dense, so screened
+    d2 = np.full((512, 1, 1), 1e3)  # above every D1, so D1 is the criterion
+    sigma = np.linalg.svd(d1, compute_uv=False)[:, -1]
+    least, after = np.argsort(sigma)[:2].tolist()
+    monkeypatch.setattr(checks_module, "compiled_d1", lambda frame, f: Jet(d1, {}))
+    monkeypatch.setattr(checks_module, "compiled_d2", lambda frame, f: Jet(d2, {least: EvalError("overflow")}))
+    report = run_fixture(fix, 512, 0)
+    assert report.failures == [{"point": points[least].tolist(), "reason": "overflow"}]
+    assert report.worst_point == tuple(points[after].tolist())
+    assert float(report.worst_criterion).hex() == float(sigma[after]).hex()
 
 
 class TestPredicates:
