@@ -13,10 +13,11 @@ where a call faults. A value beyond the float range is such a fault, an
 `overflow`, in both engines, so a judge reads only finite values: a point that
 faults fails with its EvalError and has no criterion. The SVD sees only the
 dense matrices of a stack that a Gram screen cannot clear: a diagonal one,
-such as every 1 x 1 jet, is ranked from its diagonal, and a cleared one is
-full rank with an estimated sigma_min above the least (`jets.stack_ranks`).
+such as every 1 x 1 jet, is ranked from its diagonal, and one that a shifted
+Cholesky factorization of A.A^T clears is full rank, with a certified lower
+bound on sigma_min above the least as its sigma_min (`jets.stack_ranks`).
 A judge ranks each jet among the points it folds, so the worst criterion is
-exact, never an estimate. `build_plan` builds a manifest's check;
+exact, never a bound. `build_plan` builds a manifest's check;
 `check_points` makes the immersion, free or identity check over given
 points, and the pointwise predicates are reads of it at one point.
 """

@@ -82,8 +82,8 @@ class StackRanks:
     that stack_ranks handed to the SVD or ranked from its diagonal; among the
     matrices it keeps exact (all, by default) the least sigma_min, ties to
     the lowest index, is one of those. A matrix the Gram screen cleared is
-    full rank, and its sigma_min is an estimate inside its certified interval
-    and, if the matrix is kept exact, above that least. `reasons` maps each
+    full rank, and its sigma_min is a certified lower bound on the SVD's,
+    above that least (if the matrix is kept exact). `reasons` maps each
     matrix that has no verdict to why: an evaluation error or an SVD that did
     not converge (a cleared matrix never reaches LAPACK). `valid` is False
     exactly there, and the other arrays hold no meaning there."""
@@ -96,23 +96,33 @@ class StackRanks:
 
 
 # Dense stacks of fewer matrices skip the Gram screen, whose fixed cost is a
-# few numpy calls. stack_ranks of random full-rank stacks, screen against SVD
-# only (one core of a 2-vCPU Xeon guest, numpy 2.4 with OpenBLAS): 2 x 2
-# matrices took 163 vs 106 us at 32 matrices, 186 vs 163 us at 64 and 184 vs
-# 223 us at 128; 14 x 14 matrices 738 vs 718, 1113 vs 1436 and 2243 vs
-# 2617 us. From 128 the screen was faster at every size from 2 x 2 to 14 x 14.
+# few dozen numpy calls. stack_ranks of random full-rank stacks, screen against
+# SVD only (medians of 80 interleaved runs, one core of a 2-vCPU Xeon guest,
+# numpy 2.4 with OpenBLAS): 2 x 2 matrices took 316 vs 167 us at 64
+# matrices, 350 vs 261 us at 128 and 367 vs 423 us at 256; 5 x 5 matrices
+# 540 vs 418, 552 vs 713 and 652 vs 1362 us; 14 x 14 matrices 1371 vs 1121,
+# 1877 vs 2261 and 2326 vs 4063 us. From 128 the screen was faster from
+# 5 x 5 to 14 x 14, and a 2 x 2 stack of 128 to 255 matrices loses at most
+# about 90 us.
 SCREEN_MIN = 128
-# The screen forms A.A^T in slices of at most this many bytes, not 784 KB at
-# once for a 512-matrix chunk of 14 x 14 jets: perfbench gallery-10k peaked
-# at 41.53-41.64 MB RSS with 64 KB slices, 41.65-41.72 MB with 128 KB and
-# 41.73-41.82 MB with the SVD alone (three 4 s runs each); unsliced, the
-# gallery at 10^4 samples peaked 1.0 MB higher than with the SVD alone.
+# The screen forms A.A^T in slices of at most this many bytes (a slice, its
+# transpose and their products), not 1.6 MB at once for a 512-matrix chunk
+# of 14 x 14 jets; the factorization then runs on the whole stack, one vector
+# per pattern entry. perfbench gallery-10k (5 s runs, seeds 71-73) peaked at
+# 42.67-42.78 MB RSS with 64 KB slices and 42.82-42.95 MB with 256 KB,
+# against 41.99-42.02 MB with the eigenvalue screen this one replaced; wall
+# time did not separate (0.48-0.51 s against 0.44-0.51 s).
 SCREEN_BYTES = 1 << 16
-# A matrix is screened only when its largest |entry| lies within
-# [1 / GRAM_RANGE, GRAM_RANGE]: the entries of A.A^T then stay below
-# cols * 2^800, and what underflow loses, at most cols * 2^-1074, is far
-# below the error bound, which is at least eps * 2^-800.
+# A matrix is screened only when ||A||_F lies within [1 / GRAM_RANGE,
+# GRAM_RANGE]: the entries of A.A^T then stay below 2^800, and what underflow
+# loses, at most 2^-1074 an operation, is far below the error bound, which is
+# at least eps * 2^-800.
 GRAM_RANGE = 2.0**400
+# The screen gives this many of its least-ranked matrices their SVD before its
+# second pass. Summed over the gallery's 180 dense D2 chunks at 10^4 samples
+# (medians of 9 interleaved runs per chunk), stack_ranks took 111.9 ms with 2
+# or 4 candidates, 114.8 ms with 8 and 122.3 ms with 16.
+CANDIDATES = 4
 
 
 def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None) -> StackRanks:
@@ -127,11 +137,12 @@ def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exac
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
     no LAPACK call. In a stack of SCREEN_MIN or more other matrices with
-    rows <= cols, the Gram screen (_screen) clears those that are surely
-    full rank and surely above the least; the rest get one batched SVD,
-    redone matrix by matrix if it fails to converge. A matrix that fails on
-    its own may have been the least, so then every dense matrix gets its
-    SVD."""
+    rows <= cols, the Gram screen (_screen) clears, by a shifted Cholesky
+    factorization of A.A^T, those that are surely full rank and surely above
+    the least, and gives each a certified lower bound on its sigma_min; the
+    rest get one batched SVD, redone matrix by matrix if it fails to
+    converge. A matrix that fails on its own may have been the least, so
+    then every dense matrix gets its SVD."""
     n, rows, cols = entries.shape
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
@@ -149,9 +160,11 @@ def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exac
     stack = entries if dense.all() else entries[index]
     svd = np.ones(len(index), dtype=bool)
     if rows <= cols and len(index) >= SCREEN_MIN:
-        least = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        svd, estimate = _screen(stack, tol, least)
-        rank[index[~svd]], sigma_min[index[~svd]] = rows, estimate[~svd]
+        keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
+        cleared, bound = _screen(stack, tol, keep, index, reasons)
+        if cleared.any():
+            svd = ~cleared
+            rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
     if svd.any():
         failed = len(reasons)
         sigma = _svd(stack if svd.all() else stack[svd], index[svd], reasons)
@@ -173,43 +186,176 @@ def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
 
 
-def _screen(stack: np.ndarray, tol: float, least: np.ndarray):
-    """Which matrices of a dense (m, rows, cols) stack, rows <= cols, need the
-    SVD, and an estimate of sigma_min for the others.
+def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict):
+    """Which matrices of a dense (m, rows, cols) stack, rows <= cols, the
+    screen clears, and for each a lower bound on its sigma_min; the others
+    need the SVD. A cleared matrix is full rank, and its bound lies above the
+    least sigma_min of the `exact` matrices.
 
-    The eigenvalues of A.A^T are the squared singular values of A. Forming
-    it in floating point errs by at most gamma_cols * rows * sigma_max^2
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., ch. 3),
-    eigvalsh's backward error and the SVD's own error are each a small
-    multiple of eps * sigma_max^2, and by Weyl's inequality the computed
-    lambda_min and lambda_max then lie within err = 8 (rows + cols)^2 eps
-    lambda_max of sigma_min^2 and sigma_max^2, both the true and the SVD's.
-    So [sqrt(max(lambda_min - err, 0)), sqrt(lambda_min + err)] encloses
-    both sigma_min. A matrix needs the SVD when its largest |entry| is
-    outside [1 / GRAM_RANGE, GRAM_RANGE], when its interval reaches down to
-    the least upper end over the `least` matrices (ties included), or when
-    its lower end does not clear tol * max(1, upper end of sigma_max); every
-    other matrix is full rank, and its estimate sqrt(lambda_min) lies above
-    the least sigma_min of the `least` matrices."""
+    A matrix is cleared by a shifted Cholesky certificate (S. M. Rump,
+    "Verification of positive definiteness", BIT 46, 2006). If the Cholesky
+    factorization of a symmetric n x n matrix H runs to completion in floating
+    point, its computed factor R satisfies R^T.R = H + dH with |dH| <=
+    gamma_{n+1} |R^T|.|R| (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Theorem 10.3, whose proof needs no more than
+    completion), so ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1}
+    trace(H) / (1 - gamma_{n+1}), and H + dH is positive semidefinite.
+    _GramCholesky factors H = fl(fl(A.A^T) - s.I). With F = ||A||_F^2 =
+    trace(A.A^T), u = eps / 2 and gamma_k = k u / (1 - k u), the errors
+    between lambda_min(H) + s and the SVD's sigma_min^2 are, in the 2-norm:
+    forming A.A^T, at most gamma_cols F (Higham ch. 3; |A|.|A|^T has trace F);
+    the factorization, about gamma_{rows+1} F, since trace(H) <= (1 +
+    gamma_cols) F; rounding the shift and the shifted diagonal, about 2 u F,
+    since s < every diagonal entry once the factorization completes; and
+    the SVD's own error, p(rows, cols) eps ||A||_2 in each singular value
+    (LAPACK Users' Guide, 3rd ed., sec. 4.9), which moves sigma_min^2 by at
+    most 2 p eps F. For any p up to 3 (rows + cols)^2 their sum is below err =
+    8 (rows + cols)^2 eps F, so a factorization at shift s that completes
+    with positive pivots proves the SVD's sigma_min^2 > s - err.
+
+    Pass A shifts by floor^2 + err, where floor = tol * max(1, sqrt(F +
+    err)) bounds tol * max(1, the SVD's sigma_max): a matrix it clears is
+    full rank. Its least pivot plus its shift bounds sigma_min^2 from above,
+    and the CANDIDATES `exact` matrices with the least such bounds get their
+    SVD (_svd, as any other matrix); t is their least sigma_min. Pass B
+    shifts by max(t, floor)^2 + err, so every other matrix it clears has a
+    sigma_min above max(t, floor), and its bound is nextafter(max(t, floor),
+    inf); the least of the `exact` matrices is then a candidate or a matrix
+    left to the SVD. A matrix goes to the SVD when ||A||_F lies outside
+    [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot clear it; so does the whole
+    stack when a row is zero in every matrix, when pass A cannot clear half
+    of it, or when a candidate's SVD fails to converge, since the least may
+    then have no verdict."""
     m, rows, cols = stack.shape
-    amax = np.maximum(stack.max(axis=(1, 2)), -stack.min(axis=(1, 2)))
-    svd = (amax < 1.0 / GRAM_RANGE) | (amax > GRAM_RANGE)
-    if svd.any():  # leave those matrices out of A.A^T
-        stack = np.where(svd[:, None, None], 0.0, stack)
-    lam_min, lam_max = np.empty(m), np.empty(m)
-    step = max(1, SCREEN_BYTES // (8 * rows * rows))
-    for start in range(0, m, step):
-        a = stack[start : start + step]
-        lam = np.linalg.eigvalsh(a @ a.transpose(0, 2, 1))
-        lam_min[start : start + step], lam_max[start : start + step] = lam[:, 0], lam[:, -1]
-    err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * lam_max
-    low = np.sqrt(np.maximum(lam_min - err, 0.0))
-    high = np.sqrt(lam_min + err)[least & ~svd]
-    floor = tol * np.maximum(1.0, np.sqrt(lam_max + err))
-    if high.size:
-        floor = np.maximum(floor, high.min())
-    svd |= low <= floor
-    return svd, np.sqrt(np.maximum(lam_min, 0.0))
+    nothing = np.zeros(m, dtype=bool)
+    pattern = (stack != 0).any(axis=0)
+    if not pattern.any(axis=1).all():  # every matrix is rank deficient
+        return nothing, None
+    chol = _GramCholesky(pattern)
+    gram = chol.gram(stack)
+    fro2 = gram[chol.diag].sum(axis=0)
+    err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * fro2
+    floor = tol * np.maximum(1.0, np.sqrt(fro2 + err))
+    shift = floor * floor + err
+    pivot = chol.least_pivot(gram.copy(), shift)
+    cleared = (pivot > 0) & (fro2 >= GRAM_RANGE**-2) & (fro2 <= GRAM_RANGE**2)
+    if 2 * np.count_nonzero(cleared) < m:  # mostly rank deficient: the SVD is cheaper
+        return nothing, None
+    pool = np.flatnonzero(cleared & exact)
+    if len(pool) > CANDIDATES:
+        pool = pool[np.argpartition(pivot[pool] + shift[pool], CANDIDATES)[:CANDIDATES]]
+    if not len(pool):
+        return cleared, np.nextafter(floor, np.inf)
+    failed = len(reasons)
+    sigma = _svd(stack[pool], index[pool], reasons)[:, -1]
+    if len(reasons) > failed:
+        return nothing, None
+    bound = np.maximum(floor, sigma.min())
+    cleared &= chol.least_pivot(gram, bound * bound + err) > 0
+    cleared[pool] = True
+    value = np.nextafter(bound, np.inf)
+    value[pool] = sigma
+    return cleared, value
+
+
+class _GramCholesky:
+    """The Cholesky factorization of every A.A^T of a stack, less a shift,
+    run over (m,)-vectors: one vector per entry of the lower triangle that is
+    nonzero in the Gram matrices' zero pattern or in its fill, so an entry
+    that is zero in every matrix costs nothing. The columns are eliminated in
+    a minimum-degree order (A. George and J. W. H. Liu, "The evolution of the
+    minimum degree ordering algorithm", SIAM Review 31, 1989), which keeps
+    the fill small, and a level of independent columns at a time: a column
+    waits only for the columns that update it."""
+
+    def __init__(self, pattern: np.ndarray):
+        """`pattern`: the (rows, cols) entries of A that are nonzero in some
+        matrix of the stack."""
+        rows = len(pattern)
+        bits = np.packbits(pattern @ pattern.T, axis=1, bitorder="little")
+        adjacent = [int.from_bytes(row.tobytes(), "little") & ~(1 << j) for j, row in enumerate(bits)]
+        remaining = list(range(rows))
+        below, level = {}, [0] * rows  # in elimination order
+        while remaining:
+            j = min(remaining, key=lambda i: adjacent[i].bit_count())
+            remaining.remove(j)
+            below[j] = [i for i in remaining if adjacent[j] >> i & 1]
+            for i in below[j]:  # eliminating j joins its neighbours
+                adjacent[i] = (adjacent[i] | adjacent[j]) & ~(1 << i | 1 << j)
+                level[i] = max(level[i], level[j] + 1)
+        levels = [[j for j in below if level[j] == h] for h in range(max(level) + 1)]
+        slot = {}  # (row, column) -> vector; per level, the pivots, then the columns below them
+        for nodes in levels:
+            slot.update({(j, j): len(slot) + k for k, j in enumerate(nodes)})
+            for j in nodes:
+                for i in below[j]:
+                    slot[i, j] = len(slot)
+        self.gather = np.array([i * rows + j for i, j in slot])
+        self.diag = np.array([slot[j, j] for j in range(rows)])
+        self.levels = []
+        for nodes in levels:
+            first = slot[nodes[0], nodes[0]]
+            owner = [k for k, j in enumerate(nodes) for _ in below[j]]
+            updates, seen = [], {}
+            for j in nodes:
+                for x, a in enumerate(below[j]):
+                    for b in below[j][x:]:
+                        target = slot[(b, a) if (b, a) in slot else (a, b)]
+                        seen[target] = turn = seen.get(target, -1) + 1
+                        updates.append((turn, target, slot[a, j], slot[b, j]))
+            updates.sort()  # a turn updates each entry at most once
+            cut = [k for k in range(1, len(updates)) if updates[k][0] != updates[k - 1][0]]
+            turns = [
+                (k0, k1, np.array([u[1] for u in updates[k0:k1]], dtype=np.intp))
+                for k0, k1 in zip([0] + cut, cut + [len(updates)])
+            ]
+            stop = first + len(nodes)
+            self.levels.append(
+                (
+                    first,
+                    stop,
+                    stop + len(owner),
+                    np.array(owner, dtype=np.intp) if len(nodes) > 1 else None,
+                    np.array([u[2] for u in updates], dtype=np.intp),
+                    np.array([u[3] for u in updates], dtype=np.intp),
+                    turns,
+                )
+            )
+
+    def gram(self, stack: np.ndarray) -> np.ndarray:
+        """The (vectors, m) entries of every A.A^T, formed in slices of at
+        most SCREEN_BYTES. A matrix outside the Gram range may overflow, to
+        an inf on its diagonal, which _screen reads."""
+        m, rows, cols = stack.shape
+        out = np.empty((len(self.gather), m))
+        step = max(1, SCREEN_BYTES // (8 * rows * (rows + cols)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, m, step):
+                a = stack[start : start + step]
+                gram = a @ a.transpose(0, 2, 1).copy()
+                out[:, start : start + step] = gram.reshape(len(a), rows * rows)[:, self.gather].T
+        return out
+
+    def least_pivot(self, v: np.ndarray, shift: np.ndarray) -> np.ndarray:
+        """Factor v, the entries of every A.A^T (overwritten), less shift.I,
+        and return each matrix's least pivot: positive exactly where the
+        factorization runs to completion. Past a pivot that is not positive,
+        that matrix's factorization runs on in nan or inf, which no other
+        matrix reads, and its least pivot stays not positive."""
+        least = np.full(v.shape[1], np.inf)
+        with np.errstate(all="ignore"):
+            v[self.diag] -= shift
+            for first, stop, end, owner, left, right, turns in self.levels:
+                pivots = v[first:stop]
+                np.minimum(least, pivots.min(axis=0), out=least)
+                if end > stop:
+                    root = np.sqrt(pivots)
+                    v[stop:end] /= root if owner is None else root[owner]
+                    product = v[left]
+                    product *= v[right]
+                    for k0, k1, target in turns:
+                        v[target] -= product[k0:k1]
+        return least
 
 
 def valid_mask(n: int, failed) -> np.ndarray:
