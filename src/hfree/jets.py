@@ -125,7 +125,9 @@ GRAM_RANGE = 2.0**400
 CANDIDATES = 4
 
 
-def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None) -> StackRanks:
+def stack_ranks(
+    entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None, *, plans=None
+) -> StackRanks:
     """Rank verdicts over an (n, rows, cols) stack: a singular value counts
     when it exceeds tol * max(1, sigma_max). `errors` maps points whose
     evaluation faulted to the EvalError (as CompiledJet.at returns them),
@@ -142,7 +144,11 @@ def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exac
     the least, and gives each a certified lower bound on its sigma_min; the
     rest get one batched SVD, redone matrix by matrix if it fails to
     converge. A matrix that fails on its own may have been the least, so
-    then every dense matrix gets its SVD."""
+    then every dense matrix gets its SVD. `plans` maps the bytes of a stack's
+    zero pattern to the screen's elimination plan for it: a compiled jet
+    passes its own dict, so it builds one plan per pattern, where a call
+    without one builds a plan each time. The stacks that share a dict must
+    have one shape."""
     n, rows, cols = entries.shape
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
@@ -161,7 +167,7 @@ def stack_ranks(entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exac
     svd = np.ones(len(index), dtype=bool)
     if rows <= cols and len(index) >= SCREEN_MIN:
         keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        cleared, bound = _screen(stack, tol, keep, index, reasons)
+        cleared, bound = _screen(stack, tol, keep, index, reasons, {} if plans is None else plans)
         if cleared.any():
             svd = ~cleared
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
@@ -186,7 +192,7 @@ def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
 
 
-def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict):
+def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, plans: dict):
     """Which matrices of a dense (m, rows, cols) stack, rows <= cols, the
     screen clears, and for each a lower bound on its sigma_min; the others
     need the SVD. A cleared matrix is full rank, and its bound lies above the
@@ -225,13 +231,17 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot clear it; so does the whole
     stack when a row is zero in every matrix, when pass A cannot clear half
     of it, or when a candidate's SVD fails to converge, since the least may
-    then have no verdict."""
+    then have no verdict. Both passes follow one elimination plan, taken from
+    `plans` by the stack's zero pattern, or built and kept there."""
     m, rows, cols = stack.shape
     nothing = np.zeros(m, dtype=bool)
     pattern = (stack != 0).any(axis=0)
     if not pattern.any(axis=1).all():  # every matrix is rank deficient
         return nothing, None
-    chol = _GramCholesky(pattern)
+    key = pattern.tobytes()
+    if key not in plans:
+        plans[key] = _GramCholesky(pattern)
+    chol = plans[key]
     gram = chol.gram(stack)
     fro2 = gram[chol.diag].sum(axis=0)
     err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * fro2
@@ -262,11 +272,11 @@ class _GramCholesky:
     """The Cholesky factorization of every A.A^T of a stack, less a shift,
     run over (m,)-vectors: one vector per entry of the lower triangle that is
     nonzero in the Gram matrices' zero pattern or in its fill, so an entry
-    that is zero in every matrix costs nothing. The columns are eliminated in
-    a minimum-degree order (A. George and J. W. H. Liu, "The evolution of the
-    minimum degree ordering algorithm", SIAM Review 31, 1989), which keeps
-    the fill small, and a level of independent columns at a time: a column
-    waits only for the columns that update it."""
+    that is zero in every matrix costs nothing. The columns are eliminated
+    one at a time in a minimum-degree order (A. George and J. W. H. Liu, "The
+    evolution of the minimum degree ordering algorithm", SIAM Review 31,
+    1989), which keeps the fill small. The plan depends on the pattern alone,
+    so a compiled jet keeps one per zero pattern of its chunks."""
 
     def __init__(self, pattern: np.ndarray):
         """`pattern`: the (rows, cols) entries of A that are nonzero in some
@@ -275,52 +285,26 @@ class _GramCholesky:
         bits = np.packbits(pattern @ pattern.T, axis=1, bitorder="little")
         adjacent = [int.from_bytes(row.tobytes(), "little") & ~(1 << j) for j, row in enumerate(bits)]
         remaining = list(range(rows))
-        below, level = {}, [0] * rows  # in elimination order
+        below = {}  # in elimination order
         while remaining:
             j = min(remaining, key=lambda i: adjacent[i].bit_count())
             remaining.remove(j)
             below[j] = [i for i in remaining if adjacent[j] >> i & 1]
             for i in below[j]:  # eliminating j joins its neighbours
                 adjacent[i] = (adjacent[i] | adjacent[j]) & ~(1 << i | 1 << j)
-                level[i] = max(level[i], level[j] + 1)
-        levels = [[j for j in below if level[j] == h] for h in range(max(level) + 1)]
-        slot = {}  # (row, column) -> vector; per level, the pivots, then the columns below them
-        for nodes in levels:
-            slot.update({(j, j): len(slot) + k for k, j in enumerate(nodes)})
-            for j in nodes:
-                for i in below[j]:
-                    slot[i, j] = len(slot)
+        slot = {}  # (row, column) -> vector; per column, its pivot, then the entries below it
+        for j in below:
+            slot[j, j] = len(slot)
+            slot.update({(i, j): len(slot) + k for k, i in enumerate(below[j])})
         self.gather = np.array([i * rows + j for i, j in slot])
         self.diag = np.array([slot[j, j] for j in range(rows)])
-        self.levels = []
-        for nodes in levels:
-            first = slot[nodes[0], nodes[0]]
-            owner = [k for k, j in enumerate(nodes) for _ in below[j]]
-            updates, seen = [], {}
-            for j in nodes:
-                for x, a in enumerate(below[j]):
-                    for b in below[j][x:]:
-                        target = slot[(b, a) if (b, a) in slot else (a, b)]
-                        seen[target] = turn = seen.get(target, -1) + 1
-                        updates.append((turn, target, slot[a, j], slot[b, j]))
-            updates.sort()  # a turn updates each entry at most once
-            cut = [k for k in range(1, len(updates)) if updates[k][0] != updates[k - 1][0]]
-            turns = [
-                (k0, k1, np.array([u[1] for u in updates[k0:k1]], dtype=np.intp))
-                for k0, k1 in zip([0] + cut, cut + [len(updates)])
-            ]
-            stop = first + len(nodes)
-            self.levels.append(
-                (
-                    first,
-                    stop,
-                    stop + len(owner),
-                    np.array(owner, dtype=np.intp) if len(nodes) > 1 else None,
-                    np.array([u[2] for u in updates], dtype=np.intp),
-                    np.array([u[3] for u in updates], dtype=np.intp),
-                    turns,
-                )
-            )
+        self.columns = []  # per column with entries below it: its slots and its (target, left, right) updates
+        for j, rest in below.items():
+            if rest:
+                pairs = [(a, b) for x, a in enumerate(rest) for b in rest[x:]]
+                update = [(slot[(b, a) if (b, a) in slot else (a, b)], slot[a, j], slot[b, j]) for a, b in pairs]
+                pivot = slot[j, j]
+                self.columns.append((pivot, pivot + 1 + len(rest), *np.array(update, dtype=np.intp).T))
 
     def gram(self, stack: np.ndarray) -> np.ndarray:
         """The (vectors, m) entries of every A.A^T, formed in slices of at
@@ -341,21 +325,14 @@ class _GramCholesky:
         and return each matrix's least pivot: positive exactly where the
         factorization runs to completion. Past a pivot that is not positive,
         that matrix's factorization runs on in nan or inf, which no other
-        matrix reads, and its least pivot stays not positive."""
-        least = np.full(v.shape[1], np.inf)
+        matrix reads, and its least pivot stays not positive. A column never
+        updates one entry twice, and no pivot is written after its use."""
         with np.errstate(all="ignore"):
             v[self.diag] -= shift
-            for first, stop, end, owner, left, right, turns in self.levels:
-                pivots = v[first:stop]
-                np.minimum(least, pivots.min(axis=0), out=least)
-                if end > stop:
-                    root = np.sqrt(pivots)
-                    v[stop:end] /= root if owner is None else root[owner]
-                    product = v[left]
-                    product *= v[right]
-                    for k0, k1, target in turns:
-                        v[target] -= product[k0:k1]
-        return least
+            for pivot, stop, target, left, right in self.columns:
+                v[pivot + 1 : stop] /= np.sqrt(v[pivot])
+                v[target] -= v[left] * v[right]
+        return v[self.diag].min(axis=0)
 
 
 def valid_mask(n: int, failed) -> np.ndarray:
@@ -390,6 +367,7 @@ class CompiledJet:
     def __init__(self, rows, chart):
         self.shape = (len(rows), len(rows[0]))
         self._run = compile_batch([e for row in rows for e in row], chart.coords)
+        self._plans = {}  # Gram screen elimination plans by zero pattern (see stack_ranks)
 
     def at(self, points: np.ndarray):
         """The (n, rows, cols) stack of jet matrices at an (n, dim) array of
@@ -401,7 +379,7 @@ class CompiledJet:
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, exact=None) -> StackRanks:
         entries, errors = self.at(points)
-        return stack_ranks(entries, tol, errors, exact)
+        return stack_ranks(entries, tol, errors, exact, plans=self._plans)
 
 
 # Compiled jets by map, then by (frame, order). An entry leaves when its map

@@ -5,7 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Add, Coord, EvalError, Expr, free_vars, parse, substitute
@@ -427,7 +427,18 @@ def _shifted_grams(draw):
     return stack, tau
 
 
+def _contact_2_grams():
+    """contact-2's 14 x 14 D2 at four sample points, a shape the strategy
+    does not reach, with tau zero, half of ||A||_F^2 and lambda_min(A.A^T)
+    times 1 - 1e-6 and 1 + 1e-6."""
+    fix = gallery.fixture("contact-2")
+    stack = compiled_d2(fix.frame, fix.free_map).at(sample_points(fix.chart, 4, 3))[0]
+    lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
+    return stack, np.array([0.0, 0.5 * (stack[1] ** 2).sum(), lam[2] * (1.0 - 1e-6), lam[3] * (1.0 + 1e-6)])
+
+
 @given(_shifted_grams())
+@example(_contact_2_grams())
 @settings(max_examples=300, deadline=None)
 def test_a_shifted_cholesky_certifies_sigma_min(case):
     """The screen's certificate, for every A whose ||A||_F lies in the Gram
@@ -549,6 +560,40 @@ def test_lapack_sees_about_one_contact_2_jet_per_chunk(monkeypatch):
     _recording_svd(monkeypatch, seen)
     assert run_fixture(gallery.fixture("contact-2"), samples=10000, seed=1).verdict == "pass"
     assert 0 < len(seen) <= 10000 // 50
+
+
+def test_a_jet_keeps_its_screen_plan(monkeypatch):
+    """contact-2's D2 chunks share one zero pattern, so a check at 10^4
+    samples (20 chunks) builds one elimination plan, kept with the compiled
+    jet, and a second check of the same map builds none."""
+    fix = gallery.fixture("contact-2")
+    monkeypatch.delitem(jets_module._jets, fix.free_map, raising=False)  # a fresh jet
+    built = []
+
+    class Counted(jets_module._GramCholesky):
+        def __init__(self, pattern):
+            built.append(pattern)
+            super().__init__(pattern)
+
+    monkeypatch.setattr(jets_module, "_GramCholesky", Counted)
+    assert run_fixture(fix, samples=10000, seed=1).verdict == "pass"
+    assert len(built) == 1
+    assert run_fixture(fix, samples=10000, seed=1).verdict == "pass"
+    assert len(built) == 1
+
+
+def test_screen_plans_are_kept_by_zero_pattern():
+    """A dict of plans shared by stacks of two zero patterns keeps one plan
+    for each, and every verdict is that of a call that builds its own."""
+    rng = np.random.default_rng(3)
+    dense = rng.uniform(-2.0, 2.0, (jets_module.SCREEN_MIN, 6, 6))
+    stacks = [np.triu(dense, 1) + np.eye(6), dense, np.triu(dense, 1) + np.eye(6)]
+    plans = {}
+    for stack in stacks:
+        shared, own = stack_ranks(stack, plans=plans), stack_ranks(stack)
+        assert np.array_equal(shared.rank, own.rank)
+        assert np.array_equal(shared.sigma_min, own.sigma_min)
+    assert len(plans) == 2
 
 
 @pytest.mark.parametrize("seed", [0, 11])
