@@ -46,7 +46,6 @@ from .brackets import (
     canonical_bracket,
     contact_frame,
     hamiltonian_field,
-    jacobi_residual,
     novikov_structure,
     rp_bracket,
     rp_hamiltonian_field,

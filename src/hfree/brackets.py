@@ -21,7 +21,6 @@ from .expr import (
     ONE,
     Sub,
     ZERO,
-    evaluate,
     simplify,
 )
 from .expr import diff as ddx
@@ -207,8 +206,3 @@ def jacobiator(bracket, f: Expr, g: Expr, h: Expr) -> Expr:
     return simplify(
         Add(Add(bracket(f, bracket(g, h)), bracket(g, bracket(h, f))), bracket(h, bracket(f, g)))
     )
-
-
-def jacobi_residual(bracket, f: Expr, g: Expr, h: Expr, point: dict) -> float:
-    """|jacobiator(bracket, f, g, h)| at a point."""
-    return abs(evaluate(jacobiator(bracket, f, g, h), point))

@@ -8,14 +8,15 @@ per-point criterion and failure reasons into the report in sample order
 on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
 its map), so a chunk costs one run of each tape, then one batched ranking or
-determinant call; `expr.evaluate`, the reference interpreter, takes the points
-where a call faults. A value beyond the float range is such a fault, an
-`overflow`, in both engines, so a judge reads only finite values: a point that
-faults fails with its EvalError and has no criterion. The SVD sees only the
-dense matrices of a stack that a Gram screen cannot clear: a diagonal one,
-such as every 1 x 1 jet, is ranked from its diagonal, and one that a shifted
-Cholesky factorization of A.A^T clears is full rank, with a certified lower
-bound on sigma_min above the least as its sigma_min (`jets.stack_ranks`).
+determinant call; a run that faults runs once more as a trace, which names
+each point's fault as `expr.evaluate` would. A value beyond the float range is
+such a fault, an `overflow`, in both engines, so a judge reads only finite
+values: a point that faults fails with its EvalError and has no criterion.
+The SVD sees only the dense matrices of a stack that a Gram screen cannot
+clear: a diagonal one, such as every 1 x 1 jet, is ranked from its diagonal,
+and one that a shifted Cholesky factorization of A.A^T clears is full rank,
+with a certified lower bound on sigma_min above the least as its sigma_min
+(`jets.stack_ranks`).
 A judge ranks each jet among the points it folds, so the worst criterion is
 exact, never a bound. `build_plan` builds a manifest's check;
 `check_points` makes the immersion, free or identity check over given

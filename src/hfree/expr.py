@@ -213,12 +213,11 @@ class Coord(Expr):
 
     def _eval(self, point):
         if self.name not in point:
-            self._unbound()
+            raise EvalError(self._unbound())
         return float(point[self.name])
 
-    def _unbound(self, x=None):
-        # also the tape's op for a name with no column, given the chunk as x
-        raise EvalError(f"unbound coordinate '{self.name}'")
+    def _unbound(self) -> str:
+        return f"unbound coordinate '{self.name}'"
 
     def _vars(self):
         return frozenset((self.name,))
@@ -227,7 +226,11 @@ class Coord(Expr):
         return self.name
 
     def _emit(self, t):
-        return t.op(t.column.get(self.name) or self._unbound, 0)
+        if self.name in t.column:
+            return t.op(t.column[self.name], 0)
+        # a name with no column is 0/0 at each point, so that the run raises
+        unbound = t.code(self._unbound())
+        return t.op(lambda x: np.zeros(len(x)) / 0.0, 0, fault=lambda x: unbound)
 
     def _d(self, x):
         return ONE if self.name == x else ZERO
@@ -303,9 +306,8 @@ class _Binary(Expr):
 
 class Pow(Expr):
     """base^exponent for an integer exponent. On the tape the builtin pow runs
-    per element: it rounds as fn does, and where fn raises EvalError (0 to a
-    negative power) pow raises ZeroDivisionError, so the point goes to
-    evaluate like any other fault."""
+    per element: it rounds as fn does, and raises ZeroDivisionError where fn
+    raises EvalError, at a zero base and a negative exponent."""
 
     __slots__ = ("base", "exponent")
     _fields = __slots__
@@ -334,7 +336,8 @@ class Pow(Expr):
         return f"{_wrap(self.base, self.prec + 1)}{self.symbol}{self.exponent}"
 
     def _emit(self, t):
-        return t.each(pow, self.base, self.exponent)
+        zero = t.code("0 raised to a negative power")  # the one power of 0 that is not finite
+        return t.each(pow, self.base, self.exponent, fault=lambda v: np.where(v == 0, zero, 1))
 
     def _fold(self):
         b = self.base
@@ -447,6 +450,11 @@ class Div(_Binary):
         if denom == 0.0:
             raise EvalError("division by zero")
         return num / denom
+
+    def _emit(self, t):
+        zero = t.code("division by zero")
+        fault = lambda a, b: np.where(b == 0, zero, 1)
+        return t.op(self.ufunc, t.slot(self.left), t.slot(self.right), fault=fault)
 
     def _d(self, x):
         l, r = simplify(self.left), simplify(self.right)
@@ -715,8 +723,8 @@ def evaluate(e: Expr, point: dict) -> float:
     EvalError on unbound names, division by zero, 0 raised to a negative
     power, math domain errors and overflow: any operation whose value is
     beyond the float range, + - * / as well as exp and ^. This is the
-    reference that compile_batch matches bit for bit and falls back to at a
-    fault; both engines fault at the same points with the same message."""
+    reference that compile_batch matches bit for bit; both engines fault at
+    the same points with the same message."""
     try:
         return e._eval(point)
     except OverflowError:
@@ -811,11 +819,18 @@ class _Tape:
     a walk from the leaves reaches them. Register 0 holds the chunk of points,
     a constant's its float, and an op (r, fn, a, b) sets register r to
     fn(regs[a]), or fn(regs[a], regs[b]) if b is not None. Arithmetic on
-    floats gives a float, so a node without coordinates may hold one."""
+    floats gives a float, so a node without coordinates may hold one.
+
+    traced[i] is op i in trace: the function it runs there, which gives nan
+    where the op's fn raises, and its fault, a function of the operands'
+    values that gives the code of the op's own fault at the points where its
+    value is not finite, or None for overflow. A code is an index into
+    faults, the messages: 0 is none, 1 overflow."""
 
     def __init__(self, exprs, coords):
         self.column = {name: itemgetter((slice(None), j)) for j, name in enumerate(coords)}
-        self.init, self.ops = [None], []
+        self.init, self.ops, self.traced = [None], [], []
+        self.faults = [None, "overflow"]
         self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
         self.outputs = [self.slot(e) for e in exprs]
 
@@ -829,8 +844,14 @@ class _Tape:
         self.init.append(value)
         return len(self.init) - 1
 
-    def op(self, fn, a: int, b: int | None = None) -> int:
+    def code(self, message: str) -> int:
+        if message not in self.faults:
+            self.faults.append(message)
+        return self.faults.index(message)
+
+    def op(self, fn, a: int, b: int | None = None, trace=None, fault=None) -> int:
         self.ops.append((len(self.init), fn, a, b))
+        self.traced.append((trace or fn, fault))
         self.init.append(None)
         return len(self.init) - 1
 
@@ -840,10 +861,19 @@ class _Tape:
         a = self.slot(e)
         return a if free_vars(e) else self.op(lambda c, x: np.full(len(x), c), a, 0)
 
-    def each(self, fn, e: Expr, *extra) -> int:
-        """fn(v, *extra) at each value v of e, as evaluate() computes it."""
+    def each(self, fn, e: Expr, *extra, fault=None) -> int:
+        """fn(v, *extra) at each value v of e, as evaluate() computes it; in
+        trace, nan where fn raises."""
         repeats = [itertools.repeat(v) for v in extra]
-        return self.op(lambda v: np.fromiter(map(fn, v.tolist(), *repeats), float, len(v)), self.array(e))
+
+        def traced(*args):
+            try:
+                return fn(*args)
+            except ArithmeticError:
+                return math.nan
+
+        loop = lambda f: lambda v: np.fromiter(map(f, v.tolist(), *repeats), float, len(v))
+        return self.op(loop(fn), self.array(e), trace=loop(traced), fault=fault)
 
     def run(self, x: np.ndarray, out: np.ndarray):
         """out[:, j] = expression j at the points x; fresh registers each call."""
@@ -853,6 +883,25 @@ class _Tape:
             regs[r] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
         for j, r in enumerate(self.outputs):
             out[:, j] = regs[r]
+
+    def trace(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """run for a chunk where it raises, under np.errstate(all="ignore"):
+        the same values, and each output's fault code per point, returned as
+        an array shaped as out. A register's code is its left operand's if
+        not 0, else its right operand's, else its op's own fault where its
+        value is not finite: the first fault evaluate() meets."""
+        regs, codes = self.init.copy(), [0] * len(self.init)
+        regs[0] = x
+        for (r, _, a, b), (fn, fault) in zip(self.ops, self.traced):
+            args = (regs[a],) if b is None else (regs[a], regs[b])
+            regs[r] = fn(*args)
+            first = codes[a] if b is None else np.where(codes[a], codes[a], codes[b])
+            own = np.where(np.isfinite(regs[r]), 0, 1 if fault is None else fault(*args))
+            codes[r] = np.where(first, first, own)
+        found = np.zeros(out.shape, int)
+        for j, r in enumerate(self.outputs):
+            out[:, j], found[:, j] = regs[r], codes[r]
+        return found
 
 
 def compile_batch(exprs, coords):
@@ -870,71 +919,25 @@ def compile_batch(exprs, coords):
     float operations in evaluate() do; exp and integer powers run per element
     through math.exp and float ** for the same reason. Constants are finite
     (see Const) and so are the points, so every fault evaluate() reports,
-    overflow included, raises a floating-point error here too. A call that
-    raises one is bisected (see _bisect) down to the faulting points, or to
-    small parts that fault in both halves, which evaluate() evaluates; rows
-    are computed elementwise, so every point keeps its bits."""
+    overflow included, raises a floating-point error here too. A chunk whose
+    run raises one runs once more as a trace (see _Tape.trace), which gives
+    each point the first fault evaluate() meets; the arithmetic is the same,
+    so every point keeps its bits."""
     exprs = list(exprs)
-    coords = tuple(coords)
-    tape = _Tape(exprs, coords)
+    tape = _Tape(exprs, tuple(coords))
 
     def run(points: np.ndarray):
         values = np.empty((points.shape[0], len(exprs)))
-        faulted = []
-        with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
-            if not _fill(tape.run, points, values, 0, points.shape[0]):
-                _bisect(tape.run, points, values, 0, points.shape[0], faulted)
-        if not faulted:
+        try:
+            with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
+                tape.run(points, values)
             return values, {}
-        values[faulted], errors = _evaluate_rows(exprs, coords, points[faulted])
-        return values, {faulted[i]: fault for i, fault in errors.items()}
+        except ArithmeticError:
+            with np.errstate(all="ignore"):
+                codes = tape.trace(points, values)
+        rows = np.flatnonzero(codes.any(axis=1))
+        values[rows] = np.nan
+        first = (codes[rows] != 0).argmax(axis=1).tolist()
+        return values, {i: (j, EvalError(tape.faults[codes[i, j]])) for i, j in zip(rows.tolist(), first)}
 
     return run
-
-
-def _fill(program, points, out, lo: int, hi: int) -> bool:
-    """out[lo:hi] = the program's values at points[lo:hi]; False if it raises."""
-    try:
-        program(points[lo:hi], out[lo:hi])
-        return True
-    except (ArithmeticError, ValueError, EvalError):
-        return False
-
-
-# A part of at most _LEAF points that raises in both halves goes to evaluate()
-# whole; faults _LEAF or more points apart are still found one by one.
-_LEAF = 16
-
-
-def _bisect(program, points, out, lo: int, hi: int, faulted: list):
-    """Fill out[lo:hi], a part on which the program raised: run each half once
-    and go on in each half that raised, down to one point or to a part of at
-    most _LEAF points that raised in both halves. Those points go to
-    `faulted` in order, their rows left to the caller. A chunk of n points
-    that all fault costs about 4n/_LEAF calls, not 2n - 1."""
-    if hi - lo == 1:
-        faulted.append(lo)
-        return
-    mid = (lo + hi) // 2
-    raised = [(a, b) for a, b in ((lo, mid), (mid, hi)) if not _fill(program, points, out, a, b)]
-    if len(raised) == 2 and hi - lo <= _LEAF:
-        faulted.extend(range(lo, hi))
-        return
-    for a, b in raised:
-        _bisect(program, points, out, a, b, faulted)
-
-
-def _evaluate_rows(exprs, coords, points):
-    """The reference interpreter at the points where compile_batch faults."""
-    values = np.full((len(points), len(exprs)), np.nan)
-    errors = {}
-    for i, row in enumerate(points.tolist()):
-        binding = dict(zip(coords, row))
-        for j, e in enumerate(exprs):
-            try:
-                values[i, j] = evaluate(e, binding)
-            except EvalError as exc:
-                errors[i] = (j, exc)
-                values[i] = np.nan
-                break
-    return values, errors
