@@ -43,12 +43,10 @@ from .constructions import (
 from .brackets import (
     RPStructure,
     SymplecticChart,
-    canonical_bracket,
     contact_frame,
     hamiltonian_field,
     novikov_structure,
-    rp_bracket,
-    rp_hamiltonian_field,
+    poisson_bracket,
 )
 from .gallery import Fixture, fixture, list_fixtures
 from .checks import (

@@ -1,6 +1,12 @@
-"""Poisson-type structures: the canonical symplectic bracket, flat
-Riemann-Poisson brackets built from m-2 fixed functions, and the canonical
-contact frame on R^(2n+1).
+"""Poisson structures as bivectors, and the canonical contact frame on
+R^(2n+1).
+
+A structure describes itself by its bivector: entries (i, j, c) with
+{f, g} = sum c * (d_i f d_j g - d_j f d_i g). The canonical symplectic
+structure has c = 1 on each pair (p_a, q^a); a flat Riemann-Poisson
+structure has the signed complementary minors of its m-2 fixed gradient
+rows, computed once per structure. One bracket and one Hamiltonian-field
+builder serve both.
 
 All brackets return expressions, so iterated brackets (Jacobi testing) are
 plain symbolic composition.
@@ -10,21 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import combinations
 
-from .expr import (
-    Add,
-    Const,
-    Coord,
-    Expr,
-    Mul,
-    Neg,
-    ONE,
-    Sub,
-    ZERO,
-    simplify,
-)
+from .expr import Add, Const, Coord, Expr, Mul, Neg, ONE, Sub, ZERO, simplify
 from .expr import diff as ddx
-from .fields import Chart, ChartMismatch, Frame, VectorField
+from .fields import Chart, ChartMismatch, Frame, VectorField, simplified_sum
 
 
 @dataclass(frozen=True)
@@ -40,12 +37,10 @@ class SymplecticChart:
             raise ChartMismatch(f"symplectic chart must have dimension {2 * self.n}")
 
     @property
-    def angles(self) -> tuple[str, ...]:
-        return self.chart.coords[: self.n]
-
-    @property
-    def momenta(self) -> tuple[str, ...]:
-        return self.chart.coords[self.n :]
+    def bivector(self) -> tuple:
+        """(p_a, q^a, 1) for each a, so that {p_a, q^a} = 1 and {h, g} is the
+        Lie derivative of g along the Hamiltonian field of h."""
+        return tuple((self.n + a, a, ONE) for a in range(self.n))
 
 
 @dataclass(frozen=True)
@@ -75,6 +70,23 @@ class RPStructure:
     def from_functions(cls, chart: Chart, h_list) -> "RPStructure":
         return cls(chart, tuple(gradient(chart, h) for h in h_list))
 
+    @cached_property
+    def bivector(self) -> tuple:
+        """The determinant of the stacked rows (grad h_1; ...;
+        grad h_(m-2); grad f; grad g), flat metric and standard orientation,
+        expanded along its last two rows: for each i < j, the signed minor of
+        the fixed rows without columns i and j, ordered by the columns that
+        remain. Zero minors are dropped."""
+        m = self.chart.dim
+        entries = []
+        for rest in combinations(range(m), m - 2):
+            i, j = (c for c in range(m) if c not in rest)
+            minor = sym_det([[row[c] for c in rest] for row in self.h_gradients])
+            c = minor if (i + j) % 2 else simplify(Neg(minor))
+            if c != ZERO:
+                entries.append((i, j, c))
+        return tuple(entries)
+
 
 def gradient(chart: Chart, f: Expr) -> tuple[Expr, ...]:
     chart.check_expr(f)
@@ -96,50 +108,31 @@ def sym_det(rows: list) -> Expr:
     return simplify(total)
 
 
-def canonical_bracket(s: SymplecticChart, f: Expr, g: Expr) -> Expr:
-    """{f, g} = sum_a (df/dp_a dg/dq^a - df/dq^a dg/dp_a).
-
-    Oriented so that {h, g} equals the Lie derivative of g along the
-    Hamiltonian field of h (see hamiltonian_field); the canonical relation
-    reads {p_a, q^a} = 1. A pair (q, p) both of whose products have a zero
-    factor adds nothing, so it is not built.
-    """
-    s.chart.check_expr(f)
-    s.chart.check_expr(g)
-    total: Expr = ZERO
-    for q, p in zip(s.angles, s.momenta):
-        fp, gq, fq, gp = ddx(f, p), ddx(g, q), ddx(f, q), ddx(g, p)
-        if ZERO in (fp, gq) and ZERO in (fq, gp):
+def poisson_bracket(structure: SymplecticChart | RPStructure, f: Expr, g: Expr) -> Expr:
+    """{f, g} = sum over the structure's bivector entries (i, j, c) of
+    c * (d_i f d_j g - d_j f d_i g). An entry both of whose products have a
+    zero factor adds nothing, so it is not built."""
+    df, dg = gradient(structure.chart, f), gradient(structure.chart, g)
+    terms = []
+    for i, j, c in structure.bivector:
+        if ZERO in (df[i], dg[j]) and ZERO in (df[j], dg[i]):
             continue
-        total = Add(total, Sub(Mul(fp, gq), Mul(fq, gp)))
-    return simplify(total)
+        term = Sub(Mul(df[i], dg[j]), Mul(df[j], dg[i]))
+        terms.append(term if c is ONE else Mul(c, term))
+    return simplified_sum(terms)
 
 
-def hamiltonian_field(s: SymplecticChart, h: Expr) -> VectorField:
-    """X_h, whose components are the brackets {h, x} with the coordinates
-    (dh/dp_a, then -dh/dq^a), so that L_{X_h} g = {h, g}."""
-    return VectorField(s.chart, tuple(canonical_bracket(s, h, Coord(x)) for x in s.chart.coords))
-
-
-def rp_bracket(r: RPStructure, f: Expr, g: Expr) -> Expr:
-    """{f, g}_H as the determinant of the stacked gradient rows
-    (grad h_1; ...; grad h_(m-2); grad f; grad g), flat metric and standard
-    orientation."""
-    rows = [list(gr) for gr in r.h_gradients]
-    rows.append(list(gradient(r.chart, f)))
-    rows.append(list(gradient(r.chart, g)))
-    return sym_det(rows)
-
-
-def rp_hamiltonian_field(r: RPStructure, h: Expr, sign: int = 1) -> VectorField:
-    """The field xi with L_xi g = sign * {h, g}_H for every g: its components
+def hamiltonian_field(
+    structure: SymplecticChart | RPStructure, h: Expr, sign: int = 1
+) -> VectorField:
+    """The field xi with L_xi g = sign * {h, g} for every g: its components
     are sign * {h, x} over the coordinates x, as the bracket is linear in dg."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    comps = [rp_bracket(r, h, Coord(x)) for x in r.chart.coords]
+    comps = [poisson_bracket(structure, h, Coord(x)) for x in structure.chart.coords]
     if sign == -1:
         comps = [simplify(Neg(c)) for c in comps]
-    return VectorField(r.chart, tuple(comps))
+    return VectorField(structure.chart, tuple(comps))
 
 
 def novikov_structure(b: tuple[float, float, float]) -> RPStructure:
@@ -189,15 +182,11 @@ def contact_form_values(frame: Frame) -> list[Expr]:
     Note the plus sign: it is the kernel form matched to the trivialization
     xi_i = d/dx^i - p_i d/dt used here.
     """
-    chart = frame.chart
-    n = (chart.dim - 1) // 2
-    out = []
-    for v in frame.vectors:
-        total: Expr = v.components[-1]
-        for i in range(n):
-            total = Add(total, Mul(Coord(f"p{i + 1}"), v.components[i]))
-        out.append(simplify(total))
-    return out
+    ps = [Coord(f"p{i + 1}") for i in range((frame.chart.dim - 1) // 2)]
+    return [
+        simplified_sum([v.components[-1]] + [Mul(p, c) for p, c in zip(ps, v.components)])
+        for v in frame.vectors
+    ]
 
 
 def jacobiator(bracket, f: Expr, g: Expr, h: Expr) -> Expr:

@@ -142,11 +142,17 @@ def lie_derivative(xi: VectorField, f: Expr) -> Expr:
     """Directional derivative of f along xi: sum_i xi^i * d f / d x^i, over
     the terms with no zero-constant factor. A zero result is ZERO, not -0.0."""
     xi.chart.check_expr(f)
-    terms = [
+    return simplified_sum(
         d if comp is ONE else Mul(comp, d)
         for comp, name in zip(xi.components, xi.chart.coords)
         if comp != ZERO and (d := ddx(f, name)) != ZERO
-    ]
+    )
+
+
+def simplified_sum(terms) -> Expr:
+    """The terms folded left to right with Add and simplified once; ZERO (not
+    -0.0) for no terms or a zero-constant sum."""
+    terms = list(terms)
     total = simplify(reduce(Add, terms)) if terms else ZERO
     return ZERO if total == ZERO else total
 
@@ -168,8 +174,5 @@ def symmetrize(ab: Expr, ba: Expr) -> Expr:
 
 def flat_norm_sq(xi: VectorField) -> Expr:
     """Squared Euclidean norm of the field (flat metric)."""
-    total: Expr = ZERO
-    for comp in xi.components:
-        total = Add(total, Pow(comp, 2))
-    return simplify(total)
+    return simplified_sum(Pow(comp, 2) for comp in xi.components)
 

@@ -22,8 +22,7 @@ from functools import partial
 
 import numpy as np
 
-from .brackets import RPStructure, SymplecticChart, canonical_bracket, contact_frame
-from .brackets import hamiltonian_field, rp_bracket, rp_hamiltonian_field
+from .brackets import RPStructure, SymplecticChart, contact_frame, hamiltonian_field, poisson_bracket
 from .constructions import monomial_free_map
 from .expr import ParseError, parse
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
@@ -228,10 +227,16 @@ def _chart_from(section: dict) -> Chart:
             raise ManifestError("needs a 'box' array with one [lo, hi] per coordinate")
         if "dim" in section and _integer(section, "dim", len(coords)) != len(coords):
             raise ManifestError("dim does not match the number of coordinates")
+        pairs = all(isinstance(b, list) and len(b) == 2 for b in box)
+        if not (pairs and all(type(e) in (int, float) for b in box for e in b)):
+            raise ManifestError(f"box edges must be [lo, hi] pairs of numbers, got {box!r}")
+        periodic = section.get("periodic", [False] * len(coords))
+        if not (isinstance(periodic, list) and all(type(p) is bool for p in periodic)):
+            raise ManifestError(f"periodic needs true or false per coordinate, got {periodic!r}")
         return Chart(
             coords=tuple(str(c) for c in coords),
             box=tuple((float(lo), float(hi)) for lo, hi in box),
-            periodic=tuple(bool(p) for p in section.get("periodic", [False] * len(coords))),
+            periodic=tuple(periodic),
         )
 
 
@@ -306,7 +311,7 @@ def build_frame(m: Manifest) -> Frame:
             if h is None:
                 raise ManifestError("riemann-poisson frame needs a 'hamiltonian' expression")
             sign = _integer(m.structure, "sign", 1)
-            field = rp_hamiltonian_field(build_rp_structure(m), _parse_expr(h), sign=sign)
+            field = hamiltonian_field(build_rp_structure(m), _parse_expr(h), sign=sign)
             return Frame(m.chart, (field,))
         raise ManifestError(f"unknown structure type {kind!r}")
 
@@ -326,11 +331,8 @@ def build_rp_structure(m: Manifest) -> RPStructure:
     return RPStructure.from_functions(m.chart, [_parse_expr(h) for h in h_list])
 
 
-# structure type -> (its builder, its bracket)
-_BRACKETS = {
-    "canonical": (_symplectic_chart, canonical_bracket),
-    "riemann-poisson": (build_rp_structure, rp_bracket),
-}
+# structure type -> the builder of its Poisson structure
+_BRACKETS = {"canonical": _symplectic_chart, "riemann-poisson": build_rp_structure}
 
 
 def _build_bracket(m: Manifest):
@@ -338,9 +340,8 @@ def _build_bracket(m: Manifest):
     kind = (m.structure or {}).get("type")
     if kind not in _BRACKETS:
         raise ManifestError(f"bracket-laws mode needs a [structure] of type {' or '.join(_BRACKETS)}")
-    build, bracket = _BRACKETS[kind]
     with _section("structure"):
-        return partial(bracket, build(m))
+        return partial(poisson_bracket, _BRACKETS[kind](m))
 
 
 def build_map(m: Manifest) -> SmoothMap:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 import hfree
-from hfree.brackets import SymplecticChart, canonical_bracket, contact_form_values, contact_frame
+from hfree.brackets import SymplecticChart, contact_form_values, contact_frame, poisson_bracket
 from hfree.checks import bracket_law_residuals, run_check
 from hfree.cli import main
 from hfree.constructions import DetIdentity, monomial_free_map, sym_square
@@ -208,7 +208,7 @@ def test_criterion_7_bracket_laws():
     sc = SymplecticChart(n=3, chart=fix.chart)
     integrals = [parse(f"exp(p{a})*cos(phi{a})") for a in (1, 2, 3)]
     involution_ok = all(
-        canonical_bracket(sc, integrals[a], integrals[b]) == ZERO
+        poisson_bracket(sc, integrals[a], integrals[b]) == ZERO
         for a in range(3)
         for b in range(3)
         if a != b

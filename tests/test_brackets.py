@@ -1,22 +1,25 @@
 import math
 import random
+from functools import reduce
 
 import pytest
 
-from hfree.expr import Const, evaluate, parse, simplify
+from hfree import brackets
+from hfree.expr import Add, Const, Coord, Mul, Neg, Sub, diff, evaluate, parse, simplify
 from hfree.fields import Chart, ChartMismatch, SmoothMap, lie_derivative
 from hfree.brackets import (
     RPStructure,
     SymplecticChart,
-    canonical_bracket,
     contact_form_values,
     contact_frame,
     hamiltonian_field,
+    gradient,
     jacobiator,
     novikov_structure,
-    rp_bracket,
-    rp_hamiltonian_field,
+    poisson_bracket,
+    sym_det,
 )
+from hfree.gallery import fixture
 from hfree.jets import d1_matrix
 from hfree.sampling import sample_points
 
@@ -38,8 +41,8 @@ class TestCanonicalBracket:
     def test_canonical_relation(self):
         # sign pairs with the Hamiltonian-field convention: {p, q} = 1
         sc = symplectic_plane()
-        assert canonical_bracket(sc, parse("p1"), parse("phi1")) == Const(1.0)
-        assert canonical_bracket(sc, parse("phi1"), parse("p1")) == Const(-1.0)
+        assert poisson_bracket(sc, parse("p1"), parse("phi1")) == Const(1.0)
+        assert poisson_bracket(sc, parse("phi1"), parse("p1")) == Const(-1.0)
 
     def test_involution_of_action_like_integrals(self):
         for n in (2, 3):
@@ -49,11 +52,11 @@ class TestCanonicalBracket:
                 for b in range(n):
                     if a == b:
                         continue
-                    assert canonical_bracket(sc, integrals[a], integrals[b]) == Const(0.0)
+                    assert poisson_bracket(sc, integrals[a], integrals[b]) == Const(0.0)
 
     def test_momentum_pair_value(self):
         sc = symplectic_plane()
-        got = canonical_bracket(
+        got = poisson_bracket(
             sc, parse("exp(p1)*cos(phi1)"), parse("exp(p1)*sin(phi1)")
         )
         expected = parse("exp(2*p1)")
@@ -63,16 +66,16 @@ class TestCanonicalBracket:
     def test_antisymmetry(self):
         sc = symplectic_plane(2)
         f, g = parse("phi1*p2 + sin(phi2)"), parse("exp(p1)*cos(phi1) + p2^2")
-        total = simplify(canonical_bracket(sc, f, g) + canonical_bracket(sc, g, f))
+        total = simplify(poisson_bracket(sc, f, g) + poisson_bracket(sc, g, f))
         for b in random_bindings(sc.chart, seed=3):
             assert evaluate(total, b) == 0.0
 
     def test_leibniz(self):
         sc = symplectic_plane()
         f, g, h = parse("p1^2"), parse("sin(phi1)"), parse("exp(p1)*cos(phi1)")
-        lhs = canonical_bracket(sc, f, simplify(g * h))
+        lhs = poisson_bracket(sc, f, simplify(g * h))
         rhs = simplify(
-            g * canonical_bracket(sc, f, h) + h * canonical_bracket(sc, f, g)
+            g * poisson_bracket(sc, f, h) + h * poisson_bracket(sc, f, g)
         )
         for b in random_bindings(sc.chart, seed=4):
             assert evaluate(lhs, b) == pytest.approx(evaluate(rhs, b), rel=1e-10, abs=1e-12)
@@ -110,7 +113,7 @@ class TestHamiltonianField:
             g = parse(rng.choice(pool))
             x = hamiltonian_field(sc, h)
             lhs = lie_derivative(x, g)
-            rhs = canonical_bracket(sc, h, g)
+            rhs = poisson_bracket(sc, h, g)
             for b in random_bindings(sc.chart, n=5, seed=rng.randrange(1000)):
                 assert evaluate(lhs, b) == pytest.approx(
                     evaluate(rhs, b), rel=1e-10, abs=1e-10
@@ -138,10 +141,8 @@ class TestRPBracket:
         structure = novikov_structure(b)
         f = parse("sin(theta1)*cos(theta2)")
         g = parse("cos(theta3) + sin(theta2)")
-        got = rp_bracket(structure, f, g)
+        got = poisson_bracket(structure, f, g)
         coords = structure.chart.coords
-        from hfree.expr import diff
-
         eps = {
             (0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1,
@@ -160,14 +161,14 @@ class TestRPBracket:
     def test_antisymmetry(self):
         structure = e3_structure()
         f, g = parse("y*exp(x)"), parse("x*z + y^2")
-        total = simplify(rp_bracket(structure, f, g) + rp_bracket(structure, g, f))
+        total = simplify(poisson_bracket(structure, f, g) + poisson_bracket(structure, g, f))
         for binding in random_bindings(E3, seed=7):
             assert evaluate(total, binding) == 0.0
 
     def test_fixed_function_is_casimir(self):
         structure = e3_structure()
         h1 = parse("(1-y^2)*exp(x)")
-        got = rp_bracket(structure, parse("x*y + z"), h1)
+        got = poisson_bracket(structure, parse("x*y + z"), h1)
         for binding in random_bindings(E3, seed=8):
             assert evaluate(got, binding) == pytest.approx(0.0, abs=1e-10)
 
@@ -176,7 +177,7 @@ class TestRPBracket:
         structure = e3_structure()
         h = parse("(1+x^2)*z + sin(x*y)")
         f = parse("y*exp(x)")
-        got = rp_bracket(structure, h, f)
+        got = poisson_bracket(structure, h, f)
         expected = parse("(1+y^2)*(1+x^2)*exp(2*x)")
         for binding in random_bindings(E3, seed=9):
             assert abs(evaluate(got, binding)) == pytest.approx(
@@ -189,10 +190,10 @@ class TestRPHamiltonianField:
         structure = e3_structure()
         h = parse("(1+x^2)*z + sin(x*y)")
         for sign in (1, -1):
-            xi = rp_hamiltonian_field(structure, h, sign=sign)
+            xi = hamiltonian_field(structure, h, sign=sign)
             for g in (parse("y*exp(x)"), parse("x*z"), parse("y^2 - z")):
                 lhs = lie_derivative(xi, g)
-                rhs = rp_bracket(structure, h, g)
+                rhs = poisson_bracket(structure, h, g)
                 for binding in random_bindings(E3, n=10, seed=10):
                     assert evaluate(lhs, binding) == pytest.approx(
                         sign * evaluate(rhs, binding), rel=1e-10, abs=1e-12
@@ -201,7 +202,7 @@ class TestRPHamiltonianField:
     def test_e3_positivity_with_pinned_sign(self):
         structure = e3_structure()
         h = parse("(1+x^2)*z + sin(x*y)")
-        xi = rp_hamiltonian_field(structure, h, sign=-1)
+        xi = hamiltonian_field(structure, h, sign=-1)
         lf = lie_derivative(xi, parse("y*exp(x)"))
         expected = parse("(1+y^2)*(1+x^2)*exp(2*x)")
         for binding in random_bindings(E3, seed=11):
@@ -210,13 +211,13 @@ class TestRPHamiltonianField:
             assert v == pytest.approx(evaluate(expected, binding), rel=1e-10)
 
     def test_constant_hamiltonian_gives_zero_field(self):
-        xi = rp_hamiltonian_field(e3_structure(), parse("5"))
+        xi = hamiltonian_field(e3_structure(), parse("5"))
         assert all(c == Const(0.0) for c in xi.components)
 
     def test_annihilates_its_hamiltonian(self):
         structure = e3_structure()
         h = parse("(1+x^2)*z + sin(x*y)")
-        xi = rp_hamiltonian_field(structure, h)
+        xi = hamiltonian_field(structure, h)
         lh = lie_derivative(xi, h)
         for binding in random_bindings(E3, seed=12):
             assert evaluate(lh, binding) == pytest.approx(0.0, abs=1e-9)
@@ -250,7 +251,7 @@ class TestJacobi:
     def test_canonical(self):
         for n in (1, 2, 3):
             sc = symplectic_plane(n)
-            bracket = lambda f, g: canonical_bracket(sc, f, g)
+            bracket = lambda f, g: poisson_bracket(sc, f, g)
             f = parse("p1^2 + phi1" if n == 1 else "p1*p2 + phi1")
             g = parse("sin(phi1)*p1")
             h = parse("cos(phi1) + p1^3")
@@ -260,7 +261,7 @@ class TestJacobi:
 
     def test_novikov_torus(self):
         structure = novikov_structure((0.0, 0.0, 1.0))
-        bracket = lambda f, g: rp_bracket(structure, f, g)
+        bracket = lambda f, g: poisson_bracket(structure, f, g)
         f = parse("sin(theta1) + cos(theta2)")
         g = parse("cos(theta1)*sin(theta3)")
         h = parse("sin(theta2)*cos(theta3)")
@@ -270,7 +271,7 @@ class TestJacobi:
 
     def test_riemann_poisson_e3(self):
         structure = e3_structure()
-        bracket = lambda f, g: rp_bracket(structure, f, g)
+        bracket = lambda f, g: poisson_bracket(structure, f, g)
         rng = random.Random(16)
         pool = ["x*y", "y*z - x", "x^2 + z", "z*y", "x + y + z"]
         for _ in range(10):
@@ -278,3 +279,94 @@ class TestJacobi:
             jac = jacobiator(bracket, f, g, h)
             for binding in random_bindings(E3, n=10, seed=rng.randrange(1000)):
                 assert abs(evaluate(jac, binding)) <= 1e-8
+
+
+def _random_function(rng, coords):
+    atoms = [f"{c}" for c in coords] + [f"sin({c})" for c in coords] + [f"exp({c})" for c in coords]
+    terms = [f"{rng.uniform(-2, 2)!r}*{rng.choice(atoms)}*{rng.choice(atoms)}" for _ in range(3)]
+    return parse(" + ".join(terms))
+
+
+def _random_structure(m, seed):
+    rng = random.Random(seed)
+    chart = Chart(coords=tuple(f"x{i + 1}" for i in range(m)), box=((-1.0, 1.0),) * m)
+    return RPStructure.from_functions(chart, [_random_function(rng, chart.coords) for _ in range(m - 2)]), rng
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_bracket_is_the_determinant_of_the_stacked_gradients(m):
+    """The bivector bracket against the cofactor determinant of the rows
+    (grad h_1; ...; grad h_(m-2); grad f; grad g) at random points."""
+    structure, rng = _random_structure(m, seed=100 + m)
+    chart = structure.chart
+    for _ in range(3):
+        f, g = _random_function(rng, chart.coords), _random_function(rng, chart.coords)
+        got = poisson_bracket(structure, f, g)
+        rows = [list(r) for r in structure.h_gradients] + [list(gradient(chart, f)), list(gradient(chart, g))]
+        oracle = sym_det(rows)
+        for binding in random_bindings(chart, n=10, seed=rng.randrange(1000)):
+            assert evaluate(got, binding) == pytest.approx(evaluate(oracle, binding), rel=1e-12)
+
+
+def _canonical_sum(sc, f, g):
+    """sum_a (df/dp_a dg/dq^a - df/dq^a dg/dp_a), every pair built."""
+    q, p = sc.chart.coords[: sc.n], sc.chart.coords[sc.n :]
+    terms = [Sub(Mul(diff(f, pa), diff(g, qa)), Mul(diff(f, qa), diff(g, pa))) for qa, pa in zip(q, p)]
+    return simplify(reduce(Add, terms))
+
+
+def _cofactor_bracket(structure, f, g):
+    rows = [list(r) for r in structure.h_gradients]
+    return sym_det(rows + [list(gradient(structure.chart, f)), list(gradient(structure.chart, g))])
+
+
+@pytest.mark.parametrize(
+    "name, hamiltonian, sign",
+    [
+        ("integrable-torus-1", None, 1),
+        ("integrable-torus-2", None, 1),
+        ("integrable-torus-3", None, 1),
+        ("riemann-poisson-e3", "(1+x^2)*z + sin(x*y)", -1),
+        ("novikov-t3", None, 1),
+    ],
+)
+def test_gallery_brackets_and_fields_are_the_explicit_trees(name, hamiltonian, sign):
+    """Every gallery structure's brackets and Hamiltonian fields are the very
+    trees of the explicit canonical sum or the m = 3 cofactor determinant
+    (repr tells -0.0 from 0.0)."""
+    fix = fixture(name)
+    assert fix.bracket.func is poisson_bracket
+    structure = fix.bracket.args[0]
+    oracle = _canonical_sum if isinstance(structure, SymplecticChart) else _cofactor_bracket
+    exprs = list(fix.bracket_tests) + [Coord(x) for x in structure.chart.coords]
+    for f in exprs:
+        for g in exprs:
+            assert repr(poisson_bracket(structure, f, g)) == repr(oracle(structure, f, g))
+
+    def oracle_field(h, sign):
+        comps = [oracle(structure, h, Coord(x)) for x in structure.chart.coords]
+        return [simplify(Neg(c)) for c in comps] if sign == -1 else comps
+
+    for h in fix.bracket_tests:
+        for s in (1, -1):
+            assert repr(hamiltonian_field(structure, h, s).components) == repr(tuple(oracle_field(h, s)))
+    if isinstance(structure, SymplecticChart):
+        hams = [parse(f"exp(p{a + 1})*cos(phi{a + 1})") for a in range(structure.n)]
+        assert repr(fix.frame.vectors) == repr(tuple(hamiltonian_field(structure, h) for h in hams))
+    if hamiltonian is not None:
+        (field,) = fix.frame.vectors
+        assert repr(field.components) == repr(tuple(oracle_field(parse(hamiltonian), sign)))
+
+
+def test_a_built_bivector_makes_no_determinant_calls(monkeypatch):
+    """The minors are computed once per structure: with its bivector built, a
+    bracket or a Hamiltonian field calls sym_det no more."""
+    calls = []
+    monkeypatch.setattr(brackets, "sym_det", lambda rows: calls.append(len(rows)) or sym_det(rows))
+    structure, rng = _random_structure(5, seed=7)
+    assert structure.bivector and calls
+    calls.clear()
+    f, g = _random_function(rng, structure.chart.coords), _random_function(rng, structure.chart.coords)
+    poisson_bracket(structure, f, g)
+    hamiltonian_field(structure, f, sign=-1)
+    assert calls == []

@@ -390,6 +390,41 @@ def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, caps
     assert "Traceback" not in err
 
 
+PERIODIC_GRID = textwrap.dedent(
+    """
+    [manifold]
+    coords = [x]
+    box = [[0, 6.283185307179586]]
+    periodic = PERIODIC
+
+    [frame]
+    vectors = [["1"]]
+
+    [map]
+    components = ["sin(x)"]
+
+    [check]
+    mode = immersion
+    grid = [5]
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "periodic, code",
+    [("[true]", 0), ("[false]", 1), ('["false"]', 2), ("[no]", 2), ("[1]", 2)],
+)
+def test_periodic_flags_are_booleans(periodic, code, tmp_path, capsys):
+    """A periodic grid leaves out the far edge 2*pi, so it misses the zero of
+    cos(x) at pi/2 that the closed grid hits: a quoted "false" or a bare word
+    must not read as true and turn that fail into a pass."""
+    path = tmp_path / "periodic.toml"
+    path.write_text(PERIODIC_GRID.replace("PERIODIC", periodic))
+    assert main(["check", str(path)]) == code
+    err = capsys.readouterr().err
+    assert ("bad [manifold] section: periodic" in err) == (code == 2)
+
+
 def test_internal_error_exits_three_on_one_line(planar_manifest, monkeypatch, capsys):
     def broken(manifest):
         raise RuntimeError("no such luck")

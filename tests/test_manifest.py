@@ -113,6 +113,13 @@ def test_structure_riemann_poisson():
         (("tolerance = 1e-9", "tolerance = -1"), "tolerance"),
         (("vectors = [[\"2*y\", \"1 - y^2\"]]", "vectors = [[\"2*y\"]]"), "component"),
         (("\"y*exp(x)\"", "\"y*exp(\""), "expression"),
+        (("box = [[-2, 2], [-2, 2]]", "box = [[false, true], [-2, 2]]"), "box edges"),
+        (("box = [[-2, 2], [-2, 2]]", 'box = [["-1", 2], [-2, 2]]'), "box edges"),
+        (("box = [[-2, 2], [-2, 2]]", "box = [[-2, 0, 2], [-2, 2]]"), "box edges"),
+        # on a [0, 2*pi) axis, where a periodic flag is valid
+        (("[[-2, 2], [-2, 2]]", '[[0, 6.283185307179586], [-2, 2]]\nperiodic = ["false", false]'), "periodic"),
+        (("[[-2, 2], [-2, 2]]", "[[0, 6.283185307179586], [-2, 2]]\nperiodic = [no, false]"), "periodic"),
+        (("[-2, 2]]\n", "[-2, 2]]\nperiodic = false\n"), "periodic"),
     ],
 )
 def test_bad_manifests(mutation, fragment):
