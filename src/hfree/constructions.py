@@ -3,11 +3,9 @@ the symmetric-square representation and the determinant-identity check."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, simplify, substitute
+from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, integer_power, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from .jets import compiled_d2, pair_labels, s, valid_mask
 
@@ -119,17 +117,9 @@ class DetIdentity:
         finite (a determinant or a product of them beyond the float range);
         those points' entries are meaningless."""
         d2_inner, d2_outer, d2_composite, failures = self.blocks(points)
-        n = self.k + 2
         with np.errstate(all="ignore"):
             lhs = np.linalg.det(d2_composite)
-            # float ** per element: numpy's power rounds differently in a few percent of values
-            powers = []
-            for d in np.linalg.det(d2_inner[:, : self.k]).tolist():
-                try:
-                    powers.append(d ** n)
-                except OverflowError:
-                    powers.append(math.inf)
-            rhs = np.array(powers) * np.linalg.det(d2_outer)
+            rhs = integer_power(np.linalg.det(d2_inner[:, : self.k]), self.k + 2) * np.linalg.det(d2_outer)
             rel = np.abs(lhs - rhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
         for i in np.flatnonzero(~np.isfinite(rel)).tolist():
             failures.setdefault(i, EvalError("overflow: determinants beyond the float range"))

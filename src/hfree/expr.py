@@ -17,13 +17,14 @@ Each operation is a method of the node. The shapes (Const, Coord, _Unary,
 _Binary, Pow) walk a node's children: to rebuild it, evaluate it, print it,
 fold it and emit its tape ops. Each concrete class is one op's row: fn, the
 float rule that both evaluate and constant folding call; ufunc, the numpy
-rule on the tape (None: fn runs per element); prec and symbol, for the
-printer; _d, the derivative rule; and _local, its own rewrite.
+rule on the tape, which fn applies to a float64 scalar where the row does
+not define fn itself; prec and symbol, for the printer; _d, the derivative
+rule; and _local, its own rewrite. Integer powers are one chain of IEEE
+multiplications (integer_power) in both engines.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 import weakref
@@ -258,9 +259,17 @@ class _Unary(Expr):
     def _str(self):
         return f"{self.symbol}({to_str(self.arg)})"
 
+    def fn(self, value: float) -> float:
+        """The row's ufunc at one value, as a float64 scalar: the bits of its
+        array loop on the tape. A value beyond the float range raises
+        OverflowError."""
+        with np.errstate(all="ignore"):
+            out = float(self.ufunc(value))
+        if math.isinf(out):
+            raise OverflowError
+        return out
+
     def _emit(self, t):
-        if self.ufunc is None:
-            return t.each(self.fn, self.arg)
         return t.op(self.ufunc, t.array(self.arg))
 
     def _fold(self):
@@ -304,10 +313,29 @@ class _Binary(Expr):
         return self
 
 
+def integer_power(base, n: int):
+    """base^n for an integer n, by square and multiply over IEEE *, on a float
+    or an array: the same multiplications in the same order, so the same bits
+    in Python and in numpy. A negative n raises 1/base to -n, rather than
+    dividing 1 by base^-n, so that a tiny base overflows as its power does
+    instead of dividing by a power that underflowed to 0. At n = 0 the power
+    is 1.0."""
+    if n < 0:
+        base, n = 1.0 / base, -n
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:  # a square that no later factor uses could overflow needlessly
+            base = base * base
+    return 1.0 if out is None else out
+
+
 class Pow(Expr):
-    """base^exponent for an integer exponent. On the tape the builtin pow runs
-    per element: it rounds as fn does, and raises ZeroDivisionError where fn
-    raises EvalError, at a zero base and a negative exponent."""
+    """base^exponent for an integer exponent: integer_power in both engines.
+    At a zero base and a negative exponent fn raises EvalError, and the tape
+    names that fault; any other value beyond the float range is overflow."""
 
     __slots__ = ("base", "exponent")
     _fields = __slots__
@@ -321,7 +349,10 @@ class Pow(Expr):
     def fn(base: float, n: int) -> float:
         if n < 0 and base == 0.0:
             raise EvalError("0 raised to a negative power")
-        return float(base**n)
+        value = integer_power(base, n)
+        if math.isinf(value):
+            raise OverflowError
+        return value
 
     def _map(self, f):
         return Pow(f(self.base), self.exponent)
@@ -336,8 +367,10 @@ class Pow(Expr):
         return f"{_wrap(self.base, self.prec + 1)}{self.symbol}{self.exponent}"
 
     def _emit(self, t):
-        zero = t.code("0 raised to a negative power")  # the one power of 0 that is not finite
-        return t.each(pow, self.base, self.exponent, fault=lambda v: np.where(v == 0, zero, 1))
+        n, zero = self.exponent, t.code("0 raised to a negative power")
+        # an array base, so that the chain runs under numpy's error policy
+        power = lambda v: integer_power(v, n)
+        return t.op(power, t.array(self.base), fault=lambda v: np.where(v == 0, zero, 1))
 
     def _fold(self):
         b = self.base
@@ -474,7 +507,7 @@ class Div(_Binary):
 
 class Sin(_Unary):
     __slots__ = ()
-    fn, ufunc, symbol = math.sin, np.sin, "sin"
+    ufunc, symbol = np.sin, "sin"
 
     def _d(self, x):
         return Mul(Cos(simplify(self.arg)), diff(self.arg, x))
@@ -482,7 +515,7 @@ class Sin(_Unary):
 
 class Cos(_Unary):
     __slots__ = ()
-    fn, ufunc, symbol = math.cos, np.cos, "cos"
+    ufunc, symbol = np.cos, "cos"
 
     def _d(self, x):
         return Neg(Mul(Sin(simplify(self.arg)), diff(self.arg, x)))
@@ -490,8 +523,9 @@ class Cos(_Unary):
 
 class Exp(_Unary):
     __slots__ = ()
-    # numpy's exp need not round as math.exp does, so fn runs per element
-    fn, ufunc, symbol = math.exp, None, "exp"
+    # numpy's exp in both engines: libm's exp differs from it by an ulp in a
+    # few percent of values, and only numpy's runs over an array
+    ufunc, symbol = np.exp, "exp"
 
     def _d(self, x):
         return Mul(Exp(simplify(self.arg)), diff(self.arg, x))
@@ -821,15 +855,14 @@ class _Tape:
     fn(regs[a]), or fn(regs[a], regs[b]) if b is not None. Arithmetic on
     floats gives a float, so a node without coordinates may hold one.
 
-    traced[i] is op i in trace: the function it runs there, which gives nan
-    where the op's fn raises, and its fault, a function of the operands'
-    values that gives the code of the op's own fault at the points where its
-    value is not finite, or None for overflow. A code is an index into
-    faults, the messages: 0 is none, 1 overflow."""
+    fault_fns[i] is op i's fault: a function of its operands' values that
+    gives the code of the op's own fault at the points where its value is
+    not finite, or None for overflow. A code is an index into faults, the
+    messages: 0 is none, 1 overflow."""
 
     def __init__(self, exprs, coords):
         self.column = {name: itemgetter((slice(None), j)) for j, name in enumerate(coords)}
-        self.init, self.ops, self.traced = [None], [], []
+        self.init, self.ops, self.fault_fns = [None], [], []
         self.faults = [None, "overflow"]
         self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
         self.outputs = [self.slot(e) for e in exprs]
@@ -849,9 +882,9 @@ class _Tape:
             self.faults.append(message)
         return self.faults.index(message)
 
-    def op(self, fn, a: int, b: int | None = None, trace=None, fault=None) -> int:
+    def op(self, fn, a: int, b: int | None = None, fault=None) -> int:
         self.ops.append((len(self.init), fn, a, b))
-        self.traced.append((trace or fn, fault))
+        self.fault_fns.append(fault)
         self.init.append(None)
         return len(self.init) - 1
 
@@ -860,20 +893,6 @@ class _Tape:
         chunk, so that a function of it keeps the bits of numpy's array loop."""
         a = self.slot(e)
         return a if free_vars(e) else self.op(lambda c, x: np.full(len(x), c), a, 0)
-
-    def each(self, fn, e: Expr, *extra, fault=None) -> int:
-        """fn(v, *extra) at each value v of e, as evaluate() computes it; in
-        trace, nan where fn raises."""
-        repeats = [itertools.repeat(v) for v in extra]
-
-        def traced(*args):
-            try:
-                return fn(*args)
-            except ArithmeticError:
-                return math.nan
-
-        loop = lambda f: lambda v: np.fromiter(map(f, v.tolist(), *repeats), float, len(v))
-        return self.op(loop(fn), self.array(e), trace=loop(traced), fault=fault)
 
     def run(self, x: np.ndarray, out: np.ndarray):
         """out[:, j] = expression j at the points x; fresh registers each call."""
@@ -892,7 +911,7 @@ class _Tape:
         value is not finite: the first fault evaluate() meets."""
         regs, codes = self.init.copy(), [0] * len(self.init)
         regs[0] = x
-        for (r, _, a, b), (fn, fault) in zip(self.ops, self.traced):
+        for (r, fn, a, b), fault in zip(self.ops, self.fault_fns):
             args = (regs[a],) if b is None else (regs[a], regs[b])
             regs[r] = fn(*args)
             first = codes[a] if b is None else np.where(codes[a], codes[a], codes[b])
@@ -915,14 +934,16 @@ def compile_batch(exprs, coords):
     point gets evaluate()'s exact error.
 
     The function runs a tape (see _Tape): one numpy call per distinct node.
-    +, -, *, /, negation, sin and cos are numpy ufuncs, which round as the
-    float operations in evaluate() do; exp and integer powers run per element
-    through math.exp and float ** for the same reason. Constants are finite
-    (see Const) and so are the points, so every fault evaluate() reports,
-    overflow included, raises a floating-point error here too. A chunk whose
-    run raises one runs once more as a trace (see _Tape.trace), which gives
-    each point the first fault evaluate() meets; the arithmetic is the same,
-    so every point keeps its bits."""
+    +, -, *, / and negation are numpy ufuncs, which round as the float
+    operations in evaluate() do; sin, cos and exp are numpy ufuncs, which
+    evaluate() applies to one float64 at a time; and an integer power is the
+    chain of multiplications that evaluate() runs on floats (see
+    integer_power). Constants are finite (see Const) and so are the points,
+    so every fault evaluate() reports, overflow included, raises a
+    floating-point error here too. A chunk whose run raises one runs once
+    more as a trace (see _Tape.trace), which gives each point the first fault
+    evaluate() meets; the arithmetic is the same, so every point keeps its
+    bits."""
     exprs = list(exprs)
     tape = _Tape(exprs, tuple(coords))
 

@@ -233,8 +233,7 @@ class TestDetIdentity:
         assert report.failures == [{"point": [0.5, 0.0], "reason": "outer jet block: overflow"}]
 
     def test_power_that_overflows_is_a_failure(self):
-        # det D1 = 1e102 * exp(x): its cube leaves the float range for x > 1.73,
-        # where Python's float ** raises OverflowError
+        # det D1 = 1e102 * exp(x): its cube leaves the float range for x > 1.73
         frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
         f = SmoothMap(PLANE, (parse("1" + "0" * 102 + "*exp(x) + y"),))
         points = np.array([[-1.0, 0.5], [1.8, 0.0], [0.0, 1.0], [1.9, -1.0], [1.0, 0.0]])
@@ -245,11 +244,12 @@ class TestDetIdentity:
             1: (EvalError, overflow),
             3: (EvalError, overflow),
         }
-        # elsewhere rhs is the per-element float power, bit for bit
+        # elsewhere rhs is the cube as the square-and-multiply chain takes it,
+        # d * (d * d), bit for bit
         d2_inner, d2_outer, _, _ = identity.blocks(points)
         for i in (0, 2, 4):
-            power = float(np.linalg.det(d2_inner[i, :1])) ** 3
-            assert rhs[i] == power * np.linalg.det(d2_outer[i])
+            d = float(np.linalg.det(d2_inner[i, :1]))
+            assert rhs[i] == d * (d * d) * np.linalg.det(d2_outer[i])
             assert rel[i] <= 1e-9
         report = check_points(frame, f, points, "identity")
         assert report.verdict == "fail"

@@ -614,8 +614,10 @@ def test_all_constant_jet_is_broadcast():
 
 
 def test_per_element_rounding_matches_evaluate():
-    """Powers and exp, whose numpy forms round differently from float ** and
-    math.exp in a few percent of values, agree with evaluate() bit for bit."""
+    """Powers, exp and sin over a chunk of arrays agree with evaluate() at
+    each value, one float at a time, bit for bit: both engines take a power
+    as the same chain of multiplications and exp as numpy's, which differ
+    from float ** and libm's exp in a few percent of values."""
     x = Coord("x")
     exprs = [Pow(x, n) for n in (-3, -2, 2, 3, 4)] + [Exp(x), Sin(x), Mul(x, Exp(Sin(x)))]
     points = np.random.default_rng(0).uniform(-3.0, 3.0, (2000, 1))
@@ -625,12 +627,35 @@ def test_per_element_rounding_matches_evaluate():
     assert [_bits(row) for row in values.tolist()] == expected
 
 
+_EDGE_BASES = [[0.0], [-0.0], [5e-324], [1e-243], [1e154], [-1e154], [-3.7], [1.0000001]]
+# the largest argument whose exp is finite, then its neighbours, and an
+# argument whose exp is below the least subnormal
+_EXP_EDGES = [[math.nextafter(709.782712893384, -math.inf)], [709.782712893384],
+              [math.nextafter(709.782712893384, math.inf)], [-745.2]]
+
+
+@pytest.mark.parametrize(
+    "e, rows",
+    [pytest.param(Pow(_X, n), _EDGE_BASES, id=f"x^{n}") for n in [*range(-60, 61), 2**53, -(2**53)]]
+    + [pytest.param(Exp(_X), _EXP_EDGES, id="exp(x)")],
+)
+def test_engines_agree_at_the_edges(e, rows):
+    """Powers of zeros, subnormals, bases near the square root of the float
+    range and bases near 1, and exp at the ends of its range: the same bits
+    or the same EvalError from both engines."""
+    compiled, reference = _outcomes([e], ("x",), rows)
+    assert compiled == reference
+
 
 @pytest.mark.parametrize(
     "e, point, message",
     [
         (parse("1/x"), {"x": 0.0}, "division by zero"),
         (parse("x^-2"), {"x": 0.0}, "0 raised to a negative power"),
+        (parse("x^-3"), {"x": -0.0}, "0 raised to a negative power"),
+        # 1/y is beyond the float range, and so is its power
+        (parse("x^-2"), {"x": 1e-243}, "overflow"),
+        (parse("x^-1"), {"x": 5e-324}, "overflow"),
         (parse("(1/x)/(x^-1)"), {"x": 0.0}, "division by zero"),
         (parse("exp(1000)"), {}, "overflow"),
         (parse("exp(exp(exp(3*x)))"), {"x": 2.0}, "overflow"),
