@@ -628,10 +628,9 @@ def test_per_element_rounding_matches_evaluate():
 
 
 _EDGE_BASES = [[0.0], [-0.0], [5e-324], [1e-243], [1e154], [-1e154], [-3.7], [1.0000001]]
-# the largest argument whose exp is finite, then its neighbours, and an
-# argument whose exp is below the least subnormal
-_EXP_EDGES = [[math.nextafter(709.782712893384, -math.inf)], [709.782712893384],
-              [math.nextafter(709.782712893384, math.inf)], [-745.2]]
+_EXP_MAX = 709.782712893384  # the largest argument whose exp is finite
+# its neighbours, and an argument whose exp is below the least subnormal
+_EXP_EDGES = [[math.nextafter(_EXP_MAX, -math.inf)], [_EXP_MAX], [math.nextafter(_EXP_MAX, math.inf)], [-745.2]]
 
 
 @pytest.mark.parametrize(
