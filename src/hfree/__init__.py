@@ -6,7 +6,6 @@ from .expr import (
     Expr,
     ParseError,
     diff,
-    evaluate,
     free_vars,
     parse,
     simplify,
@@ -20,8 +19,6 @@ from .fields import (
     OutsideDomain,
     SmoothMap,
     VectorField,
-    anticommutator,
-    flat_norm_sq,
     lie_derivative,
 )
 from .jets import (
@@ -38,7 +35,6 @@ from .constructions import (
     compose,
     monomial_free_map,
     standard_frame,
-    sym_square,
 )
 from .brackets import (
     RPStructure,

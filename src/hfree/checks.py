@@ -9,9 +9,9 @@ on CHUNK. A judge compiles each jet and each set of residuals once into one
 tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
 its map), so a chunk costs one run of each tape, then one batched ranking or
 determinant call; a run that faults runs once more as a trace, which names
-each point's fault as `expr.evaluate` would. A value beyond the float range is
-such a fault, an `overflow`, in both engines, so a judge reads only finite
-values: a point that faults fails with its EvalError and has no criterion.
+each point's first fault. A value beyond the float range is such a fault, an
+`overflow`, so a judge reads only finite values: a point that faults fails
+with its EvalError and has no criterion.
 The SVD sees only the dense matrices of a stack that a Gram screen cannot
 clear: a diagonal one, such as every 1 x 1 jet, is ranked from its diagonal,
 and one that a shifted Cholesky factorization of A.A^T clears is full rank,

@@ -7,9 +7,11 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from . import gallery
 from .checks import Report, run_check, run_fixture
-from .expr import EvalError, ParseError, evaluate, parse
+from .expr import EvalError, ParseError, compile_batch, parse
 from .manifest import ManifestError, load_manifest
 
 EXIT_PASS = 0
@@ -137,8 +139,11 @@ def main(argv=None) -> int:
             return _emit(report, args)
         if args.command == "eval":
             point = _parse_bindings(args.at)
-            value = evaluate(parse(args.expr), point)
-            print(f"{value:.17g}")
+            run = compile_batch([parse(args.expr)], tuple(point))
+            values, errors = run(np.array([list(point.values())]))
+            if errors:
+                raise errors[0][1]
+            print(f"{float(values[0, 0]):.17g}")
             return EXIT_PASS
     except (ManifestError, ParseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

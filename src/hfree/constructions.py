@@ -1,5 +1,5 @@
-"""Building free maps out of immersions: the monomial map, composition,
-the symmetric-square representation and the determinant-identity check."""
+"""Building free maps out of immersions: the monomial map, composition and
+the determinant-identity check."""
 
 from __future__ import annotations
 
@@ -48,24 +48,6 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
     bindings = dict(zip(outer.chart.coords, inner.components))
     comps = tuple(simplify(substitute(c, bindings)) for c in outer.components)
     return SmoothMap(inner.chart, comps)
-
-
-def sym_square(a: np.ndarray) -> np.ndarray:
-    """The induced matrix on unordered index pairs; a representation of GL_k
-    with det(sym_square(A)) = (det A)^(k+1)."""
-    a = np.asarray(a, dtype=float)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError("sym_square needs a square matrix")
-    pairs = pair_labels(k)
-    out = np.empty((len(pairs), len(pairs)))
-    for i, (p, q) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if c == d:
-                out[i, j] = a[p, c] * a[q, c]
-            else:
-                out[i, j] = a[p, c] * a[q, d] + a[p, d] * a[q, c]
-    return out
 
 
 class DetIdentity:

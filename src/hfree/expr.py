@@ -1,5 +1,5 @@
-"""Expression trees: parsing, symbolic differentiation, simplification,
-evaluation, and compilation into a tape of batched numpy calls.
+"""Expression trees: parsing, symbolic differentiation, simplification and
+compilation into a tape of batched numpy calls, the one evaluation engine.
 
 The grammar is deliberately tiny -- {+, -, *, /, ^, sin, cos, exp} over named
 coordinates with integer exponents -- and every operation here is a pure
@@ -14,13 +14,13 @@ the table. simplify, diff and free_vars keep their results on the node, so
 every occurrence of a subtree, in every jet, shares them.
 
 Each operation is a method of the node. The shapes (Const, Coord, _Unary,
-_Binary, Pow) walk a node's children: to rebuild it, evaluate it, print it,
-fold it and emit its tape ops. Each concrete class is one op's row: fn, the
-float rule that both evaluate and constant folding call; ufunc, the numpy
-rule on the tape, which fn applies to a float64 scalar where the row does
-not define fn itself; prec and symbol, for the printer; _d, the derivative
-rule; and _local, its own rewrite. Integer powers are one chain of IEEE
-multiplications (integer_power) in both engines.
+_Binary, Pow) walk a node's children: to rebuild it, print it, fold it and
+emit its tape ops. Each concrete class is one op's row: ufunc, the numpy
+rule on the tape; fn, the float rule of constant folding, which is the ufunc
+at a float64 scalar, or for + - * / and negation Python's float operation,
+which rounds as the ufunc does; prec and symbol, for the printer; _d, the
+derivative rule; and _local, its own rewrite. An integer power is one chain
+of IEEE multiplications (integer_power) on the tape and in folding.
 """
 
 from __future__ import annotations
@@ -88,12 +88,12 @@ class Expr:
     each; they take no part in equality, hashing or repr.
 
     A shape defines _map(f) (the node rebuilt with f applied to each child),
-    _eval(point), _vars() (free_vars), _str() (to_str), _emit(tape) (the
-    register of the node's value) and _fold() (Const(fn(...)) of constant
-    children, else the node; it raises where fn raises). A row defines _d(x),
-    the derivative rule at the root, unsimplified, and may define _local(),
-    one rewrite of a node whose children are simplified: a new node or a
-    strict subtree, else the node itself."""
+    _vars() (free_vars), _str() (to_str), _emit(tape) (the register of the
+    node's value) and _fold() (the constant of a node of constant children,
+    else the node; it raises where the value is not a finite float). A row
+    defines _d(x), the derivative rule at the root, unsimplified, and may
+    define _local(), one rewrite of a node whose children are simplified: a
+    new node or a strict subtree, else the node itself."""
 
     __slots__ = ("_simple", "_diffs", "_free", "__weakref__")
     _fields: tuple = ()
@@ -184,9 +184,6 @@ class Const(Expr):
     def _map(self, f):
         return self
 
-    def _eval(self, point):
-        return self.value
-
     def _vars(self):
         return frozenset()
 
@@ -212,14 +209,6 @@ class Coord(Expr):
     def _map(self, f):
         return self
 
-    def _eval(self, point):
-        if self.name not in point:
-            raise EvalError(self._unbound())
-        return float(point[self.name])
-
-    def _unbound(self) -> str:
-        return f"unbound coordinate '{self.name}'"
-
     def _vars(self):
         return frozenset((self.name,))
 
@@ -230,7 +219,7 @@ class Coord(Expr):
         if self.name in t.column:
             return t.op(t.column[self.name], 0)
         # a name with no column is 0/0 at each point, so that the run raises
-        unbound = t.code(self._unbound())
+        unbound = t.code(f"unbound coordinate '{self.name}'")
         return t.op(lambda x: np.zeros(len(x)) / 0.0, 0, fault=lambda x: unbound)
 
     def _d(self, x):
@@ -250,9 +239,6 @@ class _Unary(Expr):
     def _map(self, f):
         return type(self)(f(self.arg))
 
-    def _eval(self, point):
-        return self.fn(self.arg._eval(point))
-
     def _vars(self):
         return free_vars(self.arg)
 
@@ -261,13 +247,9 @@ class _Unary(Expr):
 
     def fn(self, value: float) -> float:
         """The row's ufunc at one value, as a float64 scalar: the bits of its
-        array loop on the tape. A value beyond the float range raises
-        OverflowError."""
+        array loop on the tape. A value beyond the float range is inf."""
         with np.errstate(all="ignore"):
-            out = float(self.ufunc(value))
-        if math.isinf(out):
-            raise OverflowError
-        return out
+            return float(self.ufunc(value))
 
     def _emit(self, t):
         return t.op(self.ufunc, t.array(self.arg))
@@ -289,12 +271,6 @@ class _Binary(Expr):
 
     def _map(self, f):
         return type(self)(f(self.left), f(self.right))
-
-    def _eval(self, point):
-        value = self.fn(self.left._eval(point), self.right._eval(point))
-        if math.isinf(value):  # float + - * / overflow silently, the tape does not
-            raise OverflowError
-        return value
 
     def _vars(self):
         return free_vars(self.left) | free_vars(self.right)
@@ -333,9 +309,10 @@ def integer_power(base, n: int):
 
 
 class Pow(Expr):
-    """base^exponent for an integer exponent: integer_power in both engines.
-    At a zero base and a negative exponent fn raises EvalError, and the tape
-    names that fault; any other value beyond the float range is overflow."""
+    """base^exponent for an integer exponent: integer_power on the tape and
+    in folding. The tape names the fault of a zero base and a negative
+    exponent, where folding raises ZeroDivisionError; any other value beyond
+    the float range is overflow."""
 
     __slots__ = ("base", "exponent")
     _fields = __slots__
@@ -345,20 +322,8 @@ class Pow(Expr):
         key = (cls, id(base), exponent)
         return _table.get(key, _missing)() or _new(cls, key, base, exponent)
 
-    @staticmethod
-    def fn(base: float, n: int) -> float:
-        if n < 0 and base == 0.0:
-            raise EvalError("0 raised to a negative power")
-        value = integer_power(base, n)
-        if math.isinf(value):
-            raise OverflowError
-        return value
-
     def _map(self, f):
         return Pow(f(self.base), self.exponent)
-
-    def _eval(self, point):
-        return self.fn(self.base._eval(point), self.exponent)
 
     def _vars(self):
         return free_vars(self.base)
@@ -374,7 +339,7 @@ class Pow(Expr):
 
     def _fold(self):
         b = self.base
-        return Const(self.fn(b.value, self.exponent)) if type(b) is Const else self
+        return Const(integer_power(b.value, self.exponent)) if type(b) is Const else self
 
     def _d(self, x):
         if self.exponent == 0:
@@ -476,13 +441,7 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
-    ufunc, prec, symbol = np.divide, 2, "/"
-
-    @staticmethod
-    def fn(num: float, denom: float) -> float:
-        if denom == 0.0:
-            raise EvalError("division by zero")
-        return num / denom
+    fn, ufunc, prec, symbol = operator.truediv, np.divide, 2, "/"
 
     def _emit(self, t):
         zero = t.code("division by zero")
@@ -523,7 +482,7 @@ class Cos(_Unary):
 
 class Exp(_Unary):
     __slots__ = ()
-    # numpy's exp in both engines: libm's exp differs from it by an ulp in a
+    # numpy's exp in folding too: libm's exp differs from it by an ulp in a
     # few percent of values, and only numpy's runs over an array
     ufunc, symbol = np.exp, "exp"
 
@@ -734,7 +693,7 @@ def parse(src: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Printing, evaluation and the symbolic operations
+# Printing and the symbolic operations
 
 
 def _wrap(e: Expr, minimum: int) -> str:
@@ -745,26 +704,11 @@ def _wrap(e: Expr, minimum: int) -> str:
 def to_str(e: Expr) -> str:
     """Render an expression in the DSL syntax.
 
-    parse(to_str(e)) evaluates bit for bit like e at every point. The reparsed
+    parse(to_str(e)) has e's value, bit for bit, at every point. The reparsed
     tree need not equal e: Const(-1.0), for instance, reads back as
     Neg(Const(1.0)).
     """
     return e._str()
-
-
-def evaluate(e: Expr, point: dict) -> float:
-    """Evaluate at a coordinate binding, operands left to right. Raises
-    EvalError on unbound names, division by zero, 0 raised to a negative
-    power, math domain errors and overflow: any operation whose value is
-    beyond the float range, + - * / as well as exp and ^. This is the
-    reference that compile_batch matches bit for bit; both engines fault at
-    the same points with the same message."""
-    try:
-        return e._eval(point)
-    except OverflowError:
-        raise EvalError("overflow") from None
-    except ValueError as exc:
-        raise EvalError(str(exc)) from None
 
 
 def free_vars(e: Expr) -> frozenset:
@@ -805,11 +749,11 @@ def simplify(e: Expr) -> Expr:
     """Best-effort normalization: constant folding, 0/1 identities, Neg pulling.
     Idempotent; not a canonical form.
 
-    Where e evaluates, simplify(e) evaluates to the same value up to rounding
-    (the property tests hold it to 1e-12 on random trees). Simplification may
+    Where e has a value, simplify(e) has the same value up to rounding (the
+    property tests hold it to 1e-12 on random trees). Simplification may
     enlarge the domain of definition: 0*(1/x) and 1/x - 1/x simplify to 0,
-    which evaluates at x = 0, where the original raises EvalError (division
-    by zero).
+    which has a value at x = 0, where the original faults (division by
+    zero).
 
     Memoised: e keeps its simplified form, and a simplified node is flagged
     as such, so simplifying either again, or any equal tree, returns at once.
@@ -832,14 +776,15 @@ def simplify(e: Expr) -> Expr:
 
 def _rewrite(e: Expr) -> Expr:
     """One rewrite step at the root of e, whose children are simplified: a
-    node of constants folds to the constant that evaluate gives, else the
-    row's own rewrite applies. Where evaluate raises (exp(1000), or
-    1e200*1e200, whose value Const refuses), the node stays unfolded, so each
-    point evaluates it. Every rewrite returns a new node or a strict subtree,
-    never e itself, so identity tells whether one applied."""
+    node of constants folds to the constant that the tape computes for it,
+    else the row's own rewrite applies. Where the fold fails (1/0 and 0^-1
+    raise ZeroDivisionError; Const refuses the inf of exp(1000) or
+    1e200*1e200), the node stays unfolded, so each point reports its fault.
+    Every rewrite returns a new node or a strict subtree, never e itself, so
+    identity tells whether one applied."""
     try:
         out = e._fold()
-    except (ArithmeticError, ValueError, EvalError):
+    except (ArithmeticError, ValueError):
         out = e
     return e._local() if out is e else out
 
@@ -908,7 +853,8 @@ class _Tape:
         the same values, and each output's fault code per point, returned as
         an array shaped as out. A register's code is its left operand's if
         not 0, else its right operand's, else its op's own fault where its
-        value is not finite: the first fault evaluate() meets."""
+        value is not finite: the first fault met with operands computed left
+        to right."""
         regs, codes = self.init.copy(), [0] * len(self.init)
         regs[0] = x
         for (r, fn, a, b), fault in zip(self.ops, self.fault_fns):
@@ -930,20 +876,20 @@ def compile_batch(exprs, coords):
     The function returns an (n, len(exprs)) array of values and a dict that
     maps each point where evaluation faulted to (index of the first faulting
     expression, its EvalError); that point's row is nan, and every other
-    value is finite. Values agree with evaluate() bit for bit and a faulting
-    point gets evaluate()'s exact error.
+    value is finite. The faults are division by zero, 0 raised to a negative
+    power, an unbound coordinate and overflow: a value beyond the float
+    range, of + - * / as of exp and ^.
 
     The function runs a tape (see _Tape): one numpy call per distinct node.
-    +, -, *, / and negation are numpy ufuncs, which round as the float
-    operations in evaluate() do; sin, cos and exp are numpy ufuncs, which
-    evaluate() applies to one float64 at a time; and an integer power is the
-    chain of multiplications that evaluate() runs on floats (see
-    integer_power). Constants are finite (see Const) and so are the points,
-    so every fault evaluate() reports, overflow included, raises a
-    floating-point error here too. A chunk whose run raises one runs once
-    more as a trace (see _Tape.trace), which gives each point the first fault
-    evaluate() meets; the arithmetic is the same, so every point keeps its
-    bits."""
+    +, -, *, / and negation are numpy ufuncs, which round as the Python float
+    operations of constant folding do; sin, cos and exp are numpy ufuncs,
+    which folding applies to one float64 at a time; and an integer power is
+    one chain of multiplications (see integer_power). So a folded constant
+    has the bits of its unfolded node. Constants are finite (see Const) and
+    so are the points, so every fault raises a floating-point error. A chunk
+    whose run raises one runs once more as a trace (see _Tape.trace), which
+    gives each point its first fault; the arithmetic is the same, so every
+    point keeps its bits."""
     exprs = list(exprs)
     tape = _Tape(exprs, tuple(coords))
 

@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 
-from .expr import Add, Expr, Mul, ONE, Pow, ZERO, free_vars, simplify
+from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, simplify
 from .expr import diff as ddx
 
 
@@ -57,11 +57,6 @@ class Chart:
         extra = free_vars(e) - set(self.coords)
         if extra:
             raise ChartMismatch(f"coordinates {sorted(extra)} not in chart {self.coords}")
-
-    def bind(self, point) -> dict:
-        if len(point) != self.dim:
-            raise ChartMismatch(f"point of length {len(point)} on a {self.dim}-dim chart")
-        return dict(zip(self.coords, map(float, point)))
 
     def point_array(self, points) -> np.ndarray:
         """Finite points as an (n, dim) float array, columns in coordinate order."""
@@ -157,22 +152,8 @@ def simplified_sum(terms) -> Expr:
     return ZERO if total == ZERO else total
 
 
-def anticommutator(xa: VectorField, xb: VectorField, f: Expr) -> Expr:
-    """The symmetrized second-order operator (L_a L_b + L_b L_a) applied to f."""
-    if xa.chart != xb.chart:
-        raise ChartMismatch("anticommutator fields must share a chart")
-    return symmetrize(
-        lie_derivative(xa, lie_derivative(xb, f)), lie_derivative(xb, lie_derivative(xa, f))
-    )
-
-
 def symmetrize(ab: Expr, ba: Expr) -> Expr:
     """The anticommutator's value from its two ordered terms L_a L_b f and
     L_b L_a f."""
     return simplify(Add(ab, ba))
-
-
-def flat_norm_sq(xi: VectorField) -> Expr:
-    """Squared Euclidean norm of the field (flat metric)."""
-    return simplified_sum(Pow(comp, 2) for comp in xi.components)
 

@@ -264,7 +264,8 @@ def build_plan(m: Manifest) -> Plan:
     (bracket-laws mode). Every error is a ManifestError naming its section."""
     if m.mode not in MODES:
         raise ManifestError(f"bad [check] section: mode must be one of {MODES}, got {m.mode!r}")
-    plan = Plan(sample_points(m.chart, m.samples, m.seed, m.grid))
+    with _section("check"):
+        plan = Plan(sample_points(m.chart, m.samples, m.seed, m.grid))
     if m.mode == "bracket-laws":
         plan.bracket, plan.smap = _build_bracket(m), build_map(m)
         if plan.smap.q < 3:

@@ -3,10 +3,13 @@
 Random points come from a splitmix64 generator (constants below), so the
 sequence for a given (seed, samples, box) is bit-identical on every platform.
 Grid sampling yields the tensor-product lattice; periodic axes drop the right
-endpoint. Both give one (n, dim) float array.
+endpoint. Both give one (n, dim) float array, of at most MAX_COORDINATES
+values.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -17,6 +20,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _BLOCK = 1024
+# The most values a sampler returns, points times dimension: 256 MiB of
+# float64. A larger request is refused before anything is allocated.
+MAX_COORDINATES = 2**25
 
 
 class SplitMix64:
@@ -80,7 +86,11 @@ def grid_points(chart: Chart, counts) -> np.ndarray:
 
 def sample_points(chart: Chart, samples: int = 10000, seed: int = 0, grid=None) -> np.ndarray:
     """Random points by default; the tensor-product lattice, last axis
-    fastest, when grid counts are given. Either way an (n, dim) array."""
+    fastest, when grid counts are given. Either way an (n, dim) array;
+    more than MAX_COORDINATES values raise ValueError."""
+    n = samples if grid is None else math.prod(grid)
+    if n * chart.dim > MAX_COORDINATES:
+        raise ValueError(f"{n} points in {chart.dim} dimensions exceed the bound of {MAX_COORDINATES} coordinates")
     if grid is not None:
         return grid_points(chart, grid)
     return random_points(chart, samples, seed)

@@ -19,15 +19,15 @@ import hfree
 from hfree.brackets import SymplecticChart, contact_form_values, contact_frame, poisson_bracket
 from hfree.checks import bracket_law_residuals, run_check
 from hfree.cli import main
-from hfree.constructions import DetIdentity, monomial_free_map, sym_square
-from hfree.expr import ONE, ZERO, compile_batch, diff, evaluate, parse, simplify, Sub
+from hfree.constructions import DetIdentity, monomial_free_map
+from hfree.expr import ONE, ZERO, compile_batch, diff, parse, simplify, Sub
 from hfree.fields import lie_derivative
 from hfree.gallery import fixture, list_fixtures
 from hfree.jets import compiled_d1, compiled_d2, d1_exprs, s
 from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
-from helpers import block_residual, bounded_pair, central_difference
+from helpers import block_residual, bounded_pair, central_difference, evaluate, sym_square
 
 GEOMETRIC_FIXTURES = [n for n in list_fixtures() if n != "novikov-t3"]
 BRACKET_FIXTURES = [

@@ -5,7 +5,8 @@ from functools import reduce
 import pytest
 
 from hfree import brackets
-from hfree.expr import Add, Const, Coord, Mul, Neg, Sub, diff, evaluate, parse, simplify
+from helpers import bind, evaluate
+from hfree.expr import Add, Const, Coord, Mul, Neg, Sub, diff, parse, simplify
 from hfree.fields import Chart, ChartMismatch, SmoothMap, lie_derivative
 from hfree.brackets import (
     RPStructure,
@@ -34,7 +35,7 @@ def symplectic_plane(n=1):
 
 
 def random_bindings(chart, n=20, seed=0):
-    return [chart.bind(p) for p in sample_points(chart, samples=n, seed=seed)]
+    return [bind(chart, p) for p in sample_points(chart, samples=n, seed=seed)]
 
 
 class TestCanonicalBracket:

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
+import random
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from helpers import strict_json
+from helpers import evaluate, random_expr, strict_json
 from hfree import checks, cli
 from hfree.cli import main
+from hfree.expr import Add, Const, Coord, Div, EvalError, Exp, Mul, Pow, Sub, to_str
 
 
 @pytest.fixture
@@ -378,6 +383,10 @@ def test_overflow_is_one_fault_in_every_mode(text, reason, tmp_path, capsys):
         (PLANAR.replace('"y*exp(x)"', '"x^9^9^3"'), "map"),
         (PLANAR.replace('"y*exp(x)"', '"x^9^9^9"'), "map"),
         (PLANAR.replace('"y*exp(x)"', '"x^' + "9" * 400 + '"'), "map"),
+        # point arrays beyond sampling.MAX_COORDINATES, refused before they are allocated
+        (PLANAR.replace("samples = 20", "samples = 100000000000"), "check"),
+        (PLANAR.replace("samples = 20", "grid = [100000, 100000]"), "check"),
+        (PLANAR.replace("samples = 20", "samples = 16777217"), "check"),
     ],
 )
 def test_bad_manifest_exits_two_naming_its_section(text, section, tmp_path, capsys):
@@ -472,6 +481,11 @@ class TestGallery:
         err = capsys.readouterr().err
         assert err.endswith(f"error: argument --seed: seed must fit in 64 unsigned bits, got {seed}\n")
 
+    def test_samples_beyond_the_bound_exit_two(self, capsys):
+        assert main(["gallery", "run", "contact-1", "--samples", "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: 100000000000 points in 3 dimensions exceed the bound of 33554432 coordinates\n"
+
     def test_largest_seed_runs(self, capsys):
         assert main(["gallery", "run", "contact-1", "--samples", "50", "--seed", str(2**64 - 1)]) == 0
 
@@ -485,6 +499,21 @@ class TestGallery:
         assert main(args) == 0
         second = _strip_wall_time(capsys.readouterr().out)
         assert json.dumps(first, sort_keys=False) == json.dumps(second, sort_keys=False)
+
+
+# second operands that fault at some points: a coordinate as a divisor,
+# negative powers, exp beyond the float range and an unbound coordinate
+_FAULT_PRONE = [
+    Coord("x"),
+    Div(Const(1.0), Coord("y")),
+    Pow(Coord("x"), -1),
+    Pow(Coord("y"), -3),
+    Exp(Const(709.7)),
+    Exp(Const(710.0)),
+    Exp(Mul(Const(700.0), Coord("x"))),
+    Coord("z"),
+]
+_VALUES = [0.0, -0.0, 5e-324, 1e-200, 1e200, -1e200]
 
 
 class TestEval:
@@ -520,6 +549,43 @@ class TestEval:
         assert main(["eval", "2*\u00b2"]) == 2
         err = capsys.readouterr().err
         assert "at offset 2" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, at, out, err",
+        [
+            ("-0", "", "-0\n", ""),
+            ("exp(709.7)", "", "1.6549840276802644e+308\n", ""),
+            ("1/0", "", "", "evaluation error: division by zero\n"),
+            ("0^-1", "", "", "evaluation error: 0 raised to a negative power\n"),
+            ("x + z", "x=1", "", "evaluation error: unbound coordinate 'z'\n"),
+        ],
+    )
+    def test_edge_outputs(self, text, at, out, err, capsys):
+        assert main(["eval", "--at", at, "--", text]) == (1 if err else 0)
+        assert capsys.readouterr() == (out, err)
+
+    @given(
+        st.randoms(use_true_random=False),
+        st.sampled_from([None, Add, Sub, Mul, Div]),
+        st.sampled_from(_FAULT_PRONE),
+        st.dictionaries(st.sampled_from(["x", "y"]), st.sampled_from(_VALUES) | st.floats(-3, 3)),
+    )
+    @example(random.Random(0), Mul, Exp(Const(709.7)), {"x": 1.0, "y": 0.0})
+    @example(random.Random(1), Div, Coord("x"), {"x": -0.0})
+    @settings(max_examples=300, deadline=None)
+    def test_prints_the_oracles_value_or_fault(self, rng, op, leaf, point):
+        """Over random trees, alone or with a leaf that can fault: hfree eval
+        prints the tree walk's value, exit 0, or its fault, exit 1."""
+        e = random_expr(rng) if op is None else op(random_expr(rng), leaf)
+        at = ",".join(f"{name}={value!r}" for name, value in point.items())
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["eval", "--at", at, "--", to_str(e)])
+        try:
+            want = (0, f"{evaluate(e, point):.17g}\n", "")
+        except EvalError as exc:
+            want = (1, "", f"evaluation error: {exc}\n")
+        assert (code, out.getvalue(), err.getvalue()) == want
 
 
 def test_unknown_subcommand_exit_two(capsys):

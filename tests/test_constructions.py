@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import block_residual
+from helpers import bind, block_residual, evaluate, sym_square
 from hfree.checks import check_points, is_free_at, is_immersion_at
-from hfree.expr import Const, Coord, EvalError, evaluate, parse, simplify
+from hfree.expr import Const, Coord, EvalError, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from hfree.jets import d2_matrix, s
 from hfree.constructions import (
@@ -11,7 +11,6 @@ from hfree.constructions import (
     compose,
     monomial_free_map,
     standard_frame,
-    sym_square,
 )
 from hfree.sampling import sample_points
 
@@ -83,7 +82,7 @@ class TestCompose:
         inner = SmoothMap(PLANE, (parse("x + y"), parse("x*y")))
         composed = compose(outer, inner)
         for pt in sample_points(PLANE, samples=20, seed=8):
-            binding = PLANE.bind(pt)
+            binding = bind(PLANE, pt)
             for a, b in zip(composed.components, inner.components):
                 assert evaluate(a, binding) == pytest.approx(evaluate(b, binding))
 

@@ -3,11 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import random_expr
+from helpers import anticommutator, evaluate, flat_norm_sq, random_expr
 
 from hfree import gallery
 from hfree.checks import frame_rank_check
-from hfree.expr import ONE, ZERO, Add, Const, Coord, Mul, Neg, diff, evaluate, parse, simplify
+from hfree.expr import ONE, ZERO, Add, Const, Coord, Mul, Neg, diff, parse, simplify
 from hfree.fields import (
     Chart,
     ChartMismatch,
@@ -15,8 +15,6 @@ from hfree.fields import (
     OutsideDomain,
     SmoothMap,
     VectorField,
-    anticommutator,
-    flat_norm_sq,
     lie_derivative,
 )
 from hfree.brackets import contact_frame

@@ -1,6 +1,7 @@
 import pytest
 
-from hfree.expr import evaluate, parse
+from helpers import bind, evaluate, flat_norm_sq
+from hfree.expr import parse
 from hfree.fields import lie_derivative
 from hfree.gallery import fixture, list_fixtures
 from hfree.checks import is_free_at, is_immersion_at
@@ -34,7 +35,7 @@ def test_planar_hamiltonian_expected_row():
     got = lie_derivative(fix.frame.vectors[row], fix.immersion.components[col])
     reference = parse("(1+y^2)*exp(x)")
     for point in sample_points(fix.chart, samples=50, seed=1):
-        binding = fix.chart.bind(point)
+        binding = bind(fix.chart, point)
         assert evaluate(got, binding) == pytest.approx(
             evaluate(reference, binding), rel=1e-12
         )
@@ -57,7 +58,7 @@ def test_expected_formulas_match_symbolic(name):
     for row, col, expected in fix.expected:
         got = lie_derivative(fix.frame.vectors[row], fix.immersion.components[col])
         for point in points[:200]:
-            binding = fix.chart.bind(point)
+            binding = bind(fix.chart, point)
             want = evaluate(expected, binding)
             assert evaluate(got, binding) == pytest.approx(
                 want, rel=1e-10, abs=1e-10 * max(1.0, abs(want))
@@ -82,17 +83,15 @@ def test_first_integral_witnesses_vanish():
         assert evaluate(expected, {}) == 0.0
         derived = lie_derivative(fix.frame.vectors[0], witness)
         for point in sample_points(fix.chart, samples=200, seed=4):
-            assert abs(evaluate(derived, fix.chart.bind(point))) <= 1e-12
+            assert abs(evaluate(derived, bind(fix.chart, point))) <= 1e-12
 
 
 def test_intrinsically_exact_norm_relation():
-    from hfree.fields import flat_norm_sq
-
     fix = fixture("planar-intrinsically-exact")
     lf = lie_derivative(fix.frame.vectors[0], fix.immersion.components[0])
     norm_sq = flat_norm_sq(fix.frame.vectors[0])
     for point in sample_points(fix.chart, samples=100, seed=5):
-        binding = fix.chart.bind(point)
+        binding = bind(fix.chart, point)
         want = evaluate(norm_sq, binding) * evaluate(parse("exp(x)"), binding)
         assert evaluate(lf, binding) == pytest.approx(want, rel=1e-10)
         assert evaluate(lf, binding) > 0

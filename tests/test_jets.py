@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from helpers import anticommutator
 from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Add, Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
@@ -17,7 +18,6 @@ from hfree.fields import (
     OutsideDomain,
     SmoothMap,
     VectorField,
-    anticommutator,
 )
 from hfree.jets import (
     DEFAULT_TOL,
@@ -122,7 +122,7 @@ class TestD2:
 )
 def test_d2_rows_equal_the_anticommutator(name):
     """d2_exprs builds its anticommutator rows from the first-order rows; each
-    entry equals fields.anticommutator's tree."""
+    entry equals the tree of the anticommutator built from scratch."""
     fix = gallery.fixture(name)
     k, vectors = fix.frame.k, fix.frame.vectors
     for f in (fix.immersion, fix.free_map):

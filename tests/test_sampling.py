@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from hfree.fields import Chart
-from hfree.sampling import _BLOCK, SplitMix64, grid_points, random_points, sample_points
+from hfree.sampling import _BLOCK, MAX_COORDINATES, SplitMix64, grid_points, random_points, sample_points
 
 UNIT = Chart(coords=("u",), box=((0.0, 1.0),))
 CIRCLE = Chart(coords=("phi",), box=((0.0, 2 * math.pi),), periodic=(True,))
@@ -124,3 +125,16 @@ def test_grid_shape_validation():
         grid_points(UNIT, [2, 2])
     with pytest.raises(ValueError):
         grid_points(UNIT, [0])
+
+
+def test_a_request_beyond_the_bound_is_refused_before_allocating():
+    plane = Chart(coords=("x", "y"), box=((-2.0, 2.0), (0.0, 1.0)))
+    tracemalloc.start()
+    try:
+        for request in ({"samples": MAX_COORDINATES // 2 + 1}, {"samples": 10**11}, {"grid": [100000, 100000]}):
+            with pytest.raises(ValueError, match=f"exceed the bound of {MAX_COORDINATES} coordinates"):
+                sample_points(plane, **request)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # numpy reports its array allocations to tracemalloc
