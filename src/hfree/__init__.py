@@ -4,6 +4,7 @@ partially free maps along distribution frames."""
 from .expr import (
     EvalError,
     Expr,
+    NestingError,
     ParseError,
     diff,
     free_vars,

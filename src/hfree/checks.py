@@ -1,17 +1,20 @@
 """Check execution: evaluate a mode's predicate over sampled points and fold
 the outcomes into a deterministic report.
 
-Every check runs through one loop, `_run`, which hands CHUNK rows at a time of
-one (n, dim) array of finite points to the mode's judge and folds the judge's
-per-point criterion and failure reasons into the report in sample order
+Every check runs through one loop, `_run`, which hands a chunk of rows at a
+time of one (n, dim) array of finite points to the mode's judge and folds the
+judge's per-point criterion and failure reasons into the report in sample order
 (extreme value, ties to the lowest sample index), so the report does not depend
-on CHUNK. A judge compiles each jet and each set of residuals once into one
-tape of numpy calls (`expr.compile_batch`; `jets` memoises each jet weakly on
-its map), so a chunk costs one run of each tape, then one batched ranking or
-determinant call; a run that faults runs once more as a trace, which names
-each point's first fault. A value beyond the float range is such a fault, an
-`overflow`, so a judge reads only finite values: a point that faults fails
-with its EvalError and has no criterion.
+on the chunk length. That length is the judge's own: as many points as fit
+its per-point floats into CHUNK_BYTES, and never fewer than CHUNK, so a small
+jet pays each chunk's fixed set of numpy calls fewer times and a large one
+holds no more than it does at CHUNK points. A judge compiles each jet and each
+set of residuals once into one tape of numpy calls (`expr.compile_batch`;
+`jets` memoises each jet weakly on its map), so a chunk costs one run of each
+tape, then one batched ranking or determinant call; a run that faults runs
+once more as a trace, which names each point's first fault. A value beyond
+the float range is such a fault, an `overflow`, so a judge reads only finite
+values: a point that faults fails with its EvalError and has no criterion.
 The SVD sees only the dense matrices of a stack that a Gram screen cannot
 clear: a diagonal one, such as every 1 x 1 jet, is ranked from its diagonal,
 and one that a shifted Cholesky factorization of A.A^T clears is full rank,
@@ -37,15 +40,19 @@ from .constructions import DetIdentity, monomial_free_map
 from .expr import Add, Coord, Mul, Sub, compile_batch, simplify
 from .fields import Frame, SmoothMap, lie_derivative
 from .jets import DEFAULT_TOL, BelowCriticalDimension, compiled_d1, compiled_d2, s, valid_mask
-from .manifest import Manifest, build_plan
+from .manifest import Manifest, build_plan, too_deep
 from .sampling import sample_points
 
-# Points per chunk. Below 512 each tape op's numpy call costs more than its
-# arithmetic; above it chunks buy little speed and cost memory: running the
-# ten gallery fixtures at 10^4 samples in one process peaked at 32.4 MB RSS
-# point by point, 32.5 MB with 256, 33.4-33.7 MB with 512, 34.9 MB with 1024
-# and 45.4 MB with 4096.
+# The least points per chunk: below it each tape op's numpy call costs more
+# than its arithmetic.
 CHUNK = 512
+# The bytes a chunk may hold: a judge's chunk is max(CHUNK, CHUNK_BYTES //
+# (8 * floats)) points, where `floats` is what its compiled parts hold per
+# point (see expr.compile_batch). 2 MiB is what the largest gallery checks
+# hold in chunks of CHUNK points: run at 10^4 samples under tracemalloc with
+# such chunks, the checks of integrable-torus-3 and contact-2 peaked at 2.10
+# and 1.84 MiB, and their own chunks are still CHUNK points.
+CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 
 
@@ -137,12 +144,14 @@ def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: 
     """The one chunk loop of every check. judge(chunk) returns, for each row
     of a slice of the points, its criterion, whether it has one, and the
     reasons of the points that fail; the outcomes are folded in sample order.
-    A judge of None means the target dimension is below the critical one."""
+    judge.floats is what it holds per point, which sizes the chunks. A judge
+    of None means the target dimension is below the critical one."""
     if judge is None:
         return Report("below-critical-dimension", mode, 0, None, None, fixture_notes=list(notes))
     fold = _Fold(points, smaller_is_worse)
-    for start in range(0, len(points), CHUNK):
-        fold.add(start, *judge(points[start : start + CHUNK]))
+    step = max(CHUNK, CHUNK_BYTES // (8 * judge.floats))
+    for start in range(0, len(points), step):
+        fold.add(start, *judge(points[start : start + step]))
     return fold.report(mode, notes, started)
 
 
@@ -166,6 +175,7 @@ def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
         reasons.update(r.reasons)
         return r.sigma_min, r.valid, reasons
 
+    judge.floats = jet.floats
     return judge
 
 
@@ -182,6 +192,7 @@ def _identity_judge(identity: DetIdentity, tol: float):
         reasons.update((i, str(exc)) for i, exc in failures.items())
         return rel, valid_mask(len(chunk), failures), reasons
 
+    judge.floats = identity.floats
     return judge
 
 
@@ -272,6 +283,7 @@ def _bracket_judge(bracket, chart, tests, tol: float):
         reasons.update((i, f"{labels[j]}: {exc}") for i, (j, exc) in errors.items())
         return worst, valid_mask(len(chunk), errors), reasons
 
+    judge.floats = run.floats
     return judge
 
 
@@ -279,10 +291,13 @@ def run_check(m: Manifest) -> Report:
     """Execute a manifest's check over its sampled domain."""
     started = time.perf_counter()
     plan = build_plan(m)
-    if m.mode == "bracket-laws":
-        judge = _bracket_judge(plan.bracket, m.chart, plan.smap.components, m.tolerance)
-    else:
-        judge = _mode_judge(m.mode, plan.frame, plan.smap, m.tolerance, plan.outer)
+    try:
+        if m.mode == "bracket-laws":
+            judge = _bracket_judge(plan.bracket, m.chart, plan.smap.components, m.tolerance)
+        else:
+            judge = _mode_judge(m.mode, plan.frame, plan.smap, m.tolerance, plan.outer)
+    except RecursionError:  # a jet or a residual too deep for simplify, diff or compilation
+        raise too_deep(m) from None
     return _run(m.mode, plan.points, judge, m.mode in ("immersion", "free"), started)
 
 
@@ -347,4 +362,5 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         crit = np.where(r2.sigma_min < r1.sigma_min, r2.sigma_min, r1.sigma_min)
         return crit, has_crit, reasons
 
+    judge.floats = run.floats + d1.floats + d2.floats
     return _run("gallery", points, judge, True, started, fix.notes)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gallery
 from .checks import Report, run_check, run_fixture
-from .expr import EvalError, ParseError, compile_batch, parse
+from .expr import EvalError, NestingError, ParseError, compile_batch, depth, parse
 from .manifest import ManifestError, load_manifest
 
 EXIT_PASS = 0
@@ -25,6 +25,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         sys.exit(EXIT_USAGE)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        # argparse reads an expression that starts with '-', such as -x, as an
+        # unknown option: eval's first such argument is its expression
+        if getattr(namespace, "expr", "") is None:
+            if not extra:
+                self.error("the following arguments are required: expr")
+            namespace.expr = extra.pop(0)
+        return namespace, extra
 
 
 def _tolerance(text: str) -> float:
@@ -69,8 +79,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tol", type=_tolerance, default=1e-9)
     add_report_flags(p_run)
 
-    p_eval = sub.add_parser("eval", help="evaluate a DSL expression at a point")
-    p_eval.add_argument("expr")
+    p_eval = sub.add_parser(
+        "eval", help="evaluate a DSL expression at a point", usage="%(prog)s [-h] [--at AT] expr"
+    )
+    p_eval.add_argument("expr", nargs="?")
     p_eval.add_argument(
         "--at",
         default="",
@@ -139,7 +151,11 @@ def main(argv=None) -> int:
             return _emit(report, args)
         if args.command == "eval":
             point = _parse_bindings(args.at)
-            run = compile_batch([parse(args.expr)], tuple(point))
+            expr = parse(args.expr)
+            try:
+                run = compile_batch([expr], tuple(point))
+            except RecursionError:
+                raise NestingError(depth(expr)) from None
             values, errors = run(np.array([list(point.values())]))
             if errors:
                 raise errors[0][1]

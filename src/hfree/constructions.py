@@ -54,7 +54,8 @@ class DetIdentity:
     """The chain-rule factorization of the order-2 jet of outer(f), compiled
     once and evaluated over (n, dim) arrays of points. Requires critical
     dimensions: f has k components and outer has k + s_k components over a
-    k-coordinate chart."""
+    k-coordinate chart. `floats` is what its three jets and the image tape
+    hold per point."""
 
     def __init__(self, frame: Frame, f: SmoothMap, outer: SmoothMap):
         k = frame.k
@@ -69,6 +70,7 @@ class DetIdentity:
         self.image = compile_batch(f.components, frame.chart.coords)
         self.outer = compiled_d2(standard_frame(outer.chart), outer)
         self.composite = compiled_d2(frame, compose(outer, f))
+        self.floats = self.inner.floats + self.image.floats + self.outer.floats + self.composite.floats
 
     def blocks(self, points: np.ndarray):
         """Stacks of the order-2 jets of f, of outer at f(p) and of outer(f),

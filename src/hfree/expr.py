@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import weakref
 from _weakref import _remove_dead_weakref
 from decimal import Decimal
@@ -512,6 +513,17 @@ class ParseError(Exception):
         super().__init__(f"at offset {position}: expected {expected}, found {found}")
 
 
+class NestingError(ValueError):
+    """An expression nested too deeply for the recursive walks (parsing,
+    simplify, diff and compilation) under Python's recursion limit."""
+
+    def __init__(self, depth: int):
+        self.depth = depth
+        super().__init__(
+            f"expression nested {depth} deep: walking it exceeds Python's recursion limit of {sys.getrecursionlimit()}"
+        )
+
+
 def _tokens(src: str) -> list:
     """The tokens of src as (kind, start, end) offsets, whitespace skipped:
     kind "num" for a number (decimal digits, optionally a point and more
@@ -688,8 +700,61 @@ class _Parser:
 
 
 def parse(src: str) -> Expr:
-    """Parse the textual DSL into an expression tree."""
-    return _Parser(src).parse()
+    """Parse the textual DSL into an expression tree; NestingError where the
+    text nests too deeply for the parser's recursion."""
+    try:
+        return _Parser(src).parse()
+    except RecursionError:
+        raise NestingError(_text_depth(src)) from None
+
+
+def _text_depth(src: str) -> int:
+    """How deep the parser descends into src: a level for each parenthesis
+    or call, and one for each unary minus, which lasts to the next binary
+    operator in its parentheses. Counted over the tokens, without recursion."""
+    base = level = deepest = 0
+    groups, previous = [], ""
+    for kind, _, _ in _tokens(src):
+        if kind == "(":
+            groups.append((base, level))
+            base = level = level + 1
+        elif kind == ")" and groups:
+            base, level = groups.pop()
+        elif kind in ("+", "-", "*", "/") and previous in ("id", "num", ")"):
+            level = base
+        elif kind == "-" and previous != "^":
+            level += 1
+        deepest = max(deepest, level)
+        previous = kind
+    return deepest
+
+
+def depth(e: Expr) -> int:
+    """The number of nodes on the longest path from e down to a leaf. It
+    keeps a stack of its own, not Python's, so it measures a tree too deep
+    for the recursive walks."""
+    heights, stack = {}, [e]
+    while stack:
+        node = stack[-1]
+        children = [c for c in (getattr(node, f) for f in node._fields) if isinstance(c, Expr)]
+        pending = [c for c in children if id(c) not in heights]
+        if pending:
+            stack.extend(pending)
+        else:
+            heights[id(stack.pop())] = 1 + max((heights[id(c)] for c in children), default=0)
+    return heights[id(e)]
+
+
+def nesting(src: str) -> int:
+    """How deep DSL text nests: its tree's depth, or where the parser's own
+    recursion gives out, how deep the parser descends (0 for text that does
+    not parse)."""
+    try:
+        return depth(parse(src))
+    except NestingError as exc:
+        return exc.depth
+    except ParseError:
+        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +954,11 @@ def compile_batch(exprs, coords):
     so are the points, so every fault raises a floating-point error. A chunk
     whose run raises one runs once more as a trace (see _Tape.trace), which
     gives each point its first fault; the arithmetic is the same, so every
-    point keeps its bits."""
+    point keeps its bits.
+
+    The function's `floats` is what a run holds per point: one float per op
+    register, which the run keeps to its end, and one per output. A trace
+    holds as much again in fault codes."""
     exprs = list(exprs)
     tape = _Tape(exprs, tuple(coords))
 
@@ -907,4 +976,5 @@ def compile_batch(exprs, coords):
         first = (codes[rows] != 0).argmax(axis=1).tolist()
         return values, {i: (j, EvalError(tape.faults[codes[i, j]])) for i, j in zip(rows.tolist(), first)}
 
+    run.floats = len(tape.ops) + len(exprs)
     return run

@@ -362,12 +362,15 @@ def _svd(stack: np.ndarray, index: np.ndarray, reasons: dict) -> np.ndarray:
 
 class CompiledJet:
     """Row expressions compiled into one tape of numpy calls (see
-    expr.compile_batch), run over a chunk of points at a time."""
+    expr.compile_batch), run over a chunk of points at a time. `floats` is
+    what ranking a chunk holds per point: the tape's, and two per entry for
+    the Gram screen's vectors and their copy."""
 
     def __init__(self, rows, chart):
         self.shape = (len(rows), len(rows[0]))
         self._run = compile_batch([e for row in rows for e in row], chart.coords)
         self._plans = {}  # Gram screen elimination plans by zero pattern (see stack_ranks)
+        self.floats = self._run.floats + 2 * self.shape[0] * self.shape[1]
 
     def at(self, points: np.ndarray):
         """The (n, rows, cols) stack of jet matrices at an (n, dim) array of

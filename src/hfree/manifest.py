@@ -24,7 +24,7 @@ import numpy as np
 
 from .brackets import RPStructure, SymplecticChart, contact_frame, hamiltonian_field, poisson_bracket
 from .constructions import monomial_free_map
-from .expr import ParseError, parse
+from .expr import NestingError, ParseError, nesting, parse
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
 from .jets import s
 from .sampling import sample_points
@@ -262,6 +262,32 @@ def build_plan(m: Manifest) -> Plan:
     """Build the sample points and, for the manifest's mode, the frame and the
     map, the outer map (identity mode), or the bracket and its test functions
     (bracket-laws mode). Every error is a ManifestError naming its section."""
+    try:
+        return _build_plan(m)
+    except RecursionError:
+        raise too_deep(m) from None
+
+
+def too_deep(m: Manifest) -> ManifestError:
+    """The error of a manifest whose expressions nest too deeply for the
+    recursive walks (see expr.NestingError): it names the deepest one's
+    section and depth."""
+    sections = {"frame": m.frame_vectors, "structure": m.structure, "map": m.map_components, "outer": m.outer}
+    found = ((nesting(text), name) for name, value in sections.items() for text in _texts(value))
+    depth, name = max(found, default=(0, "map"))
+    return ManifestError(f"bad [{name}] section: {NestingError(depth)}")
+
+
+def _texts(value):
+    """The strings of a manifest value, in its arrays and tables."""
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _texts(item)
+
+
+def _build_plan(m: Manifest) -> Plan:
     if m.mode not in MODES:
         raise ManifestError(f"bad [check] section: mode must be one of {MODES}, got {m.mode!r}")
     with _section("check"):

@@ -236,6 +236,7 @@ def test_free_check_of_a_huge_map_writes_nothing_to_stderr(tmp_path, capsys):
     [
         (None, ["gallery", "run", "integrable-torus-2", "--samples", "600", "--seed", "5"]),
         (None, ["gallery", "run", "novikov-t3", "--samples", "300", "--seed", "5"]),
+        (None, ["gallery", "run", "planar-hamiltonian", "--samples", "8000", "--seed", "5"]),
         ("planar-identity", ["check"]),
         ("reciprocal", ["check"]),
     ],
@@ -243,6 +244,9 @@ def test_free_check_of_a_huge_map_writes_nothing_to_stderr(tmp_path, capsys):
 def test_report_does_not_depend_on_chunk_size(
     manifest, args, planar_manifest, tmp_path, monkeypatch, capsys
 ):
+    """The same report from chunks of 1, 7 and CHUNK points and from the
+    check's own chunk length. planar-hamiltonian's own chunks are longer than
+    CHUNK, and its 8000 samples span more than one of them."""
     if manifest == "planar-identity":
         text = open(planar_manifest).read().replace("mode = immersion", "mode = identity")
         text = text.replace("samples = 500", "samples = 600")
@@ -252,12 +256,28 @@ def test_report_does_not_depend_on_chunk_size(
         path = tmp_path / f"{manifest}.toml"
         path.write_text(text)
         args = args + [str(path)]
+    lengths = []
+    add = checks._Fold.add
+
+    def counted(fold, start, crit, *rest):
+        lengths.append(len(crit))
+        return add(fold, start, crit, *rest)
+
+    monkeypatch.setattr(checks._Fold, "add", counted)
     payloads = []
-    for chunk in (1, 7, checks.CHUNK):
-        monkeypatch.setattr(checks, "CHUNK", chunk)
-        main(args + ["--json"])
+    for chunk in (1, 7, checks.CHUNK, None):
+        lengths.clear()
+        with monkeypatch.context() as patch:
+            if chunk is not None:  # a budget of no bytes leaves chunks of CHUNK points
+                patch.setattr(checks, "CHUNK", chunk)
+                patch.setattr(checks, "CHUNK_BYTES", 0)
+            main(args + ["--json"])
         payloads.append(json.dumps(_strip_wall_time(capsys.readouterr().out), indent=2))
-    assert payloads[0] == payloads[1] == payloads[2]
+        if chunk is not None:
+            assert lengths[0] == min(chunk, sum(lengths))
+    if "planar-hamiltonian" in args:
+        assert len(lengths) >= 2 and lengths[0] > checks.CHUNK
+    assert payloads[0] == payloads[1] == payloads[2] == payloads[3]
 
 
 PLANAR = textwrap.dedent(
@@ -434,6 +454,34 @@ def test_periodic_flags_are_booleans(periodic, code, tmp_path, capsys):
     assert ("bad [manifold] section: periodic" in err) == (code == 2)
 
 
+# A 2,000-term sum, whose tree is 2,000 nodes deep, and 1,000 nested
+# parentheses or unary minuses, which the parser descends one level each.
+DEEP = [("+".join(["x"] * 2000), 2000), ("(" * 1000 + "x" + ")" * 1000, 1000), ("-" * 1000 + "x", 1000)]
+
+
+@pytest.mark.parametrize("text, depth", DEEP)
+def test_deep_map_exits_two_on_one_line(text, depth, tmp_path, capsys):
+    path = tmp_path / "deep.toml"
+    path.write_text(PLANAR.replace('"y*exp(x)"', f'"{text}"'))
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: bad [map] section: expression nested {depth} deep: ")
+    assert err.count("\n") == 1
+
+
+def test_deep_composite_exits_two_on_one_line(tmp_path, capsys):
+    """Identity mode substitutes the map into the outer map, so the
+    composite's jet is about as deep as the two together; the error names the
+    deeper of the two."""
+    path = tmp_path / "deep.toml"
+    text = PLANAR.replace("immersion", "identity").replace('"y*exp(x)"', '"' + "+".join(["x*y"] * 400) + '"')
+    path.write_text(text + '[outer]\ncomponents = ["' + "+".join(["x1"] * 400) + '", "x1^2"]\n')
+    assert main(["check", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: bad [map] section: expression nested 401 deep: ")
+    assert err.count("\n") == 1
+
+
 def test_internal_error_exits_three_on_one_line(planar_manifest, monkeypatch, capsys):
     def broken(manifest):
         raise RuntimeError("no such luck")
@@ -563,6 +611,24 @@ class TestEval:
     def test_edge_outputs(self, text, at, out, err, capsys):
         assert main(["eval", "--at", at, "--", text]) == (1 if err else 0)
         assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("args", [["-x", "--at", "x=2"], ["--at", "x=2", "-x"], ["--at", "x=2", "--", "-x"]])
+    def test_leading_minus_is_the_expression(self, args, capsys):
+        assert main(["eval", *args]) == 0
+        assert capsys.readouterr() == ("-2\n", "")
+
+    def test_missing_expression_exit_two(self, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main(["eval", "--at", "x=2"])
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.endswith("hfree eval: error: the following arguments are required: expr\n")
+
+    @pytest.mark.parametrize("text, depth", DEEP)
+    def test_deep_expression_exit_two(self, text, depth, capsys):
+        assert main(["eval", text, "--at", "x=1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: expression nested {depth} deep: ")
+        assert err.count("\n") == 1
 
     @given(
         st.randoms(use_true_random=False),

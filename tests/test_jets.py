@@ -639,6 +639,7 @@ def test_d1_keeps_its_least_among_the_points_d2_leaves_in(monkeypatch):
     class Jet:
         def __init__(self, entries, errors):
             self.entries, self.errors = entries, errors
+            self.floats = 3 * entries[0].size  # the tape's outputs and the screen's two per entry
 
         def ranks(self, chunk, tol, exact=None):
             return stack_ranks(self.entries, tol, self.errors, exact)
