@@ -8,7 +8,7 @@ judge's per-point criterion and failure reasons into the report in sample order
 on the chunk length. That length is the judge's own: as many points as fit
 its per-point floats into CHUNK_BYTES, and never fewer than CHUNK, so a small
 jet pays each chunk's fixed set of numpy calls fewer times and a large one
-holds no more than it does at CHUNK points. A judge compiles each jet and each
+holds about CHUNK_BYTES. A judge compiles each jet and each
 set of residuals once into one tape of numpy calls (`expr.compile_batch`;
 `jets` memoises each jet weakly on its map), so a chunk costs one run of each
 tape, then one batched ranking or determinant call; a run that faults runs
@@ -47,11 +47,14 @@ from .sampling import sample_points
 # than its arithmetic.
 CHUNK = 512
 # The bytes a chunk may hold: a judge's chunk is max(CHUNK, CHUNK_BYTES //
-# (8 * floats)) points, where `floats` is what its compiled parts hold per
-# point (see expr.compile_batch). 2 MiB is what the largest gallery checks
-# hold in chunks of CHUNK points: run at 10^4 samples under tracemalloc with
-# such chunks, the checks of integrable-torus-3 and contact-2 peaked at 2.10
-# and 1.84 MiB, and their own chunks are still CHUNK points.
+# (8 * floats)) points, where `floats` is what its compiled parts and its own
+# arrays hold per point (see expr.compile_batch). 2 MiB is what the largest
+# gallery checks held in chunks of CHUNK points when a tape kept every
+# register to the end of its run: integrable-torus-3 and contact-2 peaked at
+# 2.10 and 1.84 MiB. With the tapes' buffers reused and the Gram screen
+# counted as it allocates, they run in chunks of 851 and 771 points, and at
+# 10^4 samples under tracemalloc every gallery check peaks at 0.60-1.20 times
+# CHUNK_BYTES, its sample points and compiled jets included.
 CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 
@@ -144,12 +147,14 @@ def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: 
     """The one chunk loop of every check. judge(chunk) returns, for each row
     of a slice of the points, its criterion, whether it has one, and the
     reasons of the points that fail; the outcomes are folded in sample order.
-    judge.floats is what it holds per point, which sizes the chunks. A judge
-    of None means the target dimension is below the critical one."""
+    judge.floats() is what it holds per point, which sizes the chunks; it is
+    read only for a check of more than CHUNK points, so a small check builds
+    no screen plan to count. A judge of None means the target dimension is
+    below the critical one."""
     if judge is None:
         return Report("below-critical-dimension", mode, 0, None, None, fixture_notes=list(notes))
     fold = _Fold(points, smaller_is_worse)
-    step = max(CHUNK, CHUNK_BYTES // (8 * judge.floats))
+    step = CHUNK if len(points) <= CHUNK else max(CHUNK, CHUNK_BYTES // (8 * judge.floats()))
     for start in range(0, len(points), step):
         fold.add(start, *judge(points[start : start + step]))
     return fold.report(mode, notes, started)
@@ -175,7 +180,7 @@ def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
         reasons.update(r.reasons)
         return r.sigma_min, r.valid, reasons
 
-    judge.floats = jet.floats
+    judge.floats = lambda: jet.floats
     return judge
 
 
@@ -184,15 +189,14 @@ def _identity_judge(identity: DetIdentity, tol: float):
 
     def judge(chunk):
         _, _, rel, failures = identity.residuals(chunk)
-        values = rel.tolist()
         reasons = {
-            i: f"residual {values[i]:.3e} exceeds {tol:.3e}"
+            i: f"residual {float(rel[i]):.3e} exceeds {tol:.3e}"
             for i in np.flatnonzero(~(rel <= tol)).tolist()
         }
         reasons.update((i, str(exc)) for i, exc in failures.items())
         return rel, valid_mask(len(chunk), failures), reasons
 
-    judge.floats = identity.floats
+    judge.floats = lambda: identity.floats
     return judge
 
 
@@ -273,9 +277,9 @@ def _bracket_judge(bracket, chart, tests, tol: float):
     def judge(chunk):
         values, errors = run(chunk)
         # per point, the largest |residual| and the first residual that reaches it
-        size = np.abs(values)
+        size = np.abs(values, out=values)
         first = np.argmax(size, axis=1)
-        worst = size[np.arange(len(chunk)), first]
+        worst = np.max(size, axis=1)
         reasons = {
             i: f"{labels[first[i]]} residual {float(worst[i]):.3e} exceeds {tol:.3e}"
             for i in np.flatnonzero(worst > tol).tolist()
@@ -283,7 +287,7 @@ def _bracket_judge(bracket, chart, tests, tol: float):
         reasons.update((i, f"{labels[j]}: {exc}") for i, (j, exc) in errors.items())
         return worst, valid_mask(len(chunk), errors), reasons
 
-    judge.floats = run.floats
+    judge.floats = lambda: run.floats() + 2  # and per point its worst value and where it is
     return judge
 
 
@@ -332,10 +336,12 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         values, errors = run(chunk)
         if errors:  # a fixture's formulas are defined on its whole box
             raise errors[min(errors)][1]
-        size = np.abs(values)
+        size = np.abs(values, out=values)
         residual = size[:, : 2 * n_expected : 2]
         scale = size[:, 1 : 2 * n_expected : 2]
-        mismatch = residual > 1e-10 * np.maximum(scale, 1.0)
+        np.maximum(scale, 1.0, out=scale)
+        scale *= 1e-10  # each residual's bound, in place of its scale
+        mismatch = residual > scale
         witness = size[:, 2 * n_expected :] > 1e-12
         formula_reasons = {}  # the first witness, then the first mismatch over it
         for i in np.flatnonzero(witness.any(axis=1)).tolist():
@@ -362,5 +368,6 @@ def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> 
         crit = np.where(r2.sigma_min < r1.sigma_min, r2.sigma_min, r1.sigma_min)
         return crit, has_crit, reasons
 
-    judge.floats = run.floats + d1.floats + d2.floats
+    # the formulas' masks hold a byte per formula
+    judge.floats = lambda: run.floats() + -(-len(formulas) // 8) + d1.floats + d2.floats
     return _run("gallery", points, judge, True, started, fix.notes)

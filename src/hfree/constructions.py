@@ -54,8 +54,7 @@ class DetIdentity:
     """The chain-rule factorization of the order-2 jet of outer(f), compiled
     once and evaluated over (n, dim) arrays of points. Requires critical
     dimensions: f has k components and outer has k + s_k components over a
-    k-coordinate chart. `floats` is what its three jets and the image tape
-    hold per point."""
+    k-coordinate chart."""
 
     def __init__(self, frame: Frame, f: SmoothMap, outer: SmoothMap):
         k = frame.k
@@ -70,7 +69,24 @@ class DetIdentity:
         self.image = compile_batch(f.components, frame.chart.coords)
         self.outer = compiled_d2(standard_frame(outer.chart), outer)
         self.composite = compiled_d2(frame, compose(outer, f))
-        self.floats = self.inner.floats + self.image.floats + self.outer.floats + self.composite.floats
+
+    @property
+    def floats(self) -> int:
+        """What residuals() holds per point at its peak. It ranks nothing, so
+        it holds no Gram screen, and np.linalg.det copies one matrix at a
+        time."""
+        inner, outer = self.inner.shape[0] * self.inner.shape[1], self.outer.shape[0] * self.outer.shape[1]
+        # while each tape runs, the stacks made before it; outer.at runs on the
+        # image at the defined points, beside the np.full outer stack; then the
+        # three stacks (the composite's is shaped as the outer's) and at most
+        # six arrays of determinants
+        return max(
+            self.inner.at_floats,
+            inner + self.image.floats(),
+            inner + 2 * self.k + outer + self.outer.at_floats,
+            inner + self.k + outer + self.composite.at_floats,
+            inner + 2 * outer + 6,
+        )
 
     def blocks(self, points: np.ndarray):
         """Stacks of the order-2 jets of f, of outer at f(p) and of outer(f),

@@ -31,7 +31,7 @@ import sys
 import weakref
 from _weakref import _remove_dead_weakref
 from decimal import Decimal
-from operator import itemgetter
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -218,10 +218,10 @@ class Coord(Expr):
 
     def _emit(self, t):
         if self.name in t.column:
-            return t.op(t.column[self.name], 0)
+            return t.own(t.column[self.name], 0)
         # a name with no column is 0/0 at each point, so that the run raises
         unbound = t.code(f"unbound coordinate '{self.name}'")
-        return t.op(lambda x: np.zeros(len(x)) / 0.0, 0, fault=lambda x: unbound)
+        return t.own(lambda x, out: np.zeros(len(x)) / 0.0, 0, fault=lambda x: unbound)
 
     def _d(self, x):
         return ONE if self.name == x else ZERO
@@ -335,8 +335,11 @@ class Pow(Expr):
     def _emit(self, t):
         n, zero = self.exponent, t.code("0 raised to a negative power")
         # an array base, so that the chain runs under numpy's error policy
-        power = lambda v: integer_power(v, n)
-        return t.op(power, t.array(self.base), fault=lambda v: np.where(v == 0, zero, 1))
+        base = t.array(self.base)
+        if n == 1:  # integer_power would return its base, whose buffer may be reused
+            return base
+        power = lambda v, out: integer_power(v, n)
+        return t.own(power, base, fault=lambda v: np.where(v == 0, zero, 1), array=n != 0)
 
     def _fold(self):
         b = self.base
@@ -861,9 +864,22 @@ def _rewrite(e: Expr) -> Expr:
 class _Tape:
     """compile_batch's program: one register per distinct node, in the order
     a walk from the leaves reaches them. Register 0 holds the chunk of points,
-    a constant's its float, and an op (r, fn, a, b) sets register r to
-    fn(regs[a]), or fn(regs[a], regs[b]) if b is not None. Arithmetic on
-    floats gives a float, so a node without coordinates may hold one.
+    register 1 None, a constant's its float, and an op (r, fn, a, b, o) sets
+    register r to fn(regs[a], regs[o]), or fn(regs[a], regs[b], regs[o]) if
+    b is not None. Arithmetic on floats gives a float, so a node without
+    coordinates may hold one.
+
+    An op's fn is a ufunc, whose value is an array where an operand's is, or
+    a function that makes its own value and ignores o (see own). Once
+    floats() has given out the buffers, each ufunc op with an array value
+    writes it into register o, one of the run's buffers, passed as numpy's
+    positional out; until then, and for every other op, o is register 1,
+    None, and an op's value is a new array, which the run keeps to its end.
+    A linear scan over the ops gives out the buffers (M. Poletto and V.
+    Sarkar, "Linear scan register allocation", TOPLAS 21, 1999): a
+    register's buffer is free once the last op that reads it has run, so that
+    op may write its value over it, and an output keeps its buffer to the end
+    of the run.
 
     fault_fns[i] is op i's fault: a function of its operands' values that
     gives the code of the op's own fault at the points where its value is
@@ -871,11 +887,13 @@ class _Tape:
     messages: 0 is none, 1 overflow."""
 
     def __init__(self, exprs, coords):
-        self.column = {name: itemgetter((slice(None), j)) for j, name in enumerate(coords)}
-        self.init, self.ops, self.fault_fns = [None], [], []
+        self.column = {name: (lambda x, out, j=j: x[:, j]) for j, name in enumerate(coords)}
+        self.init, self.ops, self.fault_fns = [None, None], [], []
+        self.owns = {}  # by register of an op that makes its own value, whether it is an array
         self.faults = [None, "overflow"]
         self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
         self.outputs = [self.slot(e) for e in exprs]
+        self.buffers = None
 
     def slot(self, e: Expr) -> int:
         r = self.slots.get(id(e))
@@ -892,24 +910,78 @@ class _Tape:
             self.faults.append(message)
         return self.faults.index(message)
 
-    def op(self, fn, a: int, b: int | None = None, fault=None) -> int:
-        self.ops.append((len(self.init), fn, a, b))
+    def op(self, ufunc, a: int, b: int | None = None, fault=None) -> int:
+        self.ops.append([len(self.init), ufunc, a, b, 1])
         self.fault_fns.append(fault)
         self.init.append(None)
         return len(self.init) - 1
+
+    def own(self, fn, a: int, b: int | None = None, fault=None, array: bool = True) -> int:
+        """The register of an op whose fn, a function of the operands and an
+        unused out, makes its own value, an array if `array`."""
+        r = self.op(fn, a, b, fault)
+        self.owns[r] = array
+        return r
 
     def array(self, e: Expr) -> int:
         """e's register as an array: e without coordinates is spread over the
         chunk, so that a function of it keeps the bits of numpy's array loop."""
         a = self.slot(e)
-        return a if free_vars(e) else self.op(lambda c, x: np.full(len(x), c), a, 0)
+        return a if free_vars(e) else self.own(lambda c, x, out: np.full(len(x), c), a, 0)
 
-    def run(self, x: np.ndarray, out: np.ndarray):
-        """out[:, j] = expression j at the points x; fresh registers each call."""
+    def floats(self) -> int:
+        """What a run holds per point: its buffers, each op's own array (a
+        coordinate's column, a view, counts one), and its outputs. The first
+        call gives out the buffers."""
+        if self.buffers is None:
+            self.buffers = self._allocate()
+        return len(self.buffers) + sum(self.owns.values()) + len(self.outputs)
+
+    def _last_reads(self) -> dict:
+        """By register, the register of the op that reads it last (an op's
+        register tells its place in the run), or one past every op for an
+        output."""
+        last = {}
+        for r, _, a, b, _ in self.ops:
+            last[a] = last[b] = r
+        last.update(dict.fromkeys(self.outputs, len(self.init)))
+        return last
+
+    def _allocate(self) -> range:
+        """Give each ufunc op with an array value its buffer, in the order of
+        the run, and return the buffers' registers, which follow the ops'. A
+        buffer is free again from the op that reads its value last, so that
+        op may write over its operand: each element of a ufunc's value is
+        computed from the same element of each operand, so numpy needs no
+        copy."""
+        last, end = self._last_reads(), len(self.init)
+        arrays = {r for r, array in self.owns.items() if array}
+        busy, free = [], []  # busy: a heap of last read * end + buffer, each buffer k < end
+        for op in self.ops:
+            r, _, a, b, _ = op
+            if r in self.owns or not (a in arrays or b in arrays):
+                continue
+            arrays.add(r)
+            while busy and busy[0] < (r + 1) * end:
+                free.append(heappop(busy) % end)
+            k = free.pop() if free else len(busy) + len(free)
+            heappush(busy, last[r] * end + k)
+            op[4] = end + k
+        self.init += [None] * (len(busy) + len(free))
+        return range(end, len(self.init))
+
+    def _registers(self, x: np.ndarray) -> list:
         regs = self.init.copy()
         regs[0] = x
-        for r, fn, a, b in self.ops:
-            regs[r] = fn(regs[a]) if b is None else fn(regs[a], regs[b])
+        for i in self.buffers or ():
+            regs[i] = np.empty(len(x))
+        return regs
+
+    def run(self, x: np.ndarray, out: np.ndarray):
+        """out[:, j] = expression j at the points x; fresh buffers each call."""
+        regs = self._registers(x)
+        for r, fn, a, b, o in self.ops:
+            regs[r] = fn(regs[a], regs[o]) if b is None else fn(regs[a], regs[b], regs[o])
         for j, r in enumerate(self.outputs):
             out[:, j] = regs[r]
 
@@ -919,16 +991,21 @@ class _Tape:
         an array shaped as out. A register's code is its left operand's if
         not 0, else its right operand's, else its op's own fault where its
         value is not finite: the first fault met with operands computed left
-        to right."""
-        regs, codes = self.init.copy(), [0] * len(self.init)
-        regs[0] = x
-        for (r, fn, a, b), fault in zip(self.ops, self.fault_fns):
+        to right. A register and its codes, of the least integer type that
+        holds them, are dropped after their last read."""
+        regs, codes = self._registers(x), [0] * len(self.init)
+        last, code_type = self._last_reads(), np.min_scalar_type(len(self.faults) - 1)
+        for (r, fn, a, b, o), fault in zip(self.ops, self.fault_fns):
             args = (regs[a],) if b is None else (regs[a], regs[b])
-            regs[r] = fn(*args)
+            cause = 1 if fault is None else fault(*args)  # before the op writes over an operand
+            regs[r] = fn(*args, regs[o])
             first = codes[a] if b is None else np.where(codes[a], codes[a], codes[b])
-            own = np.where(np.isfinite(regs[r]), 0, 1 if fault is None else fault(*args))
-            codes[r] = np.where(first, first, own)
-        found = np.zeros(out.shape, int)
+            own = np.where(np.isfinite(regs[r]), 0, cause)
+            codes[r] = np.where(first, first, own).astype(code_type)
+            for v in (a, b):
+                if v is not None and last[v] == r:
+                    regs[v] = codes[v] = None
+        found = np.zeros(out.shape, code_type)
         for j, r in enumerate(self.outputs):
             out[:, j], found[:, j] = regs[r], codes[r]
         return found
@@ -956,9 +1033,11 @@ def compile_batch(exprs, coords):
     gives each point its first fault; the arithmetic is the same, so every
     point keeps its bits.
 
-    The function's `floats` is what a run holds per point: one float per op
-    register, which the run keeps to its end, and one per output. A trace
-    holds as much again in fault codes."""
+    The function's floats() is what a run holds per point (see
+    _Tape.floats); its first call gives the tape the buffers it reuses, so a
+    tape that never runs a chunk large enough to count pays nothing for them.
+    A trace holds the same buffers, and drops every other value and its
+    fault codes, a byte each, after their last read."""
     exprs = list(exprs)
     tape = _Tape(exprs, tuple(coords))
 
@@ -976,5 +1055,5 @@ def compile_batch(exprs, coords):
         first = (codes[rows] != 0).argmax(axis=1).tolist()
         return values, {i: (j, EvalError(tape.faults[codes[i, j]])) for i, j in zip(rows.tolist(), first)}
 
-    run.floats = len(tape.ops) + len(exprs)
+    run.floats = tape.floats
     return run

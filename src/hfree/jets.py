@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, compile_batch
+from .expr import Const, Expr, compile_batch
 from .fields import ChartMismatch, Frame, SmoothMap, lie_derivative, symmetrize
 
 DEFAULT_TOL = 1e-9
@@ -125,8 +125,36 @@ GRAM_RANGE = 2.0**400
 CANDIDATES = 4
 
 
+class Pattern:
+    """The entries of a stack's (rows, cols) matrices that may be nonzero,
+    and the Gram screen's elimination plan for them (see _GramCholesky),
+    built the first time a stack is screened. `screens` says whether a
+    stack may be: rows <= cols, some entry off the diagonal may be nonzero,
+    and no row is zero in every matrix, which would make every matrix rank
+    deficient."""
+
+    def __init__(self, nonzero: np.ndarray):
+        rows, cols = nonzero.shape
+        self.nonzero = nonzero
+        self.off_diagonal = np.flatnonzero(nonzero & ~np.eye(rows, cols, dtype=bool))
+        self.screens = rows <= cols and self.off_diagonal.size > 0 and nonzero.any(axis=1).all()
+        self._plan = None
+
+    @property
+    def plan(self) -> _GramCholesky:
+        if self._plan is None:
+            self._plan = _GramCholesky(self.nonzero)
+        return self._plan
+
+    @property
+    def floats(self) -> int:
+        """What screening a stack holds per matrix (see _GramCholesky.floats),
+        or 0 where no stack is screened."""
+        return self.plan.floats if self.screens else 0
+
+
 def stack_ranks(
-    entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None, *, plans=None
+    entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None, *, pattern: Pattern | None = None
 ) -> StackRanks:
     """Rank verdicts over an (n, rows, cols) stack: a singular value counts
     when it exceeds tol * max(1, sigma_max). `errors` maps points whose
@@ -144,11 +172,10 @@ def stack_ranks(
     the least, and gives each a certified lower bound on its sigma_min; the
     rest get one batched SVD, redone matrix by matrix if it fails to
     converge. A matrix that fails on its own may have been the least, so
-    then every dense matrix gets its SVD. `plans` maps the bytes of a stack's
-    zero pattern to the screen's elimination plan for it: a compiled jet
-    passes its own dict, so it builds one plan per pattern, where a call
-    without one builds a plan each time. The stacks that share a dict must
-    have one shape."""
+    then every dense matrix gets its SVD. `pattern` says which entries may be
+    nonzero, and keeps the screen's plan: a compiled jet passes its own, read
+    from its entries, and a call without one reads the pattern of `entries`
+    and builds a plan each time it screens."""
     n, rows, cols = entries.shape
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
@@ -156,18 +183,20 @@ def stack_ranks(
         entries[list(reasons)] = 0.0
     if not np.isfinite(entries).all():
         raise ValueError("jet entries must be finite outside the faulted points")
+    if pattern is None:
+        pattern = Pattern((entries != 0).any(axis=0))
     rank = np.empty(n, dtype=np.intp)
     sigma_min = np.empty(n)
-    dense = (entries != 0)[:, ~np.eye(rows, cols, dtype=bool)].any(axis=1)
+    dense = (entries.reshape(n, rows * cols)[:, pattern.off_diagonal] != 0).any(axis=1)
     if not dense.all():
-        diagonal = np.sort(np.abs(np.diagonal(entries[~dense], axis1=1, axis2=2)), axis=1)[:, ::-1]
+        diagonal = np.sort(np.abs(np.diagonal(entries, axis1=1, axis2=2)[~dense]), axis=1)[:, ::-1]
         rank[~dense], sigma_min[~dense] = _rank(diagonal, tol), diagonal[:, -1]
     index = np.flatnonzero(dense)
     stack = entries if dense.all() else entries[index]
     svd = np.ones(len(index), dtype=bool)
-    if rows <= cols and len(index) >= SCREEN_MIN:
+    if pattern.screens and len(index) >= SCREEN_MIN:
         keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        cleared, bound = _screen(stack, tol, keep, index, reasons, {} if plans is None else plans)
+        cleared, bound = _screen(stack, tol, keep, index, reasons, pattern.plan)
         if cleared.any():
             svd = ~cleared
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
@@ -192,7 +221,7 @@ def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
 
 
-def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, plans: dict):
+def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, chol):
     """Which matrices of a dense (m, rows, cols) stack, rows <= cols, the
     screen clears, and for each a lower bound on its sigma_min; the others
     need the SVD. A cleared matrix is full rank, and its bound lies above the
@@ -229,19 +258,12 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     inf); the least of the `exact` matrices is then a candidate or a matrix
     left to the SVD. A matrix goes to the SVD when ||A||_F lies outside
     [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot clear it; so does the whole
-    stack when a row is zero in every matrix, when pass A cannot clear half
-    of it, or when a candidate's SVD fails to converge, since the least may
-    then have no verdict. Both passes follow one elimination plan, taken from
-    `plans` by the stack's zero pattern, or built and kept there."""
+    stack when pass A cannot clear half of it, or when a candidate's SVD
+    fails to converge, since the least may then have no verdict. Both passes
+    follow chol, the elimination plan of the stack's pattern (a stack with a
+    row zero in every matrix is never screened; see Pattern)."""
     m, rows, cols = stack.shape
     nothing = np.zeros(m, dtype=bool)
-    pattern = (stack != 0).any(axis=0)
-    if not pattern.any(axis=1).all():  # every matrix is rank deficient
-        return nothing, None
-    key = pattern.tobytes()
-    if key not in plans:
-        plans[key] = _GramCholesky(pattern)
-    chol = plans[key]
     gram = chol.gram(stack)
     fro2 = gram[chol.diag].sum(axis=0)
     err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * fro2
@@ -276,7 +298,9 @@ class _GramCholesky:
     one at a time in a minimum-degree order (A. George and J. W. H. Liu, "The
     evolution of the minimum degree ordering algorithm", SIAM Review 31,
     1989), which keeps the fill small. The plan depends on the pattern alone,
-    so a compiled jet keeps one per zero pattern of its chunks."""
+    so a compiled jet keeps one (see Pattern). `floats` is what screening a
+    stack holds per matrix: the vectors and the copy least_pivot factors,
+    and the two update temporaries of its widest column."""
 
     def __init__(self, pattern: np.ndarray):
         """`pattern`: the (rows, cols) entries of A that are nonzero in some
@@ -305,6 +329,7 @@ class _GramCholesky:
                 update = [(slot[(b, a) if (b, a) in slot else (a, b)], slot[a, j], slot[b, j]) for a, b in pairs]
                 pivot = slot[j, j]
                 self.columns.append((pivot, pivot + 1 + len(rest), *np.array(update, dtype=np.intp).T))
+        self.floats = 2 * len(slot) + 2 * max((len(column[2]) for column in self.columns), default=0)
 
     def gram(self, stack: np.ndarray) -> np.ndarray:
         """The (vectors, m) entries of every A.A^T, formed in slices of at
@@ -331,7 +356,9 @@ class _GramCholesky:
             v[self.diag] -= shift
             for pivot, stop, target, left, right in self.columns:
                 v[pivot + 1 : stop] /= np.sqrt(v[pivot])
-                v[target] -= v[left] * v[right]
+                update = v[left]
+                update *= v[right]
+                v[target] -= update
         return v[self.diag].min(axis=0)
 
 
@@ -362,15 +389,32 @@ def _svd(stack: np.ndarray, index: np.ndarray, reasons: dict) -> np.ndarray:
 
 class CompiledJet:
     """Row expressions compiled into one tape of numpy calls (see
-    expr.compile_batch), run over a chunk of points at a time. `floats` is
-    what ranking a chunk holds per point: the tape's, and two per entry for
-    the Gram screen's vectors and their copy."""
+    expr.compile_batch), run over a chunk of points at a time, and the
+    pattern of their entries, read once, when they are compiled: an entry
+    that is the constant 0 is 0 at every point. `at_floats` is what `at`
+    holds per point, the tape's, and `floats` what `ranks` holds: the tape's
+    and the Gram screen's (see Pattern.floats)."""
 
     def __init__(self, rows, chart):
         self.shape = (len(rows), len(rows[0]))
-        self._run = compile_batch([e for row in rows for e in row], chart.coords)
-        self._plans = {}  # Gram screen elimination plans by zero pattern (see stack_ranks)
-        self.floats = self._run.floats + 2 * self.shape[0] * self.shape[1]
+        entries = [e for row in rows for e in row]
+        self._run = compile_batch(entries, chart.coords)
+        self._nonzero = [not (type(e) is Const and e.value == 0) for e in entries]
+        self._pattern = None
+
+    @property
+    def pattern(self) -> Pattern:
+        if self._pattern is None:  # the first time the jet is ranked
+            self._pattern = Pattern(np.array(self._nonzero).reshape(self.shape))
+        return self._pattern
+
+    @property
+    def at_floats(self) -> int:
+        return self._run.floats()
+
+    @property
+    def floats(self) -> int:
+        return self.at_floats + self.pattern.floats
 
     def at(self, points: np.ndarray):
         """The (n, rows, cols) stack of jet matrices at an (n, dim) array of
@@ -382,7 +426,7 @@ class CompiledJet:
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, exact=None) -> StackRanks:
         entries, errors = self.at(points)
-        return stack_ranks(entries, tol, errors, exact, plans=self._plans)
+        return stack_ranks(entries, tol, errors, exact, pattern=self.pattern)
 
 
 # Compiled jets by map, then by (frame, order). An entry leaves when its map

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from hfree import gallery
-from hfree.checks import CHUNK_BYTES, FAILURE_CAP, _Fold, run_fixture
+from hfree import checks, gallery
+from hfree.checks import CHUNK, CHUNK_BYTES, FAILURE_CAP, _Fold, run_check, run_fixture
+from hfree.manifest import parse_manifest_text
 
 
 def _pointwise_fold(results, smaller_is_worse):
@@ -62,19 +63,66 @@ def test_streaming_fold_matches_the_pointwise_loop(outcomes, smaller_is_worse, c
     assert len(report.to_dict()["failures"]) <= FAILURE_CAP
 
 
-@pytest.mark.parametrize("name", gallery.list_fixtures())
-def test_a_check_holds_about_its_chunk_budget(name):
-    """A fixture's check at 10^4 samples, its jets compiled inside the trace,
-    peaks within 1.5 CHUNK_BYTES of traced memory, so a judge whose `floats`
-    undercounts what a chunk holds shows here. The gallery's formulas and jets
-    are defined on its whole box; a chunk where a tape faults runs once more
-    as a trace, which keeps one code array per register beside the values,
-    so that chunk may peak at about twice the budget."""
-    fix = gallery.fixture(name)
+def _traced(run, monkeypatch):
+    """The traced peak of run() and the lengths of the chunks its check folds."""
+    lengths, add = [], _Fold.add
+
+    def counted(fold, start, crit, *rest):
+        lengths.append(len(crit))
+        return add(fold, start, crit, *rest)
+
+    monkeypatch.setattr(_Fold, "add", counted)
     tracemalloc.start()
     try:
-        run_fixture(fix, 10000, 0)
+        report = run()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return report, peak, lengths
+
+
+@pytest.mark.parametrize("name", gallery.list_fixtures())
+def test_a_check_holds_about_its_chunk_budget(name, monkeypatch):
+    """A fixture's check at 10^4 samples, its jets compiled inside the trace,
+    peaks within 1.5 CHUNK_BYTES of traced memory, so a judge whose `floats`
+    undercounts what a chunk holds shows here; and a check whose chunks are
+    longer than CHUNK, so sized by its `floats`, peaks at half of it or more,
+    so an overcount shows too. The gallery's formulas and jets are defined on
+    its whole box, so no chunk runs a trace."""
+    fix = gallery.fixture(name)
+    _, peak, lengths = _traced(lambda: run_fixture(fix, 10000, 0), monkeypatch)
     assert peak <= 1.5 * CHUNK_BYTES
+    if lengths[0] > CHUNK:
+        assert peak >= 0.5 * CHUNK_BYTES
+
+
+# 1/(y - 0.5) faults at y = 0.5, one grid value in 17, so every chunk faults
+FAULTING_FREE = """
+[manifold]
+coords = [x, y]
+box = [[-2, 2], [-2, 2]]
+
+[frame]
+vectors = [["2*y", "1 - y^2"]]
+
+[map]
+components = ["y*exp(x)", "y^2*exp(2*x) + 1/(y-0.5)"]
+
+[check]
+mode = free
+grid = [600, 17]
+"""
+
+
+def test_a_faulting_check_holds_at_most_twice_its_chunk_budget(monkeypatch):
+    """Every chunk of this check runs its tape once more as a trace, which
+    holds the run's buffers and, beside each live value, its fault codes. It
+    peaks within 2 CHUNK_BYTES of traced memory, and its report is that of
+    chunks of CHUNK points."""
+    m = parse_manifest_text(FAULTING_FREE)
+    report, peak, lengths = _traced(lambda: run_check(m), monkeypatch)
+    assert len(lengths) >= 2 and lengths[0] > CHUNK
+    assert peak <= 2 * CHUNK_BYTES
+    assert report.verdict == "fail" and {f["reason"] for f in report.failures} == {"division by zero"}
+    monkeypatch.setattr(checks, "CHUNK_BYTES", 0)
+    assert run_check(m).to_json(False) == report.to_json(False)

@@ -548,6 +548,59 @@ def test_a_faulting_chunk_costs_one_trace(zeros, monkeypatch):
             assert values[i, 0] == 1.0 / v
 
 
+# ops that build a later expression of a list from earlier ones
+_OVER = [Add, Sub, Mul, Div]
+_OVER += [lambda a, b: Neg(a), lambda a, b: Exp(b), lambda a, b: Pow(a, 1), lambda a, b: Pow(b, 2)]
+_TREES = _exprs(faulting=True)
+
+
+@st.composite
+def _dags(draw):
+    """A list of expressions, each a random tree or an op over two earlier
+    ones: the list shares subtrees, and later ops read earlier outputs."""
+    exprs = []
+    for _ in range(draw(st.integers(1, 8))):
+        if exprs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(exprs)), draw(st.sampled_from(exprs))
+            exprs.append(draw(st.sampled_from(_OVER))(a, b))
+        else:
+            exprs.append(draw(_TREES))
+    return exprs
+
+
+@given(_dags(), st.integers(0, 2**32 - 1))
+# x + y's buffer is free once its power is taken, before sin(x) is computed
+@example([Mul(Pow(Add(Coord("x"), Coord("y")), 1), Sin(Coord("x")))], 0)
+@settings(max_examples=100, deadline=None)
+def test_buffer_reuse_never_overwrites_a_live_value(exprs, seed):
+    """A tape reuses a buffer once the last op that reads its value has run.
+    So the list compiled as one tape, its buffers given out (floats()), gives
+    at every point the bits of each expression compiled alone, whose ops each
+    make a new array, or, where it faults, the first expression that faults
+    alone and its error; at chunk lengths 1, 7 and 513, each run over three
+    chunks. The first point of each chunk gets evaluate()'s outcome."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(-1.0, 1.0, (2 * 513 + 1, 2))
+    points[rng.integers(0, len(points), 20), rng.integers(0, 2, 20)] = 0.0  # where 1/x or 1/y faults
+    together = compile_batch(exprs, ("x", "y"))
+    together.floats()
+    alone = [compile_batch([e], ("x", "y")) for e in exprs]
+    for length in (1, 7, 513):
+        for start in range(0, 2 * length + 1, length):
+            chunk = points[start : start + length]
+            values, errors = together(chunk)
+            point = dict(zip(("x", "y"), chunk[0].tolist()))
+            got = (type(errors[0][1]), str(errors[0][1])) if 0 in errors else _bits(values[0].tolist())
+            assert got == _outcome(_evaluate_all, exprs, point)
+            first, rows = {}, np.ones(len(chunk), dtype=bool)
+            rows[list(errors)] = False
+            for j, (vals, errs) in enumerate(run(chunk) for run in alone):
+                for i, (_, exc) in errs.items():
+                    first.setdefault(i, (j, str(exc)))
+                assert np.array_equal(values[rows, j].view(np.uint64), vals[rows, 0].view(np.uint64))
+            assert {i: (j, str(exc)) for i, (j, exc) in errors.items()} == first
+
+
 def _outcomes(exprs, coords, rows):
     """Per point: the bits of every value, or (index, error type, message) of
     the first expression that faults; from compile_batch and from evaluate()."""

@@ -582,18 +582,24 @@ def test_a_jet_keeps_its_screen_plan(monkeypatch):
     assert len(built) == 1
 
 
-def test_screen_plans_are_kept_by_zero_pattern():
-    """A dict of plans shared by stacks of two zero patterns keeps one plan
-    for each, and every verdict is that of a call that builds its own."""
+def test_a_wider_pattern_keeps_every_verdict():
+    """A stack ranked with a pattern that admits more nonzero entries than
+    its own, as a jet's pattern does for a chunk where an entry happens to
+    vanish, gets the verdicts and the least sigma_min of its own pattern; the
+    pattern builds its plan once, for the first stack it screens."""
     rng = np.random.default_rng(3)
     dense = rng.uniform(-2.0, 2.0, (jets_module.SCREEN_MIN, 6, 6))
-    stacks = [np.triu(dense, 1) + np.eye(6), dense, np.triu(dense, 1) + np.eye(6)]
-    plans = {}
-    for stack in stacks:
-        shared, own = stack_ranks(stack, plans=plans), stack_ranks(stack)
-        assert np.array_equal(shared.rank, own.rank)
-        assert np.array_equal(shared.sigma_min, own.sigma_min)
-    assert len(plans) == 2
+    wide = jets_module.Pattern(np.ones((6, 6), dtype=bool))
+    assert wide._plan is None
+    plans = []
+    for stack in (np.triu(dense, 1) + np.eye(6), dense, np.triu(dense, 1) + np.eye(6)):
+        shared, own = stack_ranks(stack, pattern=wide), stack_ranks(stack)
+        for name in ("rank", "full_rank", "valid"):
+            assert np.array_equal(getattr(shared, name), getattr(own, name))
+        assert shared.sigma_min.min().hex() == own.sigma_min.min().hex()
+        assert shared.sigma_min.argmin() == own.sigma_min.argmin()
+        plans.append(wide._plan)
+    assert plans[0] is not None and plans == [plans[0]] * 3
 
 
 @pytest.mark.parametrize("seed", [0, 11])
