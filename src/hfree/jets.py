@@ -227,50 +227,80 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     need the SVD. A cleared matrix is full rank, and its bound lies above the
     least sigma_min of the `exact` matrices.
 
-    A matrix is cleared by a shifted Cholesky certificate (S. M. Rump,
-    "Verification of positive definiteness", BIT 46, 2006). If the Cholesky
-    factorization of a symmetric n x n matrix H runs to completion in floating
-    point, its computed factor R satisfies R^T.R = H + dH with |dH| <=
-    gamma_{n+1} |R^T|.|R| (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., Theorem 10.3, whose proof needs no more than
-    completion), so ||dH||_2 <= gamma_{n+1} ||R||_F^2 <= gamma_{n+1}
-    trace(H) / (1 - gamma_{n+1}), and H + dH is positive semidefinite.
-    _GramCholesky factors H = fl(fl(A.A^T) - s.I). With F = ||A||_F^2 =
-    trace(A.A^T), u = eps / 2 and gamma_k = k u / (1 - k u), the errors
-    between lambda_min(H) + s and the SVD's sigma_min^2 are, in the 2-norm:
-    forming A.A^T, at most gamma_cols F (Higham ch. 3; |A|.|A|^T has trace F);
-    the factorization, about gamma_{rows+1} F, since trace(H) <= (1 +
-    gamma_cols) F; rounding the shift and the shifted diagonal, about 2 u F,
-    since s < every diagonal entry once the factorization completes; and
-    the SVD's own error, p(rows, cols) eps ||A||_2 in each singular value
-    (LAPACK Users' Guide, 3rd ed., sec. 4.9), which moves sigma_min^2 by at
-    most 2 p eps F. For any p up to 3 (rows + cols)^2 their sum is below err =
-    8 (rows + cols)^2 eps F, so a factorization at shift s that completes
-    with positive pivots proves the SVD's sigma_min^2 > s - err.
+    A matrix A is cleared by a shifted Cholesky certificate (S. M. Rump,
+    "Verification of positive definiteness", BIT 46, 2006), read in sigma,
+    where LAPACK bounds the SVD's error. Write N = rows + cols, at least 3
+    (a screened matrix has an entry off its diagonal), u = eps / 2, gamma_k
+    = k u / (1 - k u), F = ||A||_F^2, G = A.A^T and fl(x) for a computed x;
+    sigma is an exact singular value of A and sigma^ the SVD's. Each bound
+    below is stated to first order in u and keeps a spare first-order term
+    of at least N u / 6 times F (or sqrt(F)). The terms of higher order, a
+    few dozen products of relative errors of at most 4 N u each, stay below
+    that spare while N u < 2^-10, for any matrix of fewer than 2^42 columns.
+    Underflow costs at most 2^-1074 an operation, far below u F >= u 2^-800
+    in the Gram range, and nothing overflows there.
 
-    Pass A shifts by floor^2 + err, where floor = tol * max(1, sqrt(F +
-    err)) bounds tol * max(1, the SVD's sigma_max): a matrix it clears is
-    full rank. Its least pivot plus its shift bounds sigma_min^2 from above,
-    and the CANDIDATES `exact` matrices with the least such bounds get their
-    SVD (_svd, as any other matrix); t is their least sigma_min. Pass B
-    shifts by max(t, floor)^2 + err, so every other matrix it clears has a
-    sigma_min above max(t, floor), and its bound is nextafter(max(t, floor),
-    inf); the least of the `exact` matrices is then a candidate or a matrix
-    left to the SVD. A matrix goes to the SVD when ||A||_F lies outside
-    [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot clear it; so does the whole
-    stack when pass A cannot clear half of it, or when a candidate's SVD
-    fails to converge, since the least may then have no verdict. Both passes
-    follow chol, the elimination plan of the stack's pattern (a stack with a
-    row zero in every matrix is never screened; see Pattern)."""
+    F from above. The diagonal of fl(G) and its sum fro2 add squares, so
+    fro2 >= (1 - gamma_{N-1}) F, in any order of summation (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3). With e =
+    fl((N + 3) eps fro2), norm = fl(sqrt(fl(fro2 + e))) is at least sqrt(F)
+    (1 + (N + 4) u / 2), at least sqrt(F) (1 + 3.5 u).
+
+    The SVD. LAPACK bounds every sigma^ by |sigma^ - sigma| <= p eps
+    ||A||_2 (LAPACK Users' Guide, 3rd ed., sec. 4.9). For any p up to 3 N^2
+    this is below delta = fl(3 N^2 eps norm), whose one rounding the margin
+    of norm covers. So sigma^_max <= sqrt(F) + delta, and floor = fl(tol *
+    max(1, norm + delta)) is at least tol * max(1, sigma^_max): the margin of
+    3.5 u covers the roundings of delta, of the sum and of the product.
+
+    The certificate. If the Cholesky factorization of H = fl(fl(G) - s.I)
+    runs to completion with positive pivots, its computed factor R
+    satisfies R^T.R = H + dH with |dH| <= gamma_{rows+1} |R^T|.|R| (Higham,
+    Theorem 10.3, whose proof needs no more than completion; the elimination
+    order permutes H symmetrically), so ||dH||_2 <= gamma_{rows+1}
+    ||R||_F^2 <= gamma_{rows+1} trace(H) / (1 - gamma_{rows+1}), and H + dH
+    is positive definite. Forming fl(G) errs by at most gamma_cols
+    |A|.|A|^T, of 2-norm at most gamma_cols F. Each pivot is positive, so
+    every fl(G_ii) > s, and subtracting s rounds the diagonal by at most u
+    fl(G_ii) <= u (1 + gamma_cols) F; so trace(H) <= (1 + u) (1 + gamma_cols)
+    F. Hence sigma_min^2 > s - (N + 2) u F.
+
+    The shift. A pass shifts by s = fl(fl(fl(b + delta)^2) + e), which is at
+    least (1 - u)^4 (b + delta)^2 + (1 - u) e, and e >= 2 (N + 3) u F. As
+    (1 - u)^4 (b + delta)^2 <= s < fl(G_ii) <= (1 + gamma_cols) F, the
+    roundings of the shift lose at most 4 u F. So s - (N + 2) u F >= (b +
+    delta)^2 + N u F, the spare, and a matrix cleared at s has sigma_min > b
+    + delta, so the SVD's sigma^_min > b.
+
+    Pass A takes b = floor, so a matrix it clears is full rank. Its least
+    pivot plus its shift bounds sigma_min^2 from above, and the CANDIDATES
+    `exact` matrices with the least such bounds get their SVD (_svd, as any
+    other matrix); t is their least sigma_min. Pass B takes b = max(t,
+    floor), so every other matrix it clears has a sigma_min above max(t,
+    floor). A cleared matrix's bound is nextafter(b, inf); the least of the
+    `exact` matrices is then a candidate or a matrix left to the SVD. A
+    matrix goes to the SVD when ||A||_F lies outside [1 / GRAM_RANGE,
+    GRAM_RANGE] or a pass cannot clear it; so does the whole stack when pass
+    A cannot clear half of it, or when a candidate's SVD fails to converge,
+    since the least may then have no verdict. Both passes follow chol, the
+    elimination plan of the stack's pattern (a stack with a row zero in
+    every matrix is never screened; see Pattern)."""
     m, rows, cols = stack.shape
     nothing = np.zeros(m, dtype=bool)
     gram = chol.gram(stack)
     fro2 = gram[chol.diag].sum(axis=0)
-    err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * fro2
-    floor = tol * np.maximum(1.0, np.sqrt(fro2 + err))
-    shift = floor * floor + err
+    in_range = (fro2 >= GRAM_RANGE**-2) & (fro2 <= GRAM_RANGE**2)
+    eps = np.finfo(float).eps
+    e = (rows + cols + 3) * eps * fro2
+    # norm and then floor reuse fro2's buffer, which no later line reads, so
+    # that no extra (m,) array stays live through both factorizations
+    norm = np.sqrt(fro2 + e, out=fro2)
+    delta = 3 * (rows + cols) ** 2 * eps * norm
+    floor = np.maximum(norm + delta, 1.0, out=norm)
+    floor *= tol
+    shift = (floor + delta) ** 2 + e
     pivot = chol.least_pivot(gram.copy(), shift)
-    cleared = (pivot > 0) & (fro2 >= GRAM_RANGE**-2) & (fro2 <= GRAM_RANGE**2)
+    cleared = (pivot > 0) & in_range
     if 2 * np.count_nonzero(cleared) < m:  # mostly rank deficient: the SVD is cheaper
         return nothing, None
     pool = np.flatnonzero(cleared & exact)
@@ -283,7 +313,7 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     if len(reasons) > failed:
         return nothing, None
     bound = np.maximum(floor, sigma.min())
-    cleared &= chol.least_pivot(gram, bound * bound + err) > 0
+    cleared &= chol.least_pivot(gram, (bound + delta) ** 2 + e) > 0
     cleared[pool] = True
     value = np.nextafter(bound, np.inf)
     value[pool] = sigma

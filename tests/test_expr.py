@@ -652,6 +652,34 @@ def test_tape_edge_cases_match_evaluate(exprs, messages):
     assert {outcome[2] for outcome in compiled if type(outcome[0]) is int} == messages
 
 
+def test_constant_outputs_keep_their_bits_on_both_paths():
+    """Outputs that mix +0.0, whose columns come zeroed and are never
+    written, -0.0, other constants, x and 1/x, which faults at x = 0: at
+    chunk lengths 1, 7 and 513, on the run path (no point of the chunk
+    faults) and on the trace path (some point does), every point gets
+    evaluate()'s outcome, bit for bit and with the sign of each zero, and a
+    faulting point's row is nan in every column."""
+    exprs = [Const(0.0), Const(-0.0), _FAULT, Const(0.0), Const(2.5), _X, Const(-3.0), Const(0.0)]
+    run = compile_batch(exprs, ("x",))
+    run.floats()  # the buffers the engine reuses
+    rng = np.random.default_rng(2)
+    for length in (1, 7, 513):
+        for faults in (False, True):
+            chunk = rng.uniform(-1.0, 1.0, (length, 1))
+            if faults:
+                chunk[rng.integers(0, length, 1 + length // 50), 0] = rng.choice([0.0, -0.0])
+            values, errors = run(chunk)
+            assert bool(errors) == faults
+            for i, x in enumerate(chunk[:, 0].tolist()):
+                expected = _outcome(_evaluate_all, exprs, {"x": x})
+                if i in errors:
+                    j, exc = errors[i]
+                    assert (j, type(exc), str(exc)) == (2,) + expected
+                    assert np.isnan(values[i]).all()
+                else:
+                    assert _bits(values[i].tolist()) == expected
+
+
 def test_all_constant_jet_is_broadcast():
     """contact-1's D1 is the identity: every entry a constant, every row I."""
     fix = gallery.fixture("contact-1")

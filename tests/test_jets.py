@@ -369,10 +369,82 @@ def _mixed_stacks(draw):
     return stack, errors
 
 
-@given(_mixed_stacks(), st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)))
+def _budget(trace, rows, cols):
+    """The screen's certificate budget for a matrix of ||A||_F^2 = trace:
+    e, the Gram, factorization and shift rounding, and delta, the SVD's
+    error in each singular value (see jets._screen)."""
+    eps = np.finfo(float).eps
+    e = (rows + cols + 3) * eps * trace
+    return e, 3 * (rows + cols) ** 2 * eps * np.sqrt(trace + e)
+
+
+def _ill_conditioned(draw, rows, cols, n):
+    """n dense rows x cols matrices U.S.V^T, rows >= 2, with random
+    orthonormal U and V, and ||A||_F / sigma_min from 1e5 to 1e8."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((n, rows, cols))
+    for i in range(n):
+        u = np.linalg.qr(rng.standard_normal((rows, rows)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, rows)))[0]
+        sigma = rng.uniform(0.5, 2.0, rows)
+        sigma[-1] = np.sqrt((sigma[:-1] ** 2).sum()) * 10.0 ** -draw(st.floats(5.0, 8.0))
+        stack[i] = (u * sigma) @ v.T
+    return stack
+
+
+@st.composite
+def _shifted_grams(draw):
+    """A stack of rows x cols matrices A, rows <= cols, that share a pattern:
+    every entry, upper triangular with a constant diagonal and random entries
+    above it, as contact's D2, random entries, which may leave a row or a
+    column zero, or ill-conditioned (see _ill_conditioned); some nearly rank
+    deficient; and a shift tau per matrix, from zero, a share of ||A||_F^2,
+    lambda_min(A.A^T) nudged by a relative 1e-6 or less, or the screen's
+    shift for a bound b within a relative 1e-6 of the SVD's sigma_min, (b +
+    delta)^2 + e; an ill-conditioned stack takes only the last two."""
+    kind = draw(st.sampled_from(["dense", "triangular", "sparse", "ill-conditioned"]))
+    ill = kind == "ill-conditioned"
+    rows = draw(st.integers(2 if ill else 1, 8))
+    cols = draw(st.integers(rows, 9))
+    n = draw(st.integers(1, 6))
+    if ill:
+        stack = _ill_conditioned(draw, rows, cols, n)
+    else:
+        values = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
+        stack = np.array(draw(st.lists(values, min_size=n * rows * cols, max_size=n * rows * cols)))
+        stack = stack.reshape(n, rows, cols)
+    stack *= 10.0 ** draw(st.integers(-3, 3))
+    if kind in ("triangular", "sparse"):
+        stack *= np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    if kind == "triangular":
+        stack = np.triu(stack, 1) + draw(st.sampled_from([0.5, 1.0, 3.0])) * np.eye(rows, cols)
+    for i in range(n):
+        if rows > 1 and not ill and draw(st.booleans()):  # the last row near a multiple of the first
+            nudge = draw(st.sampled_from([0.0, 1e-12, 1e-7]))
+            stack[i, -1] = draw(st.floats(-4.0, 4.0)) * stack[i, 0] + nudge * stack[i, -1]
+    lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
+    sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    tau = np.empty(n)
+    for i in range(n):
+        kind = draw(st.sampled_from(["near", "sigma"] if ill else ["zero", "share", "near", "sigma"]))
+        if kind == "share":
+            tau[i] = draw(st.floats(0.0, 1.0)) * (stack[i] ** 2).sum()
+        elif kind == "sigma":
+            e, delta = _budget(np.trace(stack[i] @ stack[i].T), rows, cols)
+            tau[i] = (sigma[i] * (1.0 + draw(st.floats(-1e-6, 1e-6))) + delta) ** 2 + e
+        else:
+            tau[i] = 0.0 if kind == "zero" else max(0.0, lam[i] * (1.0 + draw(st.floats(-1e-6, 1e-6))))
+    return stack, tau
+
+
+@given(
+    st.one_of(_mixed_stacks(), _shifted_grams().map(lambda case: (case[0], {}))),
+    st.one_of(st.none(), st.lists(st.booleans(), min_size=12, max_size=12)),
+)
 @settings(max_examples=300, deadline=None)
 def test_screened_stacks_keep_the_svd_contract(case, keep):
-    """With every dense stack screened (SCREEN_MIN = 1), a stack keeps the
+    """With every dense stack screened (SCREEN_MIN = 1), a stack, mixed or
+    of _shifted_grams (ill-conditioned ones among them), keeps the
     StackRanks contract against one SVD per matrix, whatever matrices the
     `exact` mask names; the stack is not written, and a non-finite entry
     outside the errors is refused."""
@@ -393,40 +465,6 @@ def test_screened_stacks_keep_the_svd_contract(case, keep):
     _assert_svd_contract(r, stack, errors, exact, seen)
 
 
-@st.composite
-def _shifted_grams(draw):
-    """A stack of rows x cols matrices A, rows <= cols, that share a pattern:
-    every entry, upper triangular with a constant diagonal and random entries
-    above it, as contact's D2, or random entries, which may leave a row or a
-    column zero; some nearly rank deficient; and a shift tau per matrix, from
-    zero, a share of ||A||_F^2 or lambda_min(A.A^T) nudged by a relative 1e-6
-    or less."""
-    rows = draw(st.integers(1, 8))
-    cols = draw(st.integers(rows, 9))
-    n = draw(st.integers(1, 6))
-    values = st.floats(-4.0, 4.0, allow_nan=False, allow_subnormal=False)
-    stack = np.array(draw(st.lists(values, min_size=n * rows * cols, max_size=n * rows * cols)))
-    stack = stack.reshape(n, rows, cols) * 10.0 ** draw(st.integers(-3, 3))
-    kind = draw(st.sampled_from(["dense", "triangular", "sparse"]))
-    if kind != "dense":
-        stack *= np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
-    if kind == "triangular":
-        stack = np.triu(stack, 1) + draw(st.sampled_from([0.5, 1.0, 3.0])) * np.eye(rows, cols)
-    for i in range(n):
-        if rows > 1 and draw(st.booleans()):  # the last row near a multiple of the first
-            nudge = draw(st.sampled_from([0.0, 1e-12, 1e-7]))
-            stack[i, -1] = draw(st.floats(-4.0, 4.0)) * stack[i, 0] + nudge * stack[i, -1]
-    lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
-    tau = np.empty(n)
-    for i in range(n):
-        kind = draw(st.sampled_from(["zero", "share", "near"]))
-        if kind == "share":
-            tau[i] = draw(st.floats(0.0, 1.0)) * (stack[i] ** 2).sum()
-        else:
-            tau[i] = 0.0 if kind == "zero" else max(0.0, lam[i] * (1.0 + draw(st.floats(-1e-6, 1e-6))))
-    return stack, tau
-
-
 def _contact_2_grams():
     """contact-2's 14 x 14 D2 at four sample points, a shape the strategy
     does not reach, with tau zero, half of ||A||_F^2 and lambda_min(A.A^T)
@@ -444,9 +482,10 @@ def test_a_shifted_cholesky_certifies_sigma_min(case):
     """The screen's certificate, for every A whose ||A||_F lies in the Gram
     range: where the factorization of A.A^T - tau.I has positive pivots, the
     SVD's sigma_min^2 exceeds tau - err, err = 8 (rows + cols)^2 eps
-    ||A||_F^2; and where lambda_min(A.A^T) lies farther than err from tau,
-    the pivots are positive exactly when LAPACK's Cholesky of A.A^T - tau.I
-    succeeds."""
+    ||A||_F^2, and in sigma, as the screen reads it, sigma_min + delta >
+    sqrt(tau - e) (see _budget); and where lambda_min(A.A^T) lies farther
+    than err from tau, the pivots are positive exactly when LAPACK's
+    Cholesky of A.A^T - tau.I succeeds."""
     stack, tau = case
     n, rows, cols = stack.shape
     chol = jets_module._GramCholesky((stack != 0).any(axis=0))
@@ -456,8 +495,11 @@ def test_a_shifted_cholesky_certifies_sigma_min(case):
         if not jets_module.GRAM_RANGE**-2 <= np.trace(gram) <= jets_module.GRAM_RANGE**2:
             continue
         err = 8 * (rows + cols) ** 2 * np.finfo(float).eps * np.trace(gram)
+        e, delta = _budget(np.trace(gram), rows, cols)
         if certified:
-            assert np.linalg.svd(a, compute_uv=False)[-1] ** 2 > shift - err
+            sigma = np.linalg.svd(a, compute_uv=False)[-1]
+            assert sigma**2 > shift - err
+            assert shift <= e or sigma + delta > np.sqrt(shift - e)
         if abs(np.linalg.eigvalsh(gram)[0] - shift) > err:
             try:
                 np.linalg.cholesky(gram - shift * np.eye(rows))
@@ -559,6 +601,16 @@ def test_lapack_sees_about_one_contact_2_jet_per_chunk(monkeypatch):
     seen = []
     _recording_svd(monkeypatch, seen)
     assert run_fixture(gallery.fixture("contact-2"), samples=10000, seed=1).verdict == "pass"
+    assert 0 < len(seen) <= 10000 // 50
+
+
+def test_lapack_sees_at_most_2_percent_of_integrable_torus_3(monkeypatch):
+    """The certificate in sigma clears a 9 x 9 D2 with ||A||_F / sigma_min up
+    to about 10^7, so LAPACK sees at most 2% of integrable-torus-3's jets at
+    10^4 samples: the candidates and the few worse conditioned."""
+    seen = []
+    _recording_svd(monkeypatch, seen)
+    assert run_fixture(gallery.fixture("integrable-torus-3"), samples=10000, seed=1).verdict == "pass"
     assert 0 < len(seen) <= 10000 // 50
 
 
