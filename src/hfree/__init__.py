@@ -45,7 +45,7 @@ from .brackets import (
     novikov_structure,
     poisson_bracket,
 )
-from .gallery import Fixture, fixture, list_fixtures
+from .gallery import fixture, list_fixtures
 from .checks import (
     Report,
     check_points,

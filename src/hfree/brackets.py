@@ -175,20 +175,6 @@ def contact_frame(n: int) -> Frame:
     return Frame(chart, tuple(vectors))
 
 
-def contact_form_values(frame: Frame) -> list[Expr]:
-    """Pairings of the annihilating one-form dt + p_i dx^i with each frame
-    field; all must simplify to zero.
-
-    Note the plus sign: it is the kernel form matched to the trivialization
-    xi_i = d/dx^i - p_i d/dt used here.
-    """
-    ps = [Coord(f"p{i + 1}") for i in range((frame.chart.dim - 1) // 2)]
-    return [
-        simplified_sum([v.components[-1]] + [Mul(p, c) for p, c in zip(ps, v.components)])
-        for v in frame.vectors
-    ]
-
-
 def jacobiator(bracket, f: Expr, g: Expr, h: Expr) -> Expr:
     """{f,{g,h}} + {g,{h,f}} + {h,{f,g}}, brackets composed symbolically and
     simplified. `bracket` is any callable (Expr, Expr) -> Expr."""

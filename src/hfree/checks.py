@@ -8,10 +8,10 @@ judge's per-point criterion and failure reasons into the report in sample order
 on the chunk length. That length is the judge's own: as many points as fit
 its per-point floats into CHUNK_BYTES, and never fewer than CHUNK, so a small
 jet pays each chunk's fixed set of numpy calls fewer times and a large one
-holds about CHUNK_BYTES. A judge compiles each jet and each
-set of residuals once into one tape of numpy calls (`expr.compile_batch`;
-`jets` memoises each jet weakly on its map), so a chunk costs one run of each
-tape, then one batched ranking or determinant call; a run that faults runs
+holds about CHUNK_BYTES. A check compiles its jets, or its residuals, once
+into one tape of numpy calls (`expr.compile_batch`; construct mode's D1 of f
+and D2 of F o f share one), so a chunk costs one run of its tape, then one
+batched ranking per jet or one determinant call; a run that faults runs
 once more as a trace, which names each point's first fault. A value beyond
 the float range is such a fault, an `overflow`, so a judge reads only finite
 values: a point that faults fails with its EvalError and has no criterion.
@@ -21,9 +21,13 @@ and one that a shifted Cholesky factorization of A.A^T clears is full rank,
 with a certified lower bound on sigma_min above the least as its sigma_min
 (`jets.stack_ranks`).
 A judge ranks each jet among the points it folds, so the worst criterion is
-exact, never a bound. `build_plan` builds a manifest's check;
-`check_points` makes the immersion, free or identity check over given
-points, and the pointwise predicates are reads of it at one point.
+exact, never a bound.
+
+`run_check` runs a manifest's check, and `run_fixture` a gallery manifest's
+at given samples and seed; both build the manifest's plan (`build_plan`) and
+compile its tape at its first check and keep them on the manifest.
+`check_points` makes the immersion, free, construct or identity check over
+given points, and the pointwise predicates are reads of it at one point.
 """
 
 from __future__ import annotations
@@ -32,15 +36,26 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .brackets import jacobiator
-from .constructions import DetIdentity, monomial_free_map
+from .constructions import DetIdentity, compose, monomial_free_map
 from .expr import Add, Coord, Mul, Sub, compile_batch, simplify
-from .fields import Frame, SmoothMap, lie_derivative
-from .jets import DEFAULT_TOL, BelowCriticalDimension, compiled_d1, compiled_d2, s, valid_mask
-from .manifest import Manifest, build_plan, too_deep
+from .fields import Frame, SmoothMap
+from .jets import (
+    DEFAULT_TOL,
+    BelowCriticalDimension,
+    CompiledJet,
+    compiled_d1,
+    compiled_d2,
+    d1_exprs,
+    d2_exprs,
+    s,
+    valid_mask,
+)
+from .manifest import Manifest, build_plan, draw_points, too_deep
 from .sampling import sample_points
 
 # The least points per chunk: below it each tape op's numpy call costs more
@@ -51,10 +66,11 @@ CHUNK = 512
 # arrays hold per point (see expr.compile_batch). 2 MiB is what the largest
 # gallery checks held in chunks of CHUNK points when a tape kept every
 # register to the end of its run: integrable-torus-3 and contact-2 peaked at
-# 2.10 and 1.84 MiB. With the tapes' buffers reused and the Gram screen
-# counted as it allocates, they run in chunks of 851 and 771 points, and at
-# 10^4 samples under tracemalloc every gallery check peaks at 0.60-1.20 times
-# CHUNK_BYTES, its sample points and compiled jets included.
+# 2.10 and 1.84 MiB. With the tapes' buffers reused, the Gram screen
+# counted as it allocates and construct mode's two jets in one tape, they run
+# in chunks of 996 and 862 points, and at 10^4 samples under tracemalloc
+# every gallery check peaks at 0.86-1.25 times CHUNK_BYTES, its parsed
+# manifest, sample points and compiled jets included.
 CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 
@@ -166,19 +182,25 @@ def _rank_deficient(r, message: str) -> dict:
     return {i: message.format(r.rank[i]) for i in np.flatnonzero(r.valid & ~r.full_rank).tolist()}
 
 
-def _rank_judge(frame: Frame, smap: SmoothMap, tol: float, mode: str):
-    """Judge of immersion (order 1) or free (order 2) mode: the least singular
-    value of the jet; None below the critical dimension."""
-    rows = frame.k if mode == "immersion" else frame.k + s(frame.k)
-    if smap.q < rows:
-        return None
-    jet = (compiled_d1 if mode == "immersion" else compiled_d2)(frame, smap)
+def _rank_judge(jet: CompiledJet, messages: list, tol: float):
+    """Judge of immersion, free and construct modes: each of the jets must
+    have full rank, which `messages` (one per jet, formatted with its rank)
+    says where it has not. The criterion is the least sigma_min of the jets.
+    The reasons rank lowest first: a jet without a verdict hides rank
+    deficiency, and an earlier jet comes before a later one."""
 
     def judge(chunk):
-        r = jet.ranks(chunk, tol)
-        reasons = _rank_deficient(r, f"rank {{}} < {rows}")
-        reasons.update(r.reasons)
-        return r.sigma_min, r.valid, reasons
+        ranks = jet.ranks(chunk, tol)
+        reasons = {}
+        for r, message in reversed(list(zip(ranks, messages))):
+            reasons.update(_rank_deficient(r, message))
+        for r in reversed(ranks):
+            reasons.update(r.reasons)
+        crit, valid = ranks[0].sigma_min, ranks[0].valid
+        for r in ranks[1:]:
+            crit = np.where(r.sigma_min < crit, r.sigma_min, crit)
+            valid = valid & r.valid
+        return crit, valid, reasons
 
     judge.floats = lambda: jet.floats
     return judge
@@ -200,28 +222,48 @@ def _identity_judge(identity: DetIdentity, tol: float):
     return judge
 
 
-def _mode_judge(mode: str, frame: Frame, smap: SmoothMap, tol: float, outer: SmoothMap | None):
-    """Judge of immersion, free or identity mode; None below the critical
-    dimension. Identity mode's outer map defaults to monomial_free_map(k)."""
+def _below_critical(tol: float):
+    """The judge of a check below the critical dimension: none."""
+    return None
+
+
+def _judges(mode: str, frame: Frame, smap: SmoothMap, outer: SmoothMap | None):
+    """The compiled check of immersion, free, construct or identity mode, as
+    a function that makes its judge for a tolerance. Construct mode ranks D1
+    of the map f and D2 of outer(f) in one tape; its outer map defaults to
+    monomial_free_map(q), and identity mode's to monomial_free_map(k)."""
+    k, rows = frame.k, frame.k + s(frame.k)
     if mode == "identity":
-        return _identity_judge(DetIdentity(frame, smap, outer or monomial_free_map(frame.k)), tol)
-    if mode in ("immersion", "free"):
-        return _rank_judge(frame, smap, tol, mode)
-    raise ValueError(f"mode must be immersion, free or identity, got {mode!r}")
+        return partial(_identity_judge, DetIdentity(frame, smap, outer or monomial_free_map(k)))
+    if mode == "immersion":
+        if smap.q < k:
+            return _below_critical
+        return partial(_rank_judge, compiled_d1(frame, smap), [f"rank {{}} < {k}"])
+    if mode == "free":
+        if smap.q < rows:
+            return _below_critical
+        return partial(_rank_judge, compiled_d2(frame, smap), [f"rank {{}} < {rows}"])
+    if mode == "construct":
+        composite = compose(outer or monomial_free_map(smap.q), smap)
+        if smap.q < k or composite.q < rows:
+            return _below_critical
+        jet = CompiledJet([d1_exprs(frame, smap), d2_exprs(frame, composite)], frame.chart)
+        return partial(_rank_judge, jet, [f"immersion rank {{}} < {k}", f"free-map rank {{}} < {rows}"])
+    raise ValueError(f"mode must be immersion, free, construct or identity, got {mode!r}")
 
 
 def _check(points: np.ndarray, frame: Frame, smap: SmoothMap, mode: str, tol: float, outer=None) -> Report:
     """check_points over points already validated."""
     started = time.perf_counter()
-    judge = _mode_judge(mode, frame, smap, tol, outer)
+    judge = _judges(mode, frame, smap, outer)(tol)
     return _run(mode, points, judge, mode != "identity", started)
 
 
 def check_points(
     frame: Frame, smap: SmoothMap, points, mode: str, tol: float = DEFAULT_TOL, outer: SmoothMap | None = None
 ) -> Report:
-    """Immersion, free or identity check of the map over points (see
-    Chart.point_array), as run_check makes it over a manifest's samples."""
+    """Immersion, free, construct or identity check of the map over points
+    (see Chart.point_array), as run_check makes it over a manifest's samples."""
     return _check(frame.chart.point_array(points), frame, smap, mode, tol, outer)
 
 
@@ -268,11 +310,9 @@ def bracket_law_residuals(bracket, tests):
     return residuals
 
 
-def _bracket_judge(bracket, chart, tests, tol: float):
-    """Judge of the bracket laws over the test expressions."""
-    residuals = bracket_law_residuals(bracket, tests)
-    labels = [label for label, _ in residuals]
-    run = compile_batch([expr for _, expr in residuals], chart.coords)
+def _bracket_judge(labels, run, tol: float):
+    """Judge of the bracket laws: `run` is the compiled residuals, labelled
+    by `labels` (see bracket_law_residuals)."""
 
     def judge(chunk):
         values, errors = run(chunk)
@@ -291,83 +331,39 @@ def _bracket_judge(bracket, chart, tests, tol: float):
     return judge
 
 
+def _plan_judges(m: Manifest, plan):
+    """The compiled check of a manifest's plan (see _judges)."""
+    if m.mode != "bracket-laws":
+        return _judges(m.mode, plan.frame, plan.smap, plan.outer)
+    residuals = bracket_law_residuals(plan.bracket, plan.smap.components)
+    run = compile_batch([expr for _, expr in residuals], m.chart.coords)
+    return partial(_bracket_judge, [label for label, _ in residuals], run)
+
+
+def _check_manifest(m: Manifest, points: np.ndarray, tol: float, started: float) -> Report:
+    """The check of a manifest at the given points and tolerance. Its plan,
+    and the tapes compiled from it, are built at its first check and kept
+    on the manifest for the later ones."""
+    plan = build_plan(m)
+    if plan.judge is None:
+        try:
+            plan.judge = _plan_judges(m, plan)
+        except RecursionError:  # a jet or a residual too deep for simplify, diff or compilation
+            raise too_deep(m) from None
+    return _run(m.mode, points, plan.judge(tol), m.mode not in ("identity", "bracket-laws"), started, m.notes)
+
+
 def run_check(m: Manifest) -> Report:
     """Execute a manifest's check over its sampled domain."""
     started = time.perf_counter()
-    plan = build_plan(m)
-    try:
-        if m.mode == "bracket-laws":
-            judge = _bracket_judge(plan.bracket, m.chart, plan.smap.components, m.tolerance)
-        else:
-            judge = _mode_judge(m.mode, plan.frame, plan.smap, m.tolerance, plan.outer)
-    except RecursionError:  # a jet or a residual too deep for simplify, diff or compilation
-        raise too_deep(m) from None
-    return _run(m.mode, plan.points, judge, m.mode in ("immersion", "free"), started)
+    return _check_manifest(m, draw_points(m), m.tolerance, started)
 
 
-def run_fixture(fix, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> Report:
-    """Run a gallery fixture: expected-formula comparison, immersion check of
-    the candidate map, free check of the composed map and first-integral
-    witnesses; for a fixture without an immersion (novikov-t3), the bracket
-    laws of its bracket instead. The other fixtures' `bracket` fields are
-    read only by tests/test_acceptance.py."""
+def run_fixture(fix: Manifest, samples: int = 10000, seed: int = 0, tol: float = 1e-9) -> Report:
+    """Run a gallery fixture (see gallery.fixture) at `samples` random points
+    drawn from `seed`, with tolerance `tol`; a bracket-laws fixture's
+    tolerance is at least its manifest's (novikov-t3: 1e-8)."""
     started = time.perf_counter()
-    points = sample_points(fix.chart, samples, seed)
-    if fix.immersion is None:
-        judge = _bracket_judge(fix.bracket, fix.chart, list(fix.bracket_tests), max(tol, 1e-8))
-        return _run("gallery", points, judge, False, started, fix.notes)
-
-    k = fix.frame.k
-    d1 = compiled_d1(fix.frame, fix.immersion)
-    d2 = compiled_d2(fix.frame, fix.free_map)
-    # per expected entry its residual and its scale, then the witnesses
-    formulas = []
-    for row, col, expr in fix.expected:
-        actual = lie_derivative(fix.frame.vectors[row], fix.immersion.components[col])
-        formulas += [simplify(Sub(actual, expr)), expr]
-    formulas += [
-        simplify(Sub(lie_derivative(fix.frame.vectors[0], w), expect))
-        for w, expect in fix.witnesses
-    ]
-    run = compile_batch(formulas, fix.chart.coords)
-    n_expected = len(fix.expected)
-
-    def judge(chunk):
-        values, errors = run(chunk)
-        if errors:  # a fixture's formulas are defined on its whole box
-            raise errors[min(errors)][1]
-        size = np.abs(values, out=values)
-        residual = size[:, : 2 * n_expected : 2]
-        scale = size[:, 1 : 2 * n_expected : 2]
-        np.maximum(scale, 1.0, out=scale)
-        scale *= 1e-10  # each residual's bound, in place of its scale
-        mismatch = residual > scale
-        witness = size[:, 2 * n_expected :] > 1e-12
-        formula_reasons = {}  # the first witness, then the first mismatch over it
-        for i in np.flatnonzero(witness.any(axis=1)).tolist():
-            j = int(np.argmax(witness[i]))
-            formula_reasons[i] = f"witness {j} derivative not zero: {float(size[i, 2 * n_expected + j]):.3e}"
-        for i in np.flatnonzero(mismatch.any(axis=1)).tolist():
-            j = int(np.argmax(mismatch[i]))
-            row, col, _ = fix.expected[j]
-            formula_reasons[i] = f"expected formula mismatch at jet entry ({row},{col}): {float(residual[i, j]):.3e}"
-        # each jet's least sigma_min is exact among the points folded
-        folded = valid_mask(len(chunk), formula_reasons)
-        r1 = d1.ranks(chunk, tol, folded)
-        r2 = d2.ranks(chunk, tol, folded & r1.valid)
-        if not r2.valid[folded & r1.valid].all():  # D1's least may be a point D2 leaves out
-            r1 = d1.ranks(chunk, tol, folded & r2.valid)
-        has_crit = folded & r1.valid & r2.valid
-        # lowest first: a formula mismatch hides the jets, a jet without a
-        # verdict hides rank deficiency, and D1 comes before D2
-        reasons = _rank_deficient(r2, f"free-map rank {{}} < {k + s(k)}")
-        reasons.update(_rank_deficient(r1, f"immersion rank {{}} < {k}"))
-        reasons.update(r2.reasons)
-        reasons.update(r1.reasons)
-        reasons.update(formula_reasons)
-        crit = np.where(r2.sigma_min < r1.sigma_min, r2.sigma_min, r1.sigma_min)
-        return crit, has_crit, reasons
-
-    # the formulas' masks hold a byte per formula
-    judge.floats = lambda: run.floats() + -(-len(formulas) // 8) + d1.floats + d2.floats
-    return _run("gallery", points, judge, True, started, fix.notes)
+    if fix.mode == "bracket-laws":
+        tol = max(tol, fix.tolerance)
+    return _check_manifest(fix, sample_points(fix.chart, samples, seed), tol, started)

@@ -72,6 +72,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_gal = sub.add_parser("gallery", help="list or run the built-in fixtures")
     gal_sub = p_gal.add_subparsers(dest="gallery_command", required=True)
     gal_sub.add_parser("list", help="print the fixture names")
+    gal_sub.add_parser("show", help="print a fixture's manifest").add_argument("name")
     p_run = gal_sub.add_parser("run", help="run one fixture end to end")
     p_run.add_argument("name")
     p_run.add_argument("--samples", type=int, default=10000)
@@ -143,6 +144,9 @@ def main(argv=None) -> int:
                     print(name)
                 return EXIT_PASS
             try:
+                if args.gallery_command == "show":
+                    print(gallery.show(args.name), end="")
+                    return EXIT_PASS
                 fix = gallery.fixture(args.name)
             except KeyError as exc:
                 print(exc, file=sys.stderr)

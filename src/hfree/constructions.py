@@ -75,7 +75,8 @@ class DetIdentity:
         """What residuals() holds per point at its peak. It ranks nothing, so
         it holds no Gram screen, and np.linalg.det copies one matrix at a
         time."""
-        inner, outer = self.inner.shape[0] * self.inner.shape[1], self.outer.shape[0] * self.outer.shape[1]
+        ((rows, cols),), ((outer_rows, outer_cols),) = self.inner.shapes, self.outer.shapes
+        inner, outer = rows * cols, outer_rows * outer_cols
         # while each tape runs, the stacks made before it; outer.at runs on the
         # image at the defined points, beside the np.full outer stack; then the
         # three stacks (the composite's is shaped as the outer's) and at most
@@ -92,20 +93,20 @@ class DetIdentity:
         """Stacks of the order-2 jets of f, of outer at f(p) and of outer(f),
         and a dict mapping each point where one of them faulted to its error,
         named by the first block that faulted."""
-        d2_inner, errors = self.inner.at(points)
+        (d2_inner,), errors = self.inner.at(points)
         failures = {i: type(exc)(f"inner jet block: {exc}") for i, exc in errors.items()}
         image, errors = self.image(points)
         for i, (_, exc) in errors.items():
             failures.setdefault(i, type(exc)(f"outer jet block: {exc}"))
         # the outer jet is taken along the standard frame at the image points,
         # which may fall outside the outer chart's sampling box
-        d2_outer = np.full((len(points),) + self.outer.shape, np.nan)
+        d2_outer = np.full((len(points),) + self.outer.shapes[0], np.nan)
         defined = np.flatnonzero(valid_mask(len(points), failures))
         if defined.size:
-            d2_outer[defined], errors = self.outer.at(image[defined])
+            (d2_outer[defined],), errors = self.outer.at(image[defined])
             for j, exc in errors.items():
                 failures.setdefault(int(defined[j]), type(exc)(f"outer jet block: {exc}"))
-        d2_composite, errors = self.composite.at(points)
+        (d2_composite,), errors = self.composite.at(points)
         for i, exc in errors.items():
             failures.setdefault(i, type(exc)(f"composite jet block: {exc}"))
         return d2_inner, d2_outer, d2_composite, failures

@@ -1,211 +1,155 @@
-"""Named runnable fixtures: chart, frame, candidate immersion, the composed
-free map, and the closed-form derivatives they are expected to reproduce."""
+"""The gallery: named manifests that check PAPER.md's construction, a free
+map F composed with a partial immersion f, in construct mode (novikov-t3
+checks the bracket laws of its structure instead). `show` gives a fixture's
+manifest text, which `hfree check` runs as `gallery run` does; `fixture`
+parses it once per process, so the plan and tapes built at its first check
+serve every later one."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import partial
+import textwrap
 
-from .brackets import (
-    RPStructure,
-    SymplecticChart,
-    contact_frame,
-    hamiltonian_field,
-    novikov_structure,
-    poisson_bracket,
-)
-from .constructions import compose, monomial_free_map
-from .expr import parse
-from .fields import Chart, Frame, SmoothMap, VectorField
+from .manifest import Manifest, parse_manifest_text
 
 
-@dataclass(frozen=True)
-class Fixture:
-    name: str
-    chart: Chart | None
-    frame: Frame | None
-    immersion: SmoothMap | None
-    free_map: SmoothMap | None
-    # (row, col, expr): entry (row, col) of the order-1 jet matrix must equal
-    # expr at every sampled point
-    expected: tuple = ()
-    # (expr, expected Lie derivative along frame field 0); used for
-    # first-integral witnesses, whose derivative is identically zero
-    witnesses: tuple = ()
-    # callable (Expr, Expr) -> Expr plus test expressions. run_fixture checks
-    # the bracket laws only for novikov-t3; for the tori and riemann-poisson-e3
-    # they are test data, read only by tests/test_acceptance.py
-    bracket: object = None
-    bracket_tests: tuple = ()
-    notes: tuple = ()
+def _planar(vector, component: str) -> str:
+    return f"""[manifold]
+coords = [x, y]
+box = [[-2, 2], [-2, 2]]
+
+[frame]
+vectors = [["{vector[0]}", "{vector[1]}"]]
+
+[map]
+components = ["{component}"]
+
+[check]
+mode = construct
+"""
 
 
-def _planar_chart() -> Chart:
-    return Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
+def _torus(n: int) -> str:
+    """integrable-torus-n: the canonical frame of the first integrals
+    exp(p_a) cos(phi_a) on T^n x R^n."""
+    axes = range(1, n + 1)
+    quoted = lambda form: ", ".join(f'"{form.format(a=a)}"' for a in axes)
+    return f"""[manifold]
+coords = [{", ".join(f"phi{a}" for a in axes)}, {", ".join(f"p{a}" for a in axes)}]
+box = [{", ".join([f"[0, {2 * math.pi!r}]"] * n + ["[-2, 2]"] * n)}]
+periodic = [{", ".join(["true"] * n + ["false"] * n)}]
+
+[structure]
+type = canonical
+n = {n}
+hamiltonians = [{quoted("exp(p{a})*cos(phi{a})")}]
+
+[map]
+components = [{quoted("exp(p{a})*sin(phi{a})")}]
+
+[check]
+mode = construct
+"""
 
 
-def _planar_fixture(name, xi_comps, immersion_src, expected_src, witness_src, notes=()):
-    chart = _planar_chart()
-    xi = VectorField(chart, tuple(parse(s) for s in xi_comps))
-    frame = Frame(chart, (xi,))
-    immersion = SmoothMap(chart, (parse(immersion_src),))
-    witnesses = ()
-    if witness_src is not None:
-        witnesses = ((parse(witness_src), parse("0")),)
-    return Fixture(
-        name=name,
-        chart=chart,
-        frame=frame,
-        immersion=immersion,
-        free_map=compose(monomial_free_map(1), immersion),
-        expected=((0, 0, parse(expected_src)),),
-        witnesses=witnesses,
-        notes=tuple(notes),
-    )
+def _contact(n: int) -> str:
+    """contact-n: the projection that forgets t, along the contact frame."""
+    coords = [f"x{i}" for i in range(1, n + 1)] + [f"p{i}" for i in range(1, n + 1)]
+    return f"""[structure]
+type = contact
+n = {n}
+
+[map]
+components = [{", ".join(f'"{c}"' for c in coords)}]
+
+[check]
+mode = construct
+"""
 
 
-def _torus_fixture(n: int) -> Fixture:
-    coords = tuple(f"phi{a + 1}" for a in range(n)) + tuple(f"p{a + 1}" for a in range(n))
-    box = tuple(((0.0, 2 * math.pi) if i < n else (-2.0, 2.0)) for i in range(2 * n))
-    periodic = tuple(i < n for i in range(2 * n))
-    chart = Chart(coords=coords, box=box, periodic=periodic)
-    sc = SymplecticChart(n=n, chart=chart)
-    fields = tuple(
-        hamiltonian_field(sc, parse(f"exp(p{a + 1})*cos(phi{a + 1})")) for a in range(n)
-    )
-    frame = Frame(chart, fields)
-    immersion = SmoothMap(
-        chart, tuple(parse(f"exp(p{a + 1})*sin(phi{a + 1})") for a in range(n))
-    )
-    expected = []
-    for a in range(n):
-        for i in range(n):
-            expected.append((a, i, parse(f"exp(2*p{a + 1})" if a == i else "0")))
-    return Fixture(
-        name=f"integrable-torus-{n}",
-        chart=chart,
-        frame=frame,
-        immersion=immersion,
-        free_map=compose(monomial_free_map(n), immersion),
-        expected=tuple(expected),
-        bracket=partial(poisson_bracket, sc),
-        bracket_tests=tuple(
-            parse(s)
-            for s in [f"exp(p{a + 1})*cos(phi{a + 1})" for a in range(n)]
-            + [f"exp(p{a + 1})*sin(phi{a + 1})" for a in range(n)]
+_RIEMANN_POISSON_E3 = """[manifold]
+coords = [x, y, z]
+box = [[-2, 2], [-2, 2], [-2, 2]]
+
+[structure]
+type = riemann-poisson
+H = ["(1-y^2)*exp(x)"]
+hamiltonian = "(1+x^2)*z + sin(x*y)"
+sign = -1
+
+[map]
+components = ["y*exp(x)"]
+
+[check]
+mode = construct
+"""
+
+_NOVIKOV_T3 = f"""[manifold]
+coords = [theta1, theta2, theta3]
+box = [[0, {2 * math.pi!r}], [0, {2 * math.pi!r}], [0, {2 * math.pi!r}]]
+periodic = [true, true, true]
+
+[structure]
+type = riemann-poisson
+H_gradients = [["0", "0", "1"]]
+
+[map]
+components = ["sin(theta1) + cos(theta2)", "cos(theta1)*sin(theta3)", "sin(theta2)*cos(theta3) + sin(theta1)"]
+
+[check]
+mode = bracket-laws
+tolerance = 1e-8
+"""
+
+# name -> (manifest text, notes its reports carry)
+_FIXTURES = {
+    "planar-hamiltonian": (_planar(("2*y", "1 - y^2"), "y*exp(x)"), ()),
+    "planar-finite-type": (_planar(("3*y - 1", "1 - y^2"), "y*exp(x)"), ()),
+    "planar-intrinsically-exact": (
+        _planar(("y*(1 - y^2)", "1 - 3*y^2"), "y*(1 - y^2)*exp(x)"),
+        (
+            "the source displays this derivative without the exp(x) factor; "
+            "direct computation carries it, consistent with the general "
+            "norm-squared-over-weight rule",
         ),
-    )
-
-
-def _rp_e3_fixture() -> Fixture:
-    chart = Chart(coords=("x", "y", "z"), box=((-2.0, 2.0),) * 3)
-    structure = RPStructure.from_functions(chart, [parse("(1-y^2)*exp(x)")])
-    lam = "(1+x^2)"
-    h = parse(f"{lam}*z + sin(x*y)")
-    sign = -1
-    frame = Frame(chart, (hamiltonian_field(structure, h, sign=sign),))
-    immersion = SmoothMap(chart, (parse("y*exp(x)"),))
-    return Fixture(
-        name="riemann-poisson-e3",
-        chart=chart,
-        frame=frame,
-        immersion=immersion,
-        free_map=compose(monomial_free_map(1), immersion),
-        expected=((0, 0, parse(f"(1+y^2)*{lam}*exp(2*x)")),),
-        bracket=partial(poisson_bracket, structure),
-        bracket_tests=(parse("x*y"), parse("y*z - x"), parse("x^2 + z")),
-        notes=(
+    ),
+    **{f"integrable-torus-{n}": (_torus(n), ()) for n in (1, 2, 3)},
+    "riemann-poisson-e3": (
+        _RIEMANN_POISSON_E3,
+        (
             "sign pinned to -1: with rows (grad H, grad h, grad f) the plain "
             "gradient determinant gives -(1+y^2)*lambda*exp(2x) for f = y*exp(x)",
         ),
-    )
+    ),
+    "novikov-t3": (_NOVIKOV_T3, ("bracket-laws only: no immersion is claimed for this structure",)),
+    **{f"contact-{n}": (_contact(n), ()) for n in (1, 2)},
+}
 
-
-def _novikov_fixture() -> Fixture:
-    structure = novikov_structure((0.0, 0.0, 1.0))
-    return Fixture(
-        name="novikov-t3",
-        chart=structure.chart,
-        frame=None,
-        immersion=None,
-        free_map=None,
-        bracket=partial(poisson_bracket, structure),
-        bracket_tests=(
-            parse("sin(theta1) + cos(theta2)"),
-            parse("cos(theta1)*sin(theta3)"),
-            parse("sin(theta2)*cos(theta3) + sin(theta1)"),
-        ),
-        notes=("bracket-laws only: no immersion is claimed for this structure",),
-    )
-
-
-def _contact_fixture(n: int) -> Fixture:
-    frame = contact_frame(n)
-    chart = frame.chart
-    immersion = SmoothMap(chart, tuple(parse(c) for c in chart.coords[:-1]))
-    k = 2 * n
-    expected = tuple(
-        (a, i, parse("1" if a == i else "0")) for a in range(k) for i in range(k)
-    )
-    return Fixture(
-        name=f"contact-{n}",
-        chart=chart,
-        frame=frame,
-        immersion=immersion,
-        free_map=compose(monomial_free_map(k), immersion),
-        expected=expected,
-    )
-
-
-def _build_registry() -> dict:
-    fixtures = [
-        _planar_fixture(
-            "planar-hamiltonian",
-            ("2*y", "1 - y^2"),
-            "y*exp(x)",
-            "(1 + y^2)*exp(x)",
-            "(1 - y^2)*exp(x)",
-        ),
-        _planar_fixture(
-            "planar-finite-type",
-            ("3*y - 1", "1 - y^2"),
-            "y*exp(x)",
-            "(2*y^2 - y + 1)*exp(x)",
-            "(1 - y)*(1 + y)^2*exp(x)",
-        ),
-        _planar_fixture(
-            "planar-intrinsically-exact",
-            ("y*(1 - y^2)", "1 - 3*y^2"),
-            "y*(1 - y^2)*exp(x)",
-            "(y^2*(1 - y^2)^2 + (1 - 3*y^2)^2)*exp(x)",
-            None,
-            notes=(
-                "the source displays this derivative without the exp(x) factor; "
-                "direct computation carries it, consistent with the general "
-                "norm-squared-over-weight rule",
-            ),
-        ),
-        _torus_fixture(1),
-        _torus_fixture(2),
-        _torus_fixture(3),
-        _rp_e3_fixture(),
-        _novikov_fixture(),
-        _contact_fixture(1),
-        _contact_fixture(2),
-    ]
-    return {f.name: f for f in fixtures}
-
-
-_REGISTRY = _build_registry()
+_parsed: dict = {}
 
 
 def list_fixtures() -> list[str]:
-    return list(_REGISTRY)
+    return list(_FIXTURES)
 
 
-def fixture(name: str) -> Fixture:
+def _entry(name: str):
     try:
-        return _REGISTRY[name]
+        return _FIXTURES[name]
     except KeyError:
-        raise KeyError(f"unknown fixture '{name}'; known: {', '.join(_REGISTRY)}") from None
+        raise KeyError(f"unknown fixture '{name}'; known: {', '.join(_FIXTURES)}") from None
+
+
+def show(name: str) -> str:
+    """The fixture's manifest text, its notes as leading comments."""
+    text, notes = _entry(name)
+    comments = [f"# {line}\n" for note in notes for line in textwrap.wrap(f"note: {note}", 76)]
+    return "".join(comments) + ("\n" if comments else "") + text
+
+
+def fixture(name: str) -> Manifest:
+    """The fixture's manifest, parsed at the first call in a process."""
+    if name not in _parsed:
+        text, notes = _entry(name)
+        _parsed[name] = parse_manifest_text(text)
+        _parsed[name].notes = notes
+    return _parsed[name]

@@ -67,7 +67,7 @@ def d2_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
 
 
 def _one(jet: CompiledJet, point: np.ndarray) -> np.ndarray:
-    entries, errors = jet.at(point)
+    (entries,), errors = jet.at(point)
     if errors:
         raise errors[0]
     return entries[0]
@@ -418,25 +418,31 @@ def _svd(stack: np.ndarray, index: np.ndarray, reasons: dict) -> np.ndarray:
 
 
 class CompiledJet:
-    """Row expressions compiled into one tape of numpy calls (see
-    expr.compile_batch), run over a chunk of points at a time, and the
-    pattern of their entries, read once, when they are compiled: an entry
-    that is the constant 0 is 0 at every point. `at_floats` is what `at`
-    holds per point, the tape's, and `floats` what `ranks` holds: the tape's
-    and the Gram screen's (see Pattern.floats)."""
+    """Jets' row expressions compiled into one tape of numpy calls (see
+    expr.compile_batch), each jet a range of its columns, run over a chunk of
+    points at a time, and the pattern of each jet's entries, read once, when
+    they are compiled: an entry that is the constant 0 is 0 at every point.
+    A node that two jets share, such as L_a f inside L_a(F o f), is one op of
+    the tape. `at_floats` is what `at` holds per point, the tape's, and
+    `floats` what `ranks` holds: the tape's and the largest Gram screen's
+    (see Pattern.floats), since it ranks one jet at a time."""
 
-    def __init__(self, rows, chart):
-        self.shape = (len(rows), len(rows[0]))
-        entries = [e for row in rows for e in row]
+    def __init__(self, jets, chart):
+        """`jets`: each jet's rows of expressions."""
+        self.shapes = [(len(rows), len(rows[0])) for rows in jets]
+        # the column where each jet after the first starts
+        self._cuts = np.cumsum([rows * cols for rows, cols in self.shapes])[:-1]
+        entries = [e for rows in jets for row in rows for e in row]
         self._run = compile_batch(entries, chart.coords)
-        self._nonzero = [not (type(e) is Const and e.value == 0) for e in entries]
-        self._pattern = None
+        self._nonzero = np.array([not (type(e) is Const and e.value == 0) for e in entries])
+        self._patterns = None
 
     @property
-    def pattern(self) -> Pattern:
-        if self._pattern is None:  # the first time the jet is ranked
-            self._pattern = Pattern(np.array(self._nonzero).reshape(self.shape))
-        return self._pattern
+    def patterns(self) -> list[Pattern]:
+        if self._patterns is None:  # the first time the jets are ranked
+            parts = np.split(self._nonzero, self._cuts)
+            self._patterns = [Pattern(part.reshape(shape)) for part, shape in zip(parts, self.shapes)]
+        return self._patterns
 
     @property
     def at_floats(self) -> int:
@@ -444,19 +450,34 @@ class CompiledJet:
 
     @property
     def floats(self) -> int:
-        return self.at_floats + self.pattern.floats
+        return self.at_floats + max(pattern.floats for pattern in self.patterns)
 
     def at(self, points: np.ndarray):
-        """The (n, rows, cols) stack of jet matrices at an (n, dim) array of
-        points, and a dict mapping each point where evaluation faulted to its
-        EvalError; that point's matrix is nan, and every other is finite."""
+        """Each jet's (n, rows, cols) stack of matrices at an (n, dim) array
+        of points, and a dict mapping each point where evaluation faulted to
+        the EvalError of its first faulting entry, in jet order; that point's
+        matrices are nan in every jet, and every other is finite."""
         values, errors = self._run(points)
-        entries = values.reshape((len(points),) + self.shape)
-        return entries, {i: exc for i, (_, exc) in errors.items()}
+        parts = np.split(values, self._cuts, axis=1)
+        stacks = [part.reshape((len(points),) + shape) for part, shape in zip(parts, self.shapes)]
+        return stacks, {i: exc for i, (_, exc) in errors.items()}
 
-    def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, exact=None) -> StackRanks:
-        entries, errors = self.at(points)
-        return stack_ranks(entries, tol, errors, exact, pattern=self.pattern)
+    def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> list[StackRanks]:
+        """Each jet's rank verdicts at the points (see stack_ranks). A point
+        that faults has no verdict in any jet, and each jet's least sigma_min
+        is exact among the points where every other jet has a verdict: each
+        jet is ranked among the points the jets before it kept, and one whose
+        least a later jet may have left without a verdict is ranked again."""
+        stacks, errors = self.at(points)
+        ranks, valid = [], np.ones(len(points), dtype=bool)
+        for stack, pattern in zip(stacks, self.patterns):
+            ranks.append(stack_ranks(stack, tol, errors, valid, pattern=pattern))
+            valid = valid & ranks[-1].valid
+        for i, r in enumerate(ranks[:-1]):
+            others = np.logical_and.reduce([o.valid for o in ranks[:i] + ranks[i + 1 :]])
+            if (r.valid & ~others).any():
+                ranks[i] = stack_ranks(stacks[i], tol, errors, others, pattern=self.patterns[i])
+        return ranks
 
 
 # Compiled jets by map, then by (frame, order). An entry leaves when its map
@@ -467,12 +488,12 @@ _jets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
     jets = _jets.setdefault(f, {})
     if (frame, 1) not in jets:
-        jets[frame, 1] = CompiledJet(d1_exprs(frame, f), frame.chart)
+        jets[frame, 1] = CompiledJet([d1_exprs(frame, f)], frame.chart)
     return jets[frame, 1]
 
 
 def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
     jets = _jets.setdefault(f, {})
     if (frame, 2) not in jets:
-        jets[frame, 2] = CompiledJet(d2_exprs(frame, f), frame.chart)
+        jets[frame, 2] = CompiledJet([d2_exprs(frame, f)], frame.chart)
     return jets[frame, 2]

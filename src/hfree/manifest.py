@@ -9,15 +9,18 @@ Sections: [manifold] (coords, box, periodic), [frame] (vectors) or
 (coords, components), [check] (mode, samples, seed, tolerance, grid).
 
 `parse_manifest_text` reads the text into a Manifest; `build_plan` builds
-and validates everything its check needs. An error in either is a
-ManifestError, and one raised while building names its section.
+and validates the frame and the maps, or the bracket, that its check needs,
+once: the plan stays on the manifest, so a later check of it reuses them and
+what a check compiled from them. `draw_points` samples its [check] domain.
+An error in any of them is a ManifestError, and one raised while building
+names its section.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -38,7 +41,7 @@ class ManifestError(Exception):
         super().__init__(message)
 
 
-MODES = ("immersion", "free", "identity", "bracket-laws")
+MODES = ("immersion", "free", "construct", "identity", "bracket-laws")
 
 
 @dataclass
@@ -53,6 +56,9 @@ class Manifest:
     seed: int = 0
     tolerance: float = 1e-9
     grid: list | None = None
+    notes: tuple = ()  # lines its reports carry; only the gallery's manifests have them
+    # build_plan's plan, built at the first check (see build_plan)
+    plan: Plan | None = field(default=None, init=False, repr=False, compare=False)
 
 
 def _parse_value(text: str, line: int):
@@ -251,21 +257,31 @@ def _parse_expr(src):
 class Plan:
     """What a manifest's check runs on, built and validated by build_plan."""
 
-    points: np.ndarray  # the sample points, one finite (n, dim) array
-    frame: Frame | None = None  # immersion, free and identity modes
+    frame: Frame | None = None  # every mode but bracket-laws
     smap: SmoothMap | None = None  # the map; in bracket-laws mode, the test functions
-    outer: SmoothMap | None = None  # identity mode
+    outer: SmoothMap | None = None  # construct and identity modes
     bracket: object = None  # bracket-laws mode: (Expr, Expr) -> Expr
+    judge: object = None  # what the check compiles from the rest (see checks._check_manifest)
 
 
 def build_plan(m: Manifest) -> Plan:
-    """Build the sample points and, for the manifest's mode, the frame and the
-    map, the outer map (identity mode), or the bracket and its test functions
-    (bracket-laws mode). Every error is a ManifestError naming its section."""
-    try:
-        return _build_plan(m)
-    except RecursionError:
-        raise too_deep(m) from None
+    """Build, for the manifest's mode, the frame and the map, the outer map
+    (construct and identity modes), or the bracket and its test functions
+    (bracket-laws mode). Every error is a ManifestError naming its section.
+    The plan is built once and kept on the manifest: its sections must not
+    change after its first check."""
+    if m.plan is None:
+        try:
+            m.plan = _build_plan(m)
+        except RecursionError:
+            raise too_deep(m) from None
+    return m.plan
+
+
+def draw_points(m: Manifest) -> np.ndarray:
+    """The manifest's sample points, one finite (n, dim) array."""
+    with _section("check"):
+        return sample_points(m.chart, m.samples, m.seed, m.grid)
 
 
 def too_deep(m: Manifest) -> ManifestError:
@@ -290,21 +306,23 @@ def _texts(value):
 def _build_plan(m: Manifest) -> Plan:
     if m.mode not in MODES:
         raise ManifestError(f"bad [check] section: mode must be one of {MODES}, got {m.mode!r}")
-    with _section("check"):
-        plan = Plan(sample_points(m.chart, m.samples, m.seed, m.grid))
     if m.mode == "bracket-laws":
-        plan.bracket, plan.smap = _build_bracket(m), build_map(m)
+        plan = Plan(bracket=_build_bracket(m), smap=build_map(m))
         if plan.smap.q < 3:
             raise ManifestError("bad [map] section: bracket-laws mode needs three test functions")
         return plan
-    plan.frame, plan.smap = build_frame(m), build_map(m)
-    k = plan.frame.k
+    plan = Plan(frame=build_frame(m), smap=build_map(m))
+    k, q = plan.frame.k, plan.smap.q
     if m.mode == "identity":
-        if plan.smap.q != k:
+        if q != k:
             raise ManifestError(f"bad [map] section: identity mode needs a map with {k} components")
         plan.outer = build_outer(m, k)
         if plan.outer.chart.dim != k or plan.outer.q != k + s(k):
             raise ManifestError(f"bad [outer] section: outer map must be {k} -> {k + s(k)}")
+    elif m.mode == "construct":
+        plan.outer = build_outer(m, q)
+        if plan.outer.chart.dim != q:
+            raise ManifestError(f"bad [outer] section: outer map needs {q} coordinates, one per map component")
     return plan
 
 
@@ -376,15 +394,16 @@ def build_map(m: Manifest) -> SmoothMap:
         return SmoothMap(m.chart, tuple(_parse_expr(c) for c in m.map_components))
 
 
-def build_outer(m: Manifest, k: int) -> SmoothMap:
-    """The outer map of identity mode: the [outer] components over its coords
-    (x1..xk by default), or the monomial free map F_k without [outer]. The
-    outer chart's box, (-2, 2) on every axis, is never sampled: DetIdentity
-    evaluates the outer jet at the image points f(p), with no box check."""
+def build_outer(m: Manifest, dim: int) -> SmoothMap:
+    """The outer map of construct and identity modes: the [outer] components
+    over its coords (x1..x<dim> by default), or the monomial free map of dim
+    coordinates without [outer]. The outer chart's box, (-2, 2) on every
+    axis, is never sampled: each mode reads the outer map at the image
+    points f(p), with no box check."""
     if m.outer is None:
-        return monomial_free_map(k)
+        return monomial_free_map(dim)
     with _section("outer"):
-        coords = [str(c) for c in m.outer.get("coords", [f"x{i + 1}" for i in range(k)])]
+        coords = [str(c) for c in m.outer.get("coords", [f"x{i + 1}" for i in range(dim)])]
         chart = Chart(coords=tuple(coords), box=((-2.0, 2.0),) * len(coords))
         return SmoothMap(chart, tuple(_parse_expr(c) for c in m.outer["components"]))
 

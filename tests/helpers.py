@@ -3,11 +3,15 @@ oracle for the compiled engine, a bounded random expression generator, the
 central-difference oracle used to validate symbolic derivatives, a memo-free
 reference simplifier and derivative, the jet helpers that only tests use
 (the anticommutator, the flat norm, the symmetric square and the block law
-of the chain-rule factorization), and a strict RFC 8259 JSON reader."""
+of the chain-rule factorization), the contact form's pairings, the gallery
+fixtures' built parts and the closed forms they reproduce, and a strict
+RFC 8259 JSON reader."""
 
 import json
 import math
 import random
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -27,8 +31,12 @@ from hfree.expr import (
     ZERO,
     _rewrite,
 )
+from hfree import gallery
+from hfree.constructions import compose
+from hfree.expr import parse
 from hfree.fields import ChartMismatch, lie_derivative, simplified_sum, symmetrize
 from hfree.jets import pair_labels
+from hfree.manifest import _build_bracket, build_plan
 
 
 def evaluate(e, point: dict) -> float:
@@ -245,6 +253,78 @@ def block_residual(d2_inner, d2_outer, d2_composite) -> float:
     prod = block @ d2_outer
     scale = max(1.0, float(np.abs(d2_composite).max()), float(np.abs(prod).max()))
     return float(np.abs(d2_composite - prod).max()) / scale
+
+
+def contact_form_values(frame) -> list:
+    """Pairings of the annihilating one-form dt + p_i dx^i with each frame
+    field; all must simplify to zero.
+
+    Note the plus sign: it is the kernel form matched to the trivialization
+    xi_i = d/dx^i - p_i d/dt used here.
+    """
+    ps = [Coord(f"p{i + 1}") for i in range((frame.chart.dim - 1) // 2)]
+    return [
+        simplified_sum([v.components[-1]] + [Mul(p, c) for p, c in zip(ps, v.components)])
+        for v in frame.vectors
+    ]
+
+
+def _torus_expected(n):
+    return [(a, i, f"exp(2*p{a + 1})" if a == i else "0") for a in range(n) for i in range(n)]
+
+
+def _contact_expected(n):
+    return [(a, i, "1" if a == i else "0") for a in range(2 * n) for i in range(2 * n)]
+
+
+# The closed forms of PAPER.md that the gallery's maps reproduce: per
+# fixture, (row, column, expression) for entries of D1 of its map along its
+# frame, and first integrals, functions whose derivative along frame field 0
+# is identically zero.
+EXPECTED = {
+    "planar-hamiltonian": [(0, 0, "(1 + y^2)*exp(x)")],
+    "planar-finite-type": [(0, 0, "(2*y^2 - y + 1)*exp(x)")],
+    "planar-intrinsically-exact": [(0, 0, "(y^2*(1 - y^2)^2 + (1 - 3*y^2)^2)*exp(x)")],
+    **{f"integrable-torus-{n}": _torus_expected(n) for n in (1, 2, 3)},
+    "riemann-poisson-e3": [(0, 0, "(1+y^2)*(1+x^2)*exp(2*x)")],
+    **{f"contact-{n}": _contact_expected(n) for n in (1, 2)},
+}
+WITNESSES = {
+    "planar-hamiltonian": ["(1 - y^2)*exp(x)"],
+    "planar-finite-type": ["(1 - y)*(1 + y)^2*exp(x)"],
+}
+# test functions of the bracket laws where the manifest has none
+BRACKET_TESTS = {"riemann-poisson-e3": ["x*y", "y*z - x", "x^2 + z"]}
+
+
+@lru_cache(maxsize=None)
+def fixture_parts(name: str) -> SimpleNamespace:
+    """A gallery fixture's parts, built from its manifest: chart and frame,
+    the map (immersion) and free_map = outer(immersion), its closed forms
+    (expected, witnesses), and its Poisson bracket with test functions
+    (bracket, bracket_tests) where its structure has one. The frame and
+    maps are None for novikov-t3, which checks the bracket laws only."""
+    m = gallery.fixture(name)
+    plan = build_plan(m)
+    parts = SimpleNamespace(
+        chart=m.chart,
+        frame=plan.frame,
+        immersion=None if plan.frame is None else plan.smap,
+        free_map=None if plan.frame is None else compose(plan.outer, plan.smap),
+        expected=[(row, col, parse(src)) for row, col, src in EXPECTED.get(name, [])],
+        witnesses=[parse(src) for src in WITNESSES.get(name, [])],
+        bracket=None,
+        bracket_tests=(),
+    )
+    if (m.structure or {}).get("type") in ("canonical", "riemann-poisson"):
+        parts.bracket = plan.bracket or _build_bracket(m)
+        if plan.frame is None:
+            parts.bracket_tests = plan.smap.components
+        elif name in BRACKET_TESTS:
+            parts.bracket_tests = tuple(parse(src) for src in BRACKET_TESTS[name])
+        else:  # the tori: the first integrals and the map's components
+            parts.bracket_tests = tuple(parse(h) for h in m.structure["hamiltonians"]) + plan.smap.components
+    return parts
 
 
 def _reject_constant(name):

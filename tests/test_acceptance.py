@@ -16,18 +16,26 @@ from functools import lru_cache
 import numpy as np
 
 import hfree
-from hfree.brackets import SymplecticChart, contact_form_values, contact_frame, poisson_bracket
+from hfree.brackets import SymplecticChart, contact_frame, poisson_bracket
 from hfree.checks import bracket_law_residuals, run_check
 from hfree.cli import main
 from hfree.constructions import DetIdentity, monomial_free_map
 from hfree.expr import ONE, ZERO, compile_batch, diff, parse, simplify, Sub
 from hfree.fields import lie_derivative
-from hfree.gallery import fixture, list_fixtures
+from hfree.gallery import list_fixtures
 from hfree.jets import compiled_d1, compiled_d2, d1_exprs, s
 from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
-from helpers import block_residual, bounded_pair, central_difference, evaluate, sym_square
+from helpers import (
+    block_residual,
+    bounded_pair,
+    central_difference,
+    contact_form_values,
+    evaluate,
+    fixture_parts,
+    sym_square,
+)
 
 GEOMETRIC_FIXTURES = [n for n in list_fixtures() if n != "novikov-t3"]
 BRACKET_FIXTURES = [
@@ -47,21 +55,25 @@ def _record(num: int, name: str, ok: bool, detail: str = ""):
 
 @lru_cache(maxsize=None)
 def _fixture_scan(name: str):
-    """One pass over 10^4 seeded points: worst expected-formula residual
-    (relative), worst order-1 and order-2 sigma_min, and full-rank flags."""
-    fix = fixture(name)
+    """One pass over the 10^4 seed-0 points that `gallery run` checks by
+    default: worst expected-formula residual (relative), worst first-integral
+    derivative, worst order-1 and order-2 sigma_min, and full-rank flags."""
+    fix = fixture_parts(name)
     points = fix.chart.point_array(sample_points(fix.chart, 10000, 0))
     formulas = []
     for row, col, expected in fix.expected:
         actual = lie_derivative(fix.frame.vectors[row], fix.immersion.components[col])
         formulas += [simplify(Sub(actual, expected)), expected]
+    formulas += [lie_derivative(fix.frame.vectors[0], w) for w in fix.witnesses]
     values, errors = compile_batch(formulas, fix.chart.coords)(points)
     assert not errors
-    residual, scale = np.abs(values[:, 0::2]), np.abs(values[:, 1::2])
-    r1 = compiled_d1(fix.frame, fix.immersion).ranks(points)
-    r2 = compiled_d2(fix.frame, fix.free_map).ranks(points)
+    n = 2 * len(fix.expected)
+    residual, scale = np.abs(values[:, 0:n:2]), np.abs(values[:, 1:n:2])
+    (r1,) = compiled_d1(fix.frame, fix.immersion).ranks(points)
+    (r2,) = compiled_d2(fix.frame, fix.free_map).ranks(points)
     return {
         "worst_formula": float((residual / np.maximum(1.0, scale)).max(initial=0.0)),
+        "worst_witness": float(np.abs(values[:, n:]).max(initial=0.0)),
         "worst_d1": float(r1.sigma_min.min()),
         "worst_d2": float(r2.sigma_min.min()),
         "immersion_ok": not r1.reasons and bool(r1.full_rank.all()),
@@ -70,17 +82,19 @@ def _fixture_scan(name: str):
 
 
 def test_criterion_1_gallery_positivity():
-    worst_formula = 0.0
+    worst_formula = worst_witness = 0.0
     ok = True
     for name in GEOMETRIC_FIXTURES:
         scan = _fixture_scan(name)
-        ok = ok and scan["immersion_ok"] and scan["worst_formula"] <= 1e-10
+        ok = ok and scan["immersion_ok"] and scan["worst_formula"] <= 1e-10 and scan["worst_witness"] <= 1e-12
         worst_formula = max(worst_formula, scan["worst_formula"])
+        worst_witness = max(worst_witness, scan["worst_witness"])
     _record(
         1,
         "gallery positivity",
         ok,
-        f"9 fixtures x 10^4 pts, worst formula residual {worst_formula:.2e}",
+        f"9 fixtures x 10^4 pts, worst formula residual {worst_formula:.2e}, "
+        f"worst first-integral derivative {worst_witness:.2e}",
     )
 
 
@@ -107,7 +121,7 @@ def _identity_instances():
 
     instances = []
     for name in ("planar-hamiltonian", "planar-finite-type", "planar-intrinsically-exact"):
-        fix = fixture(name)
+        fix = fixture_parts(name)
         instances.append((name, fix.frame, fix.immersion, monomial_free_map(1)))
     rng = random.Random(2024)
     for k in (2, 3):
@@ -196,7 +210,7 @@ def test_criterion_6_calculus_oracle():
 def test_criterion_7_bracket_laws():
     worst = {"antisymmetry": 0.0, "leibniz": 0.0, "jacobi": 0.0}
     for name in BRACKET_FIXTURES:
-        fix = fixture(name)
+        fix = fixture_parts(name)
         residuals = bracket_law_residuals(fix.bracket, list(fix.bracket_tests))
         points = fix.chart.point_array(sample_points(fix.chart, 100, 23))
         values, errors = compile_batch([e for _, e in residuals], fix.chart.coords)(points)
@@ -204,7 +218,7 @@ def test_criterion_7_bracket_laws():
         for (label, _), column in zip(residuals, np.abs(values).T):
             worst[label] = max(worst[label], float(column.max()))
     # involution of the torus first integrals: exact symbolic zero
-    fix = fixture("integrable-torus-3")
+    fix = fixture_parts("integrable-torus-3")
     sc = SymplecticChart(n=3, chart=fix.chart)
     integrals = [parse(f"exp(p{a})*cos(phi{a})") for a in (1, 2, 3)]
     involution_ok = all(
@@ -236,7 +250,7 @@ def test_criterion_8_contact_structure():
     d1_ok = True
     det_ok = True
     for n in (1, 2):
-        fix = fixture(f"contact-{n}")
+        fix = fixture_parts(f"contact-{n}")
         rows = d1_exprs(fix.frame, fix.immersion)
         d1_ok = d1_ok and all(
             rows[a][i] == (ONE if a == i else ZERO)

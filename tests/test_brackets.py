@@ -5,13 +5,12 @@ from functools import reduce
 import pytest
 
 from hfree import brackets
-from helpers import bind, evaluate
+from helpers import bind, contact_form_values, evaluate, fixture_parts
 from hfree.expr import Add, Const, Coord, Mul, Neg, Sub, diff, parse, simplify
 from hfree.fields import Chart, ChartMismatch, SmoothMap, lie_derivative
 from hfree.brackets import (
     RPStructure,
     SymplecticChart,
-    contact_form_values,
     contact_frame,
     hamiltonian_field,
     gradient,
@@ -20,7 +19,6 @@ from hfree.brackets import (
     poisson_bracket,
     sym_det,
 )
-from hfree.gallery import fixture
 from hfree.jets import d1_matrix
 from hfree.sampling import sample_points
 
@@ -335,7 +333,7 @@ def test_gallery_brackets_and_fields_are_the_explicit_trees(name, hamiltonian, s
     """Every gallery structure's brackets and Hamiltonian fields are the very
     trees of the explicit canonical sum or the m = 3 cofactor determinant
     (repr tells -0.0 from 0.0)."""
-    fix = fixture(name)
+    fix = fixture_parts(name)
     assert fix.bracket.func is poisson_bracket
     structure = fix.bracket.args[0]
     oracle = _canonical_sum if isinstance(structure, SymplecticChart) else _cofactor_bracket

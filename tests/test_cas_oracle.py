@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
-from hfree import gallery
+from helpers import fixture_parts
 from hfree.constructions import compose, monomial_free_map, standard_frame
 from hfree.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sub, diff, free_vars, simplify, to_str
 from hfree.fields import Chart, VectorField, lie_derivative
@@ -92,7 +92,7 @@ def test_lie_derivative_agrees_with_sympy(components, f):
 def test_determinant_identity_is_exact(name):
     """det D2(F_k o f) - (det D1 f)^(k+2) det D2 F_k(f) simplifies to exactly 0
     for each gallery fixture with k <= 2, F_k the monomial free map."""
-    fix = gallery.fixture(name)
+    fix = fixture_parts(name)
     k = fix.frame.k
     outer = monomial_free_map(k)
     symbols = {c: sympy.Symbol(c) for c in fix.chart.coords + outer.chart.coords}

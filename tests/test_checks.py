@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hfree import checks, gallery
-from hfree.checks import CHUNK, CHUNK_BYTES, FAILURE_CAP, _Fold, run_check, run_fixture
-from hfree.manifest import parse_manifest_text
+from hfree.checks import CHUNK, CHUNK_BYTES, FAILURE_CAP, _Fold, check_points, run_check, run_fixture
+from hfree.constructions import compose
+from hfree.manifest import ManifestError, build_plan, draw_points, parse_manifest_text
 
 
 def _pointwise_fold(results, smaller_is_worse):
@@ -83,14 +84,15 @@ def _traced(run, monkeypatch):
 
 @pytest.mark.parametrize("name", gallery.list_fixtures())
 def test_a_check_holds_about_its_chunk_budget(name, monkeypatch):
-    """A fixture's check at 10^4 samples, its jets compiled inside the trace,
-    peaks within 1.5 CHUNK_BYTES of traced memory, so a judge whose `floats`
-    undercounts what a chunk holds shows here; and a check whose chunks are
-    longer than CHUNK, so sized by its `floats`, peaks at half of it or more,
-    so an overcount shows too. The gallery's formulas and jets are defined on
-    its whole box, so no chunk runs a trace."""
-    fix = gallery.fixture(name)
-    _, peak, lengths = _traced(lambda: run_fixture(fix, 10000, 0), monkeypatch)
+    """A fixture's check at 10^4 samples, its manifest parsed and its jets
+    compiled inside the trace, peaks within 1.5 CHUNK_BYTES of traced memory,
+    so a judge whose `floats` undercounts what a chunk holds shows here; and
+    a check whose chunks are longer than CHUNK, so sized by its `floats`,
+    peaks at half of it or more, so an overcount shows too. The gallery's
+    jets and residuals are defined on its whole box, so no chunk runs a
+    trace."""
+    text = gallery.show(name)
+    _, peak, lengths = _traced(lambda: run_fixture(parse_manifest_text(text), 10000, 0), monkeypatch)
     assert peak <= 1.5 * CHUNK_BYTES
     if lengths[0] > CHUNK:
         assert peak >= 0.5 * CHUNK_BYTES
@@ -126,3 +128,80 @@ def test_a_faulting_check_holds_at_most_twice_its_chunk_budget(monkeypatch):
     assert report.verdict == "fail" and {f["reason"] for f in report.failures} == {"division by zero"}
     monkeypatch.setattr(checks, "CHUNK_BYTES", 0)
     assert run_check(m).to_json(False) == report.to_json(False)
+
+
+def _construct(vectors: str, components: str, outer: str = "", grid: str = "[5, 3]") -> str:
+    return f"""
+[manifold]
+coords = [x, y]
+box = [[-1, 1], [-1, 1]]
+
+[frame]
+vectors = {vectors}
+
+[map]
+components = {components}
+{outer}
+[check]
+mode = construct
+grid = {grid}
+"""
+
+
+def test_construct_names_the_immersion_where_d1_drops_rank():
+    """x^2 + y along d/dx: D1 = 2x vanishes on the grid line x = 0, where
+    D2(F o f) drops to rank 1 as well; the immersion's reason comes first."""
+    report = run_check(parse_manifest_text(_construct('[["1", "0"]]', '["x^2 + y"]')))
+    assert report.verdict == "fail" and report.mode == "construct"
+    assert [f["point"][0] for f in report.failures] == [0.0] * 3
+    assert {f["reason"] for f in report.failures} == {"immersion rank 0 < 1"}
+    assert report.worst_point == (0.0, -1.0) and report.worst_criterion == 0.0
+
+
+def test_construct_names_the_free_map_where_only_it_drops_rank():
+    """With an outer map whose own D2 is singular at u = 0, D1 of f = x is
+    full rank everywhere, and D2(F o f) drops rank on the line x = 0 alone."""
+    outer = '[outer]\ncoords = [u]\ncomponents = ["u", "u^3"]\n'
+    report = run_check(parse_manifest_text(_construct('[["1", "0"]]', '["x"]', outer)))
+    assert [f["point"][0] for f in report.failures] == [0.0] * 3
+    assert {f["reason"] for f in report.failures} == {"free-map rank 1 < 2"}
+
+
+def test_construct_below_the_critical_dimension():
+    """Two frame fields and a map of one component: no immersion exists."""
+    report = run_check(parse_manifest_text(_construct('[["1", "0"], ["0", "1"]]', '["x + y"]')))
+    assert report.verdict == "below-critical-dimension" and report.points_checked == 0
+
+
+@pytest.mark.parametrize(
+    "components, outer",
+    [
+        ('["x"]', '[outer]\ncoords = [u]\ncomponents = ["u", "1/(u - 0.5)"]\n'),
+        ('["1/(x - 0.5)"]', ""),
+    ],
+    ids=["d2-only", "d1-and-d2"],
+)
+def test_construct_keeps_the_reasons_of_separate_jets(components, outer):
+    """Construct mode evaluates D1 of f and D2 of F o f in one tape. At a
+    point where one of them faults, the reason is the one the immersion and
+    free checks of the two maps give, D1's first: here division by zero on
+    the line x = 0.5, where only D2 faults or both do."""
+    text = _construct('[["1", "0"]]', components, outer)
+    m = parse_manifest_text(text)
+    plan = build_plan(m)
+    report = run_check(m)
+    composite = compose(plan.outer, plan.smap)
+    points = draw_points(m)
+    separate = {}
+    for mode, smap in (("free", composite), ("immersion", plan.smap)):
+        for failure in check_points(plan.frame, smap, points, mode).failures:
+            separate[tuple(failure["point"])] = failure["reason"]
+    assert [f["point"][0] for f in report.failures] == [0.5] * 3
+    assert {tuple(f["point"]): f["reason"] for f in report.failures} == separate
+    assert set(separate.values()) == {"division by zero"}
+
+
+def test_construct_outer_needs_a_coordinate_per_component():
+    outer = '[outer]\ncoords = [u, v]\ncomponents = ["u", "v", "u*v"]\n'
+    with pytest.raises(ManifestError, match=r"bad \[outer\] section"):
+        run_check(parse_manifest_text(_construct('[["1", "0"]]', '["x"]', outer)))

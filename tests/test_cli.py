@@ -236,8 +236,9 @@ def test_free_check_of_a_huge_map_writes_nothing_to_stderr(tmp_path, capsys):
     [
         (None, ["gallery", "run", "integrable-torus-2", "--samples", "600", "--seed", "5"]),
         (None, ["gallery", "run", "novikov-t3", "--samples", "300", "--seed", "5"]),
-        (None, ["gallery", "run", "planar-hamiltonian", "--samples", "8000", "--seed", "5"]),
+        (None, ["gallery", "run", "planar-hamiltonian", "--samples", "12000", "--seed", "5"]),
         ("planar-identity", ["check"]),
+        ("planar-construct", ["check"]),
         ("reciprocal", ["check"]),
     ],
 )
@@ -246,9 +247,10 @@ def test_report_does_not_depend_on_chunk_size(
 ):
     """The same report from chunks of 1, 7 and CHUNK points and from the
     check's own chunk length. planar-hamiltonian's own chunks are longer than
-    CHUNK, and its 8000 samples span more than one of them."""
-    if manifest == "planar-identity":
-        text = open(planar_manifest).read().replace("mode = immersion", "mode = identity")
+    CHUNK, and its 12000 samples span more than one of them."""
+    if manifest in ("planar-identity", "planar-construct"):
+        mode = manifest.removeprefix("planar-")
+        text = open(planar_manifest).read().replace("mode = immersion", f"mode = {mode}")
         text = text.replace("samples = 500", "samples = 600")
     elif manifest == "reciprocal":
         text = RECIPROCAL_MANIFEST

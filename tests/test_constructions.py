@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import bind, block_residual, evaluate, sym_square
+from helpers import bind, block_residual, evaluate, fixture_parts, sym_square
 from hfree.checks import check_points, is_free_at, is_immersion_at
 from hfree.expr import Const, Coord, EvalError, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
@@ -258,10 +258,10 @@ class TestDetIdentity:
 
 
 def test_composition_theorem_as_predicate():
-    from hfree.gallery import fixture, list_fixtures
+    from hfree.gallery import list_fixtures
 
     for name in list_fixtures():
-        fix = fixture(name)
+        fix = fixture_parts(name)
         if fix.immersion is None:
             continue
         composed = compose(monomial_free_map(fix.frame.k), fix.immersion)

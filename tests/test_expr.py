@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import evaluate, reference_diff, reference_simplify
-from hfree import expr as expr_module, gallery
+from helpers import evaluate, fixture_parts, reference_diff, reference_simplify
+from hfree import expr as expr_module
 from hfree.expr import (
     Add,
     Const,
@@ -682,7 +682,7 @@ def test_constant_outputs_keep_their_bits_on_both_paths():
 
 def test_all_constant_jet_is_broadcast():
     """contact-1's D1 is the identity: every entry a constant, every row I."""
-    fix = gallery.fixture("contact-1")
+    fix = fixture_parts("contact-1")
     entries = [e for row in d1_exprs(fix.frame, fix.immersion) for e in row]
     assert all(type(e) is Const for e in entries)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 3))

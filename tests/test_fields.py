@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import anticommutator, evaluate, flat_norm_sq, random_expr
+from helpers import anticommutator, evaluate, fixture_parts, flat_norm_sq, random_expr
 
 from hfree import gallery
 from hfree.checks import frame_rank_check
@@ -147,9 +147,9 @@ class TestFrameRankCheck:
 
 
 _FRAMES = {
-    name: gallery.fixture(name).frame
+    name: fixture_parts(name).frame
     for name in gallery.list_fixtures()
-    if gallery.fixture(name).frame is not None
+    if fixture_parts(name).frame is not None
 }
 _FRAMES.update((f"contact_frame({n})", contact_frame(n)) for n in (1, 2, 3))
 

@@ -1,4 +1,3 @@
-import dataclasses
 import gc
 import math
 import weakref
@@ -7,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import anticommutator
-from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
-from hfree.expr import Add, Coord, EvalError, Expr, free_vars, parse, substitute
+from helpers import anticommutator, fixture_parts
+from hfree import expr as expr_module, gallery, jets as jets_module
+from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
 from hfree.fields import (
     Chart,
@@ -23,7 +22,6 @@ from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
-    compiled_d1,
     compiled_d2,
     d1_matrix,
     d2_exprs,
@@ -34,6 +32,7 @@ from hfree.jets import (
 )
 from hfree.constructions import compose, monomial_free_map, standard_frame
 from hfree.brackets import contact_frame
+from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
 PLANE = Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
@@ -118,12 +117,12 @@ class TestD2:
 
 
 @pytest.mark.parametrize(
-    "name", [n for n in gallery.list_fixtures() if gallery.fixture(n).frame is not None]
+    "name", [n for n in gallery.list_fixtures() if fixture_parts(n).frame is not None]
 )
 def test_d2_rows_equal_the_anticommutator(name):
     """d2_exprs builds its anticommutator rows from the first-order rows; each
     entry equals the tree of the anticommutator built from scratch."""
-    fix = gallery.fixture(name)
+    fix = fixture_parts(name)
     k, vectors = fix.frame.k, fix.frame.vectors
     for f in (fix.immersion, fix.free_map):
         rows = d2_exprs(fix.frame, f)[k:]
@@ -150,7 +149,7 @@ def _nodes(roots):
 def _fresh_jet_roots(name):
     """The roots of a fixture's order-2 jet on fresh coordinate names: its
     entries, its frame's components and its map's components."""
-    fix = gallery.fixture(name)
+    fix = fixture_parts(name)
     fresh = {c: Coord(f"fresh_{c}") for c in fix.chart.coords}
     chart = Chart(tuple(c.name for c in fresh.values()), fix.chart.box, fix.chart.periodic)
     renamed = lambda comps: tuple(substitute(c, fresh) for c in comps)
@@ -469,8 +468,8 @@ def _contact_2_grams():
     """contact-2's 14 x 14 D2 at four sample points, a shape the strategy
     does not reach, with tau zero, half of ||A||_F^2 and lambda_min(A.A^T)
     times 1 - 1e-6 and 1 + 1e-6."""
-    fix = gallery.fixture("contact-2")
-    stack = compiled_d2(fix.frame, fix.free_map).at(sample_points(fix.chart, 4, 3))[0]
+    fix = fixture_parts("contact-2")
+    (stack,), _ = compiled_d2(fix.frame, fix.free_map).at(sample_points(fix.chart, 4, 3))
     lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
     return stack, np.array([0.0, 0.5 * (stack[1] ** 2).sum(), lam[2] * (1.0 - 1e-6), lam[3] * (1.0 + 1e-6)])
 
@@ -575,7 +574,7 @@ def test_a_failed_svd_leaves_no_screen_estimate(monkeypatch):
 
 def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
     """Every gallery D1 is diagonal (1 x 1 on the plane, diag(e^{2p}) on the
-    tori, I for contact), so run_fixture hands LAPACK only D2 stacks."""
+    tori, I for contact), so a construct check hands LAPACK only D2 stacks."""
     svd = np.linalg.svd
     shapes = []
 
@@ -585,11 +584,11 @@ def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     for name in gallery.list_fixtures():
-        fix = gallery.fixture(name)
+        fix = fixture_parts(name)
         if fix.immersion is None:
             continue
         shapes.clear()
-        assert run_fixture(fix, samples=600, seed=1).verdict == "pass"
+        assert run_fixture(gallery.fixture(name), samples=600, seed=1).verdict == "pass"
         k = fix.frame.k
         assert shapes, name
         assert {shape[1:] for shape in shapes} == {(k + s(k), fix.free_map.q)}, name
@@ -617,9 +616,8 @@ def test_lapack_sees_at_most_2_percent_of_integrable_torus_3(monkeypatch):
 def test_a_jet_keeps_its_screen_plan(monkeypatch):
     """contact-2's D2 chunks share one zero pattern, so a check at 10^4
     samples (20 chunks) builds one elimination plan, kept with the compiled
-    jet, and a second check of the same map builds none."""
-    fix = gallery.fixture("contact-2")
-    monkeypatch.delitem(jets_module._jets, fix.free_map, raising=False)  # a fresh jet
+    jet, and a second check of the same manifest builds none."""
+    fix = parse_manifest_text(gallery.show("contact-2"))  # a fresh jet
     built = []
 
     class Counted(jets_module._GramCholesky):
@@ -664,56 +662,36 @@ def test_gallery_reports_do_not_depend_on_the_screen(seed, monkeypatch):
     assert [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in names] == screened
 
 
-def test_a_formula_mismatch_at_the_least_jet_leaves_the_next_least_to_the_svd(monkeypatch):
-    """run_fixture screens its jets among the points it folds: when the point
-    of least D2 sigma_min fails its expected formula, the worst point is the
-    next least, with the SVD's value, as with no screen."""
-    fix = gallery.fixture("planar-hamiltonian")
-    points = sample_points(fix.chart, 512, 0)
-    d1 = np.abs(compiled_d1(fix.frame, fix.immersion).at(points)[0][:, 0, 0])
-    d2 = np.linalg.svd(compiled_d2(fix.frame, fix.free_map).at(points)[0], compute_uv=False)[:, -1]
-    least, after = np.argsort(np.minimum(d1, d2))[:2].tolist()
-    assert d2[least] < d1[least] and d2[after] < d1[after]
-    # a bump of height 1 at the least point, below 1e-11 at every other sample
-    x, y = points[least].tolist()
-    width = 26.0 / float(np.partition(((points - points[least]) ** 2).sum(axis=1), 1)[1])
-    bump = parse(f"exp(-{width!r}*((x - ({x!r}))^2 + (y - ({y!r}))^2))")
-    ((row, col, expected),) = fix.expected
-    bumped = dataclasses.replace(fix, expected=((row, col, Add(expected, bump)),))
-    report = run_fixture(bumped, 512, 0)
-    (failure,) = report.failures
-    assert failure["point"] == [x, y] and failure["reason"].startswith("expected formula mismatch")
-    assert report.worst_point == tuple(points[after].tolist())
-    assert float(report.worst_criterion).hex() == float(d2[after]).hex()
-    monkeypatch.setattr(jets_module, "SCREEN_MIN", math.inf)
-    assert run_fixture(bumped, 512, 0).to_json(False) == report.to_json(False)
-
-
-def test_d1_keeps_its_least_among_the_points_d2_leaves_in(monkeypatch):
-    """When D2 has no verdict at the point of least D1 sigma_min, D1 is
-    screened again among the points folded, so the worst point is the next
-    least, with the SVD's value."""
-
-    class Jet:
-        def __init__(self, entries, errors):
-            self.entries, self.errors = entries, errors
-            self.floats = 3 * entries[0].size  # the tape's outputs and the screen's two per entry
-
-        def ranks(self, chunk, tol, exact=None):
-            return stack_ranks(self.entries, tol, self.errors, exact)
-
-    fix = gallery.fixture("planar-hamiltonian")
-    points = sample_points(fix.chart, 512, 0)
-    d1 = np.random.default_rng(7).uniform(-2.0, 2.0, (512, 2, 2))  # dense, so screened
-    d2 = np.full((512, 1, 1), 1e3)  # above every D1, so D1 is the criterion
-    sigma = np.linalg.svd(d1, compute_uv=False)[:, -1]
+@pytest.mark.parametrize("failing", [1, 0], ids=["second", "first"])
+def test_a_jet_keeps_its_least_among_the_points_the_other_ranks(failing, monkeypatch):
+    """Of two jets compiled together, as construct mode's D1 of f and D2 of
+    F o f are, one has no verdict at the point of the other's least sigma_min
+    (its SVD fails there): the other keeps its least exact among the points
+    both rank, so that least is the next least, with the SVD's value, as with
+    no screen. A first jet is ranked again for it; a second is ranked among
+    the first's points."""
+    rng = np.random.default_rng(7)
+    stacks = list(rng.uniform(-2.0, 2.0, (2, 512, 2, 2)))  # dense, so screened
+    other = stacks[1 - failing]
+    sigma = np.linalg.svd(other, compute_uv=False)[:, -1]
     least, after = np.argsort(sigma)[:2].tolist()
-    monkeypatch.setattr(checks_module, "compiled_d1", lambda frame, f: Jet(d1, {}))
-    monkeypatch.setattr(checks_module, "compiled_d2", lambda frame, f: Jet(d2, {least: EvalError("overflow")}))
-    report = run_fixture(fix, 512, 0)
-    assert report.failures == [{"point": points[least].tolist(), "reason": "overflow"}]
-    assert report.worst_point == tuple(points[after].tolist())
-    assert float(report.worst_criterion).hex() == float(sigma[after]).hex()
+    stacks[failing][least] = [[1.0, 7.0], [1.0, 7.0]]  # rank 1, so the screen leaves it to the SVD
+    svd = np.linalg.svd
+
+    def flaky(a, *args, **kwargs):
+        if (a[..., 0, 1] == 7.0).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    rows = [[parse("x"), parse("y")], [parse("y"), parse("x")]]
+    jet = CompiledJet([rows, rows], PLANE)
+    monkeypatch.setattr(CompiledJet, "at", lambda self, points: (stacks, {}))
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    ranks = jet.ranks(np.zeros((512, 2)))
+    assert ranks[failing].reasons == {least: "SVD did not converge"}
+    kept = np.flatnonzero(ranks[failing].valid)
+    assert kept[np.argmin(ranks[1 - failing].sigma_min[kept])] == after
+    assert float(ranks[1 - failing].sigma_min[after]).hex() == float(sigma[after]).hex()
 
 
 class TestPredicates:

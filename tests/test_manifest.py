@@ -199,12 +199,14 @@ _OUTER = '[outer]\ncoords = [fresh_u]\ncomponents = ["fresh_u", "fresh_u^2"]\n'
     [
         ("free", '"fresh_y*exp(fresh_x)", "fresh_y^2*exp(2*fresh_x) + sin(fresh_x*fresh_y)"', ""),
         ("identity", '"fresh_y*exp(fresh_x)"', _OUTER),
+        ("construct", '"fresh_y*exp(fresh_x)"', _OUTER),
     ],
-    ids=["free", "identity"],
+    ids=["free", "identity", "construct"],
 )
 def test_a_finished_check_leaves_no_node_behind(mode, components, outer):
     """Every tree of a check, its jets' included, is freed once the check
-    is done: no cache holds a jet or a node past the map it was built for."""
+    and its manifest are done: no cache holds a jet or a node past the
+    manifest whose plan it was built for."""
     text = _FRESH.replace("MAP", components).replace("MODE", mode) + outer
     gc.collect()
     size = len(expr._table)
