@@ -9,10 +9,11 @@ on the chunk length. That length is the judge's own: as many points as fit
 its per-point floats into CHUNK_BYTES, and never fewer than CHUNK, so a small
 jet pays each chunk's fixed set of numpy calls fewer times and a large one
 holds about CHUNK_BYTES. A check compiles its jets, or its residuals, once
-into one tape of numpy calls (`expr.compile_batch`; construct mode's D1 of f
-and D2 of F o f share one), so a chunk costs one run of its tape, then one
-batched ranking per jet or one determinant call; a run that faults runs
-once more as a trace, which names each point's first fault. A value beyond
+into one tape of numpy calls (`expr.compile_batch`): construct mode's D1 of f
+and D2 of F o f share one, and so do identity mode's D2 of f, f, D2 of F at
+f and D2 of F o f. So a chunk costs one run of its tape, then one batched
+ranking per jet or the determinant calls; a run that faults runs once more
+as a trace, which names each point's first fault. A value beyond
 the float range is such a fault, an `overflow`, so a judge reads only finite
 values: a point that faults fails with its EvalError and has no criterion.
 The SVD sees only the dense matrices of a stack that a Gram screen cannot
@@ -48,8 +49,6 @@ from .jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
-    compiled_d1,
-    compiled_d2,
     d1_exprs,
     d2_exprs,
     s,
@@ -238,11 +237,11 @@ def _judges(mode: str, frame: Frame, smap: SmoothMap, outer: SmoothMap | None):
     if mode == "immersion":
         if smap.q < k:
             return _below_critical
-        return partial(_rank_judge, compiled_d1(frame, smap), [f"rank {{}} < {k}"])
+        return partial(_rank_judge, CompiledJet([d1_exprs(frame, smap)], frame.chart), [f"rank {{}} < {k}"])
     if mode == "free":
         if smap.q < rows:
             return _below_critical
-        return partial(_rank_judge, compiled_d2(frame, smap), [f"rank {{}} < {rows}"])
+        return partial(_rank_judge, CompiledJet([d2_exprs(frame, smap)], frame.chart), [f"rank {{}} < {rows}"])
     if mode == "construct":
         composite = compose(outer or monomial_free_map(smap.q), smap)
         if smap.q < k or composite.q < rows:

@@ -5,9 +5,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, compile_batch, integer_power, simplify, substitute
+from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, integer_power, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from .jets import compiled_d2, pair_labels, s, valid_mask
+from .jets import CompiledJet, d2_exprs, pair_labels, s
 
 
 def standard_frame(chart: Chart) -> Frame:
@@ -52,9 +52,16 @@ def compose(outer: SmoothMap, inner: SmoothMap) -> SmoothMap:
 
 class DetIdentity:
     """The chain-rule factorization of the order-2 jet of outer(f), compiled
-    once and evaluated over (n, dim) arrays of points. Requires critical
-    dimensions: f has k components and outer has k + s_k components over a
-    k-coordinate chart."""
+    once into one tape and evaluated over (n, dim) arrays of points. Requires
+    critical dimensions: f has k components and outer has k + s_k components
+    over a k-coordinate chart.
+
+    The tape's jets come in the order in which a fault names its block: the
+    order-2 jet of f, f's components as a 1 x k jet, the order-2 jet of outer
+    along the standard frame with f put in for outer's coordinates, and the
+    order-2 jet of outer(f). The outer jet's entries are substituted, not
+    simplified, so the tape does the arithmetic of the outer jet at the image
+    values. The image may fall outside the outer chart's sampling box."""
 
     def __init__(self, frame: Frame, f: SmoothMap, outer: SmoothMap):
         k = frame.k
@@ -65,50 +72,29 @@ class DetIdentity:
                 f"outer map must be {k} -> {k + s(k)}, got {outer.chart.dim} -> {outer.q}"
             )
         self.k = k
-        self.inner = compiled_d2(frame, f)
-        self.image = compile_batch(f.components, frame.chart.coords)
-        self.outer = compiled_d2(standard_frame(outer.chart), outer)
-        self.composite = compiled_d2(frame, compose(outer, f))
+        bindings = dict(zip(outer.chart.coords, f.components))
+        outer_jet = d2_exprs(standard_frame(outer.chart), outer)
+        at_image = [[substitute(e, bindings) for e in row] for row in outer_jet]
+        jets = [d2_exprs(frame, f), [list(f.components)], at_image, d2_exprs(frame, compose(outer, f))]
+        self.jet = CompiledJet(jets, frame.chart)
 
     @property
     def floats(self) -> int:
-        """What residuals() holds per point at its peak. It ranks nothing, so
-        it holds no Gram screen, and np.linalg.det copies one matrix at a
-        time."""
-        ((rows, cols),), ((outer_rows, outer_cols),) = self.inner.shapes, self.outer.shapes
-        inner, outer = rows * cols, outer_rows * outer_cols
-        # while each tape runs, the stacks made before it; outer.at runs on the
-        # image at the defined points, beside the np.full outer stack; then the
-        # three stacks (the composite's is shaped as the outer's) and at most
-        # six arrays of determinants
-        return max(
-            self.inner.at_floats,
-            inner + self.image.floats(),
-            inner + 2 * self.k + outer + self.outer.at_floats,
-            inner + self.k + outer + self.composite.at_floats,
-            inner + 2 * outer + 6,
-        )
+        """What residuals() holds per point at its peak: the tape's while it
+        runs, then the tape's values, whose views are the stacks, and at most
+        six arrays of determinants. It ranks nothing, so it holds no Gram
+        screen, and np.linalg.det copies one matrix at a time."""
+        return max(self.jet.at_floats, sum(rows * cols for rows, cols in self.jet.shapes) + 6)
 
     def blocks(self, points: np.ndarray):
         """Stacks of the order-2 jets of f, of outer at f(p) and of outer(f),
-        and a dict mapping each point where one of them faulted to its error,
-        named by the first block that faulted."""
-        (d2_inner,), errors = self.inner.at(points)
-        failures = {i: type(exc)(f"inner jet block: {exc}") for i, exc in errors.items()}
-        image, errors = self.image(points)
-        for i, (_, exc) in errors.items():
-            failures.setdefault(i, type(exc)(f"outer jet block: {exc}"))
-        # the outer jet is taken along the standard frame at the image points,
-        # which may fall outside the outer chart's sampling box
-        d2_outer = np.full((len(points),) + self.outer.shapes[0], np.nan)
-        defined = np.flatnonzero(valid_mask(len(points), failures))
-        if defined.size:
-            (d2_outer[defined],), errors = self.outer.at(image[defined])
-            for j, exc in errors.items():
-                failures.setdefault(int(defined[j]), type(exc)(f"outer jet block: {exc}"))
-        (d2_composite,), errors = self.composite.at(points)
-        for i, exc in errors.items():
-            failures.setdefault(i, type(exc)(f"composite jet block: {exc}"))
+        and a dict mapping each point where one of them, or f, faulted to its
+        error, named by the block of its first faulting entry: an error of f
+        is one of the outer block. A point that faults is nan in all three
+        stacks."""
+        (d2_inner, _, d2_outer, d2_composite), errors = self.jet.at(points)
+        block = ("inner", "outer", "outer", "composite")
+        failures = {i: type(exc)(f"{block[jet]} jet block: {exc}") for i, (jet, exc) in errors.items()}
         return d2_inner, d2_outer, d2_composite, failures
 
     def residuals(self, points: np.ndarray):

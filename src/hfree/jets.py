@@ -8,8 +8,9 @@ factor 2 of {L_a, L_a} = 2 L_a^2.
 
 from __future__ import annotations
 
-import weakref
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -57,19 +58,19 @@ def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
 def d1_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
     """The k x q order-1 jet matrix at one point of the chart's box; raises
     the point's EvalError."""
-    return _one(compiled_d1(frame, f), frame.chart.check_point(point))
+    return _one(d1_exprs(frame, f), frame, point)
 
 
 def d2_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
     """The (k + s_k) x q order-2 jet matrix at one point of the chart's box;
     raises the point's EvalError."""
-    return _one(compiled_d2(frame, f), frame.chart.check_point(point))
+    return _one(d2_exprs(frame, f), frame, point)
 
 
-def _one(jet: CompiledJet, point: np.ndarray) -> np.ndarray:
-    (entries,), errors = jet.at(point)
+def _one(rows: list[list[Expr]], frame: Frame, point) -> np.ndarray:
+    (entries,), errors = CompiledJet([rows], frame.chart).at(frame.chart.check_point(point))
     if errors:
-        raise errors[0]
+        raise errors[0][1]
     return entries[0]
 
 
@@ -158,11 +159,11 @@ def stack_ranks(
 ) -> StackRanks:
     """Rank verdicts over an (n, rows, cols) stack: a singular value counts
     when it exceeds tol * max(1, sigma_max). `errors` maps points whose
-    evaluation faulted to the EvalError (as CompiledJet.at returns them),
-    which is their reason; every other matrix must be finite, else
-    ValueError. `exact` is a boolean mask of the matrices whose least
-    sigma_min must be exact (default: all); a check passes the points it
-    folds into its worst criterion.
+    evaluation faulted to the EvalError (as CompiledJet.at gives them), which
+    is their reason; every other matrix must be finite, else ValueError.
+    `exact` is a boolean mask of the matrices whose least sigma_min must be
+    exact (default: all); a check passes the points it folds into its worst
+    criterion.
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
@@ -431,7 +432,7 @@ class CompiledJet:
         """`jets`: each jet's rows of expressions."""
         self.shapes = [(len(rows), len(rows[0])) for rows in jets]
         # the column where each jet after the first starts
-        self._cuts = np.cumsum([rows * cols for rows, cols in self.shapes])[:-1]
+        self._cuts = list(accumulate(rows * cols for rows, cols in self.shapes))[:-1]
         entries = [e for rows in jets for row in rows for e in row]
         self._run = compile_batch(entries, chart.coords)
         self._nonzero = np.array([not (type(e) is Const and e.value == 0) for e in entries])
@@ -455,12 +456,13 @@ class CompiledJet:
     def at(self, points: np.ndarray):
         """Each jet's (n, rows, cols) stack of matrices at an (n, dim) array
         of points, and a dict mapping each point where evaluation faulted to
-        the EvalError of its first faulting entry, in jet order; that point's
-        matrices are nan in every jet, and every other is finite."""
+        (the index of the jet of its first faulting entry, in jet order, and
+        that entry's EvalError); that point's matrices are nan in every jet,
+        and every other is finite."""
         values, errors = self._run(points)
         parts = np.split(values, self._cuts, axis=1)
         stacks = [part.reshape((len(points),) + shape) for part, shape in zip(parts, self.shapes)]
-        return stacks, {i: exc for i, (_, exc) in errors.items()}
+        return stacks, {i: (bisect_right(self._cuts, j), exc) for i, (j, exc) in errors.items()}
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> list[StackRanks]:
         """Each jet's rank verdicts at the points (see stack_ranks). A point
@@ -468,7 +470,8 @@ class CompiledJet:
         is exact among the points where every other jet has a verdict: each
         jet is ranked among the points the jets before it kept, and one whose
         least a later jet may have left without a verdict is ranked again."""
-        stacks, errors = self.at(points)
+        stacks, faults = self.at(points)
+        errors = {i: exc for i, (_, exc) in faults.items()}
         ranks, valid = [], np.ones(len(points), dtype=bool)
         for stack, pattern in zip(stacks, self.patterns):
             ranks.append(stack_ranks(stack, tol, errors, valid, pattern=pattern))
@@ -478,22 +481,3 @@ class CompiledJet:
             if (r.valid & ~others).any():
                 ranks[i] = stack_ranks(stacks[i], tol, errors, others, pattern=self.patterns[i])
         return ranks
-
-
-# Compiled jets by map, then by (frame, order). An entry leaves when its map
-# dies, so a jet lives exactly as long as its map.
-_jets: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def compiled_d1(frame: Frame, f: SmoothMap) -> CompiledJet:
-    jets = _jets.setdefault(f, {})
-    if (frame, 1) not in jets:
-        jets[frame, 1] = CompiledJet([d1_exprs(frame, f)], frame.chart)
-    return jets[frame, 1]
-
-
-def compiled_d2(frame: Frame, f: SmoothMap) -> CompiledJet:
-    jets = _jets.setdefault(f, {})
-    if (frame, 2) not in jets:
-        jets[frame, 2] = CompiledJet([d2_exprs(frame, f)], frame.chart)
-    return jets[frame, 2]

@@ -23,7 +23,7 @@ from hfree.constructions import DetIdentity, monomial_free_map
 from hfree.expr import ONE, ZERO, compile_batch, diff, parse, simplify, Sub
 from hfree.fields import lie_derivative
 from hfree.gallery import list_fixtures
-from hfree.jets import compiled_d1, compiled_d2, d1_exprs, s
+from hfree.jets import CompiledJet, d1_exprs, d2_exprs, s
 from hfree.manifest import parse_manifest_text
 from hfree.sampling import sample_points
 
@@ -69,8 +69,8 @@ def _fixture_scan(name: str):
     assert not errors
     n = 2 * len(fix.expected)
     residual, scale = np.abs(values[:, 0:n:2]), np.abs(values[:, 1:n:2])
-    (r1,) = compiled_d1(fix.frame, fix.immersion).ranks(points)
-    (r2,) = compiled_d2(fix.frame, fix.free_map).ranks(points)
+    (r1,) = CompiledJet([d1_exprs(fix.frame, fix.immersion)], fix.chart).ranks(points)
+    (r2,) = CompiledJet([d2_exprs(fix.frame, fix.free_map)], fix.chart).ranks(points)
     return {
         "worst_formula": float((residual / np.maximum(1.0, scale)).max(initial=0.0)),
         "worst_witness": float(np.abs(values[:, n:]).max(initial=0.0)),

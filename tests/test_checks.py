@@ -82,20 +82,36 @@ def _traced(run, monkeypatch):
     return report, peak, lengths
 
 
-@pytest.mark.parametrize("name", gallery.list_fixtures())
+# an identity check whose chunks are longer than CHUNK
+IDENTITY_CONTACT_1 = """
+[structure]
+type = contact
+n = 1
+
+[map]
+components = ["x1", "p1"]
+
+[check]
+mode = identity
+"""
+
+
+@pytest.mark.parametrize("name", gallery.list_fixtures() + ["identity-contact-1"])
 def test_a_check_holds_about_its_chunk_budget(name, monkeypatch):
-    """A fixture's check at 10^4 samples, its manifest parsed and its jets
-    compiled inside the trace, peaks within 1.5 CHUNK_BYTES of traced memory,
-    so a judge whose `floats` undercounts what a chunk holds shows here; and
-    a check whose chunks are longer than CHUNK, so sized by its `floats`,
-    peaks at half of it or more, so an overcount shows too. The gallery's
-    jets and residuals are defined on its whole box, so no chunk runs a
-    trace."""
-    text = gallery.show(name)
+    """A fixture's check at 10^4 samples, or an identity check's, its
+    manifest parsed and its jets compiled inside the trace, peaks within 1.5
+    CHUNK_BYTES of traced memory, so a judge whose `floats` undercounts what
+    a chunk holds shows here; and a check whose chunks are longer than
+    CHUNK, so sized by its `floats`, peaks at half of it or more, so an
+    overcount shows too. The gallery's jets and residuals are defined on its
+    whole box, and so are the identity check's, so no chunk runs a trace."""
+    text = IDENTITY_CONTACT_1 if name == "identity-contact-1" else gallery.show(name)
     _, peak, lengths = _traced(lambda: run_fixture(parse_manifest_text(text), 10000, 0), monkeypatch)
     assert peak <= 1.5 * CHUNK_BYTES
     if lengths[0] > CHUNK:
         assert peak >= 0.5 * CHUNK_BYTES
+    else:
+        assert name != "identity-contact-1"
 
 
 # 1/(y - 0.5) faults at y = 0.5, one grid value in 17, so every chunk faults

@@ -3,9 +3,9 @@ import pytest
 
 from helpers import bind, block_residual, evaluate, fixture_parts, sym_square
 from hfree.checks import check_points, is_free_at, is_immersion_at
-from hfree.expr import Const, Coord, EvalError, parse, simplify
+from hfree.expr import Const, Coord, EvalError, compile_batch, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from hfree.jets import d2_matrix, s
+from hfree.jets import CompiledJet, d2_exprs, d2_matrix, s, valid_mask
 from hfree.constructions import (
     DetIdentity,
     compose,
@@ -171,6 +171,56 @@ class TestBlocks:
             assert block_residual(*blocks) < 1e-9
 
 
+def _identity_cases():
+    """(name, frame, f, outer, points): the identity instances of the
+    acceptance gate at 100 sample points; f = y*x under the outer map
+    (x1^-2, x1^3), whose outer jet at f(p) and composite both fault where
+    f(p) = 0, as they do at three of its points; and a map with a constant
+    component."""
+    from test_acceptance import _identity_instances
+
+    cases = [
+        (name, frame, f, outer, sample_points(frame.chart, 100, 17))
+        for name, frame, f, outer in _identity_instances()
+    ]
+    chart = Chart(coords=("x1",), box=((-2.0, 2.0),))
+    outer = SmoothMap(chart, (parse("x1^-2"), parse("x1^3")))
+    points = np.vstack([sample_points(PLANE, 20, 5), [[0.0, 0.5], [0.5, 0.0], [0.0, 0.0]]])
+    frame = Frame(PLANE, (standard_frame(PLANE).vectors[0],))
+    cases.append(("y*x", frame, SmoothMap(PLANE, (parse("y*x"),)), outer, points))
+    # the outer jet's 2*x1*x2 at f = (x, 0) is -0.0 where x < 0, which
+    # simplifying it after substitution would make +0.0
+    components = ["x1", "x2", "x1^2*x2", "x1*x2", "x2^2"]
+    outer = SmoothMap(monomial_free_map(2).chart, tuple(map(parse, components)))
+    f = SmoothMap(PLANE, (parse("x"), Const(0.0)))
+    cases.append(("x,0", standard_frame(PLANE), f, outer, sample_points(PLANE, 100, 17)))
+    return cases
+
+
+def _blocks_apart(frame, f, outer, points):
+    """blocks() with each jet on a tape of its own, the outer jet run on the
+    image at the points where the order-2 jet of f and f are defined, and
+    each point's failure named by the first block that faults there."""
+    (d2_inner,), errors = CompiledJet([d2_exprs(frame, f)], frame.chart).at(points)
+    failures = {i: f"inner jet block: {exc}" for i, (_, exc) in errors.items()}
+    image, errors = compile_batch(f.components, frame.chart.coords)(points)
+    for i, (_, exc) in errors.items():
+        failures.setdefault(i, f"outer jet block: {exc}")
+    d2_outer = np.full((len(points), outer.q, outer.q), np.nan)
+    defined = np.flatnonzero(valid_mask(len(points), failures))
+    outer_jet = CompiledJet([d2_exprs(standard_frame(outer.chart), outer)], outer.chart)
+    (d2_outer[defined],), errors = outer_jet.at(image[defined])
+    for j, (_, exc) in errors.items():
+        failures.setdefault(int(defined[j]), f"outer jet block: {exc}")
+    (d2_composite,), errors = CompiledJet([d2_exprs(frame, compose(outer, f))], frame.chart).at(points)
+    for i, (_, exc) in errors.items():
+        failures.setdefault(i, f"composite jet block: {exc}")
+    return d2_inner, d2_outer, d2_composite, failures
+
+
+_CASES = _identity_cases()
+
+
 class TestDetIdentity:
     def test_planar_k1_at_origin(self):
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
@@ -216,8 +266,8 @@ class TestDetIdentity:
 
     def test_image_that_overflows_is_a_failure_of_the_outer_block(self):
         # the jet of f along d/dy is finite, but f's value, a product of huge
-        # finite factors, overflows where x != 0: the outer jet is not
-        # evaluated there
+        # finite factors, overflows where x != 0, before the outer jet at
+        # f(p) is reached
         frame = Frame(PLANE, (standard_frame(PLANE).vectors[1],))
         big = "1" + "0" * 200
         f = SmoothMap(PLANE, (parse(f"y + {big}*x*{big}"),))
@@ -255,6 +305,38 @@ class TestDetIdentity:
         assert report.failures == [
             {"point": points[i].tolist(), "reason": overflow} for i in (1, 3)
         ]
+
+    @pytest.mark.parametrize("case", _CASES, ids=[case[0] for case in _CASES])
+    def test_a_fault_is_named_by_its_first_block(self, case):
+        """One tape names each point's failure as blocks on tapes of their own,
+        run in turn, do: by the first block that faults, f's own fault counting
+        as the outer block's. A point that faults is nan in every block."""
+        _, frame, f, outer, points = case
+        stacks = DetIdentity(frame, f, outer).blocks(points)
+        failures = {i: str(exc) for i, exc in stacks[3].items()}
+        assert failures == _blocks_apart(frame, f, outer, points)[3]
+        faulted = ~valid_mask(len(points), failures)
+        assert all(np.isnan(stack[faulted]).all() for stack in stacks[:3])
+        if f.components == (parse("y*x"),):
+            # f(p) = 0: the composite's jet, of (y*x)^-2, faults there too,
+            # but the outer jet at f(p) comes first
+            assert failures == {20 + i: "outer jet block: 0 raised to a negative power" for i in range(3)}
+            composite = CompiledJet([d2_exprs(frame, compose(outer, f))], frame.chart)
+            assert set(composite.at(points[20:])[1]) == {0, 1, 2}
+
+    @pytest.mark.parametrize("case", _CASES, ids=[case[0] for case in _CASES])
+    def test_blocks_keep_the_bits_of_each_jet_on_its_own_tape(self, case):
+        """At each point where no block faults, each stack of blocks() equals
+        bit for bit that of its jet on a tape of its own, the outer jet's run on
+        the image: the outer jet at f(p), with f put in for outer's coordinates
+        and not simplified, is the same arithmetic on the same values."""
+        _, frame, f, outer, points = case
+        *stacks, failures = DetIdentity(frame, f, outer).blocks(points)
+        *apart, _ = _blocks_apart(frame, f, outer, points)
+        defined = valid_mask(len(points), failures)
+        assert defined.sum() >= 20
+        for got, want in zip(stacks, apart):
+            assert got[defined].tobytes() == want[defined].tobytes()
 
 
 def test_composition_theorem_as_predicate():

@@ -27,7 +27,7 @@ from hfree.expr import (
     simplify,
     to_str,
 )
-from hfree.jets import compiled_d1, d1_exprs
+from hfree.jets import CompiledJet, d1_exprs
 
 
 class TestParse:
@@ -688,7 +688,7 @@ def test_all_constant_jet_is_broadcast():
     points = np.random.default_rng(3).uniform(-1.0, 1.0, (300, 3))
     compiled, reference = _outcomes(entries, fix.chart.coords, points.tolist())
     assert compiled == reference == [_bits([1.0, 0.0, 0.0, 1.0])] * 300
-    stack, errors = compiled_d1(fix.frame, fix.immersion).at(points)
+    (stack,), errors = CompiledJet([d1_exprs(fix.frame, fix.immersion)], fix.chart).at(points)
     assert not errors and (stack == np.eye(2)).all()
 
 

@@ -22,7 +22,6 @@ from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
-    compiled_d2,
     d1_matrix,
     d2_exprs,
     d2_matrix,
@@ -186,27 +185,6 @@ def test_dropped_jet_trees_leave_the_intern_table(name):
     gc.collect()
     assert [r() for r in refs if r() is not None] == []
     assert len(expr_module._table) == size
-
-
-def test_a_compiled_jet_is_built_once_and_lives_as_long_as_its_map(monkeypatch):
-    """Repeated checks of one map build its order-2 jet once. The jet is
-    memoised weakly on the map, so dropping the map frees it by reference
-    counting alone."""
-    calls = []
-    build = jets_module.d2_exprs
-    monkeypatch.setattr(jets_module, "d2_exprs", lambda *a: calls.append(1) or build(*a))
-    frame = Frame(PLANE, (VectorField(PLANE, (parse("1"), parse("0"))),))
-    f = SmoothMap(PLANE, (parse("x + y"), parse("x^2 + y")))
-    for point in [(0.0, 0.0), (1.0, -1.0), (0.5, 1.5)]:
-        assert is_free_at(frame, f, point)
-    assert calls == [1]
-    jet = weakref.ref(compiled_d2(frame, f))
-    gc.disable()
-    try:
-        del f
-        assert jet() is None
-    finally:
-        gc.enable()
 
 
 def _ranks(m):
@@ -469,7 +447,8 @@ def _contact_2_grams():
     does not reach, with tau zero, half of ||A||_F^2 and lambda_min(A.A^T)
     times 1 - 1e-6 and 1 + 1e-6."""
     fix = fixture_parts("contact-2")
-    (stack,), _ = compiled_d2(fix.frame, fix.free_map).at(sample_points(fix.chart, 4, 3))
+    jet = CompiledJet([d2_exprs(fix.frame, fix.free_map)], fix.chart)
+    (stack,), _ = jet.at(sample_points(fix.chart, 4, 3))
     lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
     return stack, np.array([0.0, 0.5 * (stack[1] ** 2).sum(), lam[2] * (1.0 - 1e-6), lam[3] * (1.0 + 1e-6)])
 

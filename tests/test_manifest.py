@@ -197,11 +197,12 @@ _OUTER = '[outer]\ncoords = [fresh_u]\ncomponents = ["fresh_u", "fresh_u^2"]\n'
 @pytest.mark.parametrize(
     "mode, components, outer",
     [
+        ("immersion", '"fresh_y*exp(fresh_x)"', ""),
         ("free", '"fresh_y*exp(fresh_x)", "fresh_y^2*exp(2*fresh_x) + sin(fresh_x*fresh_y)"', ""),
         ("identity", '"fresh_y*exp(fresh_x)"', _OUTER),
         ("construct", '"fresh_y*exp(fresh_x)"', _OUTER),
     ],
-    ids=["free", "identity", "construct"],
+    ids=["immersion", "free", "identity", "construct"],
 )
 def test_a_finished_check_leaves_no_node_behind(mode, components, outer):
     """Every tree of a check, its jets' included, is freed once the check
