@@ -276,18 +276,21 @@ def _passes_at(frame: Frame, smap: SmoothMap, point, mode: str, tol: float) -> b
 
 
 def is_immersion_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
-    """Full-rank verdict of the order-1 jet matrix at the point."""
+    """Full-rank verdict of the order-1 jet matrix at the point. Each call
+    compiles the jet; for many points, call check_points once."""
     return _passes_at(frame, f, point, "immersion", tol)
 
 
 def is_free_at(frame: Frame, f: SmoothMap, point, tol: float = DEFAULT_TOL) -> bool:
-    """Full-rank verdict of the order-2 jet matrix at the point."""
+    """Full-rank verdict of the order-2 jet matrix at the point. Each call
+    compiles the jet; for many points, call check_points once."""
     return _passes_at(frame, f, point, "free", tol)
 
 
 def frame_rank_check(frame: Frame, point, tol: float = DEFAULT_TOL) -> bool:
     """True iff the frame's component matrix has full rank at the point. It
-    is the order-1 jet of the coordinate map, since L_xi x^i = xi^i."""
+    is the order-1 jet of the coordinate map, since L_xi x^i = xi^i, which
+    each call compiles; for many points, call check_points once."""
     coords = SmoothMap(frame.chart, tuple(Coord(c) for c in frame.chart.coords))
     return is_immersion_at(frame, coords, point, tol)
 

@@ -982,14 +982,14 @@ class _Tape:
         return regs
 
     def run(self, x: np.ndarray, out: np.ndarray):
-        """out[:, j] = expression j at the points x, where outputs[j] is not
+        """out[j] = expression j at the points x, where outputs[j] is not
         None; fresh buffers each call."""
         regs = self._registers(x)
         for r, fn, a, b, o in self.ops:
             regs[r] = fn(regs[a], regs[o]) if b is None else fn(regs[a], regs[b], regs[o])
         for j, r in enumerate(self.outputs):
             if r is not None:
-                out[:, j] = regs[r]
+                out[j] = regs[r]
 
     def trace(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """run for a chunk where it raises, under np.errstate(all="ignore"):
@@ -1014,7 +1014,7 @@ class _Tape:
         found = np.zeros(out.shape, code_type)
         for j, r in enumerate(self.outputs):
             if r is not None:
-                out[:, j], found[:, j] = regs[r], codes[r]
+                out[j], found[j] = regs[r], codes[r]
         return found
 
 
@@ -1025,9 +1025,11 @@ def compile_batch(exprs, coords):
     The function returns an (n, len(exprs)) array of values and a dict that
     maps each point where evaluation faulted to (index of the first faulting
     expression, its EvalError); that point's row is nan, and every other
-    value is finite. The faults are division by zero, 0 raised to a negative
-    power, an unbound coordinate and overflow: a value beyond the float
-    range, of + - * / as of exp and ^.
+    value is finite. The values are stored entry-major, as the transpose of
+    a (len(exprs), n) array, so each expression's column is one contiguous
+    vector, which the tape writes at once. The faults are division by zero,
+    0 raised to a negative power, an unbound coordinate and overflow: a
+    value beyond the float range, of + - * / as of exp and ^.
 
     The function runs a tape (see _Tape): one numpy call per distinct node.
     +, -, *, / and negation are numpy ufuncs, which round as the Python float
@@ -1053,18 +1055,18 @@ def compile_batch(exprs, coords):
     zeroed = None in tape.outputs
 
     def run(points: np.ndarray):
-        values = (np.zeros if zeroed else np.empty)((points.shape[0], len(exprs)))
+        values = (np.zeros if zeroed else np.empty)((len(exprs), points.shape[0]))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
                 tape.run(points, values)
-            return values, {}
+            return values.T, {}
         except ArithmeticError:
             with np.errstate(all="ignore"):
                 codes = tape.trace(points, values)
-        rows = np.flatnonzero(codes.any(axis=1))
-        values[rows] = np.nan
-        first = (codes[rows] != 0).argmax(axis=1).tolist()
-        return values, {i: (j, EvalError(tape.faults[codes[i, j]])) for i, j in zip(rows.tolist(), first)}
+        rows = np.flatnonzero(codes.any(axis=0))
+        values[:, rows] = np.nan
+        first = (codes[:, rows] != 0).argmax(axis=0).tolist()
+        return values.T, {i: (j, EvalError(tape.faults[codes[j, i]])) for i, j in zip(rows.tolist(), first)}
 
     run.floats = tape.floats
     return run

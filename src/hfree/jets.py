@@ -57,13 +57,15 @@ def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
 
 def d1_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
     """The k x q order-1 jet matrix at one point of the chart's box; raises
-    the point's EvalError."""
+    the point's EvalError. Each call compiles the jet: for many points, use
+    checks.check_points, or CompiledJet.at for the matrices."""
     return _one(d1_exprs(frame, f), frame, point)
 
 
 def d2_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
     """The (k + s_k) x q order-2 jet matrix at one point of the chart's box;
-    raises the point's EvalError."""
+    raises the point's EvalError. Each call compiles the jet: for many
+    points, use checks.check_points, or CompiledJet.at for the matrices."""
     return _one(d2_exprs(frame, f), frame, point)
 
 
@@ -97,23 +99,15 @@ class StackRanks:
 
 
 # Dense stacks of fewer matrices skip the Gram screen, whose fixed cost is a
-# few dozen numpy calls. stack_ranks of random full-rank stacks, screen against
-# SVD only (medians of 80 interleaved runs, one core of a 2-vCPU Xeon guest,
-# numpy 2.4 with OpenBLAS): 2 x 2 matrices took 316 vs 167 us at 64
-# matrices, 350 vs 261 us at 128 and 367 vs 423 us at 256; 5 x 5 matrices
-# 540 vs 418, 552 vs 713 and 652 vs 1362 us; 14 x 14 matrices 1371 vs 1121,
-# 1877 vs 2261 and 2326 vs 4063 us. From 128 the screen was faster from
-# 5 x 5 to 14 x 14, and a 2 x 2 stack of 128 to 255 matrices loses at most
-# about 90 us.
+# few dozen numpy calls. stack_ranks of random full-rank entry-major stacks,
+# screen against SVD only (medians of 80 interleaved runs, one core of a
+# 2-vCPU Xeon guest, numpy 2.4 with OpenBLAS): 2 x 2 matrices took 104 vs 81
+# us at 64 matrices, 147 vs 190 us at 128 and 158 vs 325 us at 256; 5 x 5
+# matrices 272 vs 334, 282 vs 456 and 242 vs 796 us; 14 x 14 matrices 749 vs
+# 898, 1420 vs 2473 and 1257 vs 3473 us. From 128 the screen was faster at
+# every size; below it a 2 x 2 stack loses, while 5 x 5 and 14 x 14 stacks
+# gain from 64.
 SCREEN_MIN = 128
-# The screen forms A.A^T in slices of at most this many bytes (a slice, its
-# transpose and their products), not 1.6 MB at once for a 512-matrix chunk
-# of 14 x 14 jets; the factorization then runs on the whole stack, one vector
-# per pattern entry. perfbench gallery-10k (5 s runs, seeds 71-73) peaked at
-# 42.67-42.78 MB RSS with 64 KB slices and 42.82-42.95 MB with 256 KB,
-# against 41.99-42.02 MB with the eigenvalue screen this one replaced; wall
-# time did not separate (0.48-0.51 s against 0.44-0.51 s).
-SCREEN_BYTES = 1 << 16
 # A matrix is screened only when ||A||_F lies within [1 / GRAM_RANGE,
 # GRAM_RANGE]: the entries of A.A^T then stay below 2^800, and what underflow
 # loses, at most 2^-1074 an operation, is far below the error bound, which is
@@ -180,7 +174,7 @@ def stack_ranks(
     n, rows, cols = entries.shape
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
-        entries = entries.copy()
+        entries = entries.copy(order="K")  # in the layout it came in
         entries[list(reasons)] = 0.0
     if not np.isfinite(entries).all():
         raise ValueError("jet entries must be finite outside the faulted points")
@@ -188,12 +182,13 @@ def stack_ranks(
         pattern = Pattern((entries != 0).any(axis=0))
     rank = np.empty(n, dtype=np.intp)
     sigma_min = np.empty(n)
-    dense = (entries.reshape(n, rows * cols)[:, pattern.off_diagonal] != 0).any(axis=1)
+    vectors = entries.reshape(n, rows * cols).T  # one per entry: contiguous in an entry-major stack
+    dense = (vectors[pattern.off_diagonal] != 0).any(axis=0)
     if not dense.all():
         diagonal = np.sort(np.abs(np.diagonal(entries, axis1=1, axis2=2)[~dense]), axis=1)[:, ::-1]
         rank[~dense], sigma_min[~dense] = _rank(diagonal, tol), diagonal[:, -1]
     index = np.flatnonzero(dense)
-    stack = entries if dense.all() else entries[index]
+    stack = entries if dense.all() else vectors[:, index].T.reshape(len(index), rows, cols)
     svd = np.ones(len(index), dtype=bool)
     if pattern.screens and len(index) >= SCREEN_MIN:
         keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
@@ -261,7 +256,10 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     order permutes H symmetrically), so ||dH||_2 <= gamma_{rows+1}
     ||R||_F^2 <= gamma_{rows+1} trace(H) / (1 - gamma_{rows+1}), and H + dH
     is positive definite. Forming fl(G) errs by at most gamma_cols
-    |A|.|A|^T, of 2-norm at most gamma_cols F. Each pivot is positive, so
+    |A|.|A|^T, of 2-norm at most gamma_cols F: each entry sums at most cols
+    products, in any order, and where one of the two rows is zero in the
+    pattern the product is an exact zero, which gram may add or leave out
+    (see gram) without changing the bound. Each pivot is positive, so
     every fl(G_ii) > s, and subtracting s rounds the diagonal by at most u
     fl(G_ii) <= u (1 + gamma_cols) F; so trace(H) <= (1 + u) (1 + gamma_cols)
     F. Hence sigma_min^2 > s - (N + 2) u F.
@@ -329,9 +327,10 @@ class _GramCholesky:
     one at a time in a minimum-degree order (A. George and J. W. H. Liu, "The
     evolution of the minimum degree ordering algorithm", SIAM Review 31,
     1989), which keeps the fill small. The plan depends on the pattern alone,
-    so a compiled jet keeps one (see Pattern). `floats` is what screening a
-    stack holds per matrix: the vectors and the copy least_pivot factors,
-    and the two update temporaries of its widest column."""
+    so a compiled jet keeps one (see Pattern); `slots` names each vector's
+    (row, column) of A.A^T. `floats` is what screening a stack holds per
+    matrix: the vectors and the copy least_pivot factors, and the two update
+    temporaries of its widest column, or gram's vectors and products."""
 
     def __init__(self, pattern: np.ndarray):
         """`pattern`: the (rows, cols) entries of A that are nonzero in some
@@ -351,7 +350,12 @@ class _GramCholesky:
         for j in below:
             slot[j, j] = len(slot)
             slot.update({(i, j): len(slot) + k for k, i in enumerate(below[j])})
-        self.gather = np.array([i * rows + j for i, j in slot])
+        self.slots, self.products, cols = list(slot), [], pattern.shape[1]
+        for v, (i, j) in enumerate(self.slots):
+            shared = np.flatnonzero(pattern[i] & pattern[j]).tolist()  # the columns where both rows may be nonzero
+            if shared:  # vector v sums the products of its rows' entries from the first to the last of them
+                self.products.append((v, i * cols + shared[0], j * cols + shared[0], shared[-1] + 1 - shared[0]))
+        self.width = max((product[3] for product in self.products), default=0)
         self.diag = np.array([slot[j, j] for j in range(rows)])
         self.columns = []  # per column with entries below it: its slots and its (target, left, right) updates
         for j, rest in below.items():
@@ -360,20 +364,24 @@ class _GramCholesky:
                 update = [(slot[(b, a) if (b, a) in slot else (a, b)], slot[a, j], slot[b, j]) for a, b in pairs]
                 pivot = slot[j, j]
                 self.columns.append((pivot, pivot + 1 + len(rest), *np.array(update, dtype=np.intp).T))
-        self.floats = 2 * len(slot) + 2 * max((len(column[2]) for column in self.columns), default=0)
+        self.floats = len(slot) + max(len(slot) + 2 * max((len(c[2]) for c in self.columns), default=0), self.width)
 
     def gram(self, stack: np.ndarray) -> np.ndarray:
-        """The (vectors, m) entries of every A.A^T, formed in slices of at
-        most SCREEN_BYTES. A matrix outside the Gram range may overflow, to
-        an inf on its diagonal, which _screen reads."""
+        """The (vectors, m) entries of every A.A^T: each the sum of the
+        elementwise products of its rows' (m,)-vectors of entries (contiguous
+        in an entry-major stack), from the first to the last column where
+        both rows may be nonzero, and 0 where they share none. A matrix
+        outside the Gram range may overflow, to an inf on its diagonal, which
+        _screen reads."""
         m, rows, cols = stack.shape
-        out = np.empty((len(self.gather), m))
-        step = max(1, SCREEN_BYTES // (8 * rows * (rows + cols)))
+        a = stack.reshape(m, rows * cols).T
+        out, terms = np.zeros((len(self.slots), m)), np.empty((self.width, m))
         with np.errstate(over="ignore", invalid="ignore"):
-            for start in range(0, m, step):
-                a = stack[start : start + step]
-                gram = a @ a.transpose(0, 2, 1).copy()
-                out[:, start : start + step] = gram.reshape(len(a), rows * rows)[:, self.gather].T
+            for v, left, right, k in self.products:
+                product = out[v : v + 1] if k == 1 else terms[:k]
+                np.multiply(a[left : left + k], a[right : right + k], out=product)
+                if k > 1:  # summed in column order
+                    np.add.reduce(product, axis=0, out=out[v])
         return out
 
     def least_pivot(self, v: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -458,7 +466,8 @@ class CompiledJet:
         of points, and a dict mapping each point where evaluation faulted to
         (the index of the jet of its first faulting entry, in jet order, and
         that entry's EvalError); that point's matrices are nan in every jet,
-        and every other is finite."""
+        and every other is finite. Each stack is a view of the tape's values,
+        whose entry-major layout makes each entry's values one vector."""
         values, errors = self._run(points)
         parts = np.split(values, self._cuts, axis=1)
         stacks = [part.reshape((len(points),) + shape) for part, shape in zip(parts, self.shapes)]

@@ -1,6 +1,7 @@
 import gc
 import math
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -485,6 +486,113 @@ def test_a_shifted_cholesky_certifies_sigma_min(case):
             except np.linalg.LinAlgError:
                 factors = False
             assert certified == factors
+
+
+def _entry_major(stack):
+    """A copy of an (n, rows, cols) stack whose entries' (n,)-vectors are
+    contiguous, as CompiledJet.at gives them."""
+    n, rows, cols = stack.shape
+    return np.ascontiguousarray(stack.reshape(n, rows * cols).T).T.reshape(n, rows, cols)
+
+
+@st.composite
+def _patterned_stacks(draw):
+    """A stack of rows x cols matrices that are zero, of either sign,
+    outside a random pattern, often with rows 0 and 1 sharing no column,
+    with entries that may be -0.0, may underflow in A.A^T or may overflow it
+    (||A||_F beyond GRAM_RANGE), C-ordered or entry-major; and its pattern."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    pattern = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    if rows > 1 and draw(st.booleans()):
+        pattern[1] &= ~pattern[0]
+    n = draw(st.integers(1, 5))
+    values = st.one_of(st.sampled_from([-0.0, 1e-300, -1e-200, 1e300, -1e250]), st.floats(-4.0, 4.0))
+    stack = np.array(draw(st.lists(values, min_size=n * rows * cols, max_size=n * rows * cols)))
+    stack = stack.reshape(n, rows, cols)
+    stack[:, ~pattern] = draw(st.sampled_from([0.0, -0.0]))
+    return (_entry_major(stack) if draw(st.booleans()) else stack), pattern
+
+
+def _fill_between_strangers():
+    """Rows 0-2-1-3-0 share a column in turn: eliminating row 0 first joins
+    rows 2 and 3, which share none, so the plan has a vector for them."""
+    pattern = np.array([[1, 0, 0, 1], [0, 1, 1, 0], [1, 1, 0, 0], [0, 0, 1, 1]], dtype=bool)
+    stack = np.random.default_rng(2).uniform(-2.0, 2.0, (3, 4, 4)) * pattern
+    return _entry_major(stack), pattern
+
+
+@given(_patterned_stacks())
+@example(_fill_between_strangers())
+@settings(max_examples=200, deadline=None)
+def test_the_pattern_gram_keeps_the_dense_bound(case):
+    """Each vector of _GramCholesky.gram, formed from the pattern alone,
+    lies within gamma_cols (|A|.|A|^T)_ij of the exact (A.A^T)_ij (and of
+    the dense product, a @ a.T), as _screen's proof needs, underflow aside;
+    it is exactly 0 where rows i and j share no column of the pattern, and
+    its bits do not depend on the stack's layout. A matrix whose ||A||_F
+    lies beyond GRAM_RANGE has an inf on its Gram diagonal, and stack_ranks,
+    screening every stack, hands it to the SVD if it is dense."""
+    stack, pattern = case
+    n, rows, cols = stack.shape
+    chol = jets_module._GramCholesky(pattern)
+    gram = chol.gram(stack)
+    assert np.array_equal(gram, chol.gram(np.ascontiguousarray(stack)), equal_nan=True)
+    assert np.array_equal(gram, chol.gram(_entry_major(stack)), equal_nan=True)
+    u = Fraction(np.finfo(float).eps) / 2
+    gamma, tiny, big = cols * u / (1 - cols * u), cols * Fraction(2.0**-1074), Fraction(np.finfo(float).max)
+    for v, (i, j) in enumerate(chol.slots):
+        if not (pattern[i] & pattern[j]).any():
+            assert (gram[v] == 0).all()
+        for a, g in zip(stack, gram[v].tolist()):
+            terms = [Fraction(x) * Fraction(y) for x, y in zip(a[i].tolist(), a[j].tolist())]
+            size = sum(abs(t) for t in terms)
+            if math.isfinite(g):
+                assert abs(Fraction(g) - sum(terms)) <= gamma * size + tiny
+                with np.errstate(over="ignore", invalid="ignore"):
+                    product = (a @ a.T)[i, j]
+                assert not math.isfinite(product) or abs(g - product) <= 2.01 * float(gamma) * float(size) + 1e-300
+            else:
+                assert size * (1 + gamma) >= big
+    beyond = np.abs(stack).max(axis=(1, 2)) > jets_module.GRAM_RANGE  # here a square overflows
+    assert (gram[chol.diag].sum(axis=0) == np.inf)[beyond].all()
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets_module, "SCREEN_MIN", 1)
+        _recording_svd(m, seen)
+        r = stack_ranks(stack, pattern=jets_module.Pattern(pattern))
+    dense = [stack[i][~np.eye(rows, cols, dtype=bool)].any() for i in range(n)]
+    assert all(stack[i].tobytes() in seen for i in np.flatnonzero(beyond & dense))
+    _assert_svd_contract(r, stack, {}, seen=seen)
+
+
+def test_stack_ranks_do_not_depend_on_the_layout():
+    """compile_batch stores its values entry-major, so each expression's
+    values and each entry of a CompiledJet.at stack are one contiguous
+    vector, on a chunk that faults too; and stack_ranks gives the same
+    StackRanks, bit for bit, for such a stack and its C-ordered copy, with
+    the screen and the faulted points' copy."""
+    frame = standard_frame(PLANE)
+    f = SmoothMap(PLANE, (parse("x + y^2"), parse("y/(x - 0.5)")))
+    jet = CompiledJet([d2_exprs(frame, compose(monomial_free_map(2), f))], PLANE)
+    points = sample_points(PLANE, 400, 5)
+    values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
+    assert all(values[:, j].flags.c_contiguous for j in range(2))
+    assert jet.patterns[0].screens
+    for faults in ([], [3, 200]):
+        points[faults, 0] = 0.5
+        (stack,), errors = jet.at(points)
+        assert sorted(errors) == faults
+        assert all(stack[:, r, c].flags.c_contiguous for r in range(5) for c in range(5))
+        values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
+        assert values[:, 1].flags.c_contiguous
+        errors = {i: exc for i, (_, exc) in errors.items()}
+        stack[7, 4] = stack[7, 0]  # rank deficient: the screen leaves it to the SVD
+        copy = np.ascontiguousarray(stack)
+        ranks = [stack_ranks(s, DEFAULT_TOL, errors, pattern=jet.patterns[0]) for s in (stack, copy)]
+        for name in ("rank", "full_rank", "valid"):
+            assert np.array_equal(getattr(ranks[0], name), getattr(ranks[1], name))
+        assert ranks[0].sigma_min.tobytes() == ranks[1].sigma_min.tobytes()
+        assert ranks[0].reasons == ranks[1].reasons == {i: str(exc) for i, exc in errors.items()}
 
 
 @pytest.mark.parametrize("deficient", ["zero row", "repeated row"])
