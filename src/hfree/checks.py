@@ -16,11 +16,12 @@ ranking per jet or the determinant calls; a run that faults runs once more
 as a trace, which names each point's first fault. A value beyond
 the float range is such a fault, an `overflow`, so a judge reads only finite
 values: a point that faults fails with its EvalError and has no criterion.
-The SVD sees only the dense matrices of a stack that a Gram screen cannot
-clear: a diagonal one, such as every 1 x 1 jet, is ranked from its diagonal,
-and one that a shifted Cholesky factorization of A.A^T clears is full rank,
-with a certified lower bound on sigma_min above the least as its sigma_min
-(`jets.stack_ranks`).
+A jet's stack holds only the entries that are not the constant 0, and the
+SVD sees only the matrices of a stack that a Gram screen cannot clear, made
+dense for it: a diagonal one, such as every 1 x 1 jet, is ranked from its
+diagonal, and one that a shifted Cholesky factorization of A.A^T clears is
+full rank, with a certified lower bound on sigma_min above the least as its
+sigma_min (`jets.stack_ranks`).
 A judge ranks each jet among the points it folds, so the worst criterion is
 exact, never a bound.
 
@@ -66,10 +67,19 @@ CHUNK = 512
 # gallery checks held in chunks of CHUNK points when a tape kept every
 # register to the end of its run: integrable-torus-3 and contact-2 peaked at
 # 2.10 and 1.84 MiB. With the tapes' buffers reused, the Gram screen
-# counted as it allocates and construct mode's two jets in one tape, they run
-# in chunks of 996 and 862 points, and at 10^4 samples under tracemalloc
-# every gallery check peaks at 0.86-1.25 times CHUNK_BYTES, its parsed
-# manifest, sample points and compiled jets included.
+# counted as it allocates, construct mode's two jets in one tape and each jet
+# holding only its entries that are not the constant 0 (see
+# jets.CompiledJet), they run in chunks of 1,291 and 2,080 points, and at
+# 10^4 samples under tracemalloc every gallery check peaks at 0.93-1.37
+# times CHUNK_BYTES, its parsed manifest, sample points and compiled jets
+# included. glibc's malloc hands the free memory at the top of its heap back
+# to the system once it exceeds twice the largest block freed so far, and
+# each page handed back faults again when the next chunk takes it (about 3.7
+# us a page on a 2-vCPU Xeon guest: contact-2 at 10^4 samples ran in 17.8
+# ms without faults and in 25.2-26.0 ms with 2,180). So a check keeps its
+# chunk's largest arrays in one block, about half of what the chunk holds or
+# more: the Gram screen's vectors and their copy (jets._screen), or identity
+# mode's tape values, every entry of its jets (constructions.DetIdentity).
 CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 

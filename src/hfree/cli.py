@@ -11,7 +11,7 @@ import numpy as np
 
 from . import gallery
 from .checks import Report, run_check, run_fixture
-from .expr import EvalError, NestingError, ParseError, compile_batch, depth, parse
+from .expr import EvalError, NestingError, ParseError, compile_batch, depth, names_a_coordinate, parse
 from .manifest import ManifestError, load_manifest
 
 EXIT_PASS = 0
@@ -122,6 +122,8 @@ def _parse_bindings(spec: str) -> dict:
             raise ValueError(f"binding {part!r} is not of the form name=value")
         name, _, value = part.partition("=")
         name = name.strip()
+        if not names_a_coordinate(name):
+            raise ValueError(f"binding {part!r}: {name!r} does not read as a coordinate in an expression")
         if name in point:
             raise ValueError(f"coordinate {name!r} bound twice")
         point[name] = float(value)

@@ -76,7 +76,7 @@ class DetIdentity:
         outer_jet = d2_exprs(standard_frame(outer.chart), outer)
         at_image = [[substitute(e, bindings) for e in row] for row in outer_jet]
         jets = [d2_exprs(frame, f), [list(f.components)], at_image, d2_exprs(frame, compose(outer, f))]
-        self.jet = CompiledJet(jets, frame.chart)
+        self.jet = CompiledJet(jets, frame.chart, compact=False)
 
     @property
     def floats(self) -> int:
@@ -91,11 +91,13 @@ class DetIdentity:
         and a dict mapping each point where one of them, or f, faulted to its
         error, named by the block of its first faulting entry: an error of f
         is one of the outer block. A point that faults is nan in all three
-        stacks."""
+        stacks. The tape holds every entry, ZERO too (see CompiledJet), since
+        every matrix goes to np.linalg.det, so each stack is a view of its
+        values."""
         (d2_inner, _, d2_outer, d2_composite), errors = self.jet.at(points)
         block = ("inner", "outer", "outer", "composite")
         failures = {i: type(exc)(f"{block[jet]} jet block: {exc}") for i, (jet, exc) in errors.items()}
-        return d2_inner, d2_outer, d2_composite, failures
+        return d2_inner.dense(), d2_outer.dense(), d2_composite.dense(), failures
 
     def residuals(self, points: np.ndarray):
         """Arrays lhs = det(order-2 jet of outer(f)), rhs = det(order-1 jet

@@ -711,6 +711,15 @@ def parse(src: str) -> Expr:
         raise NestingError(_text_depth(src)) from None
 
 
+def names_a_coordinate(name: str) -> bool:
+    """Whether the DSL reads `name` as the coordinate of that name, that is
+    whether parse(name) is Coord(name): name is one name token (see _tokens)
+    and not pi, so not a numeral nor text of several tokens or with spaces
+    around it."""
+    head = name[:1]
+    return (head.isalpha() or head == "_") and name.replace("_", "a").isalnum() and name != "pi"
+
+
 def _text_depth(src: str) -> int:
     """How deep the parser descends into src: a level for each parenthesis
     or call, and one for each unary minus, which lasts to the next binary
@@ -1041,9 +1050,9 @@ def compile_batch(exprs, coords):
     whose run raises one runs once more as a trace (see _Tape.trace), which
     gives each point its first fault; the arithmetic is the same, so every
     point keeps its bits. Where some expressions are the constant +0.0
-    (ZERO, as most of a D2 jet's entries are), the values come zeroed from
-    np.zeros and no run or trace writes those columns; any other constant,
-    -0.0 too, is written as any value is.
+    (ZERO, as most entries of identity mode's jets are), the values come
+    zeroed from np.zeros and no run or trace writes those columns; any other
+    constant, -0.0 too, is written as any value is.
 
     The function's floats() is what a run holds per point (see
     _Tape.floats); its first call gives the tape the buffers it reuses, so a

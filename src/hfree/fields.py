@@ -8,7 +8,7 @@ from functools import reduce
 
 import numpy as np
 
-from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, simplify
+from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, names_a_coordinate, simplify
 from .expr import diff as ddx
 
 
@@ -37,6 +37,9 @@ class Chart:
             raise ValueError("chart needs at least one coordinate")
         if len(set(self.coords)) != len(self.coords):
             raise ValueError("coordinate names must be distinct")
+        for name in self.coords:
+            if not names_a_coordinate(name):
+                raise ValueError(f"coordinate name {name!r} does not read as a coordinate in an expression")
         if not self.periodic:
             object.__setattr__(self, "periodic", (False,) * len(self.coords))
         if len(self.box) != len(self.coords) or len(self.periodic) != len(self.coords):

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
 
-from .expr import Const, Expr, compile_batch
+from .expr import ZERO, Const, Expr, compile_batch
 from .fields import ChartMismatch, Frame, SmoothMap, lie_derivative, symmetrize
 
 DEFAULT_TOL = 1e-9
@@ -70,19 +71,21 @@ def d2_matrix(frame: Frame, f: SmoothMap, point) -> np.ndarray:
 
 
 def _one(rows: list[list[Expr]], frame: Frame, point) -> np.ndarray:
-    (entries,), errors = CompiledJet([rows], frame.chart).at(frame.chart.check_point(point))
+    (stack,), errors = CompiledJet([rows], frame.chart).at(frame.chart.check_point(point))
     if errors:
         raise errors[0][1]
-    return entries[0]
+    return stack.dense()[0]
 
 
 @dataclass(frozen=True)
 class StackRanks:
-    """Rank verdicts for a stack of n jet matrices, one array entry each.
+    """Rank verdicts for a stack of n jet matrices, one array entry each,
+    the same whether the stack is held compact (a JetStack, as a compiled
+    jet ranks it) or dense (stack_ranks).
 
     `rank` and `full_rank` are those of one SVD per matrix. `sigma_min` is
     the exact least singular value, the SVD's bit for bit, at every matrix
-    that stack_ranks handed to the SVD or ranked from its diagonal; among the
+    that the ranking handed to the SVD or ranked from its diagonal; among the
     matrices it keeps exact (all, by default) the least sigma_min, ties to
     the lowest index, is one of those. A matrix the Gram screen cleared is
     full rank, and its sigma_min is a certified lower bound on the SVD's,
@@ -121,43 +124,123 @@ CANDIDATES = 4
 
 
 class Pattern:
-    """The entries of a stack's (rows, cols) matrices that may be nonzero,
-    and the Gram screen's elimination plan for them (see _GramCholesky),
-    built the first time a stack is screened. `screens` says whether a
-    stack may be: rows <= cols, some entry off the diagonal may be nonzero,
-    and no row is zero in every matrix, which would make every matrix rank
+    """The layout of a stack of (rows, cols) jet matrices: the entries it
+    holds, `held` (every entry by default), among them those that may be
+    nonzero, `nonzero`, and the Gram screen's elimination plan for them (see
+    _GramCholesky), built the first time a stack is screened. An entry not
+    held is +0.0 in every matrix. `positions` are the held entries' row *
+    cols + column, ascending, and `index` the vector of each held entry in
+    that order (see JetStack). `screens` says whether a stack may be
+    screened: rows <= cols, some entry off the diagonal may be nonzero, and
+    no row is zero in every matrix, which would make every matrix rank
     deficient."""
 
-    def __init__(self, nonzero: np.ndarray):
-        rows, cols = nonzero.shape
+    def __init__(self, nonzero: np.ndarray, held: np.ndarray | None = None):
+        self.shape = nonzero.shape
         self.nonzero = nonzero
-        self.off_diagonal = np.flatnonzero(nonzero & ~np.eye(rows, cols, dtype=bool))
-        self.screens = rows <= cols and self.off_diagonal.size > 0 and nonzero.any(axis=1).all()
+        self.held = np.ones(self.shape, dtype=bool) if held is None else held
         self._plan = None
+
+    # the rest is read the first time a stack is made dense or ranked
+
+    @cached_property
+    def positions(self) -> np.ndarray:
+        return np.flatnonzero(self.held)
+
+    @cached_property
+    def full(self) -> bool:
+        return bool(self.held.all())
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """The vector of each held entry; meaningless where none is held."""
+        return np.cumsum(self.held).reshape(self.shape) - 1
+
+    @cached_property
+    def off_diagonal(self) -> np.ndarray:
+        """The vectors of the entries off the diagonal that may be nonzero."""
+        return self.index[self.nonzero & ~np.eye(*self.shape, dtype=bool)]
+
+    @cached_property
+    def diagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """The places on the diagonal that are held, and their vectors."""
+        on = np.flatnonzero(self.held.diagonal())
+        return on, self.index[on, on]
+
+    @cached_property
+    def screens(self) -> bool:
+        rows, cols = self.shape
+        return rows <= cols and self.off_diagonal.size > 0 and bool(self.nonzero.any(axis=1).all())
 
     @property
     def plan(self) -> _GramCholesky:
         if self._plan is None:
-            self._plan = _GramCholesky(self.nonzero)
+            self._plan = _GramCholesky(self)
         return self._plan
 
     @property
     def floats(self) -> int:
-        """What screening a stack holds per matrix (see _GramCholesky.floats),
-        or 0 where no stack is screened."""
-        return self.plan.floats if self.screens else 0
+        """What ranking a stack holds per matrix beyond its vectors: the Gram
+        screen's where it screens (see _GramCholesky.floats), or the SVD's
+        dense matrices, at most as many floats as the stack holds (see
+        _svd), and their singular values."""
+        svd = len(self.positions) + min(self.shape)
+        return max(self.plan.floats if self.screens else 0, svd)
+
+
+class JetStack:
+    """A stack of n (rows, cols) jet matrices, held compact and entry-major:
+    `values` is a (len(pattern.positions), n) array whose row e is the
+    (n,)-vector of entry pattern.positions[e] of every matrix, and an entry
+    that the pattern does not hold is +0.0 in every matrix."""
+
+    def __init__(self, values: np.ndarray, pattern: Pattern):
+        self.values = values
+        self.pattern = pattern
+
+    def __len__(self) -> int:
+        return self.values.shape[1]
+
+    def take(self, index) -> JetStack:
+        """The matrices at `index`, an array of indices or a boolean mask."""
+        return JetStack(self.values[:, index], self.pattern)
+
+    def dense(self) -> np.ndarray:
+        """The (n, rows, cols) matrices, entry-major, as LAPACK or a caller
+        needs them: a view of the vectors where the pattern holds every entry,
+        else a new array, +0.0 where no entry is held."""
+        n, (rows, cols) = len(self), self.pattern.shape
+        if self.pattern.full:
+            return self.values.T.reshape(n, rows, cols)
+        out = np.zeros((rows * cols, n))
+        out[self.pattern.positions] = self.values
+        return out.T.reshape(n, rows, cols)
 
 
 def stack_ranks(
     entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None, *, pattern: Pattern | None = None
 ) -> StackRanks:
-    """Rank verdicts over an (n, rows, cols) stack: a singular value counts
-    when it exceeds tol * max(1, sigma_max). `errors` maps points whose
-    evaluation faulted to the EvalError (as CompiledJet.at gives them), which
-    is their reason; every other matrix must be finite, else ValueError.
-    `exact` is a boolean mask of the matrices whose least sigma_min must be
-    exact (default: all); a check passes the points it folds into its worst
-    criterion.
+    """Rank verdicts over a dense (n, rows, cols) stack (see _stack_ranks,
+    which a compiled jet calls on its compact stacks): its matrices are
+    ranked as a JetStack that holds every entry, the vectors a view of
+    `entries`. `pattern` says which entries may be nonzero; without one, the
+    pattern is read from the matrices of the points that did not fault."""
+    n, rows, cols = entries.shape
+    if pattern is None:
+        valid = valid_mask(n, errors or {})[:, None, None]
+        pattern = Pattern(np.any(entries != 0, axis=0, where=valid))
+    if not pattern.full:
+        raise ValueError("a dense stack's pattern must hold every entry")
+    return _stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, exact)
+
+
+def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=None) -> StackRanks:
+    """Rank verdicts over a stack: a singular value counts when it exceeds
+    tol * max(1, sigma_max). `errors` maps points whose evaluation faulted
+    to the EvalError (as CompiledJet.at gives them), which is their reason;
+    every other matrix must be finite, else ValueError. `exact` is a boolean
+    mask of the matrices whose least sigma_min must be exact (default: all);
+    a check passes the points it folds into its worst criterion.
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
@@ -165,43 +248,45 @@ def stack_ranks(
     rows <= cols, the Gram screen (_screen) clears, by a shifted Cholesky
     factorization of A.A^T, those that are surely full rank and surely above
     the least, and gives each a certified lower bound on its sigma_min; the
-    rest get one batched SVD, redone matrix by matrix if it fails to
+    rest get their SVD (_svd), redone matrix by matrix where a batch fails to
     converge. A matrix that fails on its own may have been the least, so
-    then every dense matrix gets its SVD. `pattern` says which entries may be
-    nonzero, and keeps the screen's plan: a compiled jet passes its own, read
-    from its entries, and a call without one reads the pattern of `entries`
-    and builds a plan each time it screens."""
-    n, rows, cols = entries.shape
+    then every dense matrix gets its SVD. All of this reads the stack's
+    vectors; only the matrices handed to the SVD are made dense, in batches
+    that hold no more floats than the stack, or SCREEN_MIN matrices, since a
+    smaller batch gains nothing for its own LAPACK call (see _svd)."""
+    values, pattern = stack.values, stack.pattern
+    (rows, cols), n = pattern.shape, len(stack)
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
-        entries = entries.copy(order="K")  # in the layout it came in
-        entries[list(reasons)] = 0.0
-    if not np.isfinite(entries).all():
+        values = values.copy()  # entry-major, as it came
+        values[:, list(reasons)] = 0.0
+    if not np.isfinite(values).all():
         raise ValueError("jet entries must be finite outside the faulted points")
-    if pattern is None:
-        pattern = Pattern((entries != 0).any(axis=0))
     rank = np.empty(n, dtype=np.intp)
     sigma_min = np.empty(n)
-    vectors = entries.reshape(n, rows * cols).T  # one per entry: contiguous in an entry-major stack
-    dense = (vectors[pattern.off_diagonal] != 0).any(axis=0)
+    dense = (values[pattern.off_diagonal] != 0).any(axis=0)
     if not dense.all():
-        diagonal = np.sort(np.abs(np.diagonal(entries, axis1=1, axis2=2)[~dense]), axis=1)[:, ::-1]
+        diagonal = np.zeros((n - np.count_nonzero(dense), min(rows, cols)))
+        places, vectors = pattern.diagonal
+        diagonal[:, places] = np.abs(values[vectors][:, ~dense].T)
+        diagonal = np.sort(diagonal, axis=1)[:, ::-1]
         rank[~dense], sigma_min[~dense] = _rank(diagonal, tol), diagonal[:, -1]
     index = np.flatnonzero(dense)
-    stack = entries if dense.all() else vectors[:, index].T.reshape(len(index), rows, cols)
+    stack = JetStack(values if dense.all() else values[:, index], pattern)
+    batch = max(min(n, SCREEN_MIN), n * len(values) // (rows * cols), 1)
     svd = np.ones(len(index), dtype=bool)
     if pattern.screens and len(index) >= SCREEN_MIN:
         keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        cleared, bound = _screen(stack, tol, keep, index, reasons, pattern.plan)
+        cleared, bound = _screen(stack, tol, keep, index, reasons, batch)
         if cleared.any():
             svd = ~cleared
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
     if svd.any():
         failed = len(reasons)
-        sigma = _svd(stack if svd.all() else stack[svd], index[svd], reasons)
+        sigma = _svd(stack if svd.all() else stack.take(svd), index[svd], reasons, batch)
         if len(reasons) > failed and not svd.all():  # the least may now be a screened matrix
             svd[:] = True
-            sigma = _svd(stack, index, reasons)
+            sigma = _svd(stack, index, reasons, batch)
         rank[index[svd]], sigma_min[index[svd]] = _rank(sigma, tol), sigma[:, -1]
     return StackRanks(
         rank=rank,
@@ -217,8 +302,8 @@ def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
 
 
-def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, chol):
-    """Which matrices of a dense (m, rows, cols) stack, rows <= cols, the
+def _screen(stack: JetStack, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, batch: int):
+    """Which of a stack's m dense (rows, cols) matrices, rows <= cols, the
     screen clears, and for each a lower bound on its sigma_min; the others
     need the SVD. A cleared matrix is full rank, and its bound lies above the
     least sigma_min of the `exact` matrices.
@@ -283,10 +368,16 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     A cannot clear half of it, or when a candidate's SVD fails to converge,
     since the least may then have no verdict. Both passes follow chol, the
     elimination plan of the stack's pattern (a stack with a row zero in
-    every matrix is never screened; see Pattern)."""
-    m, rows, cols = stack.shape
+    every matrix is never screened; see Pattern). The candidates' SVD takes
+    `batch` matrices at a time (see _svd)."""
+    (rows, cols), m, chol = stack.pattern.shape, len(stack), stack.pattern.plan
     nothing = np.zeros(m, dtype=bool)
-    gram = chol.gram(stack)
+    # the Gram and the copy that pass A factors are one block, (2, vectors,
+    # m): a chunk's largest array, which glibc's malloc then keeps for the
+    # next chunk rather than trim from its heap, and each page trimmed would
+    # fault again (see checks.CHUNK_BYTES)
+    work = np.zeros((2, len(chol.slots), m))
+    gram = chol.gram(stack.values, work[0])
     fro2 = gram[chol.diag].sum(axis=0)
     in_range = (fro2 >= GRAM_RANGE**-2) & (fro2 <= GRAM_RANGE**2)
     eps = np.finfo(float).eps
@@ -298,7 +389,8 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     floor = np.maximum(norm + delta, 1.0, out=norm)
     floor *= tol
     shift = (floor + delta) ** 2 + e
-    pivot = chol.least_pivot(gram.copy(), shift)
+    np.copyto(work[1], gram)
+    pivot = chol.least_pivot(work[1], shift)
     cleared = (pivot > 0) & in_range
     if 2 * np.count_nonzero(cleared) < m:  # mostly rank deficient: the SVD is cheaper
         return nothing, None
@@ -308,7 +400,7 @@ def _screen(stack: np.ndarray, tol: float, exact: np.ndarray, index: np.ndarray,
     if not len(pool):
         return cleared, np.nextafter(floor, np.inf)
     failed = len(reasons)
-    sigma = _svd(stack[pool], index[pool], reasons)[:, -1]
+    sigma = _svd(stack.take(pool), index[pool], reasons, batch)[:, -1]
     if len(reasons) > failed:
         return nothing, None
     bound = np.maximum(floor, sigma.min())
@@ -329,12 +421,14 @@ class _GramCholesky:
     1989), which keeps the fill small. The plan depends on the pattern alone,
     so a compiled jet keeps one (see Pattern); `slots` names each vector's
     (row, column) of A.A^T. `floats` is what screening a stack holds per
-    matrix: the vectors and the copy least_pivot factors, and the two update
-    temporaries of its widest column, or gram's vectors and products."""
+    matrix: the vectors and the copy least_pivot factors, one block, and the
+    two update temporaries of its widest column or gram's products."""
 
-    def __init__(self, pattern: np.ndarray):
-        """`pattern`: the (rows, cols) entries of A that are nonzero in some
-        matrix of the stack."""
+    def __init__(self, layout: Pattern):
+        """`layout`: the stack's pattern, whose `nonzero` entries of A may
+        be nonzero in some matrix of the stack, and whose `index` finds each
+        entry's vector."""
+        pattern, index = layout.nonzero, layout.index
         rows = len(pattern)
         bits = np.packbits(pattern @ pattern.T, axis=1, bitorder="little")
         adjacent = [int.from_bytes(row.tobytes(), "little") & ~(1 << j) for j, row in enumerate(bits)]
@@ -350,12 +444,16 @@ class _GramCholesky:
         for j in below:
             slot[j, j] = len(slot)
             slot.update({(i, j): len(slot) + k for k, i in enumerate(below[j])})
-        self.slots, self.products, cols = list(slot), [], pattern.shape[1]
+        self.slots, self.products = list(slot), []
         for v, (i, j) in enumerate(self.slots):
-            shared = np.flatnonzero(pattern[i] & pattern[j]).tolist()  # the columns where both rows may be nonzero
-            if shared:  # vector v sums the products of its rows' entries from the first to the last of them
-                self.products.append((v, i * cols + shared[0], j * cols + shared[0], shared[-1] + 1 - shared[0]))
-        self.width = max((product[3] for product in self.products), default=0)
+            shared = np.flatnonzero(pattern[i] & pattern[j])  # the columns where both rows may be nonzero
+            if shared.size:  # vector v sums their products, in runs of consecutive vectors of both rows
+                left, right = index[i, shared], index[j, shared]
+                cuts = np.flatnonzero((np.diff(left) != 1) | (np.diff(right) != 1)) + 1
+                starts, stops = [0, *cuts.tolist()], [*cuts.tolist(), shared.size]
+                runs = [(int(left[a]), int(right[a]), a, b) for a, b in zip(starts, stops)]
+                self.products.append((v, runs, shared.size))
+        self.width = max((product[2] for product in self.products), default=0)
         self.diag = np.array([slot[j, j] for j in range(rows)])
         self.columns = []  # per column with entries below it: its slots and its (target, left, right) updates
         for j, rest in below.items():
@@ -364,24 +462,28 @@ class _GramCholesky:
                 update = [(slot[(b, a) if (b, a) in slot else (a, b)], slot[a, j], slot[b, j]) for a, b in pairs]
                 pivot = slot[j, j]
                 self.columns.append((pivot, pivot + 1 + len(rest), *np.array(update, dtype=np.intp).T))
-        self.floats = len(slot) + max(len(slot) + 2 * max((len(c[2]) for c in self.columns), default=0), self.width)
+        self.floats = 2 * len(slot) + max(2 * max((len(c[2]) for c in self.columns), default=0), self.width)
 
-    def gram(self, stack: np.ndarray) -> np.ndarray:
-        """The (vectors, m) entries of every A.A^T: each the sum of the
-        elementwise products of its rows' (m,)-vectors of entries (contiguous
-        in an entry-major stack), from the first to the last column where
-        both rows may be nonzero, and 0 where they share none. A matrix
-        outside the Gram range may overflow, to an inf on its diagonal, which
-        _screen reads."""
-        m, rows, cols = stack.shape
-        a = stack.reshape(m, rows * cols).T
-        out, terms = np.zeros((len(self.slots), m)), np.empty((self.width, m))
+    def gram(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The (vectors, m) entries of every A.A^T, from a stack's (entries,
+        m) vectors (see JetStack), in `out` if given, zeroed: each the sum, in
+        column order, of the elementwise products of its rows' vectors at the
+        columns where both rows may be nonzero, and 0 where they share none.
+        The products left out are exact zeros, so only the sign of a zero can
+        differ from the sum over every column. A matrix outside the Gram
+        range may overflow, to an inf on its diagonal, which _screen reads."""
+        m = a.shape[1]
+        out = np.zeros((len(self.slots), m)) if out is None else out
+        terms = np.empty((self.width, m))
         with np.errstate(over="ignore", invalid="ignore"):
-            for v, left, right, k in self.products:
-                product = out[v : v + 1] if k == 1 else terms[:k]
-                np.multiply(a[left : left + k], a[right : right + k], out=product)
-                if k > 1:  # summed in column order
-                    np.add.reduce(product, axis=0, out=out[v])
+            for v, runs, k in self.products:
+                if k == 1:
+                    ((left, right, _, _),) = runs
+                    np.multiply(a[left], a[right], out=out[v])
+                    continue
+                for left, right, start, stop in runs:
+                    np.multiply(a[left : left + stop - start], a[right : right + stop - start], out=terms[start:stop])
+                np.add.reduce(terms[:k], axis=0, out=out[v])
         return out
 
     def least_pivot(self, v: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -408,50 +510,55 @@ def valid_mask(n: int, failed) -> np.ndarray:
     return mask
 
 
-def _svd(stack: np.ndarray, index: np.ndarray, reasons: dict) -> np.ndarray:
-    """Singular values of a stack of matrices, whose places in the checked
-    stack are `index`: one batched SVD, or, where it fails to converge, one
-    SVD per matrix, recording the matrices that fail on their own in
-    `reasons`."""
-    try:
-        return np.linalg.svd(stack, compute_uv=False)
-    except np.linalg.LinAlgError:
-        pass
-    sigma = np.zeros((len(stack), min(stack.shape[1:])))
-    for j, i in enumerate(index.tolist()):
+def _svd(stack: JetStack, index: np.ndarray, reasons: dict, batch: int) -> np.ndarray:
+    """Singular values of a stack's matrices, whose places in the checked
+    stack are `index`, made dense `batch` at a time: one batched SVD per
+    batch, or, where it fails to converge, one SVD per matrix of the batch,
+    recording the matrices that fail on their own in `reasons`."""
+    sigma = np.zeros((len(stack), min(stack.pattern.shape)))
+    for start in range(0, len(stack), batch):
+        part = stack.take(slice(start, start + batch)).dense()
         try:
-            sigma[j] = np.linalg.svd(stack[j], compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            reasons[i] = str(exc)
+            sigma[start : start + batch] = np.linalg.svd(part, compute_uv=False)
+            continue
+        except np.linalg.LinAlgError:
+            pass
+        for j, i in enumerate(index[start : start + batch].tolist()):
+            try:
+                sigma[start + j] = np.linalg.svd(part[j], compute_uv=False)
+            except np.linalg.LinAlgError as exc:
+                reasons[i] = str(exc)
     return sigma
 
 
 class CompiledJet:
     """Jets' row expressions compiled into one tape of numpy calls (see
-    expr.compile_batch), each jet a range of its columns, run over a chunk of
-    points at a time, and the pattern of each jet's entries, read once, when
-    they are compiled: an entry that is the constant 0 is 0 at every point.
+    expr.compile_batch), run over a chunk of points at a time, and each
+    jet's pattern (see Pattern), read once, when they are compiled: an entry
+    that is the constant 0 of either sign is 0 at every point. A compact
+    tape computes and holds only the entries that are not ZERO, the constant
+    +0.0, each jet a range of its outputs; one that is not holds every
+    entry, for a caller that needs every matrix dense, as identity mode's
+    determinants do (densifying compact blocks cost identity-sweep about 3%).
     A node that two jets share, such as L_a f inside L_a(F o f), is one op of
     the tape. `at_floats` is what `at` holds per point, the tape's, and
-    `floats` what `ranks` holds: the tape's and the largest Gram screen's
-    (see Pattern.floats), since it ranks one jet at a time."""
+    `floats` what `ranks` holds: the tape's and the most that ranking one of
+    its stacks holds beyond them (see Pattern.floats), since it ranks one jet
+    at a time."""
 
-    def __init__(self, jets, chart):
+    def __init__(self, jets, chart, compact: bool = True):
         """`jets`: each jet's rows of expressions."""
         self.shapes = [(len(rows), len(rows[0])) for rows in jets]
-        # the column where each jet after the first starts
-        self._cuts = list(accumulate(rows * cols for rows, cols in self.shapes))[:-1]
         entries = [e for rows in jets for row in rows for e in row]
-        self._run = compile_batch(entries, chart.coords)
-        self._nonzero = np.array([not (type(e) is Const and e.value == 0) for e in entries])
-        self._patterns = None
-
-    @property
-    def patterns(self) -> list[Pattern]:
-        if self._patterns is None:  # the first time the jets are ranked
-            parts = np.split(self._nonzero, self._cuts)
-            self._patterns = [Pattern(part.reshape(shape)) for part, shape in zip(parts, self.shapes)]
-        return self._patterns
+        kept = [e for e in entries if e is not ZERO] if compact else entries
+        held = np.array([e is not ZERO for e in entries]) if compact else np.ones(len(entries), dtype=bool)
+        nonzero = np.array([not (type(e) is Const and e.value == 0) for e in entries])
+        self._run = compile_batch(kept, chart.coords)
+        ends = list(accumulate(rows * cols for rows, cols in self.shapes))
+        parts = zip([0, *ends], ends, self.shapes)
+        self.patterns = [Pattern(nonzero[a:b].reshape(shape), held[a:b].reshape(shape)) for a, b, shape in parts]
+        # the output where each jet starts, and where the last ends
+        self._bounds = [0, *accumulate(int(np.count_nonzero(p.held)) for p in self.patterns)]
 
     @property
     def at_floats(self) -> int:
@@ -462,19 +569,19 @@ class CompiledJet:
         return self.at_floats + max(pattern.floats for pattern in self.patterns)
 
     def at(self, points: np.ndarray):
-        """Each jet's (n, rows, cols) stack of matrices at an (n, dim) array
-        of points, and a dict mapping each point where evaluation faulted to
-        (the index of the jet of its first faulting entry, in jet order, and
-        that entry's EvalError); that point's matrices are nan in every jet,
-        and every other is finite. Each stack is a view of the tape's values,
-        whose entry-major layout makes each entry's values one vector."""
+        """Each jet's JetStack at an (n, dim) array of points, and a dict
+        mapping each point where evaluation faulted to (the index of the jet
+        of its first faulting entry, in jet order, and that entry's
+        EvalError); that point's held entries are nan in every jet, and every
+        other is finite. Each stack's vectors are a view of the tape's
+        values, each entry's one contiguous row."""
         values, errors = self._run(points)
-        parts = np.split(values, self._cuts, axis=1)
-        stacks = [part.reshape((len(points),) + shape) for part, shape in zip(parts, self.shapes)]
-        return stacks, {i: (bisect_right(self._cuts, j), exc) for i, (j, exc) in errors.items()}
+        bounds = zip(self._bounds, self._bounds[1:], self.patterns)
+        stacks = [JetStack(values.T[a:b], pattern) for a, b, pattern in bounds]
+        return stacks, {i: (bisect_right(self._bounds, j) - 1, exc) for i, (j, exc) in errors.items()}
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> list[StackRanks]:
-        """Each jet's rank verdicts at the points (see stack_ranks). A point
+        """Each jet's rank verdicts at the points (see _stack_ranks). A point
         that faults has no verdict in any jet, and each jet's least sigma_min
         is exact among the points where every other jet has a verdict: each
         jet is ranked among the points the jets before it kept, and one whose
@@ -482,11 +589,11 @@ class CompiledJet:
         stacks, faults = self.at(points)
         errors = {i: exc for i, (_, exc) in faults.items()}
         ranks, valid = [], np.ones(len(points), dtype=bool)
-        for stack, pattern in zip(stacks, self.patterns):
-            ranks.append(stack_ranks(stack, tol, errors, valid, pattern=pattern))
+        for stack in stacks:
+            ranks.append(_stack_ranks(stack, tol, errors, valid))
             valid = valid & ranks[-1].valid
         for i, r in enumerate(ranks[:-1]):
             others = np.logical_and.reduce([o.valid for o in ranks[:i] + ranks[i + 1 :]])
             if (r.valid & ~others).any():
-                ranks[i] = stack_ranks(stacks[i], tol, errors, others, pattern=self.patterns[i])
+                ranks[i] = _stack_ranks(stacks[i], tol, errors, others)
         return ranks

@@ -96,22 +96,52 @@ mode = identity
 """
 
 
-@pytest.mark.parametrize("name", gallery.list_fixtures() + ["identity-contact-1"])
+
+def _free(components: str) -> str:
+    return f"""
+[manifold]
+coords = [x, y]
+box = [[-1, 1], [-1, 1]]
+
+[frame]
+vectors = [["1", "0"], ["0", "1"]]
+
+[map]
+components = {components}
+
+[check]
+mode = free
+"""
+
+
+# checks whose D2 stacks go to the SVD whole, made dense in batches: a 5 x 5
+# D2 of full rank nowhere, which the Gram screen's first pass gives up on,
+# and one whose second-derivative row along x is the constant 0, a pattern
+# that is never screened
+DENSE_SVD = {
+    "free-deficient": _free('["x+y", "(x+y)^2", "(x+y)^3*y", "(x+y)^4", "exp(x+y)"]'),
+    "free-never-screened": _free('["x", "y", "x*y", "y^2", "y^3"]'),
+}
+
+
+@pytest.mark.parametrize("name", gallery.list_fixtures() + ["identity-contact-1", *DENSE_SVD])
 def test_a_check_holds_about_its_chunk_budget(name, monkeypatch):
-    """A fixture's check at 10^4 samples, or an identity check's, its
-    manifest parsed and its jets compiled inside the trace, peaks within 1.5
-    CHUNK_BYTES of traced memory, so a judge whose `floats` undercounts what
-    a chunk holds shows here; and a check whose chunks are longer than
-    CHUNK, so sized by its `floats`, peaks at half of it or more, so an
-    overcount shows too. The gallery's jets and residuals are defined on its
-    whole box, and so are the identity check's, so no chunk runs a trace."""
-    text = IDENTITY_CONTACT_1 if name == "identity-contact-1" else gallery.show(name)
-    _, peak, lengths = _traced(lambda: run_fixture(parse_manifest_text(text), 10000, 0), monkeypatch)
+    """A fixture's check at 10^4 samples, an identity check's or a check
+    whose matrices all go to the SVD, its manifest parsed and its jets
+    compiled inside the trace, peaks within 1.5 CHUNK_BYTES of traced
+    memory, so a judge whose `floats` undercounts what a chunk holds shows
+    here; and a check whose chunks are longer than CHUNK, so sized by its
+    `floats`, peaks at half of it or more, so an overcount shows too. The
+    gallery's jets and residuals are defined on its whole box, and so are
+    the other checks', so no chunk runs a trace."""
+    text = IDENTITY_CONTACT_1 if name == "identity-contact-1" else DENSE_SVD.get(name) or gallery.show(name)
+    report, peak, lengths = _traced(lambda: run_fixture(parse_manifest_text(text), 10000, 0), monkeypatch)
     assert peak <= 1.5 * CHUNK_BYTES
+    assert report.verdict == ("fail" if name in DENSE_SVD else "pass")
     if lengths[0] > CHUNK:
         assert peak >= 0.5 * CHUNK_BYTES
     else:
-        assert name != "identity-contact-1"
+        assert name in gallery.list_fixtures()
 
 
 # 1/(y - 0.5) faults at y = 0.5, one grid value in 17, so every chunk faults

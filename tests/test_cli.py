@@ -84,6 +84,13 @@ class TestCheck:
         bad.write_text(text)
         assert main(["check", str(bad)]) == 2
 
+    def test_a_coordinate_named_pi_exit_two(self, planar_manifest, tmp_path, capsys):
+        text = open(planar_manifest).read().replace("coords = [x, y]", "coords = [pi, y]")
+        bad = tmp_path / "pi.toml"
+        bad.write_text(text.replace("y*exp(x)", "y*exp(pi)"))
+        assert main(["check", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith("error: bad [manifold] section: coordinate name 'pi'")
+
     def test_missing_file_exit_two(self):
         assert main(["check", "/nonexistent/manifest"]) == 2
 
@@ -594,6 +601,14 @@ class TestEval:
     def test_repeated_binding_exit_two(self, bindings, capsys):
         assert main(["eval", "x", "--at", bindings]) == 2
         assert capsys.readouterr().err == "error: coordinate 'x' bound twice\n"
+
+    @pytest.mark.parametrize("bindings, name", [("pi=1,x=2", "pi"), ("x=2,3=1", "3"), ("=1", "")])
+    def test_binding_a_name_the_dsl_reads_otherwise_exit_two(self, bindings, name, capsys):
+        """pi + x at pi=1 printed pi + 2, the binding silently ignored."""
+        assert main(["eval", "pi + x", "--at", bindings]) == 2
+        part = next(p for p in bindings.split(",") if p.startswith(f"{name}="))
+        err = f"error: binding {part!r}: {name!r} does not read as a coordinate in an expression\n"
+        assert capsys.readouterr() == ("", err)
 
     def test_superscript_digit_is_a_parse_error(self, capsys):
         assert main(["eval", "2*\u00b2"]) == 2

@@ -202,6 +202,7 @@ def _blocks_apart(frame, f, outer, points):
     image at the points where the order-2 jet of f and f are defined, and
     each point's failure named by the first block that faults there."""
     (d2_inner,), errors = CompiledJet([d2_exprs(frame, f)], frame.chart).at(points)
+    d2_inner = d2_inner.dense()
     failures = {i: f"inner jet block: {exc}" for i, (_, exc) in errors.items()}
     image, errors = compile_batch(f.components, frame.chart.coords)(points)
     for i, (_, exc) in errors.items():
@@ -209,10 +210,12 @@ def _blocks_apart(frame, f, outer, points):
     d2_outer = np.full((len(points), outer.q, outer.q), np.nan)
     defined = np.flatnonzero(valid_mask(len(points), failures))
     outer_jet = CompiledJet([d2_exprs(standard_frame(outer.chart), outer)], outer.chart)
-    (d2_outer[defined],), errors = outer_jet.at(image[defined])
+    (outer_stack,), errors = outer_jet.at(image[defined])
+    d2_outer[defined] = outer_stack.dense()
     for j, (_, exc) in errors.items():
         failures.setdefault(int(defined[j]), f"outer jet block: {exc}")
     (d2_composite,), errors = CompiledJet([d2_exprs(frame, compose(outer, f))], frame.chart).at(points)
+    d2_composite = d2_composite.dense()
     for i, (_, exc) in errors.items():
         failures.setdefault(i, f"composite jet block: {exc}")
     return d2_inner, d2_outer, d2_composite, failures

@@ -23,6 +23,7 @@ from hfree.expr import (
     compile_batch,
     diff,
     free_vars,
+    names_a_coordinate,
     parse,
     simplify,
     to_str,
@@ -47,6 +48,15 @@ class TestParse:
 
     def test_pi_is_reserved(self):
         assert evaluate(parse("pi"), {}) == math.pi
+
+    @given(st.text(alphabet="xyp_i1²٣é (.-\t", max_size=5) | st.sampled_from(["pi", "pi2", "sin", "exp(x)", "2", "x\t"]))
+    @settings(max_examples=300, deadline=None)
+    def test_a_coordinate_name_is_what_parse_reads_as_that_coordinate(self, name):
+        try:
+            itself = parse(name) is Coord(name)
+        except ParseError:
+            itself = False
+        assert names_a_coordinate(name) == itself
 
     def test_negative_exponent(self):
         assert evaluate(parse("x^-2"), {"x": 2.0}) == 0.25
@@ -689,7 +699,7 @@ def test_all_constant_jet_is_broadcast():
     compiled, reference = _outcomes(entries, fix.chart.coords, points.tolist())
     assert compiled == reference == [_bits([1.0, 0.0, 0.0, 1.0])] * 300
     (stack,), errors = CompiledJet([d1_exprs(fix.frame, fix.immersion)], fix.chart).at(points)
-    assert not errors and (stack == np.eye(2)).all()
+    assert not errors and (stack.dense() == np.eye(2)).all()
 
 
 def test_per_element_rounding_matches_evaluate():

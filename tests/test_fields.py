@@ -47,6 +47,17 @@ class TestChart:
         with pytest.raises(ValueError):
             Chart(coords=("x",), box=((1.0, 1.0),))
 
+    @pytest.mark.parametrize("name", ["pi", "2", "1.5", "x y", "", "sin(x)", "-x"])
+    def test_a_name_the_dsl_reads_otherwise_is_rejected(self, name):
+        """pi is a constant, a numeral a number and other text no one name,
+        so an expression could never read the coordinate."""
+        with pytest.raises(ValueError, match="does not read as a coordinate"):
+            Chart(coords=(name, "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+
+    @pytest.mark.parametrize("name", ["x", "sin", "pi2", "_t", "x_1"])
+    def test_a_name_the_dsl_reads_as_itself_is_accepted(self, name):
+        assert Chart(coords=(name,), box=((-1.0, 1.0),)).coords == (name,)
+
     def test_periodic_box_enforced(self):
         with pytest.raises(ValueError):
             Chart(coords=("phi",), box=((0.0, 1.0),), periodic=(True,))

@@ -23,6 +23,7 @@ from hfree.jets import (
     DEFAULT_TOL,
     BelowCriticalDimension,
     CompiledJet,
+    d1_exprs,
     d1_matrix,
     d2_exprs,
     d2_matrix,
@@ -449,7 +450,7 @@ def _contact_2_grams():
     times 1 - 1e-6 and 1 + 1e-6."""
     fix = fixture_parts("contact-2")
     jet = CompiledJet([d2_exprs(fix.frame, fix.free_map)], fix.chart)
-    (stack,), _ = jet.at(sample_points(fix.chart, 4, 3))
+    stack = jet.at(sample_points(fix.chart, 4, 3))[0][0].dense()
     lam = np.linalg.eigvalsh(stack @ stack.transpose(0, 2, 1))[:, 0]
     return stack, np.array([0.0, 0.5 * (stack[1] ** 2).sum(), lam[2] * (1.0 - 1e-6), lam[3] * (1.0 + 1e-6)])
 
@@ -467,8 +468,8 @@ def test_a_shifted_cholesky_certifies_sigma_min(case):
     Cholesky of A.A^T - tau.I succeeds."""
     stack, tau = case
     n, rows, cols = stack.shape
-    chol = jets_module._GramCholesky((stack != 0).any(axis=0))
-    positive = chol.least_pivot(chol.gram(stack), tau) > 0
+    chol = jets_module.Pattern((stack != 0).any(axis=0)).plan
+    positive = chol.least_pivot(chol.gram(_vectors(stack)), tau) > 0
     for a, shift, certified in zip(stack, tau, positive):
         gram = a @ a.T
         if not jets_module.GRAM_RANGE**-2 <= np.trace(gram) <= jets_module.GRAM_RANGE**2:
@@ -488,11 +489,16 @@ def test_a_shifted_cholesky_certifies_sigma_min(case):
             assert certified == factors
 
 
+def _vectors(stack):
+    """The (rows * cols, n) vectors of a dense stack's entries, a view."""
+    return stack.reshape(len(stack), -1).T
+
+
 def _entry_major(stack):
     """A copy of an (n, rows, cols) stack whose entries' (n,)-vectors are
-    contiguous, as CompiledJet.at gives them."""
+    contiguous, as JetStack.dense gives them."""
     n, rows, cols = stack.shape
-    return np.ascontiguousarray(stack.reshape(n, rows * cols).T).T.reshape(n, rows, cols)
+    return np.ascontiguousarray(_vectors(stack)).T.reshape(n, rows, cols)
 
 
 @st.composite
@@ -529,15 +535,21 @@ def test_the_pattern_gram_keeps_the_dense_bound(case):
     lies within gamma_cols (|A|.|A|^T)_ij of the exact (A.A^T)_ij (and of
     the dense product, a @ a.T), as _screen's proof needs, underflow aside;
     it is exactly 0 where rows i and j share no column of the pattern, and
-    its bits do not depend on the stack's layout. A matrix whose ||A||_F
-    lies beyond GRAM_RANGE has an inf on its Gram diagonal, and stack_ranks,
+    its bits do not depend on the stack's layout: C-ordered, entry-major or
+    compact, holding the pattern's entries and every other column, whose
+    vectors are found by the pattern's index. A matrix whose ||A||_F lies
+    beyond GRAM_RANGE has an inf on its Gram diagonal, and stack_ranks,
     screening every stack, hands it to the SVD if it is dense."""
     stack, pattern = case
     n, rows, cols = stack.shape
-    chol = jets_module._GramCholesky(pattern)
-    gram = chol.gram(stack)
-    assert np.array_equal(gram, chol.gram(np.ascontiguousarray(stack)), equal_nan=True)
-    assert np.array_equal(gram, chol.gram(_entry_major(stack)), equal_nan=True)
+    chol = jets_module.Pattern(pattern).plan
+    gram = chol.gram(_vectors(stack))
+    assert gram.tobytes() == chol.gram(_vectors(np.ascontiguousarray(stack))).tobytes()
+    assert gram.tobytes() == chol.gram(_vectors(_entry_major(stack))).tobytes()
+    held = pattern.copy()
+    held[:, ::2] = True
+    compact = jets_module.Pattern(pattern, held)
+    assert gram.tobytes() == compact.plan.gram(_vectors(stack)[compact.positions]).tobytes()
     u = Fraction(np.finfo(float).eps) / 2
     gamma, tiny, big = cols * u / (1 - cols * u), cols * Fraction(2.0**-1074), Fraction(np.finfo(float).max)
     for v, (i, j) in enumerate(chol.slots):
@@ -567,32 +579,75 @@ def test_the_pattern_gram_keeps_the_dense_bound(case):
 
 def test_stack_ranks_do_not_depend_on_the_layout():
     """compile_batch stores its values entry-major, so each expression's
-    values and each entry of a CompiledJet.at stack are one contiguous
-    vector, on a chunk that faults too; and stack_ranks gives the same
-    StackRanks, bit for bit, for such a stack and its C-ordered copy, with
-    the screen and the faulted points' copy."""
+    values and each vector of a CompiledJet.at stack are one contiguous
+    vector, on a chunk that faults too; and a compact stack, its dense
+    matrices and their C-ordered copy get the same StackRanks, bit for bit,
+    with the screen and the faulted points' copy."""
     frame = standard_frame(PLANE)
     f = SmoothMap(PLANE, (parse("x + y^2"), parse("y/(x - 0.5)")))
     jet = CompiledJet([d2_exprs(frame, compose(monomial_free_map(2), f))], PLANE)
     points = sample_points(PLANE, 400, 5)
     values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
     assert all(values[:, j].flags.c_contiguous for j in range(2))
-    assert jet.patterns[0].screens
+    pattern = jet.patterns[0]
+    assert pattern.screens and not pattern.full
     for faults in ([], [3, 200]):
         points[faults, 0] = 0.5
         (stack,), errors = jet.at(points)
         assert sorted(errors) == faults
-        assert all(stack[:, r, c].flags.c_contiguous for r in range(5) for c in range(5))
+        assert all(vector.flags.c_contiguous for vector in stack.values)
         values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
         assert values[:, 1].flags.c_contiguous
         errors = {i: exc for i, (_, exc) in errors.items()}
-        stack[7, 4] = stack[7, 0]  # rank deficient: the screen leaves it to the SVD
-        copy = np.ascontiguousarray(stack)
-        ranks = [stack_ranks(s, DEFAULT_TOL, errors, pattern=jet.patterns[0]) for s in (stack, copy)]
-        for name in ("rank", "full_rank", "valid"):
-            assert np.array_equal(getattr(ranks[0], name), getattr(ranks[1], name))
-        assert ranks[0].sigma_min.tobytes() == ranks[1].sigma_min.tobytes()
-        assert ranks[0].reasons == ranks[1].reasons == {i: str(exc) for i, exc in errors.items()}
+        stack.values[pattern.index[4][pattern.held[4]], 7] = 0.0  # rank deficient: left to the SVD
+        dense = stack.dense()
+        ranks = [jets_module._stack_ranks(stack, DEFAULT_TOL, errors)]
+        for s in (dense, np.ascontiguousarray(dense)):
+            ranks.append(stack_ranks(s, DEFAULT_TOL, errors, pattern=jets_module.Pattern(pattern.nonzero)))
+        for r in ranks[1:]:
+            for name in ("rank", "full_rank", "valid"):
+                assert np.array_equal(getattr(ranks[0], name), getattr(r, name))
+            assert ranks[0].sigma_min.tobytes() == r.sigma_min.tobytes()
+            assert ranks[0].reasons == r.reasons == {i: str(exc) for i, exc in errors.items()}
+        assert not ranks[0].full_rank[7]
+
+
+def _dense_tape(jets, chart, points):
+    """Each jet's (n, rows, cols) stack and the faults, from one tape that
+    computes every entry, ZERO among them (compile_batch zeroes those), and
+    holds the stacks as entry-major views of its values: the dense layout
+    that a compact JetStack must reproduce bit for bit."""
+    entries = [e for rows in jets for row in rows for e in row]
+    values, errors = expr_module.compile_batch(entries, chart.coords)(points)
+    stacks, start = [], 0
+    for rows in jets:
+        shape = (len(rows), len(rows[0]))
+        stacks.append(values[:, start : start + shape[0] * shape[1]].reshape((len(points),) + shape))
+        start += shape[0] * shape[1]
+    return stacks, errors
+
+
+@pytest.mark.parametrize("name", ["contact-1", "contact-2", "integrable-torus-3"])
+def test_compact_stacks_keep_the_bits_of_dense_ones(name):
+    """Construct mode's D1 of f and D2 of F o f, held compact, made dense are
+    bit for bit the stacks of a tape that computes every entry; so the SVD,
+    whose loops numpy picks at run time, gives the same bits for both, and
+    the compact stack's StackRanks are the dense one's, bit for bit, under
+    the same pattern."""
+    fix = fixture_parts(name)
+    jets = [d1_exprs(fix.frame, fix.immersion), d2_exprs(fix.frame, fix.free_map)]
+    points = sample_points(fix.chart, 2000, 1)
+    jet = CompiledJet(jets, fix.chart)
+    (compact, errors), (dense, dense_errors) = jet.at(points), _dense_tape(jets, fix.chart, points)
+    assert not errors and not dense_errors and not jet.patterns[1].full
+    for stack, want, pattern in zip(compact, dense, jet.patterns):
+        got = stack.dense()
+        assert got.tobytes() == want.tobytes() and got.strides == want.strides
+        assert np.linalg.svd(got, compute_uv=False).tobytes() == np.linalg.svd(want, compute_uv=False).tobytes()
+        r = jets_module._stack_ranks(stack)
+        w = stack_ranks(want, pattern=jets_module.Pattern(pattern.nonzero))
+        for field in ("rank", "sigma_min", "full_rank", "valid"):
+            assert getattr(r, field).tobytes() == getattr(w, field).tobytes()
 
 
 @pytest.mark.parametrize("deficient", ["zero row", "repeated row"])
@@ -702,7 +757,7 @@ def test_lapack_sees_at_most_2_percent_of_integrable_torus_3(monkeypatch):
 
 def test_a_jet_keeps_its_screen_plan(monkeypatch):
     """contact-2's D2 chunks share one zero pattern, so a check at 10^4
-    samples (20 chunks) builds one elimination plan, kept with the compiled
+    samples (5 chunks) builds one elimination plan, kept with the compiled
     jet, and a second check of the same manifest builds none."""
     fix = parse_manifest_text(gallery.show("contact-2"))  # a fresh jet
     built = []
@@ -772,7 +827,8 @@ def test_a_jet_keeps_its_least_among_the_points_the_other_ranks(failing, monkeyp
 
     rows = [[parse("x"), parse("y")], [parse("y"), parse("x")]]
     jet = CompiledJet([rows, rows], PLANE)
-    monkeypatch.setattr(CompiledJet, "at", lambda self, points: (stacks, {}))
+    compact = [jets_module.JetStack(_vectors(stack), pattern) for stack, pattern in zip(stacks, jet.patterns)]
+    monkeypatch.setattr(CompiledJet, "at", lambda self, points: (compact, {}))
     monkeypatch.setattr(np.linalg, "svd", flaky)
     ranks = jet.ranks(np.zeros((512, 2)))
     assert ranks[failing].reasons == {least: "SVD did not converge"}

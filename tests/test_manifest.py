@@ -132,6 +132,35 @@ def test_bad_manifests(mutation, fragment):
     assert fragment.lower() in str(err.value).lower()
 
 
+_IMMERSION_OF_A_COORDINATE = """
+[manifold]
+coords = [{name}, y]
+box = [[-1, 1], [-1, 1]]
+
+[frame]
+vectors = [["1", "0"]]
+
+[map]
+components = ["{name}"]
+
+[check]
+mode = immersion
+"""
+
+
+@pytest.mark.parametrize("name", ["pi", "2"])
+def test_a_coordinate_the_dsl_reads_otherwise_is_refused(name):
+    """The map is the coordinate, so D1 = 1; but the DSL reads pi and 2 as
+    constants, which made the check fail with rank 0 < 1. The chart is
+    refused instead, in [manifold] and in [outer]."""
+    with pytest.raises(ManifestError, match=r"bad \[manifold\] section: coordinate name '%s'" % name):
+        build_frame(parse_manifest_text(_IMMERSION_OF_A_COORDINATE.format(name=name)))
+    text = _IMMERSION_OF_A_COORDINATE.format(name="x").replace("immersion", "construct")
+    outer = f'[outer]\ncoords = [{name}]\ncomponents = ["{name}", "{name}^2"]\n\n[check]'
+    with pytest.raises(ManifestError, match=r"bad \[outer\] section: coordinate name '%s'" % name):
+        run_check(parse_manifest_text(text.replace("[check]", outer)))
+
+
 def test_syntax_error_carries_line():
     bad = PLANAR.replace("samples = 100", "samples 100")
     with pytest.raises(ManifestError) as err:
