@@ -23,7 +23,11 @@ diagonal, and one that a shifted Cholesky factorization of A.A^T clears is
 full rank, with a certified lower bound on sigma_min above the least as its
 sigma_min (`jets.stack_ranks`).
 A judge ranks each jet among the points it folds, so the worst criterion is
-exact, never a bound.
+exact, never a bound. After a check's first chunk, the fold's worst so far
+bounds each chunk's screen: only a matrix whose sigma_min is at most that
+worst can become the worst, so only those need an exact value, and the
+screen factors each A.A^T once there, where the first chunk, which looks for
+its own least, factors it twice (`jets._screen`).
 
 `run_check` runs a manifest's check, and `run_fixture` a gallery manifest's
 at given samples and seed; both build the manifest's plan (`build_plan`) and
@@ -78,8 +82,10 @@ CHUNK = 512
 # us a page on a 2-vCPU Xeon guest: contact-2 at 10^4 samples ran in 17.8
 # ms without faults and in 25.2-26.0 ms with 2,180). So a check keeps its
 # chunk's largest arrays in one block, about half of what the chunk holds or
-# more: the Gram screen's vectors and their copy (jets._screen), or identity
-# mode's tape values, every entry of its jets (constructions.DetIdentity).
+# more: the Gram screen's vectors and the copy its pass A factors, a block of
+# the same size in the later chunks that factor once (jets._screen), or
+# identity mode's tape values, every entry of its jets
+# (constructions.DetIdentity).
 CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 
@@ -169,9 +175,11 @@ class _Fold:
 
 
 def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: float, notes=()) -> Report:
-    """The one chunk loop of every check. judge(chunk) returns, for each row
-    of a slice of the points, its criterion, whether it has one, and the
-    reasons of the points that fail; the outcomes are folded in sample order.
+    """The one chunk loop of every check. judge(chunk, worst) returns, for
+    each row of a slice of the points, its criterion, whether it has one, and
+    the reasons of the points that fail; the outcomes are folded in sample
+    order. `worst` is the fold's worst criterion so far, None before any, so
+    a rank judge needs no exact value above it.
     judge.floats() is what it holds per point, which sizes the chunks; it is
     read only for a check of more than CHUNK points, so a small check builds
     no screen plan to count. A judge of None means the target dimension is
@@ -181,7 +189,7 @@ def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: 
     fold = _Fold(points, smaller_is_worse)
     step = CHUNK if len(points) <= CHUNK else max(CHUNK, CHUNK_BYTES // (8 * judge.floats()))
     for start in range(0, len(points), step):
-        fold.add(start, *judge(points[start : start + step]))
+        fold.add(start, *judge(points[start : start + step], fold.worst_val))
     return fold.report(mode, notes, started)
 
 
@@ -196,10 +204,12 @@ def _rank_judge(jet: CompiledJet, messages: list, tol: float):
     have full rank, which `messages` (one per jet, formatted with its rank)
     says where it has not. The criterion is the least sigma_min of the jets.
     The reasons rank lowest first: a jet without a verdict hides rank
-    deficiency, and an earlier jet comes before a later one."""
+    deficiency, and an earlier jet comes before a later one. A criterion is
+    exact where it is at most `least`, the check's least so far (see
+    CompiledJet.ranks): only such a one can become the check's worst."""
 
-    def judge(chunk):
-        ranks = jet.ranks(chunk, tol)
+    def judge(chunk, least):
+        ranks = jet.ranks(chunk, tol, least)
         reasons = {}
         for r, message in reversed(list(zip(ranks, messages))):
             reasons.update(_rank_deficient(r, message))
@@ -218,7 +228,7 @@ def _rank_judge(jet: CompiledJet, messages: list, tol: float):
 def _identity_judge(identity: DetIdentity, tol: float):
     """Judge of identity mode (see constructions.DetIdentity)."""
 
-    def judge(chunk):
+    def judge(chunk, worst):
         _, _, rel, failures = identity.residuals(chunk)
         reasons = {
             i: f"residual {float(rel[i]):.3e} exceeds {tol:.3e}"
@@ -326,7 +336,7 @@ def _bracket_judge(labels, run, tol: float):
     """Judge of the bracket laws: `run` is the compiled residuals, labelled
     by `labels` (see bracket_law_residuals)."""
 
-    def judge(chunk):
+    def judge(chunk, worst):
         values, errors = run(chunk)
         # per point, the largest |residual| and the first residual that reaches it
         size = np.abs(values, out=values)

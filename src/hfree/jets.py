@@ -12,6 +12,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,12 +88,14 @@ class StackRanks:
     the exact least singular value, the SVD's bit for bit, at every matrix
     that the ranking handed to the SVD or ranked from its diagonal; among the
     matrices it keeps exact (all, by default) the least sigma_min, ties to
-    the lowest index, is one of those. A matrix the Gram screen cleared is
+    the lowest index, is one of those, or, given a `least`, every sigma_min
+    at most that is (see _stack_ranks). A matrix the Gram screen cleared is
     full rank, and its sigma_min is a certified lower bound on the SVD's,
-    above that least (if the matrix is kept exact). `reasons` maps each
-    matrix that has no verdict to why: an evaluation error or an SVD that did
-    not converge (a cleared matrix never reaches LAPACK). `valid` is False
-    exactly there, and the other arrays hold no meaning there."""
+    above that least (if the matrix is kept exact) or above `least`.
+    `reasons` maps each matrix that has no verdict to why: an evaluation
+    error or an SVD that did not converge (a cleared matrix never reaches
+    LAPACK). `valid` is False exactly there, and the other arrays hold no
+    meaning there."""
 
     rank: np.ndarray
     sigma_min: np.ndarray
@@ -123,17 +126,32 @@ GRAM_RANGE = 2.0**400
 CANDIDATES = 4
 
 
+class Layout(NamedTuple):
+    """What ranking reads of a Pattern. `positions` are the held entries' row
+    * cols + column, ascending, and `index` the (rows, cols) vector of each
+    held entry in that order (see JetStack), meaningless where none is held.
+    `off_diagonal` are the vectors of the entries off the diagonal that may
+    be nonzero, and `diagonal` the places on the diagonal that are held and
+    their vectors. `screens` says whether a stack may be screened: rows <=
+    cols, some entry off the diagonal may be nonzero, and no row is zero in
+    every matrix, which would make every matrix rank deficient."""
+
+    positions: np.ndarray
+    index: np.ndarray
+    off_diagonal: np.ndarray
+    diagonal: tuple[np.ndarray, np.ndarray]
+    screens: bool
+
+
 class Pattern:
-    """The layout of a stack of (rows, cols) jet matrices: the entries it
-    holds, `held` (every entry by default), among them those that may be
+    """The zero pattern of a stack of (rows, cols) jet matrices: the entries
+    it holds, `held` (every entry by default), among them those that may be
     nonzero, `nonzero`, and the Gram screen's elimination plan for them (see
     _GramCholesky), built the first time a stack is screened. An entry not
-    held is +0.0 in every matrix. `positions` are the held entries' row *
-    cols + column, ascending, and `index` the vector of each held entry in
-    that order (see JetStack). `screens` says whether a stack may be
-    screened: rows <= cols, some entry off the diagonal may be nonzero, and
-    no row is zero in every matrix, which would make every matrix rank
-    deficient."""
+    held is +0.0 in every matrix. Its Layout is computed in one go the first
+    time its `floats` are read, a stack that does not hold every entry is
+    made dense or any stack is ranked, so a pattern whose stacks are never
+    ranked, as identity mode's, computes none of it."""
 
     def __init__(self, nonzero: np.ndarray, held: np.ndarray | None = None):
         self.shape = nonzero.shape
@@ -141,36 +159,22 @@ class Pattern:
         self.held = np.ones(self.shape, dtype=bool) if held is None else held
         self._plan = None
 
-    # the rest is read the first time a stack is made dense or ranked
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        return np.flatnonzero(self.held)
-
     @cached_property
     def full(self) -> bool:
         return bool(self.held.all())
 
     @cached_property
-    def index(self) -> np.ndarray:
-        """The vector of each held entry; meaningless where none is held."""
-        return np.cumsum(self.held).reshape(self.shape) - 1
-
-    @cached_property
-    def off_diagonal(self) -> np.ndarray:
-        """The vectors of the entries off the diagonal that may be nonzero."""
-        return self.index[self.nonzero & ~np.eye(*self.shape, dtype=bool)]
-
-    @cached_property
-    def diagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """The places on the diagonal that are held, and their vectors."""
-        on = np.flatnonzero(self.held.diagonal())
-        return on, self.index[on, on]
-
-    @cached_property
-    def screens(self) -> bool:
+    def layout(self) -> Layout:
         rows, cols = self.shape
-        return rows <= cols and self.off_diagonal.size > 0 and bool(self.nonzero.any(axis=1).all())
+        held = self.held.reshape(-1)
+        index = held.cumsum() - 1
+        on = slice(0, min(rows, cols) * (cols + 1), cols + 1)  # the diagonal, flat
+        off = self.nonzero.flatten()
+        off[on] = False
+        off_diagonal = index[off]
+        places = held[on].nonzero()[0]
+        screens = rows <= cols and off_diagonal.size > 0 and bool(self.nonzero.any(axis=1).all())
+        return Layout(held.nonzero()[0], index.reshape(self.shape), off_diagonal, (places, index[on][places]), screens)
 
     @property
     def plan(self) -> _GramCholesky:
@@ -184,14 +188,14 @@ class Pattern:
         screen's where it screens (see _GramCholesky.floats), or the SVD's
         dense matrices, at most as many floats as the stack holds (see
         _svd), and their singular values."""
-        svd = len(self.positions) + min(self.shape)
-        return max(self.plan.floats if self.screens else 0, svd)
+        layout = self.layout
+        return max(self.plan.floats if layout.screens else 0, len(layout.positions) + min(self.shape))
 
 
 class JetStack:
     """A stack of n (rows, cols) jet matrices, held compact and entry-major:
-    `values` is a (len(pattern.positions), n) array whose row e is the
-    (n,)-vector of entry pattern.positions[e] of every matrix, and an entry
+    `values` is a (len(positions), n) array whose row e is the (n,)-vector
+    of entry positions[e] of every matrix (see Layout), and an entry
     that the pattern does not hold is +0.0 in every matrix."""
 
     def __init__(self, values: np.ndarray, pattern: Pattern):
@@ -213,34 +217,48 @@ class JetStack:
         if self.pattern.full:
             return self.values.T.reshape(n, rows, cols)
         out = np.zeros((rows * cols, n))
-        out[self.pattern.positions] = self.values
+        out[self.pattern.layout.positions] = self.values
         return out.T.reshape(n, rows, cols)
 
 
 def stack_ranks(
-    entries: np.ndarray, tol: float = DEFAULT_TOL, errors=None, exact=None, *, pattern: Pattern | None = None
+    entries: np.ndarray,
+    tol: float = DEFAULT_TOL,
+    errors=None,
+    exact=None,
+    *,
+    pattern: Pattern | None = None,
+    least: float | None = None,
 ) -> StackRanks:
     """Rank verdicts over a dense (n, rows, cols) stack (see _stack_ranks,
-    which a compiled jet calls on its compact stacks): its matrices are
-    ranked as a JetStack that holds every entry, the vectors a view of
-    `entries`. `pattern` says which entries may be nonzero; without one, the
-    pattern is read from the matrices of the points that did not fault."""
+    which a compiled jet calls on its compact stacks, for `errors`, `exact`
+    and `least`): its matrices are ranked as a JetStack that holds every
+    entry, the vectors a view of `entries`. `pattern` says which entries may
+    be nonzero; without one, the pattern is read from the matrices of the
+    points that did not fault."""
     n, rows, cols = entries.shape
     if pattern is None:
         valid = valid_mask(n, errors or {})[:, None, None]
         pattern = Pattern(np.any(entries != 0, axis=0, where=valid))
     if not pattern.full:
         raise ValueError("a dense stack's pattern must hold every entry")
-    return _stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, exact)
+    return _stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, exact, least)
 
 
-def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=None) -> StackRanks:
+def _stack_ranks(
+    stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=None, least: float | None = None
+) -> StackRanks:
     """Rank verdicts over a stack: a singular value counts when it exceeds
     tol * max(1, sigma_max). `errors` maps points whose evaluation faulted
     to the EvalError (as CompiledJet.at gives them), which is their reason;
     every other matrix must be finite, else ValueError. `exact` is a boolean
     mask of the matrices whose least sigma_min must be exact (default: all);
-    a check passes the points it folds into its worst criterion.
+    a check passes the points it folds into its worst criterion. `least`, if
+    given, is a value that the caller's worst criterion is already at or
+    below, as a check's least sigma_min over its earlier chunks is: then each
+    matrix whose SVD's sigma_min is at most `least` gets that value, bit for
+    bit, and every other one a sigma_min in (least, the SVD's], so that no
+    bound can become the caller's worst; `exact` is not read.
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
@@ -256,6 +274,7 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=N
     smaller batch gains nothing for its own LAPACK call (see _svd)."""
     values, pattern = stack.values, stack.pattern
     (rows, cols), n = pattern.shape, len(stack)
+    _, _, off_diagonal, (places, vectors), screens = pattern.layout
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
         values = values.copy()  # entry-major, as it came
@@ -264,10 +283,9 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=N
         raise ValueError("jet entries must be finite outside the faulted points")
     rank = np.empty(n, dtype=np.intp)
     sigma_min = np.empty(n)
-    dense = (values[pattern.off_diagonal] != 0).any(axis=0)
+    dense = (values[off_diagonal] != 0).any(axis=0)
     if not dense.all():
         diagonal = np.zeros((n - np.count_nonzero(dense), min(rows, cols)))
-        places, vectors = pattern.diagonal
         diagonal[:, places] = np.abs(values[vectors][:, ~dense].T)
         diagonal = np.sort(diagonal, axis=1)[:, ::-1]
         rank[~dense], sigma_min[~dense] = _rank(diagonal, tol), diagonal[:, -1]
@@ -275,9 +293,9 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=N
     stack = JetStack(values if dense.all() else values[:, index], pattern)
     batch = max(min(n, SCREEN_MIN), n * len(values) // (rows * cols), 1)
     svd = np.ones(len(index), dtype=bool)
-    if pattern.screens and len(index) >= SCREEN_MIN:
+    if screens and len(index) >= SCREEN_MIN:
         keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        cleared, bound = _screen(stack, tol, keep, index, reasons, batch)
+        cleared, bound = _screen(stack, tol, keep, index, reasons, batch, least)
         if cleared.any():
             svd = ~cleared
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
@@ -302,11 +320,20 @@ def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
     return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
 
 
-def _screen(stack: JetStack, tol: float, exact: np.ndarray, index: np.ndarray, reasons: dict, batch: int):
+def _screen(
+    stack: JetStack,
+    tol: float,
+    exact: np.ndarray,
+    index: np.ndarray,
+    reasons: dict,
+    batch: int,
+    least: float | None = None,
+):
     """Which of a stack's m dense (rows, cols) matrices, rows <= cols, the
     screen clears, and for each a lower bound on its sigma_min; the others
     need the SVD. A cleared matrix is full rank, and its bound lies above the
-    least sigma_min of the `exact` matrices.
+    least sigma_min of the `exact` matrices, or, given `least`, above that
+    (see _stack_ranks).
 
     A matrix A is cleared by a shifted Cholesky certificate (S. M. Rump,
     "Verification of positive definiteness", BIT 46, 2006), read in sigma,
@@ -356,26 +383,30 @@ def _screen(stack: JetStack, tol: float, exact: np.ndarray, index: np.ndarray, r
     delta)^2 + N u F, the spare, and a matrix cleared at s has sigma_min > b
     + delta, so the SVD's sigma^_min > b.
 
-    Pass A takes b = floor, so a matrix it clears is full rank. Its least
-    pivot plus its shift bounds sigma_min^2 from above, and the CANDIDATES
-    `exact` matrices with the least such bounds get their SVD (_svd, as any
-    other matrix); t is their least sigma_min. Pass B takes b = max(t,
-    floor), so every other matrix it clears has a sigma_min above max(t,
-    floor). A cleared matrix's bound is nextafter(b, inf); the least of the
-    `exact` matrices is then a candidate or a matrix left to the SVD. A
+    Without `least`, the screen factors each Gram twice. Pass A takes b =
+    floor, so a matrix it clears is full rank. Its least pivot plus its
+    shift bounds sigma_min^2 from above, and the CANDIDATES `exact` matrices
+    with the least such bounds get their SVD (_svd, as any other matrix); t
+    is their least sigma_min. Pass B takes b = max(t, floor), so every other
+    matrix it clears has a sigma_min above max(t, floor), and the least of
+    the `exact` matrices is then a candidate or a matrix left to the SVD.
+    Given `least`, the least is already known, so pass B alone factors each
+    Gram once, at b = max(least, floor), with no candidates: every matrix
+    whose sigma_min is at most `least` is left to the SVD, and every cleared
+    one lies above it. A cleared matrix's bound is nextafter(b, inf). A
     matrix goes to the SVD when ||A||_F lies outside [1 / GRAM_RANGE,
-    GRAM_RANGE] or a pass cannot clear it; so does the whole stack when pass
-    A cannot clear half of it, or when a candidate's SVD fails to converge,
-    since the least may then have no verdict. Both passes follow chol, the
-    elimination plan of the stack's pattern (a stack with a row zero in
-    every matrix is never screened; see Pattern). The candidates' SVD takes
-    `batch` matrices at a time (see _svd)."""
+    GRAM_RANGE] or a pass cannot clear it; so does the whole stack when the
+    first pass cannot clear half of it, or when a candidate's SVD fails to
+    converge, since the least may then have no verdict. Every pass follows
+    chol, the elimination plan of the stack's pattern (a stack with a row
+    zero in every matrix is never screened; see Layout). The candidates' SVD
+    takes `batch` matrices at a time (see _svd)."""
     (rows, cols), m, chol = stack.pattern.shape, len(stack), stack.pattern.plan
     nothing = np.zeros(m, dtype=bool)
     # the Gram and the copy that pass A factors are one block, (2, vectors,
-    # m): a chunk's largest array, which glibc's malloc then keeps for the
-    # next chunk rather than trim from its heap, and each page trimmed would
-    # fault again (see checks.CHUNK_BYTES)
+    # m), in every chunk, with `least` too: a chunk's largest array, which
+    # glibc's malloc then keeps for the next chunk rather than trim from its
+    # heap, and each page trimmed would fault again (see checks.CHUNK_BYTES)
     work = np.zeros((2, len(chol.slots), m))
     gram = chol.gram(stack.values, work[0])
     fro2 = gram[chol.diag].sum(axis=0)
@@ -388,17 +419,22 @@ def _screen(stack: JetStack, tol: float, exact: np.ndarray, index: np.ndarray, r
     delta = 3 * (rows + cols) ** 2 * eps * norm
     floor = np.maximum(norm + delta, 1.0, out=norm)
     floor *= tol
-    shift = (floor + delta) ** 2 + e
-    np.copyto(work[1], gram)
-    pivot = chol.least_pivot(work[1], shift)
+    if least is None:  # pass A, on a copy of the Gram, which pass B factors
+        b, factored = floor, work[1]
+        np.copyto(factored, gram)
+    else:  # pass B alone
+        b, factored = np.maximum(floor, least), gram
+    with np.errstate(over="ignore"):  # a least beyond the Gram range: an inf shift clears nothing
+        shift = (b + delta) ** 2 + e
+    pivot = chol.least_pivot(factored, shift)
     cleared = (pivot > 0) & in_range
     if 2 * np.count_nonzero(cleared) < m:  # mostly rank deficient: the SVD is cheaper
         return nothing, None
-    pool = np.flatnonzero(cleared & exact)
+    pool = np.flatnonzero(cleared & exact) if least is None else []
     if len(pool) > CANDIDATES:
         pool = pool[np.argpartition(pivot[pool] + shift[pool], CANDIDATES)[:CANDIDATES]]
     if not len(pool):
-        return cleared, np.nextafter(floor, np.inf)
+        return cleared, np.nextafter(b, np.inf)
     failed = len(reasons)
     sigma = _svd(stack.take(pool), index[pool], reasons, batch)[:, -1]
     if len(reasons) > failed:
@@ -424,11 +460,11 @@ class _GramCholesky:
     matrix: the vectors and the copy least_pivot factors, one block, and the
     two update temporaries of its widest column or gram's products."""
 
-    def __init__(self, layout: Pattern):
-        """`layout`: the stack's pattern, whose `nonzero` entries of A may
-        be nonzero in some matrix of the stack, and whose `index` finds each
-        entry's vector."""
-        pattern, index = layout.nonzero, layout.index
+    def __init__(self, zeros: Pattern):
+        """`zeros`: the stack's pattern, whose `nonzero` entries of A may be
+        nonzero in some matrix of the stack, and whose layout's `index` finds
+        each entry's vector."""
+        pattern, index = zeros.nonzero, zeros.layout.index
         rows = len(pattern)
         bits = np.packbits(pattern @ pattern.T, axis=1, bitorder="little")
         adjacent = [int.from_bytes(row.tobytes(), "little") & ~(1 << j) for j, row in enumerate(bits)]
@@ -580,20 +616,22 @@ class CompiledJet:
         stacks = [JetStack(values.T[a:b], pattern) for a, b, pattern in bounds]
         return stacks, {i: (bisect_right(self._bounds, j) - 1, exc) for i, (j, exc) in errors.items()}
 
-    def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL) -> list[StackRanks]:
-        """Each jet's rank verdicts at the points (see _stack_ranks). A point
-        that faults has no verdict in any jet, and each jet's least sigma_min
-        is exact among the points where every other jet has a verdict: each
-        jet is ranked among the points the jets before it kept, and one whose
-        least a later jet may have left without a verdict is ranked again."""
+    def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, least: float | None = None) -> list[StackRanks]:
+        """Each jet's rank verdicts at the points (see _stack_ranks, which
+        reads `least`). A point that faults has no verdict in any jet, and
+        each jet's least sigma_min is exact among the points where every other
+        jet has a verdict: each jet is ranked among the points the jets before
+        it kept, and one whose least a later jet may have left without a
+        verdict is ranked again. Given `least`, every sigma_min at most
+        `least` is exact at any point."""
         stacks, faults = self.at(points)
         errors = {i: exc for i, (_, exc) in faults.items()}
         ranks, valid = [], np.ones(len(points), dtype=bool)
         for stack in stacks:
-            ranks.append(_stack_ranks(stack, tol, errors, valid))
+            ranks.append(_stack_ranks(stack, tol, errors, valid, least))
             valid = valid & ranks[-1].valid
         for i, r in enumerate(ranks[:-1]):
             others = np.logical_and.reduce([o.valid for o in ranks[:i] + ranks[i + 1 :]])
             if (r.valid & ~others).any():
-                ranks[i] = _stack_ranks(stacks[i], tol, errors, others)
+                ranks[i] = _stack_ranks(stacks[i], tol, errors, others, least)
         return ranks

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import anticommutator, fixture_parts
-from hfree import expr as expr_module, gallery, jets as jets_module
+from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
 from hfree.fields import (
@@ -444,6 +444,58 @@ def test_screened_stacks_keep_the_svd_contract(case, keep):
     _assert_svd_contract(r, stack, errors, exact, seen)
 
 
+@st.composite
+def _stacks_with_a_least(draw):
+    """A stack, mixed or of _shifted_grams, its errors, which name every
+    point with an entry that is not finite, and a least b drawn around the
+    stack's own sigma_min: one valid matrix's sigma_min, exactly, an ulp to
+    either side, within a relative 1e-6 of it or 10^-3 to 10^3 times it; or
+    0 or inf."""
+    stack, errors = draw(st.one_of(_mixed_stacks(), _shifted_grams().map(lambda case: (case[0], {}))))
+    errors.update((i, EvalError("overflow")) for i, m in enumerate(stack) if not np.isfinite(m).all())
+    own = [_own_svd(m)[-1] for i, m in enumerate(stack) if i not in errors]
+    least = draw(st.sampled_from(own)) if own else 0.0
+    kind = draw(st.sampled_from(["exact", "ulp", "near", "scaled", "zero", "inf"]))
+    if kind == "ulp":
+        least = float(np.nextafter(least, draw(st.sampled_from([0.0, math.inf]))))
+    elif kind == "near":
+        least *= 1.0 + draw(st.floats(-1e-6, 1e-6))
+    elif kind == "scaled":
+        least *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    elif kind != "exact":
+        least = 0.0 if kind == "zero" else math.inf
+    return stack, errors, least
+
+
+@given(_stacks_with_a_least())
+@example((np.array([[[0.0, 0.0, 1e300]], [[0.0, 0.0, 1e-300]]]), {}, 1e300))
+@settings(max_examples=300, deadline=None)
+def test_a_least_leaves_every_matrix_at_or_below_it_to_the_svd(case):
+    """With every dense stack screened (SCREEN_MIN = 1) against a least b, as
+    a check ranks each chunk after its first: every valid matrix whose SVD's
+    sigma_min is at most b keeps the SVD's bits, every other one has the
+    SVD's rank and a sigma_min in (b, the SVD's], and the stack is not
+    written. A least far beyond the Gram range, whose shift overflows,
+    clears nothing and raises no warning."""
+    stack, errors, least = case
+    n, rows, cols = stack.shape
+    before = stack.copy()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets_module, "SCREEN_MIN", 1)
+        r = stack_ranks(stack, DEFAULT_TOL, errors, least=least)
+    assert np.array_equal(stack, before, equal_nan=True)
+    assert r.reasons == {i: str(exc) for i, exc in errors.items()}
+    assert r.valid.tolist() == [i not in errors for i in range(n)]
+    for i in np.flatnonzero(r.valid).tolist():
+        sigma = _own_svd(stack[i])
+        rank = int(np.count_nonzero(sigma > DEFAULT_TOL * max(1.0, sigma[0])))
+        assert (r.rank[i], r.full_rank[i]) == (rank, rank == rows)
+        if sigma[-1] <= least:
+            assert float(r.sigma_min[i]).hex() == float(sigma[-1]).hex()
+        else:
+            assert least < r.sigma_min[i] <= sigma[-1]
+
+
 def _contact_2_grams():
     """contact-2's 14 x 14 D2 at four sample points, a shape the strategy
     does not reach, with tau zero, half of ||A||_F^2 and lambda_min(A.A^T)
@@ -549,7 +601,7 @@ def test_the_pattern_gram_keeps_the_dense_bound(case):
     held = pattern.copy()
     held[:, ::2] = True
     compact = jets_module.Pattern(pattern, held)
-    assert gram.tobytes() == compact.plan.gram(_vectors(stack)[compact.positions]).tobytes()
+    assert gram.tobytes() == compact.plan.gram(_vectors(stack)[compact.layout.positions]).tobytes()
     u = Fraction(np.finfo(float).eps) / 2
     gamma, tiny, big = cols * u / (1 - cols * u), cols * Fraction(2.0**-1074), Fraction(np.finfo(float).max)
     for v, (i, j) in enumerate(chol.slots):
@@ -590,7 +642,7 @@ def test_stack_ranks_do_not_depend_on_the_layout():
     values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
     assert all(values[:, j].flags.c_contiguous for j in range(2))
     pattern = jet.patterns[0]
-    assert pattern.screens and not pattern.full
+    assert pattern.layout.screens and not pattern.full
     for faults in ([], [3, 200]):
         points[faults, 0] = 0.5
         (stack,), errors = jet.at(points)
@@ -599,7 +651,7 @@ def test_stack_ranks_do_not_depend_on_the_layout():
         values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
         assert values[:, 1].flags.c_contiguous
         errors = {i: exc for i, (_, exc) in errors.items()}
-        stack.values[pattern.index[4][pattern.held[4]], 7] = 0.0  # rank deficient: left to the SVD
+        stack.values[pattern.layout.index[4][pattern.held[4]], 7] = 0.0  # rank deficient: left to the SVD
         dense = stack.dense()
         ranks = [jets_module._stack_ranks(stack, DEFAULT_TOL, errors)]
         for s in (dense, np.ascontiguousarray(dense)):
@@ -737,8 +789,9 @@ def test_no_gallery_d1_stack_reaches_lapack(monkeypatch):
 
 
 def test_lapack_sees_about_one_contact_2_jet_per_chunk(monkeypatch):
-    """The Gram screen clears every contact-2 D2 but a few candidates for
-    the least of each chunk, so LAPACK sees at most 2% of the 14 x 14 jets."""
+    """The Gram screen clears every contact-2 D2 but the first chunk's few
+    candidates for its least and, in each later chunk, the few below the
+    least so far, so LAPACK sees at most 2% of the 14 x 14 jets."""
     seen = []
     _recording_svd(monkeypatch, seen)
     assert run_fixture(gallery.fixture("contact-2"), samples=10000, seed=1).verdict == "pass"
@@ -794,14 +847,46 @@ def test_a_wider_pattern_keeps_every_verdict():
     assert plans[0] is not None and plans == [plans[0]] * 3
 
 
+def _gallery_reports(seed):
+    return [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in gallery.list_fixtures()]
+
+
 @pytest.mark.parametrize("seed", [0, 11])
 def test_gallery_reports_do_not_depend_on_the_screen(seed, monkeypatch):
     """Every gallery report at 10^4 samples is, bit for bit, the report made
-    with every dense matrix handed to the SVD."""
-    names = gallery.list_fixtures()
-    screened = [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in names]
+    with every dense matrix handed to the SVD: in each check's own chunks,
+    and in chunks of CHUNK points (CHUNK_BYTES = 0), 20 a check, each after
+    the first screened against the check's least so far."""
+    screened = _gallery_reports(seed)
+    monkeypatch.setattr(checks_module, "CHUNK_BYTES", 0)
+    assert 10000 // checks_module.CHUNK >= 5
+    assert _gallery_reports(seed) == screened
     monkeypatch.setattr(jets_module, "SCREEN_MIN", math.inf)
-    assert [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in names] == screened
+    assert _gallery_reports(seed) == screened
+
+
+def test_a_check_factors_each_chunk_after_its_first_once(monkeypatch):
+    """A check's first screened chunk factors its Grams twice, for its own
+    least; each later one, screened against the check's least so far, once.
+    So a gallery check of c screened chunks makes c + 1 factorizations, not
+    2c, in its own chunks and in chunks of CHUNK points."""
+    screen, least_pivot = jets_module._screen, jets_module._GramCholesky.least_pivot
+    screens, factored = [], []
+    monkeypatch.setattr(jets_module, "_screen", lambda *args: screens.append(1) or screen(*args))
+    monkeypatch.setattr(
+        jets_module._GramCholesky, "least_pivot", lambda self, *args: factored.append(1) or least_pivot(self, *args)
+    )
+    for chunk_bytes in (checks_module.CHUNK_BYTES, 0):
+        monkeypatch.setattr(checks_module, "CHUNK_BYTES", chunk_bytes)
+        counts = {}
+        for name in gallery.list_fixtures():
+            screens.clear()
+            factored.clear()
+            assert run_fixture(gallery.fixture(name), 10000, 1).verdict == "pass"
+            counts[name] = len(screens), len(factored)
+        screened = {name: (c, f) for name, (c, f) in counts.items() if c}
+        assert len(screened) == 9 and all(f == c + 1 for c, f in screened.values()), counts
+        assert chunk_bytes or min(c for c, _ in screened.values()) >= 5
 
 
 @pytest.mark.parametrize("failing", [1, 0], ids=["second", "first"])
