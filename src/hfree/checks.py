@@ -26,8 +26,9 @@ A judge ranks each jet among the points it folds, so the worst criterion is
 exact, never a bound. After a check's first chunk, the fold's worst so far
 bounds each chunk's screen: only a matrix whose sigma_min is at most that
 worst can become the worst, so only those need an exact value, and the
-screen factors each A.A^T once there, where the first chunk, which looks for
-its own least, factors it twice (`jets._screen`).
+screen factors each A.A^T once there. The first chunk looks for its own
+least among a prefix of its points, then factors each A.A^T once against it
+too (`jets._screen`).
 
 `run_check` runs a manifest's check, and `run_fixture` a gallery manifest's
 at given samples and seed; both build the manifest's plan (`build_plan`) and
@@ -82,8 +83,9 @@ CHUNK = 512
 # us a page on a 2-vCPU Xeon guest: contact-2 at 10^4 samples ran in 17.8
 # ms without faults and in 25.2-26.0 ms with 2,180). So a check keeps its
 # chunk's largest arrays in one block, about half of what the chunk holds or
-# more: the Gram screen's vectors and the copy its pass A factors, a block of
-# the same size in the later chunks that factor once (jets._screen), or
+# more: the Gram screen's vectors and room for the copy its pass A factors, a
+# block of the same size in every chunk, though pass A copies only a prefix
+# and the later chunks none (jets._screen), or
 # identity mode's tape values, every entry of its jets
 # (constructions.DetIdentity).
 CHUNK_BYTES = 2 << 20

@@ -85,8 +85,9 @@ class StackRanks:
     jet ranks it) or dense (stack_ranks).
 
     `rank` and `full_rank` are those of one SVD per matrix. `sigma_min` is
-    the exact least singular value, the SVD's bit for bit, at every matrix
-    that the ranking handed to the SVD or ranked from its diagonal; among the
+    the exact least singular value at every matrix that the ranking handed
+    to the SVD, the SVD's bit for bit, and at every matrix ranked from its
+    diagonal, the least |d| of its diagonal entries d; among the
     matrices it keeps exact (all, by default) the least sigma_min, ties to
     the lowest index, is one of those, or, given a `least`, every sigma_min
     at most that is (see _stack_ranks). A matrix the Gram screen cleared is
@@ -124,6 +125,15 @@ GRAM_RANGE = 2.0**400
 # (medians of 9 interleaved runs per chunk), stack_ranks took 111.9 ms with 2
 # or 4 candidates, 114.8 ms with 8 and 122.3 ms with 16.
 CANDIDATES = 4
+# Without a least, the screen looks for its candidates among this many of the
+# first `exact` matrices, and factors every Gram once against them. Warm
+# gallery passes at 10^4 samples (medians of 5 passes per round, 12
+# interleaved rounds, seeds 1-12, one core of a 2-vCPU Xeon guest) took
+# 39.9 ms with a prefix of 512, 39.9 ms with 128, 39.0 ms with 256 (faster in
+# 7 of 12 rounds) and 41.1 ms with 1024 (slower in 11 of 12). A longer prefix
+# finds a lower least, so fewer matrices of the chunk fall below it and go to
+# the SVD; a shorter one factors fewer Grams twice.
+PREFIX = 512
 
 
 class Layout(NamedTuple):
@@ -233,13 +243,16 @@ def stack_ranks(
     """Rank verdicts over a dense (n, rows, cols) stack (see _stack_ranks,
     which a compiled jet calls on its compact stacks, for `errors`, `exact`
     and `least`): its matrices are ranked as a JetStack that holds every
-    entry, the vectors a view of `entries`. `pattern` says which entries may
-    be nonzero; without one, the pattern is read from the matrices of the
-    points that did not fault."""
+    entry, the vectors a view of `entries`. Every matrix outside `errors`
+    must be finite, as a compiled jet's are, else ValueError. `pattern` says
+    which entries may be nonzero; without one, the pattern is read from the
+    matrices of the points that did not fault."""
     n, rows, cols = entries.shape
+    valid = valid_mask(n, errors or {})
+    if not np.isfinite(entries[valid]).all():
+        raise ValueError("jet entries must be finite outside the faulted points")
     if pattern is None:
-        valid = valid_mask(n, errors or {})[:, None, None]
-        pattern = Pattern(np.any(entries != 0, axis=0, where=valid))
+        pattern = Pattern(np.any(entries != 0, axis=0, where=valid[:, None, None]))
     if not pattern.full:
         raise ValueError("a dense stack's pattern must hold every entry")
     return _stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, exact, least)
@@ -251,7 +264,7 @@ def _stack_ranks(
     """Rank verdicts over a stack: a singular value counts when it exceeds
     tol * max(1, sigma_max). `errors` maps points whose evaluation faulted
     to the EvalError (as CompiledJet.at gives them), which is their reason;
-    every other matrix must be finite, else ValueError. `exact` is a boolean
+    every other matrix is finite (see CompiledJet.at). `exact` is a boolean
     mask of the matrices whose least sigma_min must be exact (default: all);
     a check passes the points it folds into its worst criterion. `least`, if
     given, is a value that the caller's worst criterion is already at or
@@ -262,16 +275,19 @@ def _stack_ranks(
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
-    no LAPACK call. In a stack of SCREEN_MIN or more other matrices with
-    rows <= cols, the Gram screen (_screen) clears, by a shifted Cholesky
-    factorization of A.A^T, those that are surely full rank and surely above
-    the least, and gives each a certified lower bound on its sigma_min; the
-    rest get their SVD (_svd), redone matrix by matrix where a batch fails to
-    converge. A matrix that fails on its own may have been the least, so
-    then every dense matrix gets its SVD. All of this reads the stack's
-    vectors; only the matrices handed to the SVD are made dense, in batches
-    that hold no more floats than the stack, or SCREEN_MIN matrices, since a
-    smaller batch gains nothing for its own LAPACK call (see _svd)."""
+    no LAPACK call: its rank and sigma_min are read from the vectors of its
+    diagonal (_diagonal), and a stack whose pattern holds nothing that may be
+    nonzero off the diagonal is ranked by that alone. In a stack of
+    SCREEN_MIN or more other matrices with rows <= cols, the Gram screen
+    (_screen) clears, by a shifted Cholesky factorization of A.A^T, those
+    that are surely full rank and surely above the least, and gives each a
+    certified lower bound on its sigma_min; the rest get their SVD (_svd),
+    redone matrix by matrix where a batch fails to converge. A matrix that
+    fails on its own may have been the least, so then every dense matrix gets
+    its SVD. All of this reads the stack's vectors; only the matrices handed
+    to the SVD are made dense, in batches that hold no more floats than the
+    stack, or SCREEN_MIN matrices, since a smaller batch gains nothing for
+    its own LAPACK call (see _svd)."""
     values, pattern = stack.values, stack.pattern
     (rows, cols), n = pattern.shape, len(stack)
     _, _, off_diagonal, (places, vectors), screens = pattern.layout
@@ -279,16 +295,14 @@ def _stack_ranks(
     if reasons:
         values = values.copy()  # entry-major, as it came
         values[:, list(reasons)] = 0.0
-    if not np.isfinite(values).all():
-        raise ValueError("jet entries must be finite outside the faulted points")
+    if not off_diagonal.size:  # every matrix diagonal
+        rank, sigma_min = _diagonal(values[vectors], min(rows, cols), tol)
+        return StackRanks(rank, sigma_min, rank == rows, valid_mask(n, reasons), reasons)
     rank = np.empty(n, dtype=np.intp)
     sigma_min = np.empty(n)
     dense = (values[off_diagonal] != 0).any(axis=0)
     if not dense.all():
-        diagonal = np.zeros((n - np.count_nonzero(dense), min(rows, cols)))
-        diagonal[:, places] = np.abs(values[vectors][:, ~dense].T)
-        diagonal = np.sort(diagonal, axis=1)[:, ::-1]
-        rank[~dense], sigma_min[~dense] = _rank(diagonal, tol), diagonal[:, -1]
+        rank[~dense], sigma_min[~dense] = _diagonal(values[vectors][:, ~dense], min(rows, cols), tol)
     index = np.flatnonzero(dense)
     stack = JetStack(values if dense.all() else values[:, index], pattern)
     batch = max(min(n, SCREEN_MIN), n * len(values) // (rows * cols), 1)
@@ -305,19 +319,21 @@ def _stack_ranks(
         if len(reasons) > failed and not svd.all():  # the least may now be a screened matrix
             svd[:] = True
             sigma = _svd(stack, index, reasons, batch)
-        rank[index[svd]], sigma_min[index[svd]] = _rank(sigma, tol), sigma[:, -1]
-    return StackRanks(
-        rank=rank,
-        sigma_min=sigma_min,
-        full_rank=rank == rows,  # rank <= min(rows, cols), so rows <= cols here
-        valid=valid_mask(n, reasons),
-        reasons=reasons,
-    )
+        rank[index[svd]] = np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
+        sigma_min[index[svd]] = sigma[:, -1]
+    # rank <= min(rows, cols), so a full-rank matrix has rows <= cols
+    return StackRanks(rank, sigma_min, rank == rows, valid_mask(n, reasons), reasons)
 
 
-def _rank(sigma: np.ndarray, tol: float) -> np.ndarray:
-    """Rank of each row of descending singular values."""
-    return np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
+def _diagonal(d: np.ndarray, k: int, tol: float):
+    """Rank and sigma_min of n diagonal matrices of min(rows, cols) = k,
+    from d, the (places, n) vectors of their held diagonal places, a copy
+    that is overwritten: the singular values are |d|, and 0 at each of the k
+    places not held, so sigma_min = min |d| and a place counts when |d|
+    exceeds tol * max(1, max |d|), with no sort."""
+    d = np.abs(d, out=d)
+    rank = np.count_nonzero(d > tol * np.maximum(1.0, d.max(axis=0, initial=0.0)), axis=0)
+    return rank, d.min(axis=0) if len(d) == k else np.zeros(d.shape[1])
 
 
 def _screen(
@@ -383,30 +399,38 @@ def _screen(
     delta)^2 + N u F, the spare, and a matrix cleared at s has sigma_min > b
     + delta, so the SVD's sigma^_min > b.
 
-    Without `least`, the screen factors each Gram twice. Pass A takes b =
-    floor, so a matrix it clears is full rank. Its least pivot plus its
-    shift bounds sigma_min^2 from above, and the CANDIDATES `exact` matrices
-    with the least such bounds get their SVD (_svd, as any other matrix); t
-    is their least sigma_min. Pass B takes b = max(t, floor), so every other
-    matrix it clears has a sigma_min above max(t, floor), and the least of
-    the `exact` matrices is then a candidate or a matrix left to the SVD.
-    Given `least`, the least is already known, so pass B alone factors each
-    Gram once, at b = max(least, floor), with no candidates: every matrix
-    whose sigma_min is at most `least` is left to the SVD, and every cleared
-    one lies above it. A cleared matrix's bound is nextafter(b, inf). A
-    matrix goes to the SVD when ||A||_F lies outside [1 / GRAM_RANGE,
-    GRAM_RANGE] or a pass cannot clear it; so does the whole stack when the
-    first pass cannot clear half of it, or when a candidate's SVD fails to
-    converge, since the least may then have no verdict. Every pass follows
-    chol, the elimination plan of the stack's pattern (a stack with a row
-    zero in every matrix is never screened; see Layout). The candidates' SVD
-    takes `batch` matrices at a time (see _svd)."""
+    Without `least`, the screen first looks for candidates. Pass A takes b
+    = floor, so a matrix it clears is full rank, and it factors a copy of
+    the Grams of the first PREFIX `exact` matrices only. Its least pivot
+    plus its shift bounds sigma_min^2 from above, and the CANDIDATES
+    matrices it clears with the least such bounds get their SVD (_svd, as
+    any other matrix); t is their least sigma_min. Pass B then factors every
+    Gram once, at b = max(t, floor), so every matrix it clears has a
+    sigma_min above max(t, floor), and the least of the `exact` matrices, at
+    most t, is then a candidate or a matrix left to the SVD. The prefix
+    holds only `exact` matrices, so a prefix that clears any has a
+    candidate: pass B never runs at the floor alone while a least is sought,
+    where it could clear that least. So a stack of m matrices has at most m
+    + PREFIX Grams factored. Where no matrix is `exact`, no least is sought,
+    and pass B alone factors each Gram at b = floor. Given `least`, the
+    least is already known, so pass B alone factors each Gram once, at b =
+    max(least, floor), with no candidates: every matrix whose sigma_min is
+    at most `least` is left to the SVD, and every cleared one lies above
+    it. A cleared matrix's bound is nextafter(b, inf). A matrix goes to the
+    SVD when ||A||_F lies outside [1 / GRAM_RANGE, GRAM_RANGE] or a pass
+    cannot clear it; so does the whole stack when a pass cannot clear half
+    of the matrices it factors, or when a candidate's SVD fails to converge,
+    since the least may then have no verdict. Every pass follows chol, the
+    elimination plan of the stack's pattern (a stack with a row zero in
+    every matrix is never screened; see Layout). The candidates' SVD takes
+    `batch` matrices at a time (see _svd)."""
     (rows, cols), m, chol = stack.pattern.shape, len(stack), stack.pattern.plan
     nothing = np.zeros(m, dtype=bool)
-    # the Gram and the copy that pass A factors are one block, (2, vectors,
-    # m), in every chunk, with `least` too: a chunk's largest array, which
-    # glibc's malloc then keeps for the next chunk rather than trim from its
-    # heap, and each page trimmed would fault again (see checks.CHUNK_BYTES)
+    # the Gram and the room for the copy that pass A factors are one block,
+    # (2, vectors, m), in every chunk, with `least` or a prefix too: a chunk's
+    # largest array, which glibc's malloc then keeps for the next chunk rather
+    # than trim from its heap, and each page trimmed would fault again (see
+    # checks.CHUNK_BYTES)
     work = np.zeros((2, len(chol.slots), m))
     gram = chol.gram(stack.values, work[0])
     fro2 = gram[chol.diag].sum(axis=0)
@@ -419,31 +443,34 @@ def _screen(
     delta = 3 * (rows + cols) ** 2 * eps * norm
     floor = np.maximum(norm + delta, 1.0, out=norm)
     floor *= tol
-    if least is None:  # pass A, on a copy of the Gram, which pass B factors
-        b, factored = floor, work[1]
-        np.copyto(factored, gram)
-    else:  # pass B alone
-        b, factored = np.maximum(floor, least), gram
+    if least is None and exact.any():  # pass A, on a copy of the Grams of the first PREFIX exact matrices
+        part = np.flatnonzero(exact)[:PREFIX]
+        factored = work[1].reshape(-1)[: len(chol.slots) * len(part)].reshape(len(chol.slots), len(part))
+        np.take(gram, part, axis=1, out=factored)
+        shift = (floor[part] + delta[part]) ** 2 + e[part]
+        pivot = chol.least_pivot(factored, shift)
+        pool = np.flatnonzero((pivot > 0) & in_range[part])
+        if 2 * len(pool) < len(part):  # mostly rank deficient: the SVD is cheaper
+            return nothing, None
+        if len(pool) > CANDIDATES:
+            pool = pool[np.argpartition(pivot[pool] + shift[pool], CANDIDATES)[:CANDIDATES]]
+        pool = part[pool]
+        failed = len(reasons)
+        sigma = _svd(stack.take(pool), index[pool], reasons, batch)[:, -1]
+        if len(reasons) > failed:
+            return nothing, None
+        b = np.maximum(floor, sigma.min())
+    else:  # pass B alone, at the least, or at the floor where no matrix need be exact
+        pool = []
+        b = np.maximum(floor, least) if least is not None else floor
     with np.errstate(over="ignore"):  # a least beyond the Gram range: an inf shift clears nothing
         shift = (b + delta) ** 2 + e
-    pivot = chol.least_pivot(factored, shift)
-    cleared = (pivot > 0) & in_range
-    if 2 * np.count_nonzero(cleared) < m:  # mostly rank deficient: the SVD is cheaper
+    cleared = (chol.least_pivot(gram, shift) > 0) & in_range  # pass B
+    if 2 * np.count_nonzero(cleared) < m:
         return nothing, None
-    pool = np.flatnonzero(cleared & exact) if least is None else []
-    if len(pool) > CANDIDATES:
-        pool = pool[np.argpartition(pivot[pool] + shift[pool], CANDIDATES)[:CANDIDATES]]
-    if not len(pool):
-        return cleared, np.nextafter(b, np.inf)
-    failed = len(reasons)
-    sigma = _svd(stack.take(pool), index[pool], reasons, batch)[:, -1]
-    if len(reasons) > failed:
-        return nothing, None
-    bound = np.maximum(floor, sigma.min())
-    cleared &= chol.least_pivot(gram, (bound + delta) ** 2 + e) > 0
-    cleared[pool] = True
-    value = np.nextafter(bound, np.inf)
-    value[pool] = sigma
+    value = np.nextafter(b, np.inf)
+    if len(pool):
+        cleared[pool], value[pool] = True, sigma
     return cleared, value
 
 

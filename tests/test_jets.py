@@ -445,6 +445,66 @@ def test_screened_stacks_keep_the_svd_contract(case, keep):
 
 
 @st.composite
+def _diagonal_stacks(draw):
+    """A stack of diagonal rows x cols matrices, square or rectangular, held
+    compact: its pattern may leave diagonal places not held (+0.0 in every
+    matrix) and may hold entries off the diagonal that are the constant 0
+    of either sign, as a compiled jet's -0.0 constants are. Its diagonal
+    entries include +-0.0, faulted points hold nan or inf, and at times
+    dense matrices are mixed in, with every entry held and the pattern
+    letting each be nonzero. Returns the JetStack, its dense matrices,
+    finite at the faulted points too, and the errors."""
+    rows, cols = draw(st.sampled_from(_SHAPES + [(3, 1), (4, 2)]))
+    n = draw(st.integers(1, 12))
+    eye = np.eye(rows, cols, dtype=bool)
+    mixed = rows * cols > 1 and draw(st.booleans())
+    held = np.array(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))).reshape(rows, cols)
+    if mixed:
+        held |= ~eye
+    stack = np.zeros((n, rows, cols))
+    k, off = min(rows, cols), rows * cols - min(rows, cols)
+    stack[:, eye] = np.array(draw(st.lists(_ENTRIES, min_size=n * k, max_size=n * k))).reshape(n, k)
+    stack[:, held & ~eye] = draw(st.sampled_from([0.0, -0.0]))
+    for i in range(n):
+        if mixed and draw(st.booleans()):
+            stack[i][~eye] = draw(st.lists(_ENTRIES, min_size=off, max_size=off))
+    stack[:, ~held] = 0.0
+    errors = {i: EvalError("overflow") for i in draw(st.sets(st.integers(0, n - 1), max_size=3))}
+    values = stack.reshape(n, -1)[:, held.reshape(-1)].T.copy()  # entry-major, as a tape holds it
+    values[:, list(errors)] = draw(st.sampled_from([np.nan, np.inf]))
+    nonzero = held if mixed else held & eye
+    return jets_module.JetStack(values, jets_module.Pattern(nonzero, held)), stack, errors
+
+
+@given(_diagonal_stacks(), st.sampled_from([1, 128]))
+@settings(max_examples=300, deadline=None)
+def test_diagonal_matrices_are_ranked_from_their_vectors(case, screen_min):
+    """A compact stack of diagonal matrices, or one of diagonal and dense
+    matrices, keeps the StackRanks contract against the sorted-|diagonal|
+    reference of _own_svd: rank, sigma_min, full_rank and valid bit for bit
+    at every diagonal matrix, and LAPACK sees none of them. A stack whose
+    pattern lets nothing off the diagonal be nonzero makes no LAPACK call
+    at all."""
+    stack, dense, errors = case
+    n, rows, cols = dense.shape
+    off = ~np.eye(rows, cols, dtype=bool)
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jets_module, "SCREEN_MIN", screen_min)
+        _recording_svd(m, seen)
+        r = jets_module._stack_ranks(stack, DEFAULT_TOL, errors)
+    _assert_svd_contract(r, dense, errors, seen=seen)
+    for i in set(range(n)) - set(errors):
+        if not dense[i][off].any():
+            assert dense[i].tobytes() not in seen
+            sigma = _own_svd(dense[i])
+            rank = np.count_nonzero(sigma > DEFAULT_TOL * max(1.0, sigma[0]))
+            want = (rank, rank == rows, float(sigma[-1]).hex())
+            assert (r.rank[i], r.full_rank[i], float(r.sigma_min[i]).hex()) == want
+    assert seen == [] or stack.pattern.nonzero[off].any()
+
+
+@st.composite
 def _stacks_with_a_least(draw):
     """A stack, mixed or of _shifted_grams, its errors, which name every
     point with an entry that is not finite, and a least b drawn around the
@@ -865,28 +925,84 @@ def test_gallery_reports_do_not_depend_on_the_screen(seed, monkeypatch):
     assert _gallery_reports(seed) == screened
 
 
-def test_a_check_factors_each_chunk_after_its_first_once(monkeypatch):
-    """A check's first screened chunk factors its Grams twice, for its own
-    least; each later one, screened against the check's least so far, once.
-    So a gallery check of c screened chunks makes c + 1 factorizations, not
-    2c, in its own chunks and in chunks of CHUNK points."""
+def _counted_screens(monkeypatch):
+    """Patch _screen and _GramCholesky.least_pivot to record, per screened
+    stack, whether it had a least, its m matrices, its least_pivot calls and
+    the matrices they factored."""
     screen, least_pivot = jets_module._screen, jets_module._GramCholesky.least_pivot
-    screens, factored = [], []
-    monkeypatch.setattr(jets_module, "_screen", lambda *args: screens.append(1) or screen(*args))
-    monkeypatch.setattr(
-        jets_module._GramCholesky, "least_pivot", lambda self, *args: factored.append(1) or least_pivot(self, *args)
-    )
+    screens = []
+
+    def counted_screen(stack, *args):
+        screens.append([args[-1] is not None, len(stack), 0, 0])
+        return screen(stack, *args)
+
+    def counted_pivot(self, v, shift):
+        screens[-1][2:] = screens[-1][2] + 1, screens[-1][3] + v.shape[1]
+        return least_pivot(self, v, shift)
+
+    monkeypatch.setattr(jets_module, "_screen", counted_screen)
+    monkeypatch.setattr(jets_module._GramCholesky, "least_pivot", counted_pivot)
+    return screens
+
+
+def test_a_check_factors_each_chunk_after_its_first_once(monkeypatch):
+    """A check's first screened chunk of m matrices factors the Grams of at
+    most PREFIX of them for its own least, then all m once; each later one,
+    screened against the check's least so far, factors its m once. So a
+    gallery check of c screened chunks makes c + 1 factorizations, not 2c,
+    in its own chunks and in chunks of CHUNK points."""
+    screens = _counted_screens(monkeypatch)
     for chunk_bytes in (checks_module.CHUNK_BYTES, 0):
         monkeypatch.setattr(checks_module, "CHUNK_BYTES", chunk_bytes)
         counts = {}
         for name in gallery.list_fixtures():
             screens.clear()
-            factored.clear()
             assert run_fixture(gallery.fixture(name), 10000, 1).verdict == "pass"
-            counts[name] = len(screens), len(factored)
+            counts[name] = len(screens), sum(calls for _, _, calls, _ in screens)
+            first, *later = screens or [(False, 0, 0, 0)]
+            assert not first[0] and all(least for least, *_ in later), name
+            assert first[3] <= first[1] + jets_module.PREFIX and all(m == f for _, m, _, f in later), name
         screened = {name: (c, f) for name, (c, f) in counts.items() if c}
         assert len(screened) == 9 and all(f == c + 1 for c, f in screened.values()), counts
         assert chunk_bytes or min(c for c, _ in screened.values()) >= 5
+
+
+@pytest.mark.parametrize("prefix", ["no exact matrix", "rank deficient", "beyond the Gram range"])
+def test_a_first_chunk_finds_its_least_past_its_prefix(prefix, monkeypatch):
+    """A first chunk, with no least yet, of 3 PREFIX dense matrices whose
+    first PREFIX hold no `exact` one, or `exact` ones that the screen cannot
+    clear, rank deficient or beyond the Gram range, among matrices with a
+    smaller sigma_min that are not `exact`: the least of the `exact`
+    matrices keeps the SVD's bits, and every cleared `exact` matrix lies
+    above it. Pass A looks for candidates among the first PREFIX `exact`
+    matrices, wherever they lie. A prefix of the first PREFIX matrices would
+    find none where they are not `exact` or not cleared, and pass B at the
+    floor would then clear the least, which lies past the prefix unless a
+    rank-deficient matrix is the least. The screen factors at most m +
+    PREFIX Grams."""
+    rng = np.random.default_rng(13)
+    head = jets_module.PREFIX
+    stack = rng.uniform(-2.0, 2.0, (3 * head, 3, 3))
+    stack[:head] *= 1e-3  # smaller sigma_min than any past the prefix
+    exact = np.ones(len(stack), dtype=bool)
+    exact[:head] = prefix != "no exact matrix" and rng.random(head) < 0.05
+    if prefix == "rank deficient":
+        stack[np.flatnonzero(exact[:head]), 2] = stack[np.flatnonzero(exact[:head]), 0]
+    elif prefix == "beyond the Gram range":
+        stack[np.flatnonzero(exact[:head])] *= 1e200
+    sigma = np.linalg.svd(stack, compute_uv=False)[:, -1]
+    least = min(np.flatnonzero(exact), key=lambda i: (sigma[i], i))
+    assert (least < head) == (prefix == "rank deficient")
+    seen = []
+    with monkeypatch.context() as m:
+        screens = _counted_screens(m)
+        _recording_svd(m, seen)
+        r = stack_ranks(stack, DEFAULT_TOL, {}, exact)
+    _assert_svd_contract(r, stack, {}, exact, seen)
+    assert float(r.sigma_min[least]).hex() == float(sigma[least]).hex()
+    ((had_least, screened, _, factored),) = screens
+    assert not had_least and screened == len(stack) and factored <= screened + head
+    assert len(seen) < len(stack) // 4
 
 
 @pytest.mark.parametrize("failing", [1, 0], ids=["second", "first"])
