@@ -29,7 +29,6 @@ from .jets import (
     d2_exprs,
     d2_matrix,
     s,
-    stack_ranks,
 )
 from .constructions import (
     DetIdentity,

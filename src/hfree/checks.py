@@ -21,14 +21,16 @@ SVD sees only the matrices of a stack that a Gram screen cannot clear, made
 dense for it: a diagonal one, such as every 1 x 1 jet, is ranked from its
 diagonal, and one that a shifted Cholesky factorization of A.A^T clears is
 full rank, with a certified lower bound on sigma_min above the least as its
-sigma_min (`jets.stack_ranks`).
-A judge ranks each jet among the points it folds, so the worst criterion is
-exact, never a bound. After a check's first chunk, the fold's worst so far
-bounds each chunk's screen: only a matrix whose sigma_min is at most that
-worst can become the worst, so only those need an exact value, and the
-screen factors each A.A^T once there. The first chunk looks for its own
-least among a prefix of its points, then factors each A.A^T once against it
-too (`jets._screen`).
+sigma_min (`jets._stack_ranks`).
+The worst criterion is exact, never a bound, and one input says where
+ranking must be exact: the check's least so far. After a check's first
+chunk, the fold's worst so far bounds each chunk's screen: only a matrix
+whose sigma_min is at most that worst can become the worst, so only those
+need an exact value, and the screen factors each A.A^T once there. The first
+chunk, with no least yet, looks for its own least among a prefix of its
+points, then factors each A.A^T once against it too (`jets._screen`); if an
+SVD there fails to converge, perhaps at that least, the chunk is ranked
+again with every sigma_min exact (`jets.CompiledJet.ranks`).
 
 `run_check` runs a manifest's check, and `run_fixture` a gallery manifest's
 at given samples and seed; both build the manifest's plan (`build_plan`) and
@@ -85,7 +87,7 @@ CHUNK = 512
 # chunk's largest arrays in one block, about half of what the chunk holds or
 # more: the Gram screen's vectors and room for the copy its pass A factors, a
 # block of the same size in every chunk, though pass A copies only a prefix
-# and the later chunks none (jets._screen), or
+# and a chunk ranked against the check's least none (jets._screen), or
 # identity mode's tape values, every entry of its jets
 # (constructions.DetIdentity).
 CHUNK_BYTES = 2 << 20

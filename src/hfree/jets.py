@@ -80,19 +80,16 @@ def _one(rows: list[list[Expr]], frame: Frame, point) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StackRanks:
-    """Rank verdicts for a stack of n jet matrices, one array entry each,
-    the same whether the stack is held compact (a JetStack, as a compiled
-    jet ranks it) or dense (stack_ranks).
+    """Rank verdicts for a stack of n jet matrices, one array entry each.
 
     `rank` and `full_rank` are those of one SVD per matrix. `sigma_min` is
     the exact least singular value at every matrix that the ranking handed
     to the SVD, the SVD's bit for bit, and at every matrix ranked from its
-    diagonal, the least |d| of its diagonal entries d; among the
-    matrices it keeps exact (all, by default) the least sigma_min, ties to
-    the lowest index, is one of those, or, given a `least`, every sigma_min
-    at most that is (see _stack_ranks). A matrix the Gram screen cleared is
-    full rank, and its sigma_min is a certified lower bound on the SVD's,
-    above that least (if the matrix is kept exact) or above `least`.
+    diagonal, the least |d| of its diagonal entries d. Every sigma_min at
+    or below the ranking's `least` is one of those, and without a least the
+    least sigma_min, ties to the lowest index, is (see _stack_ranks). A
+    matrix the Gram screen cleared is full rank, and its sigma_min is a
+    certified lower bound on the SVD's, above that least.
     `reasons` maps each matrix that has no verdict to why: an evaluation
     error or an SVD that did not converge (a cleared matrix never reaches
     LAPACK). `valid` is False exactly there, and the other arrays hold no
@@ -106,7 +103,7 @@ class StackRanks:
 
 
 # Dense stacks of fewer matrices skip the Gram screen, whose fixed cost is a
-# few dozen numpy calls. stack_ranks of random full-rank entry-major stacks,
+# few dozen numpy calls. Ranking random full-rank entry-major stacks,
 # screen against SVD only (medians of 80 interleaved runs, one core of a
 # 2-vCPU Xeon guest, numpy 2.4 with OpenBLAS): 2 x 2 matrices took 104 vs 81
 # us at 64 matrices, 147 vs 190 us at 128 and 158 vs 325 us at 256; 5 x 5
@@ -122,11 +119,11 @@ SCREEN_MIN = 128
 GRAM_RANGE = 2.0**400
 # The screen gives this many of its least-ranked matrices their SVD before its
 # second pass. Summed over the gallery's 180 dense D2 chunks at 10^4 samples
-# (medians of 9 interleaved runs per chunk), stack_ranks took 111.9 ms with 2
+# (medians of 9 interleaved runs per chunk), ranking took 111.9 ms with 2
 # or 4 candidates, 114.8 ms with 8 and 122.3 ms with 16.
 CANDIDATES = 4
-# Without a least, the screen looks for its candidates among this many of the
-# first `exact` matrices, and factors every Gram once against them. Warm
+# Without a least, the screen looks for its candidates among the first this
+# many dense matrices, and factors every Gram once against them. Warm
 # gallery passes at 10^4 samples (medians of 5 passes per round, 12
 # interleaved rounds, seeds 1-12, one core of a 2-vCPU Xeon guest) took
 # 39.9 ms with a prefix of 512, 39.9 ms with 128, 39.0 ms with 256 (faster in
@@ -167,7 +164,6 @@ class Pattern:
         self.shape = nonzero.shape
         self.nonzero = nonzero
         self.held = np.ones(self.shape, dtype=bool) if held is None else held
-        self._plan = None
 
     @cached_property
     def full(self) -> bool:
@@ -186,11 +182,9 @@ class Pattern:
         screens = rows <= cols and off_diagonal.size > 0 and bool(self.nonzero.any(axis=1).all())
         return Layout(held.nonzero()[0], index.reshape(self.shape), off_diagonal, (places, index[on][places]), screens)
 
-    @property
+    @cached_property
     def plan(self) -> _GramCholesky:
-        if self._plan is None:
-            self._plan = _GramCholesky(self)
-        return self._plan
+        return _GramCholesky(self)
 
     @property
     def floats(self) -> int:
@@ -231,47 +225,19 @@ class JetStack:
         return out.T.reshape(n, rows, cols)
 
 
-def stack_ranks(
-    entries: np.ndarray,
-    tol: float = DEFAULT_TOL,
-    errors=None,
-    exact=None,
-    *,
-    pattern: Pattern | None = None,
-    least: float | None = None,
-) -> StackRanks:
-    """Rank verdicts over a dense (n, rows, cols) stack (see _stack_ranks,
-    which a compiled jet calls on its compact stacks, for `errors`, `exact`
-    and `least`): its matrices are ranked as a JetStack that holds every
-    entry, the vectors a view of `entries`. Every matrix outside `errors`
-    must be finite, as a compiled jet's are, else ValueError. `pattern` says
-    which entries may be nonzero; without one, the pattern is read from the
-    matrices of the points that did not fault."""
-    n, rows, cols = entries.shape
-    valid = valid_mask(n, errors or {})
-    if not np.isfinite(entries[valid]).all():
-        raise ValueError("jet entries must be finite outside the faulted points")
-    if pattern is None:
-        pattern = Pattern(np.any(entries != 0, axis=0, where=valid[:, None, None]))
-    if not pattern.full:
-        raise ValueError("a dense stack's pattern must hold every entry")
-    return _stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, exact, least)
-
-
-def _stack_ranks(
-    stack: JetStack, tol: float = DEFAULT_TOL, errors=None, exact=None, least: float | None = None
-) -> StackRanks:
+def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, least: float | None = None) -> StackRanks:
     """Rank verdicts over a stack: a singular value counts when it exceeds
     tol * max(1, sigma_max). `errors` maps points whose evaluation faulted
     to the EvalError (as CompiledJet.at gives them), which is their reason;
-    every other matrix is finite (see CompiledJet.at). `exact` is a boolean
-    mask of the matrices whose least sigma_min must be exact (default: all);
-    a check passes the points it folds into its worst criterion. `least`, if
-    given, is a value that the caller's worst criterion is already at or
-    below, as a check's least sigma_min over its earlier chunks is: then each
-    matrix whose SVD's sigma_min is at most `least` gets that value, bit for
-    bit, and every other one a sigma_min in (least, the SVD's], so that no
-    bound can become the caller's worst; `exact` is not read.
+    every other matrix is finite (see CompiledJet.at). `least` is the one
+    input that says which sigma_min must be exact. A number, such as a
+    check's least sigma_min over its earlier chunks, makes every sigma_min
+    at or below it the SVD's, bit for bit, and every other one a value in
+    (least, the SVD's], so that no bound can become the caller's worst;
+    np.inf makes every sigma_min exact. None has the screen find the
+    stack's least, which is then exact; and since an SVD that fails to
+    converge may have failed at that least, a stack where one fails after
+    the screen cleared a matrix is ranked again at least = np.inf.
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
@@ -282,12 +248,11 @@ def _stack_ranks(
     (_screen) clears, by a shifted Cholesky factorization of A.A^T, those
     that are surely full rank and surely above the least, and gives each a
     certified lower bound on its sigma_min; the rest get their SVD (_svd),
-    redone matrix by matrix where a batch fails to converge. A matrix that
-    fails on its own may have been the least, so then every dense matrix gets
-    its SVD. All of this reads the stack's vectors; only the matrices handed
-    to the SVD are made dense, in batches that hold no more floats than the
-    stack, or SCREEN_MIN matrices, since a smaller batch gains nothing for
-    its own LAPACK call (see _svd)."""
+    redone matrix by matrix where a batch fails to converge. All of this
+    reads the stack's vectors; only the matrices handed to the SVD are made
+    dense, in batches that hold no more floats than the stack, or SCREEN_MIN
+    matrices, since a smaller batch gains nothing for its own LAPACK call
+    (see _svd)."""
     values, pattern = stack.values, stack.pattern
     (rows, cols), n = pattern.shape, len(stack)
     _, _, off_diagonal, (places, vectors), screens = pattern.layout
@@ -304,23 +269,20 @@ def _stack_ranks(
     if not dense.all():
         rank[~dense], sigma_min[~dense] = _diagonal(values[vectors][:, ~dense], min(rows, cols), tol)
     index = np.flatnonzero(dense)
-    stack = JetStack(values if dense.all() else values[:, index], pattern)
+    part = JetStack(values if dense.all() else values[:, index], pattern)
     batch = max(min(n, SCREEN_MIN), n * len(values) // (rows * cols), 1)
     svd = np.ones(len(index), dtype=bool)
     if screens and len(index) >= SCREEN_MIN:
-        keep = np.ones(len(index), dtype=bool) if exact is None else exact[index]
-        cleared, bound = _screen(stack, tol, keep, index, reasons, batch, least)
+        cleared, bound = _screen(part, tol, index, reasons, batch, least)
         if cleared.any():
             svd = ~cleared
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
     if svd.any():
-        failed = len(reasons)
-        sigma = _svd(stack if svd.all() else stack.take(svd), index[svd], reasons, batch)
-        if len(reasons) > failed and not svd.all():  # the least may now be a screened matrix
-            svd[:] = True
-            sigma = _svd(stack, index, reasons, batch)
+        sigma = _svd(part if svd.all() else part.take(svd), index[svd], reasons, batch)
         rank[index[svd]] = np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
         sigma_min[index[svd]] = sigma[:, -1]
+    if least is None and len(reasons) > len(errors or ()) and not svd.all():  # the least may be cleared
+        return _stack_ranks(stack, tol, errors, np.inf)
     # rank <= min(rows, cols), so a full-rank matrix has rows <= cols
     return StackRanks(rank, sigma_min, rank == rows, valid_mask(n, reasons), reasons)
 
@@ -336,20 +298,12 @@ def _diagonal(d: np.ndarray, k: int, tol: float):
     return rank, d.min(axis=0) if len(d) == k else np.zeros(d.shape[1])
 
 
-def _screen(
-    stack: JetStack,
-    tol: float,
-    exact: np.ndarray,
-    index: np.ndarray,
-    reasons: dict,
-    batch: int,
-    least: float | None = None,
-):
+def _screen(stack: JetStack, tol: float, index: np.ndarray, reasons: dict, batch: int, least: float | None = None):
     """Which of a stack's m dense (rows, cols) matrices, rows <= cols, the
     screen clears, and for each a lower bound on its sigma_min; the others
     need the SVD. A cleared matrix is full rank, and its bound lies above the
-    least sigma_min of the `exact` matrices, or, given `least`, above that
-    (see _stack_ranks).
+    stack's least sigma_min, or, given `least`, above that (see
+    _stack_ranks).
 
     A matrix A is cleared by a shifted Cholesky certificate (S. M. Rump,
     "Verification of positive definiteness", BIT 46, 2006), read in sigma,
@@ -401,29 +355,26 @@ def _screen(
 
     Without `least`, the screen first looks for candidates. Pass A takes b
     = floor, so a matrix it clears is full rank, and it factors a copy of
-    the Grams of the first PREFIX `exact` matrices only. Its least pivot
-    plus its shift bounds sigma_min^2 from above, and the CANDIDATES
-    matrices it clears with the least such bounds get their SVD (_svd, as
-    any other matrix); t is their least sigma_min. Pass B then factors every
-    Gram once, at b = max(t, floor), so every matrix it clears has a
-    sigma_min above max(t, floor), and the least of the `exact` matrices, at
-    most t, is then a candidate or a matrix left to the SVD. The prefix
-    holds only `exact` matrices, so a prefix that clears any has a
-    candidate: pass B never runs at the floor alone while a least is sought,
-    where it could clear that least. So a stack of m matrices has at most m
-    + PREFIX Grams factored. Where no matrix is `exact`, no least is sought,
-    and pass B alone factors each Gram at b = floor. Given `least`, the
-    least is already known, so pass B alone factors each Gram once, at b =
-    max(least, floor), with no candidates: every matrix whose sigma_min is
-    at most `least` is left to the SVD, and every cleared one lies above
-    it. A cleared matrix's bound is nextafter(b, inf). A matrix goes to the
-    SVD when ||A||_F lies outside [1 / GRAM_RANGE, GRAM_RANGE] or a pass
-    cannot clear it; so does the whole stack when a pass cannot clear half
-    of the matrices it factors, or when a candidate's SVD fails to converge,
-    since the least may then have no verdict. Every pass follows chol, the
-    elimination plan of the stack's pattern (a stack with a row zero in
-    every matrix is never screened; see Layout). The candidates' SVD takes
-    `batch` matrices at a time (see _svd)."""
+    the Grams of the first PREFIX matrices only, a prefix that is never
+    empty. Its least pivot plus its shift bounds sigma_min^2 from above, and
+    the CANDIDATES matrices it clears with the least such bounds get their
+    SVD (_svd, as any other matrix); t is their least sigma_min, 0 if one's
+    SVD fails to converge, whose stack is then ranked again (see
+    _stack_ranks). Pass B then factors every Gram once, at b = max(t,
+    floor), so every matrix it clears has a sigma_min above max(t, floor),
+    and the stack's least, at most t, is then a candidate or a matrix left
+    to the SVD. So a stack of m matrices has at most m + PREFIX Grams
+    factored. Given `least`, the least is already known, so pass B alone
+    factors each Gram once, at b = max(least, floor), with no candidates:
+    every matrix whose sigma_min is at most `least` is left to the SVD, and
+    every cleared one lies above it; an infinite least clears none. A
+    cleared matrix's bound is nextafter(b, inf). A matrix goes to the SVD
+    when ||A||_F lies outside [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot
+    clear it; so does the whole stack when a pass cannot clear half of the
+    matrices it factors. Every pass follows chol, the elimination plan of
+    the stack's pattern (a stack with a row zero in every matrix is never
+    screened; see Layout). The candidates' SVD takes `batch` matrices at a
+    time (see _svd)."""
     (rows, cols), m, chol = stack.pattern.shape, len(stack), stack.pattern.plan
     nothing = np.zeros(m, dtype=bool)
     # the Gram and the room for the copy that pass A factors are one block,
@@ -443,26 +394,22 @@ def _screen(
     delta = 3 * (rows + cols) ** 2 * eps * norm
     floor = np.maximum(norm + delta, 1.0, out=norm)
     floor *= tol
-    if least is None and exact.any():  # pass A, on a copy of the Grams of the first PREFIX exact matrices
-        part = np.flatnonzero(exact)[:PREFIX]
-        factored = work[1].reshape(-1)[: len(chol.slots) * len(part)].reshape(len(chol.slots), len(part))
-        np.take(gram, part, axis=1, out=factored)
-        shift = (floor[part] + delta[part]) ** 2 + e[part]
+    if least is None:  # pass A, on a copy of the Grams of the first PREFIX matrices
+        part = min(m, PREFIX)
+        factored = work[1].reshape(-1)[: len(chol.slots) * part].reshape(len(chol.slots), part)
+        factored[:] = gram[:, :part]
+        shift = (floor[:part] + delta[:part]) ** 2 + e[:part]
         pivot = chol.least_pivot(factored, shift)
-        pool = np.flatnonzero((pivot > 0) & in_range[part])
-        if 2 * len(pool) < len(part):  # mostly rank deficient: the SVD is cheaper
+        pool = np.flatnonzero((pivot > 0) & in_range[:part])
+        if 2 * len(pool) < part:  # mostly rank deficient: the SVD is cheaper
             return nothing, None
         if len(pool) > CANDIDATES:
             pool = pool[np.argpartition(pivot[pool] + shift[pool], CANDIDATES)[:CANDIDATES]]
-        pool = part[pool]
-        failed = len(reasons)
         sigma = _svd(stack.take(pool), index[pool], reasons, batch)[:, -1]
-        if len(reasons) > failed:
-            return nothing, None
         b = np.maximum(floor, sigma.min())
-    else:  # pass B alone, at the least, or at the floor where no matrix need be exact
+    else:  # pass B alone, at the least
         pool = []
-        b = np.maximum(floor, least) if least is not None else floor
+        b = np.maximum(floor, least)
     with np.errstate(over="ignore"):  # a least beyond the Gram range: an inf shift clears nothing
         shift = (b + delta) ** 2 + e
     cleared = (chol.least_pivot(gram, shift) > 0) & in_range  # pass B
@@ -645,20 +592,14 @@ class CompiledJet:
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, least: float | None = None) -> list[StackRanks]:
         """Each jet's rank verdicts at the points (see _stack_ranks, which
-        reads `least`). A point that faults has no verdict in any jet, and
-        each jet's least sigma_min is exact among the points where every other
-        jet has a verdict: each jet is ranked among the points the jets before
-        it kept, and one whose least a later jet may have left without a
-        verdict is ranked again. Given `least`, every sigma_min at most
-        `least` is exact at any point."""
+        reads `least`). A point that faults has no verdict in any jet. Every
+        sigma_min at or below `least` is exact at any point; without a
+        least, each jet's least sigma_min is exact among the points where
+        every jet has a verdict, since a chunk where some jet's SVD failed,
+        maybe at another jet's least, is ranked again at least = np.inf."""
         stacks, faults = self.at(points)
         errors = {i: exc for i, (_, exc) in faults.items()}
-        ranks, valid = [], np.ones(len(points), dtype=bool)
-        for stack in stacks:
-            ranks.append(_stack_ranks(stack, tol, errors, valid, least))
-            valid = valid & ranks[-1].valid
-        for i, r in enumerate(ranks[:-1]):
-            others = np.logical_and.reduce([o.valid for o in ranks[:i] + ranks[i + 1 :]])
-            if (r.valid & ~others).any():
-                ranks[i] = _stack_ranks(stacks[i], tol, errors, others, least)
+        ranks = [_stack_ranks(stack, tol, errors, least) for stack in stacks]
+        if least is None and any(len(r.reasons) > len(errors) for r in ranks):
+            ranks = [_stack_ranks(stack, tol, errors, np.inf) for stack in stacks]
         return ranks

@@ -2,10 +2,10 @@
 oracle for the compiled engine, a bounded random expression generator, the
 central-difference oracle used to validate symbolic derivatives, a memo-free
 reference simplifier and derivative, the jet helpers that only tests use
-(the anticommutator, the flat norm, the symmetric square and the block law
-of the chain-rule factorization), the contact form's pairings, the gallery
-fixtures' built parts and the closed forms they reproduce, and a strict
-RFC 8259 JSON reader."""
+(the anticommutator, the flat norm, the symmetric square, the block law of
+the chain-rule factorization and the ranking of a dense stack), the contact
+form's pairings, the gallery fixtures' built parts and the closed forms
+they reproduce, and a strict RFC 8259 JSON reader."""
 
 import json
 import math
@@ -31,11 +31,11 @@ from hfree.expr import (
     ZERO,
     _rewrite,
 )
-from hfree import gallery
+from hfree import gallery, jets
 from hfree.constructions import compose
 from hfree.expr import parse
 from hfree.fields import ChartMismatch, lie_derivative, simplified_sum, symmetrize
-from hfree.jets import pair_labels
+from hfree.jets import DEFAULT_TOL, JetStack, Pattern, pair_labels, valid_mask
 from hfree.manifest import _build_bracket, build_plan
 
 
@@ -253,6 +253,24 @@ def block_residual(d2_inner, d2_outer, d2_composite) -> float:
     prod = block @ d2_outer
     scale = max(1.0, float(np.abs(d2_composite).max()), float(np.abs(prod).max()))
     return float(np.abs(d2_composite - prod).max()) / scale
+
+
+def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=None):
+    """jets._stack_ranks over a dense (n, rows, cols) stack, ranked as a
+    JetStack that holds every entry, the vectors a view of `entries`. Every
+    matrix outside `errors` must be finite, as a compiled jet's are, else
+    ValueError. `pattern` says which entries may be nonzero; without one,
+    the pattern is read from the matrices of the points that did not
+    fault."""
+    n, rows, cols = entries.shape
+    valid = valid_mask(n, errors or {})
+    if not np.isfinite(entries[valid]).all():
+        raise ValueError("jet entries must be finite outside the faulted points")
+    if pattern is None:
+        pattern = Pattern(np.any(entries != 0, axis=0, where=valid[:, None, None]))
+    if not pattern.full:
+        raise ValueError("a dense stack's pattern must hold every entry")
+    return jets._stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, least)
 
 
 def contact_form_values(frame) -> list:
