@@ -88,8 +88,10 @@ CHUNK = 512
 # more: the Gram screen's vectors and room for the copy its pass A factors, a
 # block of the same size in every chunk, though pass A copies only a prefix
 # and a chunk ranked against the check's least none (jets._screen), or
-# identity mode's tape values, every entry of its jets
-# (constructions.DetIdentity).
+# identity mode's tape values, every entry of its jets, whose determinants
+# then copy at most one matrix a point at a time: peeled factors, a core or
+# the whole matrices handed back to np.linalg.det (constructions.Peel and
+# DetIdentity.floats).
 CHUNK_BYTES = 2 << 20
 FAILURE_CAP = 100
 

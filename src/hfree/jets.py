@@ -93,13 +93,15 @@ class StackRanks:
     `reasons` maps each matrix that has no verdict to why: an evaluation
     error or an SVD that did not converge (a cleared matrix never reaches
     LAPACK). `valid` is False exactly there, and the other arrays hold no
-    meaning there."""
+    meaning there. `cleared` says whether the screen cleared any matrix, so
+    that some sigma_min is a bound."""
 
     rank: np.ndarray
     sigma_min: np.ndarray
     full_rank: np.ndarray
     valid: np.ndarray
     reasons: dict
+    cleared: bool = False
 
 
 # Dense stacks of fewer matrices skip the Gram screen, whose fixed cost is a
@@ -234,25 +236,26 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, least: 
     check's least sigma_min over its earlier chunks, makes every sigma_min
     at or below it the SVD's, bit for bit, and every other one a value in
     (least, the SVD's], so that no bound can become the caller's worst;
-    np.inf makes every sigma_min exact. None has the screen find the
-    stack's least, which is then exact; and since an SVD that fails to
-    converge may have failed at that least, a stack where one fails after
-    the screen cleared a matrix is ranked again at least = np.inf.
+    np.inf makes every sigma_min exact, and sends every matrix that is not
+    diagonal straight to the SVD. None has the screen find the stack's
+    least, which is then exact unless an SVD failed to converge, maybe at
+    that least, after the screen cleared a matrix: a caller ranks such a
+    stack again at least = np.inf (see CompiledJet.ranks).
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
     no LAPACK call: its rank and sigma_min are read from the vectors of its
     diagonal (_diagonal), and a stack whose pattern holds nothing that may be
     nonzero off the diagonal is ranked by that alone. In a stack of
-    SCREEN_MIN or more other matrices with rows <= cols, the Gram screen
-    (_screen) clears, by a shifted Cholesky factorization of A.A^T, those
-    that are surely full rank and surely above the least, and gives each a
-    certified lower bound on its sigma_min; the rest get their SVD (_svd),
-    redone matrix by matrix where a batch fails to converge. All of this
-    reads the stack's vectors; only the matrices handed to the SVD are made
-    dense, in batches that hold no more floats than the stack, or SCREEN_MIN
-    matrices, since a smaller batch gains nothing for its own LAPACK call
-    (see _svd)."""
+    SCREEN_MIN or more other matrices with rows <= cols, at a least that is
+    not infinite, the Gram screen (_screen) clears, by a shifted Cholesky
+    factorization of A.A^T, those that are surely full rank and surely
+    above the least, and gives each a certified lower bound on its
+    sigma_min; the rest get their SVD (_svd), redone matrix by matrix where
+    a batch fails to converge. All of this reads the stack's vectors; only
+    the matrices handed to the SVD are made dense, in batches that hold no
+    more floats than the stack, or SCREEN_MIN matrices, since a smaller
+    batch gains nothing for its own LAPACK call (see _svd)."""
     values, pattern = stack.values, stack.pattern
     (rows, cols), n = pattern.shape, len(stack)
     _, _, off_diagonal, (places, vectors), screens = pattern.layout
@@ -271,20 +274,18 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, least: 
     index = np.flatnonzero(dense)
     part = JetStack(values if dense.all() else values[:, index], pattern)
     batch = max(min(n, SCREEN_MIN), n * len(values) // (rows * cols), 1)
-    svd = np.ones(len(index), dtype=bool)
-    if screens and len(index) >= SCREEN_MIN:
+    svd, any_cleared = np.ones(len(index), dtype=bool), False
+    if screens and len(index) >= SCREEN_MIN and least != np.inf:  # an infinite least clears nothing
         cleared, bound = _screen(part, tol, index, reasons, batch, least)
         if cleared.any():
-            svd = ~cleared
+            svd, any_cleared = ~cleared, True
             rank[index[cleared]], sigma_min[index[cleared]] = rows, bound[cleared]
     if svd.any():
         sigma = _svd(part if svd.all() else part.take(svd), index[svd], reasons, batch)
         rank[index[svd]] = np.count_nonzero(sigma > tol * np.maximum(1.0, sigma[:, :1]), axis=1)
         sigma_min[index[svd]] = sigma[:, -1]
-    if least is None and len(reasons) > len(errors or ()) and not svd.all():  # the least may be cleared
-        return _stack_ranks(stack, tol, errors, np.inf)
     # rank <= min(rows, cols), so a full-rank matrix has rows <= cols
-    return StackRanks(rank, sigma_min, rank == rows, valid_mask(n, reasons), reasons)
+    return StackRanks(rank, sigma_min, rank == rows, valid_mask(n, reasons), reasons, any_cleared)
 
 
 def _diagonal(d: np.ndarray, k: int, tol: float):
@@ -360,21 +361,22 @@ def _screen(stack: JetStack, tol: float, index: np.ndarray, reasons: dict, batch
     the CANDIDATES matrices it clears with the least such bounds get their
     SVD (_svd, as any other matrix); t is their least sigma_min, 0 if one's
     SVD fails to converge, whose stack is then ranked again (see
-    _stack_ranks). Pass B then factors every Gram once, at b = max(t,
+    CompiledJet.ranks). Pass B then factors every Gram once, at b = max(t,
     floor), so every matrix it clears has a sigma_min above max(t, floor),
     and the stack's least, at most t, is then a candidate or a matrix left
     to the SVD. So a stack of m matrices has at most m + PREFIX Grams
     factored. Given `least`, the least is already known, so pass B alone
     factors each Gram once, at b = max(least, floor), with no candidates:
     every matrix whose sigma_min is at most `least` is left to the SVD, and
-    every cleared one lies above it; an infinite least clears none. A
-    cleared matrix's bound is nextafter(b, inf). A matrix goes to the SVD
-    when ||A||_F lies outside [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot
-    clear it; so does the whole stack when a pass cannot clear half of the
-    matrices it factors. Every pass follows chol, the elimination plan of
-    the stack's pattern (a stack with a row zero in every matrix is never
-    screened; see Layout). The candidates' SVD takes `batch` matrices at a
-    time (see _svd)."""
+    every cleared one lies above it; an infinite least, which would clear
+    none, never reaches the screen (see _stack_ranks). A cleared matrix's
+    bound is nextafter(b, inf). A matrix goes to the SVD when ||A||_F lies
+    outside [1 / GRAM_RANGE, GRAM_RANGE] or a pass cannot clear it; so does
+    the whole stack when a pass cannot clear half of the matrices it
+    factors. Every pass follows chol, the elimination plan of the stack's
+    pattern (a stack with a row zero in every matrix is never screened; see
+    Layout). The candidates' SVD takes `batch` matrices at a time (see
+    _svd)."""
     (rows, cols), m, chol = stack.pattern.shape, len(stack), stack.pattern.plan
     nothing = np.zeros(m, dtype=bool)
     # the Gram and the room for the copy that pass A factors are one block,
@@ -548,8 +550,9 @@ class CompiledJet:
     that is the constant 0 of either sign is 0 at every point. A compact
     tape computes and holds only the entries that are not ZERO, the constant
     +0.0, each jet a range of its outputs; one that is not holds every
-    entry, for a caller that needs every matrix dense, as identity mode's
-    determinants do (densifying compact blocks cost identity-sweep about 3%).
+    entry, for a caller that reads every matrix dense or any entry's vector,
+    as identity mode's blocks and peeled determinants do (densifying compact
+    blocks cost identity-sweep about 3%).
     A node that two jets share, such as L_a f inside L_a(F o f), is one op of
     the tape. `at_floats` is what `at` holds per point, the tape's, and
     `floats` what `ranks` holds: the tape's and the most that ranking one of
@@ -595,11 +598,20 @@ class CompiledJet:
         reads `least`). A point that faults has no verdict in any jet. Every
         sigma_min at or below `least` is exact at any point; without a
         least, each jet's least sigma_min is exact among the points where
-        every jet has a verdict, since a chunk where some jet's SVD failed,
-        maybe at another jet's least, is ranked again at least = np.inf."""
+        every jet has a verdict: a chunk where some jet's SVD failed, maybe at
+        its own least or at another jet's, and the screen cleared a matrix of
+        some jet, is ranked again at least = np.inf, each jet once more."""
         stacks, faults = self.at(points)
         errors = {i: exc for i, (_, exc) in faults.items()}
         ranks = [_stack_ranks(stack, tol, errors, least) for stack in stacks]
-        if least is None and any(len(r.reasons) > len(errors) for r in ranks):
+        if least is None and _rerank(ranks, errors):
             ranks = [_stack_ranks(stack, tol, errors, np.inf) for stack in stacks]
         return ranks
+
+
+def _rerank(ranks: list[StackRanks], errors: dict) -> bool:
+    """Whether jets ranked together without a least must be ranked again at
+    least = np.inf: an SVD failed in one of them, maybe at a least, while
+    the screen cleared a matrix in one, whose bound may then lie below the
+    least among the points where every jet has a verdict."""
+    return any(len(r.reasons) > len(errors) for r in ranks) and any(r.cleared for r in ranks)

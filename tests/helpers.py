@@ -261,7 +261,8 @@ def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=No
     matrix outside `errors` must be finite, as a compiled jet's are, else
     ValueError. `pattern` says which entries may be nonzero; without one,
     the pattern is read from the matrices of the points that did not
-    fault."""
+    fault. Without a least, a stack is ranked again at least = np.inf by
+    CompiledJet.ranks' rule (jets._rerank)."""
     n, rows, cols = entries.shape
     valid = valid_mask(n, errors or {})
     if not np.isfinite(entries[valid]).all():
@@ -270,7 +271,11 @@ def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=No
         pattern = Pattern(np.any(entries != 0, axis=0, where=valid[:, None, None]))
     if not pattern.full:
         raise ValueError("a dense stack's pattern must hold every entry")
-    return jets._stack_ranks(JetStack(entries.reshape(n, rows * cols).T, pattern), tol, errors, least)
+    stack = JetStack(entries.reshape(n, rows * cols).T, pattern)
+    ranks = jets._stack_ranks(stack, tol, errors, least)
+    if least is None and jets._rerank([ranks], errors or {}):
+        ranks = jets._stack_ranks(stack, tol, errors, np.inf)
+    return ranks
 
 
 def contact_form_values(frame) -> list:

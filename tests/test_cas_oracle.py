@@ -1,7 +1,8 @@
 """A second oracle for the symbolic derivatives: sympy differentiates the
 same random trees, and the difference must simplify to exactly 0. sympy's
 determinants of the gallery's jets also satisfy the determinant identity
-exactly.
+exactly, and are those that identity mode peels from the jets' zero
+patterns.
 
 Constants are small dyadic numbers, and every denominator, base of a
 negative power and argument of sin, cos and exp depends on a coordinate, so
@@ -14,11 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 sympy = pytest.importorskip("sympy")
 
+import numpy as np
+
 from helpers import fixture_parts
-from hfree.constructions import compose, monomial_free_map, standard_frame
+from hfree.constructions import Peel, compose, monomial_free_map, standard_frame
 from hfree.expr import Add, Const, Coord, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sub, diff, free_vars, simplify, to_str
 from hfree.fields import Chart, VectorField, lie_derivative
-from hfree.jets import d1_exprs, d2_exprs
+from hfree.jets import CompiledJet, d1_exprs, d2_exprs
 
 COORDS = ("x", "y")
 SYMBOLS = {name: sympy.Symbol(name) for name in COORDS}
@@ -105,3 +108,29 @@ def test_determinant_identity_is_exact(name):
     composite = det(d2_exprs(fix.frame, compose(outer, fix.immersion)))
     d2_outer = det(d2_exprs(standard_frame(outer.chart), outer)).subs(image, simultaneous=True)
     assert _is_zero(composite - d1 ** (k + 2) * d2_outer)
+
+
+@pytest.mark.parametrize("name", ["contact-1", "integrable-torus-2", "monomial-2", "monomial-3"])
+def test_a_peeled_determinant_is_exact(name):
+    """At a few dyadic points, Peel.det of an order-2 jet equals sympy's
+    exact determinant of it to a relative 1e-13: the composite jets of
+    contact-1 (peeled whole) and integrable-torus-2 (one entry peeled off a
+    4 x 4 core) under the monomial map, and the monomial map's own jet at
+    k = 2 and 3 (peeled whole)."""
+    if name.startswith("monomial"):
+        outer = monomial_free_map(int(name[-1]))
+        chart, rows = outer.chart, d2_exprs(standard_frame(outer.chart), outer)
+    else:
+        fix = fixture_parts(name)
+        chart, rows = fix.chart, d2_exprs(fix.frame, compose(monomial_free_map(fix.frame.k), fix.immersion))
+    jet = CompiledJet([rows], chart, compact=False)
+    points = np.array([[0.5, -0.75, 1.25, 0.375][: chart.dim], [1.5, 0.25, -0.5, 1.875][: chart.dim]])
+    (stack,), errors = jet.at(points)
+    assert not errors
+    got = Peel(jet.patterns[0].nonzero).det(stack)
+    symbols = {c: sympy.Symbol(c) for c in chart.coords}
+    matrix = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in rows])
+    for point, peeled in zip(points.tolist(), got.tolist()):
+        exact = matrix.subs({symbols[c]: sympy.Rational(x) for c, x in zip(chart.coords, point)}).det()
+        want = float(sympy.N(exact, 30))
+        assert want != 0.0 and abs(peeled - want) <= 1e-13 * abs(want)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from helpers import bind, block_residual, evaluate, fixture_parts, sym_square
 from hfree.checks import check_points, is_free_at, is_immersion_at
 from hfree.expr import Const, Coord, EvalError, compile_batch, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from hfree.jets import CompiledJet, d2_exprs, d2_matrix, s, valid_mask
+from hfree.jets import CompiledJet, JetStack, Pattern, d2_exprs, d2_matrix, s, valid_mask
+from hfree.manifest import build_plan, parse_manifest_text
 from hfree.constructions import (
     DetIdentity,
+    Peel,
     compose,
     monomial_free_map,
     standard_frame,
@@ -297,11 +300,12 @@ class TestDetIdentity:
             3: (EvalError, overflow),
         }
         # elsewhere rhs is the cube as the square-and-multiply chain takes it,
-        # d * (d * d), bit for bit
+        # d * (d * d), bit for bit, times the outer jet's peeled determinant:
+        # its second row holds one entry, so it is peeled first
         d2_inner, d2_outer, _, _ = identity.blocks(points)
         for i in (0, 2, 4):
-            d = float(np.linalg.det(d2_inner[i, :1]))
-            assert rhs[i] == d * (d * d) * np.linalg.det(d2_outer[i])
+            d = float(d2_inner[i, 0, 0])
+            assert rhs[i] == d * (d * d) * (d2_outer[i, 1, 1] * d2_outer[i, 0, 0])
             assert rel[i] <= 1e-9
         report = check_points(frame, f, points, "identity")
         assert report.verdict == "fail"
@@ -340,6 +344,137 @@ class TestDetIdentity:
         assert defined.sum() >= 20
         for got, want in zip(stacks, apart):
             assert got[defined].tobytes() == want[defined].tobytes()
+
+
+@st.composite
+def _peel_cases(draw):
+    """(pattern, stack, singular): a (n, size, size) stack of permuted block
+    upper triangular matrices, with diagonal blocks of 1 to 3 rows or one
+    dense block, each diagonal block diagonally dominant and each column
+    scaled by a power of 2 (at most 2^900), so that LU with partial
+    pivoting, whose choices a column's scale does not change, takes every
+    determinant to a few roundings; entries that may be nonzero may be
+    +-0.0 too. A singular case clears a row or a column, or leaves two rows
+    one entry each, in one column."""
+    size = draw(st.integers(1, 6))
+    sizes = [size] if size > 1 and draw(st.booleans()) else []
+    while sum(sizes) < size:
+        sizes.append(draw(st.integers(1, min(3, size - sum(sizes)))))
+    pattern = np.zeros((size, size), dtype=bool)
+    start = 0
+    for b in sizes:
+        pattern[start : start + b, start : start + b] = True
+        above = draw(st.lists(st.booleans(), min_size=b * (size - start - b), max_size=b * (size - start - b)))
+        pattern[start : start + b, start + b :] = np.reshape(above, (b, size - start - b))
+        start += b
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
+    values = np.reshape(draw(st.lists(entry, min_size=n * size * size, max_size=n * size * size)), (n, size, size))
+    diagonal = values[:, range(size), range(size)]
+    values[:, range(size), range(size)] = np.copysign(4.0 + 3.0 * np.abs(diagonal), diagonal)
+    exponents = draw(st.lists(st.sampled_from([900, -900, 300, -300, 40, -40, 0, 0, 0]), min_size=size, max_size=size))
+    values *= 2.0 ** np.array(exponents, dtype=float)
+    singular = draw(st.sampled_from([None, None, "row", "column", "shared"] if size > 1 else [None, "row"]))
+    if singular == "row":
+        pattern[draw(st.integers(0, size - 1))] = False
+    elif singular == "column":
+        pattern[:, draw(st.integers(0, size - 1))] = False
+    elif singular == "shared":
+        one, other = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2, unique=True))
+        pattern[[one, other]] = False
+        pattern[[one, other], draw(st.integers(0, size - 1))] = True
+    values[:, ~pattern] = 0.0
+    rows, cols = draw(st.permutations(range(size))), draw(st.permutations(range(size)))
+    return pattern[np.ix_(rows, cols)], values[:, rows][:, :, cols], singular
+
+
+@given(_peel_cases())
+@settings(max_examples=300, deadline=None)
+def test_a_peeled_determinant_is_lapacks(case):
+    """Peel.det agrees with np.linalg.det to a relative 1e-10, with the same
+    sign, wherever np.linalg.det is a normal float; where it is inf, 0 or
+    subnormal, Peel.det is its value; and a structurally singular pattern
+    gives exactly 0, where np.linalg.det is 0 up to 1e-10 of Hadamard's
+    bound."""
+    pattern, values, singular = case
+    n, size, _ = values.shape
+    got = Peel(pattern).det(JetStack(values.reshape(n, size * size).T, Pattern(pattern)))
+    info = np.finfo(float)
+    for g, m in zip(got.tolist(), values):
+        with np.errstate(all="ignore"):
+            want = float(np.linalg.det(m))
+            hadamard = np.log2(np.sqrt(size) * np.abs(m).max(axis=0)).sum()
+        if singular:
+            assert g == 0.0
+            # a bound beyond the float range admits np.linalg.det's inf
+            assert want == 0.0 or min(np.log2(abs(want)), 1024.0) <= np.log2(1e-10) + hadamard
+        elif info.tiny <= abs(want) <= info.max:
+            assert abs(g - want) <= 1e-10 * abs(want) and np.sign(g) == np.sign(want)
+        else:
+            assert g == want
+
+
+class TestPeel:
+    def test_a_product_that_overflows_on_the_way_takes_lapacks_determinant(self):
+        """An outer jet whose peeled entries are 4e200, 2e200, 1, 4e-300 and
+        1, in peel order: the product overflows after two factors though the
+        determinant, 3.2e101, is in range. That point's determinant is
+        np.linalg.det's, bit for bit, and it is no failure."""
+        big, tiny = "1" + "0" * 200, "0." + "0" * 299 + "1"
+        components = ["x1", "x2", f"{big}*x1^2", f"{big}*x1*x2", f"{tiny}*x2^2"]
+        outer = SmoothMap(monomial_free_map(2).chart, tuple(map(parse, components)))
+        identity = DetIdentity(standard_frame(PLANE), SmoothMap(PLANE, (parse("x"), parse("y"))), outer)
+        points = sample_points(PLANE, 20, 3)
+        lhs, rhs, rel, failures = identity.residuals(points)
+        _, d2_outer, d2_composite, _ = identity.blocks(points)
+        assert not failures
+        assert identity.peels[1].entries.tolist() == [12, 18, 0, 24, 6]
+        with np.errstate(over="ignore"):
+            assert np.isinf(d2_outer[:, 2, 2] * d2_outer[:, 3, 3]).all()
+        assert lhs.tobytes() == np.linalg.det(d2_composite).tobytes()
+        assert rhs.tobytes() == np.linalg.det(d2_outer).tobytes()  # det D1 = 1
+        assert (rel <= 1e-9).all()
+
+    def test_lapack_sees_only_the_cores_of_identity_sweeps_manifests(self, monkeypatch):
+        """The determinants of perfbench's identity-sweep manifests: D1 and
+        every outer jet peel completely, and so does contact-1's composite;
+        integrable-torus-3's composite leaves a 6 x 6 core and
+        planar-hamiltonian's, dense, a 2 x 2 one."""
+        det, shapes = np.linalg.det, []
+
+        def counted(a):
+            shapes.append(a.shape[1:])
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counted)
+        for body, core in _IDENTITY_SWEEP:
+            plan = build_plan(parse_manifest_text(f"{body}\n[check]\nmode = identity\n"))
+            identity = DetIdentity(plan.frame, plan.smap, monomial_free_map(plan.frame.k))
+            shapes.clear()
+            _, _, rel, failures = identity.residuals(sample_points(plan.frame.chart, 64, 5))
+            assert not failures and (rel <= 1e-9).all()
+            assert shapes == core
+
+
+# perfbench's identity-sweep manifests without [check], and the cores each
+# check sends to LAPACK
+_IDENTITY_SWEEP = [
+    (
+        "[manifold]\ncoords = [x, y]\nbox = [[-2, 2], [-2, 2]]\n\n"
+        '[frame]\nvectors = [["2*y", "1 - y^2"]]\n\n[map]\ncomponents = ["y*exp(x)"]\n',
+        [(2, 2)],
+    ),
+    ('[structure]\ntype = contact\nn = 1\n\n[map]\ncomponents = ["x1", "p1"]\n', []),
+    (
+        "[manifold]\ncoords = [phi1, phi2, phi3, p1, p2, p3]\n"
+        "box = [[0, 6.283185307179586], [0, 6.283185307179586], [0, 6.283185307179586], [-2, 2], [-2, 2], [-2, 2]]\n"
+        "periodic = [true, true, true, false, false, false]\n\n"
+        "[structure]\ntype = canonical\nn = 3\n"
+        'hamiltonians = ["exp(p1)*cos(phi1)", "exp(p2)*cos(phi2)", "exp(p3)*cos(phi3)"]\n\n'
+        '[map]\ncomponents = ["exp(p1)*sin(phi1)", "exp(p2)*sin(phi2)", "exp(p3)*sin(phi3)"]\n',
+        [(6, 6)],
+    ),
+]
 
 
 def test_composition_theorem_as_predicate():

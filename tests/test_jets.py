@@ -1086,6 +1086,54 @@ def test_a_jet_keeps_its_least_among_the_points_the_other_ranks(failing, monkeyp
     assert float(ranks[1 - failing].sigma_min[after]).hex() == float(sigma[after]).hex()
 
 
+@pytest.mark.parametrize("failing", [1, 0], ids=["second", "first"])
+def test_a_failed_svd_ranks_each_jet_at_most_twice(failing, monkeypatch):
+    """The two jets above, one's SVD failing at the other's least: each jet
+    is ranked once without a least and once at an infinite least, which
+    sends its matrices straight to the SVD, so the screen never factors at
+    an infinite shift."""
+    rng = np.random.default_rng(7)
+    stacks = list(rng.uniform(-2.0, 2.0, (2, 512, 2, 2)))
+    sigma = np.linalg.svd(stacks[1 - failing], compute_uv=False)[:, -1]
+    stacks[failing][int(np.argmin(sigma))] = [[1.0, 7.0], [1.0, 7.0]]
+    svd, rank, screen = np.linalg.svd, jets_module._stack_ranks, jets_module._screen
+    least_pivot = jets_module._GramCholesky.least_pivot
+    ranked, screened, shifts = [], [], []
+
+    def flaky(a, *args, **kwargs):
+        if (a[..., 0, 1] == 7.0).any():
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, *args, **kwargs)
+
+    def counted(stack, tol, errors, least):
+        ranked.append((stack, least))
+        return rank(stack, tol, errors, least)
+
+    def counted_screen(*args):
+        screened.append(args[-1])
+        return screen(*args)
+
+    def counted_pivot(self, v, shift):
+        shifts.append(shift)
+        return least_pivot(self, v, shift)
+
+    rows = [[parse("x"), parse("y")], [parse("y"), parse("x")]]
+    jet = CompiledJet([rows, rows], PLANE)
+    compact = [jets_module.JetStack(_vectors(stack), pattern) for stack, pattern in zip(stacks, jet.patterns)]
+    monkeypatch.setattr(CompiledJet, "at", lambda self, points: (compact, {}))
+    monkeypatch.setattr(np.linalg, "svd", flaky)
+    monkeypatch.setattr(jets_module, "_stack_ranks", counted)
+    monkeypatch.setattr(jets_module, "_screen", counted_screen)
+    monkeypatch.setattr(jets_module._GramCholesky, "least_pivot", counted_pivot)
+    ranks = jet.ranks(np.zeros((512, 2)))
+    assert [(stack is compact[0], least) for stack, least in ranked] == [
+        (True, None), (False, None), (True, np.inf), (False, np.inf)
+    ]
+    assert screened == [None, None]
+    assert len(shifts) == 4 and all(np.isfinite(shift).all() for shift in shifts)
+    assert ranks[failing].reasons == {int(np.argmin(sigma)): "SVD did not converge"}
+
+
 class TestPredicates:
     def test_planar_immersion_everywhere(self):
         xi = VectorField(PLANE, (parse("2*y"), parse("1 - y^2")))
