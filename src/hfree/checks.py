@@ -88,7 +88,7 @@ CHUNK = 512
 # more: the Gram screen's vectors and room for the copy its pass A factors, a
 # block of the same size in every chunk, though pass A copies only a prefix
 # and a chunk ranked against the check's least none (jets._screen), or
-# identity mode's tape values, every entry of its jets, whose determinants
+# identity mode's tape values, the entries its jets hold, whose determinants
 # then copy at most one matrix a point at a time: peeled factors, a core or
 # the whole matrices handed back to np.linalg.det (constructions.Peel and
 # DetIdentity.floats).

@@ -7,7 +7,7 @@ import numpy as np
 
 from .expr import ONE, ZERO, Coord, EvalError, Expr, Mul, integer_power, simplify, substitute
 from .fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
-from .jets import CompiledJet, JetStack, d2_exprs, pair_labels, s
+from .jets import CompiledJet, JetStack, Pattern, d2_exprs, pair_labels, s
 
 
 def standard_frame(chart: Chart) -> Frame:
@@ -57,32 +57,32 @@ def _normal(x: np.ndarray) -> np.ndarray:
 
 
 class Peel:
-    """The determinants of a stack of square matrices by Laplace expansion
-    along their zero pattern, planned once from it. The plan repeatedly
-    removes a row or column of the remaining submatrix that has exactly one
-    entry that may be nonzero, rows first, each in index order: det = +-
-    entry * det(minor). A row or column with no such entry makes every
-    determinant 0. What is left, rows and columns ascending, is the core,
-    which goes to LAPACK. So det = sign * (the product of the peeled
-    entries, in peel order) * det(core), the sign the product of the
-    cofactors' signs; nothing peeled leaves the whole matrix to LAPACK.
+    """The determinants of the leading (cols, cols) block of a stack of
+    (rows, cols) matrices by Laplace expansion along its Pattern, planned
+    once from it. The plan repeatedly removes a row or column of the
+    remaining submatrix that has exactly one entry that may be nonzero, rows
+    first, each in index order: det = +- entry * det(minor). A row or column
+    with no such entry makes every determinant 0. What is left, rows and
+    columns ascending, is the core, which goes to LAPACK. So det = sign *
+    (the product of the peeled entries, in peel order) * det(core), the sign
+    the product of the cofactors' signs; nothing peeled leaves the whole
+    block to LAPACK. The plan keeps the vectors (see Pattern.index) of the
+    peeled entries and of the core; a core entry not held is +0.0.
 
-    `nonzero` is the (size, size) pattern of the leading size rows of the
-    stacks that det takes, which have size columns, so entry (row, column)
-    is vector row * size + column of a stack. The product is exact to a
-    rounding per factor while every partial product stays in the normal
-    float range. A matrix where that is not sure, whose core's determinant
-    is not a normal float, or whose determinant is neither 0 nor a normal
-    float, gets np.linalg.det of its whole matrix instead. So a determinant
-    beyond the float range is np.linalg.det's inf, and one within it never
-    overflows or underflows on the way."""
+    The product is exact to a rounding per factor while every partial
+    product stays in the normal float range. A matrix where that is not
+    sure, whose core's determinant is not a normal float, or whose
+    determinant is neither 0 nor a normal float, gets np.linalg.det of its
+    whole block instead. So a determinant beyond the float range is
+    np.linalg.det's inf, and one within it never overflows or underflows on
+    the way."""
 
-    def __init__(self, nonzero: np.ndarray):
-        size = len(nonzero)
+    def __init__(self, pattern: Pattern):
+        size = pattern.shape[1]
         # the entries that may be nonzero, per row among the remaining columns
         # and per column among the remaining rows
-        in_row = [{j for j, x in enumerate(row) if x} for row in nonzero.tolist()]
-        in_col = [{i for i, x in enumerate(col) if x} for col in nonzero.T.tolist()]
+        in_row = [{j for j, x in enumerate(row) if x} for row in pattern.nonzero[:size].tolist()]
+        in_col = [{i for i, x in enumerate(col) if x} for col in pattern.nonzero[:size].T.tolist()]
         rows, cols = list(range(size)), list(range(size))
         peeled = []  # (row, column), in peel order
         self.singular = self.negate = False
@@ -104,8 +104,10 @@ class Peel:
                 in_row[other].discard(c)
             peeled.append((r, c))
         self.size, self.core_size = size, len(rows)
-        self.entries = np.array([r * size + c for r, c in peeled], dtype=np.intp)
-        self.core = np.array([r * size + c for r in rows for c in cols], dtype=np.intp)
+        index = pattern.index.tolist()
+        self.entries = np.array([index[r][c] for r, c in peeled], dtype=np.intp)
+        self.core = np.array([index[r][c] for r in rows for c in cols], dtype=np.intp)
+        self.fill = np.flatnonzero(self.core < 0)  # not held: det reads vector -1, then +0.0
         # a factor of magnitude in [2^-(limit + 1), 2^limit) keeps every
         # partial product of len(entries) of them in the normal range
         self.limit = 1022 // max(len(peeled), 1) - 1
@@ -114,7 +116,7 @@ class Peel:
     def floats(self) -> int:
         """The most det copies per matrix beyond the stack: its factors and
         their exponents, its core, or, where the peel is not sure, the whole
-        matrix, each at most size^2 floats."""
+        block, each at most size^2 floats."""
         return self.size**2
 
     def det(self, stack: JetStack) -> np.ndarray:
@@ -125,7 +127,9 @@ class Peel:
             return np.zeros(n)
         with np.errstate(all="ignore"):
             if len(self.core):
-                core = np.linalg.det(values[self.core].T.reshape(n, self.core_size, self.core_size))
+                core = values[self.core]
+                core[self.fill] = 0.0
+                core = np.linalg.det(core.T.reshape(n, self.core_size, self.core_size))
                 if not len(self.entries):
                     return core
             factors = values[self.entries]
@@ -145,7 +149,7 @@ class Peel:
                 unsure |= np.abs(exponent, out=exponent).max(axis=0) > self.limit
             if unsure.any():
                 i = np.flatnonzero(unsure)
-                det[i] = np.linalg.det(stack.dense()[i, : self.size])
+                det[i] = np.linalg.det(stack.take(i).dense()[:, : self.size])
         return det
 
 
@@ -175,19 +179,19 @@ class DetIdentity:
         outer_jet = d2_exprs(standard_frame(outer.chart), outer)
         at_image = [[substitute(e, bindings) for e in row] for row in outer_jet]
         jets = [d2_exprs(frame, f), [list(f.components)], at_image, d2_exprs(frame, compose(outer, f))]
-        self.jet = CompiledJet(jets, frame.chart, compact=False)
-        inner, _, outer_pattern, composite = (pattern.nonzero for pattern in self.jet.patterns)
-        self.peels = (Peel(inner[:k]), Peel(outer_pattern), Peel(composite))
+        self.jet = CompiledJet(jets, frame.chart)
+        inner, _, outer_pattern, composite = self.jet.patterns
+        self.peels = (Peel(inner), Peel(outer_pattern), Peel(composite))
 
     @property
     def floats(self) -> int:
         """What residuals() holds per point at its peak: the tape's while it
-        runs, then the tape's values, whose views are the stacks, the most
-        that one determinant copies (see Peel.floats; it takes one at a
-        time) and at most six arrays of determinants. It ranks nothing, so
-        it holds no Gram screen, and np.linalg.det copies one matrix at a
-        time beyond its input."""
-        values = sum(rows * cols for rows, cols in self.jet.shapes)
+        runs, then the tape's values, the entries that its jets hold, whose
+        views are the stacks, the most that one determinant copies (see
+        Peel.floats; it takes one at a time) and at most six arrays of
+        determinants. It ranks nothing, so it holds no Gram screen, and
+        np.linalg.det copies one matrix at a time beyond its input."""
+        values = sum(np.count_nonzero(pattern.held) for pattern in self.jet.patterns)
         return max(self.jet.at_floats, values + max(peel.floats for peel in self.peels) + 6)
 
     def _stacks(self, points: np.ndarray):
@@ -201,10 +205,13 @@ class DetIdentity:
         and a dict mapping each point where one of them, or f, faulted to its
         error, named by the block of its first faulting entry: an error of f
         is one of the outer block. A point that faults is nan in all three
-        stacks. The tape holds every entry, ZERO too (see CompiledJet), so
-        each stack is a view of its values."""
+        stacks, the entries that their patterns do not hold too, which the
+        dense stacks (see JetStack.dense) hold as +0.0 elsewhere."""
         *stacks, failures = self._stacks(points)
-        return *(stack.dense() for stack in stacks), failures
+        blocks = [stack.dense() for stack in stacks]
+        for block in blocks:
+            block[list(failures)] = np.nan
+        return *blocks, failures
 
     def residuals(self, points: np.ndarray):
         """Arrays lhs = det(order-2 jet of outer(f)), rhs = det(order-1 jet

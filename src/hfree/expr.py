@@ -895,9 +895,8 @@ class _Tape:
     not finite, or None for overflow. A code is an index into faults, the
     messages: 0 is none, 1 overflow.
 
-    outputs[j] is the register of output j, or None where output j is the
-    constant +0.0 (ZERO; Const interns by bits, so -0.0 is another node):
-    compile_batch zeroes that column once, and no run writes it."""
+    outputs[j] is the register of output j; a constant output's register
+    holds its float, which a run writes over the whole row."""
 
     def __init__(self, exprs, coords):
         self.column = {name: (lambda x, out, j=j: x[:, j]) for j, name in enumerate(coords)}
@@ -905,7 +904,7 @@ class _Tape:
         self.owns = {}  # by register of an op that makes its own value, whether it is an array
         self.faults = [None, "overflow"]
         self.slots = {}  # by id(node): Const(0.0) == Const(-0.0), but each has a register
-        self.outputs = [None if e is ZERO else self.slot(e) for e in exprs]
+        self.outputs = [self.slot(e) for e in exprs]
         self.buffers = None
 
     def slot(self, e: Expr) -> int:
@@ -991,14 +990,12 @@ class _Tape:
         return regs
 
     def run(self, x: np.ndarray, out: np.ndarray):
-        """out[j] = expression j at the points x, where outputs[j] is not
-        None; fresh buffers each call."""
+        """out[j] = expression j at the points x; fresh buffers each call."""
         regs = self._registers(x)
         for r, fn, a, b, o in self.ops:
             regs[r] = fn(regs[a], regs[o]) if b is None else fn(regs[a], regs[b], regs[o])
         for j, r in enumerate(self.outputs):
-            if r is not None:
-                out[j] = regs[r]
+            out[j] = regs[r]
 
     def trace(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """run for a chunk where it raises, under np.errstate(all="ignore"):
@@ -1020,10 +1017,9 @@ class _Tape:
             for v in (a, b):
                 if v is not None and last[v] == r:
                     regs[v] = codes[v] = None
-        found = np.zeros(out.shape, code_type)
+        found = np.empty(out.shape, code_type)
         for j, r in enumerate(self.outputs):
-            if r is not None:
-                out[j], found[j] = regs[r], codes[r]
+            out[j], found[j] = regs[r], codes[r]
         return found
 
 
@@ -1049,10 +1045,8 @@ def compile_batch(exprs, coords):
     so are the points, so every fault raises a floating-point error. A chunk
     whose run raises one runs once more as a trace (see _Tape.trace), which
     gives each point its first fault; the arithmetic is the same, so every
-    point keeps its bits. Where some expressions are the constant +0.0
-    (ZERO, as most entries of identity mode's jets are), the values come
-    zeroed from np.zeros and no run or trace writes those columns; any other
-    constant, -0.0 too, is written as any value is.
+    point keeps its bits. A constant expression, ZERO (+0.0) or -0.0 too,
+    is written as any value is: its register's float fills its row.
 
     The function's floats() is what a run holds per point (see
     _Tape.floats); its first call gives the tape the buffers it reuses, so a
@@ -1061,10 +1055,9 @@ def compile_batch(exprs, coords):
     fault codes, a byte each, after their last read."""
     exprs = list(exprs)
     tape = _Tape(exprs, tuple(coords))
-    zeroed = None in tape.outputs
 
     def run(points: np.ndarray):
-        values = (np.zeros if zeroed else np.empty)((len(exprs), points.shape[0]))
+        values = np.empty((len(exprs), points.shape[0]))
         try:
             with np.errstate(divide="raise", over="raise", invalid="raise", under="ignore"):
                 tape.run(points, values)

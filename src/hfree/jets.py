@@ -137,16 +137,14 @@ PREFIX = 512
 
 class Layout(NamedTuple):
     """What ranking reads of a Pattern. `positions` are the held entries' row
-    * cols + column, ascending, and `index` the (rows, cols) vector of each
-    held entry in that order (see JetStack), meaningless where none is held.
-    `off_diagonal` are the vectors of the entries off the diagonal that may
-    be nonzero, and `diagonal` the places on the diagonal that are held and
-    their vectors. `screens` says whether a stack may be screened: rows <=
-    cols, some entry off the diagonal may be nonzero, and no row is zero in
-    every matrix, which would make every matrix rank deficient."""
+    * cols + column, ascending. `off_diagonal` are the vectors (see
+    Pattern.index) of the entries off the diagonal that may be nonzero, and
+    `diagonal` the places on the diagonal that are held and their vectors.
+    `screens` says whether a stack may be screened: rows <= cols, some entry
+    off the diagonal may be nonzero, and no row is zero in every matrix,
+    which would make every matrix rank deficient."""
 
     positions: np.ndarray
-    index: np.ndarray
     off_diagonal: np.ndarray
     diagonal: tuple[np.ndarray, np.ndarray]
     screens: bool
@@ -157,15 +155,18 @@ class Pattern:
     it holds, `held` (every entry by default), among them those that may be
     nonzero, `nonzero`, and the Gram screen's elimination plan for them (see
     _GramCholesky), built the first time a stack is screened. An entry not
-    held is +0.0 in every matrix. Its Layout is computed in one go the first
-    time its `floats` are read, a stack that does not hold every entry is
-    made dense or any stack is ranked, so a pattern whose stacks are never
-    ranked, as identity mode's, computes none of it."""
+    held is +0.0 in every matrix. `index` is the (rows, cols) vector of each
+    held entry in a stack (see JetStack), and -1 where none is held.
+    Its Layout is computed in one go the first time its `floats` are read, a
+    stack that does not hold every entry is made dense or any stack is
+    ranked, so identity mode's residuals, which rank nothing and make dense
+    only the matrices they hand back to np.linalg.det, seldom compute it."""
 
     def __init__(self, nonzero: np.ndarray, held: np.ndarray | None = None):
         self.shape = nonzero.shape
         self.nonzero = nonzero
         self.held = np.ones(self.shape, dtype=bool) if held is None else held
+        self.index = np.where(self.held, self.held.cumsum().reshape(self.shape) - 1, -1)
 
     @cached_property
     def full(self) -> bool:
@@ -174,15 +175,14 @@ class Pattern:
     @cached_property
     def layout(self) -> Layout:
         rows, cols = self.shape
-        held = self.held.reshape(-1)
-        index = held.cumsum() - 1
+        held, index = self.held.reshape(-1), self.index.reshape(-1)
         on = slice(0, min(rows, cols) * (cols + 1), cols + 1)  # the diagonal, flat
         off = self.nonzero.flatten()
         off[on] = False
         off_diagonal = index[off]
         places = held[on].nonzero()[0]
         screens = rows <= cols and off_diagonal.size > 0 and bool(self.nonzero.any(axis=1).all())
-        return Layout(held.nonzero()[0], index.reshape(self.shape), off_diagonal, (places, index[on][places]), screens)
+        return Layout(held.nonzero()[0], off_diagonal, (places, index[on][places]), screens)
 
     @cached_property
     def plan(self) -> _GramCholesky:
@@ -200,8 +200,8 @@ class Pattern:
 
 class JetStack:
     """A stack of n (rows, cols) jet matrices, held compact and entry-major:
-    `values` is a (len(positions), n) array whose row e is the (n,)-vector
-    of entry positions[e] of every matrix (see Layout), and an entry
+    `values` is an (entries held, n) array whose row index[row, column] is
+    the (n,)-vector of that entry of every matrix (see Pattern), and an entry
     that the pattern does not hold is +0.0 in every matrix."""
 
     def __init__(self, values: np.ndarray, pattern: Pattern):
@@ -258,7 +258,7 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, least: 
     batch gains nothing for its own LAPACK call (see _svd)."""
     values, pattern = stack.values, stack.pattern
     (rows, cols), n = pattern.shape, len(stack)
-    _, _, off_diagonal, (places, vectors), screens = pattern.layout
+    _, off_diagonal, (places, vectors), screens = pattern.layout
     reasons = {i: str(exc) for i, exc in (errors or {}).items()}
     if reasons:
         values = values.copy()  # entry-major, as it came
@@ -438,9 +438,9 @@ class _GramCholesky:
 
     def __init__(self, zeros: Pattern):
         """`zeros`: the stack's pattern, whose `nonzero` entries of A may be
-        nonzero in some matrix of the stack, and whose layout's `index` finds
-        each entry's vector."""
-        pattern, index = zeros.nonzero, zeros.layout.index
+        nonzero in some matrix of the stack, and whose `index` finds each
+        entry's vector."""
+        pattern, index = zeros.nonzero, zeros.index
         rows = len(pattern)
         bits = np.packbits(pattern @ pattern.T, axis=1, bitorder="little")
         adjacent = [int.from_bytes(row.tobytes(), "little") & ~(1 << j) for j, row in enumerate(bits)]
@@ -547,26 +547,24 @@ class CompiledJet:
     """Jets' row expressions compiled into one tape of numpy calls (see
     expr.compile_batch), run over a chunk of points at a time, and each
     jet's pattern (see Pattern), read once, when they are compiled: an entry
-    that is the constant 0 of either sign is 0 at every point. A compact
-    tape computes and holds only the entries that are not ZERO, the constant
-    +0.0, each jet a range of its outputs; one that is not holds every
-    entry, for a caller that reads every matrix dense or any entry's vector,
-    as identity mode's blocks and peeled determinants do (densifying compact
-    blocks cost identity-sweep about 3%).
+    that is the constant 0 of either sign is 0 at every point. The tape
+    computes and holds only the entries that are not ZERO, the constant
+    +0.0, each jet a range of its outputs; a caller that needs an entry's
+    vector reads it through the pattern's index, and one that needs dense
+    matrices makes them (see JetStack.dense).
     A node that two jets share, such as L_a f inside L_a(F o f), is one op of
     the tape. `at_floats` is what `at` holds per point, the tape's, and
     `floats` what `ranks` holds: the tape's and the most that ranking one of
     its stacks holds beyond them (see Pattern.floats), since it ranks one jet
     at a time."""
 
-    def __init__(self, jets, chart, compact: bool = True):
+    def __init__(self, jets, chart):
         """`jets`: each jet's rows of expressions."""
         self.shapes = [(len(rows), len(rows[0])) for rows in jets]
         entries = [e for rows in jets for row in rows for e in row]
-        kept = [e for e in entries if e is not ZERO] if compact else entries
-        held = np.array([e is not ZERO for e in entries]) if compact else np.ones(len(entries), dtype=bool)
+        held = np.array([e is not ZERO for e in entries])
         nonzero = np.array([not (type(e) is Const and e.value == 0) for e in entries])
-        self._run = compile_batch(kept, chart.coords)
+        self._run = compile_batch([e for e in entries if e is not ZERO], chart.coords)
         ends = list(accumulate(rows * cols for rows, cols in self.shapes))
         parts = zip([0, *ends], ends, self.shapes)
         self.patterns = [Pattern(nonzero[a:b].reshape(shape), held[a:b].reshape(shape)) for a, b, shape in parts]

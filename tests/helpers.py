@@ -3,13 +3,15 @@ oracle for the compiled engine, a bounded random expression generator, the
 central-difference oracle used to validate symbolic derivatives, a memo-free
 reference simplifier and derivative, the jet helpers that only tests use
 (the anticommutator, the flat norm, the symmetric square, the block law of
-the chain-rule factorization and the ranking of a dense stack), the contact
-form's pairings, the gallery fixtures' built parts and the closed forms
-they reproduce, and a strict RFC 8259 JSON reader."""
+the chain-rule factorization, the ranking of a dense stack and a tape of
+every entry of a jet), the contact form's pairings, the gallery fixtures'
+built parts and the closed forms they reproduce, and a strict RFC 8259
+JSON reader."""
 
 import json
 import math
 import random
+from bisect import bisect_right
 from functools import lru_cache
 from types import SimpleNamespace
 
@@ -33,7 +35,7 @@ from hfree.expr import (
 )
 from hfree import gallery, jets
 from hfree.constructions import compose
-from hfree.expr import parse
+from hfree.expr import compile_batch, parse
 from hfree.fields import ChartMismatch, lie_derivative, simplified_sum, symmetrize
 from hfree.jets import DEFAULT_TOL, JetStack, Pattern, pair_labels, valid_mask
 from hfree.manifest import _build_bracket, build_plan
@@ -276,6 +278,23 @@ def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=No
     if least is None and jets._rerank([ranks], errors or {}):
         ranks = jets._stack_ranks(stack, tol, errors, np.inf)
     return ranks
+
+
+def dense_tape(jets, chart, points):
+    """Each jet's (n, rows, cols) stack and the faults, from one tape that
+    computes every entry, ZERO among them, and holds the stacks as
+    entry-major views of its values: the dense layout that a JetStack,
+    which holds only the entries that are not ZERO, must reproduce bit for
+    bit. The faults map each faulting point to (the index of the jet of its
+    first faulting entry, that entry's EvalError), as CompiledJet.at does."""
+    entries = [e for rows in jets for row in rows for e in row]
+    values, errors = compile_batch(entries, chart.coords)(points)
+    stacks, ends = [], [0]
+    for rows in jets:
+        shape = (len(rows), len(rows[0]))
+        stacks.append(values[:, ends[-1] : ends[-1] + shape[0] * shape[1]].reshape((len(points),) + shape))
+        ends.append(ends[-1] + shape[0] * shape[1])
+    return stacks, {i: (bisect_right(ends, j) - 1, exc) for i, (j, exc) in errors.items()}
 
 
 def contact_form_values(frame) -> list:

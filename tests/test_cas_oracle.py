@@ -123,11 +123,11 @@ def test_a_peeled_determinant_is_exact(name):
     else:
         fix = fixture_parts(name)
         chart, rows = fix.chart, d2_exprs(fix.frame, compose(monomial_free_map(fix.frame.k), fix.immersion))
-    jet = CompiledJet([rows], chart, compact=False)
+    jet = CompiledJet([rows], chart)
     points = np.array([[0.5, -0.75, 1.25, 0.375][: chart.dim], [1.5, 0.25, -0.5, 1.875][: chart.dim]])
     (stack,), errors = jet.at(points)
     assert not errors
-    got = Peel(jet.patterns[0].nonzero).det(stack)
+    got = Peel(jet.patterns[0]).det(stack)
     symbols = {c: sympy.Symbol(c) for c in chart.coords}
     matrix = sympy.Matrix([[to_sympy(e, symbols) for e in row] for row in rows])
     for point, peeled in zip(points.tolist(), got.tolist()):

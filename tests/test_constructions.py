@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import bind, block_residual, evaluate, fixture_parts, sym_square
+from helpers import bind, block_residual, dense_tape, evaluate, fixture_parts, sym_square
+from hfree import constructions as constructions_module
 from hfree.checks import check_points, is_free_at, is_immersion_at
 from hfree.expr import Const, Coord, EvalError, compile_batch, parse, simplify
 from hfree.fields import Chart, ChartMismatch, Frame, SmoothMap, VectorField
@@ -348,14 +349,16 @@ class TestDetIdentity:
 
 @st.composite
 def _peel_cases(draw):
-    """(pattern, stack, singular): a (n, size, size) stack of permuted block
-    upper triangular matrices, with diagonal blocks of 1 to 3 rows or one
-    dense block, each diagonal block diagonally dominant and each column
+    """(pattern, held, stack, singular): a (n, size, size) stack of permuted
+    block upper triangular matrices, with diagonal blocks of 1 to 3 rows or
+    one dense block, each diagonal block diagonally dominant and each column
     scaled by a power of 2 (at most 2^900), so that LU with partial
     pivoting, whose choices a column's scale does not change, takes every
     determinant to a few roundings; entries that may be nonzero may be
     +-0.0 too. A singular case clears a row or a column, or leaves two rows
-    one entry each, in one column."""
+    one entry each, in one column. The entries held are those that may be
+    nonzero and drawn others, which are -0.0, as a held constant 0 is; the
+    rest are +0.0, as a core reads them."""
     size = draw(st.integers(1, 6))
     sizes = [size] if size > 1 and draw(st.booleans()) else []
     while sum(sizes) < size:
@@ -384,8 +387,10 @@ def _peel_cases(draw):
         pattern[[one, other]] = False
         pattern[[one, other], draw(st.integers(0, size - 1))] = True
     values[:, ~pattern] = 0.0
+    held = pattern | np.reshape(draw(st.lists(st.booleans(), min_size=size * size, max_size=size * size)), (size, size))
+    values[:, held & ~pattern] = -0.0
     rows, cols = draw(st.permutations(range(size))), draw(st.permutations(range(size)))
-    return pattern[np.ix_(rows, cols)], values[:, rows][:, :, cols], singular
+    return pattern[np.ix_(rows, cols)], held[np.ix_(rows, cols)], values[:, rows][:, :, cols], singular
 
 
 @given(_peel_cases())
@@ -395,10 +400,11 @@ def test_a_peeled_determinant_is_lapacks(case):
     sign, wherever np.linalg.det is a normal float; where it is inf, 0 or
     subnormal, Peel.det is its value; and a structurally singular pattern
     gives exactly 0, where np.linalg.det is 0 up to 1e-10 of Hadamard's
-    bound."""
-    pattern, values, singular = case
+    bound. The stack holds only the entries its pattern holds."""
+    pattern, held, values, singular = case
     n, size, _ = values.shape
-    got = Peel(pattern).det(JetStack(values.reshape(n, size * size).T, Pattern(pattern)))
+    zeros = Pattern(pattern, held)
+    got = Peel(zeros).det(JetStack(values.reshape(n, size * size).T[held.reshape(-1)], zeros))
     info = np.finfo(float)
     for g, m in zip(got.tolist(), values):
         with np.errstate(all="ignore"):
@@ -428,7 +434,8 @@ class TestPeel:
         lhs, rhs, rel, failures = identity.residuals(points)
         _, d2_outer, d2_composite, _ = identity.blocks(points)
         assert not failures
-        assert identity.peels[1].entries.tolist() == [12, 18, 0, 24, 6]
+        positions = identity.jet.patterns[2].layout.positions  # of the outer jet's held entries
+        assert positions[identity.peels[1].entries].tolist() == [12, 18, 0, 24, 6]
         with np.errstate(over="ignore"):
             assert np.isinf(d2_outer[:, 2, 2] * d2_outer[:, 3, 3]).all()
         assert lhs.tobytes() == np.linalg.det(d2_composite).tobytes()
@@ -475,6 +482,48 @@ _IDENTITY_SWEEP = [
         [(6, 6)],
     ),
 ]
+
+
+class _EveryEntry:
+    """A CompiledJet whose one tape computes every entry, ZERO too, and
+    whose patterns hold every entry (see helpers.dense_tape)."""
+
+    def __init__(self, jets, chart):
+        self.jets, self.chart = jets, chart
+        self.patterns = [
+            Pattern(np.array([[not (type(e) is Const and e.value == 0) for e in row] for row in rows]))
+            for rows in jets
+        ]
+
+    def at(self, points):
+        stacks, errors = dense_tape(self.jets, self.chart, points)
+        return [JetStack(s.reshape(len(points), -1).T, p) for s, p in zip(stacks, self.patterns)], errors
+
+
+def _sweep_cases():
+    """(name, frame, f, outer, points): identity-sweep's manifests at 1000
+    sample points."""
+    cases = []
+    for body, _ in _IDENTITY_SWEEP:
+        plan = build_plan(parse_manifest_text(f"{body}\n[check]\nmode = identity\n"))
+        points = sample_points(plan.frame.chart, 1000, 3)
+        cases.append((f"k={plan.frame.k}", plan.frame, plan.smap, monomial_free_map(plan.frame.k), points))
+    return cases
+
+
+@pytest.mark.parametrize("case", _sweep_cases() + _CASES, ids=lambda case: case[0])
+def test_compact_identity_keeps_the_bits_of_a_tape_of_every_entry(case, monkeypatch):
+    """Identity mode's residuals from jets that hold only the entries that
+    are not ZERO are bit for bit those from one tape of every entry, whose
+    peels read every entry: lhs, rhs and rel at every point, the faulting
+    ones too, and the failures."""
+    _, frame, f, outer, points = case
+    got = DetIdentity(frame, f, outer).residuals(points)
+    monkeypatch.setattr(constructions_module, "CompiledJet", _EveryEntry)
+    want = DetIdentity(frame, f, outer).residuals(points)
+    for g, w in zip(got[:3], want[:3]):
+        assert g.tobytes() == w.tobytes()
+    assert {i: str(exc) for i, exc in got[3].items()} == {i: str(exc) for i, exc in want[3].items()}
 
 
 def test_composition_theorem_as_predicate():

@@ -663,8 +663,8 @@ def test_tape_edge_cases_match_evaluate(exprs, messages):
 
 
 def test_constant_outputs_keep_their_bits_on_both_paths():
-    """Outputs that mix +0.0, whose columns come zeroed and are never
-    written, -0.0, other constants, x and 1/x, which faults at x = 0: at
+    """Outputs that mix +0.0, -0.0 and other constants, each written as
+    its register's float, x and 1/x, which faults at x = 0: at
     chunk lengths 1, 7 and 513, on the run path (no point of the chunk
     faults) and on the trace path (some point does), every point gets
     evaluate()'s outcome, bit for bit and with the sign of each zero, and a

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import anticommutator, fixture_parts, stack_ranks
+from helpers import anticommutator, dense_tape, fixture_parts, stack_ranks
 from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
 from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
@@ -720,7 +720,7 @@ def test_stack_ranks_do_not_depend_on_the_layout():
         values, _ = expr_module.compile_batch(f.components, PLANE.coords)(points)
         assert values[:, 1].flags.c_contiguous
         errors = {i: exc for i, (_, exc) in errors.items()}
-        stack.values[pattern.layout.index[4][pattern.held[4]], 7] = 0.0  # rank deficient: left to the SVD
+        stack.values[pattern.index[4][pattern.held[4]], 7] = 0.0  # rank deficient: left to the SVD
         dense = stack.dense()
         ranks = [jets_module._stack_ranks(stack, DEFAULT_TOL, errors)]
         for s in (dense, np.ascontiguousarray(dense)):
@@ -731,21 +731,6 @@ def test_stack_ranks_do_not_depend_on_the_layout():
             assert ranks[0].sigma_min.tobytes() == r.sigma_min.tobytes()
             assert ranks[0].reasons == r.reasons == {i: str(exc) for i, exc in errors.items()}
         assert not ranks[0].full_rank[7]
-
-
-def _dense_tape(jets, chart, points):
-    """Each jet's (n, rows, cols) stack and the faults, from one tape that
-    computes every entry, ZERO among them (compile_batch zeroes those), and
-    holds the stacks as entry-major views of its values: the dense layout
-    that a compact JetStack must reproduce bit for bit."""
-    entries = [e for rows in jets for row in rows for e in row]
-    values, errors = expr_module.compile_batch(entries, chart.coords)(points)
-    stacks, start = [], 0
-    for rows in jets:
-        shape = (len(rows), len(rows[0]))
-        stacks.append(values[:, start : start + shape[0] * shape[1]].reshape((len(points),) + shape))
-        start += shape[0] * shape[1]
-    return stacks, errors
 
 
 @pytest.mark.parametrize("name", ["contact-1", "contact-2", "integrable-torus-3"])
@@ -759,7 +744,7 @@ def test_compact_stacks_keep_the_bits_of_dense_ones(name):
     jets = [d1_exprs(fix.frame, fix.immersion), d2_exprs(fix.frame, fix.free_map)]
     points = sample_points(fix.chart, 2000, 1)
     jet = CompiledJet(jets, fix.chart)
-    (compact, errors), (dense, dense_errors) = jet.at(points), _dense_tape(jets, fix.chart, points)
+    (compact, errors), (dense, dense_errors) = jet.at(points), dense_tape(jets, fix.chart, points)
     assert not errors and not dense_errors and not jet.patterns[1].full
     for stack, want, pattern in zip(compact, dense, jet.patterns):
         got = stack.dense()
