@@ -19,8 +19,21 @@ emit its tape ops. Each concrete class is one op's row: ufunc, the numpy
 rule on the tape; fn, the float rule of constant folding, which is the ufunc
 at a float64 scalar, or for + - * / and negation Python's float operation,
 which rounds as the ufunc does; prec and symbol, for the printer; _d, the
-derivative rule; and _local, its own rewrite. An integer power is one chain
-of IEEE multiplications (integer_power) on the tape and in folding.
+derivative rule; and _local, its rewrite. An integer power is one chain of
+IEEE multiplications (integer_power) on the tape and in folding.
+
+Each row has one rewrite rule, on its children: its shape's fold, else its
+_local rule (see _rewrite). Nodes are built simplified: make(cls, *children)
+applies the rule to simplified children before it interns anything, so the
+node that a rule rewrites is never built. simplify, every _d rule and the
+sums of fields.py build through make, so diff keeps a node's derivative as
+_d builds it and does not simplify it again.
+
+The parser parses each parenthesised group and call argument once per memo
+of groups, keyed by the text between the parentheses, whose matching ')'
+_tokens finds. parse keeps a memo for one text, or takes the caller's: a
+manifest's plan keeps one for its texts, which lasts for that one plan
+build (see manifest.build_plan).
 """
 
 from __future__ import annotations
@@ -85,16 +98,18 @@ class Expr:
 
     A node is shared by every tree that contains it, so it is never changed:
     its fields are set once, by its constructor. _simple, _diffs and _free
-    are the memos of simplify, diff and free_vars (see there), written once
-    each; they take no part in equality, hashing or repr.
+    are the memos of simplify (and make), diff and free_vars (see there),
+    each of which only ever holds one value; they take no part in equality,
+    hashing or repr.
 
-    A shape defines _map(f) (the node rebuilt with f applied to each child),
-    _vars() (free_vars), _str() (to_str), _emit(tape) (the register of the
-    node's value) and _fold() (the constant of a node of constant children,
-    else the node; it raises where the value is not a finite float). A row
-    defines _d(x), the derivative rule at the root, unsimplified, and may
-    define _local(), one rewrite of a node whose children are simplified: a
-    new node or a strict subtree, else the node itself."""
+    A shape defines _args(f) (the node's constructor arguments, f applied
+    to each child), _vars() (free_vars), _str() (to_str), _emit(tape) (the
+    register of the node's value) and _fold(*args) (the constant of a node
+    of constant children, else None; it raises where the value is not a
+    finite float). A row defines _d(x), the derivative rule at the root,
+    built simplified (see make), and may define _local(*args), its rewrite
+    of simplified children: a node built simplified or one of the children,
+    else None."""
 
     __slots__ = ("_simple", "_diffs", "_free", "__weakref__")
     _fields: tuple = ()
@@ -139,11 +154,13 @@ class Expr:
     def __neg__(self):
         return Neg(self)
 
-    def _fold(self):
-        return self
+    @staticmethod
+    def _fold(*args):
+        return None
 
-    def _local(self):
-        return self
+    @staticmethod
+    def _local(*args):
+        return None
 
 
 def _coerce(v) -> Expr:
@@ -182,8 +199,8 @@ class Const(Expr):
         # a constant with a sign bit (-0.0 too) prints with it, as a negation does
         return Neg.prec if math.copysign(1.0, self.value) < 0 else Expr.prec
 
-    def _map(self, f):
-        return self
+    def _args(self, f):
+        return (self.value,)
 
     def _vars(self):
         return frozenset()
@@ -207,8 +224,8 @@ class Coord(Expr):
         key = (cls, name)
         return _table.get(key, _missing)() or _new(cls, key, name)
 
-    def _map(self, f):
-        return self
+    def _args(self, f):
+        return (self.name,)
 
     def _vars(self):
         return frozenset((self.name,))
@@ -237,8 +254,8 @@ class _Unary(Expr):
         key = (cls, id(arg))
         return _table.get(key, _missing)() or _new(cls, key, arg)
 
-    def _map(self, f):
-        return type(self)(f(self.arg))
+    def _args(self, f):
+        return (f(self.arg),)
 
     def _vars(self):
         return free_vars(self.arg)
@@ -246,18 +263,19 @@ class _Unary(Expr):
     def _str(self):
         return f"{self.symbol}({to_str(self.arg)})"
 
-    def fn(self, value: float) -> float:
+    @classmethod
+    def fn(cls, value: float) -> float:
         """The row's ufunc at one value, as a float64 scalar: the bits of its
         array loop on the tape. A value beyond the float range is inf."""
         with np.errstate(all="ignore"):
-            return float(self.ufunc(value))
+            return float(cls.ufunc(value))
 
     def _emit(self, t):
         return t.op(self.ufunc, t.array(self.arg))
 
-    def _fold(self):
-        a = self.arg
-        return Const(self.fn(a.value)) if type(a) is Const else self
+    @classmethod
+    def _fold(cls, a):
+        return Const(cls.fn(a.value)) if type(a) is Const else None
 
 
 class _Binary(Expr):
@@ -270,8 +288,8 @@ class _Binary(Expr):
         key = (cls, id(left), id(right))
         return _table.get(key, _missing)() or _new(cls, key, left, right)
 
-    def _map(self, f):
-        return type(self)(f(self.left), f(self.right))
+    def _args(self, f):
+        return f(self.left), f(self.right)
 
     def _vars(self):
         return free_vars(self.left) | free_vars(self.right)
@@ -283,11 +301,11 @@ class _Binary(Expr):
     def _emit(self, t):
         return t.op(self.ufunc, t.slot(self.left), t.slot(self.right))
 
-    def _fold(self):
-        l, r = self.left, self.right
+    @classmethod
+    def _fold(cls, l, r):
         if type(l) is Const and type(r) is Const:
-            return Const(self.fn(l.value, r.value))
-        return self
+            return Const(cls.fn(l.value, r.value))
+        return None
 
 
 def integer_power(base, n: int):
@@ -323,8 +341,8 @@ class Pow(Expr):
         key = (cls, id(base), exponent)
         return _table.get(key, _missing)() or _new(cls, key, base, exponent)
 
-    def _map(self, f):
-        return Pow(f(self.base), self.exponent)
+    def _args(self, f):
+        return f(self.base), self.exponent
 
     def _vars(self):
         return free_vars(self.base)
@@ -341,22 +359,24 @@ class Pow(Expr):
         power = lambda v, out: integer_power(v, n)
         return t.own(power, base, fault=lambda v: np.where(v == 0, zero, 1), array=n != 0)
 
-    def _fold(self):
-        b = self.base
-        return Const(integer_power(b.value, self.exponent)) if type(b) is Const else self
+    @staticmethod
+    def _fold(base, n):
+        return Const(integer_power(base.value, n)) if type(base) is Const else None
 
     def _d(self, x):
-        if self.exponent == 0:
+        n = self.exponent
+        if n == 0:
             return ZERO
-        base = simplify(self.base)
-        return Mul(Mul(Const(float(self.exponent)), Pow(base, self.exponent - 1)), diff(self.base, x))
+        power = make(Mul, Const(float(n)), make(Pow, simplify(self.base), n - 1))
+        return make(Mul, power, diff(self.base, x))
 
-    def _local(self):
-        if self.exponent == 0:
+    @staticmethod
+    def _local(base, n):
+        if n == 0:
             return ONE
-        if self.exponent == 1:
-            return self.base
-        return self
+        if n == 1:
+            return base
+        return None
 
 
 class Neg(_Unary):
@@ -373,11 +393,11 @@ class Neg(_Unary):
         return t.op(self.ufunc, t.slot(self.arg))
 
     def _d(self, x):
-        return Neg(diff(self.arg, x))
+        return make(Neg, diff(self.arg, x))
 
-    def _local(self):
-        a = self.arg
-        return a.arg if type(a) is Neg else self
+    @staticmethod
+    def _local(a):
+        return a.arg if type(a) is Neg else None
 
 
 class Add(_Binary):
@@ -385,19 +405,19 @@ class Add(_Binary):
     fn, ufunc, prec, symbol = operator.add, np.add, 1, " + "
 
     def _d(self, x):
-        return Add(diff(self.left, x), diff(self.right, x))
+        return make(Add, diff(self.left, x), diff(self.right, x))
 
-    def _local(self):
-        l, r = self.left, self.right
+    @staticmethod
+    def _local(l, r):
         if _is_const(l, 0.0):
             return r
         if _is_const(r, 0.0):
             return l
         if type(r) is Neg:
-            return Sub(l, r.arg)
+            return make(Sub, l, r.arg)
         if type(l) is Neg:
-            return Sub(r, l.arg)
-        return self
+            return make(Sub, r, l.arg)
+        return None
 
 
 class Sub(_Binary):
@@ -405,19 +425,19 @@ class Sub(_Binary):
     fn, ufunc, prec, symbol = operator.sub, np.subtract, 1, " - "
 
     def _d(self, x):
-        return Sub(diff(self.left, x), diff(self.right, x))
+        return make(Sub, diff(self.left, x), diff(self.right, x))
 
-    def _local(self):
-        l, r = self.left, self.right
+    @staticmethod
+    def _local(l, r):
         if _is_const(r, 0.0):
             return l
         if _is_const(l, 0.0):
-            return Neg(r)
+            return make(Neg, r)
         if type(r) is Neg:
-            return Add(l, r.arg)
+            return make(Add, l, r.arg)
         if l is r:
             return ZERO
-        return self
+        return None
 
 
 class Mul(_Binary):
@@ -426,10 +446,10 @@ class Mul(_Binary):
 
     def _d(self, x):
         l, r = simplify(self.left), simplify(self.right)
-        return Add(Mul(diff(self.left, x), r), Mul(l, diff(self.right, x)))
+        return make(Add, make(Mul, diff(self.left, x), r), make(Mul, l, diff(self.right, x)))
 
-    def _local(self):
-        l, r = self.left, self.right
+    @staticmethod
+    def _local(l, r):
         if _is_const(l, 0.0) or _is_const(r, 0.0):
             return ZERO
         if _is_const(l, 1.0):
@@ -437,10 +457,10 @@ class Mul(_Binary):
         if _is_const(r, 1.0):
             return l
         if type(l) is Neg:
-            return Neg(Mul(l.arg, r))
+            return make(Neg, make(Mul, l.arg, r))
         if type(r) is Neg:
-            return Neg(Mul(l, r.arg))
-        return self
+            return make(Neg, make(Mul, l, r.arg))
+        return None
 
 
 class Div(_Binary):
@@ -454,18 +474,18 @@ class Div(_Binary):
 
     def _d(self, x):
         l, r = simplify(self.left), simplify(self.right)
-        num = Sub(Mul(diff(self.left, x), r), Mul(l, diff(self.right, x)))
-        return Div(num, Pow(r, 2))
+        num = make(Sub, make(Mul, diff(self.left, x), r), make(Mul, l, diff(self.right, x)))
+        return make(Div, num, make(Pow, r, 2))
 
-    def _local(self):
-        l, r = self.left, self.right
+    @staticmethod
+    def _local(l, r):
         if _is_const(l, 0.0):  # also 0/0, which does not fold
             return ZERO
         if _is_const(r, 1.0):
             return l
         if type(l) is Neg:
-            return Neg(Div(l.arg, r))
-        return self
+            return make(Neg, make(Div, l.arg, r))
+        return None
 
 
 class Sin(_Unary):
@@ -473,7 +493,7 @@ class Sin(_Unary):
     ufunc, symbol = np.sin, "sin"
 
     def _d(self, x):
-        return Mul(Cos(simplify(self.arg)), diff(self.arg, x))
+        return make(Mul, make(Cos, simplify(self.arg)), diff(self.arg, x))
 
 
 class Cos(_Unary):
@@ -481,7 +501,7 @@ class Cos(_Unary):
     ufunc, symbol = np.cos, "cos"
 
     def _d(self, x):
-        return Neg(Mul(Sin(simplify(self.arg)), diff(self.arg, x)))
+        return make(Neg, make(Mul, make(Sin, simplify(self.arg)), diff(self.arg, x)))
 
 
 class Exp(_Unary):
@@ -491,7 +511,7 @@ class Exp(_Unary):
     ufunc, symbol = np.exp, "exp"
 
     def _d(self, x):
-        return Mul(Exp(simplify(self.arg)), diff(self.arg, x))
+        return make(Mul, make(Exp, simplify(self.arg)), diff(self.arg, x))
 
 
 ZERO = Const(0.0)
@@ -527,13 +547,14 @@ class NestingError(ValueError):
         )
 
 
-def _tokens(src: str) -> list:
+def _tokens(src: str) -> tuple:
     """The tokens of src as (kind, start, end) offsets, whitespace skipped:
     kind "num" for a number (decimal digits, optionally a point and more
     digits, or a point first), "id" for a name (a letter or _, then letters,
     digits or _), the character itself for any other, and "" for the end of
-    input."""
-    tokens = []
+    input; and, by the index of each '(' token that is closed, the index of
+    its matching ')' token."""
+    tokens, closes, opened = [], {}, []
     n = len(src)
     i = 0
     while True:
@@ -541,7 +562,7 @@ def _tokens(src: str) -> list:
             i += 1
         if i == n:
             tokens.append(("", n, n))
-            return tokens
+            return tokens, closes
         start, ch = i, src[i]
         i += 1
         if ch.isdecimal() or ch == ".":
@@ -558,6 +579,10 @@ def _tokens(src: str) -> list:
                 i += 1
         else:
             kind = ch
+            if ch == "(":
+                opened.append(len(tokens))
+            elif ch == ")" and opened:
+                closes[opened.pop()] = len(tokens)
         tokens.append((kind, start, i))
 
 
@@ -568,11 +593,13 @@ _EXPONENT_BOUND = "an exponent of magnitude at most 2^53"
 
 class _Parser:
     """Recursive descent over the tokens; an error names the offset of the
-    first character it could not use."""
+    first character it could not use. groups maps the text inside each
+    pair of parentheses parsed so far, a group's or a call's, to its tree."""
 
-    def __init__(self, src: str):
+    def __init__(self, src: str, groups: dict):
         self.src = src
-        self.tokens = _tokens(src)
+        self.tokens, self.closes = _tokens(src)
+        self.groups = groups
         self.i = 0
 
     def error(self, expected: str, at: int | None = None):
@@ -672,13 +699,26 @@ class _Parser:
             self.error(_EXPONENT_BOUND, first)
         return int(sign + whole)
 
+    def group(self) -> Expr:
+        """The expression in the parentheses that open at the current token,
+        parsed once per memo of groups: the same text between them is the
+        same tree. A '(' that is never closed is parsed, to its error."""
+        close = self.closes.get(self.i)
+        text = None if close is None else self.src[self.tokens[self.i][2] : self.tokens[close][1]]
+        e = self.groups.get(text)
+        if e is not None:
+            self.i = close + 1
+            return e
+        self.i += 1
+        e = self.expr()
+        self.expect(")")  # so an unclosed '(' stores nothing
+        self.groups[text] = e
+        return e
+
     def atom(self) -> Expr:
         kind = self.peek()
         if kind == "(":
-            self.i += 1
-            e = self.expr()
-            self.expect(")")
-            return e
+            return self.group()
         if kind == "num":
             start = self.tokens[self.i][1]
             src = self.text()
@@ -692,21 +732,24 @@ class _Parser:
             if self.peek() == "(":
                 if name not in _FUNCS:
                     raise ParseError(self.tokens[self.i][1], "one of sin, cos, exp", name)
-                self.i += 1
-                e = self.expr()
-                self.expect(")")
-                return _FUNCS[name](e)
+                return _FUNCS[name](self.group())
             if name == "pi":
                 return Const(math.pi)
             return Coord(name)
         self.error("a number, coordinate, function call or '('")
 
 
-def parse(src: str) -> Expr:
+def parse(src: str, groups: dict | None = None) -> Expr:
     """Parse the textual DSL into an expression tree; NestingError where the
-    text nests too deeply for the parser's recursion."""
+    text nests too deeply for the parser's recursion.
+
+    groups is the memo of the parenthesised groups and call arguments parsed
+    so far, by their text, for a caller that parses several texts
+    (manifest.build_plan keeps one per plan); by default each text has its
+    own. Each group's text is parsed once per memo, and the tree is the one
+    that parsing it again would give, since nodes are hash-consed."""
     try:
-        return _Parser(src).parse()
+        return _Parser(src, {} if groups is None else groups).parse()
     except RecursionError:
         raise NestingError(_text_depth(src)) from None
 
@@ -726,7 +769,7 @@ def _text_depth(src: str) -> int:
     operator in its parentheses. Counted over the tokens, without recursion."""
     base = level = deepest = 0
     groups, previous = [], ""
-    for kind, _, _ in _tokens(src):
+    for kind, _, _ in _tokens(src)[0]:
         if kind == "(":
             groups.append((base, level))
             base = level = level + 1
@@ -800,7 +843,7 @@ def substitute(e: Expr, bindings: dict) -> Expr:
     """Replace coordinates by expressions (simultaneous substitution)."""
     if type(e) is Coord:
         return bindings.get(e.name, e)
-    return e._map(lambda child: substitute(child, bindings))
+    return type(e)(*e._args(lambda child: substitute(child, bindings)))
 
 
 def diff(e: Expr, coord: str) -> Expr:
@@ -810,15 +853,16 @@ def diff(e: Expr, coord: str) -> Expr:
     e or on any equal tree, returns the identical object. The memo is an
     attribute of e and lives and dies with it. A derivative may refer back to
     its node (exp(u)' = exp(u)*u'), a reference cycle that the cycle
-    collector frees. The derivative is built at the root from the memoised
-    derivatives and simplified forms of e's children, and equals simplify()
-    of the whole unsimplified derivative tree."""
+    collector frees. The derivative is built simplified at the root (see
+    make) from the memoised derivatives and simplified forms of e's
+    children, and equals simplify() of the whole unsimplified derivative
+    tree, so it is kept as it is built, with no second walk."""
     memo = e._diffs
     if memo is None:
         memo = e._diffs = {}
     d = memo.get(coord)
     if d is None:
-        d = memo[coord] = simplify(e._d(coord))
+        d = memo[coord] = e._d(coord)
     return d
 
 
@@ -835,35 +879,42 @@ def simplify(e: Expr) -> Expr:
     Memoised: e keeps its simplified form, and a simplified node is flagged
     as such, so simplifying either again, or any equal tree, returns at once.
     The memo is an attribute of e and lives and dies with it. Children are
-    simplified first, so a live node is rewritten at most once."""
+    simplified first and e is rebuilt from them by make, so a live node is
+    simplified at most once."""
     done = e._simple
-    if done is not None:
-        return e if done is True else done
-    out = e._map(simplify)
-    if out is e:
-        out = _rewrite(e)
-        if out is e:
-            e._simple = True
-            return e
-    # out is a rebuilt or rewritten node: simplify it, and remember it on e
-    out = simplify(out)
-    e._simple = out
+    if done is None:
+        out = make(type(e), *e._args(simplify))
+        if out is not e:  # else make flagged e
+            e._simple = out
+        return out
+    return e if done is True else done
+
+
+def make(cls, *args) -> Expr:
+    """simplify(cls(*args)) for simplified children: the rewrite of cls's
+    row at the children (see _rewrite) where one applies, else the node
+    cls(*args), flagged as simplified. A rewrite is built through make too,
+    so the node that a rule rewrites is never interned and the result needs
+    no second walk. Each call adds no frame per tree level: the children
+    are built already."""
+    out = _rewrite(cls, *args)
+    if out is None:
+        out = cls(*args)
+        out._simple = True
     return out
 
 
-def _rewrite(e: Expr) -> Expr:
-    """One rewrite step at the root of e, whose children are simplified: a
-    node of constants folds to the constant that the tape computes for it,
-    else the row's own rewrite applies. Where the fold fails (1/0 and 0^-1
-    raise ZeroDivisionError; Const refuses the inf of exp(1000) or
-    1e200*1e200), the node stays unfolded, so each point reports its fault.
-    Every rewrite returns a new node or a strict subtree, never e itself, so
-    identity tells whether one applied."""
+def _rewrite(cls, *args):
+    """The one rewrite of cls(*args) at simplified children, or None: a node
+    of constants folds to the constant that the tape computes for it, else
+    the row's _local rule applies. Where the fold fails (1/0 and 0^-1 raise
+    ZeroDivisionError; Const refuses the inf of exp(1000) or 1e200*1e200),
+    the node stays unfolded, so each point reports its fault."""
     try:
-        out = e._fold()
+        out = cls._fold(*args)
     except (ArithmeticError, ValueError):
-        out = e
-    return e._local() if out is e else out
+        out = None
+    return cls._local(*args) if out is None else out
 
 
 # ---------------------------------------------------------------------------

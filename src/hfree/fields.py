@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 
-from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, names_a_coordinate, simplify
+from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, make, names_a_coordinate, simplify
 from .expr import diff as ddx
 
 
@@ -138,25 +138,27 @@ class SmoothMap:
 
 def lie_derivative(xi: VectorField, f: Expr) -> Expr:
     """Directional derivative of f along xi: sum_i xi^i * d f / d x^i, over
-    the terms with no zero-constant factor. A zero result is ZERO, not -0.0."""
+    the terms with no zero-constant factor, built simplified (see
+    simplified_sum). A zero result is ZERO, not -0.0."""
     xi.chart.check_expr(f)
     return simplified_sum(
-        d if comp is ONE else Mul(comp, d)
+        d if comp is ONE else make(Mul, simplify(comp), d)
         for comp, name in zip(xi.components, xi.chart.coords)
         if comp != ZERO and (d := ddx(f, name)) != ZERO
     )
 
 
 def simplified_sum(terms) -> Expr:
-    """The terms folded left to right with Add and simplified once; ZERO (not
+    """simplify() of the terms folded left to right with Add, built
+    simplified: the simplified terms folded with make(Add, ...). ZERO (not
     -0.0) for no terms or a zero-constant sum."""
-    terms = list(terms)
-    total = simplify(reduce(Add, terms)) if terms else ZERO
+    terms = [simplify(t) for t in terms]
+    total = reduce(partial(make, Add), terms) if terms else ZERO
     return ZERO if total == ZERO else total
 
 
 def symmetrize(ab: Expr, ba: Expr) -> Expr:
     """The anticommutator's value from its two ordered terms L_a L_b f and
-    L_b L_a f."""
-    return simplify(Add(ab, ba))
+    L_b L_a f: simplify(Add(ab, ba)), built simplified."""
+    return make(Add, simplify(ab), simplify(ba))
 

@@ -246,9 +246,9 @@ def _chart_from(section: dict) -> Chart:
         )
 
 
-def _parse_expr(src):
+def _parse_expr(src, groups: dict | None = None):
     try:
-        return parse(str(src))
+        return parse(str(src), groups)
     except ParseError as exc:
         raise ManifestError(f"bad expression {str(src)!r}: {exc}") from exc
 
@@ -269,7 +269,9 @@ def build_plan(m: Manifest) -> Plan:
     (construct and identity modes), or the bracket and its test functions
     (bracket-laws mode). Every error is a ManifestError naming its section.
     The plan is built once and kept on the manifest: its sections must not
-    change after its first check."""
+    change after its first check. Its texts share one memo of parenthesised
+    groups (see expr.parse), so each group's text is parsed once per plan;
+    the memo is the build's own and is dropped with it."""
     if m.plan is None:
         try:
             m.plan = _build_plan(m)
@@ -306,35 +308,38 @@ def _texts(value):
 def _build_plan(m: Manifest) -> Plan:
     if m.mode not in MODES:
         raise ManifestError(f"bad [check] section: mode must be one of {MODES}, got {m.mode!r}")
+    groups: dict = {}
     if m.mode == "bracket-laws":
-        plan = Plan(bracket=_build_bracket(m), smap=build_map(m))
+        plan = Plan(bracket=_build_bracket(m, groups), smap=build_map(m, groups))
         if plan.smap.q < 3:
             raise ManifestError("bad [map] section: bracket-laws mode needs three test functions")
         return plan
-    plan = Plan(frame=build_frame(m), smap=build_map(m))
+    plan = Plan(frame=build_frame(m, groups), smap=build_map(m, groups))
     k, q = plan.frame.k, plan.smap.q
     if m.mode == "identity":
         if q != k:
             raise ManifestError(f"bad [map] section: identity mode needs a map with {k} components")
-        plan.outer = build_outer(m, k)
+        plan.outer = build_outer(m, k, groups)
         if plan.outer.chart.dim != k or plan.outer.q != k + s(k):
             raise ManifestError(f"bad [outer] section: outer map must be {k} -> {k + s(k)}")
     elif m.mode == "construct":
-        plan.outer = build_outer(m, q)
+        plan.outer = build_outer(m, q, groups)
         if plan.outer.chart.dim != q:
             raise ManifestError(f"bad [outer] section: outer map needs {q} coordinates, one per map component")
     return plan
 
 
-def build_frame(m: Manifest) -> Frame:
-    """Materialize the frame, either from explicit vectors or a structure."""
+def build_frame(m: Manifest, groups: dict | None = None) -> Frame:
+    """Materialize the frame, either from explicit vectors or a structure.
+    groups is the memo of parenthesised groups that parsing shares (see
+    expr.parse); without one, each text has its own."""
     if m.frame_vectors is not None:
         with _section("frame"):
             fields = []
             for i, comps in enumerate(m.frame_vectors):
                 if not isinstance(comps, list) or len(comps) != m.chart.dim:
                     raise ManifestError(f"vector {i} needs {m.chart.dim} component expressions")
-                fields.append(VectorField(m.chart, tuple(_parse_expr(c) for c in comps)))
+                fields.append(VectorField(m.chart, tuple(_parse_expr(c, groups) for c in comps)))
             return Frame(m.chart, tuple(fields))
     if m.structure is None:
         raise ManifestError("missing required section [frame] or [structure]")
@@ -350,13 +355,13 @@ def build_frame(m: Manifest) -> Frame:
             hams = m.structure.get("hamiltonians")
             if not isinstance(hams, list) or not hams:
                 raise ManifestError("canonical structure needs a 'hamiltonians' array")
-            return Frame(m.chart, tuple(hamiltonian_field(sc, _parse_expr(h)) for h in hams))
+            return Frame(m.chart, tuple(hamiltonian_field(sc, _parse_expr(h, groups)) for h in hams))
         if kind == "riemann-poisson":
             h = m.structure.get("hamiltonian")
             if h is None:
                 raise ManifestError("riemann-poisson frame needs a 'hamiltonian' expression")
             sign = _integer(m.structure, "sign", 1)
-            field = hamiltonian_field(build_rp_structure(m), _parse_expr(h), sign=sign)
+            field = hamiltonian_field(build_rp_structure(m, groups), _parse_expr(h, groups), sign=sign)
             return Frame(m.chart, (field,))
         raise ManifestError(f"unknown structure type {kind!r}")
 
@@ -365,36 +370,37 @@ def _symplectic_chart(m: Manifest) -> SymplecticChart:
     return SymplecticChart(n=_integer(m.structure, "n", m.chart.dim // 2), chart=m.chart)
 
 
-def build_rp_structure(m: Manifest) -> RPStructure:
+def build_rp_structure(m: Manifest, groups: dict | None = None) -> RPStructure:
     spec = m.structure or {}
     if "H_gradients" in spec:
-        grads = tuple(tuple(_parse_expr(c) for c in row) for row in spec["H_gradients"])
+        grads = tuple(tuple(_parse_expr(c, groups) for c in row) for row in spec["H_gradients"])
         return RPStructure(m.chart, grads)
     h_list = spec.get("H")
     if not isinstance(h_list, list) or not h_list:
         raise ManifestError("riemann-poisson structure needs an 'H' (or 'H_gradients') array")
-    return RPStructure.from_functions(m.chart, [_parse_expr(h) for h in h_list])
+    return RPStructure.from_functions(m.chart, [_parse_expr(h, groups) for h in h_list])
 
 
-# structure type -> the builder of its Poisson structure
-_BRACKETS = {"canonical": _symplectic_chart, "riemann-poisson": build_rp_structure}
+# the structure types that have a Poisson bracket
+_BRACKETS = ("canonical", "riemann-poisson")
 
 
-def _build_bracket(m: Manifest):
+def _build_bracket(m: Manifest, groups: dict | None = None):
     """The bracket of bracket-laws mode, as a function (Expr, Expr) -> Expr."""
     kind = (m.structure or {}).get("type")
     if kind not in _BRACKETS:
         raise ManifestError(f"bracket-laws mode needs a [structure] of type {' or '.join(_BRACKETS)}")
     with _section("structure"):
-        return partial(poisson_bracket, _BRACKETS[kind](m))
+        structure = _symplectic_chart(m) if kind == "canonical" else build_rp_structure(m, groups)
+        return partial(poisson_bracket, structure)
 
 
-def build_map(m: Manifest) -> SmoothMap:
+def build_map(m: Manifest, groups: dict | None = None) -> SmoothMap:
     with _section("map"):
-        return SmoothMap(m.chart, tuple(_parse_expr(c) for c in m.map_components))
+        return SmoothMap(m.chart, tuple(_parse_expr(c, groups) for c in m.map_components))
 
 
-def build_outer(m: Manifest, dim: int) -> SmoothMap:
+def build_outer(m: Manifest, dim: int, groups: dict | None = None) -> SmoothMap:
     """The outer map of construct and identity modes: the [outer] components
     over its coords (x1..x<dim> by default), or the monomial free map of dim
     coordinates without [outer]. The outer chart's box, (-2, 2) on every
@@ -405,7 +411,7 @@ def build_outer(m: Manifest, dim: int) -> SmoothMap:
     with _section("outer"):
         coords = [str(c) for c in m.outer.get("coords", [f"x{i + 1}" for i in range(dim)])]
         chart = Chart(coords=tuple(coords), box=((-2.0, 2.0),) * len(coords))
-        return SmoothMap(chart, tuple(_parse_expr(c) for c in m.outer["components"]))
+        return SmoothMap(chart, tuple(_parse_expr(c, groups) for c in m.outer["components"]))
 
 
 def load_manifest(path: str) -> Manifest:

@@ -163,20 +163,20 @@ def bounded_pair(rng: random.Random, limit: float = 1e3):
 
 
 def reference_simplify(e):
-    """simplify() without its memo: simplify the children, rebuild, apply one
-    rewrite at the root and, if one applied, simplify its result. It neither
-    reads nor writes the memo on the nodes, so it checks what the memo
-    returns."""
+    """simplify() without its memo: simplify the children, apply one rewrite
+    at the root (the row's rule on the children) and, if one applied,
+    simplify its result, else rebuild the node. It neither reads nor writes
+    the memo on the nodes, so it checks what the memo returns."""
     if isinstance(e, (Const, Coord)):
         return e
     if isinstance(e, Pow):
-        out = Pow(reference_simplify(e.base), e.exponent)
+        args = (reference_simplify(e.base), e.exponent)
     elif isinstance(e, (Add, Sub, Mul, Div)):
-        out = type(e)(reference_simplify(e.left), reference_simplify(e.right))
+        args = (reference_simplify(e.left), reference_simplify(e.right))
     else:  # Neg, Sin, Cos, Exp
-        out = type(e)(reference_simplify(e.arg))
-    reduced = _rewrite(out)
-    return out if reduced is out else reference_simplify(reduced)
+        args = (reference_simplify(e.arg),)
+    reduced = _rewrite(type(e), *args)
+    return type(e)(*args) if reduced is None else reference_simplify(reduced)
 
 
 def reference_diff(e, x: str):

@@ -1,16 +1,21 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 import textwrap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from helpers import evaluate, random_expr, strict_json
+import hfree
 from hfree import checks, cli
 from hfree.cli import main
-from hfree.expr import Add, Const, Coord, Div, EvalError, Exp, Mul, Pow, Sub, to_str
+from hfree.expr import Add, Const, Coord, Div, EvalError, Exp, Mul, NestingError, Pow, Sub, parse, to_str
+from hfree.manifest import ManifestError, build_plan, parse_manifest_text
 
 
 @pytest.fixture
@@ -476,6 +481,73 @@ def test_deep_map_exits_two_on_one_line(text, depth, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: bad [map] section: expression nested {depth} deep: ")
     assert err.count("\n") == 1
+
+
+def test_a_check_does_not_depend_on_what_the_process_parsed_before(tmp_path, capsys):
+    """Each plan parses its groups with a memo of its own, dropped with the
+    build. A memo that outlived it, shared by later manifests or kept by
+    parse across calls, would let DEEP's 1,000 nested parentheses parse once
+    earlier texts had parsed their inner groups one level at a time, and the
+    check of that map, x, would pass instead of exiting 2. A map that
+    repeats a group keeps its report too."""
+    deep, grouped = tmp_path / "deep.toml", tmp_path / "grouped.toml"
+    deep.write_text(PLANAR.replace('"y*exp(x)"', f'"{DEEP[1][0]}"'))
+    grouped.write_text(PLANAR.replace('"y*exp(x)"', '"(y)*exp((x)) + (x)*(y)"'))
+
+    def outcomes():
+        return [(main(["check", str(path)]), capsys.readouterr()) for path in (deep, grouped)]
+
+    before = outcomes()
+    for j in range(1, 1000):
+        nested = "(" * j + "x" + ")" * j
+        with contextlib.suppress(NestingError):
+            parse(nested)
+        with contextlib.suppress(ManifestError):
+            build_plan(parse_manifest_text(PLANAR.replace('"y*exp(x)"', f'"{nested}"')))
+    assert outcomes() == before
+    (code, (out, err)), (grouped_code, (grouped_out, _)) = before
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad [map] section: expression nested {DEEP[1][1]} deep: ")
+    assert grouped_code == 0 and grouped_out.startswith("verdict: pass\n")
+
+
+_SUM_OF_PRODUCTS = textwrap.dedent(
+    """
+    [manifold]
+    coords = [x, y]
+    box = [[1, 2], [1, 2]]
+
+    [frame]
+    vectors = [["1", "0"]]
+
+    [map]
+    components = [MAP]
+
+    [check]
+    mode = MODE
+    samples = 20
+    """
+)
+
+
+@pytest.mark.parametrize("mode", ["immersion", "free", "identity"])
+def test_a_sum_of_480_products_checks(mode, tmp_path):
+    """The recursive walks take a fixed number of Python frames per tree
+    level, and building nodes simplified adds none: a map that is a sum of
+    480 terms c*x*y, 482 levels deep, still checks in every mode, where 500
+    terms exit 2. Its derivative along d/dx is 240*y, nowhere 0 on the box.
+    The check runs as the CLI does, in a fresh interpreter, since the test
+    runner's own frames count against the recursion limit."""
+    total = '"' + " + ".join(["0.5*x*y"] * 480) + '"'
+    path = tmp_path / "sum.toml"
+    components = total + (', "x^2"' if mode == "free" else "")
+    path.write_text(_SUM_OF_PRODUCTS.replace("MAP", components).replace("MODE", mode))
+    src = os.path.dirname(os.path.dirname(hfree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    command = [sys.executable, "-m", "hfree.cli", "check", "--quiet", str(path)]
+    run = subprocess.run(command, env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stderr) == (0, "")
+    assert run.stdout == "pass\n"
 
 
 def test_deep_composite_exits_two_on_one_line(tmp_path, capsys):

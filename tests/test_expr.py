@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -16,10 +17,12 @@ from hfree.expr import (
     Exp,
     Mul,
     Neg,
+    ONE,
     ParseError,
     Pow,
     Sin,
     Sub,
+    ZERO,
     compile_batch,
     diff,
     free_vars,
@@ -28,6 +31,7 @@ from hfree.expr import (
     simplify,
     to_str,
 )
+from hfree.fields import Chart, VectorField, lie_derivative, simplified_sum, symmetrize
 from hfree.jets import CompiledJet, d1_exprs
 
 
@@ -372,6 +376,40 @@ _points = st.fixed_dictionaries(
 )
 
 
+class TestGroupMemo:
+    def test_each_group_is_parsed_once_per_memo(self, monkeypatch):
+        alone = parse("sin(x+y)*(x+y) + (x+y)^2")
+        descents = []
+        descend = expr_module._Parser.expr
+        monkeypatch.setattr(expr_module._Parser, "expr", lambda p: descents.append(p.i) or descend(p))
+        groups = {}
+        assert parse("sin(x + y)*(x + y) + (x + y)^2", groups) is alone
+        assert list(groups) == ["x + y"] and groups["x + y"] is Add(Coord("x"), Coord("y"))
+        # the text and the one group: the call's argument and the two groups share it
+        assert len(descents) == 2
+        descents.clear()
+        assert parse("exp(x + y) - ((x + y))", groups) is Sub(Exp(groups["x + y"]), groups["x + y"])
+        assert len(descents) == 2  # the text and "(x + y)"
+
+    @pytest.mark.parametrize("src", ["(x y) + (x y)", "sin(x y)", "(x + y", "((x)"])
+    def test_a_group_that_does_not_parse_is_not_kept(self, src):
+        groups = {}
+        with pytest.raises(ParseError) as first:
+            parse(src, groups)
+        assert set(groups) <= {"x"}
+        with pytest.raises(ParseError) as again:
+            parse(src, groups)
+        assert (again.value.position, again.value.found) == (first.value.position, first.value.found)
+
+    @given(st.lists(_exprs(), min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_a_shared_memo_gives_each_text_the_tree_it_has_alone(self, trees):
+        texts = [to_str(e) for e in trees]
+        texts += [f"sin({t})*({t}) - (({t}))^2" for t in texts]
+        groups = {}
+        assert all(parse(t, groups) is parse(t) for t in texts)
+
+
 def test_printer_keeps_right_nested_sums():
     x, y, z = Coord("x"), Coord("y"), Coord("z")
     assert to_str(Add(x, Add(y, z))) == "x + (y + z)"
@@ -437,6 +475,37 @@ def test_memoised_diff_matches_the_memo_free_reference(e, x):
     """diff, built from the memoised derivatives of the children, is the
     reference simplification of the whole unsimplified derivative tree."""
     assert diff(e, x) is reference_simplify(reference_diff(e, x))
+
+
+_XY = Chart(("x", "y"), ((-1.0, 1.0), (-1.0, 1.0)))
+
+
+@given(_exprs(faulting=True), _exprs(faulting=True), _exprs(faulting=True), _names)
+@example(Neg(Coord("x")), Const(-0.0), Neg(Coord("y")), "x")
+@settings(max_examples=200, deadline=None)
+def test_symbolic_operations_build_only_simplified_nodes(f, u, v, x):
+    """diff, lie_derivative, simplified_sum and symmetrize build through
+    make, so what each returns is its own memo-free reference
+    simplification, and the node that the reference gives for the
+    unsimplified tree: no node in it is one that a rule rewrites."""
+    xi = VectorField(_XY, (u, v))
+    lf, lu = lie_derivative(xi, f), lie_derivative(xi, u)
+    lie_terms = [
+        d if comp is ONE else Mul(comp, d)
+        for comp, name in zip((u, v), ("x", "y"))
+        if comp != ZERO and (d := diff(f, name)) != ZERO
+    ]
+    terms = [f, lf, Mul(u, v), lu]
+    zero_is_zero = lambda e: ZERO if e == ZERO else e  # a sum that folds to -0.0 is ZERO
+    built = [
+        (diff(f, x), reference_simplify(reference_diff(f, x))),
+        (lf, zero_is_zero(reference_simplify(reduce(Add, lie_terms))) if lie_terms else ZERO),
+        (simplified_sum(terms), zero_is_zero(reference_simplify(reduce(Add, terms)))),
+        (symmetrize(lf, lu), reference_simplify(Add(lf, lu))),
+    ]
+    for e, want in built:
+        assert reference_simplify(e) is e
+        assert e is want
 
 
 def _outcome(fn, e, point):

@@ -3,14 +3,15 @@ import math
 import weakref
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from helpers import anticommutator, dense_tape, fixture_parts, stack_ranks
+from helpers import anticommutator, dense_tape, fixture_parts, reference_diff, reference_simplify, stack_ranks
 from hfree import checks as checks_module, expr as expr_module, gallery, jets as jets_module
-from hfree.expr import Coord, EvalError, Expr, free_vars, parse, substitute
+from hfree.expr import ONE, ZERO, Add, Coord, EvalError, Expr, Mul, free_vars, parse, substitute
 from hfree.checks import check_points, frame_rank_check, is_free_at, is_immersion_at, run_fixture
 from hfree.fields import (
     Chart,
@@ -134,6 +135,41 @@ def test_d2_rows_equal_the_anticommutator(name):
         assert len(rows) == len(expected)
         for row, want in zip(rows, expected):
             assert all(got == e for got, e in zip(row, want))
+
+
+def _lie_sum_as_built_unsimplified(xi, f):
+    """L_xi f built as an unsimplified tree: the Mul(comp, d) terms, each d
+    the memo-free reference derivative, folded with reduce(Add, ...), then
+    simplified once by the memo-free reference."""
+    terms = []
+    for comp, name in zip(xi.components, xi.chart.coords):
+        d = reference_simplify(reference_diff(f, name))
+        if comp != ZERO and d != ZERO:
+            terms.append(d if comp is ONE else Mul(comp, d))
+    total = reference_simplify(reduce(Add, terms)) if terms else ZERO
+    return ZERO if total == ZERO else total
+
+
+@pytest.mark.parametrize(
+    "name", [n for n in gallery.list_fixtures() if fixture_parts(n).frame is not None]
+)
+def test_d2_exprs_are_the_reference_simplification_of_their_unsimplified_sums(name):
+    """d1_exprs and d2_exprs build every node simplified (see expr.make):
+    each entry is the very node that the memo-free reference simplification
+    of the unsimplified Lie sums gives, the order-2 rows built from the
+    reference's order-1 rows and symmetrized as Add(ab, ba)."""
+    fix = fixture_parts(name)
+    k, vectors = fix.frame.k, fix.frame.vectors
+    for f in (fix.immersion, fix.free_map):
+        first = [[_lie_sum_as_built_unsimplified(xi, c) for c in f.components] for xi in vectors]
+        second = [[[_lie_sum_as_built_unsimplified(xa, g) for g in row] for row in first] for xa in vectors]
+        symmetrized = [
+            [reference_simplify(Add(ab, ba)) for ab, ba in zip(second[a][b], second[b][a])]
+            for a, b in pair_labels(k)
+        ]
+        for rows, want in ((d1_exprs(fix.frame, f), first), (d2_exprs(fix.frame, f), first + symmetrized)):
+            assert [len(row) for row in rows] == [len(row) for row in want]
+            assert all(got is e for row, row_want in zip(rows, want) for got, e in zip(row, row_want))
 
 
 def _nodes(roots):

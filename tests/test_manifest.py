@@ -3,12 +3,15 @@ import textwrap
 
 import pytest
 
-from hfree import expr
+from hfree import expr, gallery
 from hfree.checks import run_check
+from hfree.expr import parse
 from hfree.manifest import (
     ManifestError,
+    _texts,
     build_frame,
     build_map,
+    build_plan,
     parse_manifest_text,
 )
 
@@ -176,18 +179,18 @@ def test_frame_and_structure_exclusive():
 
 def test_equal_manifests_share_their_trees_and_symbolic_work(monkeypatch):
     """Hash-consing: the same manifest read twice gives the identical trees,
-    and the second order-2 jet is built from the memos of the first with no
-    rewrite in simplify: this jet's Lie sums skip their zero terms, so they
-    build no temporary that simplify rewrites."""
+    and the second order-2 jet is built from the memos of the first without
+    a new node: its Lie sums are built simplified, and every node they
+    reach is live in the first jet."""
     from hfree.jets import d2_exprs
 
     text = PLANAR.replace('["y*exp(x)"]', '["y*exp(x)", "y^2*exp(2*x) + sin(x*y)"]')
     first = parse_manifest_text(text)
     frame, smap = build_frame(first), build_map(first)
     rows = d2_exprs(frame, smap)
-    rewrites = []
-    rule = expr._rewrite
-    monkeypatch.setattr(expr, "_rewrite", lambda e: rewrites.append(e) or rule(e))
+    built = []
+    new = expr._new
+    monkeypatch.setattr(expr, "_new", lambda *node: built.append(node) or new(*node))
     second = parse_manifest_text(text)
     again = build_frame(second), build_map(second)
     assert again[1].components == smap.components
@@ -197,7 +200,7 @@ def test_equal_manifests_share_their_trees_and_symbolic_work(monkeypatch):
     )
     rows_again = d2_exprs(*again)
     assert all(a is b for row, row_again in zip(rows, rows_again) for a, b in zip(row, row_again))
-    assert rewrites == []
+    assert built == []
     assert expr.Const(0.0) is not expr.Const(-0.0)
     assert expr.Const(0.0) == expr.Const(-0.0)
 
@@ -209,7 +212,7 @@ _FRESH = textwrap.dedent(
     box = [[-2, 2], [-2, 2]]
 
     [frame]
-    vectors = [["2*fresh_y", "1 - fresh_y^2"]]
+    vectors = [[FRAME]]
 
     [map]
     components = [MAP]
@@ -221,25 +224,46 @@ _FRESH = textwrap.dedent(
 )
 
 _OUTER = '[outer]\ncoords = [fresh_u]\ncomponents = ["fresh_u", "fresh_u^2"]\n'
+_FRAME = '"2*fresh_y", "1 - fresh_y^2"'
+# a frame and a map that repeat parenthesised groups, a call's argument among them
+_GROUPED_FRAME = '"(1 + fresh_y^2)", "2*(1 + fresh_y^2)"'
+_GROUPED_MAP = '"exp(fresh_x + fresh_y)*(fresh_x + fresh_y) + (fresh_x + fresh_y)"'
 
 
 @pytest.mark.parametrize(
-    "mode, components, outer",
+    "mode, components, outer, frame",
     [
-        ("immersion", '"fresh_y*exp(fresh_x)"', ""),
-        ("free", '"fresh_y*exp(fresh_x)", "fresh_y^2*exp(2*fresh_x) + sin(fresh_x*fresh_y)"', ""),
-        ("identity", '"fresh_y*exp(fresh_x)"', _OUTER),
-        ("construct", '"fresh_y*exp(fresh_x)"', _OUTER),
+        ("immersion", '"fresh_y*exp(fresh_x)"', "", _FRAME),
+        ("free", '"fresh_y*exp(fresh_x)", "fresh_y^2*exp(2*fresh_x) + sin(fresh_x*fresh_y)"', "", _FRAME),
+        ("identity", '"fresh_y*exp(fresh_x)"', _OUTER, _FRAME),
+        ("construct", '"fresh_y*exp(fresh_x)"', _OUTER, _FRAME),
+        ("immersion", _GROUPED_MAP, "", _GROUPED_FRAME),
     ],
-    ids=["immersion", "free", "identity", "construct"],
+    ids=["immersion", "free", "identity", "construct", "repeated-groups"],
 )
-def test_a_finished_check_leaves_no_node_behind(mode, components, outer):
+def test_a_finished_check_leaves_no_node_behind(mode, components, outer, frame):
     """Every tree of a check, its jets' included, is freed once the check
     and its manifest are done: no cache holds a jet or a node past the
-    manifest whose plan it was built for."""
-    text = _FRESH.replace("MAP", components).replace("MODE", mode) + outer
+    manifest whose plan it was built for, the memo of the groups its plan
+    parsed included."""
+    text = _FRESH.replace("MAP", components).replace("MODE", mode).replace("FRAME", frame) + outer
     gc.collect()
     size = len(expr._table)
     assert run_check(parse_manifest_text(text)).verdict == "pass"
     gc.collect()
     assert len(expr._table) == size
+
+
+@pytest.mark.parametrize("name", gallery.list_fixtures())
+def test_a_plans_group_memo_parses_each_text_as_it_parses_alone(name):
+    """A plan's texts share one memo of parenthesised groups: each text is
+    the tree that it parses to alone, and so is each component of the plan."""
+    m = gallery.fixture(name)
+    texts = [t for value in (m.frame_vectors, m.structure, m.map_components, m.outer) for t in _texts(value)]
+    groups = {}
+    assert all(parse(t, groups) is parse(t) for t in texts)
+    plan = build_plan(m)
+    assert all(c is parse(t) for c, t in zip(plan.smap.components, m.map_components))
+    if m.frame_vectors is not None:
+        vectors = [c for v in plan.frame.vectors for c in v.components]
+        assert vectors == [parse(t) for v in m.frame_vectors for t in v]
