@@ -1,42 +1,36 @@
 """Check execution: evaluate a mode's predicate over sampled points and fold
 the outcomes into a deterministic report.
 
-Every check runs through one loop, `_run`, which hands a chunk of rows at a
-time of one (n, dim) array of finite points to the mode's judge and folds the
-judge's per-point criterion and failure reasons into the report in sample order
-(extreme value, ties to the lowest sample index), so the report does not depend
-on the chunk length. That length is the judge's own: as many points as fit
-its per-point floats into CHUNK_BYTES, and never fewer than CHUNK, so a small
-jet pays each chunk's fixed set of numpy calls fewer times and a large one
-holds about CHUNK_BYTES. A check compiles its jets, or its residuals, once
-into one tape of numpy calls (`expr.compile_batch`): construct mode's D1 of f
-and D2 of F o f share one, and so do identity mode's D2 of f, f, D2 of F at
-f and D2 of F o f. So a chunk costs one run of its tape, then one batched
-ranking per jet or the determinant calls; a run that faults runs once more
-as a trace, which names each point's first fault. A value beyond
-the float range is such a fault, an `overflow`, so a judge reads only finite
-values: a point that faults fails with its EvalError and has no criterion.
-A jet's stack holds only the entries that are not the constant 0, and the
-SVD sees only the matrices of a stack that a Gram screen cannot clear, made
-dense for it: a diagonal one, such as every 1 x 1 jet, is ranked from its
-diagonal, and one that a shifted Cholesky factorization of A.A^T clears is
-full rank, with a certified lower bound on sigma_min above the least as its
-sigma_min (`jets._stack_ranks`).
-The worst criterion is exact, never a bound, and one input says where
-ranking must be exact: the check's least so far. After a check's first
-chunk, the fold's worst so far bounds each chunk's screen: only a matrix
-whose sigma_min is at most that worst can become the worst, so only those
-need an exact value, and the screen factors each A.A^T once there. The first
-chunk, with no least yet, looks for its own least among a prefix of its
-points, then factors each A.A^T once against it too (`jets._screen`); if an
-SVD there fails to converge, perhaps at that least, the chunk is ranked
-again with every sigma_min exact (`jets.CompiledJet.ranks`).
+Every check takes one path. One table, `_judge`, compiles a plan
+(manifest.Plan) into the judge of its mode, or None below the critical
+dimension, and the plan keeps it. `_check` then runs the one loop, `_run`,
+which hands a chunk of rows at a time of one (n, dim) array of finite points
+to the judge, with the check's tolerance and its worst criterion so far, and
+folds the judge's per-point criterion and failure reasons into the report in
+sample order (extreme value in the judge's own direction,
+judge.smaller_is_worse, ties to the lowest sample index), so the report does
+not depend on the chunk length. That length is the judge's own: as many
+points as fit its per-point floats into CHUNK_BYTES, and never fewer than
+CHUNK, so a small jet pays each chunk's fixed set of numpy calls fewer times
+and a large one holds about CHUNK_BYTES. A check compiles its jets, or its
+residuals, once into one tape of numpy calls (`expr.compile_batch`):
+construct mode's D1 of f and D2 of F o f share one, and so do identity
+mode's D2 of f, f, D2 of F at f and D2 of F o f. So a chunk costs one run of
+its tape, then one batched ranking per jet or the determinant calls; a run
+that faults runs once more as a trace, which names each point's first
+fault. A value beyond the float range is such a fault, an `overflow`, so a
+judge reads only finite values: a point that faults fails with its
+EvalError and has no criterion. A rank judge's criterion is its jets' least
+sigma_min, exact wherever it can become the check's worst: how the jets'
+stacks are ranked, and screened against the check's least so far, is
+`jets._rank_stacks`' and `jets._stack_ranks`'.
 
 `run_check` runs a manifest's check, and `run_fixture` a gallery manifest's
-at given samples and seed; both build the manifest's plan (`build_plan`) and
-compile its tape at its first check and keep them on the manifest.
-`check_points` makes the immersion, free, construct or identity check over
-given points, and the pointwise predicates are reads of it at one point.
+at given samples and seed; both build the manifest's plan (`build_plan`) at
+its first check and keep it, and its judge, on the manifest. `check_points`
+makes the immersion, free, construct or identity check over given points on
+a plan of its own, and the pointwise predicates are reads of it at one
+point.
 """
 
 from __future__ import annotations
@@ -45,7 +39,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -62,7 +55,7 @@ from .jets import (
     s,
     valid_mask,
 )
-from .manifest import Manifest, build_plan, draw_points, too_deep
+from .manifest import MODES, Manifest, Plan, build_plan, draw_points, too_deep
 from .sampling import sample_points
 
 # The least points per chunk: below it each tape op's numpy call costs more
@@ -180,22 +173,23 @@ class _Fold:
         )
 
 
-def _run(mode: str, points: np.ndarray, judge, smaller_is_worse: bool, started: float, notes=()) -> Report:
-    """The one chunk loop of every check. judge(chunk, worst) returns, for
-    each row of a slice of the points, its criterion, whether it has one, and
-    the reasons of the points that fail; the outcomes are folded in sample
-    order. `worst` is the fold's worst criterion so far, None before any, so
-    a rank judge needs no exact value above it.
+def _run(mode: str, points: np.ndarray, judge, tol: float, started: float, notes=()) -> Report:
+    """The one chunk loop of every check. judge(chunk, worst, tol) returns,
+    for each row of a slice of the points, its criterion, whether it has one,
+    and the reasons of the points that fail at tolerance `tol`; the outcomes
+    are folded in sample order, toward the judge's own direction of worse,
+    judge.smaller_is_worse. `worst` is the fold's worst criterion so far,
+    None before any, so a rank judge needs no exact value above it.
     judge.floats() is what it holds per point, which sizes the chunks; it is
     read only for a check of more than CHUNK points, so a small check builds
     no screen plan to count. A judge of None means the target dimension is
     below the critical one."""
     if judge is None:
         return Report("below-critical-dimension", mode, 0, None, None, fixture_notes=list(notes))
-    fold = _Fold(points, smaller_is_worse)
+    fold = _Fold(points, judge.smaller_is_worse)
     step = CHUNK if len(points) <= CHUNK else max(CHUNK, CHUNK_BYTES // (8 * judge.floats()))
     for start in range(0, len(points), step):
-        fold.add(start, *judge(points[start : start + step], fold.worst_val))
+        fold.add(start, *judge(points[start : start + step], fold.worst_val, tol))
     return fold.report(mode, notes, started)
 
 
@@ -205,16 +199,17 @@ def _rank_deficient(r, message: str) -> dict:
     return {i: message.format(r.rank[i]) for i in np.flatnonzero(r.valid & ~r.full_rank).tolist()}
 
 
-def _rank_judge(jet: CompiledJet, messages: list, tol: float):
+def _rank_judge(jet: CompiledJet, messages: list):
     """Judge of immersion, free and construct modes: each of the jets must
     have full rank, which `messages` (one per jet, formatted with its rank)
-    says where it has not. The criterion is the least sigma_min of the jets.
+    says where it has not. The criterion is the least sigma_min of the jets,
+    and a smaller one is worse.
     The reasons rank lowest first: a jet without a verdict hides rank
     deficiency, and an earlier jet comes before a later one. A criterion is
     exact where it is at most `least`, the check's least so far (see
     CompiledJet.ranks): only such a one can become the check's worst."""
 
-    def judge(chunk, least):
+    def judge(chunk, least, tol):
         ranks = jet.ranks(chunk, tol, least)
         reasons = {}
         for r, message in reversed(list(zip(ranks, messages))):
@@ -227,14 +222,15 @@ def _rank_judge(jet: CompiledJet, messages: list, tol: float):
             valid = valid & r.valid
         return crit, valid, reasons
 
-    judge.floats = lambda: jet.floats
+    judge.floats, judge.smaller_is_worse = lambda: jet.floats, True
     return judge
 
 
-def _identity_judge(identity: DetIdentity, tol: float):
-    """Judge of identity mode (see constructions.DetIdentity)."""
+def _identity_judge(identity: DetIdentity):
+    """Judge of identity mode (see constructions.DetIdentity): the criterion
+    is the relative residual, and a larger one is worse."""
 
-    def judge(chunk, worst):
+    def judge(chunk, worst, tol):
         _, _, rel, failures = identity.residuals(chunk)
         reasons = {
             i: f"residual {float(rel[i]):.3e} exceeds {tol:.3e}"
@@ -243,45 +239,85 @@ def _identity_judge(identity: DetIdentity, tol: float):
         reasons.update((i, str(exc)) for i, exc in failures.items())
         return rel, valid_mask(len(chunk), failures), reasons
 
-    judge.floats = lambda: identity.floats
+    judge.floats, judge.smaller_is_worse = lambda: identity.floats, False
     return judge
 
 
-def _below_critical(tol: float):
-    """The judge of a check below the critical dimension: none."""
-    return None
+def bracket_law_residuals(bracket, tests):
+    """Symbolic residual expressions for antisymmetry, Leibniz and Jacobi over
+    the given test expressions."""
+    n = len(tests)
+    residuals = [
+        ("antisymmetry", simplify(Add(bracket(f, g), bracket(g, f))))
+        for i, f in enumerate(tests)
+        for g in tests[i:]
+    ]
+    for i in range(min(n, 3)):
+        f, g, h = tests[i], tests[(i + 1) % n], tests[(i + 2) % n]
+        leib = Sub(bracket(f, Mul(g, h)), Add(Mul(g, bracket(f, h)), Mul(h, bracket(f, g))))
+        residuals.append(("leibniz", simplify(leib)))
+        residuals.append(("jacobi", jacobiator(bracket, f, g, h)))
+    return residuals
 
 
-def _judges(mode: str, frame: Frame, smap: SmoothMap, outer: SmoothMap | None):
-    """The compiled check of immersion, free, construct or identity mode, as
-    a function that makes its judge for a tolerance. Construct mode ranks D1
-    of the map f and D2 of outer(f) in one tape; its outer map defaults to
-    monomial_free_map(q), and identity mode's to monomial_free_map(k)."""
-    k, rows = frame.k, frame.k + s(frame.k)
+def _bracket_judge(labels, run):
+    """Judge of the bracket laws: `run` is the compiled residuals, labelled
+    by `labels` (see bracket_law_residuals). The criterion is a point's
+    largest |residual|, and a larger one is worse."""
+
+    def judge(chunk, worst, tol):
+        values, errors = run(chunk)
+        # per point, the largest |residual| and the first residual that reaches it
+        size = np.abs(values, out=values)
+        first = np.argmax(size, axis=1)
+        worst = np.max(size, axis=1)
+        reasons = {
+            i: f"{labels[first[i]]} residual {float(worst[i]):.3e} exceeds {tol:.3e}"
+            for i in np.flatnonzero(worst > tol).tolist()
+        }
+        reasons.update((i, f"{labels[j]}: {exc}") for i, (j, exc) in errors.items())
+        return worst, valid_mask(len(chunk), errors), reasons
+
+    # and per point its worst value and where it is
+    judge.floats, judge.smaller_is_worse = lambda: run.floats() + 2, False
+    return judge
+
+
+def _judge(mode: str, plan: Plan):
+    """The compiled check of a plan in one of manifest.MODES, as its judge
+    (see _run), or None below the critical dimension. Construct mode ranks
+    D1 of the map f and D2 of outer(f) in one tape; its outer map defaults
+    to monomial_free_map(q), and identity mode's to monomial_free_map(k).
+    Bracket-laws mode compiles the residuals of the plan's bracket over its
+    map's components (see bracket_law_residuals)."""
+    frame, smap = plan.frame, plan.smap
+    if mode == "bracket-laws" and plan.bracket is not None:
+        residuals = bracket_law_residuals(plan.bracket, smap.components)
+        run = compile_batch([expr for _, expr in residuals], smap.chart.coords)
+        return _bracket_judge([label for label, _ in residuals], run)
     if mode == "identity":
-        return partial(_identity_judge, DetIdentity(frame, smap, outer or monomial_free_map(k)))
-    if mode == "immersion":
-        if smap.q < k:
-            return _below_critical
-        return partial(_rank_judge, CompiledJet([d1_exprs(frame, smap)], frame.chart), [f"rank {{}} < {k}"])
-    if mode == "free":
-        if smap.q < rows:
-            return _below_critical
-        return partial(_rank_judge, CompiledJet([d2_exprs(frame, smap)], frame.chart), [f"rank {{}} < {rows}"])
+        return _identity_judge(DetIdentity(frame, smap, plan.outer or monomial_free_map(frame.k)))
+    k, rows = frame.k, frame.k + s(frame.k)
+    if mode in ("immersion", "free"):
+        need, exprs = (k, d1_exprs) if mode == "immersion" else (rows, d2_exprs)
+        if smap.q < need:
+            return None
+        return _rank_judge(CompiledJet([exprs(frame, smap)], frame.chart), [f"rank {{}} < {need}"])
     if mode == "construct":
-        composite = compose(outer or monomial_free_map(smap.q), smap)
+        composite = compose(plan.outer or monomial_free_map(smap.q), smap)
         if smap.q < k or composite.q < rows:
-            return _below_critical
+            return None
         jet = CompiledJet([d1_exprs(frame, smap), d2_exprs(frame, composite)], frame.chart)
-        return partial(_rank_judge, jet, [f"immersion rank {{}} < {k}", f"free-map rank {{}} < {rows}"])
-    raise ValueError(f"mode must be immersion, free, construct or identity, got {mode!r}")
+        return _rank_judge(jet, [f"immersion rank {{}} < {k}", f"free-map rank {{}} < {rows}"])
+    raise ValueError(f"mode must be one of {MODES} (bracket-laws with a bracket), got {mode!r}")
 
 
-def _check(points: np.ndarray, frame: Frame, smap: SmoothMap, mode: str, tol: float, outer=None) -> Report:
-    """check_points over points already validated."""
-    started = time.perf_counter()
-    judge = _judges(mode, frame, smap, outer)(tol)
-    return _run(mode, points, judge, mode != "identity", started)
+def _check(mode: str, plan: Plan, points: np.ndarray, tol: float, started: float, notes=()) -> Report:
+    """The one path of every check: the plan's judge, compiled at its first
+    check and kept on the plan, run over points already validated."""
+    if plan.judge is None:
+        plan.judge = _judge(mode, plan)
+    return _run(mode, points, plan.judge, tol, started, notes)
 
 
 def check_points(
@@ -289,13 +325,14 @@ def check_points(
 ) -> Report:
     """Immersion, free, construct or identity check of the map over points
     (see Chart.point_array), as run_check makes it over a manifest's samples."""
-    return _check(frame.chart.point_array(points), frame, smap, mode, tol, outer)
+    points = frame.chart.point_array(points)
+    return _check(mode, Plan(frame, smap, outer), points, tol, time.perf_counter())
 
 
 def _passes_at(frame: Frame, smap: SmoothMap, point, mode: str, tol: float) -> bool:
     """Whether the check of a rank mode passes at one point of the chart's
     box; a point where evaluation faults fails."""
-    report = _check(frame.chart.check_point(point), frame, smap, mode, tol)
+    report = _check(mode, Plan(frame, smap), frame.chart.check_point(point), tol, time.perf_counter())
     if report.verdict == "below-critical-dimension":
         raise BelowCriticalDimension(f"target dimension {smap.q} below the critical dimension of {mode} mode")
     return report.verdict == "pass"
@@ -321,64 +358,15 @@ def frame_rank_check(frame: Frame, point, tol: float = DEFAULT_TOL) -> bool:
     return is_immersion_at(frame, coords, point, tol)
 
 
-def bracket_law_residuals(bracket, tests):
-    """Symbolic residual expressions for antisymmetry, Leibniz and Jacobi over
-    the given test expressions."""
-    n = len(tests)
-    residuals = [
-        ("antisymmetry", simplify(Add(bracket(f, g), bracket(g, f))))
-        for i, f in enumerate(tests)
-        for g in tests[i:]
-    ]
-    for i in range(min(n, 3)):
-        f, g, h = tests[i], tests[(i + 1) % n], tests[(i + 2) % n]
-        leib = Sub(bracket(f, Mul(g, h)), Add(Mul(g, bracket(f, h)), Mul(h, bracket(f, g))))
-        residuals.append(("leibniz", simplify(leib)))
-        residuals.append(("jacobi", jacobiator(bracket, f, g, h)))
-    return residuals
-
-
-def _bracket_judge(labels, run, tol: float):
-    """Judge of the bracket laws: `run` is the compiled residuals, labelled
-    by `labels` (see bracket_law_residuals)."""
-
-    def judge(chunk, worst):
-        values, errors = run(chunk)
-        # per point, the largest |residual| and the first residual that reaches it
-        size = np.abs(values, out=values)
-        first = np.argmax(size, axis=1)
-        worst = np.max(size, axis=1)
-        reasons = {
-            i: f"{labels[first[i]]} residual {float(worst[i]):.3e} exceeds {tol:.3e}"
-            for i in np.flatnonzero(worst > tol).tolist()
-        }
-        reasons.update((i, f"{labels[j]}: {exc}") for i, (j, exc) in errors.items())
-        return worst, valid_mask(len(chunk), errors), reasons
-
-    judge.floats = lambda: run.floats() + 2  # and per point its worst value and where it is
-    return judge
-
-
-def _plan_judges(m: Manifest, plan):
-    """The compiled check of a manifest's plan (see _judges)."""
-    if m.mode != "bracket-laws":
-        return _judges(m.mode, plan.frame, plan.smap, plan.outer)
-    residuals = bracket_law_residuals(plan.bracket, plan.smap.components)
-    run = compile_batch([expr for _, expr in residuals], m.chart.coords)
-    return partial(_bracket_judge, [label for label, _ in residuals], run)
-
-
 def _check_manifest(m: Manifest, points: np.ndarray, tol: float, started: float) -> Report:
     """The check of a manifest at the given points and tolerance. Its plan,
-    and the tapes compiled from it, are built at its first check and kept
+    and the judge compiled from it, are built at its first check and kept
     on the manifest for the later ones."""
     plan = build_plan(m)
-    if plan.judge is None:
-        try:
-            plan.judge = _plan_judges(m, plan)
-        except RecursionError:  # a jet or a residual too deep for simplify, diff or compilation
-            raise too_deep(m) from None
-    return _run(m.mode, points, plan.judge(tol), m.mode not in ("identity", "bracket-laws"), started, m.notes)
+    try:
+        return _check(m.mode, plan, points, tol, started, m.notes)
+    except RecursionError:  # a jet or a residual too deep for simplify, diff or compilation
+        raise too_deep(m) from None
 
 
 def run_check(m: Manifest) -> Report:

@@ -240,7 +240,7 @@ def _stack_ranks(stack: JetStack, tol: float = DEFAULT_TOL, errors=None, least: 
     diagonal straight to the SVD. None has the screen find the stack's
     least, which is then exact unless an SVD failed to converge, maybe at
     that least, after the screen cleared a matrix: a caller ranks such a
-    stack again at least = np.inf (see CompiledJet.ranks).
+    stack again at least = np.inf (see _rank_stacks).
 
     A matrix, square or rectangular, whose off-diagonal entries are all zero
     (every 1 x 1 matrix) has the exact singular values |diagonal| and makes
@@ -361,7 +361,7 @@ def _screen(stack: JetStack, tol: float, index: np.ndarray, reasons: dict, batch
     the CANDIDATES matrices it clears with the least such bounds get their
     SVD (_svd, as any other matrix); t is their least sigma_min, 0 if one's
     SVD fails to converge, whose stack is then ranked again (see
-    CompiledJet.ranks). Pass B then factors every Gram once, at b = max(t,
+    _rank_stacks). Pass B then factors every Gram once, at b = max(t,
     floor), so every matrix it clears has a sigma_min above max(t, floor),
     and the stack's least, at most t, is then a candidate or a matrix left
     to the SVD. So a stack of m matrices has at most m + PREFIX Grams
@@ -592,24 +592,21 @@ class CompiledJet:
         return stacks, {i: (bisect_right(self._bounds, j) - 1, exc) for i, (j, exc) in errors.items()}
 
     def ranks(self, points: np.ndarray, tol: float = DEFAULT_TOL, least: float | None = None) -> list[StackRanks]:
-        """Each jet's rank verdicts at the points (see _stack_ranks, which
-        reads `least`). A point that faults has no verdict in any jet. Every
-        sigma_min at or below `least` is exact at any point; without a
-        least, each jet's least sigma_min is exact among the points where
-        every jet has a verdict: a chunk where some jet's SVD failed, maybe at
-        its own least or at another jet's, and the screen cleared a matrix of
-        some jet, is ranked again at least = np.inf, each jet once more."""
+        """Each jet's rank verdicts at the points (see _rank_stacks). A point
+        that faults has no verdict in any jet."""
         stacks, faults = self.at(points)
-        errors = {i: exc for i, (_, exc) in faults.items()}
-        ranks = [_stack_ranks(stack, tol, errors, least) for stack in stacks]
-        if least is None and _rerank(ranks, errors):
-            ranks = [_stack_ranks(stack, tol, errors, np.inf) for stack in stacks]
-        return ranks
+        return _rank_stacks(stacks, tol, {i: exc for i, (_, exc) in faults.items()}, least)
 
 
-def _rerank(ranks: list[StackRanks], errors: dict) -> bool:
-    """Whether jets ranked together without a least must be ranked again at
-    least = np.inf: an SVD failed in one of them, maybe at a least, while
-    the screen cleared a matrix in one, whose bound may then lie below the
-    least among the points where every jet has a verdict."""
-    return any(len(r.reasons) > len(errors) for r in ranks) and any(r.cleared for r in ranks)
+def _rank_stacks(stacks: list[JetStack], tol: float, errors: dict, least: float | None) -> list[StackRanks]:
+    """Stacks ranked together, each by _stack_ranks, which reads `least`:
+    every sigma_min at or below a least is exact at any point. Without one,
+    each stack's least sigma_min is exact among the points where every stack
+    has a verdict: where an SVD failed in one of them, maybe at its own least
+    or at another's, while the screen cleared a matrix in one, whose bound
+    may then lie below that least, every stack is ranked again at least =
+    np.inf."""
+    ranks = [_stack_ranks(stack, tol, errors, least) for stack in stacks]
+    if least is None and any(len(r.reasons) > len(errors) for r in ranks) and any(r.cleared for r in ranks):
+        ranks = [_stack_ranks(stack, tol, errors, np.inf) for stack in stacks]
+    return ranks

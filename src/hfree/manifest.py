@@ -215,8 +215,10 @@ def _interpret(sections: dict) -> Manifest:
         raise ManifestError("[map] needs a non-empty 'components' array")
 
     outer = sections.get("outer")
-    if outer is not None and "components" not in outer:
+    if outer is not None and not isinstance(outer.get("components"), list):
         raise ManifestError("[outer] needs a 'components' array")
+    if outer is not None and not isinstance(outer.get("coords", []), list):
+        raise ManifestError("[outer] 'coords' must be an array")
 
     return Manifest(
         chart, frame_vectors, structure, components, outer, mode, samples, seed, tolerance, grid
@@ -261,7 +263,10 @@ class Plan:
     smap: SmoothMap | None = None  # the map; in bracket-laws mode, the test functions
     outer: SmoothMap | None = None  # construct and identity modes
     bracket: object = None  # bracket-laws mode: (Expr, Expr) -> Expr
-    judge: object = None  # what the check compiles from the rest (see checks._check_manifest)
+    # checks._judge of the rest, compiled at the first check (None before it
+    # and below the critical dimension): it takes each chunk's tolerance and
+    # its smaller_is_worse says which criterion is worse
+    judge: object = None
 
 
 def build_plan(m: Manifest) -> Plan:
@@ -373,7 +378,10 @@ def _symplectic_chart(m: Manifest) -> SymplecticChart:
 def build_rp_structure(m: Manifest, groups: dict | None = None) -> RPStructure:
     spec = m.structure or {}
     if "H_gradients" in spec:
-        grads = tuple(tuple(_parse_expr(c, groups) for c in row) for row in spec["H_gradients"])
+        rows = spec["H_gradients"]
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise ManifestError("riemann-poisson structure needs 'H_gradients' as an array of arrays")
+        grads = tuple(tuple(_parse_expr(c, groups) for c in row) for row in rows)
         return RPStructure(m.chart, grads)
     h_list = spec.get("H")
     if not isinstance(h_list, list) or not h_list:

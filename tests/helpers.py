@@ -263,8 +263,7 @@ def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=No
     matrix outside `errors` must be finite, as a compiled jet's are, else
     ValueError. `pattern` says which entries may be nonzero; without one,
     the pattern is read from the matrices of the points that did not
-    fault. Without a least, a stack is ranked again at least = np.inf by
-    CompiledJet.ranks' rule (jets._rerank)."""
+    fault. It is ranked by CompiledJet.ranks' rule (jets._rank_stacks)."""
     n, rows, cols = entries.shape
     valid = valid_mask(n, errors or {})
     if not np.isfinite(entries[valid]).all():
@@ -274,10 +273,7 @@ def stack_ranks(entries, tol=DEFAULT_TOL, errors=None, *, pattern=None, least=No
     if not pattern.full:
         raise ValueError("a dense stack's pattern must hold every entry")
     stack = JetStack(entries.reshape(n, rows * cols).T, pattern)
-    ranks = jets._stack_ranks(stack, tol, errors, least)
-    if least is None and jets._rerank([ranks], errors or {}):
-        ranks = jets._stack_ranks(stack, tol, errors, np.inf)
-    return ranks
+    return jets._rank_stacks([stack], tol, errors or {}, least)[0]
 
 
 def dense_tape(jets, chart, points):

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from hfree import checks, gallery
 from hfree.checks import CHUNK, CHUNK_BYTES, FAILURE_CAP, _Fold, check_points, run_check, run_fixture
 from hfree.constructions import compose
-from hfree.manifest import ManifestError, build_plan, draw_points, parse_manifest_text
+from hfree.manifest import MODES, ManifestError, Plan, _build_bracket, build_plan, draw_points, parse_manifest_text
 
 
 def _pointwise_fold(results, smaller_is_worse):
@@ -162,6 +162,9 @@ grid = [600, 17]
 """
 
 
+# simd: the tape writes ufuncs into their operands' buffers, on numpy's
+# overlap path, and a faulting chunk runs it again as a trace.
+@pytest.mark.simd
 def test_a_faulting_check_holds_at_most_twice_its_chunk_budget(monkeypatch):
     """Every chunk of this check runs its tape once more as a trace, which
     holds the run's buffers and, beside each live value, its fault codes. It
@@ -214,9 +217,12 @@ def test_construct_names_the_free_map_where_only_it_drops_rank():
 
 
 def test_construct_below_the_critical_dimension():
-    """Two frame fields and a map of one component: no immersion exists."""
-    report = run_check(parse_manifest_text(_construct('[["1", "0"], ["0", "1"]]', '["x + y"]')))
-    assert report.verdict == "below-critical-dimension" and report.points_checked == 0
+    """Two frame fields and a map of one component: no immersion exists, and
+    a second check of the plan, whose judge is None, says so again."""
+    m = parse_manifest_text(_construct('[["1", "0"], ["0", "1"]]', '["x + y"]'))
+    for _ in range(2):
+        report = run_check(m)
+        assert report.verdict == "below-critical-dimension" and report.points_checked == 0
 
 
 @pytest.mark.parametrize(
@@ -251,3 +257,39 @@ def test_construct_outer_needs_a_coordinate_per_component():
     outer = '[outer]\ncoords = [u, v]\ncomponents = ["u", "v", "u*v"]\n'
     with pytest.raises(ManifestError, match=r"bad \[outer\] section"):
         run_check(parse_manifest_text(_construct('[["1", "0"]]', '["x"]', outer)))
+
+
+@pytest.mark.parametrize("name", ["planar-hamiltonian", "contact-1", "integrable-torus-2"])
+@pytest.mark.parametrize("mode", ["immersion", "free", "construct", "identity"])
+def test_check_points_is_run_checks_path(name, mode):
+    """check_points over a manifest's drawn points gives run_check's report:
+    both build a plan and run it through checks._check. 600 points take
+    chunks sized by the judge's floats."""
+    m = parse_manifest_text(gallery.show(name).replace("mode = construct", f"mode = {mode}\nsamples = 600"))
+    plan = build_plan(m)
+    report = check_points(plan.frame, plan.smap, draw_points(m), mode, m.tolerance, plan.outer)
+    want = run_check(m).to_dict(False)
+    got = report.to_dict(False)
+    del want["fixture_notes"], got["fixture_notes"]
+    assert got == want
+
+
+def test_every_mode_has_a_judge():
+    """checks._judge has a branch for every mode a manifest may name: a rank
+    judge, for which a smaller criterion is worse, or None below the critical
+    dimension (free mode of a map with 2 components along 2 fields), and a
+    residual judge, for which a larger one is worse."""
+    m = gallery.fixture("integrable-torus-2")
+    built = build_plan(m)
+    plan = Plan(built.frame, built.smap, bracket=_build_bracket(m))
+    points = draw_points(m)[:50]
+    for mode in MODES:
+        judge = checks._judge(mode, plan)
+        if mode == "free":
+            assert judge is None
+            continue
+        assert judge.smaller_is_worse == (mode in ("immersion", "construct"))
+        crit, has_crit, reasons = judge(points, None, 1e-9)
+        assert crit.shape == has_crit.shape == (50,) and has_crit.all() and not reasons
+    with pytest.raises(ValueError, match="mode must be one of"):
+        checks._judge("bracket-law", plan)

@@ -243,6 +243,9 @@ def test_free_check_of_a_huge_map_writes_nothing_to_stderr(tmp_path, capsys):
     assert captured.err == ""
 
 
+# simd: each check picks its own chunk length, and its report must not depend
+# on it on any of numpy's loops.
+@pytest.mark.simd
 @pytest.mark.parametrize(
     "manifest, args",
     [
@@ -382,6 +385,18 @@ def test_overflow_is_one_fault_in_every_mode(text, reason, tmp_path, capsys):
             + '[outer]\ncoords = [u]\ncomponents = ["v", "u^2"]\n',
             "outer",
         ),
+        # a string where an array belongs is not read one character at a time
+        (
+            PLANAR.replace("mode = immersion", "mode = construct").replace('"y*exp(x)"', '"x"')
+            + '[outer]\ncoords = "u"\ncomponents = ["u", "u^2"]\n',
+            "outer",
+        ),
+        (
+            PLANAR.replace("mode = immersion", "mode = construct").replace('"y*exp(x)"', '"x"')
+            + '[outer]\ncoords = [u]\ncomponents = "u2"\n',
+            "outer",
+        ),
+        (_structure(SPACE, 'type = riemann-poisson\nH_gradients = ["111"]\nhamiltonian = "x"'), "structure"),
         (_structure(PLANAR, "type = contact").replace('["y*exp(x)"]', '["x", "y"]'), "structure"),
         (
             _structure(PLANAR, "type = [1]").replace("mode = immersion", "mode = bracket-laws")
@@ -645,6 +660,8 @@ _FAULT_PRONE = [
 _VALUES = [0.0, -0.0, 5e-324, 1e-200, 1e200, -1e200]
 
 
+# simd: hfree eval must give the tree walk's bits on each of numpy's loops.
+@pytest.mark.simd
 class TestEval:
     def test_paper_value(self, capsys):
         assert main(["eval", "(1+y^2)*exp(x)", "--at", "x=0,y=0"]) == 0

@@ -332,6 +332,10 @@ class TestDetIdentity:
             composite = CompiledJet([d2_exprs(frame, compose(outer, f))], frame.chart)
             assert set(composite.at(points[20:])[1]) == {0, 1, 2}
 
+    # simd: identity mode's outer jet at f(p) runs on one tape with f put
+    # in for its coordinates, and must keep the bits of that jet run on
+    # f's values.
+    @pytest.mark.simd
     @pytest.mark.parametrize("case", _CASES, ids=[case[0] for case in _CASES])
     def test_blocks_keep_the_bits_of_each_jet_on_its_own_tape(self, case):
         """At each point where no block faults, each stack of blocks() equals
@@ -393,6 +397,8 @@ def _peel_cases(draw):
     return pattern[np.ix_(rows, cols)], held[np.ix_(rows, cols)], values[:, rows][:, :, cols], singular
 
 
+# simd: identity mode's peeled determinants multiply tape values.
+@pytest.mark.simd
 @given(_peel_cases())
 @settings(max_examples=300, deadline=None)
 def test_a_peeled_determinant_is_lapacks(case):
@@ -421,6 +427,8 @@ def test_a_peeled_determinant_is_lapacks(case):
 
 
 class TestPeel:
+    # simd: identity mode's peeled determinants multiply tape values.
+    @pytest.mark.simd
     def test_a_product_that_overflows_on_the_way_takes_lapacks_determinant(self):
         """An outer jet whose peeled entries are 4e200, 2e200, 1, 4e-300 and
         1, in peel order: the product overflows after two factors though the
@@ -511,6 +519,8 @@ def _sweep_cases():
     return cases
 
 
+# simd: the compact peel multiplies tape vectors.
+@pytest.mark.simd
 @pytest.mark.parametrize("case", _sweep_cases() + _CASES, ids=lambda case: case[0])
 def test_compact_identity_keeps_the_bits_of_a_tape_of_every_entry(case, monkeypatch):
     """Identity mode's residuals from jets that hold only the entries that

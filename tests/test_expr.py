@@ -34,6 +34,11 @@ from hfree.expr import (
 from hfree.fields import Chart, VectorField, lie_derivative, simplified_sum, symmetrize
 from hfree.jets import CompiledJet, d1_exprs
 
+# simd: the tree walk in helpers.py is the tape's oracle and must match it on
+# each of numpy's loops, and the tape writes ufuncs into their operands'
+# buffers, on numpy's overlap path, which the buffer-reuse test checks.
+pytestmark = pytest.mark.simd
+
 
 class TestParse:
     def test_simple_product(self):

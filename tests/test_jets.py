@@ -150,6 +150,8 @@ def _lie_sum_as_built_unsimplified(xi, f):
     return ZERO if total == ZERO else total
 
 
+# simd: node construction folds sin, cos and exp on numpy's scalar ufuncs.
+@pytest.mark.simd
 @pytest.mark.parametrize(
     "name", [n for n in gallery.list_fixtures() if fixture_parts(n).frame is not None]
 )
@@ -455,6 +457,9 @@ def _shifted_grams(draw):
     return stack, tau
 
 
+# simd: the Gram matrices' products and the elimination run on other kernels,
+# and the certificate's error budget is tight.
+@pytest.mark.simd
 @given(st.one_of(_mixed_stacks(), _shifted_grams().map(lambda case: (case[0], {}))))
 @settings(max_examples=300, deadline=None)
 def test_screened_stacks_keep_the_svd_contract(case):
@@ -572,6 +577,9 @@ def _stacks_with_a_least(draw):
     return stack, errors, least
 
 
+# simd: each chunk after a check's first is screened at its least so far, a
+# certificate with the same tight budget.
+@pytest.mark.simd
 @given(_stacks_with_a_least())
 @example((np.array([[[0.0, 0.0, 1e300]], [[0.0, 0.0, 1e-300]]]), {}, 1e300))
 @settings(max_examples=300, deadline=None)
@@ -612,6 +620,9 @@ def _contact_2_grams():
     return stack, np.array([0.0, 0.5 * (stack[1] ** 2).sum(), lam[2] * (1.0 - 1e-6), lam[3] * (1.0 + 1e-6)])
 
 
+# simd: the Gram matrices' products and the elimination run on other kernels,
+# and the certificate's error budget is tight.
+@pytest.mark.simd
 @given(_shifted_grams())
 @example(_contact_2_grams())
 @settings(max_examples=300, deadline=None)
@@ -684,6 +695,8 @@ def _fill_between_strangers():
     return _entry_major(stack), pattern
 
 
+# simd: the Gram is a sum of ufunc products of the jet's entry-major vectors.
+@pytest.mark.simd
 @given(_patterned_stacks())
 @example(_fill_between_strangers())
 @settings(max_examples=200, deadline=None)
@@ -734,6 +747,9 @@ def test_the_pattern_gram_keeps_the_dense_bound(case):
     _assert_svd_contract(r, stack, {}, seen=seen)
 
 
+# simd: the Gram is a sum of ufunc products of the jet's entry-major vectors,
+# and a stack's layout must change no rank verdict.
+@pytest.mark.simd
 def test_stack_ranks_do_not_depend_on_the_layout():
     """compile_batch stores its values entry-major, so each expression's
     values and each vector of a CompiledJet.at stack are one contiguous
@@ -769,6 +785,9 @@ def test_stack_ranks_do_not_depend_on_the_layout():
         assert not ranks[0].full_rank[7]
 
 
+# simd: dense matrices rebuilt from a compact tape's vectors must give the SVD
+# the bits of a tape of every entry.
+@pytest.mark.simd
 @pytest.mark.parametrize("name", ["contact-1", "contact-2", "integrable-torus-3"])
 def test_compact_stacks_keep_the_bits_of_dense_ones(name):
     """Construct mode's D1 of f and D2 of F o f, held compact, made dense are
@@ -942,6 +961,9 @@ def _gallery_reports(seed):
     return [run_fixture(gallery.fixture(name), 10000, seed).to_json(False) for name in gallery.list_fixtures()]
 
 
+# simd: the gallery's reports in chunks of 512 points, each screened at its
+# least so far, must be those of no screen.
+@pytest.mark.simd
 @pytest.mark.parametrize("seed", [0, 11])
 def test_gallery_reports_do_not_depend_on_the_screen(seed, monkeypatch):
     """Every gallery report at 10^4 samples is, bit for bit, the report made
@@ -998,6 +1020,9 @@ def test_a_check_factors_each_chunk_after_its_first_once(monkeypatch):
         assert chunk_bytes or min(c for c, _ in screened.values()) >= 5
 
 
+# simd: a first chunk is certified at the least of its prefix's candidates,
+# with the same tight budget.
+@pytest.mark.simd
 @pytest.mark.parametrize("prefix", ["cleared", "rank deficient", "beyond the Gram range"])
 def test_a_first_chunk_finds_its_least_past_its_prefix(prefix, monkeypatch):
     """A first chunk, with no least yet, of 3 PREFIX dense matrices, a few
