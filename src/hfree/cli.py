@@ -150,8 +150,8 @@ def main(argv=None) -> int:
                     print(gallery.show(args.name), end="")
                     return EXIT_PASS
                 fix = gallery.fixture(args.name)
-            except KeyError as exc:
-                print(exc, file=sys.stderr)
+            except KeyError as exc:  # its message, not the repr that str() of a KeyError is
+                print(f"error: {exc.args[0]}", file=sys.stderr)
                 return EXIT_USAGE
             report = run_fixture(fix, samples=args.samples, seed=args.seed, tol=args.tol)
             return _emit(report, args)

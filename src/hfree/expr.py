@@ -31,15 +31,17 @@ _d builds it and does not simplify it again.
 
 The parser parses each parenthesised group and call argument once per memo
 of groups, keyed by the text between the parentheses, whose matching ')'
-_tokens finds. parse keeps a memo for one text, or takes the caller's: a
-manifest's plan keeps one for its texts, which lasts for that one plan
-build (see manifest.build_plan).
+_closes finds. It reads a token at a time, so it never reads the characters
+of a group that the memo holds. parse keeps a memo for one text, or takes
+the caller's: a manifest's plan keeps one for its texts, which lasts for
+that one plan build (see manifest.build_plan).
 """
 
 from __future__ import annotations
 
 import math
 import operator
+import re
 import sys
 import weakref
 from _weakref import _remove_dead_weakref
@@ -80,13 +82,11 @@ def _missing():
     return None
 
 
-def _new(cls, key, *fields):
-    """A fresh node of cls with the given fields, entered in the table under
-    key. Every node is built here."""
+def _new(cls, key):
+    """A fresh node of cls, entered in the table under key, whose
+    constructor then sets its fields. Every node is built here."""
     node = object.__new__(cls)
     node._simple = node._diffs = node._free = None
-    for name, value in zip(cls._fields, fields):
-        setattr(node, name, value)
     ref = _table[key] = _Ref(node, _forget)
     ref.key = key
     return node
@@ -184,7 +184,11 @@ class Const(Expr):
         if not math.isfinite(value):
             raise ValueError(f"constants must be finite, got {value}")
         key = (cls, value.hex())
-        return _table.get(key, _missing)() or _new(cls, key, value)
+        node = _table.get(key, _missing)()
+        if node is None:
+            node = _new(cls, key)
+            node.value = value
+        return node
 
     def __eq__(self, other):
         if type(other) is not Const:
@@ -222,7 +226,11 @@ class Coord(Expr):
 
     def __new__(cls, name):
         key = (cls, name)
-        return _table.get(key, _missing)() or _new(cls, key, name)
+        node = _table.get(key, _missing)()
+        if node is None:
+            node = _new(cls, key)
+            node.name = name
+        return node
 
     def _args(self, f):
         return (self.name,)
@@ -252,7 +260,11 @@ class _Unary(Expr):
 
     def __new__(cls, arg):
         key = (cls, id(arg))
-        return _table.get(key, _missing)() or _new(cls, key, arg)
+        node = _table.get(key, _missing)()
+        if node is None:
+            node = _new(cls, key)
+            node.arg = arg
+        return node
 
     def _args(self, f):
         return (f(self.arg),)
@@ -286,7 +298,11 @@ class _Binary(Expr):
 
     def __new__(cls, left, right):
         key = (cls, id(left), id(right))
-        return _table.get(key, _missing)() or _new(cls, key, left, right)
+        node = _table.get(key, _missing)()
+        if node is None:
+            node = _new(cls, key)
+            node.left, node.right = left, right
+        return node
 
     def _args(self, f):
         return f(self.left), f(self.right)
@@ -339,7 +355,11 @@ class Pow(Expr):
 
     def __new__(cls, base, exponent):
         key = (cls, id(base), exponent)
-        return _table.get(key, _missing)() or _new(cls, key, base, exponent)
+        node = _table.get(key, _missing)()
+        if node is None:
+            node = _new(cls, key)
+            node.base, node.exponent = base, exponent
+        return node
 
     def _args(self, f):
         return f(self.base), self.exponent
@@ -547,43 +567,58 @@ class NestingError(ValueError):
         )
 
 
-def _tokens(src: str) -> tuple:
-    """The tokens of src as (kind, start, end) offsets, whitespace skipped:
-    kind "num" for a number (decimal digits, optionally a point and more
-    digits, or a point first), "id" for a name (a letter or _, then letters,
-    digits or _), the character itself for any other, and "" for the end of
-    input; and, by the index of each '(' token that is closed, the index of
-    its matching ')' token."""
-    tokens, closes, opened = [], {}, []
+def _token(src: str, i: int) -> tuple:
+    """The token of src that starts at offset i or after the whitespace
+    there, as (kind, start, end) offsets: kind "num" for a number (decimal
+    digits, optionally a point and more digits, or a point first), "id" for
+    a name (a letter or _, then letters, digits or _), the character itself
+    for any other, and "" for the end of input."""
     n = len(src)
-    i = 0
-    while True:
-        while i < n and src[i].isspace():
-            i += 1
-        if i == n:
-            tokens.append(("", n, n))
-            return tokens, closes
-        start, ch = i, src[i]
+    while i < n and src[i].isspace():
         i += 1
-        if ch.isdecimal() or ch == ".":
-            kind = "num"
+    if i == n:
+        return "", n, n
+    start, ch = i, src[i]
+    i += 1
+    if ch.isdecimal() or ch == ".":
+        kind = "num"
+        while i < n and src[i].isdecimal():
+            i += 1
+        if ch != "." and i < n and src[i] == ".":
+            i += 1
             while i < n and src[i].isdecimal():
                 i += 1
-            if ch != "." and i < n and src[i] == ".":
-                i += 1
-                while i < n and src[i].isdecimal():
-                    i += 1
-        elif ch.isalpha() or ch == "_":
-            kind = "id"
-            while i < n and (src[i].isalnum() or src[i] == "_"):
-                i += 1
-        else:
-            kind = ch
-            if ch == "(":
-                opened.append(len(tokens))
-            elif ch == ")" and opened:
-                closes[opened.pop()] = len(tokens)
-        tokens.append((kind, start, i))
+    elif ch.isalpha() or ch == "_":
+        kind = "id"
+        while i < n and (src[i].isalnum() or src[i] == "_"):
+            i += 1
+    else:
+        kind = ch
+    return kind, start, i
+
+
+def _tokens(src: str) -> list:
+    """Every token of src (see _token), the end of input last."""
+    tokens = [_token(src, 0)]
+    while tokens[-1][0]:
+        tokens.append(_token(src, tokens[-1][2]))
+    return tokens
+
+
+_PARENS = re.compile("[()]")
+
+
+def _closes(src: str) -> dict:
+    """By the offset of each '(' that is closed, the offset of its matching
+    ')'. Both are tokens of their own wherever they stand, as the DSL has no
+    strings or comments, so the characters alone pair them."""
+    closes, opened = {}, []
+    for paren in _PARENS.finditer(src):
+        if paren[0] == "(":
+            opened.append(paren.start())
+        elif opened:
+            closes[opened.pop()] = paren.start()
+    return closes
 
 
 # The largest exponent magnitude: Pow._d's Const(float(n)) is exact up to 2^53.
@@ -592,27 +627,29 @@ _EXPONENT_BOUND = "an exponent of magnitude at most 2^53"
 
 
 class _Parser:
-    """Recursive descent over the tokens; an error names the offset of the
-    first character it could not use. groups maps the text inside each
-    pair of parentheses parsed so far, a group's or a call's, to its tree."""
+    """Recursive descent over the tokens, read one at a time (see _token),
+    so that the characters of a group found in the memo are never read; an
+    error names the offset of the first character it could not use. groups
+    maps the text inside each pair of parentheses parsed so far, a group's
+    or a call's, to its tree. tok is the current token."""
 
     def __init__(self, src: str, groups: dict):
         self.src = src
-        self.tokens, self.closes = _tokens(src)
+        self.closes = _closes(src)
         self.groups = groups
-        self.i = 0
+        self.tok = _token(src, 0)
 
     def error(self, expected: str, at: int | None = None):
-        at = self.tokens[self.i][1] if at is None else at
+        at = self.tok[1] if at is None else at
         found = self.src[at] if at < len(self.src) else "end of input"
         raise ParseError(at, expected, found)
 
     def peek(self) -> str:
-        return self.tokens[self.i][0]
+        return self.tok[0]
 
     def accept(self, kind: str) -> bool:
-        if self.tokens[self.i][0] == kind:
-            self.i += 1
+        if self.tok[0] == kind:
+            self.tok = _token(self.src, self.tok[2])
             return True
         return False
 
@@ -622,8 +659,8 @@ class _Parser:
 
     def text(self) -> str:
         """The current token's text; moves past it."""
-        _, start, end = self.tokens[self.i]
-        self.i += 1
+        _, start, end = self.tok
+        self.tok = _token(self.src, end)
         return self.src[start:end]
 
     def parse(self) -> Expr:
@@ -665,7 +702,7 @@ class _Parser:
         # each power bounded before it is computed
         exps = []
         while self.accept("^"):
-            exps.append((self.tokens[self.i][1], self.integer()))
+            exps.append((self.tok[1], self.integer()))
         n = exps[-1][1]
         for at, e in reversed(exps[:-1]):
             if n < 0:
@@ -679,12 +716,11 @@ class _Parser:
     def integer(self) -> int:
         """An optionally signed run of digits, the sign and the digits
         adjacent, and no decimal point."""
-        kind, start, _ = self.tokens[self.i]
+        kind, start, _ = self.tok
         first, sign = start, ""
         if kind in ("+", "-"):
             sign = kind
-            self.i += 1
-            kind, at, _ = self.tokens[self.i]
+            kind, at, _ = self.tok = _token(self.src, start + 1)
             if at != start + 1:
                 self.error("integer exponent", start + 1)
             start = at
@@ -703,13 +739,14 @@ class _Parser:
         """The expression in the parentheses that open at the current token,
         parsed once per memo of groups: the same text between them is the
         same tree. A '(' that is never closed is parsed, to its error."""
-        close = self.closes.get(self.i)
-        text = None if close is None else self.src[self.tokens[self.i][2] : self.tokens[close][1]]
+        _, start, end = self.tok
+        close = self.closes.get(start)
+        text = None if close is None else self.src[end:close]
         e = self.groups.get(text)
         if e is not None:
-            self.i = close + 1
+            self.tok = _token(self.src, close + 1)
             return e
-        self.i += 1
+        self.tok = _token(self.src, end)
         e = self.expr()
         self.expect(")")  # so an unclosed '(' stores nothing
         self.groups[text] = e
@@ -720,7 +757,7 @@ class _Parser:
         if kind == "(":
             return self.group()
         if kind == "num":
-            start = self.tokens[self.i][1]
+            start = self.tok[1]
             src = self.text()
             if src == ".":
                 self.error("a number", start + 1)
@@ -731,7 +768,7 @@ class _Parser:
             name = self.text()
             if self.peek() == "(":
                 if name not in _FUNCS:
-                    raise ParseError(self.tokens[self.i][1], "one of sin, cos, exp", name)
+                    raise ParseError(self.tok[1], "one of sin, cos, exp", name)
                 return _FUNCS[name](self.group())
             if name == "pi":
                 return Const(math.pi)
@@ -769,7 +806,7 @@ def _text_depth(src: str) -> int:
     operator in its parentheses. Counted over the tokens, without recursion."""
     base = level = deepest = 0
     groups, previous = [], ""
-    for kind, _, _ in _tokens(src)[0]:
+    for kind, _, _ in _tokens(src):
         if kind == "(":
             groups.append((base, level))
             base = level = level + 1
@@ -907,14 +944,20 @@ def make(cls, *args) -> Expr:
 def _rewrite(cls, *args):
     """The one rewrite of cls(*args) at simplified children, or None: a node
     of constants folds to the constant that the tape computes for it, else
-    the row's _local rule applies. Where the fold fails (1/0 and 0^-1 raise
+    the row's _local rule applies. A fold is tried only where the first or
+    the last argument is a constant: a unary node's and a power's fold
+    needs its first, a binary node's both, and a leaf's arguments are a
+    float or a name. Where the fold fails (1/0 and 0^-1 raise
     ZeroDivisionError; Const refuses the inf of exp(1000) or 1e200*1e200),
     the node stays unfolded, so each point reports its fault."""
-    try:
-        out = cls._fold(*args)
-    except (ArithmeticError, ValueError):
-        out = None
-    return cls._local(*args) if out is None else out
+    if type(args[0]) is Const or type(args[-1]) is Const:
+        try:
+            out = cls._fold(*args)
+        except (ArithmeticError, ValueError):
+            out = None
+        if out is not None:
+            return out
+    return cls._local(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -959,9 +1002,10 @@ class _Tape:
         self.buffers = None
 
     def slot(self, e: Expr) -> int:
-        r = self.slots.get(id(e))
+        key = id(e)
+        r = self.slots.get(key)
         if r is None:
-            r = self.slots[id(e)] = e._emit(self)
+            r = self.slots[key] = e._emit(self)
         return r
 
     def const(self, value: float) -> int:
@@ -974,10 +1018,11 @@ class _Tape:
         return self.faults.index(message)
 
     def op(self, ufunc, a: int, b: int | None = None, fault=None) -> int:
-        self.ops.append([len(self.init), ufunc, a, b, 1])
+        r = len(self.init)
+        self.ops.append([r, ufunc, a, b, 1])
         self.fault_fns.append(fault)
         self.init.append(None)
-        return len(self.init) - 1
+        return r
 
     def own(self, fn, a: int, b: int | None = None, fault=None, array: bool = True) -> int:
         """The register of an op whose fn, a function of the operands and an

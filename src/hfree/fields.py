@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
 
 import numpy as np
 
-from .expr import Add, Expr, Mul, ONE, ZERO, free_vars, make, names_a_coordinate, simplify
+from .expr import Add, Const, Expr, Mul, ONE, ZERO, free_vars, make, names_a_coordinate, simplify
 from .expr import diff as ddx
 
 
@@ -139,22 +138,49 @@ class SmoothMap:
 def lie_derivative(xi: VectorField, f: Expr) -> Expr:
     """Directional derivative of f along xi: sum_i xi^i * d f / d x^i, over
     the terms with no zero-constant factor, built simplified (see
-    simplified_sum). A zero result is ZERO, not -0.0."""
+    simplified_sum). A zero result is ZERO, not -0.0. Raises ChartMismatch
+    where f uses a coordinate outside xi's chart. The chart is checked here,
+    at the public door, and not in lie_sum, which d1_exprs and d2_exprs call
+    once they have checked that the frame and the map share a chart: diff
+    adds no coordinate, so no entry of a jet can leave it."""
     xi.chart.check_expr(f)
-    return simplified_sum(
-        d if comp is ONE else make(Mul, simplify(comp), d)
-        for comp, name in zip(xi.components, xi.chart.coords)
-        if comp != ZERO and (d := ddx(f, name)) != ZERO
-    )
+    return lie_sum(xi, f)
+
+
+def lie_sum(xi: VectorField, f: Expr) -> Expr:
+    """lie_derivative of an f already known to lie on xi's chart, with no
+    chart check. Each term xi^i * d f / d x^i with no zero-constant factor
+    (+0.0 or -0.0) is built by make, so it is simplified already, and the
+    terms are folded left to right with make(Add, ...) as they come: the
+    association of simplified_sum, without its second simplify."""
+    total = None
+    for comp, name in zip(xi.components, xi.chart.coords):
+        if type(comp) is Const and comp.value == 0:
+            continue
+        d = ddx(f, name)
+        if type(d) is Const and d.value == 0:
+            continue
+        if comp is not ONE:
+            d = make(Mul, simplify(comp), d)
+        total = d if total is None else make(Add, total, d)
+    return _zero_is_zero(total)
 
 
 def simplified_sum(terms) -> Expr:
     """simplify() of the terms folded left to right with Add, built
     simplified: the simplified terms folded with make(Add, ...). ZERO (not
-    -0.0) for no terms or a zero-constant sum."""
-    terms = [simplify(t) for t in terms]
-    total = reduce(partial(make, Add), terms) if terms else ZERO
-    return ZERO if total == ZERO else total
+    -0.0) for no terms or a zero-constant sum. It checks no chart: its
+    callers' terms are built on theirs."""
+    total = None
+    for t in terms:
+        t = simplify(t)
+        total = t if total is None else make(Add, total, t)
+    return _zero_is_zero(total)
+
+
+def _zero_is_zero(total: Expr | None) -> Expr:
+    """ZERO for no sum or a sum that is a zero constant, +0.0 or -0.0."""
+    return ZERO if total is None or type(total) is Const and total.value == 0 else total
 
 
 def symmetrize(ab: Expr, ba: Expr) -> Expr:

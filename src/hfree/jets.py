@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expr import ZERO, Const, Expr, compile_batch
-from .fields import ChartMismatch, Frame, SmoothMap, lie_derivative, symmetrize
+from .fields import ChartMismatch, Frame, SmoothMap, lie_sum, symmetrize
 
 DEFAULT_TOL = 1e-9
 
@@ -39,10 +39,12 @@ def pair_labels(k: int) -> list[tuple[int, int]]:
 
 
 def d1_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
-    """Symbolic k x q matrix of first-order Lie derivatives."""
+    """Symbolic k x q matrix of first-order Lie derivatives. Raises
+    ChartMismatch unless the frame and the map share a chart; the entries
+    are then summed by fields.lie_sum, with no chart check of their own."""
     if frame.chart != f.chart:
         raise ChartMismatch("frame and map must share a chart")
-    return [[lie_derivative(xi, comp) for comp in f.components] for xi in frame.vectors]
+    return [[lie_sum(xi, comp) for comp in f.components] for xi in frame.vectors]
 
 
 def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
@@ -51,7 +53,7 @@ def d2_exprs(frame: Frame, f: SmoothMap) -> list[list[Expr]]:
     The anticommutator rows are built from the first-order rows: L_a is
     applied to the row of L_b f once for each ordered pair (a, b)."""
     rows = d1_exprs(frame, f)
-    second = [[[lie_derivative(xa, g) for g in row] for row in rows] for xa in frame.vectors]
+    second = [[[lie_sum(xa, g) for g in row] for row in rows] for xa in frame.vectors]
     for a, b in pair_labels(frame.k):
         rows.append([symmetrize(ab, ba) for ab, ba in zip(second[a][b], second[b][a])])
     return rows

@@ -386,7 +386,7 @@ class TestGroupMemo:
         alone = parse("sin(x+y)*(x+y) + (x+y)^2")
         descents = []
         descend = expr_module._Parser.expr
-        monkeypatch.setattr(expr_module._Parser, "expr", lambda p: descents.append(p.i) or descend(p))
+        monkeypatch.setattr(expr_module._Parser, "expr", lambda p: descents.append(p.tok) or descend(p))
         groups = {}
         assert parse("sin(x + y)*(x + y) + (x + y)^2", groups) is alone
         assert list(groups) == ["x + y"] and groups["x + y"] is Add(Coord("x"), Coord("y"))

@@ -18,7 +18,7 @@ from hfree.fields import (
     lie_derivative,
 )
 from hfree.brackets import contact_frame
-from hfree.jets import d1_exprs
+from hfree.jets import d1_exprs, d2_exprs, pair_labels
 
 PLANE = Chart(coords=("x", "y"), box=((-2.0, 2.0), (-2.0, 2.0)))
 
@@ -65,6 +65,19 @@ class TestChart:
     def test_foreign_coordinate_rejected(self):
         with pytest.raises(ChartMismatch):
             VectorField(PLANE, (parse("z"), parse("1")))
+
+    def test_lie_derivative_rejects_a_function_off_the_fields_chart(self):
+        with pytest.raises(ChartMismatch, match=r"\['z'\] not in chart \('x', 'y'\)"):
+            lie_derivative(vf("1", "y"), parse("x*z"))
+
+    @pytest.mark.parametrize("jet", [d1_exprs, d2_exprs])
+    def test_a_jet_rejects_a_frame_and_a_map_on_different_charts(self, jet):
+        """The map's chart has the frame's coordinates, but not its box: the
+        charts differ, so no entry is built."""
+        frame = Frame(PLANE, (vf("1", "0"), vf("y", "1")))
+        other = Chart(coords=("x", "y"), box=((-1.0, 1.0), (-1.0, 1.0)))
+        with pytest.raises(ChartMismatch, match="frame and map must share a chart"):
+            jet(frame, SmoothMap(other, (parse("x*y"),)))
 
 
 class TestLieDerivative:
@@ -196,3 +209,28 @@ def test_lie_sum_of_nonzero_terms_is_the_full_sum(components, f):
     for comp, name in zip(components, SPACE.coords):
         full = Add(full, Mul(comp, diff(f, name)))
     assert lie_derivative(VectorField(SPACE, components), f) is simplify(full)
+
+
+@given(
+    st.lists(st.tuples(_components, _components, _components), min_size=1, max_size=3),
+    st.lists(_trees, min_size=1, max_size=2),
+)
+@settings(max_examples=100, deadline=None)
+def test_the_jets_share_the_public_lie_derivative(vectors, components):
+    """d1_exprs and d2_exprs sum without a chart check of their own, and
+    build the nodes that the public calls build: each order-1 entry is
+    lie_derivative's node and each anticommutator entry the helper's, which
+    composes lie_derivative, for frames with zero components of either sign
+    and the unsimplified -(0)."""
+    frame = Frame(SPACE, tuple(VectorField(SPACE, v) for v in vectors))
+    f = SmoothMap(SPACE, tuple(components))
+    first = [[lie_derivative(xi, g) for g in f.components] for xi in frame.vectors]
+    pairs = [
+        [anticommutator(frame.vectors[a], frame.vectors[b], g) for g in f.components]
+        for a, b in pair_labels(frame.k)
+    ]
+    for got, want in ((d1_exprs(frame, f), first), (d2_exprs(frame, f), first + pairs)):
+        assert len(got) == len(want)
+        for got_row, want_row in zip(got, want):
+            assert len(got_row) == len(want_row)
+            assert all(g is w for g, w in zip(got_row, want_row))

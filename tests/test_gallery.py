@@ -229,5 +229,8 @@ def test_show_prints_the_notes_as_comments(capsys):
     out = capsys.readouterr().out
     assert out.startswith("# note: bracket-laws only: no immersion is claimed for this structure\n")
     assert "mode = bracket-laws\n" in out
-    assert main(["gallery", "show", "no-such-fixture"]) == 2
-    assert "unknown fixture 'no-such-fixture'" in capsys.readouterr().err
+    known = ", ".join(gallery.list_fixtures())
+    for command in ("show", "run"):
+        assert main(["gallery", command, "no-such-fixture"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unknown fixture 'no-such-fixture'; known: {known}\n"
